@@ -31,6 +31,10 @@ from .errors import CapacityError, PinPermissionError
 from .timeline import MAX_PARTICIPANTS
 
 NEUTRAL_SCORE = 0.5  # score of a configuration with no pairs to witness it
+# scores this close to the best count as tied: far above the float64
+# error of a mean of <= 45 terms in [0, 1], far below any real margin
+TIE_TOLERANCE = 1e-12
+DENSE_MEMBERS = 8  # members scored by one dense product before growing
 NORMAL_GAIN = 1.0
 QUIET_GAIN = 0.2
 EVAL_PERIOD_MS = 30
@@ -119,37 +123,135 @@ def score(partition: Iterable[Iterable[int]], posteriors: Mapping[PairKey, float
     return total / count
 
 
-class _PartitionTable:
-    """Precomputed structure for scoring every partition at once."""
+class _Level:
+    """Partitions of members 0..x, grown from the partitions of 0..x-1.
 
-    def __init__(self, ids: Tuple[int, ...]):
-        self.ids = ids
-        self.partitions = enumerate_partitions(ids)
-        self.pairs = unordered_pairs(ids)
-        index = {p: k for k, p in enumerate(self.pairs)}
-        m = len(self.pairs)
-        P = len(self.partitions)
-        within = np.zeros((P, m), dtype=np.float64)
-        for r, part in enumerate(self.partitions):
-            for block in part:
-                for i, a in enumerate(block):
-                    for b in block[i + 1 :]:
-                        within[r, index[pair_key(a, b)]] = 1.0
-        self.within = within
-        self.n_blocks = np.array([len(p) for p in self.partitions])
+    Rows follow ``_partitions_of_range``: each row of the level below
+    is followed, in order, by member x joining each of its blocks and
+    then by x opening a new block. ``labels`` holds each row's block
+    per member (a restricted growth string), ``mask`` the bitmask of
+    the earlier members in the block x joined, ``starts`` the first
+    row grown from each row of the level below.
+    """
 
-    def scores(self, p: np.ndarray) -> np.ndarray:
-        # sum over pairs of (p if within else 1-p), as one matvec:
-        # total = sum(1-p) + within @ (2p - 1)
-        m = len(self.pairs)
-        if m == 0:
-            return np.full(len(self.partitions), NEUTRAL_SCORE)
-        return (float(np.sum(1.0 - p)) + self.within @ (2.0 * p - 1.0)) / m
+    def __init__(self, below: Optional["_Level"]):
+        if below is None:
+            self.labels = np.zeros((1, 1), dtype=np.int8)
+            self.n_blocks = np.ones(1, dtype=np.intp)
+            self.mask = np.zeros(1, dtype=np.intp)
+            self.starts = np.zeros(1, dtype=np.intp)
+            return
+        x = below.labels.shape[1]
+        counts = below.n_blocks + 1
+        parent = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+        self.starts = np.cumsum(counts) - counts
+        joined = np.arange(len(parent), dtype=np.intp) - self.starts[parent]
+        self.labels = np.concatenate(
+            [below.labels[parent], joined.astype(np.int8)[:, None]], axis=1
+        )
+        same = self.labels[:, :x] == self.labels[:, x:]
+        self.mask = same.astype(np.intp) @ (1 << np.arange(x, dtype=np.intp))
+        self.n_blocks = below.n_blocks[parent] + (joined == below.n_blocks[parent])
 
 
-@lru_cache(maxsize=32)
-def _partition_table(ids: Tuple[int, ...]) -> _PartitionTable:
-    return _PartitionTable(ids)
+@lru_cache(maxsize=None)
+def _level(x: int) -> _Level:
+    return _Level(_level(x - 1) if x > 0 else None)
+
+
+def _pair_index(n: int, a: int, b: int) -> int:
+    """Position of pair (a, b), a < b, in ``unordered_pairs(range(n))``."""
+    return a * (2 * n - a - 1) // 2 + (b - a - 1)
+
+
+class _PartitionScorer:
+    """Scores every partition of n members, one member at a time.
+
+    The first DENSE_MEMBERS members are scored by a dense product of
+    their 0/1 same-floor table with the pair weights 2p - 1; every
+    later member x adds, to each row grown from a row of the level
+    below, the summed weights of its pairs with the block it joined.
+    Those sums come from a table over all subsets of the members
+    before x, so one level costs a repeat and a lookup per row.
+    """
+
+    def __init__(self, n: int):
+        # n >= 2: smaller rooms have a single partition and no pairs
+        self.n = n
+        self.m = n * (n - 1) // 2
+        self.top = _level(n - 1)
+        k = min(n, DENSE_MEMBERS)
+        labels = _level(k - 1).labels
+        pairs = unordered_pairs(range(k))
+        self.base_index = np.array([_pair_index(n, a, b) for a, b in pairs], dtype=np.intp)
+        self.base = np.stack(
+            [labels[:, a] == labels[:, b] for a, b in pairs], axis=1
+        ).astype(np.float64)
+        self.growth = []
+        for x in range(k, n):
+            subsets = (np.arange(1 << x)[:, None] >> np.arange(x) & 1).astype(np.float64)
+            columns = np.array([_pair_index(n, j, x) for j in range(x)], dtype=np.intp)
+            repeats = _level(x - 1).n_blocks + 1
+            self.growth.append((repeats, _level(x).mask, subsets, columns))
+        self.rank = self._rank()
+
+    def _rank(self) -> np.ndarray:
+        """Each top row's place in the order of (len(part), part)."""
+        labels = self.top.labels.astype(np.intp)
+        rows, n = labels.shape
+        # a partition flattened as its blocks' members + 1, each block
+        # closed by a 0, compares like the tuple of tuples it encodes
+        order = np.argsort(labels * n + np.arange(n), axis=1, kind="stable")
+        block = np.take_along_axis(labels, order, axis=1)
+        code = np.zeros((rows, 2 * n), dtype=np.int8)
+        code[np.arange(rows)[:, None], np.arange(n) + block] = order + 1
+        keys = [code[:, c] for c in range(2 * n - 1, -1, -1)] + [self.top.n_blocks]
+        rank = np.empty(rows, dtype=np.intp)
+        rank[np.lexsort(keys)] = np.arange(rows)
+        return rank
+
+    def within(self, w: np.ndarray) -> np.ndarray:
+        """Per row, the summed weights of the pairs it puts in one floor."""
+        total = self.base @ w[self.base_index]
+        for repeats, mask, subsets, columns in self.growth:
+            total = np.repeat(total, repeats) + (subsets @ w[columns])[mask]
+        return total
+
+    def partition(self, row: int, ids: Sequence[int]) -> Partition:
+        labels = self.top.labels[row]
+        blocks: List[List[int]] = [[] for _ in range(int(self.top.n_blocks[row]))]
+        for i, b in zip(ids, labels):
+            blocks[b].append(i)
+        return tuple(tuple(b) for b in blocks)
+
+    def row_of(self, partition: Partition, ids: Sequence[int]) -> Optional[int]:
+        """Row of a canonical partition of ``ids``; None if it covers others."""
+        if sorted(m for b in partition for m in b) != list(ids):
+            return None
+        pos = {m: i for i, m in enumerate(ids)}
+        labels = [0] * self.n
+        for b, block in enumerate(partition):
+            for m in block:
+                labels[pos[m]] = b
+        row = 0
+        for x in range(1, self.n):
+            row = int(_level(x).starts[row]) + labels[x]
+        return row
+
+
+@lru_cache(maxsize=None)
+def _scorer(n: int) -> _PartitionScorer:
+    return _PartitionScorer(n)
+
+
+def build_scorers(max_participants: int) -> None:
+    """Build the search structures for every room size up to the cap.
+
+    The first search at a room size builds them otherwise; a live
+    server calls this at start-up so no frame pays for it.
+    """
+    for n in range(2, max_participants + 1):
+        _scorer(n)
 
 
 @dataclass(frozen=True)
@@ -249,6 +351,31 @@ class FloorAssigner:
         self.pinned = None
         self.pin_owner = None
 
+    def _search(
+        self, posteriors: Mapping[PairKey, float], ids: Tuple[int, ...]
+    ) -> Tuple[Partition, float]:
+        """Best partition of ``ids`` by score, then by the tie rules."""
+        n = len(ids)
+        if n < 2:
+            return (ids,) if ids else (), NEUTRAL_SCORE
+        scorer = _scorer(n)
+        p = np.array([posteriors[k] for k in unordered_pairs(ids)], dtype=np.float64)
+        # score = (sum(1 - p) + within) / m, so rows compare on within
+        within = scorer.within(2.0 * p - 1.0)
+        top = within.max()
+        tied = np.flatnonzero(within >= top - TIE_TOLERANCE * scorer.m)
+        row = int(tied[0])
+        if len(tied) > 1:
+            previous = None
+            if self.previous is not None:
+                previous = scorer.row_of(self.previous.partition, ids)
+            if previous is not None and within[previous] >= top - TIE_TOLERANCE * scorer.m:
+                row = previous
+            else:
+                row = int(tied[np.argmin(scorer.rank[tied])])
+        best = (float(np.sum(1.0 - p)) + float(within[row])) / scorer.m
+        return scorer.partition(row, ids), best
+
     def assign(
         self,
         posteriors: Mapping[PairKey, float],
@@ -274,20 +401,7 @@ class FloorAssigner:
                 self.previous = cfg
                 return cfg
 
-        table = _partition_table(ids)
-        p = np.array([posteriors[k] for k in table.pairs], dtype=np.float64)
-        scores = table.scores(p)
-        best = float(scores.max()) if len(scores) else NEUTRAL_SCORE
-        tie_rows = np.flatnonzero(scores == best)
-        if len(tie_rows) == 1:
-            choice = table.partitions[tie_rows[0]]
-        else:
-            tied = [table.partitions[r] for r in tie_rows]
-            if self.previous is not None and self.previous.partition in tied:
-                choice = self.previous.partition
-            else:
-                choice = min(tied, key=lambda part: (len(part), part))
-
+        choice, best = self._search(posteriors, ids)
         if (
             self.dwell_ms > 0
             and self.previous is not None

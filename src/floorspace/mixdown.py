@@ -21,14 +21,14 @@ from .errors import UnsupportedFormatError
 from .evaluation import ReplayResult, replay_corpus
 from .learner import FloorModel
 from .mixer import Mixer, MixerConfig
-from .assigner import FloorConfiguration, gains
-from .timeline import Tick
+from .assigner import FloorConfiguration, Partition, gains
 from .vad import SAMPLE_RATE, SAMPLES_PER_MS
 
 # roughly a C-major scale so concurrent voices stay tellable apart
 TONE_FREQS_HZ = (262, 294, 330, 349, 392, 440, 494, 523, 587, 659)
 TONE_AMPLITUDE = 0.35
 TONE_EDGE_MS = 10
+STRETCH_FRAMES = 50  # most frames of settled gains mixed in one call
 
 
 def write_wav(path: str, pcm: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:
@@ -118,12 +118,6 @@ def load_participant_tracks(corpus: Corpus, audio_dir: str) -> Dict[int, np.ndar
     return tracks
 
 
-def _partition_for_frame(result: ReplayResult, frame_start: Tick):
-    """Chosen partition in force at frame_start, or None before the first."""
-    idx = int(np.searchsorted(result.ticks, frame_start, side="right")) - 1
-    return result.chosen[idx] if idx >= 0 else None
-
-
 def render_listener_mix(
     corpus: Corpus,
     result: ReplayResult,
@@ -131,7 +125,14 @@ def render_listener_mix(
     tracks: Optional[Dict[int, np.ndarray]] = None,
     mixer_cfg: Optional[MixerConfig] = None,
 ) -> np.ndarray:
-    """Walk the gain timeline frame by frame and mix what one listener hears."""
+    """Walk the gain timeline frame by frame and mix what one listener hears.
+
+    Each frame is mixed under the partition chosen at its start
+    (singletons before the first choice). While gains ramp, frames are
+    mixed one at a time; once they have settled, up to STRETCH_FRAMES
+    frames under one partition are mixed in one call, which gives the
+    same samples.
+    """
     cfg = mixer_cfg or MixerConfig()
     if tracks is None:
         tracks = tone_audio_for_corpus(corpus)
@@ -139,20 +140,27 @@ def render_listener_mix(
     mixer = Mixer(cfg)
     n = corpus.duration_ms * SAMPLES_PER_MS
     out = np.zeros(n, dtype=np.int16)
-    frame_samples = cfg.frame_samples
+    fs = cfg.frame_samples
     singletons = tuple((pid,) for pid in ids)
-    gain_cache: Dict[object, Dict[int, float]] = {}
+    starts_ms = np.arange(0, n - n % fs, fs) // SAMPLES_PER_MS
+    chosen = np.searchsorted(result.ticks, starts_ms, side="right") - 1
+    parts = [result.chosen[i] if i >= 0 else singletons for i in chosen]
+    me = [ids.index(listener)]
+    rows: Dict[Partition, np.ndarray] = {}
 
-    for a in range(0, n - n % frame_samples, frame_samples):
-        t_ms = a // SAMPLES_PER_MS
-        partition = _partition_for_frame(result, t_ms) or singletons
-        targets = gain_cache.get(partition)
-        if targets is None:
-            gm = gains(FloorConfiguration(partition, 0.0), ids)
-            targets = {pid: gm.gain(listener, pid) for pid in ids}
-            gain_cache[partition] = targets
-        frames = {pid: tracks[pid][a : a + frame_samples] for pid in ids}
-        out[a : a + frame_samples] = mixer.mix_frame(listener, frames, targets)
+    f = 0
+    while f < len(parts):
+        part = parts[f]
+        if part not in rows:
+            rows[part] = gains(FloorConfiguration(part, 0.0), ids).matrix[me]
+        end = f + 1
+        if mixer.settled([listener], ids, rows[part]):
+            while end < min(len(parts), f + STRETCH_FRAMES) and parts[end] == part:
+                end += 1
+        a, b = f * fs, end * fs
+        frames = np.stack([tracks[pid][a:b] for pid in ids])
+        out[a:b] = mixer.mix([listener], ids, frames, rows[part])[0]
+        f = end
     return out
 
 

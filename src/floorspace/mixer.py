@@ -9,7 +9,7 @@ Accumulation happens in float64 and saturates into int16 on output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,58 +33,93 @@ class MixerConfig:
     def ramp_samples(self) -> int:
         return max(1, self.ramp_ms * self.sample_rate // 1000)
 
-class GainRamp:
-    """Scalar gain gliding linearly toward a target."""
-
-    __slots__ = ("value", "target", "_step")
-
-    def __init__(self, value: float = 0.0):
-        self.value = float(value)
-        self.target = float(value)
-        self._step = 0.0
-
-    def set_target(self, target: float, ramp_samples: int) -> None:
-        target = float(target)
-        if target == self.target:
-            return
-        self.target = target
-        if ramp_samples <= 0:
-            self.value = target
-            self._step = 0.0
-        else:
-            self._step = (target - self.value) / ramp_samples
-
-    def advance(self, n: int) -> np.ndarray:
-        """Per-sample gains for the next n samples, updating state."""
-        if self.value == self.target:
-            return np.full(n, self.value)
-        g = self.value + self._step * np.arange(1, n + 1)
-        if self._step > 0:
-            g = np.minimum(g, self.target)
-        else:
-            g = np.maximum(g, self.target)
-        self.value = float(g[-1])
-        return g
-
 class Mixer:
     """Stateful renderer of per-listener frames.
 
-    Keeps one ramp per (listener, speaker) pair. A pair seen for the
+    Ramp state is kept as listener x speaker arrays (value, target,
+    per-sample step), one slot per participant id. A pair seen for the
     first time starts directly at its target, so a newly joined
-    speaker is not faded in from silence artificially.
+    speaker is not faded in from silence artificially; ``forget``
+    drops a participant's pairs, so an id reused after a leave starts
+    afresh too.
     """
 
     def __init__(self, cfg: Optional[MixerConfig] = None):
         self.cfg = cfg or MixerConfig()
-        self._ramps: Dict[Tuple[int, int], GainRamp] = {}
+        self._slot: Dict[int, int] = {}
+        # known (1.0 once a pair has been mixed), value, target, step
+        self._state = np.zeros((4, 0, 0))
 
-    def ramp_for(self, listener: int, speaker: int, target: float) -> GainRamp:
-        key = (listener, speaker)
-        ramp = self._ramps.get(key)
-        if ramp is None:
-            ramp = GainRamp(target)
-            self._ramps[key] = ramp
-        return ramp
+    def _slots(self, ids: Sequence[int]) -> np.ndarray:
+        for pid in ids:
+            if pid not in self._slot:
+                self._slot[pid] = len(self._slot)
+        grow = len(self._slot) - self._state.shape[1]
+        if grow > 0:
+            self._state = np.pad(self._state, ((0, 0), (0, grow), (0, grow)))
+        return np.array([self._slot[pid] for pid in ids], dtype=np.intp)
+
+    def forget(self, participant: int) -> None:
+        """Drop every ramp to and from ``participant``."""
+        slot = self._slot.get(participant)
+        if slot is not None:
+            self._state[:, slot, :] = 0.0
+            self._state[:, :, slot] = 0.0
+
+    def _ramps(self, listeners: Sequence[int], speakers: Sequence[int], targets):
+        """Slots, start values, targets and steps of the next mix."""
+        rows = (self._slots(listeners)[:, None], self._slots(speakers))
+        known, value, old, step = self._state[:, rows[0], rows[1]]
+        # a listener's own stream is held at zero gain
+        target = np.where(np.equal.outer(listeners, speakers), 0.0, targets)
+        value = np.where(known > 0, value, target)
+        moved = target != np.where(known > 0, old, target)
+        step = np.where(moved, (target - value) / self.cfg.ramp_samples, step)
+        return rows, value, target, step
+
+    def settled(self, listeners: Sequence[int], speakers: Sequence[int], targets) -> bool:
+        """Whether every gain of the next mix already sits at its target.
+
+        Then a mix of several frames at once equals the same frames
+        mixed one by one.
+        """
+        _, value, target, _ = self._ramps(listeners, speakers, targets)
+        return bool(np.array_equal(value, target))
+
+    def mix(
+        self,
+        listeners: Sequence[int],
+        speakers: Sequence[int],
+        frames: np.ndarray,
+        targets,
+    ) -> np.ndarray:
+        """One mixed frame per listener, as rows of an int16 array.
+
+        ``speakers`` are ascending ids and ``frames`` their int16
+        frames as rows; ``targets`` holds the wanted gain per
+        (listener, speaker). A listener's own frame is excluded
+        regardless of the targets.
+        """
+        n = frames.shape[1]
+        rows, value, target, step = self._ramps(listeners, speakers, targets)
+        pcm = frames.astype(np.float64)
+        weighted = value[..., None] * pcm
+        ramping = np.nonzero(value != target)
+        if len(ramping[0]):
+            # gains glide by step per sample and stop at the target
+            r_step = step[ramping][:, None]
+            r_target = target[ramping][:, None]
+            g = value[ramping][:, None] + r_step * np.arange(1, n + 1)
+            g = np.where(r_step > 0, np.minimum(g, r_target), np.maximum(g, r_target))
+            value[ramping] = g[:, -1]
+            weighted[ramping] = g * pcm[ramping[1]]
+        self._state[0][rows] = 1.0
+        self._state[1:, rows[0], rows[1]] = (value, target, step)
+        # speaker by speaker in ascending order, as the one-listener sum
+        acc = np.zeros((len(listeners), n), dtype=np.float64)
+        for s in range(len(speakers)):
+            acc += weighted[:, s]
+        return np.clip(np.rint(acc), INT16_MIN, INT16_MAX).astype(np.int16)
 
     def mix_frame(
         self,
@@ -104,14 +139,9 @@ class Mixer:
             raise UnsupportedFormatError(
                 f"frames of differing lengths in one mix: {sorted(lengths)}"
             )
-        n = lengths.pop() if lengths else self.cfg.frame_samples
-        acc = np.zeros(n, dtype=np.float64)
-        for speaker in sorted(frames):
-            if speaker == listener:
-                continue
-            target = float(targets.get(speaker, 0.0))
-            ramp = self.ramp_for(listener, speaker, target)
-            ramp.set_target(target, self.cfg.ramp_samples)
-            g = ramp.advance(n)
-            acc += g * np.asarray(frames[speaker], dtype=np.float64)
-        return np.clip(np.rint(acc), INT16_MIN, INT16_MAX).astype(np.int16)
+        if not frames:
+            return np.zeros(self.cfg.frame_samples, dtype=np.int16)
+        speakers = sorted(frames)
+        stacked = np.array([np.atleast_1d(frames[s]) for s in speakers])
+        row = [[float(targets.get(s, 0.0)) for s in speakers]]
+        return self.mix([listener], speakers, stacked, row)[0]

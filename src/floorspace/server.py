@@ -39,6 +39,7 @@ from .assigner import (
     FloorConfiguration,
     NORMAL_GAIN,
     QUIET_GAIN,
+    build_scorers,
     gains,
 )
 from .errors import CapacityError, FloorspaceError, PacketFormatError
@@ -185,6 +186,7 @@ class RealtimeServer:
         self.events: List[ConfigurationEvent] = []
         self.tick = 0
         self._mixer = Mixer(MixerConfig(frame_ms=cfg.frame_ms))
+        build_scorers(cfg.max_participants)
         self._lock = threading.RLock()
         self._stop = threading.Event()
         self._last_sync = 0.0
@@ -241,6 +243,7 @@ class RealtimeServer:
             if session is None:
                 return {"type": "error", "message": f"unknown participant {name!r}"}
             self._by_ssrc.pop(session.ssrc, None)
+            self._mixer.forget(session.participant)
             self._rebuild_tracker()
             log.info("leave %s", name)
             return {"type": "left", "name": name}
@@ -442,7 +445,8 @@ class RealtimeServer:
         popped: Dict[int, np.ndarray],
         config: Optional[FloorConfiguration],
     ) -> None:
-        if len(sessions) < 2:
+        rows = [i for i, s in enumerate(sessions) if s.audio_addr is not None]
+        if len(sessions) < 2 or not rows:
             return
         ids = [s.participant for s in sessions]
         if config is None:
@@ -451,14 +455,16 @@ class RealtimeServer:
         matrix = gains(
             config, ids, normal=self.cfg.normal_gain, quiet=self.cfg.quiet_gain
         )
-        mixer = self._mixer
-        for listener in sessions:
-            if listener.audio_addr is None:
-                continue
-            targets = {
-                pid: matrix.gain(listener.participant, pid) for pid in ids
-            }
-            mixed = mixer.mix_frame(listener.participant, popped, targets)
+        # every listener in one pass; a listener without an address yet
+        # neither hears a mix nor advances its ramps
+        mixes = self._mixer.mix(
+            [ids[i] for i in rows],
+            ids,
+            np.stack([popped[pid] for pid in ids]),
+            matrix.matrix[rows],
+        )
+        for i, mixed in zip(rows, mixes):
+            listener = sessions[i]
             pkt = listener.packetizer.packetize(mixed)
             try:
                 self.audio_sock.sendto(pkt.to_bytes(), listener.audio_addr)

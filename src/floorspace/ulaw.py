@@ -24,9 +24,7 @@ def _biased_magnitude(pcm) -> np.ndarray:
     return np.minimum(np.abs(x), CLIP) + BIAS
 
 
-def encode_ulaw(pcm) -> np.ndarray:
-    """int16 samples to uint8 mu-law codewords, elementwise."""
-    x = np.asarray(pcm, dtype=np.int16).astype(np.int32)
+def _encode_formula(x: np.ndarray) -> np.ndarray:
     sign = np.where(x < 0, 0x80, 0)
     mag = _biased_magnitude(x)
     exponent = np.searchsorted(_SEG_EDGES, mag, side="right")
@@ -35,17 +33,31 @@ def encode_ulaw(pcm) -> np.ndarray:
     return code.astype(np.uint8)
 
 
-def decode_ulaw(codes) -> np.ndarray:
-    """Mu-law codewords (bytes or uint8 array) back to int16 samples."""
-    if isinstance(codes, (bytes, bytearray, memoryview)):
-        codes = np.frombuffer(codes, dtype=np.uint8)
-    u = (~np.asarray(codes, dtype=np.uint8).astype(np.int32)) & 0xFF
+def _decode_formula(codes: np.ndarray) -> np.ndarray:
+    u = (~codes.astype(np.int32)) & 0xFF
     sign = u & 0x80
     exponent = (u >> 4) & 0x07
     mantissa = u & 0x0F
     mag = (((mantissa << 3) + BIAS) << exponent) - BIAS
-    out = np.where(sign != 0, -mag, mag)
-    return out.astype(np.int16)
+    return np.where(sign != 0, -mag, mag).astype(np.int16)
+
+
+# Both directions are table lookups: the encoder's table is indexed by
+# the sample's 16 bits read as unsigned, the decoder's by the codeword.
+_ENCODE = _encode_formula(np.arange(65536, dtype=np.uint16).view(np.int16))
+_DECODE = _decode_formula(np.arange(256, dtype=np.uint8))
+
+
+def encode_ulaw(pcm) -> np.ndarray:
+    """int16 samples to uint8 mu-law codewords, elementwise."""
+    return _ENCODE[np.asarray(pcm, dtype=np.int16).view(np.uint16)]
+
+
+def decode_ulaw(codes) -> np.ndarray:
+    """Mu-law codewords (bytes or uint8 array) back to int16 samples."""
+    if isinstance(codes, (bytes, bytearray, memoryview)):
+        codes = np.frombuffer(codes, dtype=np.uint8)
+    return _DECODE[np.asarray(codes, dtype=np.uint8)]
 
 
 def step_size(pcm) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Partition enumeration, configuration scoring, and the period assigner."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floorspace import (
     EVAL_PERIOD_MS,
@@ -15,7 +18,7 @@ from floorspace import (
     gains,
     score,
 )
-from floorspace.assigner import MAX_PARTICIPANTS, pair_key, unordered_pairs
+from floorspace.assigner import MAX_PARTICIPANTS, _scorer, pair_key, unordered_pairs
 from floorspace.errors import CapacityError, PinPermissionError
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -163,6 +166,50 @@ def test_score_matches_oracle_on_random_inputs():
         )
 
 
+def test_scorer_rows_follow_the_enumeration_and_rank_like_the_tie_rule():
+    for n in range(2, 8):
+        ids = list(range(10, 10 + 2 * n, 2))
+        parts = enumerate_partitions(ids)
+        scorer = _scorer(n)
+        assert [scorer.partition(r, ids) for r in range(len(parts))] == parts
+        assert [scorer.row_of(part, ids) for part in parts] == list(range(len(parts)))
+        by_rule = sorted(range(len(parts)), key=lambda r: (len(parts[r]), parts[r]))
+        assert list(np.argsort(scorer.rank)) == by_rule
+
+
+@st.composite
+def rooms(draw, sizes):
+    n = draw(st.integers(*sizes))
+    ids = sorted(draw(st.sets(st.integers(0, 500), min_size=n, max_size=n)))
+    probs = st.floats(0.0, 1.0, allow_nan=False)
+    return ids, {k: draw(probs) for k in unordered_pairs(ids)}
+
+
+def scorer_scores(ids, post):
+    """Every partition's score, as the assigner's search computes it."""
+    p = np.array([post[k] for k in unordered_pairs(ids)])
+    scorer = _scorer(len(ids))
+    return scorer, (np.sum(1.0 - p) + scorer.within(2.0 * p - 1.0)) / scorer.m
+
+
+@settings(max_examples=40, deadline=None)
+@given(rooms((2, 7)))
+def test_scorer_matches_score_on_every_partition(room):
+    ids, post = room
+    scorer, scores = scorer_scores(ids, post)
+    for r, s in enumerate(scores):
+        assert abs(s - score(scorer.partition(r, ids), post)) <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(rooms((8, 10)), st.randoms(use_true_random=False))
+def test_scorer_matches_score_on_sampled_partitions_of_large_rooms(room, rnd):
+    ids, post = room
+    scorer, scores = scorer_scores(ids, post)
+    for r in rnd.sample(range(len(scores)), 300) + [0, len(scores) - 1]:
+        assert abs(scores[r] - score(scorer.partition(r, ids), post)) <= 1e-12
+
+
 # --- assignment -------------------------------------------------------------
 
 
@@ -242,6 +289,71 @@ def test_assign_is_stable_under_relabeling():
         # relabeling can only change the outcome when it creates or
         # resolves a tie, which random posteriors essentially never do
         assert relabeled == expected
+
+
+def large_room_oracle(n):
+    """Exhaustive best partition of range(n), independent of the assigner."""
+    parts = rgs_partitions(n)
+    pairs = unordered_pairs(range(n))
+    labels = np.array(
+        [[next(b for b, blk in enumerate(p) if m in blk) for m in range(n)] for p in parts]
+    )
+    same = np.stack([labels[:, a] == labels[:, b] for a, b in pairs], axis=1)
+
+    def best(post):
+        p = np.array([post[k] for k in pairs])
+        approx = np.where(same, p, 1.0 - p).mean(axis=1)
+        near = np.flatnonzero(approx >= approx.max() - 1e-9)
+        scored = [(score_oracle(parts[r], post), parts[r]) for r in near]
+        top = max(s for s, _ in scored)
+        tied = [part for s, part in scored if s >= top - 1e-12]
+        return min(tied, key=lambda part: (len(part), canonical_partition(part)))
+
+    return best
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_assign_matches_exhaustive_oracle_in_large_rooms(n):
+    rng = np.random.default_rng(100 + n)
+    best = large_room_oracle(n)
+    for _ in range(8):
+        post = random_posteriors(rng, range(n))
+        # a few clear floors, as in real rooms, besides uniform noise
+        if rng.random() < 0.5:
+            floor = rng.integers(0, 3, n)
+            post = {(a, b): float(np.clip(v + (0.5 if floor[a] == floor[b] else -0.5), 0, 1))
+                    for (a, b), v in post.items()}
+        got = FloorAssigner().assign(post, range(n))
+        assert got.partition == canonical_partition(best(post))
+        assert got.score == pytest.approx(score_oracle(got.partition, post), abs=1e-12)
+
+
+def exact_score(partition, post):
+    block_of = {m: i for i, b in enumerate(partition) for m in b}
+    return sum(
+        Fraction(p) if block_of[a] == block_of[b] else 1 - Fraction(p)
+        for (a, b), p in post.items()
+    )
+
+
+def test_tie_rules_hold_when_round_off_splits_an_exact_tie():
+    # tenths are not binary fractions: each pair of partitions below
+    # ties exactly in real arithmetic, while a float sum over the pairs
+    # can put either one ahead in the last bit
+    merged = ((0, 1, 2, 3),)
+    fewer = {(0, 1): 0.9, (0, 2): 0.3, (0, 3): 0.9, (1, 2): 0.9, (1, 3): 0.9, (2, 3): 0.3}
+    assert exact_score(merged, fewer) == exact_score(((0, 1, 3), (2,)), fewer)
+    assert FloorAssigner().assign(fewer, range(4)).partition == merged
+
+    kept = ((0, 2, 3), (1,))
+    tie = {(0, 1): 0.3, (0, 2): 0.9, (0, 3): 0.7, (1, 2): 0.9, (1, 3): 0.3, (2, 3): 0.7}
+    assert exact_score(merged, tie) == exact_score(kept, tie)
+    a = FloorAssigner()
+    clear = {k: 0.9 if 1 not in k else 0.1 for k in unordered_pairs(range(4))}
+    assert a.assign(clear, range(4)).partition == kept
+    cfg = a.assign(tie, range(4))
+    assert cfg.partition == kept
+    assert cfg.score == pytest.approx(float(exact_score(kept, tie)) / 6, abs=1e-12)
 
 
 def test_dwell_suppresses_rapid_switching():

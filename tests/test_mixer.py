@@ -152,3 +152,47 @@ def test_mix_output_dtype_and_length():
     out = Mixer().mix_frame(0, {1: random_frame(rng)}, {1: 0.5})
     assert out.dtype == np.int16
     assert len(out) == FRAME
+
+
+def test_one_pass_over_all_listeners_equals_one_mix_per_listener():
+    rng = np.random.default_rng(9)
+    ids = [0, 2, 3, 7, 8]
+    levels = [0.0, 0.2, 1.0, 0.6]
+    together, apart = Mixer(), Mixer()
+    targets = rng.choice(levels, size=(len(ids), len(ids)))
+    for _ in range(120):
+        # retarget some pairs often enough that ramps overlap and reverse
+        if rng.random() < 0.3:
+            change = rng.random(targets.shape) < 0.3
+            targets = np.where(change, rng.choice(levels, size=targets.shape), targets)
+        frames = np.stack([random_frame(rng, 20000) for _ in ids])
+        mixed = together.mix(ids, ids, frames, targets)
+        for i, listener in enumerate(ids):
+            one = apart.mix_frame(
+                listener,
+                {pid: frames[j] for j, pid in enumerate(ids)},
+                {pid: float(targets[i, j]) for j, pid in enumerate(ids)},
+            )
+            assert np.array_equal(mixed[i], one)
+
+
+def test_settled_gains_mix_a_stretch_like_its_frames():
+    dc = np.full(3 * FRAME, 10000, dtype=np.int16)
+    one, many = Mixer(), Mixer()
+    for mixer in (one, many):
+        mixer.mix([0], [1], dc[None, :FRAME], [[0.2]])
+        assert not mixer.settled([0], [1], [[1.0]])
+    while not many.settled([0], [1], [[1.0]]):
+        one.mix([0], [1], dc[None, :FRAME], [[1.0]])
+        many.mix([0], [1], dc[None, :FRAME], [[1.0]])
+    frames = [one.mix([0], [1], dc[None, :FRAME], [[1.0]])[0] for _ in range(3)]
+    assert np.array_equal(np.concatenate(frames), many.mix([0], [1], dc[None], [[1.0]])[0])
+
+
+def test_forgotten_participant_starts_again_at_the_target():
+    dc = np.full(FRAME, 10000, dtype=np.int16)
+    mixer = Mixer()
+    mixer.mix_frame(0, {1: dc}, {1: 1.0})
+    mixer.forget(1)
+    out = mixer.mix_frame(0, {1: dc}, {1: 0.2})
+    assert np.all(out == 2000)

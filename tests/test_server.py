@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from floorspace import Packetizer, decode_ulaw
+from floorspace import QUIET_GAIN, Packetizer, decode_ulaw
 from floorspace.errors import CapacityError, FloorspaceError, PacketFormatError
 from floorspace.server import (
     RealtimeServer,
@@ -251,6 +251,32 @@ def test_audio_path_is_deterministic(floor_model):
                 return np.vstack(frames)
 
     assert np.array_equal(run(), run())
+
+
+def test_rejoiner_hears_the_current_gains_at_once(floor_model):
+    # a leave frees the participant id and the next join reuses it; the
+    # mixer must not carry the old holder's ramps into the new mixes
+    with running_server(floor_model) as srv:
+        with joined(srv, "a", 1) as a, joined(srv, "b", 2) as b, joined(srv, "c", 3) as c:
+            c.audio_sock.settimeout(2.0)
+            sends = [(a, LOUD), (b, QUIET), (c, QUIET)]
+            pin = {"type": "pin", "owner": "a", "floors": [["a", "c"], ["b"]]}
+            assert a.request(pin)["type"] == "pinned"
+            for _ in range(20):  # primes the jitter buffers and settles the ramps
+                pump_with(srv, sends)
+                together = recv_frame(c.audio_sock)
+            assert c.leave()["type"] == "left"
+            c.join()
+            assert c.participant == 2
+            pin = {"type": "pin", "owner": "a", "floors": [["a"], ["b"], ["c"]]}
+            assert a.request(pin)["type"] == "pinned"
+            pump_with(srv, sends)
+            apart = recv_frame(c.audio_sock)
+    heard = float(np.abs(together.astype(np.int64)).max())
+    assert heard > 5000
+    assert float(np.abs(apart.astype(np.int64)).max()) == pytest.approx(
+        QUIET_GAIN * heard, rel=0.05
+    )
 
 
 def test_inbox_overflow_drops_oldest(floor_model):
