@@ -14,9 +14,17 @@ multi-floor configurations beat a lone high-posterior pair: evidence
 that two people are apart must count against configurations that
 join them, and vice versa.
 
-Ties break toward the previously chosen configuration, then toward
-fewer floors, then toward the lexicographically smallest canonical
-form, so the choice is deterministic.
+The search stays exhaustive but never lists the partitions. They are
+grown one member at a time, so a partition's score is its parent's
+plus the weights of the new member's pairs with the block it joined;
+the first DENSE_MEMBERS members are scored by one dense product. Only
+the winning row is turned back into a partition.
+
+Scores within TIE_TOLERANCE of the best count as tied, so the order
+of summation cannot decide. Ties break toward the previously chosen
+configuration, then toward fewer floors, then toward the
+lexicographically smallest canonical form, so the choice is
+deterministic.
 """
 
 from __future__ import annotations
@@ -74,6 +82,18 @@ def _partitions_of_range(n: int) -> Tuple[Partition, ...]:
     return tuple(tuple(tuple(b) for b in p) for p in parts)
 
 
+def _check_capacity(n: int) -> None:
+    if n > MAX_PARTICIPANTS:
+        raise CapacityError(
+            f"{n} participants exceeds the searchable cap of {MAX_PARTICIPANTS}"
+        )
+
+
+@lru_cache(maxsize=32)
+def _pairs_of(ids: Tuple[int, ...]) -> List[PairKey]:
+    return unordered_pairs(ids)
+
+
 def enumerate_partitions(participants: Sequence[int]) -> List[Partition]:
     """All partitions of the given participant ids, canonical form.
 
@@ -84,10 +104,7 @@ def enumerate_partitions(participants: Sequence[int]) -> List[Partition]:
     n = len(ids)
     if n == 0:
         return [()]
-    if n > MAX_PARTICIPANTS:
-        raise CapacityError(
-            f"{n} participants exceeds the searchable cap of {MAX_PARTICIPANTS}"
-        )
+    _check_capacity(n)
     base = _partitions_of_range(n)
     if ids == list(range(n)):
         return list(base)
@@ -177,6 +194,7 @@ class _PartitionScorer:
 
     def __init__(self, n: int):
         # n >= 2: smaller rooms have a single partition and no pairs
+        _check_capacity(n)
         self.n = n
         self.m = n * (n - 1) // 2
         self.top = _level(n - 1)
@@ -218,9 +236,8 @@ class _PartitionScorer:
         return total
 
     def partition(self, row: int, ids: Sequence[int]) -> Partition:
-        labels = self.top.labels[row]
         blocks: List[List[int]] = [[] for _ in range(int(self.top.n_blocks[row]))]
-        for i, b in zip(ids, labels):
+        for i, b in zip(ids, self.top.labels[row].tolist()):
             blocks[b].append(i)
         return tuple(tuple(b) for b in blocks)
 
@@ -359,17 +376,17 @@ class FloorAssigner:
         if n < 2:
             return (ids,) if ids else (), NEUTRAL_SCORE
         scorer = _scorer(n)
-        p = np.array([posteriors[k] for k in unordered_pairs(ids)], dtype=np.float64)
+        p = np.array([posteriors[k] for k in _pairs_of(ids)], dtype=np.float64)
         # score = (sum(1 - p) + within) / m, so rows compare on within
         within = scorer.within(2.0 * p - 1.0)
-        top = within.max()
-        tied = np.flatnonzero(within >= top - TIE_TOLERANCE * scorer.m)
+        cut = within.max() - TIE_TOLERANCE * scorer.m
+        tied = np.flatnonzero(within >= cut)
         row = int(tied[0])
         if len(tied) > 1:
             previous = None
             if self.previous is not None:
                 previous = scorer.row_of(self.previous.partition, ids)
-            if previous is not None and within[previous] >= top - TIE_TOLERANCE * scorer.m:
+            if previous is not None and within[previous] >= cut:
                 row = previous
             else:
                 row = int(tied[np.argmin(scorer.rank[tied])])

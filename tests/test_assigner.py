@@ -104,6 +104,8 @@ def test_capacity_limit():
     assert MAX_PARTICIPANTS == 10
     with pytest.raises(CapacityError):
         enumerate_partitions(range(11))
+    with pytest.raises(CapacityError):
+        FloorAssigner().assign(random_posteriors(np.random.default_rng(0), range(11)), range(11))
 
 
 def test_canonical_partition_sorts_blocks_and_members():
