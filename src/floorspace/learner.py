@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CorpusError, ModelFormatError, ModelVersionError, TrainingError
-from .features import (
-    TRP_CLIP_MS,
-    WINDOW_LENGTHS_MS,
+# simultaneous_speech and trp_gap_from_arrays are unused here but stay
+# importable under these names, where the benchmark's tracer wraps them
+from .features import (  # noqa: F401
+    NO_GAP,
+    FeatureBinning,
+    FeatureEngine,
     PairFeatures,
+    feature_arrays,
     simultaneous_speech,
     trp_gap_from_arrays,
 )
@@ -37,77 +40,8 @@ MODEL_FORMAT = "floorspace-model"
 MODEL_FORMAT_VERSION = 1
 
 DEFAULT_SAMPLE_PERIOD_MS = 1000
-RECENT_SPEECH_WINDOW_MS = 30000
-
-
-@dataclass(frozen=True)
-class FeatureBinning:
-    """Maps raw feature values onto table bins.
-
-    Gap values get fixed-width bins across the clipped range plus one
-    trailing bin for "no antecedent pair of turns yet". Overlap counts
-    get equal-width bins across each window's possible range. Every
-    value maps to exactly one bin.
-    """
-
-    trp_bin_width_ms: int = 100
-    trp_clip_ms: int = TRP_CLIP_MS
-    overlap_bins_per_window: int = 20
-    window_lengths_ms: Tuple[int, int, int] = WINDOW_LENGTHS_MS
-
-    @property
-    def n_trp_value_bins(self) -> int:
-        return 2 * self.trp_clip_ms // self.trp_bin_width_ms
-
-    @property
-    def missing_bin(self) -> int:
-        return self.n_trp_value_bins
-
-    @property
-    def n_trp_bins(self) -> int:
-        return self.n_trp_value_bins + 1
-
-    def trp_bin(self, gap_ms: Optional[int]) -> int:
-        if gap_ms is None:
-            return self.missing_bin
-        g = max(-self.trp_clip_ms, min(self.trp_clip_ms, int(gap_ms)))
-        return min((g + self.trp_clip_ms) // self.trp_bin_width_ms,
-                   self.n_trp_value_bins - 1)
-
-    def overlap_bin(self, overlap_ms: int, window_index: int) -> int:
-        length = self.window_lengths_ms[window_index]
-        b = int(overlap_ms) * self.overlap_bins_per_window // length
-        return min(max(b, 0), self.overlap_bins_per_window - 1)
-
-    def bin_features(self, f: PairFeatures) -> Tuple[int, int, int, int]:
-        return (
-            self.trp_bin(f.trp_gap_ms),
-            self.overlap_bin(f.overlap_w1_ms, 0),
-            self.overlap_bin(f.overlap_w2_ms, 1),
-            self.overlap_bin(f.overlap_w3_ms, 2),
-        )
-
-    def bins_for(self, feature: str) -> int:
-        if feature == "trp_gap":
-            return self.n_trp_bins
-        return self.overlap_bins_per_window
-
-    def to_dict(self) -> dict:
-        return {
-            "trp_bin_width_ms": self.trp_bin_width_ms,
-            "trp_clip_ms": self.trp_clip_ms,
-            "overlap_bins_per_window": self.overlap_bins_per_window,
-            "window_lengths_ms": list(self.window_lengths_ms),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "FeatureBinning":
-        return cls(
-            trp_bin_width_ms=int(d["trp_bin_width_ms"]),
-            trp_clip_ms=int(d["trp_clip_ms"]),
-            overlap_bins_per_window=int(d["overlap_bins_per_window"]),
-            window_lengths_ms=tuple(int(x) for x in d["window_lengths_ms"]),
-        )
+# activity fed to the feature engine per batch of samples
+TRAINING_BATCH_MS = 60_000
 
 
 @dataclass
@@ -166,30 +100,50 @@ def make_training_instances(
 
     starts = {pid: [u.start for u in utterances.get(pid, ())] for pid in ids}
     ends = {pid: [u.end for u in utterances.get(pid, ())] for pid in ids}
-    labels = {pid: [u.floor_label for u in utterances.get(pid, ())] for pid in ids}
+    codes: Dict[object, int] = {}
+    labels = [
+        np.array([codes.setdefault(u.floor_label, len(codes))
+                  for u in utterances.get(pid, ())] + [-1], dtype=np.int64)
+        for pid in ids
+    ]
+    engine = FeatureEngine(
+        ids,
+        {pid: (lambda s=starts[pid], e=ends[pid]: (s, e)) for pid in ids},
+        step_ms=sample_period_ms,
+    )
+    iu, ju = np.triu_indices(len(ids), 1)
+    m = len(iu)
 
     out: List[TrainingInstance] = []
-    t = sample_period_ms
-    while t <= duration_ms:
-        active = [
-            pid
-            for pid in ids
-            if streams[pid].window(t - RECENT_SPEECH_WINDOW_MS, t).any()
-        ]
-        latest = {}
-        for pid in active:
-            k = bisect_right(starts[pid], t) - 1
-            latest[pid] = labels[pid][k] if k >= 0 else None
-        for i, a in enumerate(active):
-            for b in active[i + 1 :]:
-                w1, w2, w3 = simultaneous_speech(streams[a], streams[b], t)
-                same = latest[a] is not None and latest[a] == latest[b]
-                label = SAME if same else DIFF
-                gap_ab = trp_gap_from_arrays(starts[a], starts[b], ends[b], t)
-                gap_ba = trp_gap_from_arrays(starts[b], starts[a], ends[a], t)
-                out.append(TrainingInstance(PairFeatures(gap_ab, w1, w2, w3), label))
-                out.append(TrainingInstance(PairFeatures(gap_ba, w1, w2, w3), label))
-        t += sample_period_ms
+    sample_ticks = np.arange(sample_period_ms, duration_ms + 1, sample_period_ms)
+    per_batch = max(TRAINING_BATCH_MS // sample_period_ms, 1)
+    start_arrays = [np.array(starts[pid], dtype=np.int64) for pid in ids]
+    fed = 0
+    for lo in range(0, len(sample_ticks), per_batch):
+        ticks = sample_ticks[lo : lo + per_batch]
+        upto = int(ticks[-1])
+        for pid in ids:
+            engine.add_activity(pid, streams[pid].window(fed, upto))
+        fed = upto
+        raw = engine.raw(ticks)
+        active = raw.speech > 0
+        # label of each participant's newest utterance begun by t (-1: none)
+        latest = np.stack(
+            [lab[np.searchsorted(s, ticks, side="right") - 1]
+             for s, lab in zip(start_arrays, labels)],
+            axis=1,
+        )
+        same = (latest[:, iu] >= 0) & (latest[:, iu] == latest[:, ju])
+        rows, pairs = np.nonzero(active[:, iu] & active[:, ju])
+        gaps_ab = raw.gaps[rows, pairs].tolist()
+        gaps_ba = raw.gaps[rows, m + pairs].tolist()
+        overlaps = raw.overlaps[rows, pairs].tolist()
+        classes = np.where(same[rows, pairs], SAME, DIFF).tolist()
+        for g_ab, g_ba, (w1, w2, w3), label in zip(gaps_ab, gaps_ba, overlaps, classes):
+            g_ab = None if g_ab == NO_GAP else g_ab
+            g_ba = None if g_ba == NO_GAP else g_ba
+            out.append(TrainingInstance(PairFeatures(g_ab, w1, w2, w3), label))
+            out.append(TrainingInstance(PairFeatures(g_ba, w1, w2, w3), label))
     return out
 
 
@@ -203,18 +157,12 @@ def train(
     otherwise.
     """
     binning = binning or FeatureBinning()
-    instances = list(instances)
-    class_counts = np.zeros(2, dtype=np.int64)
-    counts = {
-        name: np.zeros((2, binning.bins_for(name)), dtype=np.int64)
-        for name in FEATURE_NAMES
-    }
-    for inst in instances:
-        c = inst.label
-        class_counts[c] += 1
-        bins = binning.bin_features(inst.features)
-        for name, b in zip(FEATURE_NAMES, bins):
-            counts[name][c, b] += 1
+    labels, bins = _binned(instances, binning)
+    class_counts = np.bincount(labels, minlength=2)
+    counts = {}
+    for k, name in enumerate(FEATURE_NAMES):
+        counts[name] = np.zeros((2, binning.bins_for(name)), dtype=np.int64)
+        np.add.at(counts[name], (labels, bins[:, k]), 1)
     if class_counts.min() == 0:
         missing = CLASS_NAMES[int(np.argmin(class_counts))]
         raise TrainingError(
@@ -231,27 +179,35 @@ def train(
     return FloorModel(priors=priors, tables=tables, binning=binning)
 
 
+def _binned(
+    instances: Iterable[TrainingInstance], binning: FeatureBinning
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(labels, bins) arrays of shape (N,) and (N, 4)."""
+    instances = list(instances)
+    labels = np.array([inst.label for inst in instances], dtype=np.intp)
+    bins = binning.bin_array(*feature_arrays([inst.features for inst in instances]))
+    return labels, bins
+
+
 def summarize_training(
     instances: Iterable[TrainingInstance],
     binning: Optional[FeatureBinning] = None,
 ) -> dict:
     """Class counts and per-feature occupied-bin counts, for reporting."""
     binning = binning or FeatureBinning()
-    class_counts = {SAME: 0, DIFF: 0}
-    occupied: Dict[str, Dict[int, set]] = {
-        name: {SAME: set(), DIFF: set()} for name in FEATURE_NAMES
+    labels, bins = _binned(instances, binning)
+    class_counts = {c: int(np.count_nonzero(labels == c)) for c in (SAME, DIFF)}
+    occupied = {
+        name: {c: len(np.unique(bins[labels == c, k])) for c in (SAME, DIFF)}
+        for k, name in enumerate(FEATURE_NAMES)
     }
-    for inst in instances:
-        class_counts[inst.label] += 1
-        for name, b in zip(FEATURE_NAMES, binning.bin_features(inst.features)):
-            occupied[name][inst.label].add(b)
     return {
         "instances": {
             CLASS_NAMES[c]: class_counts[c] for c in (SAME, DIFF)
         },
         "occupied_bins": {
             name: {
-                CLASS_NAMES[c]: len(occupied[name][c]) for c in (SAME, DIFF)
+                CLASS_NAMES[c]: occupied[name][c] for c in (SAME, DIFF)
             }
             for name in FEATURE_NAMES
         },
@@ -260,15 +216,8 @@ def summarize_training(
 
 
 def posterior(model: FloorModel, f: PairFeatures) -> float:
-    """P(same floor | features) for one ordered pair, computed in log space."""
-    bins = model.binning.bin_features(f)
-    log_same = model._log_priors[SAME]
-    log_diff = model._log_priors[DIFF]
-    for name, b in zip(FEATURE_NAMES, bins):
-        lt = model.log_likelihoods(name)
-        log_same += lt[SAME, b]
-        log_diff += lt[DIFF, b]
-    return float(np.exp(log_same - np.logaddexp(log_same, log_diff)))
+    """P(same floor | features) for one ordered pair: a one-row posterior_batch."""
+    return float(posterior_batch(model, [model.binning.bin_features(f)])[0])
 
 
 def posterior_batch(model: FloorModel, bins: np.ndarray) -> np.ndarray:
@@ -277,18 +226,24 @@ def posterior_batch(model: FloorModel, bins: np.ndarray) -> np.ndarray:
     ``bins`` has shape (m, 4) in FEATURE_NAMES order; returns shape (m,).
     """
     bins = np.asarray(bins, dtype=np.intp)
-    log_same = np.full(len(bins), model._log_priors[SAME])
-    log_diff = np.full(len(bins), model._log_priors[DIFF])
+    log_same = log_diff = None
     for k, name in enumerate(FEATURE_NAMES):
         lt = model.log_likelihoods(name)
-        log_same += lt[SAME, bins[:, k]]
-        log_diff += lt[DIFF, bins[:, k]]
+        if k == 0:
+            # prior + first term, the first of the same left-to-right sums
+            log_same = model._log_priors[SAME] + lt[SAME, bins[:, 0]]
+            log_diff = model._log_priors[DIFF] + lt[DIFF, bins[:, 0]]
+        else:
+            log_same += lt[SAME, bins[:, k]]
+            log_diff += lt[DIFF, bins[:, k]]
     return np.exp(log_same - np.logaddexp(log_same, log_diff))
 
 
 def pair_posterior(model: FloorModel, f_ab: PairFeatures, f_ba: PairFeatures) -> float:
     """Single probability for an unordered pair: mean of both directions."""
-    return 0.5 * (posterior(model, f_ab) + posterior(model, f_ba))
+    bins = [model.binning.bin_features(f) for f in (f_ab, f_ba)]
+    both = posterior_batch(model, bins)
+    return float(0.5 * (both[0] + both[1]))
 
 
 def save_model(model: FloorModel, path: str) -> None:

@@ -44,6 +44,7 @@ from .assigner import (
 )
 from .errors import CapacityError, FloorspaceError, PacketFormatError
 from .evaluation import ConfigurationEvent, FloorTracker
+from .features import LOOKBACK_MS
 from .learner import FloorModel, load_model
 from .mixer import Mixer, MixerConfig
 from .segmenter import OnlineSegmenter, SegmenterConfig
@@ -154,13 +155,10 @@ class ClientSession:
         self.overload_drops = 0
         self.jitter = JitterBuffer(depth_ms=cfg.jitter_depth_ms, frame_ms=cfg.frame_ms)
         self.vad = VoiceActivityDetector(cfg.vad)
-        self.segmenter = OnlineSegmenter(participant, SegmenterConfig())
-        self.stream = ActivityStream(participant)
-        # silence backfill keeps every stream aligned to the shared epoch
-        if start_tick > 0:
-            zeros = np.zeros(start_tick, dtype=bool)
-            self.stream.append(zeros)
-            self.segmenter.feed(zeros)
+        # both start at the joining tick; earlier ticks read as silence
+        self.segmenter = OnlineSegmenter(participant, SegmenterConfig(), start_tick)
+        # the recent activity a rebuilt tracker is fed, LOOKBACK_MS and a frame
+        self.stream = ActivityStream(participant, start_tick)
         self.packetizer = Packetizer(ssrc=ssrc ^ 0xFFFFFFFF)
         self.clock: Optional[ClockOffset] = None
         self.pending_sync_t1: Optional[int] = None
@@ -253,6 +251,9 @@ class RealtimeServer:
         if len(sessions) < 2:
             self.tracker = None
             return
+        # the features look back LOOKBACK_MS from the first period the
+        # new tracker evaluates, so older activity is never read again
+        start = max(self.tick - LOOKBACK_MS - self.cfg.frame_ms, 0)
         tracker = FloorTracker(
             [s.participant for s in sessions],
             self.model,
@@ -262,9 +263,10 @@ class RealtimeServer:
             ),
             eval_period_ms=self.cfg.eval_period_ms,
             first_eval_ms=self.tick + 1,
+            start_tick=start,
         )
         for s in sessions:
-            tracker.add_activity(s.participant, s.stream.bits)
+            tracker.add_activity(s.participant, s.stream.window(start, self.tick))
         self.tracker = tracker
 
     # ---- control plane ----
@@ -418,6 +420,7 @@ class RealtimeServer:
                 popped[s.participant] = frame
                 bits = s.vad.frame_bits(frame)
                 s.stream.append(bits)
+                s.stream.discard_before(s.stream.end_tick - LOOKBACK_MS - frame_ms)
                 s.segmenter.feed(bits)
                 if self.tracker is not None:
                     self.tracker.add_activity(s.participant, bits)

@@ -68,10 +68,10 @@ def overlap_ms(a: Utterance, b: Utterance) -> int:
 class ActivityStream:
     """Dense speech/non-speech bits for one participant.
 
-    Append-only: a single writer extends the stream, readers see a
-    stable prefix. Reads outside the recorded range are defined as
-    non-speech, so late joiners and short recordings need no special
-    casing downstream.
+    A single writer extends the stream, readers see a stable prefix
+    until the writer discards it. Reads outside the recorded range are
+    defined as non-speech, so late joiners and short recordings need no
+    special casing downstream.
     """
 
     def __init__(self, participant: int, start_tick: Tick = 0, bits=None):
@@ -107,7 +107,7 @@ class ActivityStream:
         bits = np.atleast_1d(np.asarray(bits, dtype=bool))
         need = self._len + len(bits)
         if need > len(self._buf):
-            cap = len(self._buf)
+            cap = max(len(self._buf), 1)
             while cap < need:
                 cap *= 2
             grown = np.zeros(cap, dtype=bool)
@@ -115,6 +115,14 @@ class ActivityStream:
             self._buf = grown
         self._buf[self._len : need] = bits
         self._len = need
+
+    def discard_before(self, tick: Tick) -> None:
+        """Forget the bits before ``tick``; the stream then starts there."""
+        n = min(max(tick - self.start_tick, 0), self._len)
+        if n:
+            self._buf = self._buf[n:]
+            self._len -= n
+            self.start_tick += n
 
     def extend_to(self, tick: Tick) -> None:
         """Pad with non-speech so the stream covers ticks up to ``tick``."""

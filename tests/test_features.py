@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floorspace import PairFeatures, Utterance, extract_all, extract_pair
 from floorspace.features import (
     LOOKBACK_MS,
+    NO_GAP,
     TRP_CLIP_MS,
     WINDOW_LENGTHS_MS,
+    FeatureEngine,
     simultaneous_speech,
     trp_gap,
+    trp_gap_from_arrays,
 )
 from floorspace.timeline import ActivityStream, stream_from_intervals
 
@@ -205,3 +209,116 @@ def test_extract_all_shares_overlap_across_directions():
             assert out[(a, b)].overlaps == out[(b, a)].overlaps
             assert out[(a, b)].trp_gap_ms == trp_gap(utterances[a], utterances[b], 4000)
             assert out[(b, a)].trp_gap_ms == trp_gap(utterances[b], utterances[a], 4000)
+
+
+# --- the batched engine against the scalar definitions --------------------------
+
+
+def intervals(max_tick):
+    """Sorted disjoint [start, end) intervals below max_tick."""
+    return st.lists(
+        st.tuples(st.integers(1, 3000), st.integers(1, 4000)), max_size=25
+    ).map(lambda steps: _lay_out(steps, max_tick))
+
+
+def _lay_out(steps, max_tick):
+    out, t = [], 0
+    for gap, length in steps:
+        s = t + gap
+        if s + length > max_tick:
+            break
+        out.append((s, s + length))
+        t = s + length
+    return out
+
+
+@st.composite
+def sessions(draw):
+    n = draw(st.integers(2, 4))
+    start = draw(st.integers(0, 3000))
+    duration = draw(st.integers(start + 500, 70_000))
+    activity = [draw(intervals(duration)) for _ in range(n)]
+    # turns are drawn apart from the activity, and may run past the
+    # instants asked about: those are still open then
+    turns = [draw(intervals(duration + 5000)) for _ in range(n)]
+    # instants on a grid, as the tracker's periods and training's samples are
+    step = draw(st.sampled_from([1, 10, 30, 1000]))
+    lo, hi = -(-start // step), duration // step
+    if lo > hi:
+        step, lo, hi = 1, start, duration
+    ticks = sorted(k * step for k in draw(st.lists(st.integers(lo, hi), min_size=1, max_size=12)))
+    chunks = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 9000)),
+                           min_size=1, max_size=40))
+    return n, duration, start, step, activity, turns, ticks, chunks
+
+
+def _engine(n, start, step, turns):
+    views = {p: (lambda s=[a for a, _ in turns[p]], e=[b for _, b in turns[p]]: (s, e))
+             for p in range(n)}
+    return FeatureEngine(range(n), views, start_tick=start, step_ms=step)
+
+
+def _feed_until(engine, streams, chunks, fed, tick):
+    """Feed the chunks in order (then whole streams) until ``tick`` is covered."""
+    while engine.coverage < tick:
+        if chunks:
+            p, size = chunks.pop(0)
+        else:
+            p = min(range(len(fed)), key=lambda q: fed[q])
+            size = len(streams[p])
+        engine.add_activity(p, streams[p][fed[p] : fed[p] + size])
+        fed[p] = min(fed[p] + size, len(streams[p]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sessions())
+def test_engine_matches_the_scalar_definitions_at_any_chunking(session):
+    n, duration, start, step, activity, turns, ticks, chunks = session
+    full = [stream_from_intervals(p, activity[p], duration) for p in range(n)]
+    streams = [full[p].window(start, duration) for p in range(n)]
+    # the engine is fed from start on; before it, the oracle hears silence
+    oracle = [ActivityStream(p, start, streams[p]) for p in range(n)]
+
+    one_at_a_time = _engine(n, start, step, turns)
+    fed = [0] * n
+    singles = []
+    for t in ticks:
+        _feed_until(one_at_a_time, streams, chunks, fed, t)
+        singles.append(one_at_a_time.raw([t]))
+
+    batch = _engine(n, start, step, turns)
+    for p in range(n):
+        batch.add_activity(p, streams[p])
+    together = batch.raw(ticks)
+
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    m = len(pairs)
+    starts = [[a for a, _ in turns[p]] for p in range(n)]
+    ends = [[b for _, b in turns[p]] for p in range(n)]
+    for k, t in enumerate(ticks):
+        for field, single in zip(together, singles[k]):
+            assert np.array_equal(field[k], single[0])
+        for i, (a, b) in enumerate(pairs):
+            w = simultaneous_speech(oracle[a], oracle[b], t)
+            assert tuple(together.overlaps[k, i]) == w
+            for col, (x, y) in ((i, (a, b)), (m + i, (b, a))):
+                gap = trp_gap_from_arrays(starts[x], starts[y], ends[y], t)
+                assert together.gaps[k, col] == (NO_GAP if gap is None else gap)
+        for p in range(n):
+            assert together.speech[k, p] == oracle[p].window(t - LOOKBACK_MS, t).sum()
+
+
+def test_engine_rejects_instants_it_no_longer_holds():
+    engine = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])})
+    for p in (0, 1):
+        engine.add_activity(p, np.ones(40_000, dtype=bool))
+    engine.raw([39_000])
+    with pytest.raises(ValueError, match="retained"):
+        engine.raw([8_000])
+    with pytest.raises(ValueError, match="covered"):
+        engine.raw([40_001])
+    on_grid = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, step_ms=30)
+    for p in (0, 1):
+        on_grid.add_activity(p, np.ones(100, dtype=bool))
+    with pytest.raises(ValueError, match="multiples of 10"):
+        on_grid.raw([45])

@@ -16,6 +16,7 @@ from floorspace.server import (
     decode_message,
     encode_message,
 )
+from floorspace.features import LOOKBACK_MS as LOOKBACK
 from floorspace.transport import AudioPacket
 
 LOUD = np.full(160, 8000, dtype=np.int16)
@@ -414,3 +415,66 @@ def test_scripted_client_answers_sync_during_requests(floor_model):
             assert wait_for(lambda: srv.sessions["alice"].clock is not None)
             offset = srv.sessions["alice"].clock.offset_ms
             assert 200 <= offset <= 400
+
+
+# --- tracker rebuilds ---------------------------------------------------------
+
+
+def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model):
+    """A leave and a join after 90 s at n=10 feed the new tracker only the
+    recent activity; its posteriors equal those of a tracker fed everything."""
+    from floorspace import FloorAssigner, FloorTracker, GeneratorConfig, generate
+    from floorspace.transport import FRAME_SAMPLES
+
+    frame_ms, names = 20, [f"p{i}" for i in range(10)]
+    corpus = generate(GeneratorConfig(
+        participants=10, duration_ms=100_000, seed=8,
+        schedule=[(0, tuple((2 * i, 2 * i + 1) for i in range(5)))]))
+    bits = [s.bits for s in corpus.streams().values()]
+    t = np.arange(FRAME_SAMPLES)
+    srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0), model=floor_model)
+    history = {}  # every frame of bits each participant's VAD produced
+    try:
+        for i, name in enumerate(names):
+            srv._join(name, 100 + i, ("127.0.0.1", 9))
+        packetizers = [Packetizer(ssrc=100 + i) for i in range(10)]
+
+        def pump():
+            tick = srv.tick
+            for i, name in enumerate(names):
+                mask = np.repeat(bits[i][tick : tick + frame_ms], FRAME_SAMPLES // frame_ms)
+                tone = 8000 * np.sin(2 * np.pi * (300 + 45 * i) * (t + tick * 8) / 8000)
+                pcm = (tone * mask).astype(np.int16)
+                srv.sessions[name].push_packet(packetizers[i].packetize(pcm))
+            srv.pump_once()
+            for s in srv.sessions.values():
+                history.setdefault(s.participant, []).append(s.stream.bits[-frame_ms:])
+
+        # a pin keeps the 90 s cheap; the features run as always
+        srv._pin({"owner": "p0", "floors": [names]})
+        while srv.tick < 90_000:
+            pump()
+        assert srv._leave("p3")["type"] == "left"
+        rejoined = srv._join("p3", 103, ("127.0.0.1", 9))["participant"]
+        rebuilt = srv.tracker
+        assert max(len(s) for s in rebuilt.streams.values()) <= LOOKBACK + frame_ms
+
+        sessions = sorted(srv.sessions.values(), key=lambda s: s.participant)
+        full = FloorTracker(
+            [s.participant for s in sessions], floor_model,
+            {s.participant: s.segmenter.view for s in sessions},
+            assigner=FloorAssigner(), first_eval_ms=srv.tick + 1)
+        history[rejoined] = [np.zeros(srv.tick, dtype=bool)]
+        for pid, frames in history.items():
+            full.add_activity(pid, np.concatenate(frames))
+        for _ in range(10):
+            pump()
+            for s in sessions:
+                full.add_activity(s.participant, history[s.participant][-1])
+            full.process_due(srv.tick)
+    finally:
+        srv.stop()
+
+    assert len(rebuilt.ticks) == 6 and rebuilt.ticks == full.ticks
+    assert np.array_equal(np.vstack(rebuilt.posteriors), np.vstack(full.posteriors))
+    assert [c.partition for c in rebuilt.configs] == [c.partition for c in full.configs]

@@ -137,3 +137,16 @@ def test_extend_to_pads_with_silence():
     assert not s.bits[5:].any()
     s.extend_to(3)  # never shrinks
     assert len(s) == 12
+
+
+def test_discard_before_keeps_the_tail_and_later_appends():
+    rng = np.random.default_rng(4)
+    bits = rng.random(3000) < 0.5
+    s = ActivityStream(0, 100, bits[:1000])
+    s.discard_before(600)
+    assert (s.start_tick, s.end_tick, len(s)) == (600, 1100, 500)
+    assert np.array_equal(s.window(400, 1100), np.r_[np.zeros(200, bool), bits[500:1000]])
+    s.discard_before(5000)  # past the end: nothing left, and appends still work
+    assert len(s) == 0 and s.start_tick == 1100
+    s.append(bits[1000:3000])
+    assert np.array_equal(s.bits, bits[1000:3000]) and s.end_tick == 3100
