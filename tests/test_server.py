@@ -454,6 +454,8 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
         srv._pin({"owner": "p0", "floors": [names]})
         while srv.tick < 90_000:
             pump()
+        # everyone spoke in the lookback the rebuilt tracker must reproduce
+        assert all(np.concatenate(f)[-LOOKBACK:].any() for f in history.values())
         assert srv._leave("p3")["type"] == "left"
         rejoined = srv._join("p3", 103, ("127.0.0.1", 9))["participant"]
         rebuilt = srv.tracker
