@@ -5,8 +5,19 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from floorspace import Corpus, TurnRecord, generate, replay_corpus
+from floorspace import (
+    Corpus,
+    FloorConfiguration,
+    Mixer,
+    MixerConfig,
+    ReplayResult,
+    TurnRecord,
+    gains,
+    generate,
+    replay_corpus,
+)
 from floorspace.errors import UnsupportedFormatError
 from floorspace.mixdown import (
     load_participant_tracks,
@@ -221,3 +232,76 @@ def test_mixdown_rejects_unknown_listener(tmp_path, floor_model):
     corpus = generate(four_party_config(seed=53, duration_ms=35_000, epoch_ms=35_000))
     with pytest.raises(UnsupportedFormatError, match="nobody"):
         mixdown_corpus(corpus, floor_model, str(tmp_path), listeners=["nobody"])
+
+
+# --- the render against a frame-by-frame reference ----------------------------
+
+
+class _SparseCorpus(Corpus):
+    """A corpus whose participants carry arbitrary, non-contiguous ids."""
+
+    def __init__(self, ids, duration_ms):
+        super().__init__([f"p{pid}" for pid in ids], [], duration_ms=duration_ms)
+        self._ids = {f"p{pid}": pid for pid in ids}
+
+    @property
+    def ids(self):
+        return dict(self._ids)
+
+
+@st.composite
+def timelines(draw):
+    ids = sorted(draw(st.sets(st.integers(0, 15), min_size=2, max_size=6)))
+    frames = draw(st.integers(1, 120))
+    duration_ms = frames * 20
+    # changes at any millisecond, often closer together than a ramp, so
+    # gains reverse mid-glide; the first may come after the start
+    ticks = sorted(draw(st.sets(st.integers(0, duration_ms - 1), max_size=30)))
+    chosen = []
+    for _ in ticks:
+        labels = draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
+        blocks = {}
+        for pid, label in zip(ids, labels):
+            blocks.setdefault(label, []).append(pid)
+        chosen.append(tuple(sorted(tuple(b) for b in blocks.values())))
+    ramp_ms = draw(st.integers(0, 500))
+    amplitudes = draw(st.lists(st.sampled_from([0, 300, 12000, 32767]),
+                               min_size=len(ids), max_size=len(ids)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return ids, duration_ms, ticks, chosen, ramp_ms, amplitudes, seed
+
+
+def _reference_mix(ids, listener, tracks, ticks, chosen, cfg, n):
+    """Mix frame by frame, each under the partition chosen at its start."""
+    mixer = Mixer(cfg)
+    fs = cfg.frame_samples
+    singletons = tuple((pid,) for pid in ids)
+    out = []
+    for a in range(0, n, fs):
+        i = int(np.searchsorted(ticks, a // 8, side="right")) - 1
+        part = chosen[i] if i >= 0 else singletons
+        row = gains(FloorConfiguration(part, 0.0), ids).matrix[ids.index(listener)]
+        frames = {pid: tracks[pid][a : a + fs] for pid in ids}
+        out.append(mixer.mix_frame(listener, frames, dict(zip(ids, row))))
+    return np.concatenate(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(timelines())
+def test_render_equals_a_frame_by_frame_walk_of_the_mixer(timeline):
+    ids, duration_ms, ticks, chosen, ramp_ms, amplitudes, seed = timeline
+    corpus = _SparseCorpus(ids, duration_ms)
+    n = duration_ms * 8
+    rng = np.random.default_rng(seed)
+    tracks = {
+        pid: rng.integers(-amp, amp + 1, n).astype(np.int16)
+        for pid, amp in zip(ids, amplitudes)
+    }
+    result = ReplayResult(tuple(ids), [], np.array(ticks, dtype=np.int64), chosen,
+                          np.zeros(len(ticks)), [], [], np.zeros((len(ticks), 0)))
+    cfg = MixerConfig(ramp_ms=ramp_ms)
+    for listener in ids:
+        mix = render_listener_mix(corpus, result, listener, tracks=tracks, mixer_cfg=cfg)
+        want = _reference_mix(ids, listener, tracks, ticks, chosen, cfg, n)
+        assert mix.dtype == np.int16
+        assert np.array_equal(mix, want)
