@@ -3,7 +3,7 @@
 Each participant gets a fixed-frequency tone that sounds whenever
 their corpus turns say they speak, the corpus is replayed to get the
 configuration timeline, and the per-listener mixes are rendered with
-the same mixer and gain ramps the live path uses. Same-floor voices
+the same gain ramps the live mixer uses. Same-floor voices
 come through at full level, other floors sit at the background level,
 so floor changes are directly audible as tones fading in and out.
 """
@@ -20,7 +20,7 @@ from .corpus import Corpus
 from .errors import UnsupportedFormatError
 from .evaluation import ReplayResult, replay_corpus
 from .learner import FloorModel
-from .mixer import Mixer, MixerConfig
+from .mixer import INT16_MAX, INT16_MIN, MixerConfig, mix_timeline
 from .assigner import FloorConfiguration, Partition, gains
 from .vad import SAMPLE_RATE, SAMPLES_PER_MS
 
@@ -28,7 +28,6 @@ from .vad import SAMPLE_RATE, SAMPLES_PER_MS
 TONE_FREQS_HZ = (262, 294, 330, 349, 392, 440, 494, 523, 587, 659)
 TONE_AMPLITUDE = 0.35
 TONE_EDGE_MS = 10
-STRETCH_FRAMES = 50  # most frames of settled gains mixed in one call
 
 
 def write_wav(path: str, pcm: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:
@@ -77,20 +76,16 @@ def tone_audio_for_corpus(corpus: Corpus) -> Dict[int, np.ndarray]:
     """Per-participant int16 tracks, a tone burst per labeled turn."""
     ids = corpus.ids
     n = corpus.duration_ms * SAMPLES_PER_MS
-    tracks: Dict[int, np.ndarray] = {
-        pid: np.zeros(n, dtype=np.float64) for pid in ids.values()
-    }
+    tracks = {pid: np.zeros(n, dtype=np.int16) for pid in ids.values()}
     for rec in corpus.records:
         pid = ids[rec.participant]
         freq = TONE_FREQS_HZ[pid % len(TONE_FREQS_HZ)]
         a = rec.start_ms * SAMPLES_PER_MS
         b = min(rec.end_ms * SAMPLES_PER_MS, n)
         if b > a:
-            tracks[pid][a:b] = _tone(freq, b - a, phase0=0.0)
-    return {
-        pid: np.clip(np.rint(t), -32768, 32767).astype(np.int16)
-        for pid, t in tracks.items()
-    }
+            tracks[pid][a:b] = np.clip(np.rint(_tone(freq, b - a, phase0=0.0)),
+                                       INT16_MIN, INT16_MAX)
+    return tracks
 
 
 def load_participant_tracks(corpus: Corpus, audio_dir: str) -> Dict[int, np.ndarray]:
@@ -125,43 +120,27 @@ def render_listener_mix(
     tracks: Optional[Dict[int, np.ndarray]] = None,
     mixer_cfg: Optional[MixerConfig] = None,
 ) -> np.ndarray:
-    """Walk the gain timeline frame by frame and mix what one listener hears.
+    """Render what one listener hears from the timeline of target gains.
 
-    Each frame is mixed under the partition chosen at its start
-    (singletons before the first choice). While gains ramp, frames are
-    mixed one at a time; once they have settled, up to STRETCH_FRAMES
-    frames under one partition are mixed in one call, which gives the
-    same samples.
+    Each frame, the last one possibly partial, is mixed under the
+    partition chosen at its start (singletons before the first choice),
+    with the live mixer's ramp law, in array blocks.
     """
     cfg = mixer_cfg or MixerConfig()
     if tracks is None:
         tracks = tone_audio_for_corpus(corpus)
     ids = sorted(corpus.ids.values())
-    mixer = Mixer(cfg)
     n = corpus.duration_ms * SAMPLES_PER_MS
-    out = np.zeros(n, dtype=np.int16)
-    fs = cfg.frame_samples
-    singletons = tuple((pid,) for pid in ids)
-    starts_ms = np.arange(0, n - n % fs, fs) // SAMPLES_PER_MS
+    starts_ms = np.arange(0, n, cfg.frame_samples) // SAMPLES_PER_MS
     chosen = np.searchsorted(result.ticks, starts_ms, side="right") - 1
-    parts = [result.chosen[i] if i >= 0 else singletons for i in chosen]
-    me = [ids.index(listener)]
-    rows: Dict[Partition, np.ndarray] = {}
-
-    f = 0
-    while f < len(parts):
-        part = parts[f]
-        if part not in rows:
-            rows[part] = gains(FloorConfiguration(part, 0.0), ids).matrix[me]
-        end = f + 1
-        if mixer.settled([listener], ids, rows[part]):
-            while end < min(len(parts), f + STRETCH_FRAMES) and parts[end] == part:
-                end += 1
-        a, b = f * fs, end * fs
-        frames = np.stack([tracks[pid][a:b] for pid in ids])
-        out[a:b] = mixer.mix([listener], ids, frames, rows[part])[0]
-        f = end
-    return out
+    # one gain row per distinct partition; before the first choice
+    # (period -1) everyone is a singleton
+    codes: Dict[Partition, int] = {tuple((pid,) for pid in ids): 0}
+    period_codes = np.array([0] + [codes.setdefault(p, len(codes)) for p in result.chosen])
+    me = ids.index(listener)
+    rows = np.array([gains(FloorConfiguration(p, 0.0), ids).matrix[me] for p in codes])
+    targets = rows[period_codes[chosen + 1]]
+    return mix_timeline([tracks[pid][:n] for pid in ids], targets, cfg)
 
 
 def mixdown_corpus(

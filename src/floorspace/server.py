@@ -65,6 +65,9 @@ log = logging.getLogger("floorspace.server")
 _LEN = struct.Struct(">I")
 MAX_CONTROL_BYTES = 64 * 1024
 INBOX_FRAMES = 64
+# control messages that act for a session, and the field naming it: they
+# count only from the control address that session joined from
+SESSION_FIELD = {"leave": "name", "pin": "owner", "unpin": "owner", "sync_response": "name"}
 
 
 def encode_message(msg: dict) -> bytes:
@@ -188,6 +191,7 @@ class RealtimeServer:
         self._lock = threading.RLock()
         self._stop = threading.Event()
         self._last_sync = 0.0
+        self.control_rejects = 0
 
         self.audio_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.audio_sock.bind((cfg.host, cfg.audio_port))
@@ -279,7 +283,15 @@ class RealtimeServer:
             return
         kind = msg.get("type")
         try:
-            if kind == "join":
+            if kind in SESSION_FIELD and not self._from_session(msg, kind, addr):
+                if kind == "sync_response":
+                    return
+                reply = {
+                    "type": "error",
+                    "message": f"{kind} for {msg[SESSION_FIELD[kind]]!r} must come "
+                    "from that participant's control address",
+                }
+            elif kind == "join":
                 reply = self._join(str(msg["name"]), int(msg["ssrc"]), addr)
             elif kind == "leave":
                 reply = self._leave(str(msg["name"]))
@@ -299,6 +311,19 @@ class RealtimeServer:
         except FloorspaceError as exc:
             reply = {"type": "error", "message": str(exc)}
         self._send_control(reply, addr)
+
+    def _from_session(self, msg: dict, kind: str, addr: Tuple[str, int]) -> bool:
+        """Whether ``addr`` may act for the session ``msg`` names.
+
+        An unknown name passes, so its handler can say it is unknown.
+        """
+        with self._lock:
+            session = self.sessions.get(str(msg.get(SESSION_FIELD[kind])))
+            if session is None or session.control_addr == addr:
+                return True
+            self.control_rejects += 1
+            log.debug("%s for %s from %s rejected", kind, session.name, addr)
+            return False
 
     def _names_to_partition(self, floors: List[List[str]]) -> Tuple[Tuple[int, ...], ...]:
         part = []
@@ -348,6 +373,7 @@ class RealtimeServer:
                 "tick_ms": self.tick,
                 "floors": floors,
                 "score": score,
+                "control_rejects": self.control_rejects,
                 "participants": {
                     s.name: {
                         "participant": s.participant,

@@ -209,6 +209,17 @@ def test_mix_clamps_at_full_scale(floor_model):
     assert np.all(mix <= 32767)
 
 
+def test_a_partial_last_frame_is_mixed_too(floor_model):
+    # a duration inferred from the last turn end need not fill whole frames
+    records = _merged_corpus().records[:-1] + [TurnRecord("b", 5100, 6010, 0)]
+    corpus = Corpus(["a", "b", "c", "d"], records)
+    assert corpus.duration_ms * 8 % 160 == 80
+    result = replay_corpus(corpus, floor_model, oracle_posteriors=True)
+    mix = render_listener_mix(corpus, result, listener=0, tracks=_dc_tracks(corpus))
+    assert len(mix) == 6010 * 8
+    assert np.all(mix[8 * 3500 :] == 3000)
+
+
 def test_mixdown_writes_one_file_per_listener(tmp_path, floor_model):
     corpus = generate(four_party_config(seed=51, duration_ms=35_000, epoch_ms=35_000))
     out = tmp_path / "mixes"
@@ -252,8 +263,8 @@ class _SparseCorpus(Corpus):
 @st.composite
 def timelines(draw):
     ids = sorted(draw(st.sets(st.integers(0, 15), min_size=2, max_size=6)))
-    frames = draw(st.integers(1, 120))
-    duration_ms = frames * 20
+    # up to 120 frames, the last one often partial
+    duration_ms = draw(st.integers(1, 2400))
     # changes at any millisecond, often closer together than a ramp, so
     # gains reverse mid-glide; the first may come after the start
     ticks = sorted(draw(st.sets(st.integers(0, duration_ms - 1), max_size=30)))

@@ -176,19 +176,6 @@ def test_one_pass_over_all_listeners_equals_one_mix_per_listener():
             assert np.array_equal(mixed[i], one)
 
 
-def test_settled_gains_mix_a_stretch_like_its_frames():
-    dc = np.full(3 * FRAME, 10000, dtype=np.int16)
-    one, many = Mixer(), Mixer()
-    for mixer in (one, many):
-        mixer.mix([0], [1], dc[None, :FRAME], [[0.2]])
-        assert not mixer.settled([0], [1], [[1.0]])
-    while not many.settled([0], [1], [[1.0]]):
-        one.mix([0], [1], dc[None, :FRAME], [[1.0]])
-        many.mix([0], [1], dc[None, :FRAME], [[1.0]])
-    frames = [one.mix([0], [1], dc[None, :FRAME], [[1.0]])[0] for _ in range(3)]
-    assert np.array_equal(np.concatenate(frames), many.mix([0], [1], dc[None], [[1.0]])[0])
-
-
 def test_forgotten_participant_starts_again_at_the_target():
     dc = np.full(FRAME, 10000, dtype=np.int16)
     mixer = Mixer()

@@ -355,6 +355,37 @@ def test_pin_names_must_be_known(floor_model):
             assert "zed" in reply["message"]
 
 
+# --- control addresses ---------------------------------------------------------
+
+
+def test_only_a_sessions_own_address_acts_for_it(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 10) as a, joined(srv, "bob", 20) as b:
+            pin = {"type": "pin", "owner": "alice", "floors": [["alice"], ["bob"]]}
+            assert a.request(pin)["type"] == "pinned"
+            pinned = srv.tracker.assigner.pinned
+            assert pinned is not None
+
+            assert b.request({"type": "leave", "name": "alice"})["type"] == "error"
+            assert b.request({"type": "unpin", "owner": "alice"})["type"] == "error"
+            as_alice = {"type": "pin", "owner": "alice", "floors": [["alice", "bob"]]}
+            assert b.request(as_alice)["type"] == "error"
+            assert "alice" in srv.sessions
+            assert srv.tracker.assigner.pinned == pinned
+
+            # a stray sync answer is dropped without a reply
+            srv._start_sync()
+            t1 = decode_message(a.control_sock.recvfrom(65536)[0])["t1"]
+            b.control_sock.sendto(encode_message(
+                {"type": "sync_response", "name": "alice", "t1": t1, "t2": t1, "t3": t1}),
+                srv.control_addr)
+            status = b.request({"type": "status"})
+            assert status["control_rejects"] == 4
+            assert srv.sessions["alice"].clock is None
+
+            assert a.leave()["type"] == "left"
+
+
 # --- clock sync ----------------------------------------------------------------
 
 
