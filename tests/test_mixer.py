@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floorspace import Mixer, MixerConfig
 from floorspace.errors import UnsupportedFormatError
+from floorspace.mixer import mix_timeline
 
 FRAME = MixerConfig().frame_samples  # 160
 
@@ -183,3 +185,31 @@ def test_forgotten_participant_starts_again_at_the_target():
     mixer.forget(1)
     out = mixer.mix_frame(0, {1: dc}, {1: 0.2})
     assert np.all(out == 2000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 300 * FRAME),
+    st.integers(0, 500),
+    st.lists(st.tuples(st.integers(1, 40), st.sampled_from([0.0, 0.2, 0.37, 1.0, 1.5])),
+             min_size=1, max_size=60),
+    st.integers(0, 2**32 - 1),
+)
+def test_timeline_mix_equals_frame_by_frame_mixing(speakers, n, ramp_ms, holds, seed):
+    """Any gain levels, held for any number of frames per speaker, ramps
+    reversing mid-glide, a partial last frame and clipping."""
+    rng = np.random.default_rng(seed)
+    cfg = MixerConfig(ramp_ms=ramp_ms)
+    frames = -(-n // FRAME)
+    targets = np.empty((frames, speakers))
+    for s in range(speakers):
+        levels = np.concatenate([np.full(k, g) for k, g in holds])
+        targets[:, s] = np.resize(np.roll(levels, int(rng.integers(len(levels)))), frames)
+    tracks = rng.integers(-32768, 32768, (speakers, n)).astype(np.int16)
+    mixer, ids = Mixer(cfg), list(range(speakers))
+    want = np.concatenate([
+        mixer.mix([99], ids, tracks[:, f * FRAME : (f + 1) * FRAME], targets[f : f + 1])[0]
+        for f in range(frames)
+    ])
+    assert np.array_equal(mix_timeline(list(tracks), targets, cfg), want)
