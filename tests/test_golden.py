@@ -1,9 +1,11 @@
-"""Byte-identical outputs on the conftest corpora.
+"""Byte-identical outputs on fixed seeds.
 
 The model file, the ``eval --report`` JSON, the ``replay --timeline``
-TSV and the ``mixdown --tones`` WAVs are pinned by their sha256. A
-change that moves any of these bytes changes what the program
-decides; a pure refactor or speed-up must leave them alone.
+TSV and the ``mixdown --tones`` WAVs of the conftest corpora are
+pinned by their sha256, and so is what an in-process 10-person live
+room decides and sends. A change that moves any of these bytes
+changes what the program decides; a pure refactor or speed-up must
+leave them alone.
 """
 
 import hashlib
@@ -79,3 +81,110 @@ def test_tone_mixdowns_are_unchanged(files, eval_corpus, capsys):
         got[name] = sha256(out)
     capsys.readouterr()
     assert got == MIX_SHA256
+
+
+# --- live server --------------------------------------------------------------
+
+# the in-process 10-person room of ``_live_room``
+LIVE_SHA256 = {
+    "vad": "776d66be248de14aae80368c6dc6334f3920c6bf8f0aa99f7ea233fb835224f6",
+    "segments": "9644c6830cbd04b4bbcbd006349d1aeb981d70586f86646b63a122abca20d486",
+    "decisions": "45e888d12ed67944007b8a6d048750683768cc6a22cbddea153dc9c7fd7154cd",
+    "mixes": "976b3cf0364863ae5b2e193f4b086b1ab7a5bdd8ac082e9c1356ac1411227b56",
+}
+
+
+class _SentDatagrams:
+    """Stands in for the server's audio socket and keeps what it sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def sendto(self, data, addr):
+        self.sent.append((bytes(data), addr))
+        return len(data)
+
+
+def _digest(items):
+    h = hashlib.sha256()
+    for item in items:
+        h.update(item if isinstance(item, bytes) else repr(item).encode())
+    return h.hexdigest()
+
+
+def _live_room(model):
+    """600 frames of a 10-person room driven in process, one leave and rejoin.
+
+    Returns each session's VAD bits, the segmenter views after every
+    frame, every tracker's (tick, partition, score) log and every mix
+    datagram with its address.
+    """
+    import numpy as np
+
+    from floorspace import GeneratorConfig, Packetizer, generate
+    from floorspace.server import RealtimeServer, ServerConfig
+    from floorspace.transport import FRAME_SAMPLES
+
+    frame_ms, frames, n = 20, 600, 10
+    names = [f"p{i}" for i in range(n)]
+    pairs = tuple((2 * i, 2 * i + 1) for i in range(5))
+    halves = (tuple(range(5)), tuple(range(5, 10)))
+    corpus = generate(GeneratorConfig(
+        participants=n, duration_ms=frames * frame_ms, seed=23, turn_median_ms=700.0,
+        schedule=[(0, pairs), (6000, halves)]))
+    bits = [s.bits for s in corpus.streams().values()]
+    rng = np.random.default_rng(23)
+    t = np.arange(FRAME_SAMPLES)
+    srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0), model=model)
+    socket, srv.audio_sock = srv.audio_sock, _SentDatagrams()
+    vad, segments, trackers = {}, [], []
+    packetizers = {}
+
+    def join(i):
+        srv._join(names[i], 100 + i, ("127.0.0.1", 9000 + i))
+        packetizers[i] = Packetizer(ssrc=100 + i)
+
+    try:
+        for i in range(n):
+            join(i)
+        for frame in range(frames):
+            if frame == 250:
+                srv._leave("p3")
+            if frame == 330:
+                join(3)
+            tick = srv.tick
+            for i, name in enumerate(names):
+                if name not in srv.sessions:
+                    continue
+                mask = np.repeat(bits[i][tick : tick + frame_ms], FRAME_SAMPLES // frame_ms)
+                tone = 9000 * np.sin(2 * np.pi * (300 + 45 * i) * (t + tick * 8) / 8000)
+                hiss = rng.normal(0.0, 8.0 + 2.0 * i, FRAME_SAMPLES)
+                pcm = np.clip(np.rint(tone * mask + hiss), -32768, 32767).astype(np.int16)
+                srv._handle_audio(packetizers[i].packetize(pcm).to_bytes(),
+                                  ("127.0.0.1", 7000 + i))
+            srv.pump_once()
+            for s in sorted(srv.sessions.values(), key=lambda s: s.participant):
+                vad.setdefault(s.name, []).append(s.stream.bits[-frame_ms:].tobytes())
+                starts, ends = s.segmenter.view()
+                segments.append((s.name, [int(x) for x in starts], [int(x) for x in ends]))
+            if srv.tracker is not None and (not trackers or trackers[-1] is not srv.tracker):
+                trackers.append(srv.tracker)
+        mixes = srv.audio_sock.sent
+    finally:
+        srv.audio_sock = socket
+        srv.stop()
+    decisions = [
+        (t, c.partition, c.score) for tr in trackers for t, c in zip(tr.ticks, tr.configs)
+    ]
+    return vad, segments, decisions, mixes
+
+
+def test_live_room_outputs_are_unchanged(floor_model):
+    vad, segments, decisions, mixes = _live_room(floor_model)
+    got = {
+        "vad": _digest(item for name in sorted(vad) for item in [name, *vad[name]]),
+        "segments": _digest(segments),
+        "decisions": _digest(decisions),
+        "mixes": _digest(item for datagram, addr in mixes for item in (datagram, addr)),
+    }
+    assert got == LIVE_SHA256
