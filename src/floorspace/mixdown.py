@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import wave
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,11 +58,14 @@ def read_wav(path: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.int16)
 
 
-def _tone(freq_hz: float, n_samples: int, phase0: float) -> np.ndarray:
+def _sine(freq_hz: float, n_samples: int) -> np.ndarray:
     t = np.arange(n_samples, dtype=np.float64)
-    burst = TONE_AMPLITUDE * 32767.0 * np.sin(
-        phase0 + 2.0 * np.pi * freq_hz * t / SAMPLE_RATE
-    )
+    return TONE_AMPLITUDE * 32767.0 * np.sin(2.0 * np.pi * freq_hz * t / SAMPLE_RATE)
+
+
+def _tone(sine: np.ndarray, n_samples: int) -> np.ndarray:
+    """A burst of ``n_samples`` from a tone's start, with soft edges."""
+    burst = sine[:n_samples].copy()
     edge = min(TONE_EDGE_MS * SAMPLES_PER_MS, n_samples // 2)
     if edge > 0:
         # raised-cosine on/off edges keep turn boundaries click-free
@@ -76,15 +79,22 @@ def tone_audio_for_corpus(corpus: Corpus) -> Dict[int, np.ndarray]:
     """Per-participant int16 tracks, a tone burst per labeled turn."""
     ids = corpus.ids
     n = corpus.duration_ms * SAMPLES_PER_MS
-    tracks = {pid: np.zeros(n, dtype=np.int16) for pid in ids.values()}
+    bursts: Dict[int, List[Tuple[int, int]]] = {pid: [] for pid in ids.values()}
     for rec in corpus.records:
-        pid = ids[rec.participant]
-        freq = TONE_FREQS_HZ[pid % len(TONE_FREQS_HZ)]
         a = rec.start_ms * SAMPLES_PER_MS
         b = min(rec.end_ms * SAMPLES_PER_MS, n)
         if b > a:
-            tracks[pid][a:b] = np.clip(np.rint(_tone(freq, b - a, phase0=0.0)),
-                                       INT16_MIN, INT16_MAX)
+            bursts[ids[rec.participant]].append((a, b))
+    tracks = {}
+    for pid, spans in bursts.items():
+        tracks[pid] = track = np.zeros(n, dtype=np.int16)
+        if not spans:
+            continue
+        # every burst starts at phase 0: one sine, as long as the longest
+        freq = TONE_FREQS_HZ[pid % len(TONE_FREQS_HZ)]
+        sine = _sine(freq, max(b - a for a, b in spans))
+        for a, b in spans:
+            track[a:b] = np.clip(np.rint(_tone(sine, b - a)), INT16_MIN, INT16_MAX)
     return tracks
 
 
