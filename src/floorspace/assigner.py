@@ -344,6 +344,9 @@ class FloorAssigner:
         self.pin_owner = None
         self._clock: int = 0
         self._last_change: Optional[int] = None
+        # the last search's inputs (ids, posterior bytes, previous
+        # partition) and its result
+        self._last: Optional[Tuple[tuple, Tuple[Partition, float]]] = None
 
     def pin(self, partition: Iterable[Iterable[int]], owner,
             participants: Sequence[int]) -> Partition:
@@ -375,8 +378,16 @@ class FloorAssigner:
         n = len(ids)
         if n < 2:
             return (ids,) if ids else (), NEUTRAL_SCORE
-        scorer = _scorer(n)
         p = np.array([posteriors[k] for k in _pairs_of(ids)], dtype=np.float64)
+        # the result depends on nothing else, and posteriors are binned
+        # features, so consecutive periods often repeat the last search
+        key = (ids, p.tobytes(), None if self.previous is None else self.previous.partition)
+        if self._last is None or self._last[0] != key:
+            self._last = (key, self._best(p, ids))
+        return self._last[1]
+
+    def _best(self, p: np.ndarray, ids: Tuple[int, ...]) -> Tuple[Partition, float]:
+        scorer = _scorer(len(ids))
         # score = (sum(1 - p) + within) / m, so rows compare on within
         within = scorer.within(2.0 * p - 1.0)
         cut = within.max() - TIE_TOLERANCE * scorer.m

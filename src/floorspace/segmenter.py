@@ -34,6 +34,12 @@ def speech_runs(bits: np.ndarray) -> List[Tuple[int, int]]:
     bits = np.asarray(bits, dtype=bool)
     if len(bits) == 0:
         return []
+    # most live chunks are all silence or all speech
+    if bits[0]:
+        if bits.all():
+            return [(0, len(bits))]
+    elif not bits.any():
+        return []
     edges = np.flatnonzero(np.diff(bits.astype(np.int8)))
     starts = list(edges[bits[edges + 1]] + 1)
     ends = list(edges[~bits[edges + 1]] + 1)

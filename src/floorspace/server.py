@@ -38,6 +38,7 @@ from .assigner import (
     FloorAssigner,
     FloorConfiguration,
     NORMAL_GAIN,
+    Partition,
     QUIET_GAIN,
     build_scorers,
     gains,
@@ -58,7 +59,7 @@ from .transport import (
     estimate_clock_offset,
     ClockOffset,
 )
-from .vad import SAMPLE_RATE, VadConfig, VoiceActivityDetector
+from .vad import SAMPLE_RATE, VadConfig, VoiceActivityDetector, room_frame_bits
 
 log = logging.getLogger("floorspace.server")
 
@@ -192,6 +193,10 @@ class RealtimeServer:
         self._stop = threading.Event()
         self._last_sync = 0.0
         self.control_rejects = 0
+        self.audio_rejects = 0
+        # the last gain matrix sent with, and the (partition, ids) it is for
+        self._gains_key: Optional[Tuple[Partition, Tuple[int, ...]]] = None
+        self._gains: Optional[np.ndarray] = None
 
         self.audio_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.audio_sock.bind((cfg.host, cfg.audio_port))
@@ -207,10 +212,17 @@ class RealtimeServer:
         with self._lock:
             if name in self.sessions:
                 existing = self.sessions[name]
-                if existing.ssrc == ssrc:
-                    existing.control_addr = addr
-                    return self._joined_reply(existing)
-                return {"type": "error", "message": f"name {name!r} already joined"}
+                if existing.ssrc != ssrc:
+                    return {"type": "error", "message": f"name {name!r} already joined"}
+                if existing.control_addr != addr:
+                    self.control_rejects += 1
+                    log.debug("rejoin of %s from %s rejected", name, addr)
+                    return {
+                        "type": "error",
+                        "message": f"rejoin of {name!r} must come from that "
+                        "participant's control address",
+                    }
+                return self._joined_reply(existing)
             if len(self.sessions) >= self.cfg.max_participants:
                 return {
                     "type": "error",
@@ -374,6 +386,7 @@ class RealtimeServer:
                 "floors": floors,
                 "score": score,
                 "control_rejects": self.control_rejects,
+                "audio_rejects": self.audio_rejects,
                 "participants": {
                     s.name: {
                         "participant": s.participant,
@@ -430,7 +443,12 @@ class RealtimeServer:
             session = self._by_ssrc.get(pkt.ssrc)
             if session is None:
                 return
-            session.audio_addr = addr
+            # the first packet fixes where the session's mix goes
+            if session.audio_addr is None:
+                session.audio_addr = addr
+            elif session.audio_addr != addr:
+                self.audio_rejects += 1
+                return
             session.push_packet(pkt)
 
     def pump_once(self) -> None:
@@ -438,13 +456,15 @@ class RealtimeServer:
         with self._lock:
             frame_ms = self.cfg.frame_ms
             sessions = sorted(self.sessions.values(), key=lambda s: s.participant)
-            popped: Dict[int, np.ndarray] = {}
+            if not sessions:
+                self.tick += frame_ms
+                return
             for s in sessions:
                 while s.inbox:
                     s.jitter.push(s.inbox.popleft())
-                frame = s.jitter.pop()
-                popped[s.participant] = frame
-                bits = s.vad.frame_bits(frame)
+            # one (sessions, samples) array feeds both the VAD and the mixer
+            pcm = np.stack([s.jitter.pop() for s in sessions])
+            for s, bits in zip(sessions, room_frame_bits([s.vad for s in sessions], pcm)):
                 s.stream.append(bits)
                 s.stream.discard_before(s.stream.end_tick - LOOKBACK_MS - frame_ms)
                 s.segmenter.feed(bits)
@@ -466,32 +486,31 @@ class RealtimeServer:
                     )
                 if self.tracker.configs:
                     config = self.tracker.configs[-1]
-            self._send_mixes(sessions, popped, config)
+            self._send_mixes(sessions, pcm, config)
 
     def _send_mixes(
         self,
         sessions: List[ClientSession],
-        popped: Dict[int, np.ndarray],
+        pcm: np.ndarray,
         config: Optional[FloorConfiguration],
     ) -> None:
+        """Mix and send every listener's frame; ``pcm`` holds a row per session."""
         rows = [i for i, s in enumerate(sessions) if s.audio_addr is not None]
         if len(sessions) < 2 or not rows:
             return
-        ids = [s.participant for s in sessions]
+        ids = tuple(s.participant for s in sessions)
         if config is None:
-            partition = tuple((pid,) for pid in ids)
-            config = FloorConfiguration(partition, 0.0)
-        matrix = gains(
-            config, ids, normal=self.cfg.normal_gain, quiet=self.cfg.quiet_gain
-        )
+            config = FloorConfiguration(tuple((pid,) for pid in ids), 0.0)
+        # the targets change only with the partition or the room
+        key = (config.partition, ids)
+        if self._gains_key != key:
+            self._gains_key = key
+            self._gains = gains(
+                config, ids, normal=self.cfg.normal_gain, quiet=self.cfg.quiet_gain
+            ).matrix
         # every listener in one pass; a listener without an address yet
         # neither hears a mix nor advances its ramps
-        mixes = self._mixer.mix(
-            [ids[i] for i in rows],
-            ids,
-            np.stack([popped[pid] for pid in ids]),
-            matrix.matrix[rows],
-        )
+        mixes = self._mixer.mix([ids[i] for i in rows], ids, pcm, self._gains[rows])
         for i, mixed in zip(rows, mixes):
             listener = sessions[i]
             pkt = listener.packetizer.packetize(mixed)

@@ -4,13 +4,17 @@ Decisions are made per frame (10 ms by default) and fanned out to the
 1 ms activity grid. A frame counts as speech when its RMS level clears
 both an absolute floor and an adaptive noise floor plus an SNR margin;
 a hangover keeps brief intra-phrase pauses inside one speech region.
+
+The levels of a whole room's frames are computed in one array
+operation (``room_frame_bits``); each stream's detector then decides
+on its own frames in order. A single stream is a room of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,13 +50,57 @@ class VadConfig:
         return self.frame_ms * SAMPLES_PER_MS
 
 
-def frame_rms_db(frame: np.ndarray) -> float:
-    """RMS level of one PCM frame in dBFS (0 dB = 16-bit full scale)."""
-    x = np.asarray(frame, dtype=np.float64)
-    rms = math.sqrt(float(np.mean(x * x))) if len(x) else 0.0
+def mean_squares(pcm: np.ndarray, frame_samples: int) -> np.ndarray:
+    """Mean square of every ``frame_samples`` frame of every row.
+
+    ``pcm`` is (rows, samples) with a whole number of frames per row.
+    For 16-bit input every partial sum is an integer below 2**53, so
+    the result does not depend on the order of summation.
+    """
+    rows, n = pcm.shape
+    x = np.asarray(pcm, dtype=np.float64).reshape(rows, n // frame_samples, frame_samples)
+    return (x * x).sum(axis=2) / frame_samples
+
+
+def level_db(mean_square: float) -> float:
+    """RMS level in dBFS (0 dB = 16-bit full scale) of a frame's mean square."""
+    # math, not numpy: np.log10 may differ by an ulp and flip a threshold
+    rms = math.sqrt(mean_square)
     if rms <= 0.0:
         return _SILENCE_DB
     return 20.0 * math.log10(rms / FULL_SCALE)
+
+
+def frame_rms_db(frame: np.ndarray) -> float:
+    """RMS level of one PCM frame in dBFS (0 dB = 16-bit full scale)."""
+    x = np.asarray(frame).reshape(1, -1)
+    if x.shape[1] == 0:
+        return _SILENCE_DB
+    return level_db(float(mean_squares(x, x.shape[1])[0, 0]))
+
+
+def room_frame_bits(detectors: Sequence["VoiceActivityDetector"], pcm: np.ndarray) -> np.ndarray:
+    """Each detector's decisions on its row of ``pcm``, fanned out to 1 ms bits.
+
+    ``pcm`` is (detectors, samples), a whole number of detector frames
+    per row (a 20 ms transport frame is two 10 ms detector frames);
+    there is at least one detector, and all share one frame length. The levels of every frame
+    come from one array operation, then each detector decides on its
+    frames in order.
+    """
+    pcm = np.asarray(pcm, dtype=np.int16)
+    cfg = detectors[0].cfg
+    fs = cfg.frame_samples
+    if pcm.shape[1] % fs != 0:
+        raise UnsupportedFormatError(
+            f"chunk of {pcm.shape[1]} samples is not a whole number of "
+            f"{cfg.frame_ms} ms frames"
+        )
+    decisions = [
+        [det.decide(level_db(ms)) for ms in row]
+        for det, row in zip(detectors, mean_squares(pcm, fs).tolist())
+    ]
+    return np.repeat(np.array(decisions, dtype=bool), cfg.frame_ms, axis=1)
 
 
 class VoiceActivityDetector:
@@ -63,10 +111,9 @@ class VoiceActivityDetector:
         self.noise_floor_db = self.cfg.energy_floor_db
         self._hangover_left = 0
 
-    def process_frame(self, frame: np.ndarray) -> bool:
-        """Speech/non-speech decision for one frame, updating state."""
+    def decide(self, level: float) -> bool:
+        """Speech/non-speech decision for the next frame's level, updating state."""
         cfg = self.cfg
-        level = frame_rms_db(frame)
         raw_speech = (
             level > cfg.energy_floor_db
             and level > self.noise_floor_db + cfg.snr_threshold_db
@@ -83,25 +130,16 @@ class VoiceActivityDetector:
         self.noise_floor_db = max(self.noise_floor_db, _NOISE_FLOOR_MIN_DB)
         return False
 
+    def process_frame(self, frame: np.ndarray) -> bool:
+        """Speech/non-speech decision for one frame, updating state."""
+        return self.decide(frame_rms_db(frame))
+
     def frame_bits(self, pcm: np.ndarray) -> np.ndarray:
         """Decisions for a longer chunk, fanned out to 1 ms bits.
 
-        The chunk must hold a whole number of detector frames (a 20 ms
-        transport frame is two 10 ms detector frames).
+        The chunk must hold a whole number of detector frames.
         """
-        pcm = np.asarray(pcm, dtype=np.int16)
-        fs = self.cfg.frame_samples
-        if len(pcm) % fs != 0:
-            raise UnsupportedFormatError(
-                f"chunk of {len(pcm)} samples is not a whole number of "
-                f"{self.cfg.frame_ms} ms frames"
-            )
-        n_frames = len(pcm) // fs
-        bits = np.zeros(n_frames * self.cfg.frame_ms, dtype=bool)
-        for i in range(n_frames):
-            if self.process_frame(pcm[i * fs : (i + 1) * fs]):
-                bits[i * self.cfg.frame_ms : (i + 1) * self.cfg.frame_ms] = True
-        return bits
+        return room_frame_bits([self], np.asarray(pcm).reshape(1, -1))[0]
 
 
 def detect(
@@ -133,5 +171,5 @@ def detect(
         raise UnsupportedFormatError(
             f"sample count {len(pcm)} is not a whole number of {cfg.frame_ms} ms frames"
         )
-    bits = VoiceActivityDetector(cfg).frame_bits(pcm)
+    bits = room_frame_bits([VoiceActivityDetector(cfg)], pcm[None, :])[0]
     return ActivityStream(participant, start_tick, bits)

@@ -418,6 +418,65 @@ def test_unpinned_search_resumes():
     assert cfg.partition == ((0, 1),)
 
 
+class FreshSearch(FloorAssigner):
+    """An assigner whose every search starts from nothing."""
+
+    def _search(self, posteriors, ids):
+        fresh = FloorAssigner()
+        fresh.previous = self.previous
+        return fresh._search(posteriors, ids)
+
+
+@st.composite
+def assign_scripts(draw):
+    """Posterior maps with repeats and ties, with pins, unpins and a leaver."""
+    n = draw(st.integers(2, 6))
+    ids = list(range(n))
+    probs = st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+    pool = [{k: draw(probs) for k in unordered_pairs(ids)} for _ in range(draw(st.integers(1, 3)))]
+    partitions = enumerate_partitions(ids)
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("assign"), st.integers(0, len(pool) - 1), st.booleans()),
+        st.tuples(st.just("pin"), st.integers(0, len(partitions) - 1)),
+        st.tuples(st.just("unpin")),
+    ), min_size=1, max_size=40))
+    return ids, pool, partitions, steps, draw(st.sampled_from([0, 60, 200]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(assign_scripts())
+def test_reused_searches_choose_like_fresh_ones(script):
+    ids, pool, partitions, steps, dwell = script
+    reused = FloorAssigner(eval_period_ms=30, dwell_ms=dwell)
+    fresh = FreshSearch(eval_period_ms=30, dwell_ms=dwell)
+    now = 0
+    for step in steps:
+        if step[0] == "assign":
+            # the last participant sits this period out when asked
+            members = ids[:-1] if step[2] and len(ids) > 2 else ids
+            now += 30
+            got = reused.assign(pool[step[1]], members, now_ms=now)
+            want = fresh.assign(pool[step[1]], members, now_ms=now)
+            assert (got.partition, got.score) == (want.partition, want.score)
+        elif step[0] == "pin":
+            for a in (reused, fresh):
+                a.pin(partitions[step[1]], owner="host", participants=ids)
+        else:
+            for a in (reused, fresh):
+                a.unpin("host")
+
+
+def test_a_repeated_search_still_follows_the_previous_choice():
+    # every partition ties, so the previous choice decides
+    tie = {k: 0.5 for k in unordered_pairs(range(3))}
+    a = FloorAssigner()
+    assert a.assign(tie, range(3)).partition == ((0, 1, 2),)
+    a.pin([(0,), (1, 2)], owner="host", participants=range(3))
+    a.assign(tie, range(3))
+    a.unpin("host")
+    assert a.assign(tie, range(3)).partition == ((0,), (1, 2))
+
+
 # --- gains ------------------------------------------------------------------
 
 

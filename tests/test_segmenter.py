@@ -69,6 +69,23 @@ def test_speech_runs_edge_patterns():
     assert speech_runs(np.zeros(5, dtype=bool)) == []
 
 
+def test_speech_runs_of_uniform_and_short_chunks():
+    assert speech_runs(np.array([False])) == []
+    assert speech_runs(np.zeros(20, dtype=bool)) == []
+    assert speech_runs(np.ones(20, dtype=bool)) == [(0, 20)]
+    # every pattern up to six bits against a scan for runs
+    for n in range(1, 7):
+        for code in range(1 << n):
+            bits = np.array([code >> i & 1 for i in range(n)], dtype=bool)
+            runs, start = [], None
+            for i, b in enumerate(list(bits) + [False]):
+                if b and start is None:
+                    start = i
+                elif not b and start is not None:
+                    runs.append((start, i))
+                    start = None
+            assert speech_runs(bits) == runs
+
 def test_utterances_are_disjoint_and_ordered():
     rng = np.random.default_rng(37)
     for _ in range(50):

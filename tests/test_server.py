@@ -386,6 +386,38 @@ def test_only_a_sessions_own_address_acts_for_it(floor_model):
             assert a.leave()["type"] == "left"
 
 
+def test_a_rejoin_must_come_from_the_sessions_own_address(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 10) as a, joined(srv, "bob", 20) as b:
+            reply = b.request({"type": "join", "name": "alice", "ssrc": 10})
+            assert reply["type"] == "error"
+            assert srv.sessions["alice"].control_addr == a.control_sock.getsockname()
+            assert b.request({"type": "leave", "name": "alice"})["type"] == "error"
+            assert "alice" in srv.sessions
+            assert b.request({"type": "status"})["control_rejects"] == 2
+            assert a.request({"type": "join", "name": "alice", "ssrc": 10})["type"] == "joined"
+
+
+def test_the_first_audio_packet_fixes_where_the_mix_goes(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 10) as a, joined(srv, "bob", 20) as b:
+            pump_with(srv, [(a, LOUD), (b, LOUD)])
+            alice = srv.sessions["alice"]
+            assert alice.audio_addr == a.audio_sock.getsockname()
+            recv_frame(a.audio_sock)
+            recv_frame(b.audio_sock)
+            # a packet with alice's ssrc from bob's audio socket is dropped
+            forged = Packetizer(ssrc=10, first_sequence=1).packetize(QUIET)
+            b.audio_sock.sendto(forged.to_bytes(), srv.audio_addr)
+            assert wait_for(lambda: srv.audio_rejects == 1)
+            assert not alice.inbox
+            assert alice.audio_addr == a.audio_sock.getsockname()
+            pump_with(srv, [(a, LOUD), (b, LOUD)])
+            assert len(recv_frame(a.audio_sock)) == 160
+            assert len(recv_frame(b.audio_sock)) == 160
+            assert a.request({"type": "status"})["audio_rejects"] == 1
+
+
 # --- clock sync ----------------------------------------------------------------
 
 

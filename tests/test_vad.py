@@ -1,11 +1,14 @@
 """Energy voice activity detection on the millisecond grid."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floorspace import VadConfig, VoiceActivityDetector, detect
 from floorspace.errors import UnsupportedFormatError
-from floorspace.vad import SAMPLE_RATE, frame_rms_db
+from floorspace.vad import SAMPLE_RATE, frame_rms_db, room_frame_bits
 
 FULL_SCALE = 32768.0
 
@@ -137,6 +140,71 @@ def test_frame_rms_db_reference_points():
     const = np.full(80, int(FULL_SCALE / 2), dtype=np.int16)
     assert frame_rms_db(const) == pytest.approx(-6.02, abs=0.01)
 
+
+# --- a room of detectors -------------------------------------------------------
+
+
+def reference_decide(frame, cfg, state):
+    """The detector's rule for one frame, written out: state is [floor_db, hangover]."""
+    x = frame.astype(np.float64)
+    rms = math.sqrt(float(np.mean(x * x)))
+    level = 20.0 * math.log10(rms / FULL_SCALE) if rms > 0.0 else -200.0
+    if level > cfg.energy_floor_db and level > state[0] + cfg.snr_threshold_db:
+        state[1] = cfg.hangover_ms
+        return True
+    if state[1] > 0:
+        state[1] = max(0, state[1] - cfg.frame_ms)
+        return True
+    state[0] = max(state[0] + cfg.noise_adapt_rate * (level - state[0]), -90.0)
+    return False
+
+
+# digital silence, hiss around the energy floor, speech and full scale
+AMPLITUDES = (0, 1, 3, 10, 30, 33, 40, 300, 3000, 32767)
+
+
+@st.composite
+def rooms(draw):
+    sessions = draw(st.integers(1, 10))
+    frames = draw(st.integers(1, 40))
+    cfg = VadConfig(hangover_ms=draw(st.sampled_from([0, 10, 15, 200])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fs = cfg.frame_samples
+    amp = rng.choice(AMPLITUDES, size=(sessions, 2 * frames, 1))
+    # noise, a constant or a full-scale square wave, per detector frame
+    kind = rng.integers(0, 3, size=(sessions, 2 * frames, 1))
+    noise = rng.normal(0.0, 1.0, (sessions, 2 * frames, fs)) * amp
+    square = np.where(np.arange(fs) % 2, -32768, 32767) * np.ones_like(amp)
+    pcm = np.where(kind == 0, noise, np.where(kind == 1, amp, square))
+    pcm = np.clip(np.rint(pcm), -32768, 32767).astype(np.int16)
+    return cfg, pcm.reshape(sessions, frames, 2 * fs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rooms())
+def test_room_decisions_match_each_detector_alone(room):
+    cfg, pcm = room
+    sessions, frames, chunk = pcm.shape
+    together = [VoiceActivityDetector(cfg) for _ in range(sessions)]
+    alone = [VoiceActivityDetector(cfg) for _ in range(sessions)]
+    states = [[cfg.energy_floor_db, 0] for _ in range(sessions)]
+    fs = cfg.frame_samples
+    for f in range(frames):
+        got = room_frame_bits(together, pcm[:, f])
+        assert got.shape == (sessions, chunk // fs * cfg.frame_ms)
+        for i in range(sessions):
+            assert np.array_equal(got[i], alone[i].frame_bits(pcm[i, f]))
+            want = [reference_decide(pcm[i, f, j:j + fs], cfg, states[i])
+                    for j in range(0, chunk, fs)]
+            assert list(got[i]) == list(np.repeat(want, cfg.frame_ms))
+    for det, ref, state in zip(together, alone, states):
+        assert det.noise_floor_db == ref.noise_floor_db == state[0]
+        assert det._hangover_left == ref._hangover_left == state[1]
+
+
+def test_room_rejects_partial_frames():
+    with pytest.raises(UnsupportedFormatError):
+        room_frame_bits([VoiceActivityDetector()] * 2, np.zeros((2, 85), dtype=np.int16))
 
 def test_config_validation():
     with pytest.raises(ValueError):
