@@ -58,43 +58,49 @@ def read_wav(path: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.int16)
 
 
-def _sine(freq_hz: float, n_samples: int) -> np.ndarray:
-    t = np.arange(n_samples, dtype=np.float64)
-    return TONE_AMPLITUDE * 32767.0 * np.sin(2.0 * np.pi * freq_hz * t / SAMPLE_RATE)
+def _write_tones(track: np.ndarray, freq_hz: float, spans: List[Tuple[int, int]]) -> None:
+    """Write a tone burst into ``track`` on every [a, b) span.
 
-
-def _tone(sine: np.ndarray, n_samples: int) -> np.ndarray:
-    """A burst of ``n_samples`` from a tone's start, with soft edges."""
-    burst = sine[:n_samples].copy()
-    edge = min(TONE_EDGE_MS * SAMPLES_PER_MS, n_samples // 2)
-    if edge > 0:
-        # raised-cosine on/off edges keep turn boundaries click-free
-        ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
-        burst[:edge] *= ramp
-        burst[-edge:] *= ramp[::-1]
-    return burst
+    Every burst starts at phase 0, so the sine and its rounding are
+    computed once, as long as the longest burst; only the
+    raised-cosine edges, which keep turn boundaries click-free, are
+    computed per burst.
+    """
+    if not spans:
+        return
+    # in place, so one float array is alive: the operations and their
+    # order are those of TONE_AMPLITUDE * 32767 * sin(2 pi f t / rate)
+    sine = np.arange(max(b - a for a, b in spans), dtype=np.float64)
+    sine *= 2.0 * np.pi * freq_hz
+    sine /= SAMPLE_RATE
+    np.sin(sine, out=sine)
+    sine *= TONE_AMPLITUDE * 32767.0
+    level = np.clip(np.rint(sine), INT16_MIN, INT16_MAX).astype(np.int16)
+    for a, b in spans:
+        n = b - a
+        track[a:b] = level[:n]
+        edge = min(TONE_EDGE_MS * SAMPLES_PER_MS, n // 2)
+        if edge > 0:
+            ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
+            track[a : a + edge] = np.clip(np.rint(sine[:edge] * ramp), INT16_MIN, INT16_MAX)
+            track[b - edge : b] = np.clip(
+                np.rint(sine[n - edge : n] * ramp[::-1]), INT16_MIN, INT16_MAX
+            )
 
 
 def tone_audio_for_corpus(corpus: Corpus) -> Dict[int, np.ndarray]:
     """Per-participant int16 tracks, a tone burst per labeled turn."""
     ids = corpus.ids
     n = corpus.duration_ms * SAMPLES_PER_MS
-    bursts: Dict[int, List[Tuple[int, int]]] = {pid: [] for pid in ids.values()}
+    tracks = {pid: np.zeros(n, dtype=np.int16) for pid in ids.values()}
+    spans: Dict[int, List[Tuple[int, int]]] = {pid: [] for pid in ids.values()}
     for rec in corpus.records:
         a = rec.start_ms * SAMPLES_PER_MS
         b = min(rec.end_ms * SAMPLES_PER_MS, n)
         if b > a:
-            bursts[ids[rec.participant]].append((a, b))
-    tracks = {}
-    for pid, spans in bursts.items():
-        tracks[pid] = track = np.zeros(n, dtype=np.int16)
-        if not spans:
-            continue
-        # every burst starts at phase 0: one sine, as long as the longest
-        freq = TONE_FREQS_HZ[pid % len(TONE_FREQS_HZ)]
-        sine = _sine(freq, max(b - a for a, b in spans))
-        for a, b in spans:
-            track[a:b] = np.clip(np.rint(_tone(sine, b - a)), INT16_MIN, INT16_MAX)
+            spans[ids[rec.participant]].append((a, b))
+    for pid, track in tracks.items():
+        _write_tones(track, TONE_FREQS_HZ[pid % len(TONE_FREQS_HZ)], spans[pid])
     return tracks
 
 

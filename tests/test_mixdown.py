@@ -98,6 +98,46 @@ def test_tracks_span_the_corpus():
     assert tracks[0].dtype == np.int16
 
 
+def _reference_tones(corpus):
+    """Tone tracks as a sine computed afresh for every burst."""
+    from floorspace.mixdown import TONE_AMPLITUDE, TONE_FREQS_HZ
+
+    tracks = {pid: np.zeros(corpus.duration_ms * 8, dtype=np.int16) for pid in corpus.ids.values()}
+    for rec in corpus.records:
+        pid = corpus.ids[rec.participant]
+        a, b = rec.start_ms * 8, rec.end_ms * 8
+        t = np.arange(b - a, dtype=np.float64)
+        freq = TONE_FREQS_HZ[pid % len(TONE_FREQS_HZ)]
+        burst = TONE_AMPLITUDE * 32767.0 * np.sin(2.0 * np.pi * freq * t / 8000)
+        edge = min(80, (b - a) // 2)
+        ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
+        burst[:edge] *= ramp
+        burst[len(burst) - edge :] *= ramp[::-1]
+        tracks[pid][a:b] = np.clip(np.rint(burst), -32768, 32767)
+    return tracks
+
+
+@st.composite
+def turn_lists(draw):
+    turns, t = [], 0
+    for _ in range(draw(st.integers(1, 12))):
+        t += draw(st.integers(0, 300))
+        end = t + draw(st.integers(1, 2500))
+        turns.append(TurnRecord(draw(st.sampled_from(["a", "b", "c"])), t, end, 0))
+        t = end
+    return Corpus(["a", "b", "c"], turns, duration_ms=t + draw(st.integers(0, 50)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(turn_lists())
+def test_tones_equal_a_sine_computed_per_burst(corpus):
+    got = tone_audio_for_corpus(corpus)
+    want = _reference_tones(corpus)
+    assert got.keys() == want.keys()
+    for pid in want:
+        assert np.array_equal(got[pid], want[pid])
+
+
 # --- loading real audio -----------------------------------------------------
 
 
