@@ -67,12 +67,7 @@ def test_speech_runs_edge_patterns():
     assert speech_runs(np.array([True, False, True])) == [(0, 1), (2, 3)]
     assert speech_runs(np.ones(5, dtype=bool)) == [(0, 5)]
     assert speech_runs(np.zeros(5, dtype=bool)) == []
-
-
-def test_speech_runs_of_uniform_and_short_chunks():
     assert speech_runs(np.array([False])) == []
-    assert speech_runs(np.zeros(20, dtype=bool)) == []
-    assert speech_runs(np.ones(20, dtype=bool)) == [(0, 20)]
     # every pattern up to six bits against a scan for runs
     for n in range(1, 7):
         for code in range(1 << n):
@@ -85,6 +80,7 @@ def test_speech_runs_of_uniform_and_short_chunks():
                     runs.append((start, i))
                     start = None
             assert speech_runs(bits) == runs
+
 
 def test_utterances_are_disjoint_and_ordered():
     rng = np.random.default_rng(37)

@@ -121,6 +121,8 @@ def test_rejects_partial_frames():
         detect(np.zeros(85, dtype=np.int16))
     with pytest.raises(UnsupportedFormatError):
         VoiceActivityDetector().frame_bits(np.zeros(85, dtype=np.int16))
+    with pytest.raises(UnsupportedFormatError):
+        room_frame_bits([VoiceActivityDetector()] * 2, np.zeros((2, 85), dtype=np.int16))
 
 
 def test_frame_bits_match_streaming_decisions():
@@ -201,10 +203,6 @@ def test_room_decisions_match_each_detector_alone(room):
         assert det.noise_floor_db == ref.noise_floor_db == state[0]
         assert det._hangover_left == ref._hangover_left == state[1]
 
-
-def test_room_rejects_partial_frames():
-    with pytest.raises(UnsupportedFormatError):
-        room_frame_bits([VoiceActivityDetector()] * 2, np.zeros((2, 85), dtype=np.int16))
 
 def test_config_validation():
     with pytest.raises(ValueError):
