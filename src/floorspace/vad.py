@@ -84,9 +84,9 @@ def room_frame_bits(detectors: Sequence["VoiceActivityDetector"], pcm: np.ndarra
 
     ``pcm`` is (detectors, samples), a whole number of detector frames
     per row (a 20 ms transport frame is two 10 ms detector frames);
-    there is at least one detector, and all share one frame length. The levels of every frame
-    come from one array operation, then each detector decides on its
-    frames in order.
+    there is at least one detector, and all share one frame length.
+    The levels of every frame come from one array operation, then each
+    detector decides on its frames in order.
     """
     pcm = np.asarray(pcm, dtype=np.int16)
     cfg = detectors[0].cfg
