@@ -3,9 +3,9 @@ What turn-taking timing says about who talks with whom
 ======================================================
 
 Builds a small synthetic room with two conversations running side by
-side, extracts the two pairwise timing features at one instant, then
-trains the classifier and compares its verdicts for a within-floor
-pair and a cross-floor pair.
+side, reads the two pairwise timing features at one instant from the
+feature engine, then trains the classifier and compares its verdicts
+for a within-floor pair and a cross-floor pair.
 """
 
 import tempfile
@@ -13,14 +13,14 @@ from pathlib import Path
 
 from floorspace import (
     GeneratorConfig,
-    extract_pair,
     generate,
     load_model,
     make_training_instances,
-    pair_posterior,
     save_model,
     train,
 )
+from floorspace.features import NO_GAP, FeatureEngine
+from floorspace.learner import posterior_batch
 
 # four people, two floors, ten minutes: A+B talk, C+D talk
 cfg = GeneratorConfig(
@@ -32,16 +32,38 @@ cfg = GeneratorConfig(
 corpus = generate(cfg)
 streams = corpus.streams()
 utterances = corpus.utterances()
+ids = sorted(corpus.ids.values())
 print(f"corpus: {len(corpus.records)} turns, participants {sorted(corpus.ids)}")
 
+# the engine the tracker and training use: activity in, every pair's
+# features at a batch of instants out
 now = 120_000
-fab = extract_pair(streams, utterances, 0, 1, now)
-fac = extract_pair(streams, utterances, 0, 2, now)
+views = {
+    pid: (lambda u=utterances[pid]: ([x.start for x in u], [x.end for x in u]))
+    for pid in ids
+}
+engine = FeatureEngine(ids, views)
+for pid in ids:
+    engine.add_activity(pid, streams[pid].window(0, now))
+raw = engine.raw([now])
+pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+
+
+def features(a, b):
+    """Gaps of (a, b) and (b, a), and the overlaps they share, at ``now``."""
+    k, m = pairs.index((a, b)), len(pairs)
+    return raw.gaps[0, [k, m + k]], raw.overlaps[0, [k, k]]
+
+
+def describe(a, b):
+    gaps, overlaps = features(a, b)
+    gap = "none" if gaps[0] == NO_GAP else f"{gaps[0]} ms"
+    return f"gap {gap}, overlap {'/'.join(str(w) for w in overlaps[0])} ms"
+
+
 print(f"\nfeatures at t={now} ms")
-print(f"  A vs B (same floor):  gap {fab.trp_gap_ms} ms, "
-      f"overlap {fab.overlap_w1_ms}/{fab.overlap_w2_ms}/{fab.overlap_w3_ms} ms")
-print(f"  A vs C (other floor): gap {fac.trp_gap_ms} ms, "
-      f"overlap {fac.overlap_w1_ms}/{fac.overlap_w2_ms}/{fac.overlap_w3_ms} ms")
+print(f"  A vs B (same floor):  {describe(0, 1)}")
+print(f"  A vs C (other floor): {describe(0, 2)}")
 
 # partners time their turns around each other's completions, so the
 # within-floor gap is small and the overlap low; strangers overlap
@@ -54,10 +76,15 @@ model = train(instances)
 print(f"\ntrained on {len(instances)} instances")
 print(f"priors: same {model.priors[0]:.3f}, diff {model.priors[1]:.3f}")
 
-fba = extract_pair(streams, utterances, 1, 0, now)
-fca = extract_pair(streams, utterances, 2, 0, now)
-p_same_ab = pair_posterior(model, fab, fba)
-p_same_ac = pair_posterior(model, fac, fca)
+
+def p_same(model, a, b):
+    """One probability per unordered pair: the mean of both directions."""
+    bins = model.binning.bin_array(*features(a, b))
+    return float(posterior_batch(model, bins).mean())
+
+
+p_same_ab = p_same(model, 0, 1)
+p_same_ac = p_same(model, 0, 2)
 print(f"\nP(same floor) at t={now}")
 print(f"  A,B: {p_same_ab:.3f}")
 print(f"  A,C: {p_same_ac:.3f}")
@@ -65,5 +92,5 @@ print(f"  A,C: {p_same_ac:.3f}")
 path = Path(tempfile.mkdtemp()) / "model.json"
 save_model(model, str(path))
 back = load_model(str(path))
-assert abs(pair_posterior(back, fab, fba) - p_same_ab) < 1e-12
+assert abs(p_same(back, 0, 1) - p_same_ab) < 1e-12
 print(f"\nmodel round-trips through {path}")

@@ -278,16 +278,6 @@ class FloorConfiguration:
     partition: Partition
     score: float
 
-    def floor_of(self, participant: int) -> Optional[int]:
-        for i, block in enumerate(self.partition):
-            if participant in block:
-                return i
-        return None
-
-    def same_floor(self, a: int, b: int) -> bool:
-        fa = self.floor_of(a)
-        return fa is not None and fa == self.floor_of(b)
-
 
 @dataclass(frozen=True)
 class GainMatrix:

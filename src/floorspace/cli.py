@@ -16,6 +16,8 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
+import numpy as np
+
 from .corpus import Corpus, GeneratorConfig, generate, load_corpus, save_corpus
 from .errors import FloorspaceError
 from .evaluation import (
@@ -28,6 +30,7 @@ from .evaluation import (
 )
 from .learner import (
     DEFAULT_SAMPLE_PERIOD_MS,
+    TrainingSet,
     load_model,
     make_training_instances,
     save_model,
@@ -44,10 +47,10 @@ def _load_labeled(path: str) -> Corpus:
 
 
 def cmd_train(args) -> int:
-    instances = []
+    sets = []
     for path in args.corpus:
         corpus = _load_labeled(path)
-        instances.extend(
+        sets.append(
             make_training_instances(
                 corpus.streams(),
                 corpus.utterances(),
@@ -55,6 +58,11 @@ def cmd_train(args) -> int:
                 sample_period_ms=args.sample_period,
             )
         )
+    instances = TrainingSet(
+        np.concatenate([s.labels for s in sets]),
+        np.concatenate([s.gaps for s in sets]),
+        np.concatenate([s.overlaps for s in sets]),
+    )
     model = train(instances)
     save_model(model, args.out)
     stats = summarize_training(instances)

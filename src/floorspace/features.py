@@ -12,7 +12,8 @@ progress contributes its running end.
 
 ``FeatureEngine`` computes them for every pair at a batch of instants
 in array operations; training, replay and the live server all use it.
-The scalar functions below are the definitions it is tested against.
+``trp_gap_from_arrays`` and ``simultaneous_speech`` are the scalar
+definitions it is tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import (
 
 import numpy as np
 
-from .timeline import ActivityStream, Tick, Utterance
+from .timeline import ActivityStream, Tick
 
 # Gaps are clipped to this magnitude; anything further apart carries
 # no alignment information worth distinguishing.
@@ -44,7 +45,7 @@ TRP_CLIP_MS = 5000
 WINDOW_LENGTHS_MS = (1000, 14000, 15000)
 LOOKBACK_MS = 30000
 
-# Array form of a missing gap (``None`` in PairFeatures).
+# Array form of a missing gap (``None`` from trp_gap_from_arrays).
 NO_GAP = int(np.iinfo(np.int64).min)
 
 # Most ticks of activity the engine turns into overlap counts at once,
@@ -53,24 +54,6 @@ NO_GAP = int(np.iinfo(np.int64).min)
 BLOCK_MS = 7680
 
 UtteranceView = Callable[[], Tuple[Sequence[int], Sequence[int]]]
-
-
-@dataclass(frozen=True)
-class PairFeatures:
-    """Feature vector for an ordered pair (a, b) at one instant.
-
-    ``trp_gap_ms`` is None when either side has no qualifying
-    utterance yet (a missing value, not zero).
-    """
-
-    trp_gap_ms: Optional[int]
-    overlap_w1_ms: int
-    overlap_w2_ms: int
-    overlap_w3_ms: int
-
-    @property
-    def overlaps(self) -> Tuple[int, int, int]:
-        return (self.overlap_w1_ms, self.overlap_w2_ms, self.overlap_w3_ms)
 
 
 def trp_gap_from_arrays(
@@ -106,25 +89,6 @@ def trp_gap_from_arrays(
     return max(-TRP_CLIP_MS, min(TRP_CLIP_MS, gap))
 
 
-def trp_gap(
-    a_utterances: Sequence[Utterance],
-    b_utterances: Sequence[Utterance],
-    now: Tick,
-) -> Optional[int]:
-    """Gap between a's most recent turn start and b's closest preceding turn end.
-
-    Input lists must be time-ordered. Only utterances with start <= now
-    participate; an utterance whose end lies beyond ``now`` is treated
-    as still in progress.
-    """
-    return trp_gap_from_arrays(
-        [u.start for u in a_utterances],
-        [u.start for u in b_utterances],
-        [u.end for u in b_utterances],
-        now,
-    )
-
-
 def simultaneous_speech(
     a: ActivityStream, b: ActivityStream, now: Tick
 ) -> Tuple[int, int, int]:
@@ -139,51 +103,6 @@ def simultaneous_speech(
     w2 = int(both[15000:29000].sum())
     w1 = int(both[29000:].sum())
     return (w1, w2, w3)
-
-
-def extract_pair(
-    streams: Mapping[int, ActivityStream],
-    utterances: Mapping[int, Sequence[Utterance]],
-    a: int,
-    b: int,
-    now: Tick,
-) -> PairFeatures:
-    w1, w2, w3 = simultaneous_speech(streams[a], streams[b], now)
-    return PairFeatures(trp_gap(utterances[a], utterances[b], now), w1, w2, w3)
-
-
-def extract_all(
-    streams: Mapping[int, ActivityStream],
-    utterances: Mapping[int, Sequence[Utterance]],
-    now: Tick,
-) -> Dict[Tuple[int, int], PairFeatures]:
-    """Features for every ordered pair of participants at ``now``.
-
-    Simultaneous speech is symmetric and computed once per unordered
-    pair; the gap feature is directional and computed both ways.
-    """
-    ids: List[int] = sorted(streams)
-    out: Dict[Tuple[int, int], PairFeatures] = {}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            w1, w2, w3 = simultaneous_speech(streams[a], streams[b], now)
-            out[(a, b)] = PairFeatures(
-                trp_gap(utterances[a], utterances[b], now), w1, w2, w3
-            )
-            out[(b, a)] = PairFeatures(
-                trp_gap(utterances[b], utterances[a], now), w1, w2, w3
-            )
-    return out
-
-
-def feature_arrays(features: Sequence[PairFeatures]) -> Tuple[np.ndarray, np.ndarray]:
-    """(gaps, overlaps) arrays of shape (k,) and (k, 3); None gaps become NO_GAP."""
-    gaps = np.array(
-        [NO_GAP if f.trp_gap_ms is None else f.trp_gap_ms for f in features],
-        dtype=np.int64,
-    )
-    overlaps = np.array([f.overlaps for f in features], dtype=np.int64)
-    return gaps, overlaps.reshape(len(gaps), 3)
 
 
 @dataclass(frozen=True)
@@ -230,17 +149,6 @@ class FeatureBinning:
         ob = overlaps * self.overlap_bins_per_window // self.window_lengths_ms
         out[..., 1:] = np.minimum(np.maximum(ob, 0), self.overlap_bins_per_window - 1)
         return out
-
-    def bin_features(self, f: PairFeatures) -> Tuple[int, int, int, int]:
-        return tuple(int(b) for b in self.bin_array(*feature_arrays([f]))[0])
-
-    def trp_bin(self, gap_ms: Optional[int]) -> int:
-        return self.bin_features(PairFeatures(gap_ms, 0, 0, 0))[0]
-
-    def overlap_bin(self, overlap_ms: int, window_index: int) -> int:
-        overlaps = [0, 0, 0]
-        overlaps[window_index] = overlap_ms
-        return self.bin_features(PairFeatures(None, *overlaps))[1 + window_index]
 
     def bins_for(self, feature: str) -> int:
         if feature == "trp_gap":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -21,11 +21,8 @@ from .errors import CorpusError, ModelFormatError, ModelVersionError, TrainingEr
 # simultaneous_speech and trp_gap_from_arrays are unused here but stay
 # importable under these names, where the benchmark's tracer wraps them
 from .features import (  # noqa: F401
-    NO_GAP,
     FeatureBinning,
     FeatureEngine,
-    PairFeatures,
-    feature_arrays,
     simultaneous_speech,
     trp_gap_from_arrays,
 )
@@ -44,10 +41,20 @@ DEFAULT_SAMPLE_PERIOD_MS = 1000
 TRAINING_BATCH_MS = 60_000
 
 
-@dataclass
-class TrainingInstance:
-    features: PairFeatures
-    label: int  # SAME or DIFF
+@dataclass(frozen=True)
+class TrainingSet:
+    """Labeled feature vectors as aligned arrays, one row per ordered pair.
+
+    ``labels`` (N,) holds SAME or DIFF, ``gaps`` (N,) the gap with
+    NO_GAP for a missing one, and ``overlaps`` (N, 3) the window counts.
+    """
+
+    labels: np.ndarray
+    gaps: np.ndarray
+    overlaps: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 @dataclass
@@ -78,13 +85,13 @@ def make_training_instances(
     utterances: Mapping[int, Sequence[Utterance]],
     duration_ms: Optional[Tick] = None,
     sample_period_ms: int = DEFAULT_SAMPLE_PERIOD_MS,
-) -> List[TrainingInstance]:
+) -> TrainingSet:
     """Sample labeled feature vectors from a labeled corpus.
 
-    Every ``sample_period_ms`` an instance is emitted for each ordered
-    pair in which both participants produced speech within the last
-    30 s. The class is whether the two participants' most recent
-    utterances carry the same floor label.
+    Every ``sample_period_ms`` a row is emitted for each ordered pair,
+    (a, b) then (b, a), in which both participants produced speech
+    within the last 30 s. The class is whether the two participants'
+    most recent utterances carry the same floor label.
 
     Raises CorpusError when an utterance is unlabeled.
     """
@@ -114,7 +121,9 @@ def make_training_instances(
     iu, ju = np.triu_indices(len(ids), 1)
     m = len(iu)
 
-    out: List[TrainingInstance] = []
+    labels_out = [np.zeros(0, dtype=np.intp)]
+    gaps_out = [np.zeros(0, dtype=np.int64)]
+    overlaps_out = [np.zeros((0, 3), dtype=np.int64)]
     sample_ticks = np.arange(sample_period_ms, duration_ms + 1, sample_period_ms)
     per_batch = max(TRAINING_BATCH_MS // sample_period_ms, 1)
     start_arrays = [np.array(starts[pid], dtype=np.int64) for pid in ids]
@@ -135,20 +144,18 @@ def make_training_instances(
         )
         same = (latest[:, iu] >= 0) & (latest[:, iu] == latest[:, ju])
         rows, pairs = np.nonzero(active[:, iu] & active[:, ju])
-        gaps_ab = raw.gaps[rows, pairs].tolist()
-        gaps_ba = raw.gaps[rows, m + pairs].tolist()
-        overlaps = raw.overlaps[rows, pairs].tolist()
-        classes = np.where(same[rows, pairs], SAME, DIFF).tolist()
-        for g_ab, g_ba, (w1, w2, w3), label in zip(gaps_ab, gaps_ba, overlaps, classes):
-            g_ab = None if g_ab == NO_GAP else g_ab
-            g_ba = None if g_ba == NO_GAP else g_ba
-            out.append(TrainingInstance(PairFeatures(g_ab, w1, w2, w3), label))
-            out.append(TrainingInstance(PairFeatures(g_ba, w1, w2, w3), label))
-    return out
+        # both directions of each pair share its label and overlaps
+        labels_out.append(np.repeat(np.where(same[rows, pairs], SAME, DIFF), 2))
+        gaps = (raw.gaps[rows, pairs], raw.gaps[rows, m + pairs])
+        gaps_out.append(np.stack(gaps, axis=1).ravel())
+        overlaps_out.append(np.repeat(raw.overlaps[rows, pairs], 2, axis=0))
+    return TrainingSet(
+        np.concatenate(labels_out), np.concatenate(gaps_out), np.concatenate(overlaps_out)
+    )
 
 
 def train(
-    instances: Iterable[TrainingInstance],
+    instances: TrainingSet,
     binning: Optional[FeatureBinning] = None,
 ) -> FloorModel:
     """Fit priors and add-one smoothed likelihood tables.
@@ -157,7 +164,8 @@ def train(
     otherwise.
     """
     binning = binning or FeatureBinning()
-    labels, bins = _binned(instances, binning)
+    labels = instances.labels
+    bins = binning.bin_array(instances.gaps, instances.overlaps)
     class_counts = np.bincount(labels, minlength=2)
     counts = {}
     for k, name in enumerate(FEATURE_NAMES):
@@ -179,23 +187,14 @@ def train(
     return FloorModel(priors=priors, tables=tables, binning=binning)
 
 
-def _binned(
-    instances: Iterable[TrainingInstance], binning: FeatureBinning
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(labels, bins) arrays of shape (N,) and (N, 4)."""
-    instances = list(instances)
-    labels = np.array([inst.label for inst in instances], dtype=np.intp)
-    bins = binning.bin_array(*feature_arrays([inst.features for inst in instances]))
-    return labels, bins
-
-
 def summarize_training(
-    instances: Iterable[TrainingInstance],
+    instances: TrainingSet,
     binning: Optional[FeatureBinning] = None,
 ) -> dict:
     """Class counts and per-feature occupied-bin counts, for reporting."""
     binning = binning or FeatureBinning()
-    labels, bins = _binned(instances, binning)
+    labels = instances.labels
+    bins = binning.bin_array(instances.gaps, instances.overlaps)
     class_counts = {c: int(np.count_nonzero(labels == c)) for c in (SAME, DIFF)}
     occupied = {
         name: {c: len(np.unique(bins[labels == c, k])) for c in (SAME, DIFF)}
@@ -215,11 +214,6 @@ def summarize_training(
     }
 
 
-def posterior(model: FloorModel, f: PairFeatures) -> float:
-    """P(same floor | features) for one ordered pair: a one-row posterior_batch."""
-    return float(posterior_batch(model, [model.binning.bin_features(f)])[0])
-
-
 def posterior_batch(model: FloorModel, bins: np.ndarray) -> np.ndarray:
     """Posteriors for many pre-binned feature vectors at once.
 
@@ -237,13 +231,6 @@ def posterior_batch(model: FloorModel, bins: np.ndarray) -> np.ndarray:
             log_same += lt[SAME, bins[:, k]]
             log_diff += lt[DIFF, bins[:, k]]
     return np.exp(log_same - np.logaddexp(log_same, log_diff))
-
-
-def pair_posterior(model: FloorModel, f_ab: PairFeatures, f_ba: PairFeatures) -> float:
-    """Single probability for an unordered pair: mean of both directions."""
-    bins = [model.binning.bin_features(f) for f in (f_ab, f_ba)]
-    both = posterior_batch(model, bins)
-    return float(0.5 * (both[0] + both[1]))
 
 
 def save_model(model: FloorModel, path: str) -> None:

@@ -41,8 +41,9 @@ def speech_runs(bits: np.ndarray) -> List[Tuple[int, int]]:
     elif not bits.any():
         return []
     edges = np.flatnonzero(np.diff(bits.astype(np.int8)))
-    starts = list(edges[bits[edges + 1]] + 1)
-    ends = list(edges[~bits[edges + 1]] + 1)
+    # Python ints, like the edges at the chunk's ends, so views serialise
+    starts = (edges[bits[edges + 1]] + 1).tolist()
+    ends = (edges[~bits[edges + 1]] + 1).tolist()
     if bits[0]:
         starts.insert(0, 0)
     if bits[-1]:

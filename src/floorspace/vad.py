@@ -26,7 +26,7 @@ SAMPLES_PER_MS = SAMPLE_RATE // 1000
 FULL_SCALE = 32768.0
 
 _SILENCE_DB = -200.0  # stands in for log10(0) on all-zero frames
-_NOISE_FLOOR_MIN_DB = -90.0  # digital silence must not drag the floor down forever
+_NOISE_FLOOR_MIN_DB = -90.0  # near-silent frames must not drag the floor down forever
 
 
 @dataclass
@@ -125,9 +125,12 @@ class VoiceActivityDetector:
             self._hangover_left = max(0, self._hangover_left - cfg.frame_ms)
             return True
         # Adapt only while genuinely quiet so speech energy never
-        # inflates the floor; clamp so digital silence cannot sink it.
-        self.noise_floor_db += cfg.noise_adapt_rate * (level - self.noise_floor_db)
-        self.noise_floor_db = max(self.noise_floor_db, _NOISE_FLOOR_MIN_DB)
+        # inflates the floor. Digital silence says nothing about the
+        # background (a jitter buffer plays it while priming), so it
+        # leaves the floor alone; the clamp bounds near-silent frames.
+        if level > _SILENCE_DB:
+            self.noise_floor_db += cfg.noise_adapt_rate * (level - self.noise_floor_db)
+            self.noise_floor_db = max(self.noise_floor_db, _NOISE_FLOOR_MIN_DB)
         return False
 
     def process_frame(self, frame: np.ndarray) -> bool:

@@ -37,13 +37,11 @@ from floorspace import (
     gains,
     generate,
     loopback_latency_ms,
-    posterior,
     replay_corpus,
-    simultaneous_speech,
     train,
-    trp_gap,
 )
-from floorspace.learner import FEATURE_NAMES, SAME, DIFF
+from floorspace.features import NO_GAP, FeatureEngine
+from floorspace.learner import FEATURE_NAMES, SAME, DIFF, posterior_batch
 from floorspace.mixdown import render_listener_mix, tone_audio_for_corpus
 from floorspace.timeline import stream_from_intervals
 
@@ -259,16 +257,18 @@ def test_criterion_04_naive_bayes_correctness(floor_model):
         )
 
     def random_features(r):
-        from floorspace import PairFeatures
-
-        gap = None if r.random() < 0.2 else int(r.integers(-6000, 6000))
+        """One row as (gaps, overlaps) arrays of shape (1,) and (1, 3)."""
+        gap = NO_GAP if r.random() < 0.2 else int(r.integers(-6000, 6000))
         w1 = int(r.integers(0, 1001))
         w2 = int(r.integers(0, 14001))
         w3 = int(r.integers(0, 15001))
-        return PairFeatures(gap, w1, w2, w3)
+        return [gap], [(w1, w2, w3)]
+
+    def batch_posterior(model, f):
+        return float(posterior_batch(model, model.binning.bin_array(*f))[0])
 
     def hand_posterior(model, f):
-        bins = model.binning.bin_features(f)
+        bins = model.binning.bin_array(*f)[0]
         num_s = float(model.priors[SAME])
         num_d = float(model.priors[DIFF])
         for name, b in zip(FEATURE_NAMES, bins):
@@ -298,21 +298,19 @@ def test_criterion_04_naive_bayes_correctness(floor_model):
     )
     seeded = random_model(np.random.default_rng(7))
 
-    from floorspace import PairFeatures
-
-    probe = PairFeatures(None, 0, 0, 0)  # trp missing bin, overlap bin 0
+    probe = ([NO_GAP], [(0, 0, 0)])  # trp missing bin, overlap bin 0
     for model in (uniform, skewed, seeded):
         for f in (probe, random_features(rng), random_features(rng)):
-            worst = max(worst, abs(posterior(model, f) - hand_posterior(model, f)))
+            worst = max(worst, abs(batch_posterior(model, f) - hand_posterior(model, f)))
     ok = worst <= 1e-9
     # uniform tables leave the prior untouched
-    ok &= abs(posterior(uniform, probe) - 0.3) <= 1e-9
+    ok &= abs(batch_posterior(uniform, probe) - 0.3) <= 1e-9
 
     # a thousand random small models: log-space vs direct product
     for _ in range(1000):
         model = random_model(rng)
         f = random_features(rng)
-        worst = max(worst, abs(posterior(model, f) - hand_posterior(model, f)))
+        worst = max(worst, abs(batch_posterior(model, f) - hand_posterior(model, f)))
     ok &= worst <= 1e-9
 
     # trained tables are proper distributions
@@ -329,6 +327,20 @@ def test_criterion_04_naive_bayes_correctness(floor_model):
     )
 
 
+def engine_features(ia, ib, now, duration):
+    """Overlaps and both gaps of participants 0 and 1 from a FeatureEngine."""
+    views = {
+        0: lambda: ([s for s, _ in ia], [e for _, e in ia]),
+        1: lambda: ([s for s, _ in ib], [e for _, e in ib]),
+    }
+    engine = FeatureEngine([0, 1], views, step_ms=1)
+    engine.add_activity(0, stream_from_intervals(0, ia, duration_ms=duration).bits)
+    engine.add_activity(1, stream_from_intervals(1, ib, duration_ms=duration).bits)
+    raw = engine.raw([now])
+    gaps = [None if g == NO_GAP else g for g in raw.gaps[0].tolist()]
+    return tuple(raw.overlaps[0, 0].tolist()), gaps[0], gaps[1]
+
+
 def test_criterion_05_feature_oracles():
     rng = np.random.default_rng(505)
     gap_checked = overlap_checked = 0
@@ -339,31 +351,28 @@ def test_criterion_05_feature_oracles():
         ib = random_intervals(rng, horizon)
         now = int(rng.integers(500, horizon + 2000))
         duration = now + 100
-        sa = stream_from_intervals(0, ia, duration_ms=duration)
-        sb = stream_from_intervals(1, ib, duration_ms=duration)
 
-        got = simultaneous_speech(sa, sb, now)
-        ok &= got == overlap_oracle(ia, ib, now)
-        ok &= got == simultaneous_speech(sb, sa, now)
+        got = engine_features(ia, ib, now, duration)
+        overlaps, gap_ab, gap_ba = got
+        ok &= overlaps == overlap_oracle(ia, ib, now)
+        ok &= engine_features(ib, ia, now, duration) == (overlaps, gap_ba, gap_ab)
         overlap_checked += 1
 
         ua = [Utterance(0, s, e) for s, e in ia]
         ub = [Utterance(1, s, e) for s, e in ib]
-        ok &= trp_gap(ua, ub, now) == gap_oracle(ua, ub, now)
-        ok &= trp_gap(ub, ua, now) == gap_oracle(ub, ua, now)
+        ok &= gap_ab == gap_oracle(ua, ub, now)
+        ok &= gap_ba == gap_oracle(ub, ua, now)
         gap_checked += 2
 
         delta = int(rng.integers(0, 4000))
         ia2 = [(s + delta, e + delta) for s, e in ia]
         ib2 = [(s + delta, e + delta) for s, e in ib]
-        sa2 = stream_from_intervals(0, ia2, duration_ms=duration + delta)
-        sb2 = stream_from_intervals(1, ib2, duration_ms=duration + delta)
-        ok &= simultaneous_speech(sa2, sb2, now + delta) == got
+        ok &= engine_features(ia2, ib2, now + delta, duration + delta) == got
     report(
         5,
         ok,
-        f"{overlap_checked} stream pairs vs tick-AND oracle with symmetry "
-        f"and translation, {gap_checked} gap scans",
+        f"{overlap_checked} FeatureEngine pairs vs tick-AND oracle with symmetry "
+        f"and translation, {gap_checked} gaps vs scan",
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floorspace import PairFeatures, Utterance, extract_all, extract_pair
+from floorspace import Utterance
 from floorspace.features import (
     LOOKBACK_MS,
     NO_GAP,
@@ -12,7 +12,6 @@ from floorspace.features import (
     WINDOW_LENGTHS_MS,
     FeatureEngine,
     simultaneous_speech,
-    trp_gap,
     trp_gap_from_arrays,
 )
 from floorspace.timeline import ActivityStream, stream_from_intervals
@@ -20,6 +19,16 @@ from floorspace.timeline import ActivityStream, stream_from_intervals
 
 def utts(pid, intervals):
     return [Utterance(pid, s, e) for s, e in intervals]
+
+
+def gap_of(a_utterances, b_utterances, now):
+    """``trp_gap_from_arrays`` on two time-ordered utterance lists."""
+    return trp_gap_from_arrays(
+        [u.start for u in a_utterances],
+        [u.start for u in b_utterances],
+        [u.end for u in b_utterances],
+        now,
+    )
 
 
 def gap_oracle(a_utterances, b_utterances, now, clip=TRP_CLIP_MS):
@@ -52,36 +61,36 @@ def random_utterances(rng, pid, horizon):
 def test_gap_after_turn_boundary_is_positive():
     a = utts(0, [(1200, 2000)])
     b = utts(1, [(0, 1000)])
-    assert trp_gap(a, b, now=2500) == 200
+    assert gap_of(a, b, now=2500) == 200
 
 
 def test_gap_inside_other_turn_is_negative():
     a = utts(0, [(1200, 2000)])
     b = utts(1, [(500, 1500)])
-    assert trp_gap(a, b, now=2500) == -300
+    assert gap_of(a, b, now=2500) == -300
 
 
 def test_gap_against_still_open_turn_uses_running_end():
     a = utts(0, [(1200, 2000)])
     b = utts(1, [(500, 1500)])
-    assert trp_gap(a, b, now=1300) == -100
+    assert gap_of(a, b, now=1300) == -100
 
 
 def test_gap_missing_cases():
     b = utts(1, [(0, 1000)])
-    assert trp_gap([], b, now=2000) is None
-    assert trp_gap(utts(0, [(500, 900)]), [], now=2000) is None
+    assert gap_of([], b, now=2000) is None
+    assert gap_of(utts(0, [(500, 900)]), [], now=2000) is None
     # b's first turn starts after a's newest start
-    assert trp_gap(utts(0, [(100, 400)]), utts(1, [(600, 900)]), now=1000) is None
+    assert gap_of(utts(0, [(100, 400)]), utts(1, [(600, 900)]), now=1000) is None
     # a's only turn is still in the future
-    assert trp_gap(utts(0, [(3000, 4000)]), b, now=2000) is None
+    assert gap_of(utts(0, [(3000, 4000)]), b, now=2000) is None
 
 
 def test_gap_clipping_both_directions():
-    assert trp_gap(utts(0, [(9000, 9500)]), utts(1, [(0, 1000)]), now=9999) == 5000
+    assert gap_of(utts(0, [(9000, 9500)]), utts(1, [(0, 1000)]), now=9999) == 5000
     a = utts(0, [(200, 9000)])
     b = utts(1, [(0, 10000)])
-    assert trp_gap(a, b, now=10000) == -5000
+    assert gap_of(a, b, now=10000) == -5000
 
 
 def test_gap_skips_past_an_open_interjection():
@@ -89,7 +98,7 @@ def test_gap_skips_past_an_open_interjection():
     # the gap anchors on the older turn's end
     a = utts(0, [(5000, 6000)])
     b = utts(1, [(0, 1000), (4500, 5500)])
-    assert trp_gap(a, b, now=6000) == 4000
+    assert gap_of(a, b, now=6000) == 4000
 
 
 def test_gap_matches_bruteforce_scan():
@@ -98,7 +107,7 @@ def test_gap_matches_bruteforce_scan():
         a = random_utterances(rng, 0, 20000)
         b = random_utterances(rng, 1, 20000)
         now = int(rng.integers(0, 22000))
-        assert trp_gap(a, b, now) == gap_oracle(a, b, now)
+        assert gap_of(a, b, now) == gap_oracle(a, b, now)
 
 
 def test_gap_translation_invariance():
@@ -110,7 +119,7 @@ def test_gap_translation_invariance():
         delta = int(rng.integers(0, 5000))
         a2 = [Utterance(0, u.start + delta, u.end + delta) for u in a]
         b2 = [Utterance(1, u.start + delta, u.end + delta) for u in b]
-        assert trp_gap(a, b, now) == trp_gap(a2, b2, now + delta)
+        assert gap_of(a, b, now) == gap_of(a2, b2, now + delta)
 
 
 def test_window_lengths():
@@ -177,38 +186,55 @@ def test_overlap_is_symmetric():
         assert simultaneous_speech(a, b, now) == simultaneous_speech(b, a, now)
 
 
-def test_extract_pair_combines_gap_and_overlap():
+def test_engine_combines_gap_and_overlap():
     now = 3000
     streams = {
         0: stream_from_intervals(0, [(1200, 2000)], now),
         1: stream_from_intervals(1, [(0, 1000)], now),
     }
-    utterances = {0: utts(0, [(1200, 2000)]), 1: utts(1, [(0, 1000)])}
-    f = extract_pair(streams, utterances, 0, 1, now)
-    assert f == PairFeatures(trp_gap_ms=200, overlap_w1_ms=0, overlap_w2_ms=0, overlap_w3_ms=0)
-    assert f.overlaps == (0, 0, 0)
+    turns = {0: ([1200], [2000]), 1: ([0], [1000])}
+    engine = FeatureEngine([0, 1], {p: (lambda v=turns[p]: v) for p in turns})
+    for p in (0, 1):
+        engine.add_activity(p, streams[p].bits)
+    raw = engine.raw([now])
+    # 0 starts 200 ms after 1's turn ends; no turn of 0's precedes 1's
+    assert raw.gaps.tolist() == [[200, NO_GAP]]
+    assert raw.overlaps.tolist() == [[[0, 0, 0]]]
 
 
-def test_extract_all_counts_ordered_pairs():
+def test_engine_counts_ordered_pairs():
     def party(n):
-        streams = {i: ActivityStream(i) for i in range(n)}
-        utterances = {i: [] for i in range(n)}
-        return extract_all(streams, utterances, now=1000)
+        engine = FeatureEngine(range(n), {p: lambda: ([], []) for p in range(n)})
+        for p in range(n):
+            engine.add_activity(p, np.zeros(1000, dtype=bool))
+        return engine.raw([1000])
 
-    assert len(party(2)) == 2
-    assert len(party(4)) == 12
+    for n, ordered in ((2, 2), (4, 12)):
+        raw = party(n)
+        assert raw.gaps.shape == (1, ordered)
+        assert raw.overlaps.shape == (1, ordered // 2, 3)
 
 
-def test_extract_all_shares_overlap_across_directions():
+def test_engine_shares_overlap_across_directions():
     rng = np.random.default_rng(61)
     streams = {i: ActivityStream(i, bits=rng.random(4000) < 0.5) for i in range(3)}
     utterances = {i: random_utterances(rng, i, 4000) for i in range(3)}
-    out = extract_all(streams, utterances, now=4000)
-    for a in range(3):
-        for b in range(a + 1, 3):
-            assert out[(a, b)].overlaps == out[(b, a)].overlaps
-            assert out[(a, b)].trp_gap_ms == trp_gap(utterances[a], utterances[b], 4000)
-            assert out[(b, a)].trp_gap_ms == trp_gap(utterances[b], utterances[a], 4000)
+    views = {
+        i: (lambda u=utterances[i]: ([x.start for x in u], [x.end for x in u])) for i in range(3)
+    }
+    engine = FeatureEngine(range(3), views)
+    for i in range(3):
+        engine.add_activity(i, streams[i].bits)
+    raw = engine.raw([4000])
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    for k, (a, b) in enumerate(pairs):
+        # one overlap row serves (a, b) and (b, a); each direction has its gap
+        overlaps = tuple(raw.overlaps[0, k])
+        assert overlaps == simultaneous_speech(streams[a], streams[b], 4000)
+        assert overlaps == simultaneous_speech(streams[b], streams[a], 4000)
+        for col, (x, y) in ((k, (a, b)), (len(pairs) + k, (b, a))):
+            gap = gap_of(utterances[x], utterances[y], 4000)
+            assert raw.gaps[0, col] == (NO_GAP if gap is None else gap)
 
 
 # --- the batched engine against the scalar definitions --------------------------

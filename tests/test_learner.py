@@ -8,21 +8,20 @@ import pytest
 from floorspace import (
     FeatureBinning,
     FloorModel,
-    PairFeatures,
-    TrainingInstance,
+    FloorTracker,
     Utterance,
     load_model,
     make_training_instances,
-    posterior,
     save_model,
     train,
 )
 from floorspace.errors import CorpusError, ModelFormatError, ModelVersionError, TrainingError
+from floorspace.features import NO_GAP, FeatureEngine
 from floorspace.learner import (
     DIFF,
     FEATURE_NAMES,
     SAME,
-    pair_posterior,
+    TrainingSet,
     posterior_batch,
     summarize_training,
 )
@@ -45,14 +44,36 @@ def two_speaker_corpus(label_b=0, duration=60_000):
     return streams, utterances, duration
 
 
-def random_features(rng):
-    gap = None if rng.random() < 0.15 else int(rng.integers(-6000, 6000))
-    return PairFeatures(
-        gap,
-        int(rng.integers(0, 1001)),
-        int(rng.integers(0, 14001)),
-        int(rng.integers(0, 15001)),
+def random_features(rng, k):
+    """(gaps, overlaps) of shape (k,) and (k, 3); about 15 % of gaps missing."""
+    gaps = np.where(rng.random(k) < 0.15, NO_GAP, rng.integers(-6000, 6000, k))
+    overlaps = rng.integers(0, (1001, 14001, 15001), (k, 3))
+    return gaps, overlaps
+
+
+def random_set(rng, k):
+    return TrainingSet(rng.integers(0, 2, k), *random_features(rng, k))
+
+
+def repeated(label, gap, overlaps, times):
+    """A TrainingSet of one row ``times`` over; a gap of None is missing."""
+    return TrainingSet(
+        np.full(times, label),
+        np.full(times, NO_GAP if gap is None else gap),
+        np.tile(overlaps, (times, 1)),
     )
+
+
+def concatenated(a, b):
+    return TrainingSet(
+        np.concatenate((a.labels, b.labels)),
+        np.concatenate((a.gaps, b.gaps)),
+        np.concatenate((a.overlaps, b.overlaps)),
+    )
+
+
+def posteriors(model, gaps, overlaps):
+    return posterior_batch(model, model.binning.bin_array(gaps, overlaps))
 
 
 def random_model(rng):
@@ -80,39 +101,32 @@ def test_bin_counts():
 
 def test_trp_bin_reference_points():
     b = FeatureBinning()
-    assert b.trp_bin(None) == 100
-    assert b.trp_bin(-5000) == 0
-    assert b.trp_bin(-4901) == 0
-    assert b.trp_bin(-4900) == 1
-    assert b.trp_bin(0) == 50
-    assert b.trp_bin(4999) == 99
-    assert b.trp_bin(5000) == 99
-    assert b.trp_bin(123_456) == 99
-    assert b.trp_bin(-123_456) == 0
+    gaps = [NO_GAP, -5000, -4901, -4900, 0, 4999, 5000, 123_456, -123_456]
+    bins = b.bin_array(gaps, np.zeros((len(gaps), 3)))
+    assert bins[:, 0].tolist() == [100, 0, 0, 1, 50, 99, 99, 99, 0]
 
 
 def test_overlap_bin_reference_points():
     b = FeatureBinning()
-    assert b.overlap_bin(0, 0) == 0
-    assert b.overlap_bin(49, 0) == 0
-    assert b.overlap_bin(50, 0) == 1
-    assert b.overlap_bin(500, 0) == 10
-    assert b.overlap_bin(999, 0) == 19
-    assert b.overlap_bin(1000, 0) == 19
-    assert b.overlap_bin(7000, 1) == 10
-    assert b.overlap_bin(14_000, 1) == 19
-    assert b.overlap_bin(15_000, 2) == 19
+    cases = [  # (overlap, window, bin)
+        (0, 0, 0), (49, 0, 0), (50, 0, 1), (500, 0, 10), (999, 0, 19),
+        (1000, 0, 19), (7000, 1, 10), (14_000, 1, 19), (15_000, 2, 19),
+    ]
+    overlaps = np.zeros((len(cases), 3), dtype=np.int64)
+    for row, (ms, window, _) in enumerate(cases):
+        overlaps[row, window] = ms
+    bins = b.bin_array(np.full(len(cases), NO_GAP), overlaps)
+    assert [bins[row, 1 + window] for row, (_, window, _) in enumerate(cases)] == [
+        want for _, _, want in cases
+    ]
 
 
 def test_every_feature_value_maps_to_one_bin():
     b = FeatureBinning()
-    rng = np.random.default_rng(2)
-    for _ in range(500):
-        f = random_features(rng)
-        bins = b.bin_features(f)
-        assert len(bins) == 4
-        assert 0 <= bins[0] < 101
-        assert all(0 <= x < 20 for x in bins[1:])
+    bins = b.bin_array(*random_features(np.random.default_rng(2), 500))
+    assert bins.shape == (500, 4)
+    assert np.all((0 <= bins[:, 0]) & (bins[:, 0] < 101))
+    assert np.all((0 <= bins[:, 1:]) & (bins[:, 1:] < 20))
 
 
 # --- instance sampling ------------------------------------------------------
@@ -122,14 +136,15 @@ def test_sixty_second_two_speaker_corpus_yields_120_instances():
     streams, utterances, duration = two_speaker_corpus()
     instances = make_training_instances(streams, utterances, duration)
     assert len(instances) == 120
-    assert all(i.label == SAME for i in instances)
+    assert instances.gaps.shape == (120,) and instances.overlaps.shape == (120, 3)
+    assert np.all(instances.labels == SAME)
 
 
 def test_different_floors_label_diff():
     streams, utterances, duration = two_speaker_corpus(label_b=1)
     instances = make_training_instances(streams, utterances, duration)
     assert len(instances) == 120
-    assert all(i.label == DIFF for i in instances)
+    assert np.all(instances.labels == DIFF)
 
 
 def test_silent_third_participant_produces_no_pairs():
@@ -143,9 +158,8 @@ def test_silent_third_participant_produces_no_pairs():
 def test_both_directions_share_the_overlap_features():
     streams, utterances, duration = two_speaker_corpus()
     instances = make_training_instances(streams, utterances, duration)
-    for ab, ba in zip(instances[0::2], instances[1::2]):
-        assert ab.features.overlaps == ba.features.overlaps
-        assert ab.label == ba.label
+    assert np.array_equal(instances.overlaps[0::2], instances.overlaps[1::2])
+    assert np.array_equal(instances.labels[0::2], instances.labels[1::2])
 
 
 def test_unlabeled_utterance_is_rejected():
@@ -165,18 +179,18 @@ def test_sample_period_scales_instance_count():
 
 
 def test_balanced_priors_are_exactly_half():
-    instances = [
-        TrainingInstance(PairFeatures(None, 0, 0, 0), SAME),
-        TrainingInstance(PairFeatures(None, 0, 0, 0), DIFF),
-    ]
+    instances = concatenated(
+        repeated(SAME, None, (0, 0, 0), 1), repeated(DIFF, None, (0, 0, 0), 1)
+    )
     model = train(instances)
     assert model.priors[SAME] == 0.5
     assert model.priors[DIFF] == 0.5
 
 
 def test_add_one_smoothing_hand_computed():
-    instances = [TrainingInstance(PairFeatures(None, 0, 0, 0), SAME)] * 5
-    instances += [TrainingInstance(PairFeatures(None, 999, 0, 0), DIFF)] * 5
+    instances = concatenated(
+        repeated(SAME, None, (0, 0, 0), 5), repeated(DIFF, None, (999, 0, 0), 5)
+    )
     model = train(instances)
     w1 = model.tables["overlap_w1"]
     assert w1[SAME, 0] == pytest.approx(6 / 25, abs=1e-12)
@@ -189,12 +203,7 @@ def test_add_one_smoothing_hand_computed():
 
 
 def test_every_table_row_is_a_distribution():
-    rng = np.random.default_rng(11)
-    instances = [
-        TrainingInstance(random_features(rng), int(rng.integers(0, 2)))
-        for _ in range(400)
-    ]
-    model = train(instances)
+    model = train(random_set(np.random.default_rng(11), 400))
     for name in FEATURE_NAMES:
         sums = model.tables[name].sum(axis=1)
         assert np.all(np.abs(sums - 1.0) < 1e-9)
@@ -202,22 +211,20 @@ def test_every_table_row_is_a_distribution():
 
 
 def test_training_needs_both_classes():
-    instances = [TrainingInstance(PairFeatures(None, 0, 0, 0), SAME)] * 3
     with pytest.raises(TrainingError, match="diff"):
-        train(instances)
+        train(repeated(SAME, None, (0, 0, 0), 3))
     with pytest.raises(TrainingError, match="same"):
-        train([TrainingInstance(PairFeatures(None, 0, 0, 0), DIFF)] * 3)
+        train(repeated(DIFF, None, (0, 0, 0), 3))
 
 
 def test_instance_order_does_not_matter():
     rng = np.random.default_rng(13)
-    instances = [
-        TrainingInstance(random_features(rng), int(rng.integers(0, 2)))
-        for _ in range(200)
-    ]
+    instances = random_set(rng, 200)
     m1 = train(instances)
-    shuffled = list(instances)
-    rng.shuffle(shuffled)
+    order = rng.permutation(len(instances))
+    shuffled = TrainingSet(
+        instances.labels[order], instances.gaps[order], instances.overlaps[order]
+    )
     m2 = train(shuffled)
     assert np.array_equal(m1.priors, m2.priors)
     for name in FEATURE_NAMES:
@@ -226,8 +233,10 @@ def test_instance_order_does_not_matter():
 
 def test_summarize_training_counts():
     streams, utterances, duration = two_speaker_corpus()
-    instances = make_training_instances(streams, utterances, duration)
-    instances += [TrainingInstance(PairFeatures(None, 999, 0, 0), DIFF)] * 4
+    instances = concatenated(
+        make_training_instances(streams, utterances, duration),
+        repeated(DIFF, None, (999, 0, 0), 4),
+    )
     stats = summarize_training(instances)
     assert stats["instances"] == {"same": 120, "diff": 4}
     assert stats["total_bins"]["trp_gap"] == 101
@@ -252,8 +261,8 @@ def uniform_model(priors=(0.5, 0.5)):
 
 def test_uninformative_features_return_the_prior():
     model = uniform_model(priors=(0.3, 0.7))
-    f = PairFeatures(200, 10, 300, 4000)
-    assert posterior(model, f) == pytest.approx(0.3, abs=1e-12)
+    p = posteriors(model, [200], [(10, 300, 4000)])
+    assert p[0] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_single_informative_feature_with_4_to_1_ratio():
@@ -268,8 +277,8 @@ def test_single_informative_feature_with_4_to_1_ratio():
         tables={**model.tables, "overlap_w1": w1},
         binning=model.binning,
     )
-    f = PairFeatures(None, 0, 0, 0)
-    assert posterior(model, f) == pytest.approx(0.8, abs=1e-12)
+    p = posteriors(model, [NO_GAP], [(0, 0, 0)])
+    assert p[0] == pytest.approx(0.8, abs=1e-12)
 
 
 def test_posterior_complement_sums_to_one():
@@ -281,8 +290,8 @@ def test_posterior_complement_sums_to_one():
             tables={k: v[::-1].copy() for k, v in model.tables.items()},
             binning=model.binning,
         )
-        f = random_features(rng)
-        assert posterior(model, f) + posterior(swapped, f) == pytest.approx(
+        f = random_features(rng, 1)
+        assert posteriors(model, *f)[0] + posteriors(swapped, *f)[0] == pytest.approx(
             1.0, abs=1e-9
         )
 
@@ -291,42 +300,57 @@ def test_log_space_matches_direct_product():
     rng = np.random.default_rng(19)
     for _ in range(300):
         model = random_model(rng)
-        f = random_features(rng)
-        bins = model.binning.bin_features(f)
+        f = random_features(rng, 1)
+        bins = model.binning.bin_array(*f)[0]
         s = model.priors[SAME]
         d = model.priors[DIFF]
         for name, b in zip(FEATURE_NAMES, bins):
             s *= model.tables[name][SAME, b]
             d *= model.tables[name][DIFF, b]
-        assert posterior(model, f) == pytest.approx(s / (s + d), abs=1e-9)
+        assert posteriors(model, *f)[0] == pytest.approx(s / (s + d), abs=1e-9)
 
 
 def test_posterior_batch_matches_scalar_path():
+    # each row of a batch equals that row's posterior computed alone
     rng = np.random.default_rng(23)
     for _ in range(5):
         model = random_model(rng)
-        feats = [random_features(rng) for _ in range(301)]
-        bins = np.array([model.binning.bin_features(f) for f in feats])
+        bins = model.binning.bin_array(*random_features(rng, 301))
         batch = posterior_batch(model, bins)
-        for f, p in zip(feats, batch):
-            assert p == posterior(model, f)
+        for row, p in zip(bins, batch):
+            assert p == posterior_batch(model, row[None])[0]
 
 
-def test_pair_posterior_is_the_mean_of_both_directions():
+def test_tracker_probability_is_the_mean_of_both_directions():
     rng = np.random.default_rng(29)
     model = random_model(rng)
-    f_ab = random_features(rng)
-    f_ba = random_features(rng)
-    expected = 0.5 * (posterior(model, f_ab) + posterior(model, f_ba))
-    assert pair_posterior(model, f_ab, f_ba) == pytest.approx(expected, abs=1e-12)
+    duration = 40_000
+    turns = {
+        p: [(s, s + 700) for s in range(300 * p, duration, 1900 + 500 * p)] for p in range(3)
+    }
+    bits = {p: stream_from_intervals(p, turns[p], duration).bits for p in range(3)}
+    views = {p: (lambda t=turns[p]: ([s for s, _ in t], [e for _, e in t])) for p in range(3)}
+    tracker = FloorTracker(range(3), model, views)
+    engine = FeatureEngine(range(3), views, step_ms=30)
+    for p in range(3):
+        tracker.add_activity(p, bits[p])
+        engine.add_activity(p, bits[p])
+    tracker.process_due()
+    for t in (990, 15_000, 39_990):
+        raw = engine.raw([t])
+        m = raw.overlaps.shape[1]
+        row = tracker.posteriors[tracker.ticks.index(t)]
+        for k in range(m):
+            both = posteriors(model, raw.gaps[0, [k, m + k]], raw.overlaps[0, [k, k]])
+            assert row[k] == pytest.approx(both.mean(), abs=1e-12)
 
 
 def test_boosting_an_observed_bin_never_lowers_the_posterior():
     rng = np.random.default_rng(31)
     for _ in range(100):
         model = random_model(rng)
-        f = random_features(rng)
-        b = model.binning.bin_features(f)[0]
+        f = random_features(rng, 1)
+        b = model.binning.bin_array(*f)[0, 0]
         trp = model.tables["trp_gap"].copy()
         trp[SAME, b] += 0.5
         trp[SAME] /= trp[SAME].sum()
@@ -335,7 +359,7 @@ def test_boosting_an_observed_bin_never_lowers_the_posterior():
             tables={**model.tables, "trp_gap": trp},
             binning=model.binning,
         )
-        assert posterior(boosted, f) >= posterior(model, f) - 1e-12
+        assert posteriors(boosted, *f)[0] >= posteriors(model, *f)[0] - 1e-12
 
 
 # --- persistence ------------------------------------------------------------
@@ -351,8 +375,8 @@ def test_model_round_trip_is_exact(tmp_path):
     for name in FEATURE_NAMES:
         assert np.array_equal(model.tables[name], back.tables[name])
     assert model.binning == back.binning
-    f = random_features(rng)
-    assert posterior(model, f) == posterior(back, f)
+    f = random_features(rng, 1)
+    assert posteriors(model, *f)[0] == posteriors(back, *f)[0]
 
 
 def test_model_save_is_deterministic(tmp_path):

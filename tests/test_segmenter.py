@@ -1,5 +1,7 @@
 """Turning activity bits into discrete utterances, batch and online."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,25 @@ def test_speech_runs_edge_patterns():
                     runs.append((start, i))
                     start = None
             assert speech_runs(bits) == runs
+
+
+def test_runs_and_views_hold_python_ints():
+    # runs inside a chunk and runs touching either end of it
+    chunks = [np.zeros(160, dtype=bool) for _ in range(3)]
+    chunks[0][5:] = True
+    chunks[1][:40] = True
+    chunks[1][70:] = True
+    chunks[2][:100] = True
+    chunks[2][120:140] = True
+    online = OnlineSegmenter(0, SegmenterConfig(min_utterance_ms=1, bridge_gap_ms=0))
+    for bits in chunks:
+        for run in speech_runs(bits):
+            assert [type(x) for x in run] == [int, int]
+        online.feed(bits)
+        view = online.view()
+        assert all(type(x) is int for x in view[0] + view[1])
+        json.dumps(view)
+    assert online.view() == ([5, 230, 440], [200, 420, 460])
 
 
 def test_utterances_are_disjoint_and_ordered():

@@ -137,6 +137,20 @@ def test_frame_bits_match_streaming_decisions():
     assert list(got) == expected
 
 
+def test_digital_silence_does_not_prime_the_noise_floor():
+    # a live stream starts with the jitter buffer's silent frames; a
+    # steady hiss after them must read as background, as it does alone
+    rng = np.random.default_rng(8)
+    hiss = noise(10_000, db_to_linear(-58.0), rng)
+    alone = VoiceActivityDetector()
+    primed = VoiceActivityDetector()
+    assert not alone.frame_bits(hiss).any()
+    primed.frame_bits(np.zeros(60 * SAMPLE_RATE // 1000, dtype=np.int16))
+    assert primed.noise_floor_db == VadConfig().energy_floor_db
+    assert not primed.frame_bits(hiss).any()
+    assert primed.noise_floor_db == pytest.approx(alone.noise_floor_db, abs=0.5)
+
+
 def test_frame_rms_db_reference_points():
     assert frame_rms_db(np.zeros(80, dtype=np.int16)) < -100.0
     const = np.full(80, int(FULL_SCALE / 2), dtype=np.int16)
@@ -157,7 +171,8 @@ def reference_decide(frame, cfg, state):
     if state[1] > 0:
         state[1] = max(0, state[1] - cfg.frame_ms)
         return True
-    state[0] = max(state[0] + cfg.noise_adapt_rate * (level - state[0]), -90.0)
+    if rms > 0.0:  # digital silence leaves the floor alone
+        state[0] = max(state[0] + cfg.noise_adapt_rate * (level - state[0]), -90.0)
     return False
 
 
