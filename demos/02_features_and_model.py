@@ -89,8 +89,9 @@ print(f"\nP(same floor) at t={now}")
 print(f"  A,B: {p_same_ab:.3f}")
 print(f"  A,C: {p_same_ac:.3f}")
 
-path = Path(tempfile.mkdtemp()) / "model.json"
-save_model(model, str(path))
-back = load_model(str(path))
-assert abs(p_same(back, 0, 1) - p_same_ab) < 1e-12
-print(f"\nmodel round-trips through {path}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "model.json"
+    save_model(model, str(path))
+    back = load_model(str(path))
+    assert abs(p_same(back, 0, 1) - p_same_ab) < 1e-12
+    print(f"\nmodel round-trips through {path}")

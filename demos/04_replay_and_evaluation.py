@@ -58,12 +58,13 @@ for t, part in zip(result.ticks, result.chosen):
               f"({t - 120_000} ms after truth changed)")
         break
 
-out = Path(tempfile.mkdtemp())
-write_report(str(out / "report.json"), report)
-write_timeline(str(out / "timeline.tsv"), result)
-print(f"report and per-period timeline written under {out}")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    write_report(str(out / "report.json"), report)
+    write_timeline(str(out / "timeline.tsv"), result)
+    print(f"report and per-period timeline written under {out}")
 
-# audible version: placeholder tones per speaker, mixed for listener A
-paths = mixdown_corpus(eval_corpus, model, str(out), listeners=["A"])
-samples = read_wav(paths[0])
-print(f"listener A mix: {paths[0]} ({len(samples) / 8000:.0f} s at 8000 Hz)")
+    # audible version: placeholder tones per speaker, mixed for listener A
+    paths = mixdown_corpus(eval_corpus, model, str(out), listeners=["A"])
+    samples = read_wav(paths[0])
+    print(f"listener A mix: {paths[0]} ({len(samples) / 8000:.0f} s at 8000 Hz)")

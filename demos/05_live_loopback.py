@@ -27,11 +27,12 @@ corpus = generate(GeneratorConfig(
 model = train(make_training_instances(
     corpus.streams(), corpus.utterances(), duration_ms=corpus.duration_ms,
 ))
-model_path = Path(tempfile.mkdtemp()) / "model.json"
-save_model(model, str(model_path))
-
-cfg = ServerConfig(audio_port=0, control_port=0, model_path=str(model_path))
-server = RealtimeServer(cfg)
+# the server reads the model file once, when it is built
+with tempfile.TemporaryDirectory() as tmp:
+    model_path = Path(tmp) / "model.json"
+    save_model(model, str(model_path))
+    cfg = ServerConfig(audio_port=0, control_port=0, model_path=str(model_path))
+    server = RealtimeServer(cfg)
 server.start()
 print(f"server up: audio {server.audio_addr}, control {server.control_addr}")
 

@@ -25,10 +25,24 @@ of summation cannot decide. Ties break toward the previously chosen
 configuration, then toward fewer floors, then toward the
 lexicographically smallest canonical form, so the choice is
 deterministic.
+
+``FloorAssigner.assign`` accepts the posteriors as any ``Mapping``
+from unordered pair to probability: a plain dict, or the ``PairRow``
+view the tracker hands in over one row of its posterior array, which
+the search reads as an array without a lookup per pair. Posteriors are
+binned features, so consecutive periods often repeat a row. The
+assigner therefore keeps the last search's outcome, keyed on the
+participant ids and the row's bytes. That outcome is either the
+winning ``FloorConfiguration`` itself, shared between periods, or, when
+several partitions tie, the tied rows with their scores. The tie rule
+runs on that set every period, so a repeated row is never searched
+again, even after a pin, a dwell hold or a tie changed the previous
+choice.
 """
 
 from __future__ import annotations
 
+import collections.abc
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -92,6 +106,35 @@ def _check_capacity(n: int) -> None:
 @lru_cache(maxsize=32)
 def _pairs_of(ids: Tuple[int, ...]) -> List[PairKey]:
     return unordered_pairs(ids)
+
+
+@lru_cache(maxsize=32)
+def _slots_of(ids: Tuple[int, ...]) -> Dict[PairKey, int]:
+    return {k: i for i, k in enumerate(_pairs_of(ids))}
+
+
+class PairRow(collections.abc.Mapping):
+    """Read-only pair -> probability view over one posterior row.
+
+    ``row`` is a float64 array holding the probability of each pair of
+    ``unordered_pairs(ids)``, in that order; ``ids`` are sorted.
+    """
+
+    __slots__ = ("ids", "row", "_slots")
+
+    def __init__(self, ids: Tuple[int, ...], row: np.ndarray):
+        self.ids = ids
+        self.row = row
+        self._slots = _slots_of(ids)
+
+    def __getitem__(self, key: PairKey):
+        return self.row[self._slots[key]]
+
+    def __iter__(self):
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
 
 
 def enumerate_partitions(participants: Sequence[int]) -> List[Partition]:
@@ -261,6 +304,12 @@ def _scorer(n: int) -> _PartitionScorer:
     return _PartitionScorer(n)
 
 
+@lru_cache(maxsize=1024)
+def _partition_at(row: int, ids: Tuple[int, ...]) -> Partition:
+    # the same few partitions win period after period
+    return _scorer(len(ids)).partition(row, ids)
+
+
 def build_scorers(max_participants: int) -> None:
     """Build the search structures for every room size up to the cap.
 
@@ -277,6 +326,52 @@ class FloorConfiguration:
 
     partition: Partition
     score: float
+
+
+class _TieSet:
+    """The partitions of ``ids`` that tie for the best score on one row.
+
+    ``rows`` are the tied scorer rows, ``within`` their within-floor
+    weight sums and ``apart`` the row's sum of 1 - p, so a row scores
+    (apart + within) / m. ``pick`` applies the tie rule.
+    """
+
+    def __init__(self, scorer: "_PartitionScorer", ids: Tuple[int, ...],
+                 rows: np.ndarray, within: np.ndarray, apart: float):
+        self.scorer = scorer
+        self.ids = ids
+        self.rows = rows
+        self.within = within
+        self.apart = apart
+        # fewest floors, then the smallest canonical form
+        self.first = int(np.argmin(scorer.rank[rows]))
+
+    def pick(self, previous: Optional[FloorConfiguration]) -> FloorConfiguration:
+        i = self.first
+        if previous is not None:
+            kept = np.flatnonzero(self.rows == self.scorer.row_of(previous.partition, self.ids))
+            if len(kept):
+                i = int(kept[0])
+        best = (self.apart + float(self.within[i])) / self.scorer.m
+        return FloorConfiguration(_partition_at(int(self.rows[i]), self.ids), best)
+
+
+def _decide(p: np.ndarray, ids: Tuple[int, ...]):
+    """The winning configuration of row ``p``, or its tie set."""
+    scorer = _scorer(len(ids))
+    # score = (sum(1 - p) + within) / m, so rows compare on within
+    within = scorer.within(2.0 * p - 1.0)
+    cut = within.max() - TIE_TOLERANCE * scorer.m
+    # a third of the periods of a 4-person replay search; at that size
+    # NumPy's Python-level wrappers (np.flatnonzero, np.sum) cost more
+    # than the arithmetic, so the array methods are called directly
+    tied = (within >= cut).nonzero()[0]
+    apart = float((1.0 - p).sum())
+    if len(tied) > 1:
+        return _TieSet(scorer, ids, tied, within[tied], apart)
+    row = int(tied[0])
+    best = (apart + float(within[row])) / scorer.m
+    return FloorConfiguration(_partition_at(row, ids), best)
 
 
 @dataclass(frozen=True)
@@ -334,9 +429,9 @@ class FloorAssigner:
         self.pin_owner = None
         self._clock: int = 0
         self._last_change: Optional[int] = None
-        # the last search's inputs (ids, posterior bytes, previous
-        # partition) and its result
-        self._last: Optional[Tuple[tuple, Tuple[Partition, float]]] = None
+        # the last search's key (ids, posterior row bytes) and what the
+        # row decided: a FloorConfiguration or a _TieSet
+        self._last: Optional[Tuple[tuple, object]] = None
 
     def pin(self, partition: Iterable[Iterable[int]], owner,
             participants: Sequence[int]) -> Partition:
@@ -363,36 +458,21 @@ class FloorAssigner:
 
     def _search(
         self, posteriors: Mapping[PairKey, float], ids: Tuple[int, ...]
-    ) -> Tuple[Partition, float]:
-        """Best partition of ``ids`` by score, then by the tie rules."""
-        n = len(ids)
-        if n < 2:
-            return (ids,) if ids else (), NEUTRAL_SCORE
-        p = np.array([posteriors[k] for k in _pairs_of(ids)], dtype=np.float64)
-        # the result depends on nothing else, and posteriors are binned
-        # features, so consecutive periods often repeat the last search
-        key = (ids, p.tobytes(), None if self.previous is None else self.previous.partition)
+    ) -> FloorConfiguration:
+        """Best configuration of ``ids`` by score, then by the tie rules."""
+        if len(ids) < 2:
+            return FloorConfiguration((ids,) if ids else (), NEUTRAL_SCORE)
+        if isinstance(posteriors, PairRow) and posteriors.ids == ids:
+            p = posteriors.row
+        else:
+            p = np.array([posteriors[k] for k in _pairs_of(ids)], dtype=np.float64)
+        key = (ids, p.tobytes())
         if self._last is None or self._last[0] != key:
-            self._last = (key, self._best(p, ids))
-        return self._last[1]
-
-    def _best(self, p: np.ndarray, ids: Tuple[int, ...]) -> Tuple[Partition, float]:
-        scorer = _scorer(len(ids))
-        # score = (sum(1 - p) + within) / m, so rows compare on within
-        within = scorer.within(2.0 * p - 1.0)
-        cut = within.max() - TIE_TOLERANCE * scorer.m
-        tied = np.flatnonzero(within >= cut)
-        row = int(tied[0])
-        if len(tied) > 1:
-            previous = None
-            if self.previous is not None:
-                previous = scorer.row_of(self.previous.partition, ids)
-            if previous is not None and within[previous] >= cut:
-                row = previous
-            else:
-                row = int(tied[np.argmin(scorer.rank[tied])])
-        best = (float(np.sum(1.0 - p)) + float(within[row])) / scorer.m
-        return scorer.partition(row, ids), best
+            self._last = (key, _decide(p, ids))
+        found = self._last[1]
+        if isinstance(found, _TieSet):
+            return found.pick(self.previous)
+        return found
 
     def assign(
         self,
@@ -419,21 +499,22 @@ class FloorAssigner:
                 self.previous = cfg
                 return cfg
 
-        choice, best = self._search(posteriors, ids)
+        cfg = self._search(posteriors, ids)
+        previous = self.previous
         if (
             self.dwell_ms > 0
-            and self.previous is not None
-            and choice != self.previous.partition
+            and previous is not None
+            and cfg.partition != previous.partition
             and self._last_change is not None
             and now_ms - self._last_change < self.dwell_ms
-            and sorted(m for b in self.previous.partition for m in b) == list(ids)
+            and sorted(m for b in previous.partition for m in b) == list(ids)
         ):
             # still inside the dwell window; hold the current choice
-            choice = self.previous.partition
-            best = float(score(choice, posteriors))
+            cfg = FloorConfiguration(
+                previous.partition, float(score(previous.partition, posteriors))
+            )
 
-        if self.previous is None or choice != self.previous.partition:
+        if previous is None or cfg.partition != previous.partition:
             self._last_change = now_ms
-        cfg = FloorConfiguration(choice, best)
         self.previous = cfg
         return cfg

@@ -27,6 +27,7 @@ from .assigner import (
     EVAL_PERIOD_MS,
     FloorAssigner,
     FloorConfiguration,
+    PairRow,
     Partition,
     canonical_partition,
     unordered_pairs,
@@ -147,9 +148,7 @@ class FloorTracker:
         return 0.5 * (directed[:, :m] + directed[:, m:])
 
     def _evaluate(self, t: Tick, p: np.ndarray) -> Optional[ConfigurationEvent]:
-        config = self.assigner.assign(
-            dict(zip(self.pairs, p)), self.participants, now_ms=t
-        )
+        config = self.assigner.assign(PairRow(self.participants, p), self.participants, now_ms=t)
         changed = not self.configs or self.configs[-1].partition != config.partition
         self.ticks.append(t)
         self.configs.append(config)
@@ -271,25 +270,24 @@ def replay_corpus(
         truth=truth_parts,
         events=tracker.events,
         posteriors=(
-            np.vstack(tracker.posteriors)
+            np.array(tracker.posteriors)
             if tracker.posteriors
             else np.zeros((0, len(tracker.pairs)))
         ),
     )
 
 
+def _partition_codes(partitions: List[Partition], index: Dict[Partition, int]) -> np.ndarray:
+    """Each partition's number in ``index``; unseen partitions are added."""
+    return np.array([index.setdefault(p, len(index)) for p in partitions], dtype=np.intp)
+
+
 def _pair_same_matrix(partitions: List[Partition], pairs: List[Tuple[int, int]]) -> np.ndarray:
+    """Per partition, whether it puts each pair in one floor."""
     out = np.zeros((len(partitions), len(pairs)), dtype=bool)
-    cache: Dict[Partition, np.ndarray] = {}
     for i, part in enumerate(partitions):
-        row = cache.get(part)
-        if row is None:
-            block_of = {m: k for k, b in enumerate(part) for m in b}
-            row = np.array(
-                [block_of.get(a) == block_of.get(b) for a, b in pairs], dtype=bool
-            )
-            cache[part] = row
-        out[i] = row
+        block_of = {m: k for k, b in enumerate(part) for m in b}
+        out[i] = [block_of.get(a) == block_of.get(b) for a, b in pairs]
     return out
 
 
@@ -361,11 +359,16 @@ def evaluate(
         oracle_posteriors=oracle_posteriors,
     )
     ticks = result.ticks
+    # equal partitions share a number, so each distinct one is scored once
+    index: Dict[Partition, int] = {}
+    chosen = _partition_codes(result.chosen, index)
+    truth = _partition_codes(result.truth, index)
+    same = _pair_same_matrix(list(index), result.pairs)
+    chosen_same, truth_same = same[chosen], same[truth]
+    config_ok = chosen == truth
+
     steady = ticks > warmup_ms
-    change_ticks = [
-        t for t, prev, cur in zip(ticks, [None] + result.truth, result.truth)
-        if prev is not None and prev != cur
-    ]
+    change_ticks = ticks[1:][truth[1:] != truth[:-1]].tolist()
     if result.truth:
         first_speech = min((r.start_ms for r in corpus.records), default=None)
         if first_speech is not None:
@@ -373,12 +376,6 @@ def evaluate(
     for c in change_ticks:
         steady &= np.abs(ticks - c) > exclusion_ms
 
-    chosen_same = _pair_same_matrix(result.chosen, result.pairs)
-    truth_same = _pair_same_matrix(result.truth, result.pairs)
-
-    config_ok = np.array(
-        [a == b for a, b in zip(result.chosen, result.truth)], dtype=bool
-    )
     n_steady = int(steady.sum())
     if n_steady == 0:
         raise EvaluationError("no steady-state periods to evaluate")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from floorspace import (
     EVAL_PERIOD_MS,
@@ -18,7 +18,13 @@ from floorspace import (
     gains,
     score,
 )
-from floorspace.assigner import MAX_PARTICIPANTS, _scorer, pair_key, unordered_pairs
+from floorspace.assigner import (
+    MAX_PARTICIPANTS,
+    PairRow,
+    _scorer,
+    pair_key,
+    unordered_pairs,
+)
 from floorspace.errors import CapacityError, PinPermissionError
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -419,24 +425,32 @@ def test_unpinned_search_resumes():
 
 
 class FreshSearch(FloorAssigner):
-    """An assigner whose every search starts from nothing."""
+    """An assigner that forgets the last row's outcome before every search."""
 
     def _search(self, posteriors, ids):
-        fresh = FloorAssigner()
-        fresh.previous = self.previous
-        return fresh._search(posteriors, ids)
+        self._last = None
+        return super()._search(posteriors, ids)
 
 
 @st.composite
 def assign_scripts(draw):
-    """Posterior maps with repeats and ties, with pins, unpins and a leaver."""
+    """Posterior maps with repeats and ties, with pins, unpins and leavers.
+
+    A later map is either drawn afresh or the first with one pair
+    changed, so a search keyed on part of the row would be caught.
+    """
     n = draw(st.integers(2, 6))
     ids = list(range(n))
     probs = st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
-    pool = [{k: draw(probs) for k in unordered_pairs(ids)} for _ in range(draw(st.integers(1, 3)))]
+    pool = [{k: draw(probs) for k in unordered_pairs(ids)}]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            pool.append({k: draw(probs) for k in pool[0]})
+        else:
+            pool.append({**pool[0], draw(st.sampled_from(sorted(pool[0]))): draw(probs)})
     partitions = enumerate_partitions(ids)
     steps = draw(st.lists(st.one_of(
-        st.tuples(st.just("assign"), st.integers(0, len(pool) - 1), st.booleans()),
+        st.tuples(st.just("assign"), st.integers(0, len(pool) - 1), st.integers(-1, n - 1)),
         st.tuples(st.just("pin"), st.integers(0, len(partitions) - 1)),
         st.tuples(st.just("unpin")),
     ), min_size=1, max_size=40))
@@ -445,6 +459,9 @@ def assign_scripts(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(assign_scripts())
+# the same row bytes for two different rooms: (1, 2) and then (0, 2)
+@example(([0, 1, 2], [{(0, 1): 0.9, (0, 2): 0.9, (1, 2): 0.9}], enumerate_partitions([0, 1, 2]),
+          [("assign", 0, 0), ("assign", 0, 1)], 0))
 def test_reused_searches_choose_like_fresh_ones(script):
     ids, pool, partitions, steps, dwell = script
     reused = FloorAssigner(eval_period_ms=30, dwell_ms=dwell)
@@ -452,8 +469,9 @@ def test_reused_searches_choose_like_fresh_ones(script):
     now = 0
     for step in steps:
         if step[0] == "assign":
-            # the last participant sits this period out when asked
-            members = ids[:-1] if step[2] and len(ids) > 2 else ids
+            # one participant (any, so the same row can meet other ids)
+            # sits this period out when asked
+            members = [m for m in ids if m != step[2]] if len(ids) > 2 else ids
             now += 30
             got = reused.assign(pool[step[1]], members, now_ms=now)
             want = fresh.assign(pool[step[1]], members, now_ms=now)
@@ -475,6 +493,46 @@ def test_a_repeated_search_still_follows_the_previous_choice():
     a.assign(tie, range(3))
     a.unpin("host")
     assert a.assign(tie, range(3)).partition == ((0,), (1, 2))
+
+
+def test_a_repeated_row_reuses_its_tie_set_for_a_new_previous_choice():
+    # two certain pairs; whether they share a floor is a coin flip, so
+    # the merged room and the two pairs tie and nothing else comes close
+    ids = (0, 1, 2, 3)
+    split, merged = ((0, 1), (2, 3)), ((0, 1, 2, 3),)
+    row = {k: 1.0 if k in ((0, 1), (2, 3)) else 0.5 for k in unordered_pairs(ids)}
+    view = PairRow(ids, np.array([row[k] for k in unordered_pairs(ids)]))
+    reused, fresh = FloorAssigner(), FreshSearch()
+    now = 0
+
+    def both(posteriors):
+        nonlocal now
+        now += 30
+        got = reused.assign(posteriors, ids, now_ms=now)
+        want = fresh.assign(posteriors, ids, now_ms=now)
+        assert (got.partition, got.score) == (want.partition, want.score)
+        return got
+
+    def pinned(partition):
+        for a in (reused, fresh):
+            a.pin(partition, owner="host", participants=ids)
+        both(row)
+        for a in (reused, fresh):
+            a.unpin("host")
+
+    # no previous choice: fewest floors
+    assert both(row).partition == merged
+    tie_set = reused._last[1]
+    pinned(split)
+    # the same row, as a dict or as a view: the tie set is reused and
+    # the previous choice, now the pinned split, wins it
+    assert both(view).partition == split
+    assert both(row).partition == split
+    assert reused._last[1] is tie_set
+    # a previous choice outside the tie set leaves fewest floors
+    pinned(tuple((m,) for m in ids))
+    assert both(view).partition == merged
+    assert reused._last[1] is tie_set
 
 
 # --- gains ------------------------------------------------------------------

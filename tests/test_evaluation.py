@@ -7,13 +7,16 @@ import pytest
 
 from floorspace import (
     Corpus,
+    FloorAssigner,
     FloorTracker,
+    GeneratorConfig,
     TruthTracker,
     TurnRecord,
     evaluate,
     generate,
     replay_corpus,
 )
+from floorspace.assigner import unordered_pairs
 from floorspace.errors import EvaluationError
 from floorspace.evaluation import partition_text, write_report, write_timeline
 
@@ -124,9 +127,43 @@ def test_tracker_chunking_does_not_change_the_outcome(floor_model):
 
     assert chunked.ticks == batch.ticks
     assert [c.partition for c in chunked.configs] == [c.partition for c in batch.configs]
+    assert _score_bits(chunked) == _score_bits(batch)
     assert np.array_equal(
         np.vstack(chunked.posteriors), np.vstack(batch.posteriors)
     )
+
+
+def _score_bits(tracker):
+    return np.array([c.score for c in tracker.configs], dtype=np.float64).tobytes()
+
+
+def test_ten_person_tracker_decides_like_assign_on_plain_dicts(floor_model):
+    # a live room's chunking: every participant's 20 ms frame, then the
+    # due periods; the tracker's row views must decide exactly like
+    # one assign per period on a dict of Python floats
+    pairs = tuple((2 * i, 2 * i + 1) for i in range(5))
+    halves = (tuple(range(5)), tuple(range(5, 10)))
+    corpus = generate(GeneratorConfig(
+        participants=10, duration_ms=24_000, schedule=[(0, pairs), (12_000, halves)], seed=46,
+    ))
+    ids = sorted(corpus.ids.values())
+    streams = corpus.streams()
+    tracker = FloorTracker(ids, floor_model, _tracker_views(corpus))
+    for lo in range(0, corpus.duration_ms, 20):
+        for pid in ids:
+            tracker.add_activity(pid, streams[pid].bits[lo:lo + 20])
+        tracker.process_due()
+
+    assert tracker.ticks[-1] == corpus.duration_ms
+    reference = FloorAssigner()
+    keys = unordered_pairs(ids)
+    want = [
+        reference.assign(dict(zip(keys, p.tolist())), ids, now_ms=t)
+        for t, p in zip(tracker.ticks, tracker.posteriors)
+    ]
+    assert [c.partition for c in tracker.configs] == [c.partition for c in want]
+    assert _score_bits(tracker) == np.array([c.score for c in want]).tobytes()
+    assert len({c.partition for c in want}) > 1
 
 
 def test_tracker_first_eval_skips_history(floor_model):
