@@ -38,6 +38,20 @@ several partitions tie, the tied rows with their scores. The tie rule
 runs on that set every period, so a repeated row is never searched
 again, even after a pin, a dwell hold or a tie changed the previous
 choice.
+
+In rooms of more than DENSE_MEMBERS (9 and 10 people) a new row is
+first tried against the last full search that found a unique winner.
+That search keeps its weights, its winner and the winner's margin
+over the runner-up. No partition can gain on the winner more than the
+weight its pairs moved in its favour: the drops on the pairs the
+winner joins plus the rises on the pairs it separates. While the
+margin exceeds that bound by twice the tie tolerance, the winner still
+wins alone, and only its own score is computed, with the same
+operations as a full search so that it has the same bits. Otherwise
+the row is searched in full, and a unique winner becomes the new
+reference; a tie set never does. Rooms of eight or fewer skip the
+check: there the whole search is one small dense product that costs
+no more than the check itself.
 """
 
 from __future__ import annotations
@@ -241,6 +255,7 @@ class _PartitionScorer:
         self.n = n
         self.m = n * (n - 1) // 2
         self.top = _level(n - 1)
+        self.pair_members = np.array(unordered_pairs(range(n)), dtype=np.intp).T
         k = min(n, DENSE_MEMBERS)
         labels = _level(k - 1).labels
         pairs = unordered_pairs(range(k))
@@ -277,6 +292,27 @@ class _PartitionScorer:
         for repeats, mask, subsets, columns in self.growth:
             total = np.repeat(total, repeats) + (subsets @ w[columns])[mask]
         return total
+
+    def within_row(self, w: np.ndarray, row: int) -> np.float64:
+        """``within(w)[row]``, to the bit.
+
+        It repeats ``within``'s operations in the same order: the full
+        dense product and the full subset products, then one scalar add
+        per level along the row's ancestors, since a product of one row
+        alone may sum in another order.
+        """
+        ancestors = [row]
+        for x in range(self.n - 1, self.n - 1 - len(self.growth), -1):
+            ancestors.append(int(_level(x).starts.searchsorted(ancestors[-1], "right")) - 1)
+        total = (self.base @ w[self.base_index])[ancestors.pop()]
+        for (_, mask, subsets, columns), r in zip(self.growth, reversed(ancestors)):
+            total = total + (subsets @ w[columns])[mask[r]]
+        return total
+
+    def same_floor(self, row: int) -> np.ndarray:
+        """Per pair, whether the row puts its two members in one floor."""
+        labels = self.top.labels[row]
+        return labels[self.pair_members[0]] == labels[self.pair_members[1]]
 
     def partition(self, row: int, ids: Sequence[int]) -> Partition:
         blocks: List[List[int]] = [[] for _ in range(int(self.top.n_blocks[row]))]
@@ -356,11 +392,53 @@ class _TieSet:
         return FloorConfiguration(_partition_at(int(self.rows[i]), self.ids), best)
 
 
-def _decide(p: np.ndarray, ids: Tuple[int, ...]):
-    """The winning configuration of row ``p``, or its tie set."""
+class _Reference:
+    """A searched row's unique winner and its lead over every other row.
+
+    ``w`` are the searched row's weights 2p - 1 and ``margin`` the
+    winner's within-floor sum minus the runner-up's. From ``w`` to new
+    weights w + d, another partition gains on the winner only on the
+    pairs where the two differ: at most -d on a pair the winner joins
+    and d on a pair it separates. ``decide`` sums those gains over
+    every pair as a bound, and while the margin exceeds it the winner
+    still wins alone.
+    """
+
+    def __init__(self, scorer: "_PartitionScorer", ids: Tuple[int, ...],
+                 w: np.ndarray, row: int, margin: float):
+        self.scorer = scorer
+        self.ids = ids
+        self.w = w
+        self.row = row
+        self.margin = margin
+        self.sign = np.where(scorer.same_floor(row), -1.0, 1.0)
+
+    def decide(self, p: np.ndarray, w: np.ndarray) -> Optional[FloorConfiguration]:
+        """The winner on row ``p`` (weights ``w``) if the margin proves it."""
+        scorer = self.scorer
+        bound = np.maximum(self.sign * (w - self.w), 0.0).sum()
+        # One TIE_TOLERANCE * m keeps every other row below the search's
+        # tie cut. The second covers round-off: the margin, the bound
+        # and the new within-floor sums are float sums of at most 45
+        # terms no larger than 2, so their error is orders of magnitude
+        # below TIE_TOLERANCE * m, the same reason the tie cut uses it.
+        if self.margin - bound <= 2 * TIE_TOLERANCE * scorer.m:
+            return None
+        apart = float((1.0 - p).sum())
+        best = (apart + float(scorer.within_row(w, self.row))) / scorer.m
+        return FloorConfiguration(_partition_at(self.row, self.ids), best)
+
+
+def _decide(p: np.ndarray, w: np.ndarray, ids: Tuple[int, ...]):
+    """The winning configuration of row ``p`` (weights ``w = 2p - 1``),
+    or its tie set.
+
+    Also returns a ``_Reference`` for a unique winner in rooms of more
+    than DENSE_MEMBERS, else None.
+    """
     scorer = _scorer(len(ids))
     # score = (sum(1 - p) + within) / m, so rows compare on within
-    within = scorer.within(2.0 * p - 1.0)
+    within = scorer.within(w)
     cut = within.max() - TIE_TOLERANCE * scorer.m
     # a third of the periods of a 4-person replay search; at that size
     # NumPy's Python-level wrappers (np.flatnonzero, np.sum) cost more
@@ -368,10 +446,15 @@ def _decide(p: np.ndarray, ids: Tuple[int, ...]):
     tied = (within >= cut).nonzero()[0]
     apart = float((1.0 - p).sum())
     if len(tied) > 1:
-        return _TieSet(scorer, ids, tied, within[tied], apart)
+        return _TieSet(scorer, ids, tied, within[tied], apart), None
     row = int(tied[0])
     best = (apart + float(within[row])) / scorer.m
-    return FloorConfiguration(_partition_at(row, ids), best)
+    found = FloorConfiguration(_partition_at(row, ids), best)
+    if scorer.n <= DENSE_MEMBERS:
+        return found, None
+    lead = float(within[row])
+    within[row] = -np.inf
+    return found, _Reference(scorer, ids, w, row, lead - float(within.max()))
 
 
 @dataclass(frozen=True)
@@ -429,9 +512,16 @@ class FloorAssigner:
         self.pin_owner = None
         self._clock: int = 0
         self._last_change: Optional[int] = None
-        # the last search's key (ids, posterior row bytes) and what the
-        # row decided: a FloorConfiguration or a _TieSet
+        # the last decided row's key (ids, posterior row bytes) and what
+        # the row decided: a FloorConfiguration or a _TieSet
         self._last: Optional[Tuple[tuple, object]] = None
+        # the last full search with a unique winner in a large room
+        self._reference: Optional[_Reference] = None
+        # unpinned periods with two or more present, by how they were
+        # decided: a full search, the reference's margin, or _last
+        self.searched = 0
+        self.certified = 0
+        self.reused = 0
 
     def pin(self, partition: Iterable[Iterable[int]], owner,
             participants: Sequence[int]) -> Partition:
@@ -467,8 +557,20 @@ class FloorAssigner:
         else:
             p = np.array([posteriors[k] for k in _pairs_of(ids)], dtype=np.float64)
         key = (ids, p.tobytes())
-        if self._last is None or self._last[0] != key:
-            self._last = (key, _decide(p, ids))
+        if self._last is not None and self._last[0] == key:
+            self.reused += 1
+        else:
+            w = 2.0 * p - 1.0
+            ref = self._reference
+            found = ref.decide(p, w) if ref is not None and ref.ids == ids else None
+            if found is not None:
+                self.certified += 1
+            else:
+                found, reference = _decide(p, w, ids)
+                self.searched += 1
+                if reference is not None:
+                    self._reference = reference
+            self._last = (key, found)
         found = self._last[1]
         if isinstance(found, _TieSet):
             return found.pick(self.previous)

@@ -173,6 +173,7 @@ class TruthTracker:
         self._events = sorted(
             (r.start_ms, ids[r.participant], r.floor_label) for r in corpus.records
         )
+        self._starts = np.array([e[0] for e in self._events], dtype=np.int64)
         self._cursor = 0
         self._label: Dict[int, Optional[int]] = {p: None for p in self.participants}
         self._partition = self._compute()
@@ -197,6 +198,20 @@ class TruthTracker:
         if moved:
             self._partition = self._compute()
         return self._partition
+
+    def partitions_at(self, ticks: Sequence[Tick]) -> List[Partition]:
+        """The truth at each of the non-decreasing instants ``ticks``.
+
+        The truth moves only at turn starts, so it is advanced once per
+        run of instants that see the same turns started.
+        """
+        ticks = np.asarray(ticks, dtype=np.int64)
+        started = np.searchsorted(self._starts, ticks, side="right")
+        firsts = np.flatnonzero(np.diff(started, prepend=-1)).tolist()
+        out: List[Partition] = []
+        for i, end in zip(firsts, firsts[1:] + [len(ticks)]):
+            out.extend([self.partition_at(int(ticks[i]))] * (end - i))
+        return out
 
 
 def _record_views(corpus: Corpus) -> Dict[int, UtteranceView]:
@@ -259,8 +274,7 @@ def replay_corpus(
         tracker.add_activity(pid, streams[pid].bits)
     tracker.process_due()
 
-    truth = TruthTracker(corpus)
-    truth_parts = [truth.partition_at(t) for t in tracker.ticks]
+    truth_parts = TruthTracker(corpus).partitions_at(tracker.ticks)
     return ReplayResult(
         participants=tracker.participants,
         pairs=tracker.pairs,

@@ -199,9 +199,15 @@ class RealtimeServer:
         self._gains: Optional[np.ndarray] = None
 
         self.audio_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.audio_sock.bind((cfg.host, cfg.audio_port))
         self.control_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.control_sock.bind((cfg.host, cfg.control_port))
+        try:
+            self.audio_sock.bind((cfg.host, cfg.audio_port))
+            self.control_sock.bind((cfg.host, cfg.control_port))
+        except OSError:
+            # a failed bind must not hold the other port or leak either socket
+            self.audio_sock.close()
+            self.control_sock.close()
+            raise
         self.audio_addr = self.audio_sock.getsockname()
         self.control_addr = self.control_sock.getsockname()
         self._threads: List[threading.Thread] = []
@@ -380,11 +386,18 @@ class RealtimeServer:
             else:
                 floors = [[n] for n in sorted(self.sessions)]
                 score = None
+            search = None
+            if self.tracker is not None:
+                # the current tracker's periods by how the search decided
+                # them; a join or leave starts a new tracker
+                assigner = self.tracker.assigner
+                search = {k: getattr(assigner, k) for k in ("searched", "certified", "reused")}
             return {
                 "type": "status",
                 "tick_ms": self.tick,
                 "floors": floors,
                 "score": score,
+                "search": search,
                 "control_rejects": self.control_rejects,
                 "audio_rejects": self.audio_rejects,
                 "participants": {

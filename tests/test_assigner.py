@@ -19,7 +19,9 @@ from floorspace import (
     score,
 )
 from floorspace.assigner import (
+    DENSE_MEMBERS,
     MAX_PARTICIPANTS,
+    TIE_TOLERANCE,
     PairRow,
     _scorer,
     pair_key,
@@ -216,6 +218,18 @@ def test_scorer_matches_score_on_sampled_partitions_of_large_rooms(room, rnd):
     scorer, scores = scorer_scores(ids, post)
     for r in rnd.sample(range(len(scores)), 300) + [0, len(scores) - 1]:
         assert abs(scores[r] - score(scorer.partition(r, ids), post)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 10), st.data())
+def test_within_row_has_the_bits_of_the_full_search(n, data):
+    scorer = _scorer(n)
+    weight = st.floats(-1.0, 1.0, allow_nan=False) | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    w = np.array(data.draw(st.lists(weight, min_size=scorer.m, max_size=scorer.m)))
+    full = scorer.within(w)
+    rows = data.draw(st.lists(st.integers(0, len(full) - 1), max_size=20))
+    for r in rows + [0, len(full) - 1]:
+        assert scorer.within_row(w, r).tobytes() == full[r].tobytes()
 
 
 # --- assignment -------------------------------------------------------------
@@ -425,45 +439,108 @@ def test_unpinned_search_resumes():
 
 
 class FreshSearch(FloorAssigner):
-    """An assigner that forgets the last row's outcome before every search."""
+    """An assigner that forgets the last row's outcome and its margin
+    reference before every search, so it searches every row in full."""
 
     def _search(self, posteriors, ids):
         self._last = None
+        self._reference = None
         return super()._search(posteriors, ids)
+
+
+def winner_margin(p, ids):
+    """The best row's lead in within-floor weight over the runner-up, and
+    the pairs where the runner-up differs from it, with the sign of a
+    weight move in the runner-up's favour on each."""
+    scorer = _scorer(len(ids))
+    within = scorer.within(2.0 * p - 1.0)
+    best = int(within.argmax())
+    lead = within[best]
+    within[best] = -np.inf
+    runner_up = int(within.argmax())
+    same, other = scorer.same_floor(best), scorer.same_floor(runner_up)
+    differ = np.flatnonzero(same != other)
+    return lead - within[runner_up], differ, np.where(same[differ], -1.0, 1.0)
+
+
+@st.composite
+def drifting_rows(draw, ids):
+    """Large-room rows, each the previous one with a few pairs moved.
+
+    The first row has a few clear floors under noise, as real rooms do.
+    Each later row moves pairs of the one before by, in total, 0.3 to
+    1.5 times the previous winner's margin: either one to four pairs
+    the runner-up treats unlike the winner, all in the runner-up's
+    favour, so the margin check meets rows on both sides of its bound
+    and drifts that pass the first margin only over several rows, or
+    two to five pairs in random directions.
+    """
+    pairs = unordered_pairs(ids)
+    floor = draw(st.lists(st.integers(0, 2), min_size=len(ids), max_size=len(ids)))
+    noise = st.floats(0.0, 0.3)
+    rows = [np.array([
+        0.95 - draw(noise) if floor[a] == floor[b] else 0.05 + draw(noise) for a, b in pairs
+    ])]
+    for _ in range(draw(st.integers(1, 4))):
+        prev = rows[-1]
+        margin, differ, toward = winner_margin(prev, ids)
+        if draw(st.booleans()):
+            k = draw(st.integers(1, min(4, len(differ))))
+            moved, signs = differ[:k], toward[:k]
+        else:
+            moved = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=2, max_size=5, unique=True))
+            signs = [draw(st.sampled_from([-1.0, 1.0])) for _ in moved]
+        step = draw(st.floats(0.3, 1.5)) * margin / len(moved)
+        row = prev.copy()
+        for j, sign in zip(moved, signs):
+            # a pair's weight is 2p - 1, so p moves by half the step
+            row[j] = min(max(prev[j] + sign * step / 2, 0.0), 1.0)
+        rows.append(row)
+    return [dict(zip(pairs, row.tolist())) for row in rows]
 
 
 @st.composite
 def assign_scripts(draw):
     """Posterior maps with repeats and ties, with pins, unpins and leavers.
 
-    A later map is either drawn afresh or the first with one pair
-    changed, so a search keyed on part of the row would be caught.
+    In rooms of up to six a later map is either drawn afresh or the
+    first with one pair changed, so a search keyed on part of the row
+    would be caught. Rooms of nine or ten draw ``drifting_rows`` and
+    walk them in order before the drawn steps, so the margin check
+    decides some of them.
     """
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 6) | st.integers(9, 10))
     ids = list(range(n))
-    probs = st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
-    pool = [{k: draw(probs) for k in unordered_pairs(ids)}]
-    for _ in range(draw(st.integers(0, 2))):
-        if draw(st.booleans()):
-            pool.append({k: draw(probs) for k in pool[0]})
-        else:
-            pool.append({**pool[0], draw(st.sampled_from(sorted(pool[0]))): draw(probs)})
+    walk = []
+    if n > DENSE_MEMBERS:
+        pool = draw(drifting_rows(ids))
+        walk = [("assign", i, -1) for i in range(len(pool))]
+    else:
+        probs = st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+        pool = [{k: draw(probs) for k in unordered_pairs(ids)}]
+        for _ in range(draw(st.integers(0, 2))):
+            if draw(st.booleans()):
+                pool.append({k: draw(probs) for k in pool[0]})
+            else:
+                pool.append({**pool[0], draw(st.sampled_from(sorted(pool[0]))): draw(probs)})
     partitions = enumerate_partitions(ids)
-    steps = draw(st.lists(st.one_of(
+    steps = walk + draw(st.lists(st.one_of(
         st.tuples(st.just("assign"), st.integers(0, len(pool) - 1), st.integers(-1, n - 1)),
-        st.tuples(st.just("pin"), st.integers(0, len(partitions) - 1)),
+        # the pinned partition itself, not the whole enumeration, goes in
+        # the script, so a failing script at n=10 stays short to print
+        st.tuples(st.just("pin"), st.integers(0, len(partitions) - 1).map(partitions.__getitem__)),
         st.tuples(st.just("unpin")),
     ), min_size=1, max_size=40))
-    return ids, pool, partitions, steps, draw(st.sampled_from([0, 60, 200]))
+    return ids, pool, steps, draw(st.sampled_from([0, 60, 200]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(assign_scripts())
 # the same row bytes for two different rooms: (1, 2) and then (0, 2)
-@example(([0, 1, 2], [{(0, 1): 0.9, (0, 2): 0.9, (1, 2): 0.9}], enumerate_partitions([0, 1, 2]),
+@example(([0, 1, 2], [{(0, 1): 0.9, (0, 2): 0.9, (1, 2): 0.9}],
           [("assign", 0, 0), ("assign", 0, 1)], 0))
 def test_reused_searches_choose_like_fresh_ones(script):
-    ids, pool, partitions, steps, dwell = script
+    ids, pool, steps, dwell = script
     reused = FloorAssigner(eval_period_ms=30, dwell_ms=dwell)
     fresh = FreshSearch(eval_period_ms=30, dwell_ms=dwell)
     now = 0
@@ -478,7 +555,7 @@ def test_reused_searches_choose_like_fresh_ones(script):
             assert (got.partition, got.score) == (want.partition, want.score)
         elif step[0] == "pin":
             for a in (reused, fresh):
-                a.pin(partitions[step[1]], owner="host", participants=ids)
+                a.pin(step[1], owner="host", participants=ids)
         else:
             for a in (reused, fresh):
                 a.unpin("host")
@@ -533,6 +610,57 @@ def test_a_repeated_row_reuses_its_tie_set_for_a_new_previous_choice():
     pinned(tuple((m,) for m in ids))
     assert both(view).partition == merged
     assert reused._last[1] is tie_set
+
+
+def test_the_margin_check_decides_only_while_the_margin_exceeds_the_bound():
+    ids = tuple(range(9))
+    pairs = unordered_pairs(ids)
+    rng = np.random.default_rng(17)
+    floor = [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    p = np.array([0.8 if floor[a] == floor[b] else 0.25 for a, b in pairs])
+    p += rng.uniform(-0.1, 0.1, len(p))
+    margin, differ, toward = winner_margin(p, ids)
+    # move one pair the runner-up treats unlike the winner, in its favour
+    j, sign = int(differ[0]), toward[0]
+    slack = TIE_TOLERANCE * _scorer(len(ids)).m
+
+    def moved(by):
+        q = p.copy()
+        q[j] += sign * by / 2
+        return dict(zip(pairs, q.tolist()))
+
+    # the bound just under the margin, inside the doubled tolerance, just
+    # over it, and over it only after two moves that each stay under it
+    for walk, counts, same_winner in (
+        ([margin - 1e-9], (1, 1, 0), True),
+        ([margin - 1.5 * slack], (2, 0, 0), True),
+        ([margin + 1e-9], (2, 0, 0), False),
+        ([0.6 * margin, 1.2 * margin], (2, 1, 0), False),
+    ):
+        a, fresh = FloorAssigner(), FreshSearch()
+        first = a.assign(moved(0.0), ids)
+        for by in walk:
+            got, want = a.assign(moved(by), ids), fresh.assign(moved(by), ids)
+            assert (got.partition, got.score) == (want.partition, want.score)
+        assert (got.partition == first.partition) == same_winner
+        assert (a.searched, a.certified, a.reused) == counts
+
+
+def test_a_tie_set_never_becomes_the_margin_reference():
+    # two certain floors that are a coin flip apart: the merged room and
+    # the split tie exactly, and moving a pair inside a floor keeps the tie
+    ids = tuple(range(9))
+    split = ((0, 1, 2, 3), (4, 5, 6, 7, 8))
+    apart = {(a, b): 1.0 if (a < 4) == (b < 4) else 0.5 for a, b in unordered_pairs(ids)}
+    a = FloorAssigner()
+    assert a.assign(apart, ids).partition == (ids,)
+    a.pin(split, owner="host", participants=ids)
+    a.assign(apart, ids)
+    a.unpin("host")
+    # the previous choice, now the split, wins the tie again
+    assert a.assign({**apart, (0, 1): 0.75}, ids).partition == split
+    assert (a.searched, a.certified, a.reused) == (2, 0, 0)
+    assert a._reference is None
 
 
 # --- gains ------------------------------------------------------------------

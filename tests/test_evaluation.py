@@ -66,6 +66,30 @@ def test_truth_changes_exactly_at_turn_starts():
     assert truth.partition_at(2000) == ((0, 1),)
 
 
+def test_truth_timeline_matches_the_per_instant_walk(eval_corpus):
+    same_tick = Corpus(
+        ["a", "b", "c", "d"],
+        [
+            TurnRecord("a", 0, 900, 0),
+            TurnRecord("b", 0, 800, 1),
+            TurnRecord("c", 990, 1500, 0),
+            TurnRecord("d", 990, 1600, 0),
+            TurnRecord("b", 990, 2000, 0),
+            TurnRecord("a", 2000, 2500, 1),
+            TurnRecord("c", 2010, 2600, 1),
+        ],
+        duration_ms=3000,
+    )
+    for corpus, ticks in (
+        (same_tick, list(range(0, 3000, 30)) + [3000, 3000]),
+        (same_tick, [5, 989, 990, 990, 991, 2000, 2009, 2010]),
+        (same_tick, []),
+        (eval_corpus, list(range(30, eval_corpus.duration_ms + 1, 30))),
+    ):
+        walk = TruthTracker(corpus)
+        assert TruthTracker(corpus).partitions_at(ticks) == [walk.partition_at(t) for t in ticks]
+
+
 # --- replay -----------------------------------------------------------------
 
 

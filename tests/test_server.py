@@ -136,6 +136,27 @@ def test_server_needs_a_model():
         RealtimeServer(ServerConfig(audio_port=0, control_port=0))
 
 
+def test_a_failed_control_bind_frees_the_audio_port(floor_model):
+    blocker = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        blocker.bind(("127.0.0.1", 0))
+        probe.bind(("127.0.0.1", 0))
+        audio_port = probe.getsockname()[1]
+        probe.close()
+        cfg = ServerConfig(audio_port=audio_port, control_port=blocker.getsockname()[1])
+        with pytest.raises(OSError):
+            RealtimeServer(cfg, model=floor_model)
+        again = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            again.bind(("127.0.0.1", audio_port))
+        finally:
+            again.close()
+    finally:
+        blocker.close()
+        probe.close()
+
+
 # --- membership ---------------------------------------------------------------
 
 
@@ -305,6 +326,29 @@ def test_status_reports_jitter_counters(floor_model):
             stats = reply["participants"]["alice"]["jitter"]
             assert stats["received"] == 5
             assert reply["tick_ms"] == 100
+
+
+def test_status_reports_how_the_search_decided_each_period(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 10) as a:
+            assert a.request({"type": "status"})["search"] is None
+            with joined(srv, "bob", 20) as b:
+                a.audio_sock.settimeout(2.0)
+                b.audio_sock.settimeout(2.0)
+                for _ in range(8):
+                    pump_with(srv, [(a, LOUD), (b, QUIET)])
+                    recv_frame(a.audio_sock)
+                    recv_frame(b.audio_sock)
+                search = a.request({"type": "status"})["search"]
+                assigner = srv.tracker.assigner
+                assert search == {
+                    "searched": assigner.searched,
+                    "certified": assigner.certified,
+                    "reused": assigner.reused,
+                }
+                # a room of two is below the margin check's sizes
+                assert search["searched"] >= 1 and search["certified"] == 0
+                assert sum(search.values()) == len(srv.tracker.configs)
 
 
 # --- pinning -------------------------------------------------------------------
