@@ -11,12 +11,16 @@ when the target changes, the per-sample step becomes (target - value)
 / ramp_samples; within a frame the gain at sample j = 1..n is
 value + step * j, clamped at the target; the next frame starts from the
 gain at j = n.
+
+The live ``Mixer`` mixes a whole room per call, from ramp state held
+as dense listener x speaker arrays in room order, and sums the
+speakers in ascending order with one reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,12 +56,19 @@ def glide(value, step, target, j):
 class Mixer:
     """Stateful renderer of per-listener frames.
 
-    Ramp state is kept as listener x speaker arrays (value, target,
-    per-sample step), one slot per participant id. A pair seen for the
-    first time starts directly at its target, so a newly joined
-    speaker is not faded in from silence artificially; ``forget``
-    drops a participant's pairs, so an id reused after a leave starts
-    afresh too.
+    Ramp state (value, target, per-sample step) is kept per ordered pair
+    of participant ids, in listener x speaker arrays with one slot per
+    id. A pair seen for the first time starts directly at its target,
+    so a newly joined speaker is not faded in from silence
+    artificially; ``forget`` drops a participant's pairs, so an id
+    reused after a leave starts afresh too.
+
+    The room being mixed, (listeners, speakers), holds its pairs as
+    dense arrays in room order instead. They are gathered from the
+    slots when the room changes and written back to them when it
+    changes again or on ``forget``, so ramps carry across joins,
+    leaves and id reuse while a steady room reads and writes only its
+    own arrays.
     """
 
     def __init__(self, cfg: Optional[MixerConfig] = None):
@@ -65,6 +76,10 @@ class Mixer:
         self._slot: Dict[int, int] = {}
         # known (1.0 once a pair has been mixed), value, target, step
         self._state = np.zeros((4, 0, 0))
+        # the room (listeners, speakers) the dense state is for, its slot
+        # rows, its own-stream mask, and its value, target and step
+        self._room: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
+        self._rows = self._own = self._value = self._target = self._step = None
 
     def _slots(self, ids: Sequence[int]) -> np.ndarray:
         for pid in ids:
@@ -75,23 +90,35 @@ class Mixer:
             self._state = np.pad(self._state, ((0, 0), (0, grow), (0, grow)))
         return np.array([self._slot[pid] for pid in ids], dtype=np.intp)
 
+    def _store(self) -> None:
+        """Write the room's dense state back to its slots and drop it."""
+        if self._room is None:
+            return
+        self._state[0][self._rows] = 1.0
+        self._state[1:, self._rows[0], self._rows[1]] = (self._value, self._target, self._step)
+        self._room = None
+
+    def _enter(self, room, targets) -> None:
+        """Gather the dense state of ``room`` from the slots."""
+        self._store()
+        listeners, speakers = room
+        rows = (self._slots(listeners)[:, None], self._slots(speakers))
+        known, value, target, step = self._state[:, rows[0], rows[1]]
+        own = np.equal.outer(listeners, speakers)
+        # a pair mixed for the first time starts at its target, not moving
+        fresh = known == 0
+        start = np.where(own, 0.0, targets)[fresh]
+        value[fresh] = target[fresh] = start
+        self._room, self._rows, self._own = room, rows, own
+        self._value, self._target, self._step = value, target, step
+
     def forget(self, participant: int) -> None:
         """Drop every ramp to and from ``participant``."""
+        self._store()
         slot = self._slot.get(participant)
         if slot is not None:
             self._state[:, slot, :] = 0.0
             self._state[:, :, slot] = 0.0
-
-    def _ramps(self, listeners: Sequence[int], speakers: Sequence[int], targets):
-        """Slots, start values, targets and steps of the next mix."""
-        rows = (self._slots(listeners)[:, None], self._slots(speakers))
-        known, value, old, step = self._state[:, rows[0], rows[1]]
-        # a listener's own stream is held at zero gain
-        target = np.where(np.equal.outer(listeners, speakers), 0.0, targets)
-        value = np.where(known > 0, value, target)
-        moved = target != np.where(known > 0, old, target)
-        step = np.where(moved, (target - value) / self.cfg.ramp_samples, step)
-        return rows, value, target, step
 
     def mix(
         self,
@@ -108,7 +135,16 @@ class Mixer:
         regardless of the targets.
         """
         n = frames.shape[1]
-        rows, value, target, step = self._ramps(listeners, speakers, targets)
+        room = (tuple(listeners), tuple(speakers))
+        if room != self._room:
+            self._enter(room, targets)
+        value, step = self._value, self._step
+        # a listener's own stream is held at zero gain
+        target = np.where(self._own, 0.0, targets)
+        moved = target != self._target
+        if moved.any():
+            step[moved] = (target[moved] - value[moved]) / self.cfg.ramp_samples
+        self._target = target
         pcm = frames.astype(np.float64)
         weighted = value[..., None] * pcm
         ramping = np.nonzero(value != target)
@@ -117,12 +153,8 @@ class Mixer:
                       target[ramping][:, None], np.arange(1, n + 1))
             value[ramping] = g[:, -1]
             weighted[ramping] = g * pcm[ramping[1]]
-        self._state[0][rows] = 1.0
-        self._state[1:, rows[0], rows[1]] = (value, target, step)
         # speaker by speaker in ascending order, as the one-listener sum
-        acc = np.zeros((len(listeners), n), dtype=np.float64)
-        for s in range(len(speakers)):
-            acc += weighted[:, s]
+        acc = np.add.reduce(weighted, axis=1)
         return np.clip(np.rint(acc), INT16_MIN, INT16_MAX).astype(np.int16)
 
     def mix_frame(

@@ -6,9 +6,10 @@ messages (join, leave, pin, unpin, status, and the clock-sync
 exchange the server initiates). Each client session owns its jitter
 buffer, voice activity detector, online segmenter, and measured
 clock offset; a single pump advances the shared timeline one 20 ms
-frame at a time: drain arrivals, pop one frame per session, update
-activity, re-evaluate the floor configuration on its own 30 ms grid,
-then mix and send every listener their return frame.
+frame at a time: drain arrivals, pop one frame per session and decode
+them together, update activity, re-evaluate the floor configuration on
+its own 30 ms grid, then mix and encode every listener's return frame
+together and send each.
 
 The pump is callable directly (pump_once) so tests and the replay
 path can drive time without a wall clock; serve() runs it paced.
@@ -55,7 +56,10 @@ from .transport import (
     FRAME_MS,
     JitterBuffer,
     Packetizer,
+    check_payload,
+    decode_room,
     decode_ulaw,
+    encode_room,
     estimate_clock_offset,
     ClockOffset,
 )
@@ -194,6 +198,7 @@ class RealtimeServer:
         self._last_sync = 0.0
         self.control_rejects = 0
         self.audio_rejects = 0
+        self.overruns = 0  # paced pumps that started a whole frame or more late
         # the last gain matrix sent with, and the (partition, ids) it is for
         self._gains_key: Optional[Tuple[Partition, Tuple[int, ...]]] = None
         self._gains: Optional[np.ndarray] = None
@@ -398,6 +403,9 @@ class RealtimeServer:
                 "floors": floors,
                 "score": score,
                 "search": search,
+                "changes": len(self.events),
+                "last_change_ms": int(self.events[-1].tick) if self.events else None,
+                "overruns": self.overruns,
                 "control_rejects": self.control_rejects,
                 "audio_rejects": self.audio_rejects,
                 "participants": {
@@ -456,6 +464,12 @@ class RealtimeServer:
             session = self._by_ssrc.get(pkt.ssrc)
             if session is None:
                 return
+            # a frame the jitter buffer could not play never reaches it
+            try:
+                check_payload(pkt)
+            except FloorspaceError:
+                self.audio_rejects += 1
+                return
             # the first packet fixes where the session's mix goes
             if session.audio_addr is None:
                 session.audio_addr = addr
@@ -475,8 +489,9 @@ class RealtimeServer:
             for s in sessions:
                 while s.inbox:
                     s.jitter.push(s.inbox.popleft())
-            # one (sessions, samples) array feeds both the VAD and the mixer
-            pcm = np.stack([s.jitter.pop() for s in sessions])
+            # one decode into one (sessions, samples) array, which feeds
+            # both the VAD and the mixer
+            pcm = decode_room([s.jitter.pop() for s in sessions])
             for s, bits in zip(sessions, room_frame_bits([s.vad for s in sessions], pcm)):
                 s.stream.append(bits)
                 s.stream.discard_before(s.stream.end_tick - LOOKBACK_MS - frame_ms)
@@ -524,11 +539,12 @@ class RealtimeServer:
         # every listener in one pass; a listener without an address yet
         # neither hears a mix nor advances its ramps
         mixes = self._mixer.mix([ids[i] for i in rows], ids, pcm, self._gains[rows])
-        for i, mixed in zip(rows, mixes):
+        # one encode for the room; each listener stamps its own header
+        for i, codes in zip(rows, encode_room(mixes)):
             listener = sessions[i]
-            pkt = listener.packetizer.packetize(mixed)
+            datagram = listener.packetizer.stamp(codes)
             try:
-                self.audio_sock.sendto(pkt.to_bytes(), listener.audio_addr)
+                self.audio_sock.sendto(datagram, listener.audio_addr)
             except OSError as exc:
                 log.warning("audio send to %s failed: %s", listener.audio_addr, exc)
 
@@ -567,6 +583,9 @@ class RealtimeServer:
                 if now < next_at:
                     time.sleep(min(next_at - now, period))
                     continue
+                if now - next_at >= period:
+                    # a whole frame late: the pump is not keeping up
+                    self.overruns += 1
                 next_at += period
                 self.pump_once()
                 if (

@@ -5,7 +5,11 @@ Audio travels as 20 ms mu-law frames behind a fixed 12-byte header:
 sequence number, a 32-bit sample-clock timestamp, and a 32-bit source
 identifier. Received packets pass through a small jitter buffer that
 repairs reordering within its depth and substitutes silence for
-anything lost or late. Senders stamp timestamps from their own
+anything lost or late. The buffer holds each frame as its 160
+codewords, undecoded: a room pops one frame per session and decodes
+them all with one ``decode_room``, and encodes its mixes with one
+``encode_room``, after which each listener's ``Packetizer`` only
+stamps its header on its row. Senders stamp timestamps from their own
 clocks, so a four-timestamp sync exchange estimates the offset used
 to place remote speech on the local timeline.
 """
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +34,7 @@ SAMPLE_RATE = 8000
 FRAME_MS = 20
 FRAME_SAMPLES = FRAME_MS * SAMPLE_RATE // 1000  # 160
 FRAME_BYTES = FRAME_SAMPLES  # one codeword per sample
+SILENCE = b"\xff" * FRAME_BYTES  # the codeword of a zero sample
 
 SEQ_MOD = 1 << 16
 TS_MOD = 1 << 32
@@ -82,12 +87,23 @@ def seq_delta(a: int, b: int) -> int:
 
 
 class Packetizer:
-    """Turns consecutive PCM frames into wire packets for one source."""
+    """Turns consecutive frames into wire packets for one source."""
 
     def __init__(self, ssrc: int, first_sequence: int = 0, first_timestamp: int = 0):
         self.ssrc = ssrc
         self._seq = first_sequence % SEQ_MOD
         self._ts = first_timestamp % TS_MOD
+
+    def stamp(self, codes: bytes) -> bytes:
+        """The next datagram: this source's next header, then ``codes``.
+
+        ``codes`` is one frame already encoded, FRAME_BYTES codewords.
+        """
+        header = HEADER.pack(RTP_VERSION << 6, PAYLOAD_TYPE_PCMU,
+                             self._seq, self._ts, self.ssrc % TS_MOD)
+        self._seq = (self._seq + 1) % SEQ_MOD
+        self._ts = (self._ts + FRAME_SAMPLES) % TS_MOD
+        return header + codes
 
     def packetize(self, pcm_frame: np.ndarray) -> AudioPacket:
         pcm_frame = np.asarray(pcm_frame, dtype=np.int16)
@@ -95,19 +111,11 @@ class Packetizer:
             raise UnsupportedFormatError(
                 f"frame of {len(pcm_frame)} samples, expected {FRAME_SAMPLES}"
             )
-        pkt = AudioPacket(
-            sequence=self._seq,
-            timestamp=self._ts,
-            ssrc=self.ssrc,
-            payload=encode_ulaw(pcm_frame).tobytes(),
-        )
-        self._seq = (self._seq + 1) % SEQ_MOD
-        self._ts = (self._ts + FRAME_SAMPLES) % TS_MOD
-        return pkt
+        return AudioPacket.from_bytes(self.stamp(encode_ulaw(pcm_frame).tobytes()))
 
 
-def depacketize(packet: AudioPacket) -> np.ndarray:
-    """Decode one packet's payload back to an int16 PCM frame."""
+def check_payload(packet: AudioPacket) -> None:
+    """Raise unless ``packet`` carries one playable mu-law frame."""
     if packet.payload_type != PAYLOAD_TYPE_PCMU:
         raise UnsupportedFormatError(
             f"unsupported payload type {packet.payload_type}"
@@ -116,7 +124,23 @@ def depacketize(packet: AudioPacket) -> np.ndarray:
         raise PacketFormatError(
             f"payload of {len(packet.payload)} bytes, expected {FRAME_BYTES}"
         )
+
+
+def depacketize(packet: AudioPacket) -> np.ndarray:
+    """Decode one packet's payload back to an int16 PCM frame."""
+    check_payload(packet)
     return decode_ulaw(np.frombuffer(packet.payload, dtype=np.uint8))
+
+
+def decode_room(frames: Sequence[bytes]) -> np.ndarray:
+    """Frames of codewords, as popped, to one int16 (frames, samples) array."""
+    return decode_ulaw(b"".join(frames)).reshape(len(frames), FRAME_SAMPLES)
+
+
+def encode_room(pcm: np.ndarray) -> List[bytes]:
+    """Each int16 row of ``pcm`` to its frame of codewords, in one encode."""
+    codes = encode_ulaw(pcm).tobytes()
+    return [codes[k : k + FRAME_BYTES] for k in range(0, len(codes), FRAME_BYTES)]
 
 
 @dataclass
@@ -135,7 +159,9 @@ class JitterBuffer:
     which is what absorbs reordering and network jitter. After that,
     each pop consumes the next sequence number, substituting silence
     and counting a loss when it never arrived. Late packets (sequence
-    already played) and duplicates are dropped.
+    already played) and duplicates are dropped. Frames are held and
+    popped as their mu-law codewords; silence is ``SILENCE``, the
+    codeword of a zero sample, 0xFF, in every byte.
     """
 
     def __init__(self, depth_ms: int = 60, frame_ms: int = FRAME_MS):
@@ -143,12 +169,13 @@ class JitterBuffer:
             raise ValueError("depth must hold at least one frame")
         self.depth_frames = depth_ms // frame_ms
         self.frame_ms = frame_ms
-        self._pending: Dict[int, np.ndarray] = {}
+        self._pending: Dict[int, bytes] = {}
         self._anchor: Optional[int] = None
         self._next_seq: Optional[int] = None
         self.stats = JitterStats()
 
     def push(self, packet: AudioPacket) -> None:
+        check_payload(packet)
         seq = packet.sequence
         self.stats.received += 1
         if self._next_seq is not None and seq_delta(seq, self._next_seq) < 0:
@@ -157,7 +184,7 @@ class JitterBuffer:
         if seq in self._pending:
             self.stats.duplicate += 1
             return
-        self._pending[seq] = depacketize(packet)
+        self._pending[seq] = packet.payload
         if self._anchor is None:
             self._anchor = seq
         if self._next_seq is None and len(self._pending) >= self.depth_frames:
@@ -169,15 +196,15 @@ class JitterBuffer:
     def primed(self) -> bool:
         return self._next_seq is not None
 
-    def pop(self) -> np.ndarray:
-        """Next playout frame; silence while priming or across a loss."""
+    def pop(self) -> bytes:
+        """Codewords of the next playout frame; silence while priming or across a loss."""
         if self._next_seq is None:
-            return np.zeros(FRAME_SAMPLES, dtype=np.int16)
+            return SILENCE
         frame = self._pending.pop(self._next_seq, None)
         self._next_seq = (self._next_seq + 1) % SEQ_MOD
         if frame is None:
             self.stats.lost += 1
-            return np.zeros(FRAME_SAMPLES, dtype=np.int16)
+            return SILENCE
         self.stats.played += 1
         return frame
 
@@ -227,7 +254,7 @@ def loopback_latency_ms(depth_ms: int = 60, marker_tick: int = 5) -> int:
         if start <= marker_tick < boundary:
             frame[(marker_tick - start) * samples_per_ms] = 8000
         buffer.push(packetizer.packetize(frame))
-        played = buffer.pop()
+        played = decode_ulaw(buffer.pop())
         hits = np.flatnonzero(np.abs(played.astype(np.int32)) > 2000)
         if hits.size:
             return boundary + int(hits[0]) // samples_per_ms - marker_tick

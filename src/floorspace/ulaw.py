@@ -44,20 +44,22 @@ def _decode_formula(codes: np.ndarray) -> np.ndarray:
 
 # Both directions are table lookups: the encoder's table is indexed by
 # the sample's 16 bits read as unsigned, the decoder's by the codeword.
+# ``take`` gathers the same entries as indexing, and faster on
+# frame-sized arrays.
 _ENCODE = _encode_formula(np.arange(65536, dtype=np.uint16).view(np.int16))
 _DECODE = _decode_formula(np.arange(256, dtype=np.uint8))
 
 
 def encode_ulaw(pcm) -> np.ndarray:
     """int16 samples to uint8 mu-law codewords, elementwise."""
-    return _ENCODE[np.asarray(pcm, dtype=np.int16).view(np.uint16)]
+    return _ENCODE.take(np.asarray(pcm, dtype=np.int16).view(np.uint16))
 
 
 def decode_ulaw(codes) -> np.ndarray:
     """Mu-law codewords (bytes or uint8 array) back to int16 samples."""
     if isinstance(codes, (bytes, bytearray, memoryview)):
         codes = np.frombuffer(codes, dtype=np.uint8)
-    return _DECODE[np.asarray(codes, dtype=np.uint8)]
+    return _DECODE.take(np.asarray(codes, dtype=np.uint8))
 
 
 def step_size(pcm) -> np.ndarray:

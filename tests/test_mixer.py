@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from floorspace import Mixer, MixerConfig
 from floorspace.errors import UnsupportedFormatError
-from floorspace.mixer import mix_timeline
+from floorspace.mixer import INT16_MAX, INT16_MIN, glide, mix_timeline
 
 FRAME = MixerConfig().frame_samples  # 160
 
@@ -213,3 +213,93 @@ def test_timeline_mix_equals_frame_by_frame_mixing(speakers, n, ramp_ms, holds, 
         for f in range(frames)
     ])
     assert np.array_equal(mix_timeline(list(tracks), targets, cfg), want)
+
+
+class SlotMixer:
+    """Reference mixer: ramp state per (listener, speaker) id pair, read
+    and written every frame, and each listener's mix summed speaker by
+    speaker in ascending order."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.state = {}  # (listener, speaker) -> (value, target, step)
+
+    def forget(self, pid):
+        for key in [k for k in self.state if pid in k]:
+            del self.state[key]
+
+    def mix(self, listeners, speakers, frames, targets):
+        n = frames.shape[1]
+        j = np.arange(1, n + 1)
+        out = np.empty((len(listeners), n), dtype=np.int16)
+        for i, listener in enumerate(listeners):
+            acc = np.zeros(n)
+            for s, speaker in enumerate(speakers):
+                target = 0.0 if listener == speaker else float(targets[i][s])
+                value, old, step = self.state.get((listener, speaker), (target, target, 0.0))
+                if target != old:
+                    step = (target - value) / self.cfg.ramp_samples
+                gain = value
+                if value != target:
+                    gain = glide(value, step, target, j)
+                    value = float(gain[-1])
+                self.state[(listener, speaker)] = (value, target, step)
+                acc += gain * frames[s].astype(np.float64)
+            out[i] = np.clip(np.rint(acc), INT16_MIN, INT16_MAX)
+        return out
+
+
+# decimal gains make the float sum depend on the order of its terms,
+# which small samples carry through to the rounded int16
+ROOM_LEVELS = [0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 1.0]
+ROOM_STEPS = ["frame"] * 6 + ["join", "leave", "rejoin", "address"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(ROOM_STEPS), st.integers(0, 5),
+                       st.integers(0, 2**32 - 1)), max_size=50),
+    st.sampled_from([20, 60, 250]),
+)
+@example(
+    # ramps under way when one listener loses its address, when a
+    # participant leaves and joins again in one frame, and when a new
+    # participant joins
+    steps=[("frame", 0, 1), ("frame", 0, 2), ("address", 2, 0), ("frame", 0, 3),
+           ("address", 2, 0), ("frame", 0, 4), ("rejoin", 1, 0), ("frame", 0, 5),
+           ("join", 4, 0), ("frame", 0, 6), ("leave", 0, 0), ("frame", 0, 7)],
+    ramp_ms=250,
+)
+def test_room_mix_equals_a_speaker_by_speaker_slot_reference(steps, ramp_ms):
+    """A room of ids 0-5 starting with 0-3, all addressed: joins, leaves,
+    a leave and rejoin between two frames (the mixer forgets the id
+    while the room stays the same), and listeners without an address,
+    who are left out of the mix; each frame retargets some pairs."""
+    cfg = MixerConfig(ramp_ms=ramp_ms)
+    mixer, ref = Mixer(cfg), SlotMixer(cfg)
+    room, addressed = {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5}
+    wanted = {}
+    for kind, pid, seed in steps:
+        if kind == "join":
+            room.add(pid)
+        elif kind in ("leave", "rejoin") and pid in room:
+            mixer.forget(pid)
+            ref.forget(pid)
+            if kind == "leave":
+                room.discard(pid)
+        elif kind == "address":
+            addressed ^= {pid}
+        elif kind == "frame":
+            speakers = sorted(room)
+            listeners = [p for p in speakers if p in addressed]
+            if not listeners:
+                continue
+            rng = np.random.default_rng(seed)
+            for pair in [(a, b) for a in listeners for b in speakers]:
+                if pair not in wanted or rng.random() < 0.3:
+                    wanted[pair] = float(rng.choice(ROOM_LEVELS))
+            targets = np.array([[wanted[a, b] for b in speakers] for a in listeners])
+            amplitude = int(rng.choice([9, 32768]))
+            frames = rng.integers(-amplitude, amplitude, (len(speakers), FRAME)).astype(np.int16)
+            got = mixer.mix(listeners, speakers, frames, targets)
+            assert np.array_equal(got, ref.mix(listeners, speakers, frames, targets))

@@ -2,6 +2,7 @@
 
 import contextlib
 import socket
+import threading
 import time
 
 import numpy as np
@@ -318,6 +319,8 @@ def test_status_reports_jitter_counters(floor_model):
         with joined(srv, "alice", 10) as a, joined(srv, "bob", 20) as b:
             a.audio_sock.settimeout(2.0)
             b.audio_sock.settimeout(2.0)
+            reply = a.request({"type": "status"})
+            assert (reply["changes"], reply["last_change_ms"]) == (0, None)
             for _ in range(5):
                 pump_with(srv, [(a, LOUD), (b, QUIET)])
                 recv_frame(a.audio_sock)
@@ -326,6 +329,9 @@ def test_status_reports_jitter_counters(floor_model):
             stats = reply["participants"]["alice"]["jitter"]
             assert stats["received"] == 5
             assert reply["tick_ms"] == 100
+            # configuration events since the server started
+            assert reply["changes"] == len(srv.events) >= 1
+            assert reply["last_change_ms"] == srv.events[-1].tick
 
 
 def test_status_reports_how_the_search_decided_each_period(floor_model):
@@ -460,6 +466,56 @@ def test_the_first_audio_packet_fixes_where_the_mix_goes(floor_model):
             assert len(recv_frame(a.audio_sock)) == 160
             assert len(recv_frame(b.audio_sock)) == 160
             assert a.request({"type": "status"})["audio_rejects"] == 1
+
+
+def test_malformed_audio_is_rejected_and_the_room_plays_on(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 10) as a, joined(srv, "bob", 20) as b:
+            a.audio_sock.settimeout(2.0)
+            b.audio_sock.settimeout(2.0)
+            for _ in range(4):
+                pump_with(srv, [(a, LOUD), (b, QUIET)])
+                recv_frame(a.audio_sock)
+                recv_frame(b.audio_sock)
+            # a short payload and a payload type other than mu-law, from
+            # alice's own address with alice's ssrc
+            short = AudioPacket(sequence=4, timestamp=640, ssrc=10, payload=b"\xff" * 100)
+            alaw = AudioPacket(sequence=5, timestamp=800, ssrc=10,
+                               payload=b"\xff" * 160, payload_type=8)
+            a.audio_sock.sendto(short.to_bytes(), srv.audio_addr)
+            a.audio_sock.sendto(alaw.to_bytes(), srv.audio_addr)
+            assert wait_for(lambda: srv.audio_rejects == 2)
+            assert not srv.sessions["alice"].inbox
+            for _ in range(4):
+                srv.pump_once()
+                assert len(recv_frame(a.audio_sock)) == 160
+                assert len(recv_frame(b.audio_sock)) == 160
+            reply = a.request({"type": "status"})
+            assert reply["audio_rejects"] == 2
+            assert reply["participants"]["alice"]["jitter"]["received"] == 4
+
+
+def test_status_counts_pumps_that_start_a_frame_late(floor_model):
+    srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0, frame_ms=20),
+                         model=floor_model)
+    pump = srv.pump_once
+
+    def slow_pump():
+        time.sleep(0.045)  # more than two frames
+        pump()
+
+    srv.pump_once = slow_pump
+    runner = threading.Thread(target=srv.run)
+    runner.start()
+    try:
+        with joined(srv, "alice", 10) as a:
+            assert wait_for(lambda: srv.overruns >= 2)
+            reply = a.request({"type": "status"})
+            assert reply["overruns"] >= 2
+    finally:
+        srv.stop()
+        runner.join(timeout=5.0)
+    assert not runner.is_alive()
 
 
 # --- clock sync ----------------------------------------------------------------

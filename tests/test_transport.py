@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from floorspace import (
     AudioPacket,
@@ -13,7 +14,13 @@ from floorspace import (
     loopback_latency_ms,
 )
 from floorspace.errors import PacketFormatError, UnsupportedFormatError
-from floorspace.transport import FRAME_SAMPLES, depacketize, seq_delta
+from floorspace.transport import (
+    FRAME_SAMPLES,
+    decode_room,
+    depacketize,
+    encode_room,
+    seq_delta,
+)
 from floorspace.ulaw import step_size
 
 # classic reference codec, transcribed scalar-by-scalar: 14-bit
@@ -186,8 +193,9 @@ def frames_with_marker(n):
     return out
 
 
-def marker_of(frame):
-    v = int(frame[0])
+def marker_of(codes):
+    """The frame index a popped frame carries, or None for silence."""
+    v = int(decode_ulaw(codes)[0])
     if v == 0:
         return None
     # invert the companding error on the marker amplitude
@@ -199,7 +207,7 @@ def test_priming_needs_a_full_depth():
     p = Packetizer(ssrc=1)
     frames = frames_with_marker(3)
     assert not jb.primed
-    assert not jb.pop().any()  # silence before priming
+    assert not decode_ulaw(jb.pop()).any()  # silence before priming
     jb.push(p.packetize(frames[0]))
     assert not jb.primed
     jb.push(p.packetize(frames[1]))
@@ -312,8 +320,103 @@ def test_lossless_path_preserves_companded_audio():
     for f in frames:
         jb.push(AudioPacket.from_bytes(p.packetize(f).to_bytes()))
     for f in frames:
-        out = jb.pop()
+        out = decode_ulaw(jb.pop())
         assert np.array_equal(out, decode_ulaw(encode_ulaw(f)))
+
+
+def test_malformed_payloads_never_enter_the_buffer():
+    jb = JitterBuffer(depth_ms=20, frame_ms=20)
+    with pytest.raises(PacketFormatError):
+        jb.push(AudioPacket(0, 0, 1, b"\x00" * 100))
+    with pytest.raises(UnsupportedFormatError):
+        jb.push(AudioPacket(0, 0, 1, b"\x00" * FRAME_SAMPLES, payload_type=8))
+    assert not jb.primed
+    assert jb.stats.received == 0
+
+
+# --- the room path: one decode, one encode ------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(["push", "push", "push", "drop", "dup", "swap"]),
+                 max_size=30),
+        min_size=1,
+        max_size=10,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@example(schedules=[["push"] * 6, ["push", "drop", "push", "push", "push"]], seed=0)
+def test_room_decode_of_popped_frames_equals_per_packet_depacketize(schedules, seed):
+    """Each session's packets arrive in order, lost, duplicated or
+    swapped with the next; every frame the room pops one frame per
+    session and decodes them at once."""
+    rng = np.random.default_rng(seed)
+    rooms = []
+    for schedule in schedules:
+        p = Packetizer(ssrc=len(rooms), first_sequence=int(rng.integers(65530, 65536)))
+        pkts = [
+            p.packetize(rng.integers(-32768, 32768, FRAME_SAMPLES).astype(np.int16))
+            for _ in schedule
+        ]
+        by_payload = {pkt.payload: pkt for pkt in pkts}
+        arrivals, early = [], set()
+        for k, (what, pkt) in enumerate(zip(schedule, pkts)):
+            if k in early or what == "drop":
+                arrivals.append([])
+            elif what == "dup":
+                arrivals.append([pkt, pkt])
+            elif what == "swap" and k + 1 < len(pkts):
+                arrivals.append([pkts[k + 1], pkt])
+                early.add(k + 1)
+            else:
+                arrivals.append([pkt])
+        rooms.append((JitterBuffer(depth_ms=60, frame_ms=20), arrivals, by_payload))
+    for frame in range(max(len(s) for s in schedules) + 3):
+        popped, want = [], []
+        for jb, arrivals, by_payload in rooms:
+            for pkt in arrivals[frame] if frame < len(arrivals) else []:
+                jb.push(pkt)
+            played = jb.stats.played
+            codes = jb.pop()
+            popped.append(codes)
+            if jb.stats.played > played:
+                want.append(depacketize(by_payload[codes]))
+            else:  # priming or a loss
+                want.append(np.zeros(FRAME_SAMPLES, dtype=np.int16))
+        got = decode_room(popped)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, np.stack(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.integers(0, 65535), st.integers(65530, 65535)),
+    st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32 - 1000, 2**32 - 1)),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_stamped_room_encode_equals_packetize(ssrc, seq, ts, frames, rows, seed):
+    """Across sequence and timestamp wrap, stamping a listener's row of
+    the room encode gives the bytes packetize would have sent."""
+    rng = np.random.default_rng(seed)
+    stamped = [Packetizer(ssrc + k, seq, ts) for k in range(rows)]
+    packetized = [Packetizer(ssrc + k, seq, ts) for k in range(rows)]
+    for f in range(frames):
+        pcm = rng.integers(-32768, 32768, (rows, FRAME_SAMPLES)).astype(np.int16)
+        for k, codes in enumerate(encode_room(pcm)):
+            datagram = stamped[k].stamp(codes)
+            assert datagram == packetized[k].packetize(pcm[k]).to_bytes()
+            want = AudioPacket(
+                sequence=(seq + f) % 65536,
+                timestamp=(ts + f * FRAME_SAMPLES) % 2**32,
+                ssrc=(ssrc + k) % 2**32,
+                payload=encode_ulaw(pcm[k]).tobytes(),
+            )
+            assert datagram == want.to_bytes()
 
 
 # --- clock sync -------------------------------------------------------------
