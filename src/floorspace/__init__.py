@@ -5,181 +5,42 @@ Turn-taking timing, observed as per-participant voice activity on a
 detects those conversational floors online and uses them to give
 every listener a mix where their own conversation is loud and the
 others are quiet but monitorable.
+
+The names below are the common entry points; everything else is
+imported from its module (``floorspace.server``, ``floorspace.mixer``
+and so on).
 """
 
-from .assigner import (
-    EVAL_PERIOD_MS,
-    FloorAssigner,
-    FloorConfiguration,
-    GainMatrix,
-    NORMAL_GAIN,
-    QUIET_GAIN,
-    bell_number,
-    canonical_partition,
-    enumerate_partitions,
-    gains,
-    score,
-)
-from .corpus import (
-    Corpus,
-    GeneratorConfig,
-    TurnRecord,
-    generate,
-    load_corpus,
-    save_corpus,
-)
-from .errors import (
-    CapacityError,
-    CorpusError,
-    EvaluationError,
-    FloorspaceError,
-    InvalidRangeError,
-    ModelFormatError,
-    ModelVersionError,
-    PacketFormatError,
-    PinPermissionError,
-    SyncTimeoutError,
-    TrainingError,
-    UnsupportedFormatError,
-)
-from .evaluation import (
-    ConfigurationEvent,
-    EvaluationReport,
-    FloorTracker,
-    ReplayResult,
-    TruthTracker,
-    evaluate,
-    partition_text,
-    replay_corpus,
-    write_report,
-    write_timeline,
-)
-from .features import (
-    LOOKBACK_MS,
-    FeatureBinning,
-    TRP_CLIP_MS,
-    WINDOW_LENGTHS_MS,
-    simultaneous_speech,
-)
-from .learner import (
-    FloorModel,
-    load_model,
-    make_training_instances,
-    save_model,
-    train,
-)
-from .mixdown import (
-    load_participant_tracks,
-    mixdown_corpus,
-    read_wav,
-    render_listener_mix,
-    tone_audio_for_corpus,
-    write_wav,
-)
-from .mixer import Mixer, MixerConfig
-from .segmenter import OnlineSegmenter, SegmenterConfig, segment
-from .timeline import (
-    ActivityStream,
-    MAX_PARTICIPANTS,
-    Participant,
-    Tick,
-    Utterance,
-    clip_stream,
-    overlap_ms,
-    stream_from_intervals,
-)
-from .transport import (
-    AudioPacket,
-    ClockOffset,
-    JitterBuffer,
-    Packetizer,
-    decode_ulaw,
-    encode_ulaw,
-    estimate_clock_offset,
-    loopback_latency_ms,
-)
-from .vad import SAMPLE_RATE, VadConfig, VoiceActivityDetector, detect
+from .assigner import FloorAssigner, bell_number, enumerate_partitions, gains, score
+from .corpus import GeneratorConfig, generate
+from .evaluation import evaluate, partition_text, write_report, write_timeline
+from .learner import load_model, make_training_instances, save_model, train
+from .mixdown import mixdown_corpus, read_wav
+from .segmenter import SegmenterConfig, segment
+from .vad import VadConfig, detect
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivityStream",
-    "AudioPacket",
-    "CapacityError",
-    "ClockOffset",
-    "ConfigurationEvent",
-    "Corpus",
-    "CorpusError",
-    "EVAL_PERIOD_MS",
-    "EvaluationError",
-    "EvaluationReport",
-    "FeatureBinning",
     "FloorAssigner",
-    "FloorConfiguration",
-    "FloorModel",
-    "FloorTracker",
-    "FloorspaceError",
-    "GainMatrix",
     "GeneratorConfig",
-    "InvalidRangeError",
-    "JitterBuffer",
-    "LOOKBACK_MS",
-    "MAX_PARTICIPANTS",
-    "Mixer",
-    "MixerConfig",
-    "ModelFormatError",
-    "ModelVersionError",
-    "NORMAL_GAIN",
-    "OnlineSegmenter",
-    "PacketFormatError",
-    "Packetizer",
-    "Participant",
-    "PinPermissionError",
-    "QUIET_GAIN",
-    "ReplayResult",
-    "SAMPLE_RATE",
     "SegmenterConfig",
-    "SyncTimeoutError",
-    "TRP_CLIP_MS",
-    "Tick",
-    "TrainingError",
-    "TruthTracker",
-    "TurnRecord",
-    "UnsupportedFormatError",
-    "Utterance",
     "VadConfig",
-    "VoiceActivityDetector",
-    "WINDOW_LENGTHS_MS",
     "bell_number",
-    "canonical_partition",
-    "clip_stream",
-    "decode_ulaw",
     "detect",
-    "encode_ulaw",
     "enumerate_partitions",
-    "estimate_clock_offset",
     "evaluate",
     "gains",
     "generate",
-    "load_corpus",
     "load_model",
-    "load_participant_tracks",
-    "loopback_latency_ms",
     "make_training_instances",
     "mixdown_corpus",
-    "overlap_ms",
     "partition_text",
     "read_wav",
-    "render_listener_mix",
-    "replay_corpus",
-    "save_corpus",
     "save_model",
     "score",
     "segment",
-    "stream_from_intervals",
-    "tone_audio_for_corpus",
     "train",
     "write_report",
     "write_timeline",
-    "write_wav",
 ]

@@ -1,9 +1,12 @@
 """Floor configuration search and per-listener gain assignment.
 
 A floor configuration is a partition of the present participants into
-disjoint conversational floors. Every evaluation period the assigner
-scores all set partitions (their count is the Bell number of the
-participant count, 115,975 at the 10-person cap) and picks the best.
+disjoint conversational floors. Every evaluation period
+(EVAL_PERIOD_MS, 30 ms) the assigner scores all set partitions (their
+count is the Bell number of the participant count, 115,975 at the
+10-person cap) and picks the best. Each listener then hears
+floor-mates at NORMAL_GAIN and everyone else at QUIET_GAIN. The
+period and the two gains are constants, the same for replay and live.
 
 A partition's score is the mean, over every unordered pair of present
 participants, of the probability the partition assigns to that pair:
@@ -470,25 +473,20 @@ class GainMatrix:
         return float(self.matrix[i, j])
 
 
-def gains(
-    config: FloorConfiguration,
-    participants: Sequence[int],
-    normal: float = NORMAL_GAIN,
-    quiet: float = QUIET_GAIN,
-) -> GainMatrix:
-    """Per-listener target gains: full for floor-mates, quiet otherwise.
+def gains(config: FloorConfiguration, participants: Sequence[int]) -> GainMatrix:
+    """Per-listener target gains: NORMAL_GAIN for floor-mates, QUIET_GAIN otherwise.
 
     A listener never hears their own stream back, hence the zero
     diagonal.
     """
     ids = tuple(sorted(participants))
     n = len(ids)
-    mat = np.full((n, n), quiet, dtype=np.float64)
+    mat = np.full((n, n), QUIET_GAIN, dtype=np.float64)
     for block in config.partition:
         idx = [ids.index(m) for m in block if m in ids]
         for i in idx:
             for j in idx:
-                mat[i, j] = normal
+                mat[i, j] = NORMAL_GAIN
     np.fill_diagonal(mat, 0.0)
     return GainMatrix(ids=ids, matrix=mat)
 
@@ -496,16 +494,17 @@ def gains(
 class FloorAssigner:
     """Periodic configuration selection with pinning and optional dwell.
 
-    ``assign`` is called once per evaluation period with the complete
-    pairwise posterior map. A pinned configuration overrides the
-    search until its owner unpins it or the participant set changes.
+    ``assign`` is called once per evaluation period (EVAL_PERIOD_MS)
+    with the complete pairwise posterior map; a call without
+    ``now_ms`` advances the assigner's clock by one period. A pinned
+    configuration overrides the search until its owner unpins it or
+    the participant set changes.
     ``dwell_ms`` > 0 suppresses a switch until that long has passed
     since the last one, trading latency for stability; the default is
     no dwell.
     """
 
-    def __init__(self, eval_period_ms: int = EVAL_PERIOD_MS, dwell_ms: int = 0):
-        self.eval_period_ms = eval_period_ms
+    def __init__(self, dwell_ms: int = 0):
         self.dwell_ms = dwell_ms
         self.previous: Optional[FloorConfiguration] = None
         self.pinned: Optional[Partition] = None
@@ -585,7 +584,7 @@ class FloorAssigner:
         """Pick the best configuration for this evaluation period."""
         ids = tuple(sorted(participants))
         if now_ms is None:
-            self._clock += self.eval_period_ms
+            self._clock += EVAL_PERIOD_MS
             now_ms = self._clock
         else:
             self._clock = now_ms

@@ -21,7 +21,6 @@ import numpy as np
 from .corpus import Corpus, GeneratorConfig, generate, load_corpus, save_corpus
 from .errors import FloorspaceError
 from .evaluation import (
-    EVAL_PERIOD_MS,
     evaluate,
     partition_text,
     replay_corpus,
@@ -155,8 +154,6 @@ def cmd_serve(args) -> int:
         overrides["model_path"] = args.model
     if args.max_participants is not None:
         overrides["max_participants"] = args.max_participants
-    if args.eval_period is not None:
-        overrides["eval_period_ms"] = args.eval_period
     if overrides:
         cfg = replace(cfg, **overrides)
     logging.basicConfig(
@@ -247,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control-port", type=int)
     p.add_argument("--model", help="model file (overrides config)")
     p.add_argument("--max-participants", type=int)
-    p.add_argument("--eval-period", type=int,
-                   help=f"ms between floor evaluations (default {EVAL_PERIOD_MS})")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("mixdown", help="render what one listener would have heard")

@@ -43,7 +43,3 @@ class PinPermissionError(FloorspaceError):
 
 class EvaluationError(FloorspaceError):
     """An evaluation run cannot be carried out on the given corpus."""
-
-
-class SyncTimeoutError(FloorspaceError):
-    """A clock synchronization exchange did not complete in time."""

@@ -75,27 +75,25 @@ class FloorTracker:
         model: FloorModel,
         views: Mapping[int, UtteranceView],
         assigner: Optional[FloorAssigner] = None,
-        eval_period_ms: int = EVAL_PERIOD_MS,
         posterior_override: Optional[Callable[[Tick], Mapping[Tuple[int, int], float]]] = None,
         first_eval_ms: Optional[Tick] = None,
         start_tick: Tick = 0,
     ):
         self.participants = tuple(sorted(participants))
         self.model = model
-        self.assigner = assigner or FloorAssigner(eval_period_ms=eval_period_ms)
-        self.eval_period_ms = eval_period_ms
+        self.assigner = assigner or FloorAssigner()
         self.posterior_override = posterior_override
 
         self._engine = FeatureEngine(
-            self.participants, views, start_tick, step_ms=eval_period_ms
+            self.participants, views, start_tick, step_ms=EVAL_PERIOD_MS
         )
         self.pairs = unordered_pairs(self.participants)
         # a tracker rebuilt after a membership change picks up at the
         # current period instead of re-announcing all of history
-        self._next_eval = eval_period_ms
+        self._next_eval = EVAL_PERIOD_MS
         if first_eval_ms is not None:
-            steps = max((first_eval_ms + eval_period_ms - 1) // eval_period_ms, 1)
-            self._next_eval = steps * eval_period_ms
+            steps = max((first_eval_ms + EVAL_PERIOD_MS - 1) // EVAL_PERIOD_MS, 1)
+            self._next_eval = steps * EVAL_PERIOD_MS
 
         self.ticks: List[Tick] = []
         self.configs: List[FloorConfiguration] = []
@@ -118,7 +116,7 @@ class FloorTracker:
     def process_due(self, upto: Optional[Tick] = None) -> List[ConfigurationEvent]:
         """Evaluate every period boundary now covered by all streams."""
         limit = self.coverage if upto is None else min(upto, self.coverage)
-        period = self.eval_period_ms
+        period = EVAL_PERIOD_MS
         per_block = max(BLOCK_MS // period, 1)
         fresh: List[ConfigurationEvent] = []
         while self._next_eval <= limit:
@@ -238,7 +236,6 @@ class ReplayResult:
 def replay_corpus(
     corpus: Corpus,
     model: FloorModel,
-    eval_period_ms: int = EVAL_PERIOD_MS,
     dwell_ms: int = 0,
     oracle_posteriors: bool = False,
 ) -> ReplayResult:
@@ -265,8 +262,7 @@ def replay_corpus(
         ids,
         model,
         _record_views(corpus),
-        assigner=FloorAssigner(eval_period_ms=eval_period_ms, dwell_ms=dwell_ms),
-        eval_period_ms=eval_period_ms,
+        assigner=FloorAssigner(dwell_ms=dwell_ms),
         posterior_override=override,
     )
     streams = corpus.streams()
@@ -313,8 +309,6 @@ class EvaluationReport:
     steady_periods: int
     confusion: Dict[str, int]
     events: List[ConfigurationEvent] = field(repr=False)
-    warmup_ms: int = WARMUP_MS
-    exclusion_ms: int = CHANGE_EXCLUSION_MS
     oracle_posteriors: bool = False
 
     def to_dict(self) -> dict:
@@ -325,8 +319,8 @@ class EvaluationReport:
             "steady_periods": self.steady_periods,
             "confusion": dict(self.confusion),
             "configuration_changes": len(self.events),
-            "warmup_ms": self.warmup_ms,
-            "exclusion_ms": self.exclusion_ms,
+            "warmup_ms": WARMUP_MS,
+            "exclusion_ms": CHANGE_EXCLUSION_MS,
             "oracle_posteriors": self.oracle_posteriors,
         }
 
@@ -335,8 +329,8 @@ class EvaluationReport:
         lines = [
             f"periods evaluated      {self.periods}",
             f"steady-state periods   {self.steady_periods}"
-            f" (warm-up {self.warmup_ms} ms,"
-            f" +-{self.exclusion_ms} ms around truth changes)",
+            f" (warm-up {WARMUP_MS} ms,"
+            f" +-{CHANGE_EXCLUSION_MS} ms around truth changes)",
             f"configuration accuracy {self.configuration_accuracy:.4f}",
             f"pairwise accuracy      {self.pairwise_accuracy:.4f}",
             f"pair confusion         same->same {c['same_as_same']}"
@@ -353,24 +347,21 @@ class EvaluationReport:
 def evaluate(
     corpus: Corpus,
     model: FloorModel,
-    eval_period_ms: int = EVAL_PERIOD_MS,
     dwell_ms: int = 0,
     oracle_posteriors: bool = False,
-    warmup_ms: int = WARMUP_MS,
-    exclusion_ms: int = CHANGE_EXCLUSION_MS,
 ) -> Tuple[EvaluationReport, ReplayResult]:
-    """Replay a corpus and score the result against derived ground truth."""
-    if corpus.duration_ms <= warmup_ms:
+    """Replay a corpus and score the result against derived ground truth.
+
+    Periods in the first WARMUP_MS, and within CHANGE_EXCLUSION_MS of a
+    truth change, are not scored.
+    """
+    if corpus.duration_ms <= WARMUP_MS:
         raise EvaluationError(
             f"corpus of {corpus.duration_ms} ms is no longer than the "
-            f"{warmup_ms} ms warm-up"
+            f"{WARMUP_MS} ms warm-up"
         )
     result = replay_corpus(
-        corpus,
-        model,
-        eval_period_ms=eval_period_ms,
-        dwell_ms=dwell_ms,
-        oracle_posteriors=oracle_posteriors,
+        corpus, model, dwell_ms=dwell_ms, oracle_posteriors=oracle_posteriors
     )
     ticks = result.ticks
     # equal partitions share a number, so each distinct one is scored once
@@ -381,14 +372,14 @@ def evaluate(
     chosen_same, truth_same = same[chosen], same[truth]
     config_ok = chosen == truth
 
-    steady = ticks > warmup_ms
+    steady = ticks > WARMUP_MS
     change_ticks = ticks[1:][truth[1:] != truth[:-1]].tolist()
     if result.truth:
         first_speech = min((r.start_ms for r in corpus.records), default=None)
         if first_speech is not None:
             change_ticks.append(first_speech)
     for c in change_ticks:
-        steady &= np.abs(ticks - c) > exclusion_ms
+        steady &= np.abs(ticks - c) > CHANGE_EXCLUSION_MS
 
     n_steady = int(steady.sum())
     if n_steady == 0:
@@ -409,8 +400,6 @@ def evaluate(
         steady_periods=n_steady,
         confusion=confusion,
         events=result.events,
-        warmup_ms=warmup_ms,
-        exclusion_ms=exclusion_ms,
         oracle_posteriors=oracle_posteriors,
     )
     return report, result

@@ -20,9 +20,9 @@ from .corpus import Corpus
 from .errors import UnsupportedFormatError
 from .evaluation import ReplayResult, replay_corpus
 from .learner import FloorModel
-from .mixer import INT16_MAX, INT16_MIN, MixerConfig, mix_timeline
+from .mixer import INT16_MAX, INT16_MIN, mix_timeline
 from .assigner import FloorConfiguration, Partition, gains
-from .vad import SAMPLE_RATE, SAMPLES_PER_MS
+from .transport import FRAME_SAMPLES, SAMPLE_RATE, SAMPLES_PER_MS
 
 # roughly a C-major scale so concurrent voices stay tellable apart
 TONE_FREQS_HZ = (262, 294, 330, 349, 392, 440, 494, 523, 587, 659)
@@ -30,12 +30,12 @@ TONE_AMPLITUDE = 0.35
 TONE_EDGE_MS = 10
 
 
-def write_wav(path: str, pcm: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:
+def write_wav(path: str, pcm: np.ndarray) -> None:
     data = np.asarray(pcm, dtype=np.int16)
     with wave.open(path, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(sample_rate)
+        wf.setframerate(SAMPLE_RATE)
         wf.writeframes(data.tobytes())
 
 
@@ -134,7 +134,6 @@ def render_listener_mix(
     result: ReplayResult,
     listener: int,
     tracks: Optional[Dict[int, np.ndarray]] = None,
-    mixer_cfg: Optional[MixerConfig] = None,
 ) -> np.ndarray:
     """Render what one listener hears from the timeline of target gains.
 
@@ -142,12 +141,11 @@ def render_listener_mix(
     partition chosen at its start (singletons before the first choice),
     with the live mixer's ramp law, in array blocks.
     """
-    cfg = mixer_cfg or MixerConfig()
     if tracks is None:
         tracks = tone_audio_for_corpus(corpus)
     ids = sorted(corpus.ids.values())
     n = corpus.duration_ms * SAMPLES_PER_MS
-    starts_ms = np.arange(0, n, cfg.frame_samples) // SAMPLES_PER_MS
+    starts_ms = np.arange(0, n, FRAME_SAMPLES) // SAMPLES_PER_MS
     chosen = np.searchsorted(result.ticks, starts_ms, side="right") - 1
     # one gain row per distinct partition; before the first choice
     # (period -1) everyone is a singleton
@@ -156,7 +154,7 @@ def render_listener_mix(
     me = ids.index(listener)
     rows = np.array([gains(FloorConfiguration(p, 0.0), ids).matrix[me] for p in codes])
     targets = rows[period_codes[chosen + 1]]
-    return mix_timeline([tracks[pid][:n] for pid in ids], targets, cfg)
+    return mix_timeline([tracks[pid][:n] for pid in ids], targets)
 
 
 def mixdown_corpus(

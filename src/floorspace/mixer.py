@@ -2,8 +2,10 @@
 
 Each listener gets an individualized mix of everyone else's stream,
 weighted by the current gain matrix. Gain changes glide linearly over
-the ramp duration instead of stepping, so floor changes never click.
-Accumulation happens in float64 and saturates into int16 on output.
+the ramp duration (RAMP_MS) instead of stepping, so floor changes
+never click. Accumulation happens in float64 and saturates into int16
+on output. Frames are the transport's: FRAME_SAMPLES samples at
+SAMPLE_RATE.
 
 The ramp law, shared by the live ``Mixer`` and the offline
 ``mix_timeline``: a pair seen for the first time starts at its target;
@@ -12,37 +14,27 @@ when the target changes, the per-sample step becomes (target - value)
 value + step * j, clamped at the target; the next frame starts from the
 gain at j = n.
 
-The live ``Mixer`` mixes a whole room per call, from ramp state held
+``Mixer.mix_frame`` mixes a whole room per call, from ramp state held
 as dense listener x speaker arrays in room order, and sums the
 speakers in ascending order with one reduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import UnsupportedFormatError
+from .transport import FRAME_SAMPLES, SAMPLES_PER_MS
 
-SAMPLE_RATE = 8000
 INT16_MIN = -32768
 INT16_MAX = 32767
+RAMP_MS = 250
 
-@dataclass
-class MixerConfig:
-    frame_ms: int = 20
-    ramp_ms: int = 250
-    sample_rate: int = SAMPLE_RATE
 
-    @property
-    def frame_samples(self) -> int:
-        return self.frame_ms * self.sample_rate // 1000
-
-    @property
-    def ramp_samples(self) -> int:
-        return max(1, self.ramp_ms * self.sample_rate // 1000)
+def ramp_samples(ramp_ms: int) -> int:
+    """Samples a full gain change takes, at least one."""
+    return max(1, ramp_ms * SAMPLES_PER_MS)
 
 BLOCK_FRAMES = 64  # most frames of a timeline weighted in one array operation
 
@@ -71,8 +63,8 @@ class Mixer:
     own arrays.
     """
 
-    def __init__(self, cfg: Optional[MixerConfig] = None):
-        self.cfg = cfg or MixerConfig()
+    def __init__(self, ramp_ms: int = RAMP_MS):
+        self.ramp_samples = ramp_samples(ramp_ms)
         self._slot: Dict[int, int] = {}
         # known (1.0 once a pair has been mixed), value, target, step
         self._state = np.zeros((4, 0, 0))
@@ -120,7 +112,7 @@ class Mixer:
             self._state[:, slot, :] = 0.0
             self._state[:, :, slot] = 0.0
 
-    def mix(
+    def mix_frame(
         self,
         listeners: Sequence[int],
         speakers: Sequence[int],
@@ -143,7 +135,7 @@ class Mixer:
         target = np.where(self._own, 0.0, targets)
         moved = target != self._target
         if moved.any():
-            step[moved] = (target[moved] - value[moved]) / self.cfg.ramp_samples
+            step[moved] = (target[moved] - value[moved]) / self.ramp_samples
         self._target = target
         pcm = frames.astype(np.float64)
         weighted = value[..., None] * pcm
@@ -153,37 +145,12 @@ class Mixer:
                       target[ramping][:, None], np.arange(1, n + 1))
             value[ramping] = g[:, -1]
             weighted[ramping] = g * pcm[ramping[1]]
-        # speaker by speaker in ascending order, as the one-listener sum
+        # speaker by speaker in ascending order
         acc = np.add.reduce(weighted, axis=1)
         return np.clip(np.rint(acc), INT16_MIN, INT16_MAX).astype(np.int16)
 
-    def mix_frame(
-        self,
-        listener: int,
-        frames: Mapping[int, np.ndarray],
-        targets: Mapping[int, float],
-    ) -> np.ndarray:
-        """One mixed frame for ``listener``.
 
-        ``frames`` maps speaker id to an int16 PCM frame; all frames
-        must share one length. ``targets`` holds the wanted gain per
-        speaker (a speaker absent from it is muted). The listener's
-        own frame, if present, is excluded regardless of the targets.
-        """
-        lengths = {len(np.atleast_1d(f)) for f in frames.values()}
-        if len(lengths) > 1:
-            raise UnsupportedFormatError(
-                f"frames of differing lengths in one mix: {sorted(lengths)}"
-            )
-        if not frames:
-            return np.zeros(self.cfg.frame_samples, dtype=np.int16)
-        speakers = sorted(frames)
-        stacked = np.array([np.atleast_1d(frames[s]) for s in speakers])
-        row = [[float(targets.get(s, 0.0)) for s in speakers]]
-        return self.mix([listener], speakers, stacked, row)[0]
-
-
-def _frame_gains(targets: np.ndarray, cfg: MixerConfig):
+def _frame_gains(targets: np.ndarray, ramp: int):
     """Start gain and per-sample step of every frame, walked from the targets.
 
     Each speaker's column is walked by the ramp law only over the frames
@@ -193,7 +160,7 @@ def _frame_gains(targets: np.ndarray, cfg: MixerConfig):
     """
     start = targets.copy()
     step = np.zeros_like(targets)
-    fs, ramp = cfg.frame_samples, cfg.ramp_samples
+    fs = FRAME_SAMPLES
     n_frames = len(targets)
     for s in range(targets.shape[1]):
         col = targets[:, s]
@@ -221,20 +188,19 @@ def _frame_gains(targets: np.ndarray, cfg: MixerConfig):
 def mix_timeline(
     tracks: Sequence[np.ndarray],
     targets: np.ndarray,
-    cfg: Optional[MixerConfig] = None,
+    ramp_ms: int = RAMP_MS,
 ) -> np.ndarray:
     """One listener's whole int16 mix from a timeline of target gains.
 
     ``tracks`` are the speakers' int16 tracks, all of one length, in
     ascending id order; ``targets`` holds one row of gains per frame,
     a column per speaker, the last frame possibly partial. The samples
-    equal those of ``Mixer.mix`` called frame by frame with the same
-    rows, starting from a fresh mixer.
+    equal those of ``Mixer.mix_frame`` called frame by frame with the
+    same rows, starting from a fresh mixer with the same ``ramp_ms``.
     """
-    cfg = cfg or MixerConfig()
-    fs, n = cfg.frame_samples, len(tracks[0])
+    fs, n = FRAME_SAMPLES, len(tracks[0])
     targets = np.asarray(targets, dtype=np.float64)
-    start, step = _frame_gains(targets, cfg)
+    start, step = _frame_gains(targets, ramp_samples(ramp_ms))
     gliding = start != targets
     j = np.arange(1, fs + 1)
     out = np.empty(n, dtype=np.int16)
@@ -242,7 +208,7 @@ def mix_timeline(
         f1 = min(f0 + BLOCK_FRAMES, len(targets))
         a, b = f0 * fs, min(f1 * fs, n)
         acc = np.zeros(b - a)
-        # speaker by speaker in ascending order, as Mixer.mix sums
+        # speaker by speaker in ascending order, as Mixer.mix_frame sums
         for s, track in enumerate(tracks):
             gain = start[f0, s]  # held over the block unless it glides
             if gliding[f0:f1, s].any():

@@ -79,7 +79,9 @@ class OnlineSegmenter:
     After feeding bits covering [start_tick, T), ``view()`` equals what
     ``segment`` would produce on that prefix. Only the newest run can
     still change (it may grow, or a later run may bridge into it), so
-    the work per fed chunk is proportional to the runs in the chunk.
+    it is the only run kept; an older one is frozen into the view when
+    the next begins, or dropped if it is too short. The work per fed
+    chunk is proportional to the runs in the chunk.
     """
 
     def __init__(
@@ -91,7 +93,7 @@ class OnlineSegmenter:
         self.participant = participant
         self.cfg = cfg or SegmenterConfig()
         self._next_tick = start_tick
-        self._runs: List[List[int]] = []  # bridged runs, absolute ticks
+        self._tail: Optional[List[int]] = None  # newest bridged run, absolute ticks
         # cached view of every run except the newest
         self._frozen_starts: List[int] = []
         self._frozen_ends: List[int] = []
@@ -107,19 +109,19 @@ class OnlineSegmenter:
         for s, e in speech_runs(bits):
             s += base
             e += base
-            gap = s - self._runs[-1][1] if self._runs else None
+            tail = self._tail
             # gap 0 is a run continuing across a chunk boundary; merge
             # that even when bridging is disabled
-            if gap is not None and (gap == 0 or gap < bridge):
-                self._runs[-1][1] = e
+            if tail is not None and (s == tail[1] or s - tail[1] < bridge):
+                tail[1] = e
             else:
                 self._freeze_tail()
-                self._runs.append([s, e])
+                self._tail = [s, e]
         self._next_tick = base + len(bits)
 
     def _freeze_tail(self) -> None:
-        if self._runs:
-            s, e = self._runs[-1]
+        if self._tail is not None:
+            s, e = self._tail
             if e - s >= self.cfg.min_utterance_ms:
                 self._frozen_starts.append(s)
                 self._frozen_ends.append(e)
@@ -128,8 +130,8 @@ class OnlineSegmenter:
         """(starts, ends) of utterances visible so far, oldest first."""
         starts = list(self._frozen_starts)
         ends = list(self._frozen_ends)
-        if self._runs:
-            s, e = self._runs[-1]
+        if self._tail is not None:
+            s, e = self._tail
             if e - s >= self.cfg.min_utterance_ms:
                 starts.append(s)
                 ends.append(e)

@@ -5,11 +5,14 @@ from transport; the control port speaks small length-prefixed JSON
 messages (join, leave, pin, unpin, status, and the clock-sync
 exchange the server initiates). Each client session owns its jitter
 buffer, voice activity detector, online segmenter, and measured
-clock offset; a single pump advances the shared timeline one 20 ms
-frame at a time: drain arrivals, pop one frame per session and decode
-them together, update activity, re-evaluate the floor configuration on
-its own 30 ms grid, then mix and encode every listener's return frame
-together and send each.
+clock offset; a single pump advances the shared timeline one
+transport frame (FRAME_MS, 20 ms) at a time: drain arrivals, pop one
+frame per session and decode them together, update activity,
+re-evaluate the floor configuration on its own EVAL_PERIOD_MS (30 ms)
+grid, then mix every listener's return frame in one
+``Mixer.mix_frame`` call at the fixed NORMAL_GAIN / QUIET_GAIN levels,
+encode them together and send each. The frame, the period and the
+gains are constants, not ``ServerConfig`` fields.
 
 The pump is callable directly (pump_once) so tests and the replay
 path can drive time without a wall clock; serve() runs it paced.
@@ -34,26 +37,18 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .assigner import (
-    EVAL_PERIOD_MS,
-    FloorAssigner,
-    FloorConfiguration,
-    NORMAL_GAIN,
-    Partition,
-    QUIET_GAIN,
-    build_scorers,
-    gains,
-)
+from .assigner import FloorAssigner, FloorConfiguration, Partition, build_scorers, gains
 from .errors import CapacityError, FloorspaceError, PacketFormatError
 from .evaluation import ConfigurationEvent, FloorTracker
 from .features import LOOKBACK_MS
 from .learner import FloorModel, load_model
-from .mixer import Mixer, MixerConfig
+from .mixer import Mixer
 from .segmenter import OnlineSegmenter, SegmenterConfig
 from .timeline import ActivityStream, MAX_PARTICIPANTS
 from .transport import (
     AudioPacket,
     FRAME_MS,
+    SAMPLE_RATE,
     JitterBuffer,
     Packetizer,
     check_payload,
@@ -63,7 +58,7 @@ from .transport import (
     estimate_clock_offset,
     ClockOffset,
 )
-from .vad import SAMPLE_RATE, VadConfig, VoiceActivityDetector, room_frame_bits
+from .vad import VadConfig, VoiceActivityDetector, room_frame_bits
 
 log = logging.getLogger("floorspace.server")
 
@@ -105,11 +100,7 @@ class ServerConfig:
     control_port: int = 46001
     model_path: Optional[str] = None
     max_participants: int = MAX_PARTICIPANTS
-    eval_period_ms: int = EVAL_PERIOD_MS
-    frame_ms: int = FRAME_MS
     jitter_depth_ms: int = 60
-    normal_gain: float = NORMAL_GAIN
-    quiet_gain: float = QUIET_GAIN
     dwell_ms: int = 0
     sync_interval_s: float = 10.0
     vad: VadConfig = field(default_factory=VadConfig)
@@ -119,8 +110,6 @@ class ServerConfig:
             raise CapacityError(
                 f"max_participants must be in [1, {MAX_PARTICIPANTS}]"
             )
-        if self.eval_period_ms <= 0 or self.frame_ms <= 0:
-            raise FloorspaceError("periods must be positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServerConfig":
@@ -161,7 +150,7 @@ class ClientSession:
         self.audio_addr: Optional[Tuple[str, int]] = None
         self.inbox: Deque[AudioPacket] = deque()
         self.overload_drops = 0
-        self.jitter = JitterBuffer(depth_ms=cfg.jitter_depth_ms, frame_ms=cfg.frame_ms)
+        self.jitter = JitterBuffer(depth_ms=cfg.jitter_depth_ms)
         self.vad = VoiceActivityDetector(cfg.vad)
         # both start at the joining tick; earlier ticks read as silence
         self.segmenter = OnlineSegmenter(participant, SegmenterConfig(), start_tick)
@@ -191,7 +180,7 @@ class RealtimeServer:
         self.tracker: Optional[FloorTracker] = None
         self.events: List[ConfigurationEvent] = []
         self.tick = 0
-        self._mixer = Mixer(MixerConfig(frame_ms=cfg.frame_ms))
+        self._mixer = Mixer()
         build_scorers(cfg.max_participants)
         self._lock = threading.RLock()
         self._stop = threading.Event()
@@ -220,6 +209,9 @@ class RealtimeServer:
     # ---- membership ----
 
     def _join(self, name: str, ssrc: int, addr: Tuple[str, int]) -> dict:
+        # the packet header carries a 32-bit SSRC; no packet reaches any other
+        if not 0 <= ssrc < 1 << 32:
+            return {"type": "error", "message": f"ssrc {ssrc} outside [0, 2**32)"}
         with self._lock:
             if name in self.sessions:
                 existing = self.sessions[name]
@@ -255,7 +247,7 @@ class RealtimeServer:
             "type": "joined",
             "name": session.name,
             "participant": session.participant,
-            "frame_ms": self.cfg.frame_ms,
+            "frame_ms": FRAME_MS,
             "sample_rate": SAMPLE_RATE,
             "participants": {
                 s.name: s.participant for s in self.sessions.values()
@@ -280,15 +272,12 @@ class RealtimeServer:
             return
         # the features look back LOOKBACK_MS from the first period the
         # new tracker evaluates, so older activity is never read again
-        start = max(self.tick - LOOKBACK_MS - self.cfg.frame_ms, 0)
+        start = max(self.tick - LOOKBACK_MS - FRAME_MS, 0)
         tracker = FloorTracker(
             [s.participant for s in sessions],
             self.model,
             {s.participant: s.segmenter.view for s in sessions},
-            assigner=FloorAssigner(
-                eval_period_ms=self.cfg.eval_period_ms, dwell_ms=self.cfg.dwell_ms
-            ),
-            eval_period_ms=self.cfg.eval_period_ms,
+            assigner=FloorAssigner(dwell_ms=self.cfg.dwell_ms),
             first_eval_ms=self.tick + 1,
             start_tick=start,
         )
@@ -459,6 +448,8 @@ class RealtimeServer:
         try:
             pkt = AudioPacket.from_bytes(data)
         except PacketFormatError:
+            with self._lock:
+                self.audio_rejects += 1
             return
         with self._lock:
             session = self._by_ssrc.get(pkt.ssrc)
@@ -481,10 +472,9 @@ class RealtimeServer:
     def pump_once(self) -> None:
         """Advance the shared timeline by one frame."""
         with self._lock:
-            frame_ms = self.cfg.frame_ms
             sessions = sorted(self.sessions.values(), key=lambda s: s.participant)
             if not sessions:
-                self.tick += frame_ms
+                self.tick += FRAME_MS
                 return
             for s in sessions:
                 while s.inbox:
@@ -494,11 +484,11 @@ class RealtimeServer:
             pcm = decode_room([s.jitter.pop() for s in sessions])
             for s, bits in zip(sessions, room_frame_bits([s.vad for s in sessions], pcm)):
                 s.stream.append(bits)
-                s.stream.discard_before(s.stream.end_tick - LOOKBACK_MS - frame_ms)
+                s.stream.discard_before(s.stream.end_tick - LOOKBACK_MS - FRAME_MS)
                 s.segmenter.feed(bits)
                 if self.tracker is not None:
                     self.tracker.add_activity(s.participant, bits)
-            self.tick += frame_ms
+            self.tick += FRAME_MS
             config: Optional[FloorConfiguration] = None
             if self.tracker is not None:
                 for event in self.tracker.process_due(self.tick):
@@ -533,12 +523,10 @@ class RealtimeServer:
         key = (config.partition, ids)
         if self._gains_key != key:
             self._gains_key = key
-            self._gains = gains(
-                config, ids, normal=self.cfg.normal_gain, quiet=self.cfg.quiet_gain
-            ).matrix
+            self._gains = gains(config, ids).matrix
         # every listener in one pass; a listener without an address yet
         # neither hears a mix nor advances its ramps
-        mixes = self._mixer.mix([ids[i] for i in rows], ids, pcm, self._gains[rows])
+        mixes = self._mixer.mix_frame([ids[i] for i in rows], ids, pcm, self._gains[rows])
         # one encode for the room; each listener stamps its own header
         for i, codes in zip(rows, encode_room(mixes)):
             listener = sessions[i]
@@ -575,7 +563,7 @@ class RealtimeServer:
     def run(self) -> None:
         """Paced pump loop; blocks until stop() or KeyboardInterrupt."""
         self.start()
-        period = self.cfg.frame_ms / 1000.0
+        period = FRAME_MS / 1000.0
         next_at = time.monotonic() + period
         try:
             while not self._stop.is_set():

@@ -30,9 +30,11 @@ PAYLOAD_TYPE_PCMU = 0
 HEADER = struct.Struct(">BBHII")
 HEADER_BYTES = HEADER.size  # 12
 
+# the one audio format: 8 kHz mu-law in 20 ms frames
 SAMPLE_RATE = 8000
+SAMPLES_PER_MS = SAMPLE_RATE // 1000
 FRAME_MS = 20
-FRAME_SAMPLES = FRAME_MS * SAMPLE_RATE // 1000  # 160
+FRAME_SAMPLES = FRAME_MS * SAMPLES_PER_MS  # 160
 FRAME_BYTES = FRAME_SAMPLES  # one codeword per sample
 SILENCE = b"\xff" * FRAME_BYTES  # the codeword of a zero sample
 
@@ -164,11 +166,10 @@ class JitterBuffer:
     codeword of a zero sample, 0xFF, in every byte.
     """
 
-    def __init__(self, depth_ms: int = 60, frame_ms: int = FRAME_MS):
-        if depth_ms < frame_ms:
+    def __init__(self, depth_ms: int = 60):
+        if depth_ms < FRAME_MS:
             raise ValueError("depth must hold at least one frame")
-        self.depth_frames = depth_ms // frame_ms
-        self.frame_ms = frame_ms
+        self.depth_frames = depth_ms // FRAME_MS
         self._pending: Dict[int, bytes] = {}
         self._anchor: Optional[int] = None
         self._next_seq: Optional[int] = None
@@ -244,19 +245,18 @@ def loopback_latency_ms(depth_ms: int = 60, marker_tick: int = 5) -> int:
     defaults this is exactly the jitter depth; device and network
     delays sit outside the measurement.
     """
-    samples_per_ms = SAMPLE_RATE // 1000
     packetizer = Packetizer(ssrc=1)
-    buffer = JitterBuffer(depth_ms=depth_ms, frame_ms=FRAME_MS)
+    buffer = JitterBuffer(depth_ms=depth_ms)
     boundary = FRAME_MS
     while boundary <= marker_tick + 100 * depth_ms + 1000:
         start = boundary - FRAME_MS
         frame = np.zeros(FRAME_SAMPLES, dtype=np.int16)
         if start <= marker_tick < boundary:
-            frame[(marker_tick - start) * samples_per_ms] = 8000
+            frame[(marker_tick - start) * SAMPLES_PER_MS] = 8000
         buffer.push(packetizer.packetize(frame))
         played = decode_ulaw(buffer.pop())
         hits = np.flatnonzero(np.abs(played.astype(np.int32)) > 2000)
         if hits.size:
-            return boundary + int(hits[0]) // samples_per_ms - marker_tick
+            return boundary + int(hits[0]) // SAMPLES_PER_MS - marker_tick
         boundary += FRAME_MS
     raise RuntimeError("marker never played out")

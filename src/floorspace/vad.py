@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import UnsupportedFormatError
 from .timeline import ActivityStream, Tick
+from .transport import SAMPLE_RATE, SAMPLES_PER_MS
 
-SAMPLE_RATE = 8000
-SAMPLES_PER_MS = SAMPLE_RATE // 1000
 FULL_SCALE = 32768.0
 
 _SILENCE_DB = -200.0  # stands in for log10(0) on all-zero frames

@@ -7,7 +7,8 @@ held-out turn timing.
 
 import pytest
 
-from floorspace import GeneratorConfig, generate, make_training_instances, train
+from floorspace.corpus import GeneratorConfig, generate
+from floorspace.learner import make_training_instances, train
 
 SPLIT = ((0, 1), (2, 3))
 MERGED = ((0, 1, 2, 3),)

@@ -13,37 +13,25 @@ import time
 
 import numpy as np
 
-from floorspace import (
+from floorspace.assigner import (
     EVAL_PERIOD_MS,
     FloorAssigner,
     FloorConfiguration,
-    FeatureBinning,
-    FloorModel,
-    GeneratorConfig,
-    Mixer,
-    MixerConfig,
     NORMAL_GAIN,
-    Packetizer,
     QUIET_GAIN,
-    SAMPLE_RATE,
-    Utterance,
-    VadConfig,
-    VoiceActivityDetector,
     bell_number,
-    decode_ulaw,
-    encode_ulaw,
     enumerate_partitions,
-    evaluate,
     gains,
-    generate,
-    loopback_latency_ms,
-    replay_corpus,
-    train,
 )
-from floorspace.features import NO_GAP, FeatureEngine
-from floorspace.learner import FEATURE_NAMES, SAME, DIFF, posterior_batch
+from floorspace.corpus import GeneratorConfig, generate
+from floorspace.evaluation import evaluate, replay_corpus
+from floorspace.features import FeatureBinning, FeatureEngine, NO_GAP
+from floorspace.learner import DIFF, FEATURE_NAMES, FloorModel, SAME, posterior_batch, train
 from floorspace.mixdown import render_listener_mix, tone_audio_for_corpus
-from floorspace.timeline import stream_from_intervals
+from floorspace.mixer import Mixer
+from floorspace.timeline import Utterance, stream_from_intervals
+from floorspace.transport import Packetizer, decode_ulaw, encode_ulaw, loopback_latency_ms
+from floorspace.vad import SAMPLE_RATE, VadConfig, VoiceActivityDetector
 
 from conftest import instances_for
 
@@ -179,10 +167,7 @@ def test_criterion_01_pipeline_constants():
     ok &= m.gain(0, 1) == 1.0
     ok &= m.gain(0, 2) == 0.2 and m.gain(0, 3) == 0.2
     # and the mixer applies it exactly once settled
-    mixer = Mixer(MixerConfig())
-    out = mixer.mix_frame(
-        0, {1: np.full(160, 10000, dtype=np.int16)}, {1: QUIET_GAIN}
-    )
+    out = Mixer().mix_frame([0], [1], np.full((1, 160), 10000, dtype=np.int16), [[QUIET_GAIN]])
     ok &= bool(np.all(out == 2000))
     report(
         1,
@@ -517,30 +502,23 @@ def test_criterion_10_mixer_properties():
     # self-exclusion: the listener's own frame never reaches their mix
     for _ in range(50):
         ids = [0, 1, 2, 3]
-        frames = {
-            pid: rng.integers(-30000, 30000, 160).astype(np.int16) for pid in ids
-        }
-        targets = {pid: float(rng.choice([0.0, 0.2, 1.0])) for pid in ids}
-        with_own = Mixer(MixerConfig()).mix_frame(0, frames, targets)
-        zeroed = dict(frames)
-        zeroed[0] = np.zeros(160, dtype=np.int16)
-        without_own = Mixer(MixerConfig()).mix_frame(0, zeroed, targets)
+        frames = rng.integers(-30000, 30000, (4, 160)).astype(np.int16)
+        targets = rng.choice([0.0, 0.2, 1.0], size=(1, 4))
+        with_own = Mixer().mix_frame([0], ids, frames, targets)
+        zeroed = frames.copy()
+        zeroed[0] = 0
+        without_own = Mixer().mix_frame([0], ids, zeroed, targets)
         ok &= bool(np.array_equal(with_own, without_own))
 
     # steady-gain linearity up to clamping
     worst = 0
     for _ in range(50):
         n_speakers = int(rng.integers(1, 5))
-        frames = {
-            pid + 1: rng.integers(-32768, 32768, 160).astype(np.int16)
-            for pid in range(n_speakers)
-        }
-        targets = {pid: float(rng.uniform(0.0, 1.2)) for pid in frames}
-        out = Mixer(MixerConfig()).mix_frame(0, frames, targets)
+        frames = rng.integers(-32768, 32768, (n_speakers, 160)).astype(np.int16)
+        targets = rng.uniform(0.0, 1.2, n_speakers)
+        out = Mixer().mix_frame([0], range(1, n_speakers + 1), frames, targets[None])[0]
         expected = np.clip(
-            np.rint(
-                sum(targets[p] * frames[p].astype(np.float64) for p in frames)
-            ),
+            np.rint(sum(t * f.astype(np.float64) for t, f in zip(targets, frames))),
             -32768,
             32767,
         )
@@ -548,16 +526,16 @@ def test_criterion_10_mixer_properties():
     ok &= worst <= 1
 
     # bounded gain slope while ramping between random targets
-    mixer = Mixer(MixerConfig())
-    dc = np.full(160, 10000, dtype=np.int16)
+    mixer = Mixer()
+    dc = np.full((1, 160), 10000, dtype=np.int16)
     gain_path = []
     for k in range(40):
         target = float(rng.choice([0.0, 0.2, 1.0])) if k else 0.2
-        out = mixer.mix_frame(0, {1: dc}, {1: target})
+        out = mixer.mix_frame([0], [1], dc, [[target]])[0]
         gain_path.append(out.astype(np.float64) / 10000.0)
     g = np.concatenate(gain_path)
     max_slope = float(np.abs(np.diff(g)).max())
-    bound = 1.0 / MixerConfig().ramp_samples + 2e-4
+    bound = 1.0 / mixer.ramp_samples + 2e-4
     ok &= max_slope <= bound
     report(
         10,

@@ -6,25 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from floorspace import (
+from floorspace.assigner import (
+    DENSE_MEMBERS,
     EVAL_PERIOD_MS,
     FloorAssigner,
     FloorConfiguration,
+    MAX_PARTICIPANTS,
     NORMAL_GAIN,
+    PairRow,
     QUIET_GAIN,
+    TIE_TOLERANCE,
+    _scorer,
     bell_number,
     canonical_partition,
     enumerate_partitions,
     gains,
-    score,
-)
-from floorspace.assigner import (
-    DENSE_MEMBERS,
-    MAX_PARTICIPANTS,
-    TIE_TOLERANCE,
-    PairRow,
-    _scorer,
     pair_key,
+    score,
     unordered_pairs,
 )
 from floorspace.errors import CapacityError, PinPermissionError
@@ -379,7 +377,7 @@ def test_tie_rules_hold_when_round_off_splits_an_exact_tie():
 
 
 def test_dwell_suppresses_rapid_switching():
-    a = FloorAssigner(eval_period_ms=30, dwell_ms=100)
+    a = FloorAssigner(dwell_ms=100)
     merged = {(0, 1): 0.9}
     split = {(0, 1): 0.1}
     assert a.assign(merged, [0, 1], now_ms=30).partition == ((0, 1),)
@@ -392,7 +390,7 @@ def test_dwell_suppresses_rapid_switching():
 
 
 def test_no_dwell_switches_immediately():
-    a = FloorAssigner(eval_period_ms=30, dwell_ms=0)
+    a = FloorAssigner(dwell_ms=0)
     assert a.assign({(0, 1): 0.9}, [0, 1], now_ms=30).partition == ((0, 1),)
     assert a.assign({(0, 1): 0.1}, [0, 1], now_ms=60).partition == ((0,), (1,))
 
@@ -541,8 +539,8 @@ def assign_scripts(draw):
           [("assign", 0, 0), ("assign", 0, 1)], 0))
 def test_reused_searches_choose_like_fresh_ones(script):
     ids, pool, steps, dwell = script
-    reused = FloorAssigner(eval_period_ms=30, dwell_ms=dwell)
-    fresh = FreshSearch(eval_period_ms=30, dwell_ms=dwell)
+    reused = FloorAssigner(dwell_ms=dwell)
+    fresh = FreshSearch(dwell_ms=dwell)
     now = 0
     for step in steps:
         if step[0] == "assign":
@@ -694,13 +692,6 @@ def test_single_floor_is_all_normal_gain():
     gm = gains(cfg, range(4))
     off_diag = gm.matrix[~np.eye(4, dtype=bool)]
     assert np.all(off_diag == 1.0)
-
-
-def test_gains_accept_custom_levels():
-    cfg = FloorConfiguration(((0, 1), (2,)), 0.9)
-    gm = gains(cfg, [0, 1, 2], normal=0.7, quiet=0.05)
-    assert gm.gain(0, 1) == 0.7
-    assert gm.gain(0, 2) == 0.05
 
 
 def test_gain_values_form_three_levels_only():

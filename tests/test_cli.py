@@ -7,8 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from floorspace import Corpus, TurnRecord, generate, save_corpus
 from floorspace.cli import main
+from floorspace.corpus import Corpus, TurnRecord, generate, save_corpus
 
 from conftest import four_party_config
 

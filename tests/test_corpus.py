@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from floorspace import (
+from floorspace.corpus import (
     Corpus,
     GeneratorConfig,
-    SegmenterConfig,
     TurnRecord,
     generate,
     load_corpus,
     save_corpus,
-    segment,
 )
 from floorspace.errors import CorpusError
+from floorspace.segmenter import SegmenterConfig, segment
 
 from conftest import four_party_config
 

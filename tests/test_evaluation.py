@@ -5,20 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from floorspace import (
-    Corpus,
-    FloorAssigner,
-    FloorTracker,
-    GeneratorConfig,
-    TruthTracker,
-    TurnRecord,
-    evaluate,
-    generate,
-    replay_corpus,
-)
-from floorspace.assigner import unordered_pairs
+from floorspace.assigner import FloorAssigner, unordered_pairs
+from floorspace.corpus import Corpus, GeneratorConfig, TurnRecord, generate
 from floorspace.errors import EvaluationError
-from floorspace.evaluation import partition_text, write_report, write_timeline
+from floorspace.evaluation import (
+    FloorTracker,
+    TruthTracker,
+    evaluate,
+    partition_text,
+    replay_corpus,
+    write_report,
+    write_timeline,
+)
 
 from conftest import four_party_config
 

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floorspace import Utterance
 from floorspace.features import (
+    FeatureEngine,
     LOOKBACK_MS,
     NO_GAP,
     TRP_CLIP_MS,
     WINDOW_LENGTHS_MS,
-    FeatureEngine,
     simultaneous_speech,
     trp_gap_from_arrays,
 )
-from floorspace.timeline import ActivityStream, stream_from_intervals
+from floorspace.timeline import ActivityStream, Utterance, stream_from_intervals
 
 
 def utts(pid, intervals):

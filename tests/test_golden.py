@@ -12,8 +12,9 @@ import hashlib
 
 import pytest
 
-from floorspace import save_corpus, save_model
 from floorspace.cli import main
+from floorspace.corpus import save_corpus
+from floorspace.learner import save_model
 
 MODEL_SHA256 = "5a3b5db4d2ea0071db5be200fa03d19c7c83a3afb0e3e7e5a8fda32a7b829210"
 
@@ -121,9 +122,9 @@ def _live_room(model):
     """
     import numpy as np
 
-    from floorspace import GeneratorConfig, Packetizer, generate
+    from floorspace.corpus import GeneratorConfig, generate
     from floorspace.server import RealtimeServer, ServerConfig
-    from floorspace.transport import FRAME_SAMPLES
+    from floorspace.transport import FRAME_SAMPLES, Packetizer
 
     frame_ms, frames, n = 20, 600, 10
     names = [f"p{i}" for i in range(n)]

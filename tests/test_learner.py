@@ -5,27 +5,23 @@ import json
 import numpy as np
 import pytest
 
-from floorspace import (
-    FeatureBinning,
-    FloorModel,
-    FloorTracker,
-    Utterance,
-    load_model,
-    make_training_instances,
-    save_model,
-    train,
-)
 from floorspace.errors import CorpusError, ModelFormatError, ModelVersionError, TrainingError
-from floorspace.features import NO_GAP, FeatureEngine
+from floorspace.evaluation import FloorTracker
+from floorspace.features import FeatureBinning, FeatureEngine, NO_GAP
 from floorspace.learner import (
     DIFF,
     FEATURE_NAMES,
+    FloorModel,
     SAME,
     TrainingSet,
+    load_model,
+    make_training_instances,
     posterior_batch,
+    save_model,
     summarize_training,
+    train,
 )
-from floorspace.timeline import stream_from_intervals
+from floorspace.timeline import Utterance, stream_from_intervals
 
 
 def labeled(pid, intervals, label):

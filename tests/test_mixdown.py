@@ -7,18 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floorspace import (
-    Corpus,
-    FloorConfiguration,
-    Mixer,
-    MixerConfig,
-    ReplayResult,
-    TurnRecord,
-    gains,
-    generate,
-    replay_corpus,
-)
+from floorspace.assigner import FloorConfiguration, gains
+from floorspace.corpus import Corpus, TurnRecord, generate
 from floorspace.errors import UnsupportedFormatError
+from floorspace.evaluation import ReplayResult, replay_corpus
 from floorspace.mixdown import (
     load_participant_tracks,
     mixdown_corpus,
@@ -27,6 +19,8 @@ from floorspace.mixdown import (
     tone_audio_for_corpus,
     write_wav,
 )
+from floorspace.mixer import Mixer
+from floorspace.transport import FRAME_SAMPLES
 
 from conftest import four_party_config
 
@@ -315,32 +309,31 @@ def timelines(draw):
         for pid, label in zip(ids, labels):
             blocks.setdefault(label, []).append(pid)
         chosen.append(tuple(sorted(tuple(b) for b in blocks.values())))
-    ramp_ms = draw(st.integers(0, 500))
     amplitudes = draw(st.lists(st.sampled_from([0, 300, 12000, 32767]),
                                min_size=len(ids), max_size=len(ids)))
     seed = draw(st.integers(0, 2**32 - 1))
-    return ids, duration_ms, ticks, chosen, ramp_ms, amplitudes, seed
+    return ids, duration_ms, ticks, chosen, amplitudes, seed
 
 
-def _reference_mix(ids, listener, tracks, ticks, chosen, cfg, n):
+def _reference_mix(ids, listener, tracks, ticks, chosen, n):
     """Mix frame by frame, each under the partition chosen at its start."""
-    mixer = Mixer(cfg)
-    fs = cfg.frame_samples
+    mixer = Mixer()
+    fs = FRAME_SAMPLES
     singletons = tuple((pid,) for pid in ids)
     out = []
     for a in range(0, n, fs):
         i = int(np.searchsorted(ticks, a // 8, side="right")) - 1
         part = chosen[i] if i >= 0 else singletons
         row = gains(FloorConfiguration(part, 0.0), ids).matrix[ids.index(listener)]
-        frames = {pid: tracks[pid][a : a + fs] for pid in ids}
-        out.append(mixer.mix_frame(listener, frames, dict(zip(ids, row))))
+        frames = np.array([tracks[pid][a : a + fs] for pid in ids])
+        out.append(mixer.mix_frame([listener], ids, frames, [row])[0])
     return np.concatenate(out)
 
 
 @settings(max_examples=60, deadline=None)
 @given(timelines())
 def test_render_equals_a_frame_by_frame_walk_of_the_mixer(timeline):
-    ids, duration_ms, ticks, chosen, ramp_ms, amplitudes, seed = timeline
+    ids, duration_ms, ticks, chosen, amplitudes, seed = timeline
     corpus = _SparseCorpus(ids, duration_ms)
     n = duration_ms * 8
     rng = np.random.default_rng(seed)
@@ -350,9 +343,8 @@ def test_render_equals_a_frame_by_frame_walk_of_the_mixer(timeline):
     }
     result = ReplayResult(tuple(ids), [], np.array(ticks, dtype=np.int64), chosen,
                           np.zeros(len(ticks)), [], [], np.zeros((len(ticks), 0)))
-    cfg = MixerConfig(ramp_ms=ramp_ms)
     for listener in ids:
-        mix = render_listener_mix(corpus, result, listener, tracks=tracks, mixer_cfg=cfg)
-        want = _reference_mix(ids, listener, tracks, ticks, chosen, cfg, n)
+        mix = render_listener_mix(corpus, result, listener, tracks=tracks)
+        want = _reference_mix(ids, listener, tracks, ticks, chosen, n)
         assert mix.dtype == np.int16
         assert np.array_equal(mix, want)

@@ -4,31 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from floorspace import Mixer, MixerConfig
-from floorspace.errors import UnsupportedFormatError
-from floorspace.mixer import INT16_MAX, INT16_MIN, glide, mix_timeline
-
-FRAME = MixerConfig().frame_samples  # 160
+from floorspace.mixer import INT16_MAX, INT16_MIN, Mixer, glide, mix_timeline
+from floorspace.transport import FRAME_SAMPLES as FRAME
 
 
 def random_frame(rng, amplitude=10000):
     return rng.integers(-amplitude, amplitude, FRAME).astype(np.int16)
 
 
+def mix_one(mixer, listener, speakers, frames, gains):
+    """``listener``'s mix of ``frames``, one row per speaker, at ``gains``."""
+    return mixer.mix_frame([listener], speakers, np.array(frames), [gains])[0]
+
+
 def test_single_speaker_at_full_gain_is_identity():
     rng = np.random.default_rng(1)
-    mixer = Mixer()
     x = random_frame(rng)
-    out = mixer.mix_frame(0, {1: x}, {1: 1.0})
+    out = mix_one(Mixer(), 0, [1], [x], [1.0])
     assert np.array_equal(out, x)
 
 
 def test_two_speakers_match_scalar_reference():
     rng = np.random.default_rng(2)
-    mixer = Mixer()
     a = random_frame(rng)
     b = random_frame(rng)
-    out = mixer.mix_frame(9, {1: a, 2: b}, {1: 1.0, 2: 0.2})
+    out = mix_one(Mixer(), 9, [1, 2], [a, b], [1.0, 0.2])
     expected = np.empty(FRAME, dtype=np.int16)
     for k in range(FRAME):
         v = round(1.0 * float(a[k]) + 0.2 * float(b[k]))
@@ -40,36 +40,30 @@ def test_listener_own_frame_is_excluded():
     rng = np.random.default_rng(3)
     a = random_frame(rng)
     own = random_frame(rng)
-    with_own = Mixer().mix_frame(7, {1: a, 7: own}, {1: 1.0, 7: 1.0})
-    without = Mixer().mix_frame(7, {1: a}, {1: 1.0})
+    with_own = mix_one(Mixer(), 7, [1, 7], [a, own], [1.0, 1.0])
+    without = mix_one(Mixer(), 7, [1], [a], [1.0])
     assert np.array_equal(with_own, without)
 
 
-def test_speaker_missing_from_targets_is_muted():
+def test_speaker_at_zero_gain_is_muted():
     rng = np.random.default_rng(4)
     a = random_frame(rng)
     b = random_frame(rng)
-    out = Mixer().mix_frame(9, {1: a, 2: b}, {1: 1.0})
+    out = mix_one(Mixer(), 9, [1, 2], [a, b], [1.0, 0.0])
     assert np.array_equal(out, a)
 
 
 def test_zero_targets_produce_silence():
     rng = np.random.default_rng(5)
-    out = Mixer().mix_frame(9, {1: random_frame(rng)}, {1: 0.0})
-    assert not out.any()
-
-
-def test_no_speakers_produce_a_silent_frame():
-    out = Mixer().mix_frame(0, {}, {})
-    assert len(out) == FRAME
+    out = mix_one(Mixer(), 9, [1], [random_frame(rng)], [0.0])
     assert not out.any()
 
 
 def test_mix_is_linear_up_to_rounding():
     rng = np.random.default_rng(6)
     x = rng.integers(-4000, 4000, FRAME).astype(np.int16)
-    m1 = Mixer().mix_frame(9, {1: x}, {1: 0.2}).astype(np.int32)
-    m2 = Mixer().mix_frame(9, {1: (2 * x.astype(np.int32)).astype(np.int16)}, {1: 0.2})
+    m1 = mix_one(Mixer(), 9, [1], [x], [0.2]).astype(np.int32)
+    m2 = mix_one(Mixer(), 9, [1], [(2 * x.astype(np.int32)).astype(np.int16)], [0.2])
     assert np.max(np.abs(m2.astype(np.int32) - 2 * m1)) <= 2
 
 
@@ -77,18 +71,18 @@ def test_mix_is_additive_across_speakers_at_steady_gains():
     rng = np.random.default_rng(7)
     a = rng.integers(-8000, 8000, FRAME).astype(np.int16)
     b = rng.integers(-8000, 8000, FRAME).astype(np.int16)
-    joint = Mixer().mix_frame(9, {1: a, 2: b}, {1: 1.0, 2: 1.0}).astype(np.int32)
-    xa = Mixer().mix_frame(9, {1: a}, {1: 1.0}).astype(np.int32)
-    xb = Mixer().mix_frame(9, {2: b}, {2: 1.0}).astype(np.int32)
+    joint = mix_one(Mixer(), 9, [1, 2], [a, b], [1.0, 1.0]).astype(np.int32)
+    xa = mix_one(Mixer(), 9, [1], [a], [1.0]).astype(np.int32)
+    xb = mix_one(Mixer(), 9, [2], [b], [1.0]).astype(np.int32)
     assert np.max(np.abs(joint - (xa + xb))) <= 1
 
 
 def test_saturating_sum_clamps_to_int16():
     loud = np.full(FRAME, 30000, dtype=np.int16)
-    out = Mixer().mix_frame(9, {1: loud, 2: loud}, {1: 1.0, 2: 1.0})
+    out = mix_one(Mixer(), 9, [1, 2], [loud, loud], [1.0, 1.0])
     assert np.all(out == 32767)
     quiet = np.full(FRAME, -30000, dtype=np.int16)
-    out = Mixer().mix_frame(9, {1: quiet, 2: quiet}, {1: 1.0, 2: 1.0})
+    out = mix_one(Mixer(), 9, [1, 2], [quiet, quiet], [1.0, 1.0])
     assert np.all(out == -32768)
 
 
@@ -96,22 +90,21 @@ def test_first_sight_of_a_speaker_starts_at_target():
     # a speaker who joins mid-session enters at the configured gain
     # instead of fading in from zero
     x = np.full(FRAME, 10000, dtype=np.int16)
-    out = Mixer().mix_frame(0, {5: x}, {5: 0.2})
+    out = mix_one(Mixer(), 0, [5], [x], [0.2])
     assert np.all(out == 2000)
 
 
 def test_gain_change_ramps_within_the_slope_bound():
-    cfg = MixerConfig()
-    mixer = Mixer(cfg)
+    mixer = Mixer()
     dc = np.full(FRAME, 10000, dtype=np.int16)
     implied = []
-    mixer.mix_frame(0, {1: dc}, {1: 0.2})
+    mix_one(mixer, 0, [1], [dc], [0.2])
     for _ in range(20):  # 400 ms: covers the full 250 ms ramp
-        out = mixer.mix_frame(0, {1: dc}, {1: 1.0})
+        out = mix_one(mixer, 0, [1], [dc], [1.0])
         implied.extend(out.astype(np.float64) / 10000.0)
     implied = np.array(implied)
     steps = np.diff(implied)
-    bound = (1.0 - 0.2) / cfg.ramp_samples
+    bound = (1.0 - 0.2) / mixer.ramp_samples
     assert np.max(steps) <= bound + 2e-4
     assert np.min(steps) >= -2e-4
     assert implied[0] == pytest.approx(0.2, abs=1e-3)
@@ -119,41 +112,31 @@ def test_gain_change_ramps_within_the_slope_bound():
 
 
 def test_ramp_reaches_the_target_exactly():
-    cfg = MixerConfig()
-    mixer = Mixer(cfg)
+    mixer = Mixer()
     dc = np.full(FRAME, 10000, dtype=np.int16)
-    mixer.mix_frame(0, {1: dc}, {1: 0.2})
-    frames_to_settle = -(-cfg.ramp_samples // cfg.frame_samples) + 1
+    mix_one(mixer, 0, [1], [dc], [0.2])
+    frames_to_settle = -(-mixer.ramp_samples // FRAME) + 1
     for _ in range(frames_to_settle):
-        out = mixer.mix_frame(0, {1: dc}, {1: 1.0})
+        out = mix_one(mixer, 0, [1], [dc], [1.0])
     assert np.all(out == 10000)
 
 
 def test_ramp_is_continuous_across_frame_boundaries():
     mixer = Mixer()
     dc = np.full(FRAME, 10000, dtype=np.int16)
-    mixer.mix_frame(0, {1: dc}, {1: 0.0})
-    first = mixer.mix_frame(0, {1: dc}, {1: 1.0})
-    second = mixer.mix_frame(0, {1: dc}, {1: 1.0})
+    mix_one(mixer, 0, [1], [dc], [0.0])
+    first = mix_one(mixer, 0, [1], [dc], [1.0])
+    second = mix_one(mixer, 0, [1], [dc], [1.0])
     jump = float(second[0]) - float(first[-1])
-    per_sample = 10000.0 / MixerConfig().ramp_samples
+    per_sample = 10000.0 / mixer.ramp_samples
     assert abs(jump) <= per_sample + 1.0
-
-
-def test_mismatched_frame_lengths_are_rejected():
-    with pytest.raises(UnsupportedFormatError):
-        Mixer().mix_frame(
-            0,
-            {1: np.zeros(160, dtype=np.int16), 2: np.zeros(80, dtype=np.int16)},
-            {1: 1.0, 2: 1.0},
-        )
 
 
 def test_mix_output_dtype_and_length():
     rng = np.random.default_rng(8)
-    out = Mixer().mix_frame(0, {1: random_frame(rng)}, {1: 0.5})
+    out = Mixer().mix_frame([0, 2], [1], random_frame(rng)[None], [[0.5], [1.0]])
     assert out.dtype == np.int16
-    assert len(out) == FRAME
+    assert out.shape == (2, FRAME)
 
 
 def test_one_pass_over_all_listeners_equals_one_mix_per_listener():
@@ -168,22 +151,19 @@ def test_one_pass_over_all_listeners_equals_one_mix_per_listener():
             change = rng.random(targets.shape) < 0.3
             targets = np.where(change, rng.choice(levels, size=targets.shape), targets)
         frames = np.stack([random_frame(rng, 20000) for _ in ids])
-        mixed = together.mix(ids, ids, frames, targets)
+        mixed = together.mix_frame(ids, ids, frames, targets)
         for i, listener in enumerate(ids):
-            one = apart.mix_frame(
-                listener,
-                {pid: frames[j] for j, pid in enumerate(ids)},
-                {pid: float(targets[i, j]) for j, pid in enumerate(ids)},
-            )
+            # one listener per call, so each call switches rooms
+            one = mix_one(apart, listener, ids, frames, targets[i])
             assert np.array_equal(mixed[i], one)
 
 
 def test_forgotten_participant_starts_again_at_the_target():
     dc = np.full(FRAME, 10000, dtype=np.int16)
     mixer = Mixer()
-    mixer.mix_frame(0, {1: dc}, {1: 1.0})
+    mix_one(mixer, 0, [1], [dc], [1.0])
     mixer.forget(1)
-    out = mixer.mix_frame(0, {1: dc}, {1: 0.2})
+    out = mix_one(mixer, 0, [1], [dc], [0.2])
     assert np.all(out == 2000)
 
 
@@ -200,19 +180,18 @@ def test_timeline_mix_equals_frame_by_frame_mixing(speakers, n, ramp_ms, holds, 
     """Any gain levels, held for any number of frames per speaker, ramps
     reversing mid-glide, a partial last frame and clipping."""
     rng = np.random.default_rng(seed)
-    cfg = MixerConfig(ramp_ms=ramp_ms)
     frames = -(-n // FRAME)
     targets = np.empty((frames, speakers))
     for s in range(speakers):
         levels = np.concatenate([np.full(k, g) for k, g in holds])
         targets[:, s] = np.resize(np.roll(levels, int(rng.integers(len(levels)))), frames)
     tracks = rng.integers(-32768, 32768, (speakers, n)).astype(np.int16)
-    mixer, ids = Mixer(cfg), list(range(speakers))
+    mixer, ids = Mixer(ramp_ms), list(range(speakers))
     want = np.concatenate([
-        mixer.mix([99], ids, tracks[:, f * FRAME : (f + 1) * FRAME], targets[f : f + 1])[0]
+        mix_one(mixer, 99, ids, tracks[:, f * FRAME : (f + 1) * FRAME], targets[f])
         for f in range(frames)
     ])
-    assert np.array_equal(mix_timeline(list(tracks), targets, cfg), want)
+    assert np.array_equal(mix_timeline(list(tracks), targets, ramp_ms), want)
 
 
 class SlotMixer:
@@ -220,8 +199,8 @@ class SlotMixer:
     and written every frame, and each listener's mix summed speaker by
     speaker in ascending order."""
 
-    def __init__(self, cfg):
-        self.cfg = cfg
+    def __init__(self, ramp_samples):
+        self.ramp_samples = ramp_samples
         self.state = {}  # (listener, speaker) -> (value, target, step)
 
     def forget(self, pid):
@@ -238,7 +217,7 @@ class SlotMixer:
                 target = 0.0 if listener == speaker else float(targets[i][s])
                 value, old, step = self.state.get((listener, speaker), (target, target, 0.0))
                 if target != old:
-                    step = (target - value) / self.cfg.ramp_samples
+                    step = (target - value) / self.ramp_samples
                 gain = value
                 if value != target:
                     gain = glide(value, step, target, j)
@@ -275,8 +254,8 @@ def test_room_mix_equals_a_speaker_by_speaker_slot_reference(steps, ramp_ms):
     a leave and rejoin between two frames (the mixer forgets the id
     while the room stays the same), and listeners without an address,
     who are left out of the mix; each frame retargets some pairs."""
-    cfg = MixerConfig(ramp_ms=ramp_ms)
-    mixer, ref = Mixer(cfg), SlotMixer(cfg)
+    mixer = Mixer(ramp_ms)
+    ref = SlotMixer(mixer.ramp_samples)
     room, addressed = {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5}
     wanted = {}
     for kind, pid, seed in steps:
@@ -301,5 +280,5 @@ def test_room_mix_equals_a_speaker_by_speaker_slot_reference(steps, ramp_ms):
             targets = np.array([[wanted[a, b] for b in speakers] for a in listeners])
             amplitude = int(rng.choice([9, 32768]))
             frames = rng.integers(-amplitude, amplitude, (len(speakers), FRAME)).astype(np.int16)
-            got = mixer.mix(listeners, speakers, frames, targets)
+            got = mixer.mix_frame(listeners, speakers, frames, targets)
             assert np.array_equal(got, ref.mix(listeners, speakers, frames, targets))

@@ -5,9 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from floorspace import ActivityStream, OnlineSegmenter, SegmenterConfig, segment
-from floorspace.segmenter import speech_runs
-from floorspace.timeline import stream_from_intervals
+from floorspace.segmenter import OnlineSegmenter, SegmenterConfig, segment, speech_runs
+from floorspace.timeline import ActivityStream, stream_from_intervals
 
 
 def stream_of(intervals, duration):
@@ -148,6 +147,26 @@ def test_online_matches_batch_on_any_chunking():
             expect = [(u.start, u.end) for u in segment(prefix)]
             starts, ends = online.view()
             assert list(zip(starts, ends)) == expect, f"trial {trial} at {fed}"
+
+
+def test_online_keeps_only_the_newest_run_over_ten_minutes():
+    """Ten minutes of alternating speech and silence in 20 ms chunks: the
+    view matches ``segment`` on every minute's prefix, and apart from the
+    frozen view the segmenter holds no list longer than one run."""
+    rng = np.random.default_rng(17)
+    spans_ms = []
+    while sum(spans_ms) < 600_000:
+        # blips, bridged gaps and long turns
+        spans_ms += [int(rng.integers(30, 1500)), int(rng.integers(50, 1200))]
+    bits = np.concatenate([np.full(n, k % 2 == 0) for k, n in enumerate(spans_ms)])[:600_000]
+    online = OnlineSegmenter(0)
+    for fed in range(20, len(bits) + 1, 20):
+        online.feed(bits[fed - 20 : fed])
+        if fed % 60_000 == 0:
+            expect = [(u.start, u.end) for u in segment(ActivityStream(0, bits=bits[:fed]))]
+            assert list(zip(*online.view())) == expect
+    grown = sorted(k for k, v in vars(online).items() if isinstance(v, list) and len(v) > 2)
+    assert grown == ["_frozen_ends", "_frozen_starts"]
 
 
 def test_online_run_split_across_chunks_stays_one_utterance():

@@ -8,8 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from floorspace import QUIET_GAIN, Packetizer, decode_ulaw
+from floorspace.assigner import QUIET_GAIN
 from floorspace.errors import CapacityError, FloorspaceError, PacketFormatError
+from floorspace.features import LOOKBACK_MS as LOOKBACK
 from floorspace.server import (
     RealtimeServer,
     ScriptedClient,
@@ -17,8 +18,7 @@ from floorspace.server import (
     decode_message,
     encode_message,
 )
-from floorspace.features import LOOKBACK_MS as LOOKBACK
-from floorspace.transport import AudioPacket
+from floorspace.transport import AudioPacket, Packetizer, decode_ulaw
 
 LOUD = np.full(160, 8000, dtype=np.int16)
 QUIET = np.zeros(160, dtype=np.int16)
@@ -125,6 +125,13 @@ def test_config_rejects_unknown_fields():
         ServerConfig.from_dict({"audio_prot": 46000})
 
 
+def test_config_rejects_the_fixed_format_and_policy():
+    # the frame, the evaluation period and the gains are constants
+    for field in ("frame_ms", "eval_period_ms", "normal_gain", "quiet_gain"):
+        with pytest.raises(FloorspaceError, match="unknown server config"):
+            ServerConfig.from_dict({field: 10})
+
+
 def test_config_bounds_participant_count():
     with pytest.raises(CapacityError):
         ServerConfig(max_participants=0)
@@ -203,6 +210,20 @@ def test_room_capacity_is_enforced(floor_model):
                 assert "full" in reply["message"]
             finally:
                 extra.close()
+
+
+def test_ssrc_outside_32_bits_is_rejected(floor_model):
+    with running_server(floor_model) as srv:
+        client = ScriptedClient("x", 1, srv.audio_addr, srv.control_addr)
+        try:
+            for ssrc in (2**32, -1):
+                reply = client.request({"type": "join", "name": "x", "ssrc": ssrc})
+                assert reply["type"] == "error"
+                assert "ssrc" in reply["message"]
+            assert not srv.sessions
+            assert client.join()["participant"] == 0
+        finally:
+            client.close()
 
 
 def test_leave_frees_the_lowest_participant_number(floor_model):
@@ -495,9 +516,23 @@ def test_malformed_audio_is_rejected_and_the_room_plays_on(floor_model):
             assert reply["participants"]["alice"]["jitter"]["received"] == 4
 
 
+def test_unparseable_audio_datagrams_are_counted(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 10) as a:
+            # shorter than the header
+            a.audio_sock.sendto(b"\x80\x00\x01", srv.audio_addr)
+            assert wait_for(lambda: srv.audio_rejects == 1)
+            # a whole frame under a version-1 header
+            data = bytearray(Packetizer(ssrc=10).packetize(QUIET).to_bytes())
+            data[0] = 1 << 6
+            a.audio_sock.sendto(bytes(data), srv.audio_addr)
+            assert wait_for(lambda: srv.audio_rejects == 2)
+            assert a.request({"type": "status"})["audio_rejects"] == 2
+            assert not srv.sessions["alice"].inbox
+
+
 def test_status_counts_pumps_that_start_a_frame_late(floor_model):
-    srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0, frame_ms=20),
-                         model=floor_model)
+    srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0), model=floor_model)
     pump = srv.pump_once
 
     def slow_pump():
@@ -586,7 +621,9 @@ def test_scripted_client_answers_sync_during_requests(floor_model):
 def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model):
     """A leave and a join after 90 s at n=10 feed the new tracker only the
     recent activity; its posteriors equal those of a tracker fed everything."""
-    from floorspace import FloorAssigner, FloorTracker, GeneratorConfig, generate
+    from floorspace.assigner import FloorAssigner
+    from floorspace.corpus import GeneratorConfig, generate
+    from floorspace.evaluation import FloorTracker
     from floorspace.transport import FRAME_SAMPLES
 
     frame_ms, names = 20, [f"p{i}" for i in range(10)]

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from floorspace import ActivityStream, Utterance, clip_stream, overlap_ms
 from floorspace.errors import InvalidRangeError
-from floorspace.timeline import stream_from_intervals
+from floorspace.timeline import (
+    ActivityStream,
+    Utterance,
+    clip_stream,
+    overlap_ms,
+    stream_from_intervals,
+)
 
 
 def test_utterance_duration():

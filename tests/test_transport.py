@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from floorspace import (
+from floorspace.errors import PacketFormatError, UnsupportedFormatError
+from floorspace.transport import (
     AudioPacket,
+    FRAME_SAMPLES,
     JitterBuffer,
     Packetizer,
+    decode_room,
     decode_ulaw,
+    depacketize,
+    encode_room,
     encode_ulaw,
     estimate_clock_offset,
     loopback_latency_ms,
-)
-from floorspace.errors import PacketFormatError, UnsupportedFormatError
-from floorspace.transport import (
-    FRAME_SAMPLES,
-    decode_room,
-    depacketize,
-    encode_room,
     seq_delta,
 )
 from floorspace.ulaw import step_size
@@ -203,7 +201,7 @@ def marker_of(codes):
 
 
 def test_priming_needs_a_full_depth():
-    jb = JitterBuffer(depth_ms=60, frame_ms=20)
+    jb = JitterBuffer(depth_ms=60)
     p = Packetizer(ssrc=1)
     frames = frames_with_marker(3)
     assert not jb.primed
@@ -217,7 +215,7 @@ def test_priming_needs_a_full_depth():
 
 
 def test_in_order_replay():
-    jb = JitterBuffer(depth_ms=60, frame_ms=20)
+    jb = JitterBuffer(depth_ms=60)
     p = Packetizer(ssrc=1)
     frames = frames_with_marker(6)
     for f in frames:
@@ -230,7 +228,7 @@ def test_in_order_replay():
 
 
 def test_steady_state_lag_is_depth_minus_one_frames():
-    jb = JitterBuffer(depth_ms=60, frame_ms=20)
+    jb = JitterBuffer(depth_ms=60)
     p = Packetizer(ssrc=1)
     frames = frames_with_marker(10)
     played = []
@@ -242,7 +240,7 @@ def test_steady_state_lag_is_depth_minus_one_frames():
 
 
 def test_reordering_within_depth_is_repaired():
-    jb = JitterBuffer(depth_ms=60, frame_ms=20)
+    jb = JitterBuffer(depth_ms=60)
     p = Packetizer(ssrc=1)
     frames = frames_with_marker(6)
     pkts = [p.packetize(f) for f in frames]
@@ -258,7 +256,7 @@ def test_reordering_within_depth_is_repaired():
 
 
 def test_loss_produces_silence_and_is_counted():
-    jb = JitterBuffer(depth_ms=60, frame_ms=20)
+    jb = JitterBuffer(depth_ms=60)
     p = Packetizer(ssrc=1)
     frames = frames_with_marker(7)
     pkts = [p.packetize(f) for f in frames]
@@ -271,7 +269,7 @@ def test_loss_produces_silence_and_is_counted():
 
 
 def test_late_packet_is_dropped():
-    jb = JitterBuffer(depth_ms=60, frame_ms=20)
+    jb = JitterBuffer(depth_ms=60)
     p = Packetizer(ssrc=1)
     pkts = [p.packetize(f) for f in frames_with_marker(4)]
     for k in (0, 1, 2):
@@ -283,7 +281,7 @@ def test_late_packet_is_dropped():
 
 
 def test_duplicate_packet_is_dropped():
-    jb = JitterBuffer(depth_ms=60, frame_ms=20)
+    jb = JitterBuffer(depth_ms=60)
     p = Packetizer(ssrc=1)
     pkts = [p.packetize(f) for f in frames_with_marker(3)]
     jb.push(pkts[0])
@@ -295,7 +293,7 @@ def test_duplicate_packet_is_dropped():
 
 
 def test_sequence_wraparound_does_not_confuse_ordering():
-    jb = JitterBuffer(depth_ms=60, frame_ms=20)
+    jb = JitterBuffer(depth_ms=60)
     p = Packetizer(ssrc=1, first_sequence=65534)
     frames = frames_with_marker(5)
     for f in frames:
@@ -307,13 +305,13 @@ def test_sequence_wraparound_does_not_confuse_ordering():
 
 def test_jitter_depth_must_hold_a_frame():
     with pytest.raises(ValueError):
-        JitterBuffer(depth_ms=10, frame_ms=20)
+        JitterBuffer(depth_ms=10)
 
 
 def test_lossless_path_preserves_companded_audio():
     rng = np.random.default_rng(13)
     p = Packetizer(ssrc=99)
-    jb = JitterBuffer(depth_ms=60, frame_ms=20)
+    jb = JitterBuffer(depth_ms=60)
     frames = [
         rng.integers(-30000, 30000, FRAME_SAMPLES).astype(np.int16) for _ in range(8)
     ]
@@ -325,7 +323,7 @@ def test_lossless_path_preserves_companded_audio():
 
 
 def test_malformed_payloads_never_enter_the_buffer():
-    jb = JitterBuffer(depth_ms=20, frame_ms=20)
+    jb = JitterBuffer(depth_ms=20)
     with pytest.raises(PacketFormatError):
         jb.push(AudioPacket(0, 0, 1, b"\x00" * 100))
     with pytest.raises(UnsupportedFormatError):
@@ -372,7 +370,7 @@ def test_room_decode_of_popped_frames_equals_per_packet_depacketize(schedules, s
                 early.add(k + 1)
             else:
                 arrivals.append([pkt])
-        rooms.append((JitterBuffer(depth_ms=60, frame_ms=20), arrivals, by_payload))
+        rooms.append((JitterBuffer(depth_ms=60), arrivals, by_payload))
     for frame in range(max(len(s) for s in schedules) + 3):
         popped, want = [], []
         for jb, arrivals, by_payload in rooms:

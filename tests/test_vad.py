@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floorspace import VadConfig, VoiceActivityDetector, detect
 from floorspace.errors import UnsupportedFormatError
-from floorspace.vad import SAMPLE_RATE, frame_rms_db, room_frame_bits
+from floorspace.vad import (
+    SAMPLE_RATE,
+    VadConfig,
+    VoiceActivityDetector,
+    detect,
+    frame_rms_db,
+    room_frame_bits,
+)
 
 FULL_SCALE = 32768.0
 
