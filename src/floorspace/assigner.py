@@ -542,6 +542,10 @@ class FloorAssigner:
             raise PinPermissionError(
                 f"participant {owner} does not own the pin"
             )
+        self.drop_pin()
+
+    def drop_pin(self) -> None:
+        """Dissolve any pin, whoever owns it."""
         self.pinned = None
         self.pin_owner = None
 
@@ -593,8 +597,7 @@ class FloorAssigner:
             covered = sorted(m for b in self.pinned for m in b)
             if covered != list(ids):
                 # membership changed underneath the pin; it dissolves
-                self.pinned = None
-                self.pin_owner = None
+                self.drop_pin()
             else:
                 cfg = FloorConfiguration(self.pinned, score(self.pinned, posteriors))
                 self.previous = cfg

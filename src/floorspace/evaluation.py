@@ -4,7 +4,9 @@ The tracker advances one evaluation period (30 ms) at a time and is
 purely a function of input timing: feeding the same activity in one
 batch or in packet-sized slices produces the same configuration log.
 Replay feeds a whole labeled corpus through the identical path the
-live server uses, just as fast as the machine allows.
+live server uses, just as fast as the machine allows. The live server
+keeps one tracker per room and changes its participants in place as
+people join and leave; replay's participants are fixed.
 
 Evaluation compares the replayed configuration stream against ground
 truth derived from the corpus labels: at any instant a participant
@@ -66,7 +68,13 @@ class FloorTracker:
     evaluated in blocks: features and posteriors for a whole block in
     array operations, then the configuration search period by period.
     Activity fed starts at ``start_tick``; earlier ticks read as
-    non-speech.
+    non-speech. The first period evaluated is the first after it.
+
+    Participants ``join`` and ``leave`` in place, so one tracker serves
+    a live room for as long as anyone is in it. The assigner keeps its
+    previous choice, repeat cache and counters across a change; a pin
+    dissolves. With fewer than two participants the tracker takes
+    activity but evaluates no period.
     """
 
     def __init__(
@@ -76,32 +84,45 @@ class FloorTracker:
         views: Mapping[int, UtteranceView],
         assigner: Optional[FloorAssigner] = None,
         posterior_override: Optional[Callable[[Tick], Mapping[Tuple[int, int], float]]] = None,
-        first_eval_ms: Optional[Tick] = None,
         start_tick: Tick = 0,
     ):
-        self.participants = tuple(sorted(participants))
         self.model = model
         self.assigner = assigner or FloorAssigner()
         self.posterior_override = posterior_override
 
-        self._engine = FeatureEngine(
-            self.participants, views, start_tick, step_ms=EVAL_PERIOD_MS
-        )
+        self._engine = FeatureEngine(participants, views, start_tick, step_ms=EVAL_PERIOD_MS)
         self.pairs = unordered_pairs(self.participants)
-        # a tracker rebuilt after a membership change picks up at the
-        # current period instead of re-announcing all of history
-        self._next_eval = EVAL_PERIOD_MS
-        if first_eval_ms is not None:
-            steps = max((first_eval_ms + EVAL_PERIOD_MS - 1) // EVAL_PERIOD_MS, 1)
-            self._next_eval = steps * EVAL_PERIOD_MS
+        self._next_eval = (start_tick // EVAL_PERIOD_MS + 1) * EVAL_PERIOD_MS
 
         self.ticks: List[Tick] = []
         self.configs: List[FloorConfiguration] = []
         self.events: List[ConfigurationEvent] = []
         self.posteriors: List[np.ndarray] = []
 
+    @property
+    def participants(self) -> Tuple[int, ...]:
+        return self._engine.participants
+
+    def join(self, participant: int, view: UtteranceView) -> None:
+        """Add a participant whose activity is fed from ``coverage`` on."""
+        self._engine.join(participant, view)
+        self._membership_changed()
+
+    def leave(self, participant: int) -> None:
+        self._engine.leave(participant)
+        self._membership_changed()
+
+    def _membership_changed(self) -> None:
+        self.pairs = unordered_pairs(self.participants)
+        self.assigner.drop_pin()
+
     def add_activity(self, participant: int, bits) -> None:
         self._engine.add_activity(participant, bits)
+
+    def add_room_activity(self, bits) -> None:
+        """The next chunk of every participant's activity, one row each in
+        participant order; every participant must cover the same ticks."""
+        self._engine.add_room_activity(bits)
 
     @property
     def streams(self) -> Dict[int, np.ndarray]:
@@ -117,6 +138,12 @@ class FloorTracker:
         """Evaluate every period boundary now covered by all streams."""
         limit = self.coverage if upto is None else min(upto, self.coverage)
         period = EVAL_PERIOD_MS
+        if len(self.participants) < 2:
+            # nothing to decide; keep only the lookback a later joiner's
+            # first period reads
+            self._engine.count_through(limit)
+            self._next_eval = max(self._next_eval, (limit // period + 1) * period)
+            return []
         per_block = max(BLOCK_MS // period, 1)
         fresh: List[ConfigurationEvent] = []
         while self._next_eval <= limit:

@@ -194,23 +194,37 @@ _KEY_STRIDE = 1 << 42
 _EDGES_MS = np.cumsum((0,) + WINDOW_LENGTHS_MS)
 
 
+def _carried(rows: np.ndarray, old_keys: Sequence, new_keys: Sequence) -> np.ndarray:
+    """``rows``, one per old key, re-laid one per new key; new keys get zeros."""
+    out = np.zeros((len(new_keys), rows.shape[1]), dtype=rows.dtype)
+    where = {key: i for i, key in enumerate(old_keys)}
+    kept = np.array([i for i, key in enumerate(new_keys) if key in where], dtype=np.intp)
+    out[kept] = rows[np.array([where[new_keys[i]] for i in kept], dtype=np.intp)]
+    return out
+
+
 class FeatureEngine:
     """Features of every ordered pair at a batch of instants, in array ops.
 
-    Activity arrives per participant in chunks of any size and waits
-    until every participant covers it. Overlap counts then come from
-    one AND over all pairs (and each participant with itself, for
-    ``speech``) per block of at most BLOCK_MS ticks, kept as cumulative
-    counts over the retained window only: the lookback behind the
-    earliest instant of the block being evaluated, plus the block.
-    Counts are relative to that window, so they stay small however
-    long the session runs.
+    Activity arrives per participant in chunks of any size, or for the
+    whole room in one block, and waits until every participant covers
+    it. Overlap counts then come from one AND over all pairs (and each
+    participant with itself, for ``speech``) per block of at most
+    BLOCK_MS ticks, kept as cumulative counts over the retained window
+    only: the lookback behind the earliest instant of the block being
+    evaluated, plus the block. Counts are relative to that window, so
+    they stay small however long the session runs.
 
     ``views`` supplies each participant's utterance (starts, ends) as
     observed so far; each is called once per batch. Instants must be
     multiples of ``step_ms`` and must not look back before the lookback
     of an earlier batch; activity before ``start_tick`` reads as
     non-speech.
+
+    Participants ``join`` and ``leave`` in place. A joiner's rows start
+    as zeros, so the ticks before it joined read as non-speech, and its
+    activity is fed from the tick every member covers; a leaver's rows
+    are dropped. Nothing already counted is counted again.
     """
 
     def __init__(
@@ -220,8 +234,30 @@ class FeatureEngine:
         start_tick: Tick = 0,
         step_ms: int = 1,
     ):
-        self.participants = tuple(sorted(participants))
         self.views = dict(views)
+        self._origin = start_tick
+        # counts are kept every _res ticks: every window edge of an
+        # instant on the step_ms grid falls on a multiple of it
+        self._res = math.gcd(step_ms, start_tick, *(int(e) for e in _EDGES_MS))
+        self._block = max(BLOCK_MS // self._res, 1) * self._res
+        self._index(participants)
+        n = len(self.participants)
+        # activity not yet counted: row r holds ticks [_bits_tick, _fill[r])
+        self._bits = np.zeros((n, 1024), dtype=bool)
+        self._bits_tick = start_tick
+        self._fill = [start_tick] * n
+        # the tick an empty room covers: where its last members stood
+        self._idle_tick = start_tick
+        # column _head + i holds the counts over [_base, _base + i * _res)
+        # plus a common offset per row; the window ends at the covered tick
+        self._cum = np.zeros((len(self._row_a), 1024), dtype=np.int32)
+        self._head = 0
+        self._cols = 1
+        self._base = start_tick
+
+    def _index(self, participants: Sequence[int]) -> None:
+        """Rows and the index arrays over them for ``participants``."""
+        self.participants = tuple(sorted(participants))
         n = len(self.participants)
         self._row = {pid: r for r, pid in enumerate(self.participants)}
         iu, ju = np.triu_indices(n, 1)
@@ -234,21 +270,37 @@ class FeatureEngine:
         self._dir_b = np.concatenate((ju, iu))
         self._row_key = np.arange(n, dtype=np.int64) * _KEY_STRIDE
         self._key_b = self._row_key[self._dir_b, None]
-        self._origin = start_tick
-        # activity not yet counted: row r holds ticks [_bits_tick, _fill[r])
-        self._bits = np.zeros((n, 1024), dtype=bool)
-        self._bits_tick = start_tick
-        self._fill = [start_tick] * n
-        # counts are kept every _res ticks: every window edge of an
-        # instant on the step_ms grid falls on a multiple of it
-        self._res = math.gcd(step_ms, start_tick, *(int(e) for e in _EDGES_MS))
-        self._block = max(BLOCK_MS // self._res, 1) * self._res
-        # column _head + i holds the counts over [_base, _base + i * _res)
-        # plus a common offset per row; the window ends at the covered tick
-        self._cum = np.zeros((len(self._row_a), 1024), dtype=np.int32)
-        self._head = 0
-        self._cols = 1
-        self._base = start_tick
+
+    def _overlap_ids(self) -> List[Tuple[int, int]]:
+        """The participant pair of every overlap row, in row order."""
+        ids = self.participants
+        return [(ids[a], ids[b]) for a, b in zip(self._row_a.tolist(), self._row_b.tolist())]
+
+    def _regroup(self, participants: Sequence[int]) -> None:
+        """Re-index for ``participants``; rows of members that stay keep
+        their activity and counts, new rows are zeros."""
+        old_ids, old_pairs = self.participants, self._overlap_ids()
+        old_fill = dict(zip(old_ids, self._fill))
+        joined_at = self.coverage
+        self._idle_tick = max(self._fill, default=self._idle_tick)
+        self._index(participants)
+        self._fill = [old_fill.get(pid, joined_at) for pid in self.participants]
+        self._bits = _carried(self._bits, old_ids, self.participants)
+        self._cum = _carried(self._cum, old_pairs, self._overlap_ids())
+
+    def join(self, participant: int, view: UtteranceView) -> None:
+        """Add a participant whose activity is fed from ``coverage`` on."""
+        if participant in self._row:
+            raise ValueError(f"participant {participant} is already a member")
+        self.views[participant] = view
+        self._regroup(self.participants + (participant,))
+
+    def leave(self, participant: int) -> None:
+        """Drop a participant with its activity and counts."""
+        if participant not in self._row:
+            raise ValueError(f"participant {participant} is not a member")
+        del self.views[participant]
+        self._regroup([p for p in self.participants if p != participant])
 
     def add_activity(self, participant: int, bits) -> None:
         bits = np.asarray(bits, dtype=bool).reshape(-1)
@@ -260,11 +312,25 @@ class FeatureEngine:
         self._bits[r, lo : lo + len(bits)] = bits
         self._fill[r] = end
 
+    def add_room_activity(self, bits) -> None:
+        """The next chunk of every participant's activity, one row each in
+        participant order; every participant must cover the same ticks."""
+        bits = np.asarray(bits, dtype=bool)
+        fill = self.coverage
+        if bits.shape[0] != len(self._fill) or max(self._fill, default=fill) != fill:
+            raise ValueError("room activity needs one row per participant, all fed alike")
+        end = fill + bits.shape[1]
+        if end - self._bits_tick > self._bits.shape[1]:
+            self._make_room(end)
+        lo = fill - self._bits_tick
+        self._bits[:, lo : lo + bits.shape[1]] = bits
+        self._fill = [end] * len(self._fill)
+
     def _make_room(self, end: Tick) -> None:
         """Drop counted activity and grow the buffer to reach ``end``."""
         skip = self._covered - self._bits_tick
-        keep = self._bits[:, skip : max(self._fill) - self._bits_tick]
-        need = max(end, *self._fill) - self._covered
+        keep = self._bits[:, skip : max(self._fill, default=self._covered) - self._bits_tick]
+        need = max([end, *self._fill]) - self._covered
         if need > self._bits.shape[1]:
             grown = np.zeros((len(keep), max(need, 2 * self._bits.shape[1])), dtype=bool)
             grown[:, : keep.shape[1]] = keep
@@ -285,7 +351,7 @@ class FeatureEngine:
     @property
     def coverage(self) -> Tick:
         """Ticks fully observed across every participant."""
-        return min(self._fill)
+        return min(self._fill, default=self._idle_tick)
 
     @property
     def _covered(self) -> Tick:
@@ -300,7 +366,8 @@ class FeatureEngine:
 
     def _append(self, both: np.ndarray) -> None:
         if self._res > 1:
-            both = both.reshape(len(both), -1, self._res).sum(axis=2, dtype=np.int32)
+            both = both.reshape(len(both), both.shape[1] // self._res, self._res).sum(
+                axis=2, dtype=np.int32)
         c = both.shape[1]
         if self._head + self._cols + c > self._cum.shape[1]:
             live = self._cum[:, self._head : self._head + self._cols]
@@ -316,6 +383,22 @@ class FeatureEngine:
         self._cum[:, end : end + c] = counts
         self._cols += c
 
+    def _count(self, upto: Tick, keep_from: Tick) -> None:
+        """Count activity through ``upto``, keeping counts from ``keep_from``."""
+        self._release(keep_from)
+        while self._covered < upto:
+            lo = self._covered
+            hi = min(upto, lo + self._block)
+            bits = self._bits[:, lo - self._bits_tick : hi - self._bits_tick]
+            self._append(bits[self._row_a] & bits[self._row_b])
+            self._release(keep_from)
+
+    def count_through(self, tick: Tick) -> None:
+        """Count activity through covered ``tick`` without reading features,
+        keeping only the lookback that instants after it can still read."""
+        tick -= tick % self._res
+        self._count(tick, tick - LOOKBACK_MS)
+
     def _overlap_counts(self, t: np.ndarray) -> np.ndarray:
         """(rows, k, 3) window counts at instants spanning less than BLOCK_MS."""
         edges = np.maximum(t[:, None] - _EDGES_MS, self._origin)
@@ -324,13 +407,7 @@ class FeatureEngine:
             raise ValueError(
                 f"instant {int(t[0])} looks back before the retained {self._base}"
             )
-        self._release(keep_from)
-        while self._covered < t[-1]:
-            lo = self._covered
-            hi = min(int(t[-1]), lo + self._block)
-            bits = self._bits[:, lo - self._bits_tick : hi - self._bits_tick]
-            self._append(bits[self._row_a] & bits[self._row_b])
-            self._release(keep_from)
+        self._count(int(t[-1]), keep_from)
         counts = self._cum[:, self._head + (edges - self._base) // self._res]
         return counts[..., :3] - counts[..., 1:]
 

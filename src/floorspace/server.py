@@ -7,12 +7,19 @@ exchange the server initiates). Each client session owns its jitter
 buffer, voice activity detector, online segmenter, and measured
 clock offset; a single pump advances the shared timeline one
 transport frame (FRAME_MS, 20 ms) at a time: drain arrivals, pop one
-frame per session and decode them together, update activity,
-re-evaluate the floor configuration on its own EVAL_PERIOD_MS (30 ms)
-grid, then mix every listener's return frame in one
-``Mixer.mix_frame`` call at the fixed NORMAL_GAIN / QUIET_GAIN levels,
-encode them together and send each. The frame, the period and the
-gains are constants, not ``ServerConfig`` fields.
+frame per session and decode them together, hand the room's VAD bits
+to the floor tracker as one block, re-evaluate the floor
+configuration on its own EVAL_PERIOD_MS (30 ms) grid, then mix every
+listener's return frame in one ``Mixer.mix_frame`` call at the fixed
+NORMAL_GAIN / QUIET_GAIN levels, encode them together and send each.
+The frame, the period and the gains are constants, not
+``ServerConfig`` fields.
+
+The room has one ``FloorTracker`` from its first join until it
+empties. Joins and leaves change its membership in place, so the
+assigner's previous choice, search caches and counters carry across
+them; until the next period the mixes follow the last floors, less
+whoever left, with a joiner alone.
 
 The pump is callable directly (pump_once) so tests and the replay
 path can drive time without a wall clock; serve() runs it paced.
@@ -37,10 +44,16 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .assigner import FloorAssigner, FloorConfiguration, Partition, build_scorers, gains
+from .assigner import (
+    FloorAssigner,
+    FloorConfiguration,
+    Partition,
+    build_scorers,
+    canonical_partition,
+    gains,
+)
 from .errors import CapacityError, FloorspaceError, PacketFormatError
 from .evaluation import ConfigurationEvent, FloorTracker
-from .features import LOOKBACK_MS
 from .learner import FloorModel, load_model
 from .mixer import Mixer
 from .segmenter import OnlineSegmenter, SegmenterConfig
@@ -110,6 +123,12 @@ class ServerConfig:
             raise CapacityError(
                 f"max_participants must be in [1, {MAX_PARTICIPANTS}]"
             )
+        # the pump hands each detector one transport frame at a time
+        if FRAME_MS % self.vad.frame_ms:
+            raise FloorspaceError(
+                f"vad.frame_ms {self.vad.frame_ms} does not divide the "
+                f"{FRAME_MS} ms transport frame"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServerConfig":
@@ -120,11 +139,11 @@ class ServerConfig:
                 f"unknown server config fields: {sorted(unknown)}"
             )
         kwargs = dict(data)
-        if "vad" in kwargs and isinstance(kwargs["vad"], dict):
-            kwargs["vad"] = VadConfig(**kwargs["vad"])
         try:
+            if isinstance(kwargs.get("vad"), dict):
+                kwargs["vad"] = VadConfig(**kwargs["vad"])
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise FloorspaceError(f"bad server config: {exc}") from exc
 
     @classmethod
@@ -154,11 +173,22 @@ class ClientSession:
         self.vad = VoiceActivityDetector(cfg.vad)
         # both start at the joining tick; earlier ticks read as silence
         self.segmenter = OnlineSegmenter(participant, SegmenterConfig(), start_tick)
-        # the recent activity a rebuilt tracker is fed, LOOKBACK_MS and a frame
-        self.stream = ActivityStream(participant, start_tick)
+        # the tick and VAD bits of the session's last frame
+        self.last_frame: Tuple[int, np.ndarray] = (start_tick, np.zeros(0, dtype=bool))
         self.packetizer = Packetizer(ssrc=ssrc ^ 0xFFFFFFFF)
         self.clock: Optional[ClockOffset] = None
         self.pending_sync_t1: Optional[int] = None
+
+    @property
+    def stream(self) -> ActivityStream:
+        """The last frame's VAD bits as a stream.
+
+        The pump feeds the room's tracker directly; this stays for readers
+        outside the server, the live golden test and perfbench's
+        retained-state count.
+        """
+        tick, bits = self.last_frame
+        return ActivityStream(self.participant, tick, bits)
 
     def push_packet(self, pkt: AudioPacket) -> None:
         if len(self.inbox) >= INBOX_FRAMES:
@@ -238,7 +268,12 @@ class RealtimeServer:
             session = ClientSession(name, participant, ssrc, addr, self.cfg, self.tick)
             self.sessions[name] = session
             self._by_ssrc[ssrc] = session
-            self._rebuild_tracker()
+            if self.tracker is None:
+                self.tracker = FloorTracker(
+                    [], self.model, {}, FloorAssigner(dwell_ms=self.cfg.dwell_ms),
+                    start_tick=self.tick,
+                )
+            self.tracker.join(participant, session.segmenter.view)
             log.info("join %s as participant %d (ssrc %d)", name, participant, ssrc)
             return self._joined_reply(session)
 
@@ -261,29 +296,24 @@ class RealtimeServer:
                 return {"type": "error", "message": f"unknown participant {name!r}"}
             self._by_ssrc.pop(session.ssrc, None)
             self._mixer.forget(session.participant)
-            self._rebuild_tracker()
+            self.tracker.leave(session.participant)
+            if not self.sessions:
+                self.tracker = None
             log.info("leave %s", name)
             return {"type": "left", "name": name}
 
-    def _rebuild_tracker(self) -> None:
-        sessions = sorted(self.sessions.values(), key=lambda s: s.participant)
-        if len(sessions) < 2:
-            self.tracker = None
-            return
-        # the features look back LOOKBACK_MS from the first period the
-        # new tracker evaluates, so older activity is never read again
-        start = max(self.tick - LOOKBACK_MS - FRAME_MS, 0)
-        tracker = FloorTracker(
-            [s.participant for s in sessions],
-            self.model,
-            {s.participant: s.segmenter.view for s in sessions},
-            assigner=FloorAssigner(dwell_ms=self.cfg.dwell_ms),
-            first_eval_ms=self.tick + 1,
-            start_tick=start,
-        )
-        for s in sessions:
-            tracker.add_activity(s.participant, s.stream.window(start, self.tick))
-        self.tracker = tracker
+    def _floors(self) -> Optional[FloorConfiguration]:
+        """The current floors over the present sessions, or None before the
+        first period. A leaver drops out of its floor; a joiner stands
+        alone until the next period decides."""
+        if self.tracker is None or not self.tracker.configs:
+            return None
+        config = self.tracker.configs[-1]
+        present = self.tracker.participants
+        blocks = [[m for m in b if m in present] for b in config.partition]
+        placed = {m for b in blocks for m in b}
+        blocks += [[m] for m in present if m not in placed]
+        return FloorConfiguration(canonical_partition(b for b in blocks if b), config.score)
 
     # ---- control plane ----
 
@@ -350,7 +380,7 @@ class RealtimeServer:
 
     def _pin(self, msg: dict) -> dict:
         with self._lock:
-            if self.tracker is None:
+            if len(self.sessions) < 2:
                 return {"type": "error", "message": "fewer than two participants"}
             owner = str(msg["owner"])
             if owner not in self.sessions:
@@ -364,7 +394,7 @@ class RealtimeServer:
 
     def _unpin(self, msg: dict) -> dict:
         with self._lock:
-            if self.tracker is None:
+            if len(self.sessions) < 2:
                 return {"type": "error", "message": "fewer than two participants"}
             owner = str(msg["owner"])
             self.tracker.assigner.unpin(owner)
@@ -373,17 +403,17 @@ class RealtimeServer:
     def _status(self) -> dict:
         with self._lock:
             names = {s.participant: s.name for s in self.sessions.values()}
-            if self.tracker is not None and self.tracker.configs:
-                config = self.tracker.configs[-1]
+            config = self._floors()
+            if config is not None:
                 floors = [[names[m] for m in b] for b in config.partition]
                 score = config.score
             else:
                 floors = [[n] for n in sorted(self.sessions)]
                 score = None
             search = None
-            if self.tracker is not None:
-                # the current tracker's periods by how the search decided
-                # them; a join or leave starts a new tracker
+            if len(self.sessions) >= 2:
+                # the room's periods by how the search decided them, over
+                # its whole occupancy
                 assigner = self.tracker.assigner
                 search = {k: getattr(assigner, k) for k in ("searched", "certified", "reused")}
             return {
@@ -454,6 +484,7 @@ class RealtimeServer:
         with self._lock:
             session = self._by_ssrc.get(pkt.ssrc)
             if session is None:
+                self.audio_rejects += 1
                 return
             # a frame the jitter buffer could not play never reaches it
             try:
@@ -482,28 +513,26 @@ class RealtimeServer:
             # one decode into one (sessions, samples) array, which feeds
             # both the VAD and the mixer
             pcm = decode_room([s.jitter.pop() for s in sessions])
-            for s, bits in zip(sessions, room_frame_bits([s.vad for s in sessions], pcm)):
-                s.stream.append(bits)
-                s.stream.discard_before(s.stream.end_tick - LOOKBACK_MS - FRAME_MS)
-                s.segmenter.feed(bits)
-                if self.tracker is not None:
-                    self.tracker.add_activity(s.participant, bits)
+            # the tracker's rows are the sessions in participant order
+            bits = room_frame_bits([s.vad for s in sessions], pcm)
+            for s, b in zip(sessions, bits):
+                s.last_frame = (self.tick, b)
+                s.segmenter.feed(b)
+            tracker = self.tracker
+            tracker.add_room_activity(bits)
             self.tick += FRAME_MS
-            config: Optional[FloorConfiguration] = None
-            if self.tracker is not None:
-                for event in self.tracker.process_due(self.tick):
-                    self.events.append(event)
-                    names = {
-                        s.participant: s.name for s in self.sessions.values()
-                    }
-                    log.info(
-                        "configuration @%dms: %s (score %.3f)",
-                        event.tick,
-                        [[names[m] for m in b] for b in event.partition],
-                        event.score,
-                    )
-                if self.tracker.configs:
-                    config = self.tracker.configs[-1]
+            for event in tracker.process_due(self.tick):
+                self.events.append(event)
+                names = {s.participant: s.name for s in sessions}
+                log.info(
+                    "configuration @%dms: %s (score %.3f)",
+                    event.tick,
+                    [[names[m] for m in b] for b in event.partition],
+                    event.score,
+                )
+            # the floors of the last period; gains() leaves out whoever has
+            # left since, and a joiner stays alone until the next period
+            config = tracker.configs[-1] if tracker.configs else None
             self._send_mixes(sessions, pcm, config)
 
     def _send_mixes(

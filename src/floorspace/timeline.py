@@ -1,4 +1,4 @@
-"""Time base, participant identity, and per-tick speech activity.
+"""Time base, the room size cap, and per-tick speech activity.
 
 Everything downstream runs on one integer tick grid: a tick is one
 millisecond since the session epoch, and bit ``i`` of an activity
@@ -21,20 +21,6 @@ from .errors import InvalidRangeError
 MAX_PARTICIPANTS = 10
 
 Tick = int  # milliseconds since session epoch
-
-
-@dataclass(frozen=True)
-class Participant:
-    """A session member with a small stable id and a display name."""
-
-    id: int
-    name: str = ""
-
-    def __post_init__(self):
-        if not 0 <= self.id < MAX_PARTICIPANTS:
-            raise ValueError(
-                f"participant id {self.id} outside [0, {MAX_PARTICIPANTS})"
-            )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import UnsupportedFormatError
 from .timeline import ActivityStream, Tick
-from .transport import SAMPLE_RATE, SAMPLES_PER_MS
+# SAMPLE_RATE stays importable from here, where perfbench reads it
+from .transport import SAMPLE_RATE, SAMPLES_PER_MS  # noqa: F401
 
 FULL_SCALE = 32768.0
 
@@ -148,21 +149,16 @@ def detect(
     pcm,
     start_tick: Tick = 0,
     cfg: Optional[VadConfig] = None,
-    sample_rate: int = SAMPLE_RATE,
     participant: int = 0,
 ) -> ActivityStream:
     """Run detection over a whole recording.
 
     The returned stream covers exactly the input duration, one bit per
     millisecond, every tick of a frame inheriting that frame's
-    decision. Only 8 kHz input is supported, and the sample count must
-    be a whole number of frames.
+    decision. The input is SAMPLE_RATE (8 kHz) PCM, and the sample
+    count must be a whole number of frames.
     """
     cfg = cfg or VadConfig()
-    if sample_rate != SAMPLE_RATE:
-        raise UnsupportedFormatError(
-            f"unsupported sample rate {sample_rate}, expected {SAMPLE_RATE}"
-        )
     pcm = np.asarray(pcm, dtype=np.int16)
     if pcm.ndim != 1:
         raise UnsupportedFormatError("expected mono PCM (1-d array)")

@@ -192,14 +192,41 @@ def test_tracker_first_eval_skips_history(floor_model):
     corpus = generate(four_party_config(seed=45, duration_ms=60_000, epoch_ms=30_000))
     ids = sorted(corpus.ids.values())
     streams = corpus.streams()
-    tracker = FloorTracker(
-        ids, floor_model, _tracker_views(corpus), first_eval_ms=10_000
-    )
+    # a tracker started late evaluates from the first period after its start
+    tracker = FloorTracker(ids, floor_model, _tracker_views(corpus), start_tick=10_000)
     for pid in ids:
-        tracker.add_activity(pid, streams[pid].bits)
+        tracker.add_activity(pid, streams[pid].bits[10_000:])
     tracker.process_due()
-    assert tracker.ticks[0] == 10_020  # next period boundary at or after 10 s
+    assert tracker.ticks[0] == 10_020  # next period boundary after 10 s
     assert np.all(np.diff(tracker.ticks) == 30)
+
+
+def test_a_lone_participant_is_tracked_but_not_decided(floor_model):
+    """Alone, a participant's activity is counted but no period runs; a
+    second joiner's first period is the first after it joined, and the
+    periods from there equal those of a tracker fed everything."""
+    corpus = generate(four_party_config(seed=46, duration_ms=50_000, epoch_ms=25_000))
+    bits = corpus.streams()
+    views = _tracker_views(corpus)
+    lone = FloorTracker([0], floor_model, {0: views[0]}, start_tick=0)
+    for lo in range(0, 40_000, 20):
+        lone.add_room_activity(bits[0].bits[None, lo : lo + 20])
+        assert lone.process_due(lo + 20) == []
+        assert max(len(s) for s in lone.streams.values()) <= 20
+    assert lone.ticks == []
+    lone.join(1, views[1])
+    for lo in range(40_000, 42_000, 20):
+        lone.add_room_activity(np.stack([bits[p].bits[lo : lo + 20] for p in (0, 1)]))
+        lone.process_due(lo + 20)
+
+    full = FloorTracker([0, 1], floor_model, {p: views[p] for p in (0, 1)}, start_tick=0)
+    full.add_activity(0, bits[0].bits[:42_000])
+    full.add_activity(1, np.concatenate([np.zeros(40_000, dtype=bool),
+                                         bits[1].bits[40_000:42_000]]))
+    full.process_due()
+    since = [i for i, t in enumerate(full.ticks) if t > 40_000]
+    assert lone.ticks == [full.ticks[i] for i in since] and lone.ticks[0] == 40_020
+    assert np.array_equal(np.vstack(lone.posteriors), np.vstack([full.posteriors[i] for i in since]))
 
 
 # --- evaluation reports -----------------------------------------------------

@@ -347,3 +347,110 @@ def test_engine_rejects_instants_it_no_longer_holds():
         on_grid.add_activity(p, np.ones(100, dtype=bool))
     with pytest.raises(ValueError, match="multiples of 10"):
         on_grid.raw([45])
+
+
+# --- membership changes in place -------------------------------------------
+
+
+@st.composite
+def memberships(draw):
+    """A start, a grid, first members, then feeds, reads, joins and leaves."""
+    pool = range(5)
+    # a few frames, or long enough to move the 30 s lookback
+    spans = st.one_of(st.integers(1, 100), st.integers(5000, 25_000))
+    start = draw(st.integers(0, 3000))
+    step = draw(st.sampled_from([1, 10, 30]))
+    members = draw(st.sets(st.sampled_from(pool), max_size=3))
+    ops, present = [], set(members)
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["feed", "feed", "read", "join", "leave"]))
+        if kind == "join" and len(present) < len(pool):
+            pid = draw(st.sampled_from(sorted(set(pool) - present)))
+            present.add(pid)
+            ops.append(("join", pid))
+        elif kind == "leave" and present:
+            pid = draw(st.sampled_from(sorted(present)))
+            present.discard(pid)
+            ops.append(("leave", pid))
+        elif kind == "read":
+            ops.append(("read", None))
+        else:
+            ops.append(("feed", draw(spans)))
+    while len(present) < 2:
+        pid = min(set(pool) - present)
+        present.add(pid)
+        ops.append(("join", pid))
+    tail = draw(spans)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return start, step, sorted(members), ops, tail, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(memberships())
+def test_engine_joins_and_leaves_match_a_fresh_engine_over_the_final_room(case):
+    start, step, members, ops, tail, seed = case
+    rng = np.random.default_rng(seed)
+    turns = {p: [(int(s), int(s) + int(d)) for s, d in zip(
+        np.sort(rng.choice(150_000, 30, replace=False)), rng.integers(50, 3000, 30))]
+        for p in range(5)}
+    turns = {p: [iv for i, iv in enumerate(ts) if i == 0 or iv[0] >= ts[i - 1][1]]
+             for p, ts in turns.items()}
+    views = {p: (lambda s=[a for a, _ in ts], e=[b for _, b in ts]: (s, e))
+             for p, ts in turns.items()}
+
+    engine = FeatureEngine(members, {p: views[p] for p in members},
+                           start_tick=start, step_ms=step)
+    tick = start
+    # what each participant said since it last joined; before that, silence
+    said = {p: [np.zeros(0, dtype=bool)] for p in members}
+    joined_at = {p: start for p in members}
+    last_change = read = start
+
+    def feed(k):
+        if not engine.participants:
+            return tick  # an empty room has no activity to cover
+        chunk = rng.random((len(engine.participants), k)) < 0.3
+        if rng.random() < 0.5:
+            engine.add_room_activity(chunk)
+        else:
+            for row, pid in enumerate(engine.participants):
+                for part in np.array_split(chunk[row], int(rng.integers(1, 4))):
+                    engine.add_activity(pid, part)
+        for row, pid in enumerate(engine.participants):
+            said[pid].append(chunk[row])
+        return tick + k
+
+    for kind, arg in ops:
+        if kind == "feed":
+            tick = feed(arg)
+        elif kind == "read":
+            due = tick - (tick - start) % step
+            if len(engine.participants) >= 2 and due > start:
+                engine.raw([due])
+                read = due
+            else:
+                engine.count_through(tick)  # as the tracker does below two members
+                read = tick
+        elif kind == "join":
+            engine.join(arg, views[arg])
+            said[arg], joined_at[arg] = [], tick
+            last_change = tick
+        else:
+            engine.leave(arg)
+            del said[arg], joined_at[arg]
+            last_change = tick
+        assert engine.coverage == tick
+    tick = feed(tail)
+
+    fresh = FeatureEngine(engine.participants, views, start_tick=start, step_ms=step)
+    for pid in engine.participants:
+        silent = np.zeros(joined_at[pid] - start, dtype=bool)
+        fresh.add_activity(pid, np.concatenate([silent, *said[pid]]))
+    # grid instants after the last change, and no earlier than the last read
+    first = max(last_change + 1, read)
+    instants = np.arange(first + (start - first) % step, tick + 1, step)
+    if len(instants) == 0:
+        return
+    got, want = engine.raw(instants), fresh.raw(instants)
+    for field in ("gaps", "overlaps", "speech"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field

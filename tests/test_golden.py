@@ -91,7 +91,7 @@ LIVE_SHA256 = {
     "vad": "776d66be248de14aae80368c6dc6334f3920c6bf8f0aa99f7ea233fb835224f6",
     "segments": "9644c6830cbd04b4bbcbd006349d1aeb981d70586f86646b63a122abca20d486",
     "decisions": "45e888d12ed67944007b8a6d048750683768cc6a22cbddea153dc9c7fd7154cd",
-    "mixes": "976b3cf0364863ae5b2e193f4b086b1ab7a5bdd8ac082e9c1356ac1411227b56",
+    "mixes": "d264c47e6432f5dc199a3cc6237006b677214e024297a41d9c8e313b1f782ac5",
 }
 
 
@@ -117,7 +117,7 @@ def _live_room(model):
     """600 frames of a 10-person room driven in process, one leave and rejoin.
 
     Returns each session's VAD bits, the segmenter views after every
-    frame, every tracker's (tick, partition, score) log and every mix
+    frame, the room tracker's (tick, partition, score) log and every mix
     datagram with its address.
     """
     import numpy as np
@@ -138,7 +138,7 @@ def _live_room(model):
     t = np.arange(FRAME_SAMPLES)
     srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0), model=model)
     socket, srv.audio_sock = srv.audio_sock, _SentDatagrams()
-    vad, segments, trackers = {}, [], []
+    vad, segments = {}, []
     packetizers = {}
 
     def join(i):
@@ -168,15 +168,12 @@ def _live_room(model):
                 vad.setdefault(s.name, []).append(s.stream.bits[-frame_ms:].tobytes())
                 starts, ends = s.segmenter.view()
                 segments.append((s.name, [int(x) for x in starts], [int(x) for x in ends]))
-            if srv.tracker is not None and (not trackers or trackers[-1] is not srv.tracker):
-                trackers.append(srv.tracker)
+        tracker = srv.tracker
         mixes = srv.audio_sock.sent
     finally:
         srv.audio_sock = socket
         srv.stop()
-    decisions = [
-        (t, c.partition, c.score) for tr in trackers for t, c in zip(tr.ticks, tr.configs)
-    ]
+    decisions = [(t, c.partition, c.score) for t, c in zip(tracker.ticks, tracker.configs)]
     return vad, segments, decisions, mixes
 
 

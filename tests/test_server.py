@@ -132,6 +132,32 @@ def test_config_rejects_the_fixed_format_and_policy():
             ServerConfig.from_dict({field: 10})
 
 
+def test_config_rejects_a_vad_frame_that_does_not_divide_the_transport_frame(floor_model):
+    for frame_ms in (15, 7):
+        with pytest.raises(FloorspaceError, match="does not divide"):
+            ServerConfig.from_dict(
+                {"audio_port": 0, "control_port": 0, "vad": {"frame_ms": frame_ms}})
+    for frame_ms in (5, 10, 20):
+        cfg = ServerConfig.from_dict(
+            {"audio_port": 0, "control_port": 0, "vad": {"frame_ms": frame_ms}})
+        srv = RealtimeServer(cfg, model=floor_model)
+        try:
+            srv._join("alice", 10, ("127.0.0.1", 9))
+            srv._handle_audio(Packetizer(ssrc=10).packetize(LOUD).to_bytes(),
+                              ("127.0.0.1", 9))
+            srv.pump_once()
+            assert srv.tick == 20
+        finally:
+            srv.stop()
+
+
+def test_config_rejects_bad_vad_fields():
+    # the file's errors reach the command line as config errors, not tracebacks
+    for vad in ({"hangover_ms": -1}, {"frame_ms": 0}, {"bogus": 1}):
+        with pytest.raises(FloorspaceError, match="bad server config"):
+            ServerConfig.from_dict({"vad": vad})
+
+
 def test_config_bounds_participant_count():
     with pytest.raises(CapacityError):
         ServerConfig(max_participants=0)
@@ -531,6 +557,16 @@ def test_unparseable_audio_datagrams_are_counted(floor_model):
             assert not srv.sessions["alice"].inbox
 
 
+def test_audio_on_an_unknown_ssrc_is_counted(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 10) as a:
+            stranger = Packetizer(ssrc=11)
+            for _ in range(50):
+                srv._handle_audio(stranger.packetize(QUIET).to_bytes(), ("127.0.0.1", 9))
+            assert a.request({"type": "status"})["audio_rejects"] == 50
+            assert not srv.sessions["alice"].inbox
+
+
 def test_status_counts_pumps_that_start_a_frame_late(floor_model):
     srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0), model=floor_model)
     pump = srv.pump_once
@@ -615,12 +651,13 @@ def test_scripted_client_answers_sync_during_requests(floor_model):
             assert 200 <= offset <= 400
 
 
-# --- tracker rebuilds ---------------------------------------------------------
+# --- membership changes in place ---------------------------------------------
 
 
 def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model):
-    """A leave and a join after 90 s at n=10 feed the new tracker only the
-    recent activity; its posteriors equal those of a tracker fed everything."""
+    """After 90 s at n=10, a leave and a rejoin change the room's tracker
+    in place; its periods after the rejoin equal those of a tracker fed
+    the whole history of the final room, the rejoiner silent before."""
     from floorspace.assigner import FloorAssigner
     from floorspace.corpus import GeneratorConfig, generate
     from floorspace.evaluation import FloorTracker
@@ -637,6 +674,7 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
     try:
         for i, name in enumerate(names):
             srv._join(name, 100 + i, ("127.0.0.1", 9))
+        tracker = srv.tracker
         packetizers = [Packetizer(ssrc=100 + i) for i in range(10)]
 
         def pump():
@@ -651,24 +689,31 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
                 history.setdefault(s.participant, []).append(s.stream.bits[-frame_ms:])
 
         # a pin keeps the 90 s cheap; the features run as always
-        srv._pin({"owner": "p0", "floors": [names]})
+        everyone = {"owner": "p0", "floors": [names]}
+        srv._pin(everyone)
         while srv.tick < 90_000:
             pump()
-        # everyone spoke in the lookback the rebuilt tracker must reproduce
+        # everyone spoke in the lookback the tracker goes on reading
         assert all(np.concatenate(f)[-LOOKBACK:].any() for f in history.values())
         assert srv._leave("p3")["type"] == "left"
         rejoined = srv._join("p3", 103, ("127.0.0.1", 9))["participant"]
-        rebuilt = srv.tracker
-        assert max(len(s) for s in rebuilt.streams.values()) <= LOOKBACK + frame_ms
+        rejoined_at = srv.tick
+        assert srv.tracker is tracker and tracker.assigner.pinned is None
+        assert max(len(s) for s in tracker.streams.values()) <= LOOKBACK + frame_ms
 
         sessions = sorted(srv.sessions.values(), key=lambda s: s.participant)
         full = FloorTracker(
             [s.participant for s in sessions], floor_model,
             {s.participant: s.segmenter.view for s in sessions},
-            assigner=FloorAssigner(), first_eval_ms=srv.tick + 1)
-        history[rejoined] = [np.zeros(srv.tick, dtype=bool)]
+            assigner=FloorAssigner())
+        # the same pin until the rejoin, so both assigners carry the
+        # same previous choice into the periods compared
+        full.assigner.pin([range(10)], "p0", range(10))
+        history[rejoined] = [np.zeros(rejoined_at, dtype=bool)]
         for pid, frames in history.items():
             full.add_activity(pid, np.concatenate(frames))
+        full.process_due()
+        full.assigner.unpin("p0")
         for _ in range(10):
             pump()
             for s in sessions:
@@ -677,6 +722,125 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
     finally:
         srv.stop()
 
-    assert len(rebuilt.ticks) == 6 and rebuilt.ticks == full.ticks
-    assert np.array_equal(np.vstack(rebuilt.posteriors), np.vstack(full.posteriors))
-    assert [c.partition for c in rebuilt.configs] == [c.partition for c in full.configs]
+    after = [i for i, t in enumerate(tracker.ticks) if t > rejoined_at]
+    since = [i for i, t in enumerate(full.ticks) if t > rejoined_at]
+    assert len(after) == 6 and [tracker.ticks[i] for i in after] == [full.ticks[i] for i in since]
+    assert np.array_equal(np.vstack([tracker.posteriors[i] for i in after]),
+                          np.vstack([full.posteriors[i] for i in since]))
+    assert [tracker.configs[i].partition for i in after] == [
+        full.configs[i].partition for i in since]
+
+
+def _room(model, n, bits, silent=()):
+    """An in-process room of ``n`` and a pump that plays ``bits`` as tones."""
+    from floorspace.transport import FRAME_SAMPLES
+
+    srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0), model=model)
+    names = [f"p{i}" for i in range(n)]
+    packetizers = {}
+
+    def join(i):
+        srv._join(names[i], 100 + i, ("127.0.0.1", 9000 + i))
+        packetizers[i] = Packetizer(ssrc=100 + i)
+
+    t = np.arange(FRAME_SAMPLES)
+
+    def pump():
+        tick = srv.tick
+        for i, name in enumerate(names):
+            if name not in srv.sessions:
+                continue
+            mask = np.repeat(bits[i][tick : tick + 20], FRAME_SAMPLES // 20)
+            if i in silent:
+                mask[:] = 0
+            tone = 8000 * np.sin(2 * np.pi * (300 + 45 * i) * (t + tick * 8) / 8000)
+            srv._handle_audio(packetizers[i].packetize((tone * mask).astype(np.int16))
+                              .to_bytes(), ("127.0.0.1", 7000 + i))
+        srv.pump_once()
+
+    for i in range(n):
+        join(i)
+    return srv, join, pump
+
+
+def test_a_leave_and_rejoin_between_periods_keeps_the_floors_and_the_search(floor_model):
+    """The room's tracker lives on: a leave and rejoin of a silent member
+    with no period between adds no configuration event, and the next
+    10-person period is decided as in a room without the change: by the
+    kept repeat cache or margin, not by a fresh search."""
+    from floorspace.corpus import GeneratorConfig, generate
+
+    corpus = generate(GeneratorConfig(
+        participants=10, duration_ms=20_000, seed=31,
+        schedule=[(0, tuple((2 * i, 2 * i + 1) for i in range(5)))]))
+    bits = [s.bits for s in corpus.streams().values()]
+
+    def counts(srv):
+        a = srv.tracker.assigner
+        return (a.searched, a.certified, a.reused, len(srv.events),
+                srv.tracker.configs[-1].partition)
+
+    # a room without the change: the first pump after 12 s whose one
+    # period the search did not decide afresh
+    srv, _, pump = _room(floor_model, 10, bits, silent={9})
+    try:
+        while srv.tick < 12_000:
+            pump()
+        while True:
+            tick, (searched, *_), periods = srv.tick, counts(srv), len(srv.tracker.configs)
+            pump()
+            if len(srv.tracker.configs) == periods + 1 and counts(srv)[0] == searched:
+                break
+        want = counts(srv)
+    finally:
+        srv.stop()
+
+    srv, join, pump = _room(floor_model, 10, bits, silent={9})
+    try:
+        while srv.tick < tick:
+            pump()
+        tracker = srv.tracker
+        assert srv._leave("p9")["type"] == "left"
+        join(9)
+        pump()
+        assert srv.tracker is tracker and len(tracker.participants) == 10
+        assert counts(srv) == want
+    finally:
+        srv.stop()
+
+
+def test_a_pin_dissolves_at_a_leave_and_rejoin(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "a", 1) as a, joined(srv, "b", 2), joined(srv, "c", 3) as c:
+            pin = {"type": "pin", "owner": "a", "floors": [["a"], ["b"], ["c"]]}
+            assert a.request(pin)["type"] == "pinned"
+            assert srv.tracker.assigner.pinned is not None
+            # the same ids come back before any period runs
+            assert c.leave()["type"] == "left"
+            c.join()
+            assert srv.tracker.participants == (0, 1, 2)
+            assert srv.tracker.assigner.pinned is None
+            assert a.request({"type": "unpin", "owner": "a"})["type"] == "unpinned"
+
+
+def test_listeners_keep_their_floor_mates_gains_across_a_leave(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "a", 1) as a, joined(srv, "b", 2) as b, \
+                joined(srv, "c", 3) as c, joined(srv, "d", 4) as d:
+            for client in (a, b, c, d):
+                client.audio_sock.settimeout(2.0)
+            pin = {"type": "pin", "owner": "a", "floors": [["a", "b"], ["c", "d"]]}
+            assert a.request(pin)["type"] == "pinned"
+            sends = [(a, QUIET), (b, LOUD), (c, QUIET)]
+            # prime the jitter buffers and settle the ramps; stop where the
+            # next pump decides no period (periods fall on multiples of 30 ms)
+            while srv.tick < 400 or srv.tick % 60:
+                pump_with(srv, sends + [(d, QUIET)])
+                before = {x.name: recv_frame(x.audio_sock) for x in (a, b, c, d)}
+            assert np.all(before["a"] == before["a"][0]) and before["a"][0] > 5000
+            assert d.leave()["type"] == "left"
+            # the floors of the last period, less the leaver, until the next
+            pump_with(srv, sends)
+            after = {x.name: recv_frame(x.audio_sock) for x in (a, b, c)}
+    for name in "abc":
+        assert np.array_equal(after[name], before[name]), name

@@ -112,11 +112,6 @@ def test_every_tick_of_a_frame_inherits_its_decision():
     assert len(set(bits[10:])) == 1
 
 
-def test_rejects_wrong_sample_rate():
-    with pytest.raises(UnsupportedFormatError):
-        detect(np.zeros(16000, dtype=np.int16), sample_rate=16000)
-
-
 def test_rejects_stereo_input():
     with pytest.raises(UnsupportedFormatError):
         detect(np.zeros((100, 2), dtype=np.int16))
