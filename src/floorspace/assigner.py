@@ -42,6 +42,18 @@ runs on that set every period, so a repeated row is never searched
 again, even after a pin, a dwell hold or a tie changed the previous
 choice.
 
+The tracker computes a block of periods' posteriors at once and hands
+the block to ``FloorAssigner.prime`` before it assigns them period by
+period. In rooms of two to DENSE_MEMBERS with no pin, ``prime``
+searches every row that differs from the row before it in one pass:
+run starts from the rows' bits, the weights and the sums of 1 - p over
+all of them at once, each row's within-floor sums by the same call as
+a search, and the tie cut and the argmax over the stacked sums. The
+outcomes, the same objects a search would keep, go into a table under
+the same keys, which ``assign`` reads before it searches; it holds only
+the newest block. The tie rule, pins, dwell and the counters still run
+per period, and a primed row counts as searched.
+
 In rooms of more than DENSE_MEMBERS (9 and 10 people) a new row is
 first tried against the last full search that found a unique winner.
 That search keeps its weights, its winner and the winner's margin
@@ -74,6 +86,7 @@ NEUTRAL_SCORE = 0.5  # score of a configuration with no pairs to witness it
 # error of a mean of <= 45 terms in [0, 1], far below any real margin
 TIE_TOLERANCE = 1e-12
 DENSE_MEMBERS = 8  # members scored by one dense product before growing
+PRIMED_SUMS = 1 << 16  # within-floor sums stacked at once by FloorAssigner.prime
 NORMAL_GAIN = 1.0
 QUIET_GAIN = 0.2
 EVAL_PERIOD_MS = 30
@@ -432,6 +445,31 @@ class _Reference:
         return FloorConfiguration(_partition_at(self.row, self.ids), best)
 
 
+def _decide_block(rows: np.ndarray, ids: Tuple[int, ...]) -> list:
+    """``_decide``'s outcome for each row of posteriors ``rows``, to the bit,
+    in a room of at most DENSE_MEMBERS.
+
+    Each row's within-floor sums come from the same ``within`` call as
+    a search's; the weights, the sums of 1 - p, the tie cut and the
+    argmax are taken over the stacked rows.
+    """
+    scorer = _scorer(len(ids))
+    within = np.stack([scorer.within(w) for w in 2.0 * rows - 1.0])
+    tied = within >= (within.max(axis=1) - TIE_TOLERANCE * scorer.m)[:, None]
+    apart = (1.0 - rows).sum(axis=1)
+    winner = within.argmax(axis=1)
+    best = ((apart + within[np.arange(len(rows)), winner]) / scorer.m).tolist()
+    found: list = []
+    for i, (n_tied, row, a) in enumerate(zip(tied.sum(axis=1).tolist(), winner.tolist(),
+                                             apart.tolist())):
+        if n_tied == 1:
+            found.append(FloorConfiguration(_partition_at(row, ids), best[i]))
+        else:
+            cols = tied[i].nonzero()[0]
+            found.append(_TieSet(scorer, ids, cols, within[i, cols], a))
+    return found
+
+
 def _decide(p: np.ndarray, w: np.ndarray, ids: Tuple[int, ...]):
     """The winning configuration of row ``p`` (weights ``w = 2p - 1``),
     or its tie set.
@@ -514,6 +552,8 @@ class FloorAssigner:
         # the last decided row's key (ids, posterior row bytes) and what
         # the row decided: a FloorConfiguration or a _TieSet
         self._last: Optional[Tuple[tuple, object]] = None
+        # what the rows of the last primed block decide, by the same key
+        self._primed: Dict[tuple, object] = {}
         # the last full search with a unique winner in a large room
         self._reference: Optional[_Reference] = None
         # unpinned periods with two or more present, by how they were
@@ -549,6 +589,33 @@ class FloorAssigner:
         self.pinned = None
         self.pin_owner = None
 
+    def prime(self, ids: Tuple[int, ...], block: np.ndarray) -> None:
+        """Search ahead the rows of a block of periods, for the next
+        ``assign`` calls to read.
+
+        ``block`` holds one posterior row per period, over the pairs of
+        the sorted ``ids`` in order. Every row that differs from the one
+        before it (the first: from the last row decided) is decided in
+        one pass, to the bit as a search would decide it, and kept until
+        the next block; a row the table lacks is searched as usual.
+        Rooms of more than DENSE_MEMBERS and pinned rooms are not primed.
+        """
+        self._primed = {}
+        if self.pinned is not None or not 2 <= len(ids) <= DENSE_MEMBERS or not len(block):
+            return
+        block = np.ascontiguousarray(block, dtype=np.float64)
+        bits = block.view(np.uint64)
+        new = np.ones(len(block), dtype=bool)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        new[0] = self._last is None or self._last[0] != (ids, block[0].tobytes())
+        rows = block[new]
+        # in slices, so the stacked sums stay small in rooms of eight
+        step = max(1, PRIMED_SUMS // len(_scorer(len(ids)).rank))
+        for i in range(0, len(rows), step):
+            part = rows[i : i + step]
+            keys = [(ids, row.tobytes()) for row in part]
+            self._primed.update(zip(keys, _decide_block(part, ids)))
+
     def _search(
         self, posteriors: Mapping[PairKey, float], ids: Tuple[int, ...]
     ) -> FloorConfiguration:
@@ -563,16 +630,20 @@ class FloorAssigner:
         if self._last is not None and self._last[0] == key:
             self.reused += 1
         else:
-            w = 2.0 * p - 1.0
-            ref = self._reference
-            found = ref.decide(p, w) if ref is not None and ref.ids == ids else None
+            found = self._primed.get(key)
             if found is not None:
-                self.certified += 1
+                self.searched += 1  # searched with its block by ``prime``
             else:
-                found, reference = _decide(p, w, ids)
-                self.searched += 1
-                if reference is not None:
-                    self._reference = reference
+                w = 2.0 * p - 1.0
+                ref = self._reference
+                found = ref.decide(p, w) if ref is not None and ref.ids == ids else None
+                if found is not None:
+                    self.certified += 1
+                else:
+                    found, reference = _decide(p, w, ids)
+                    self.searched += 1
+                    if reference is not None:
+                        self._reference = reference
             self._last = (key, found)
         found = self._last[1]
         if isinstance(found, _TieSet):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import ne
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,7 +67,9 @@ class FloorTracker:
     (the gap feature only looks at what had started by ``now``), the
     live path hands in online segmenter views. Due periods are
     evaluated in blocks: features and posteriors for a whole block in
-    array operations, then the configuration search period by period.
+    array operations, the block's distinct rows searched in one pass
+    (``FloorAssigner.prime``), then the assigner's choice, with its tie
+    rule, pin and dwell, period by period.
     Activity fed starts at ``start_tick``; earlier ticks read as
     non-speech. The first period evaluated is the first after it.
 
@@ -149,8 +152,11 @@ class FloorTracker:
         while self._next_eval <= limit:
             last = min(limit, self._next_eval + (per_block - 1) * period)
             ticks = np.arange(self._next_eval, last + 1, period)
-            for t, p in zip(ticks.tolist(), self._posteriors(ticks)):
-                event = self._evaluate(t, p)
+            ids = self.participants
+            posteriors = self._posteriors(ticks)
+            self.assigner.prime(ids, posteriors)
+            for t, p in zip(ticks.tolist(), posteriors):
+                event = self._evaluate(t, p, ids)
                 if event is not None:
                     fresh.append(event)
             self._next_eval = int(ticks[-1]) + period
@@ -172,8 +178,10 @@ class FloorTracker:
         directed = posterior_batch(self.model, bins.reshape(-1, 4)).reshape(len(ticks), 2 * m)
         return 0.5 * (directed[:, :m] + directed[:, m:])
 
-    def _evaluate(self, t: Tick, p: np.ndarray) -> Optional[ConfigurationEvent]:
-        config = self.assigner.assign(PairRow(self.participants, p), self.participants, now_ms=t)
+    def _evaluate(
+        self, t: Tick, p: np.ndarray, ids: Tuple[int, ...]
+    ) -> Optional[ConfigurationEvent]:
+        config = self.assigner.assign(PairRow(ids, p), ids, now_ms=t)
         changed = not self.configs or self.configs[-1].partition != config.partition
         self.ticks.append(t)
         self.configs.append(config)
@@ -273,10 +281,11 @@ def replay_corpus(
     isolates the configuration search from feature or model error.
     """
     ids = sorted(corpus.ids.values())
-    truth_for_oracle = TruthTracker(corpus)
 
     override = None
     if oracle_posteriors:
+        truth_for_oracle = TruthTracker(corpus)
+
         def override(t: Tick) -> Dict[Tuple[int, int], float]:
             part = truth_for_oracle.partition_at(t)
             block_of = {m: i for i, b in enumerate(part) for m in b}
@@ -314,9 +323,19 @@ def replay_corpus(
     )
 
 
-def _partition_codes(partitions: List[Partition], index: Dict[Partition, int]) -> np.ndarray:
-    """Each partition's number in ``index``; unseen partitions are added."""
-    return np.array([index.setdefault(p, len(index)) for p in partitions], dtype=np.intp)
+def partition_codes(partitions: List[Partition], index: Dict[Partition, int]) -> np.ndarray:
+    """Each partition's number in ``index``; unseen partitions are added.
+
+    Consecutive periods mostly repeat a partition, so it is looked up
+    once per run of equal neighbours.
+    """
+    n = len(partitions)
+    if not n:
+        return np.zeros(0, dtype=np.intp)
+    moved = np.fromiter(map(ne, partitions[1:], partitions[:-1]), bool, n - 1)
+    starts = [0] + (np.flatnonzero(moved) + 1).tolist()
+    codes = [index.setdefault(partitions[i], len(index)) for i in starts]
+    return np.repeat(np.array(codes, dtype=np.intp), np.diff(starts + [n]))
 
 
 def _pair_same_matrix(partitions: List[Partition], pairs: List[Tuple[int, int]]) -> np.ndarray:
@@ -393,8 +412,8 @@ def evaluate(
     ticks = result.ticks
     # equal partitions share a number, so each distinct one is scored once
     index: Dict[Partition, int] = {}
-    chosen = _partition_codes(result.chosen, index)
-    truth = _partition_codes(result.truth, index)
+    chosen = partition_codes(result.chosen, index)
+    truth = partition_codes(result.truth, index)
     same = _pair_same_matrix(list(index), result.pairs)
     chosen_same, truth_same = same[chosen], same[truth]
     config_ok = chosen == truth

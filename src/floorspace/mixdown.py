@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import UnsupportedFormatError
-from .evaluation import ReplayResult, replay_corpus
+from .evaluation import ReplayResult, partition_codes, replay_corpus
 from .learner import FloorModel
 from .mixer import INT16_MAX, INT16_MIN, mix_timeline
 from .assigner import FloorConfiguration, Partition, gains
@@ -150,7 +150,7 @@ def render_listener_mix(
     # one gain row per distinct partition; before the first choice
     # (period -1) everyone is a singleton
     codes: Dict[Partition, int] = {tuple((pid,) for pid in ids): 0}
-    period_codes = np.array([0] + [codes.setdefault(p, len(codes)) for p in result.chosen])
+    period_codes = np.concatenate([[0], partition_codes(result.chosen, codes)])
     me = ids.index(listener)
     rows = np.array([gains(FloorConfiguration(p, 0.0), ids).matrix[me] for p in codes])
     targets = rows[period_codes[chosen + 1]]

@@ -197,25 +197,48 @@ def mix_timeline(
     a column per speaker, the last frame possibly partial. The samples
     equal those of ``Mixer.mix_frame`` called frame by frame with the
     same rows, starting from a fresh mixer with the same ``ramp_ms``.
+
+    Up to BLOCK_FRAMES frames are summed at a time, in place in buffers
+    allocated once. A speaker's gain is held over the frames where it
+    does not glide; a held 0 adds nothing and a held 1 adds the track
+    as it is. Only the gliding frames compute ``glide``'s gains, and
+    one clip between each frame's start and target gains clamps them:
+    a glide moves from its start toward its target, so that clip is
+    ``glide``'s minimum or maximum, to the bit.
     """
     fs, n = FRAME_SAMPLES, len(tracks[0])
     targets = np.asarray(targets, dtype=np.float64)
     start, step = _frame_gains(targets, ramp_samples(ramp_ms))
     gliding = start != targets
+    low, high = np.minimum(start, targets), np.maximum(start, targets)
     j = np.arange(1, fs + 1)
     out = np.empty(n, dtype=np.int16)
+    acc = np.empty(BLOCK_FRAMES * fs)
+    weighted = np.empty(BLOCK_FRAMES * fs)
+    gain = np.empty((BLOCK_FRAMES, fs))
     for f0 in range(0, len(targets), BLOCK_FRAMES):
         f1 = min(f0 + BLOCK_FRAMES, len(targets))
         a, b = f0 * fs, min(f1 * fs, n)
-        acc = np.zeros(b - a)
+        total, part = acc[: b - a], weighted[: b - a]
+        total.fill(0.0)
         # speaker by speaker in ascending order, as Mixer.mix_frame sums
         for s, track in enumerate(tracks):
-            gain = start[f0, s]  # held over the block unless it glides
-            if gliding[f0:f1, s].any():
-                rows = (slice(f0, f1), slice(s, s + 1))
-                gain = glide(start[rows], step[rows], targets[rows], j).ravel()[: b - a]
-            elif not gain:
+            moving = gliding[f0:f1, s].nonzero()[0]
+            if len(moving):
+                g = gain[: f1 - f0]
+                g[:] = start[f0:f1, s, None]
+                f = moving + f0
+                g[moving] = np.clip(start[f, s, None] + step[f, s, None] * j,
+                                    low[f, s, None], high[f, s, None])
+                np.multiply(track[a:b], g.reshape(-1)[: b - a], out=part)
+            elif start[f0, s] == 1.0:
+                total += track[a:b]
+                continue
+            elif start[f0, s]:
+                np.multiply(track[a:b], start[f0, s], out=part)
+            else:
                 continue  # adds only zeros
-            acc += gain * track[a:b].astype(np.float64)
-        out[a:b] = np.clip(np.rint(acc), INT16_MIN, INT16_MAX)
+            total += part
+        np.rint(total, out=total)
+        out[a:b] = np.clip(total, INT16_MIN, INT16_MAX, out=total)
     return out

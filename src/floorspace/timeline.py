@@ -46,16 +46,11 @@ class Utterance:
         return self.end - self.start
 
 
-def overlap_ms(a: Utterance, b: Utterance) -> int:
-    """Length in ms of the intersection of two utterance intervals."""
-    return max(0, min(a.end, b.end) - max(a.start, b.start))
-
-
 class ActivityStream:
     """Dense speech/non-speech bits for one participant.
 
-    A single writer extends the stream, readers see a stable prefix
-    until the writer discards it. Reads outside the recorded range are
+    A single writer appends to the stream; readers see every bit
+    appended so far. Reads outside the recorded range are
     defined as non-speech, so late joiners and short recordings need no
     special casing downstream.
     """
@@ -102,19 +97,6 @@ class ActivityStream:
         self._buf[self._len : need] = bits
         self._len = need
 
-    def discard_before(self, tick: Tick) -> None:
-        """Forget the bits before ``tick``; the stream then starts there."""
-        n = min(max(tick - self.start_tick, 0), self._len)
-        if n:
-            self._buf = self._buf[n:]
-            self._len -= n
-            self.start_tick += n
-
-    def extend_to(self, tick: Tick) -> None:
-        """Pad with non-speech so the stream covers ticks up to ``tick``."""
-        if tick > self.end_tick:
-            self.append(np.zeros(tick - self.end_tick, dtype=bool))
-
     def get(self, tick: Tick) -> bool:
         """Speech bit at one tick; out-of-range ticks read as non-speech."""
         if self.start_tick <= tick < self.end_tick:
@@ -135,17 +117,6 @@ class ActivityStream:
                 lo - self.start_tick : hi - self.start_tick
             ]
         return out
-
-
-def clip_stream(stream: ActivityStream, from_tick: Tick, to_tick: Tick) -> ActivityStream:
-    """Sub-stream covering exactly [from_tick, to_tick).
-
-    Ticks outside the source recording come back as non-speech. A
-    reversed range raises InvalidRangeError.
-    """
-    return ActivityStream(
-        stream.participant, from_tick, stream.window(from_tick, to_tick)
-    )
 
 
 def stream_from_intervals(

@@ -661,6 +661,162 @@ def test_a_tie_set_never_becomes_the_margin_reference():
     assert a._reference is None
 
 
+# --- primed blocks ----------------------------------------------------------
+
+
+@st.composite
+def primed_scripts(draw):
+    """Blocks of posterior rows with runs, repeats and exact ties, and what
+    happens before each period: nothing, a pin, an unpin, or the period
+    decided for another room of the same size (one member swapped).
+
+    Rooms of up to eight draw rows from a few exact values, so partitions
+    tie, or from any floats, so the order of a sum shows in its bits;
+    rooms of nine or ten draw ``drifting_rows`` so that the margin check
+    decides some of them.
+    """
+    n = draw(st.integers(2, 10))
+    rooms = (tuple(range(n)), tuple(range(n - 1)) + (n + 3,))
+    if n > DENSE_MEMBERS:
+        pool = [np.array(list(d.values())) for d in draw(drifting_rows(list(range(n))))]
+    else:
+        m = n * (n - 1) // 2
+        exact = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+        probs = st.lists(exact | st.floats(0.0, 1.0), min_size=m, max_size=m)
+        pool = [np.array(draw(probs)) for _ in range(draw(st.integers(1, 3)))]
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    before = (st.sampled_from([("none",), ("none",), ("unpin",), ("other",)])
+              | st.tuples(st.just("pin"), labels))
+    period = st.tuples(st.integers(0, len(pool) - 1), before)
+    blocks = draw(st.lists(st.tuples(st.integers(0, 1), st.lists(period, min_size=1, max_size=10)),
+                           min_size=1, max_size=4))
+    return rooms, pool, blocks, draw(st.sampled_from([0, 60, 200]))
+
+
+def changes(ticks, configs):
+    """(tick, partition) of every period whose partition differs from the last."""
+    out, last = [], None
+    for t, c in zip(ticks, configs):
+        if c.partition != last:
+            out.append((t, c.partition))
+            last = c.partition
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(primed_scripts())
+def test_primed_blocks_decide_like_one_dict_per_period(script):
+    rooms, pool, blocks, dwell = script
+    primed, plain = FloorAssigner(dwell_ms=dwell), FloorAssigner(dwell_ms=dwell)
+    ticks, got, want = [], [], []
+    for which, periods in blocks:
+        block = np.array([pool[r] for r, _ in periods])
+        primed.prime(rooms[which], block)
+        for row, (_, before) in zip(block, periods):
+            ids = rooms[1 - which] if before[0] == "other" else rooms[which]
+            if before[0] == "pin":
+                floors = {}
+                for m, label in zip(ids, before[1]):
+                    floors.setdefault(label, []).append(m)
+                for a in (primed, plain):
+                    a.pin(floors.values(), owner="host", participants=ids)
+            elif before[0] == "unpin":
+                for a in (primed, plain):
+                    a.unpin("host")
+            ticks.append(EVAL_PERIOD_MS * (len(ticks) + 1))
+            got.append(primed.assign(PairRow(ids, row), ids, now_ms=ticks[-1]))
+            want.append(plain.assign(dict(zip(unordered_pairs(ids), row.tolist())), ids,
+                                     now_ms=ticks[-1]))
+    assert [c.partition for c in got] == [c.partition for c in want]
+    assert (np.array([c.score for c in got]).tobytes()
+            == np.array([c.score for c in want]).tobytes())
+    assert changes(ticks, got) == changes(ticks, want)
+    assert ((primed.searched, primed.certified, primed.reused)
+            == (plain.searched, plain.certified, plain.reused))
+
+
+@pytest.mark.parametrize("n", range(2, MAX_PARTICIPANTS + 1))
+def test_a_primed_block_scores_to_the_bit_of_a_search_per_period(n):
+    ids = tuple(range(n))
+    rng = np.random.default_rng(n)
+    rows = rng.random((6, n * (n - 1) // 2))
+    block = rows[[0, 0, 1, 2, 2, 2, 3, 1, 4, 5, 5]]
+    primed, plain = FloorAssigner(), FloorAssigner()
+    primed.prime(ids, block)
+    for row in block:
+        got = primed.assign(PairRow(ids, row), ids)
+        want = plain.assign(dict(zip(unordered_pairs(ids), row.tolist())), ids)
+        assert got.partition == want.partition
+        assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes()
+    counts = (primed.searched, primed.certified, primed.reused)
+    assert counts == (plain.searched, plain.certified, plain.reused)
+    assert (counts[0] + counts[1], counts[2]) == (7, 4)
+
+
+def test_a_block_that_starts_with_the_last_row_reuses_it():
+    ids = (0, 1, 2, 3)
+    r1, r2, r3 = np.random.default_rng(3).random((3, 6))
+    a = FloorAssigner()
+    for block in ([r1, r2], [r2, r3]):
+        a.prime(ids, np.array(block))
+        for row in block:
+            a.assign(PairRow(ids, row), ids)
+    assert (a.searched, a.certified, a.reused) == (3, 0, 1)
+    # the repeated row was not searched again with its block
+    assert set(a._primed) == {(ids, r3.tobytes())}
+
+
+def test_a_primed_row_is_not_read_for_another_room():
+    row = np.array([0.9, 0.1, 0.1])
+    a = FloorAssigner()
+    a.prime((0, 1, 2), row[None])
+    # the same row bytes, but 2 has left and 5 has joined
+    assert a.assign(PairRow((0, 1, 5), row), (0, 1, 5)).partition == ((0, 1), (5,))
+    assert a.assign(PairRow((0, 1, 2), row), (0, 1, 2)).partition == ((0, 1), (2,))
+    assert (a.searched, a.reused) == (2, 0)
+
+
+def test_a_primed_tie_set_keeps_the_previous_choice_across_a_pin_change():
+    # the merged room and the two pairs tie, as in the unprimed case above
+    ids = (0, 1, 2, 3)
+    split, merged = ((0, 1), (2, 3)), ((0, 1, 2, 3),)
+    row = np.array([1.0 if k in ((0, 1), (2, 3)) else 0.5 for k in unordered_pairs(ids)])
+    block = np.array([row] * 4)
+    a = FloorAssigner()
+    a.prime(ids, block)
+    assert a.assign(PairRow(ids, row), ids).partition == merged
+    a.pin(split, owner="host", participants=ids)
+    assert a.assign(PairRow(ids, row), ids).partition == split
+    a.unpin("host")
+    # the pinned split is now the previous choice, and it is in the tie set
+    assert a.assign(PairRow(ids, row), ids).partition == split
+    # a block primed under a pin is searched period by period once unpinned
+    a.pin(split, owner="host", participants=ids)
+    a.prime(ids, block)
+    assert a._primed == {}
+    assert a.assign(PairRow(ids, row), ids).partition == split
+    a.unpin("host")
+    assert a.assign(PairRow(ids, row), ids).partition == split
+    assert (a.searched, a.certified, a.reused) == (1, 0, 2)
+
+
+def test_the_primed_table_holds_only_the_newest_block():
+    # a room that runs for hours keeps one block's decisions, not every
+    # row it ever decided
+    ids = tuple(range(5))
+    rng = np.random.default_rng(8)
+    a = FloorAssigner()
+    for _ in range(6):
+        block = rng.random((20, 10))
+        a.prime(ids, block)
+        assert set(a._primed) == {(ids, row.tobytes()) for row in block}
+        for row in block:
+            a.assign(PairRow(ids, row), ids)
+    # rooms the table does not serve leave it empty
+    a.prime(tuple(range(9)), rng.random((3, 36)))
+    assert a._primed == {}
+
+
 # --- gains ------------------------------------------------------------------
 
 

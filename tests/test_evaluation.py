@@ -12,6 +12,7 @@ from floorspace.evaluation import (
     FloorTracker,
     TruthTracker,
     evaluate,
+    partition_codes,
     partition_text,
     replay_corpus,
     write_report,
@@ -186,6 +187,56 @@ def test_ten_person_tracker_decides_like_assign_on_plain_dicts(floor_model):
     assert [c.partition for c in tracker.configs] == [c.partition for c in want]
     assert _score_bits(tracker) == np.array([c.score for c in want]).tobytes()
     assert len({c.partition for c in want}) > 1
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_a_primed_replay_decides_like_assign_on_plain_dicts(floor_model, n):
+    # whole blocks of periods are primed; each period must decide, score
+    # and count exactly like one assign per period on a dict
+    floors = (tuple(range(n // 2)), tuple(range(n // 2, n)))
+    corpus = generate(GeneratorConfig(
+        participants=n, duration_ms=20_000, schedule=[(0, floors), (10_000, (tuple(range(n)),))],
+        seed=47,
+    ))
+    result = replay_corpus(corpus, floor_model)
+    reference = FloorAssigner()
+    keys = unordered_pairs(result.participants)
+    want = [
+        reference.assign(dict(zip(keys, p.tolist())), result.participants, now_ms=int(t))
+        for t, p in zip(result.ticks, result.posteriors)
+    ]
+    assert result.chosen == [c.partition for c in want]
+    assert result.scores.tobytes() == np.array([c.score for c in want]).tobytes()
+    assert reference.reused > 0 and reference.searched > 0
+
+
+def test_partition_codes_number_runs_like_one_lookup_per_period():
+    a, b, c = ((0, 1), (2,)), ((0,), (1, 2)), ((0, 1, 2),)
+    periods = [a, a, tuple(a), b, b, a, c, c, c, b]
+    index = {c: 0}
+    want = dict(index)
+    assert partition_codes(periods, index).tolist() == [
+        want.setdefault(p, len(want)) for p in periods
+    ]
+    assert index == want
+    assert partition_codes([], index).tolist() == []
+
+
+def test_replay_derives_the_truth_once_without_oracle_posteriors(
+    eval_corpus, floor_model, monkeypatch
+):
+    built = []
+
+    class Counted(TruthTracker):
+        def __init__(self, corpus):
+            built.append(corpus)
+            super().__init__(corpus)
+
+    monkeypatch.setattr("floorspace.evaluation.TruthTracker", Counted)
+    replay_corpus(eval_corpus, floor_model)
+    assert len(built) == 1
+    replay_corpus(eval_corpus, floor_model, oracle_posteriors=True)
+    assert len(built) == 3
 
 
 def test_tracker_first_eval_skips_history(floor_model):

@@ -4,13 +4,32 @@ import numpy as np
 import pytest
 
 from floorspace.errors import InvalidRangeError
-from floorspace.timeline import (
-    ActivityStream,
-    Utterance,
-    clip_stream,
-    overlap_ms,
-    stream_from_intervals,
-)
+from floorspace.timeline import ActivityStream, Utterance, stream_from_intervals
+
+# Interval and stream operations that nothing in the program needs, kept
+# here as oracles of what the stream's reads must agree with.
+
+
+def overlap_ms(a: Utterance, b: Utterance) -> int:
+    """Length in ms of the intersection of two utterance intervals."""
+    return max(0, min(a.end, b.end) - max(a.start, b.start))
+
+
+def clip_stream(stream: ActivityStream, from_tick: int, to_tick: int) -> ActivityStream:
+    """Sub-stream covering exactly [from_tick, to_tick), silent outside the recording."""
+    return ActivityStream(stream.participant, from_tick, stream.window(from_tick, to_tick))
+
+
+def extend_to(stream: ActivityStream, tick: int) -> None:
+    """Pad with non-speech so the stream covers ticks up to ``tick``."""
+    if tick > stream.end_tick:
+        stream.append(np.zeros(tick - stream.end_tick, dtype=bool))
+
+
+def discard_before(stream: ActivityStream, tick: int) -> ActivityStream:
+    """The stream without its bits before ``tick``; it then starts there."""
+    start = min(max(tick, stream.start_tick), stream.end_tick)
+    return clip_stream(stream, start, stream.end_tick)
 
 
 def test_utterance_duration():
@@ -137,10 +156,10 @@ def test_stream_from_intervals_clamps_to_duration():
 
 def test_extend_to_pads_with_silence():
     s = ActivityStream(0, bits=np.ones(5, dtype=bool))
-    s.extend_to(12)
+    extend_to(s, 12)
     assert len(s) == 12
     assert not s.bits[5:].any()
-    s.extend_to(3)  # never shrinks
+    extend_to(s, 3)  # never shrinks
     assert len(s) == 12
 
 
@@ -148,10 +167,10 @@ def test_discard_before_keeps_the_tail_and_later_appends():
     rng = np.random.default_rng(4)
     bits = rng.random(3000) < 0.5
     s = ActivityStream(0, 100, bits[:1000])
-    s.discard_before(600)
+    s = discard_before(s, 600)
     assert (s.start_tick, s.end_tick, len(s)) == (600, 1100, 500)
     assert np.array_equal(s.window(400, 1100), np.r_[np.zeros(200, bool), bits[500:1000]])
-    s.discard_before(5000)  # past the end: nothing left, and appends still work
+    s = discard_before(s, 5000)  # past the end: nothing left, and appends still work
     assert len(s) == 0 and s.start_tick == 1100
     s.append(bits[1000:3000])
     assert np.array_equal(s.bits, bits[1000:3000]) and s.end_tick == 3100
