@@ -9,7 +9,8 @@ resulting 1 ms activity bits into utterances.
 
 import numpy as np
 
-from floorspace import SegmenterConfig, VadConfig, detect, segment
+from floorspace import VadConfig, detect, segment
+from floorspace.segmenter import speech_runs
 
 SAMPLE_RATE = 8000
 rng = np.random.default_rng(1)
@@ -45,10 +46,10 @@ print(f"samples in: {len(pcm)}  activity ticks out: {len(bits)} (1 per ms)")
 print(f"total speech: {int(bits.sum())} ms")
 
 # raw speech runs, before any smoothing
-raw = segment(stream, SegmenterConfig(bridge_gap_ms=0, min_utterance_ms=1))
+raw = speech_runs(stream.bits)
 print("\nraw runs:")
-for u in raw:
-    print(f"  [{u.start:>5} ms, {u.end:>5} ms)  {u.end - u.start} ms")
+for start, end in raw:
+    print(f"  [{start:>5} ms, {end:>5} ms)  {end - start} ms")
 
 # the defaults bridge what is left of the hesitation
 utterances = segment(stream)

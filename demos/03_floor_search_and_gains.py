@@ -45,9 +45,8 @@ print(f"\nassigner picks {cfg.partition} with score {cfg.score:.4f}")
 
 gm = gains(cfg, ids)
 print("\ngain matrix (rows = listener, cols = speaker):")
-for i, listener in enumerate(gm.ids):
-    row = "  ".join(f"{gm.matrix[i, j]:.1f}" for j in range(len(gm.ids)))
-    print(f"  {listener}: {row}")
+for listener, row in zip(sorted(ids), gm):
+    print(f"  {listener}: " + "  ".join(f"{g:.1f}" for g in row))
 print("floor-mates at 1.0, the other conversation at 0.2, self muted")
 
 # a pin freezes the layout no matter what the probabilities say

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from floorspace import GeneratorConfig, generate, make_training_instances, save_model, train
-from floorspace.server import RealtimeServer, ScriptedClient, ServerConfig
+from floorspace.server import RealtimeServer, ServerConfig
+from loopback_client import ScriptedClient  # demos/loopback_client.py, beside this script
 
 corpus = generate(GeneratorConfig(
     participants=4,

@@ -16,7 +16,7 @@ from .corpus import GeneratorConfig, generate
 from .evaluation import evaluate, partition_text, write_report, write_timeline
 from .learner import load_model, make_training_instances, save_model, train
 from .mixdown import mixdown_corpus, read_wav
-from .segmenter import SegmenterConfig, segment
+from .segmenter import segment
 from .vad import VadConfig, detect
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FloorAssigner",
     "GeneratorConfig",
-    "SegmenterConfig",
     "VadConfig",
     "bell_number",
     "detect",

@@ -498,24 +498,12 @@ def _decide(p: np.ndarray, w: np.ndarray, ids: Tuple[int, ...]):
     return found, _Reference(scorer, ids, w, row, lead - float(within.max()))
 
 
-@dataclass(frozen=True)
-class GainMatrix:
-    """Target gains per (listener, speaker); the diagonal is zero."""
-
-    ids: Tuple[int, ...]
-    matrix: np.ndarray
-
-    def gain(self, listener: int, speaker: int) -> float:
-        i = self.ids.index(listener)
-        j = self.ids.index(speaker)
-        return float(self.matrix[i, j])
-
-
-def gains(config: FloorConfiguration, participants: Sequence[int]) -> GainMatrix:
+def gains(config: FloorConfiguration, participants: Sequence[int]) -> np.ndarray:
     """Per-listener target gains: NORMAL_GAIN for floor-mates, QUIET_GAIN otherwise.
 
-    A listener never hears their own stream back, hence the zero
-    diagonal.
+    Row i is the listener and column j the speaker, both in ascending
+    participant order. A listener never hears their own stream back,
+    hence the zero diagonal.
     """
     ids = tuple(sorted(participants))
     n = len(ids)
@@ -526,7 +514,7 @@ def gains(config: FloorConfiguration, participants: Sequence[int]) -> GainMatrix
             for j in idx:
                 mat[i, j] = NORMAL_GAIN
     np.fill_diagonal(mat, 0.0)
-    return GainMatrix(ids=ids, matrix=mat)
+    return mat
 
 
 class FloorAssigner:

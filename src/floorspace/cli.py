@@ -22,7 +22,6 @@ from .corpus import Corpus, GeneratorConfig, generate, load_corpus, save_corpus
 from .errors import FloorspaceError
 from .evaluation import (
     evaluate,
-    partition_text,
     replay_corpus,
     write_report,
     write_timeline,

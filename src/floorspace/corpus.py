@@ -117,9 +117,6 @@ class Corpus:
         """Participant name to small integer id, in declaration order."""
         return {name: i for i, name in enumerate(self.participants)}
 
-    def records_of(self, name: str) -> List[TurnRecord]:
-        return [r for r in self.records if r.participant == name]
-
     def utterances(self) -> Dict[int, List[Utterance]]:
         """Per-participant labeled utterances on the shared tick grid."""
         ids = self.ids
@@ -256,23 +253,6 @@ class GeneratorConfig:
                 raise CorpusError(
                     f"epoch at {t} ms does not cover every participant"
                 )
-
-    def to_dict(self) -> dict:
-        return {
-            "participants": self.participants,
-            "duration_ms": self.duration_ms,
-            "schedule": [[t, [list(b) for b in part]] for t, part in self.schedule],
-            "seed": self.seed,
-            "turn_median_ms": self.turn_median_ms,
-            "turn_sigma": self.turn_sigma,
-            "pause_mean_ms": self.pause_mean_ms,
-            "pause_sd_ms": self.pause_sd_ms,
-            "pause_floor_ms": self.pause_floor_ms,
-            "overlap_probability": self.overlap_probability,
-            "solo_gap_mean_ms": self.solo_gap_mean_ms,
-            "solo_gap_sd_ms": self.solo_gap_sd_ms,
-            "min_turn_ms": self.min_turn_ms,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":

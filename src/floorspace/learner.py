@@ -76,9 +76,6 @@ class FloorModel:
         self._log_priors = np.log(self.priors)
         self._log_tables = {k: np.log(v) for k, v in self.tables.items()}
 
-    def log_likelihoods(self, feature: str) -> np.ndarray:
-        return self._log_tables[feature]
-
 
 def make_training_instances(
     streams: Mapping[int, ActivityStream],
@@ -222,7 +219,7 @@ def posterior_batch(model: FloorModel, bins: np.ndarray) -> np.ndarray:
     bins = np.asarray(bins, dtype=np.intp)
     log_same = log_diff = None
     for k, name in enumerate(FEATURE_NAMES):
-        lt = model.log_likelihoods(name)
+        lt = model._log_tables[name]
         if k == 0:
             # prior + first term, the first of the same left-to-right sums
             log_same = model._log_priors[SAME] + lt[SAME, bins[:, 0]]

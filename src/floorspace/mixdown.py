@@ -152,7 +152,7 @@ def render_listener_mix(
     codes: Dict[Partition, int] = {tuple((pid,) for pid in ids): 0}
     period_codes = np.concatenate([[0], partition_codes(result.chosen, codes)])
     me = ids.index(listener)
-    rows = np.array([gains(FloorConfiguration(p, 0.0), ids).matrix[me] for p in codes])
+    rows = np.array([gains(FloorConfiguration(p, 0.0), ids)[me] for p in codes])
     targets = rows[period_codes[chosen + 1]]
     return mix_timeline([tracks[pid][:n] for pid in ids], targets)
 

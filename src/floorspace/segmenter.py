@@ -1,32 +1,22 @@
 """Turning raw activity bits into utterances.
 
-Gaps shorter than the bridge threshold are absorbed first, then
-anything still shorter than the minimum utterance length is dropped.
-Order matters: a run of blips separated by tiny gaps can bridge into
-one utterance that survives, while the same blips in isolation would
-all be discarded.
+Gaps shorter than BRIDGE_GAP_MS are absorbed first, then anything
+still shorter than MIN_UTTERANCE_MS is dropped. Order matters: a run
+of blips separated by tiny gaps can bridge into one utterance that
+survives, while the same blips in isolation would all be discarded.
+Both thresholds are constants; ``speech_runs`` gives the raw runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .timeline import ActivityStream, Tick, Utterance
 
-
-@dataclass
-class SegmenterConfig:
-    min_utterance_ms: int = 100
-    bridge_gap_ms: int = 200
-
-    def __post_init__(self):
-        if self.min_utterance_ms < 1:
-            raise ValueError("min_utterance_ms must be positive")
-        if self.bridge_gap_ms < 0:
-            raise ValueError("bridge_gap_ms must be non-negative")
+MIN_UTTERANCE_MS = 100
+BRIDGE_GAP_MS = 200
 
 
 def speech_runs(bits: np.ndarray) -> List[Tuple[int, int]]:
@@ -51,25 +41,24 @@ def speech_runs(bits: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip(starts, ends))
 
 
-def _bridge(runs: List[Tuple[int, int]], bridge_gap_ms: int) -> List[List[int]]:
+def _bridge(runs: List[Tuple[int, int]]) -> List[List[int]]:
     merged: List[List[int]] = []
     for s, e in runs:
-        if merged and s - merged[-1][1] < bridge_gap_ms:
+        if merged and s - merged[-1][1] < BRIDGE_GAP_MS:
             merged[-1][1] = e
         else:
             merged.append([s, e])
     return merged
 
 
-def segment(stream: ActivityStream, cfg: Optional[SegmenterConfig] = None) -> List[Utterance]:
+def segment(stream: ActivityStream) -> List[Utterance]:
     """Utterances for a whole stream, ordered and pairwise disjoint."""
-    cfg = cfg or SegmenterConfig()
-    merged = _bridge(speech_runs(stream.bits), cfg.bridge_gap_ms)
+    merged = _bridge(speech_runs(stream.bits))
     base = stream.start_tick
     return [
         Utterance(stream.participant, base + s, base + e)
         for s, e in merged
-        if e - s >= cfg.min_utterance_ms
+        if e - s >= MIN_UTTERANCE_MS
     ]
 
 
@@ -84,14 +73,8 @@ class OnlineSegmenter:
     chunk is proportional to the runs in the chunk.
     """
 
-    def __init__(
-        self,
-        participant: int,
-        cfg: Optional[SegmenterConfig] = None,
-        start_tick: Tick = 0,
-    ):
+    def __init__(self, participant: int, start_tick: Tick = 0):
         self.participant = participant
-        self.cfg = cfg or SegmenterConfig()
         self._next_tick = start_tick
         self._tail: Optional[List[int]] = None  # newest bridged run, absolute ticks
         # cached view of every run except the newest
@@ -105,14 +88,12 @@ class OnlineSegmenter:
     def feed(self, bits) -> None:
         bits = np.atleast_1d(np.asarray(bits, dtype=bool))
         base = self._next_tick
-        bridge = self.cfg.bridge_gap_ms
         for s, e in speech_runs(bits):
             s += base
             e += base
             tail = self._tail
-            # gap 0 is a run continuing across a chunk boundary; merge
-            # that even when bridging is disabled
-            if tail is not None and (s == tail[1] or s - tail[1] < bridge):
+            # a run continuing across a chunk boundary has gap 0
+            if tail is not None and s - tail[1] < BRIDGE_GAP_MS:
                 tail[1] = e
             else:
                 self._freeze_tail()
@@ -122,7 +103,7 @@ class OnlineSegmenter:
     def _freeze_tail(self) -> None:
         if self._tail is not None:
             s, e = self._tail
-            if e - s >= self.cfg.min_utterance_ms:
+            if e - s >= MIN_UTTERANCE_MS:
                 self._frozen_starts.append(s)
                 self._frozen_ends.append(e)
 
@@ -132,7 +113,7 @@ class OnlineSegmenter:
         ends = list(self._frozen_ends)
         if self._tail is not None:
             s, e = self._tail
-            if e - s >= self.cfg.min_utterance_ms:
+            if e - s >= MIN_UTTERANCE_MS:
                 starts.append(s)
                 ends.append(e)
         return starts, ends

@@ -56,7 +56,7 @@ from .errors import CapacityError, FloorspaceError, PacketFormatError
 from .evaluation import ConfigurationEvent, FloorTracker
 from .learner import FloorModel, load_model
 from .mixer import Mixer
-from .segmenter import OnlineSegmenter, SegmenterConfig
+from .segmenter import OnlineSegmenter
 from .timeline import ActivityStream, MAX_PARTICIPANTS
 from .transport import (
     AudioPacket,
@@ -66,7 +66,6 @@ from .transport import (
     Packetizer,
     check_payload,
     decode_room,
-    decode_ulaw,
     encode_room,
     estimate_clock_offset,
     ClockOffset,
@@ -99,7 +98,8 @@ def decode_message(data: bytes) -> dict:
         )
     try:
         msg = json.loads(data[_LEN.size :].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays nested thousands deep fit in the size limit
         raise PacketFormatError(f"control message is not valid JSON: {exc}") from exc
     if not isinstance(msg, dict) or not isinstance(msg.get("type"), str):
         raise PacketFormatError("control message must be an object with a type")
@@ -140,7 +140,8 @@ class ServerConfig:
             )
         kwargs = dict(data)
         try:
-            if isinstance(kwargs.get("vad"), dict):
+            if "vad" in kwargs:
+                # anything but an object fails here, not in __post_init__
                 kwargs["vad"] = VadConfig(**kwargs["vad"])
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
@@ -172,7 +173,7 @@ class ClientSession:
         self.jitter = JitterBuffer(depth_ms=cfg.jitter_depth_ms)
         self.vad = VoiceActivityDetector(cfg.vad)
         # both start at the joining tick; earlier ticks read as silence
-        self.segmenter = OnlineSegmenter(participant, SegmenterConfig(), start_tick)
+        self.segmenter = OnlineSegmenter(participant, start_tick)
         # the tick and VAD bits of the session's last frame
         self.last_frame: Tuple[int, np.ndarray] = (start_tick, np.zeros(0, dtype=bool))
         self.packetizer = Packetizer(ssrc=ssrc ^ 0xFFFFFFFF)
@@ -348,7 +349,8 @@ class RealtimeServer:
                 return
             else:
                 reply = {"type": "error", "message": f"unknown message type {kind!r}"}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: a JSON number such as 1e400 reads as inf
             reply = {"type": "error", "message": f"malformed {kind}: {exc!r}"}
         except FloorspaceError as exc:
             reply = {"type": "error", "message": str(exc)}
@@ -370,6 +372,8 @@ class RealtimeServer:
     def _names_to_partition(self, floors: List[List[str]]) -> Tuple[Tuple[int, ...], ...]:
         part = []
         for block in floors:
+            if not block:
+                raise FloorspaceError("a pinned floor must not be empty")
             ids = []
             for name in block:
                 if name not in self.sessions:
@@ -456,18 +460,21 @@ class RealtimeServer:
                 )
 
     def _finish_sync(self, msg: dict) -> None:
-        t1, t2, t3 = int(msg["t1"]), int(msg["t2"]), int(msg["t3"])
-        name = str(msg.get("name", ""))
         t4 = self.tick
         with self._lock:
-            session = self.sessions.get(name)
-            if session is None or session.pending_sync_t1 != t1:
+            # a stray response (unknown name, nothing pending) is dropped
+            # before its fields are read
+            session = self.sessions.get(str(msg.get("name", "")))
+            if session is None or session.pending_sync_t1 is None:
+                return
+            t1, t2, t3 = int(msg["t1"]), int(msg["t2"]), int(msg["t3"])
+            if session.pending_sync_t1 != t1:
                 return
             session.pending_sync_t1 = None
             session.clock = estimate_clock_offset(t1, t2, t3, t4)
             log.debug(
                 "sync %s: offset %d ms, rtt %d ms",
-                name,
+                session.name,
                 session.clock.offset_ms,
                 session.clock.round_trip_ms,
             )
@@ -552,7 +559,7 @@ class RealtimeServer:
         key = (config.partition, ids)
         if self._gains_key != key:
             self._gains_key = key
-            self._gains = gains(config, ids).matrix
+            self._gains = gains(config, ids)
         # every listener in one pass; a listener without an address yet
         # neither hears a mix nor advances its ramps
         mixes = self._mixer.mix_frame([ids[i] for i in rows], ids, pcm, self._gains[rows])
@@ -624,98 +631,3 @@ class RealtimeServer:
         self.audio_sock.close()
         self.control_sock.close()
 
-
-class ScriptedClient:
-    """Minimal loopback client for tests and demos.
-
-    Sends prepared PCM frames on the audio socket, answers the
-    server's sync requests (optionally with a skewed clock), and
-    collects whatever mixed audio comes back.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        ssrc: int,
-        server_audio: Tuple[str, int],
-        server_control: Tuple[str, int],
-        clock_skew_ms: int = 0,
-    ):
-        self.name = name
-        self.ssrc = ssrc
-        self.server_audio = server_audio
-        self.server_control = server_control
-        self.clock_skew_ms = clock_skew_ms
-        self._epoch = time.monotonic()
-        self.audio_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.audio_sock.bind(("127.0.0.1", 0))
-        self.audio_sock.settimeout(0.2)
-        self.control_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.control_sock.bind(("127.0.0.1", 0))
-        self.control_sock.settimeout(2.0)
-        self.packetizer = Packetizer(ssrc=ssrc)
-        self.participant: Optional[int] = None
-        self.received: List[np.ndarray] = []
-
-    def _now_ms(self) -> int:
-        return int((time.monotonic() - self._epoch) * 1000) + self.clock_skew_ms
-
-    def request(self, msg: dict) -> dict:
-        self.control_sock.sendto(encode_message(msg), self.server_control)
-        while True:
-            data, _ = self.control_sock.recvfrom(65536)
-            reply = decode_message(data)
-            if reply["type"] == "sync_request":
-                self._answer_sync(reply)
-                continue
-            return reply
-
-    def _answer_sync(self, msg: dict) -> None:
-        t = self._now_ms()
-        self.control_sock.sendto(
-            encode_message(
-                {
-                    "type": "sync_response",
-                    "name": self.name,
-                    "t1": msg["t1"],
-                    "t2": t,
-                    "t3": self._now_ms(),
-                }
-            ),
-            self.server_control,
-        )
-
-    def join(self) -> dict:
-        reply = self.request({"type": "join", "name": self.name, "ssrc": self.ssrc})
-        if reply["type"] != "joined":
-            raise FloorspaceError(f"join failed: {reply}")
-        self.participant = reply["participant"]
-        return reply
-
-    def leave(self) -> dict:
-        return self.request({"type": "leave", "name": self.name})
-
-    def send_frame(self, pcm: np.ndarray) -> None:
-        pkt = self.packetizer.packetize(pcm)
-        self.audio_sock.sendto(pkt.to_bytes(), self.server_audio)
-
-    def drain_audio(self) -> int:
-        """Collect any mixed frames waiting on the audio socket."""
-        got = 0
-        self.audio_sock.settimeout(0.01)
-        while True:
-            try:
-                data, _ = self.audio_sock.recvfrom(65536)
-            except (socket.timeout, OSError):
-                break
-            try:
-                pkt = AudioPacket.from_bytes(data)
-            except PacketFormatError:
-                continue
-            self.received.append(decode_ulaw(pkt.payload))
-            got += 1
-        return got
-
-    def close(self) -> None:
-        self.audio_sock.close()
-        self.control_sock.close()

@@ -97,12 +97,6 @@ class ActivityStream:
         self._buf[self._len : need] = bits
         self._len = need
 
-    def get(self, tick: Tick) -> bool:
-        """Speech bit at one tick; out-of-range ticks read as non-speech."""
-        if self.start_tick <= tick < self.end_tick:
-            return bool(self._buf[tick - self.start_tick])
-        return False
-
     def window(self, from_tick: Tick, to_tick: Tick) -> np.ndarray:
         """Bits covering [from_tick, to_tick), zero-padded outside the recording."""
         if from_tick > to_tick:

@@ -234,29 +234,3 @@ def estimate_clock_offset(t1: float, t2: float, t3: float, t4: float) -> ClockOf
     rtt = (t4 - t1) - (t3 - t2)
     return ClockOffset(offset_ms=offset, round_trip_ms=rtt)
 
-
-def loopback_latency_ms(depth_ms: int = 60, marker_tick: int = 5) -> int:
-    """Latency the framing and jitter stages add on a lossless loopback.
-
-    A marker impulse is captured into its frame at each 20 ms boundary,
-    packetized, pushed, and a frame is popped for playout at the same
-    cadence. The return value is how many milliseconds pass between the
-    marker entering capture and leaving toward the speaker. With the
-    defaults this is exactly the jitter depth; device and network
-    delays sit outside the measurement.
-    """
-    packetizer = Packetizer(ssrc=1)
-    buffer = JitterBuffer(depth_ms=depth_ms)
-    boundary = FRAME_MS
-    while boundary <= marker_tick + 100 * depth_ms + 1000:
-        start = boundary - FRAME_MS
-        frame = np.zeros(FRAME_SAMPLES, dtype=np.int16)
-        if start <= marker_tick < boundary:
-            frame[(marker_tick - start) * SAMPLES_PER_MS] = 8000
-        buffer.push(packetizer.packetize(frame))
-        played = decode_ulaw(buffer.pop())
-        hits = np.flatnonzero(np.abs(played.astype(np.int32)) > 2000)
-        if hits.size:
-            return boundary + int(hits[0]) // SAMPLES_PER_MS - marker_tick
-        boundary += FRAME_MS
-    raise RuntimeError("marker never played out")

@@ -61,9 +61,3 @@ def decode_ulaw(codes) -> np.ndarray:
         codes = np.frombuffer(codes, dtype=np.uint8)
     return _DECODE.take(np.asarray(codes, dtype=np.uint8))
 
-
-def step_size(pcm) -> np.ndarray:
-    """Quantization step of the segment each sample encodes into."""
-    mag = _biased_magnitude(pcm)
-    exponent = np.searchsorted(_SEG_EDGES, mag, side="right")
-    return (8 << exponent).astype(np.int32)

@@ -71,14 +71,6 @@ def level_db(mean_square: float) -> float:
     return 20.0 * math.log10(rms / FULL_SCALE)
 
 
-def frame_rms_db(frame: np.ndarray) -> float:
-    """RMS level of one PCM frame in dBFS (0 dB = 16-bit full scale)."""
-    x = np.asarray(frame).reshape(1, -1)
-    if x.shape[1] == 0:
-        return _SILENCE_DB
-    return level_db(float(mean_squares(x, x.shape[1])[0, 0]))
-
-
 def room_frame_bits(detectors: Sequence["VoiceActivityDetector"], pcm: np.ndarray) -> np.ndarray:
     """Each detector's decisions on its row of ``pcm``, fanned out to 1 ms bits.
 
@@ -132,10 +124,6 @@ class VoiceActivityDetector:
             self.noise_floor_db += cfg.noise_adapt_rate * (level - self.noise_floor_db)
             self.noise_floor_db = max(self.noise_floor_db, _NOISE_FLOOR_MIN_DB)
         return False
-
-    def process_frame(self, frame: np.ndarray) -> bool:
-        """Speech/non-speech decision for one frame, updating state."""
-        return self.decide(frame_rms_db(frame))
 
     def frame_bits(self, pcm: np.ndarray) -> np.ndarray:
         """Decisions for a longer chunk, fanned out to 1 ms bits.

@@ -2,13 +2,23 @@
 
 The two corpora use the same schedule but independent seeds, so any
 test that trains on one and evaluates on the other sees genuinely
-held-out turn timing.
+held-out turn timing. The loopback latency oracle is shared by the
+transport tests and the acceptance gate.
 """
 
+import numpy as np
 import pytest
 
 from floorspace.corpus import GeneratorConfig, generate
 from floorspace.learner import make_training_instances, train
+from floorspace.transport import (
+    FRAME_MS,
+    FRAME_SAMPLES,
+    SAMPLES_PER_MS,
+    JitterBuffer,
+    Packetizer,
+    decode_ulaw,
+)
 
 SPLIT = ((0, 1), (2, 3))
 MERGED = ((0, 1, 2, 3),)
@@ -56,3 +66,30 @@ def instances_for(corpus, sample_period_ms=1000):
 @pytest.fixture(scope="session")
 def floor_model(train_corpus):
     return train(instances_for(train_corpus))
+
+
+def loopback_latency_ms(depth_ms=60, marker_tick=5):
+    """Latency the framing and jitter stages add on a lossless loopback.
+
+    A marker impulse is captured into its frame at each 20 ms boundary,
+    packetized, pushed, and a frame is popped for playout at the same
+    cadence. The return value is how many milliseconds pass between the
+    marker entering capture and leaving toward the speaker. With the
+    defaults this is exactly the jitter depth; device and network
+    delays sit outside the measurement.
+    """
+    packetizer = Packetizer(ssrc=1)
+    buffer = JitterBuffer(depth_ms=depth_ms)
+    boundary = FRAME_MS
+    while boundary <= marker_tick + 100 * depth_ms + 1000:
+        start = boundary - FRAME_MS
+        frame = np.zeros(FRAME_SAMPLES, dtype=np.int16)
+        if start <= marker_tick < boundary:
+            frame[(marker_tick - start) * SAMPLES_PER_MS] = 8000
+        buffer.push(packetizer.packetize(frame))
+        played = decode_ulaw(buffer.pop())
+        hits = np.flatnonzero(np.abs(played.astype(np.int32)) > 2000)
+        if hits.size:
+            return boundary + int(hits[0]) // SAMPLES_PER_MS - marker_tick
+        boundary += FRAME_MS
+    raise RuntimeError("marker never played out")

@@ -829,24 +829,24 @@ def test_gain_constants():
 def test_gains_for_a_split_configuration():
     cfg = FloorConfiguration(((0, 1), (2,)), 0.9)
     gm = gains(cfg, [0, 1, 2])
-    assert gm.gain(0, 1) == 1.0
-    assert gm.gain(1, 0) == 1.0
-    assert gm.gain(0, 2) == 0.2
-    assert gm.gain(2, 0) == 0.2
-    assert gm.gain(2, 1) == 0.2
+    assert gm[0, 1] == 1.0
+    assert gm[1, 0] == 1.0
+    assert gm[0, 2] == 0.2
+    assert gm[2, 0] == 0.2
+    assert gm[2, 1] == 0.2
 
 
 def test_listener_never_hears_themselves():
     cfg = FloorConfiguration(((0, 1, 2),), 1.0)
     gm = gains(cfg, [0, 1, 2])
     for i in range(3):
-        assert gm.gain(i, i) == 0.0
+        assert gm[i, i] == 0.0
 
 
 def test_single_floor_is_all_normal_gain():
     cfg = FloorConfiguration(((0, 1, 2, 3),), 1.0)
     gm = gains(cfg, range(4))
-    off_diag = gm.matrix[~np.eye(4, dtype=bool)]
+    off_diag = gm[~np.eye(4, dtype=bool)]
     assert np.all(off_diag == 1.0)
 
 
@@ -857,4 +857,4 @@ def test_gain_values_form_three_levels_only():
         parts = enumerate_partitions(ids)
         part = parts[int(rng.integers(0, len(parts)))]
         gm = gains(FloorConfiguration(part, 0.5), ids)
-        assert set(np.unique(gm.matrix)) <= {0.0, QUIET_GAIN, NORMAL_GAIN}
+        assert set(np.unique(gm)) <= {0.0, QUIET_GAIN, NORMAL_GAIN}

@@ -230,6 +230,17 @@ def test_serve_requires_a_model(capsys):
     assert "model" in capsys.readouterr().err
 
 
+def test_serve_reports_a_vad_that_is_not_an_object(tmp_path, art, capsys):
+    path = tmp_path / "server.json"
+    for vad in (None, 5, [1]):
+        path.write_text(json.dumps({"model_path": str(art.model), "vad": vad}))
+        rc = main(["serve", "--config", str(path), "--audio-port", "0",
+                   "--control-port", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad server config" in err
+
+
 # --- argument errors ----------------------------------------------------------
 
 

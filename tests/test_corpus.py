@@ -1,5 +1,8 @@
 """Labeled corpora: validation, the text format, and synthetic generation."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from floorspace.corpus import (
     save_corpus,
 )
 from floorspace.errors import CorpusError
-from floorspace.segmenter import SegmenterConfig, segment
+from floorspace.segmenter import speech_runs
 
 from conftest import four_party_config
 
@@ -219,9 +222,7 @@ def test_schedule_validation():
 def test_config_round_trips_through_json(tmp_path):
     cfg = four_party_config(seed=9, duration_ms=60_000, epoch_ms=30_000)
     path = tmp_path / "gen.json"
-    import json
-
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     back = GeneratorConfig.from_json_file(str(path))
     assert back == cfg
 
@@ -252,12 +253,11 @@ def test_streams_resegment_to_the_recorded_turns():
     cfg = four_party_config(seed=13, duration_ms=60_000, epoch_ms=30_000)
     c = generate(cfg)
     streams = c.streams()
-    zero = SegmenterConfig(min_utterance_ms=1, bridge_gap_ms=0)
     for name, pid in c.ids.items():
         expected = coalesce(
-            [(r.start_ms, r.end_ms) for r in c.records_of(name)]
+            [(r.start_ms, r.end_ms) for r in c.records if r.participant == name]
         )
-        got = [(u.start, u.end) for u in segment(streams[pid], zero)]
+        got = speech_runs(streams[pid].bits)
         assert got == expected
 
 

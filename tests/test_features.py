@@ -167,7 +167,8 @@ def test_overlap_matches_per_tick_oracle():
         now = int(rng.integers(0, 2500))
 
         def count(lo, hi):
-            return sum(1 for t in range(lo, hi) if a.get(t) and b.get(t))
+            # ticks outside [0, dur) are silence
+            return sum(1 for t in range(max(lo, 0), min(hi, dur)) if a.bits[t] and b.bits[t])
 
         expected = (
             count(now - 1000, now),

@@ -324,7 +324,7 @@ def _reference_mix(ids, listener, tracks, ticks, chosen, n):
     for a in range(0, n, fs):
         i = int(np.searchsorted(ticks, a // 8, side="right")) - 1
         part = chosen[i] if i >= 0 else singletons
-        row = gains(FloorConfiguration(part, 0.0), ids).matrix[ids.index(listener)]
+        row = gains(FloorConfiguration(part, 0.0), ids)[ids.index(listener)]
         frames = np.array([tracks[pid][a : a + fs] for pid in ids])
         out.append(mixer.mix_frame([listener], ids, frames, [row])[0])
     return np.concatenate(out)

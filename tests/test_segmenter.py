@@ -3,9 +3,13 @@
 import json
 
 import numpy as np
-import pytest
 
-from floorspace.segmenter import OnlineSegmenter, SegmenterConfig, segment, speech_runs
+from floorspace.segmenter import (
+    MIN_UTTERANCE_MS,
+    OnlineSegmenter,
+    segment,
+    speech_runs,
+)
 from floorspace.timeline import ActivityStream, stream_from_intervals
 
 
@@ -44,11 +48,9 @@ def test_bridged_runs_can_pass_the_minimum_together():
 
 def test_zero_thresholds_reproduce_maximal_runs():
     rng = np.random.default_rng(13)
-    cfg = SegmenterConfig(min_utterance_ms=1, bridge_gap_ms=0)
     for _ in range(100):
         bits = rng.random(int(rng.integers(1, 400))) < 0.3
-        s = ActivityStream(0, bits=bits)
-        got = [(u.start, u.end) for u in segment(s, cfg)]
+        got = speech_runs(bits)
         expected = []
         t = 0
         while t < len(bits):
@@ -84,14 +86,15 @@ def test_speech_runs_edge_patterns():
 
 
 def test_runs_and_views_hold_python_ints():
-    # runs inside a chunk and runs touching either end of it
-    chunks = [np.zeros(160, dtype=bool) for _ in range(3)]
+    # runs inside a chunk and runs touching either end of it; the gaps
+    # between chunks' runs are too long to bridge
+    chunks = [np.zeros(400, dtype=bool) for _ in range(3)]
     chunks[0][5:] = True
     chunks[1][:40] = True
-    chunks[1][70:] = True
+    chunks[1][300:] = True
     chunks[2][:100] = True
-    chunks[2][120:140] = True
-    online = OnlineSegmenter(0, SegmenterConfig(min_utterance_ms=1, bridge_gap_ms=0))
+    chunks[2][300:] = True
+    online = OnlineSegmenter(0)
     for bits in chunks:
         for run in speech_runs(bits):
             assert [type(x) for x in run] == [int, int]
@@ -99,7 +102,7 @@ def test_runs_and_views_hold_python_ints():
         view = online.view()
         assert all(type(x) is int for x in view[0] + view[1])
         json.dumps(view)
-    assert online.view() == ([5, 230, 440], [200, 420, 460])
+    assert online.view() == ([5, 700, 1100], [440, 900, 1200])
 
 
 def test_utterances_are_disjoint_and_ordered():
@@ -110,7 +113,7 @@ def test_utterances_are_disjoint_and_ordered():
         for u, v in zip(utts, utts[1:]):
             assert u.end <= v.start
         for u in utts:
-            assert u.duration_ms >= SegmenterConfig().min_utterance_ms
+            assert u.duration_ms >= MIN_UTTERANCE_MS
 
 
 def test_segmentation_is_idempotent():
@@ -170,7 +173,7 @@ def test_online_keeps_only_the_newest_run_over_ten_minutes():
 
 
 def test_online_run_split_across_chunks_stays_one_utterance():
-    online = OnlineSegmenter(0, SegmenterConfig(min_utterance_ms=1, bridge_gap_ms=0))
+    online = OnlineSegmenter(0)
     online.feed(np.ones(50, dtype=bool))
     online.feed(np.ones(50, dtype=bool))
     starts, ends = online.view()
@@ -184,9 +187,3 @@ def test_online_respects_start_tick():
     assert (starts, ends) == ([500], [700])
     assert online.end_tick == 700
 
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SegmenterConfig(min_utterance_ms=0)
-    with pytest.raises(ValueError):
-        SegmenterConfig(bridge_gap_ms=-5)

@@ -2,8 +2,10 @@
 
 import contextlib
 import socket
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,15 @@ from floorspace.errors import CapacityError, FloorspaceError, PacketFormatError
 from floorspace.features import LOOKBACK_MS as LOOKBACK
 from floorspace.server import (
     RealtimeServer,
-    ScriptedClient,
     ServerConfig,
     decode_message,
     encode_message,
 )
 from floorspace.transport import AudioPacket, Packetizer, decode_ulaw
+
+# the scripted client lives beside the live demo, which uses it too
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "demos"))
+from loopback_client import ScriptedClient  # noqa: E402
 
 LOUD = np.full(160, 8000, dtype=np.int16)
 QUIET = np.zeros(160, dtype=np.int16)
@@ -153,7 +158,7 @@ def test_config_rejects_a_vad_frame_that_does_not_divide_the_transport_frame(flo
 
 def test_config_rejects_bad_vad_fields():
     # the file's errors reach the command line as config errors, not tracebacks
-    for vad in ({"hangover_ms": -1}, {"frame_ms": 0}, {"bogus": 1}):
+    for vad in ({"hangover_ms": -1}, {"frame_ms": 0}, {"bogus": 1}, None, 5, [1]):
         with pytest.raises(FloorspaceError, match="bad server config"):
             ServerConfig.from_dict({"vad": vad})
 
@@ -268,18 +273,70 @@ def test_unknown_message_type_gets_an_error(floor_model):
             assert "unknown message type" in reply["message"]
 
 
+def framed(body: bytes) -> bytes:
+    """A control datagram around a body written by hand, not by json.dumps."""
+    return len(body).to_bytes(4, "big") + body
+
+
 def test_malformed_bytes_get_an_error_reply(floor_model):
     with running_server(floor_model) as srv:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.bind(("127.0.0.1", 0))
         sock.settimeout(2.0)
         try:
-            body = b"garbage"
-            sock.sendto(len(body).to_bytes(4, "big") + body, srv.control_addr)
+            sock.sendto(framed(b"garbage"), srv.control_addr)
             reply = decode_message(sock.recvfrom(65536)[0])
             assert reply["type"] == "error"
         finally:
             sock.close()
+
+
+def test_a_pin_with_an_empty_floor_gets_an_error(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 1) as a, joined(srv, "bob", 2):
+            body = b'{"type":"pin","owner":"alice","floors":[["alice","bob"],[]]}'
+            a.control_sock.sendto(framed(body), srv.control_addr)
+            reply = decode_message(a.control_sock.recvfrom(65536)[0])
+            assert reply["type"] == "error"
+            assert "empty" in reply["message"]
+            assert a.request({"type": "status"})["type"] == "status"
+            assert srv.tracker.assigner.pinned is None
+
+
+def test_a_join_with_an_ssrc_past_float_range_gets_an_error(floor_model):
+    with running_server(floor_model) as srv:
+        client = ScriptedClient("x", 1, srv.audio_addr, srv.control_addr)
+        try:
+            body = b'{"type":"join","name":"x","ssrc":1e400}'
+            client.control_sock.sendto(framed(body), srv.control_addr)
+            reply = decode_message(client.control_sock.recvfrom(65536)[0])
+            assert reply["type"] == "error"
+            assert "malformed join" in reply["message"]
+            assert client.request({"type": "status"})["type"] == "status"
+            assert not srv.sessions
+        finally:
+            client.close()
+
+
+def test_a_stray_sync_response_past_float_range_is_dropped(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 1) as a:
+            for name in (b"nobody", b"alice"):  # unknown, and nothing pending
+                body = b'{"type":"sync_response","name":"%s","t1":1e400,"t2":0,"t3":0}' % name
+                a.control_sock.sendto(framed(body), srv.control_addr)
+                # no reply to the stray: the next one is the status
+                assert a.request({"type": "status"})["type"] == "status"
+            assert srv.sessions["alice"].clock is None
+
+
+def test_deeply_nested_control_json_gets_an_error(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 1) as a:
+            body = b'{"type":"status","x":' + b"[" * 20_000 + b"]" * 20_000 + b"}"
+            a.control_sock.sendto(framed(body), srv.control_addr)
+            reply = decode_message(a.control_sock.recvfrom(65536)[0])
+            assert reply["type"] == "error"
+            assert a.request({"type": "status"})["type"] == "status"
 
 
 # --- audio plane ---------------------------------------------------------------

@@ -16,10 +16,10 @@ from floorspace.transport import (
     encode_room,
     encode_ulaw,
     estimate_clock_offset,
-    loopback_latency_ms,
     seq_delta,
 )
-from floorspace.ulaw import step_size
+
+from conftest import loopback_latency_ms
 
 # classic reference codec, transcribed scalar-by-scalar: 14-bit
 # domain, table-driven segment search
@@ -45,6 +45,14 @@ def ref_decode(code):
     t = ((u & 0x0F) << 3) + 0x84
     t <<= (u & 0x70) >> 4
     return 0x84 - t if u & 0x80 else t - 0x84
+
+
+def step_size(pcm):
+    """Quantization step of the segment each sample encodes into: 8 << s,
+    where segment s holds biased magnitudes in [0x100 << (s - 1), 0x100 << s)."""
+    mag = np.minimum(np.abs(np.asarray(pcm, dtype=np.int32)), 32635) + 0x84
+    segment = np.searchsorted(0x100 << np.arange(7), mag, side="right")
+    return 8 << segment
 
 
 # --- mu-law -----------------------------------------------------------------

@@ -12,11 +12,22 @@ from floorspace.vad import (
     VadConfig,
     VoiceActivityDetector,
     detect,
-    frame_rms_db,
+    level_db,
+    mean_squares,
     room_frame_bits,
 )
 
 FULL_SCALE = 32768.0
+
+
+def frame_rms_db(frame):
+    """RMS level of one PCM frame in dBFS (0 dB = 16-bit full scale), alone.
+
+    All-zero frames read as -200 dB, the detector's stand-in for log10(0).
+    """
+    x = np.asarray(frame, dtype=np.float64)
+    rms = math.sqrt(float(np.mean(x * x)))
+    return 20.0 * math.log10(rms / FULL_SCALE) if rms > 0.0 else -200.0
 
 
 def tone(duration_ms, amplitude, freq_hz=440.0):
@@ -133,7 +144,7 @@ def test_frame_bits_match_streaming_decisions():
     fs = det.cfg.frame_samples
     expected = []
     for i in range(len(pcm) // fs):
-        expected += [det.process_frame(pcm[i * fs : (i + 1) * fs])] * det.cfg.frame_ms
+        expected += [det.decide(frame_rms_db(pcm[i * fs : (i + 1) * fs]))] * det.cfg.frame_ms
     got = VoiceActivityDetector().frame_bits(pcm)
     assert list(got) == expected
 
@@ -156,6 +167,9 @@ def test_frame_rms_db_reference_points():
     assert frame_rms_db(np.zeros(80, dtype=np.int16)) < -100.0
     const = np.full(80, int(FULL_SCALE / 2), dtype=np.int16)
     assert frame_rms_db(const) == pytest.approx(-6.02, abs=0.01)
+    # the detector's own level of a frame's mean square agrees to the bit
+    for frame in (np.zeros(80, dtype=np.int16), const):
+        assert level_db(float(mean_squares(frame[None], 80)[0, 0])) == frame_rms_db(frame)
 
 
 # --- a room of detectors -------------------------------------------------------
