@@ -594,7 +594,16 @@ class RealtimeServer:
                 continue
             except OSError:
                 break
-            handler(data, addr)
+            try:
+                handler(data, addr)
+            except Exception:
+                # a datagram no handler foresaw must not end this thread
+                log.exception("%s: datagram from %s failed", threading.current_thread().name, addr)
+                with self._lock:
+                    if sock is self.control_sock:
+                        self.control_rejects += 1
+                    else:
+                        self.audio_rejects += 1
 
     def run(self) -> None:
         """Paced pump loop; blocks until stop() or KeyboardInterrupt."""

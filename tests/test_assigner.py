@@ -1,5 +1,6 @@
 """Partition enumeration, configuration scoring, and the period assigner."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,9 @@ from floorspace.assigner import (
     PairRow,
     QUIET_GAIN,
     TIE_TOLERANCE,
+    _Level,
+    _PartitionScorer,
+    _level,
     _scorer,
     bell_number,
     canonical_partition,
@@ -183,6 +187,52 @@ def test_scorer_rows_follow_the_enumeration_and_rank_like_the_tie_rule():
         assert [scorer.row_of(part, ids) for part in parts] == list(range(len(parts)))
         by_rule = sorted(range(len(parts)), key=lambda r: (len(parts[r]), parts[r]))
         assert list(np.argsort(scorer.rank)) == by_rule
+
+
+def rank_oracle(top):
+    """``_PartitionScorer.rank`` computed over the whole table at once."""
+    labels = top.labels.astype(np.intp)
+    rows, n = labels.shape
+    order = np.argsort(labels * n + np.arange(n), axis=1, kind="stable")
+    block = np.take_along_axis(labels, order, axis=1)
+    code = np.zeros((rows, 2 * n), dtype=np.int8)
+    code[np.arange(rows)[:, None], np.arange(n) + block] = order + 1
+    keys = [code[:, c] for c in range(2 * n - 1, -1, -1)] + [top.n_blocks]
+    rank = np.empty(rows, dtype=np.intp)
+    rank[np.lexsort(keys)] = np.arange(rows)
+    return rank
+
+
+def mask_oracle(level):
+    """``_Level.mask`` computed over the whole table at once."""
+    x = level.labels.shape[1] - 1
+    same = level.labels[:, :x] == level.labels[:, x:]
+    return same.astype(np.intp) @ (1 << np.arange(x, dtype=np.intp))
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_tables_built_in_chunks_equal_the_whole_table_formulas(n):
+    scorer = _scorer(n)
+    assert scorer.rank.dtype == np.intp
+    assert np.array_equal(scorer.rank, rank_oracle(scorer.top))
+    for x in range(1, n):
+        assert _level(x).mask.dtype == np.intp
+        assert np.array_equal(_level(x).mask, mask_oracle(_level(x)))
+
+
+def traced_peak_mb(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_ten_person_tables_build_in_bounded_memory():
+    _level(9)  # the scorer's own levels come from the cache
+    assert traced_peak_mb(lambda: _PartitionScorer(10)) <= 16
+    assert traced_peak_mb(lambda: _Level(_level(8))) <= 8
 
 
 @st.composite
@@ -407,6 +457,11 @@ def test_pin_must_cover_the_participants():
     a = FloorAssigner()
     with pytest.raises(ValueError):
         a.pin([(0, 1)], owner="host", participants=[0, 1, 2])
+
+
+def test_pin_rejects_an_empty_floor():
+    with pytest.raises(ValueError, match="empty"):
+        FloorAssigner().pin([(0, 1), ()], owner=0, participants=[0, 1])
 
 
 def test_unpin_requires_the_owner():

@@ -339,6 +339,46 @@ def test_deeply_nested_control_json_gets_an_error(floor_model):
             assert a.request({"type": "status"})["type"] == "status"
 
 
+def raising_once(monkeypatch, name):
+    """Make the server's handler ``name`` raise on its next call only."""
+    original = getattr(RealtimeServer, name)
+    armed = []
+
+    def handler(self, data, addr):
+        if armed:
+            armed.clear()
+            raise RuntimeError("unforeseen")
+        return original(self, data, addr)
+
+    monkeypatch.setattr(RealtimeServer, name, handler)
+    return armed
+
+
+def test_an_unforeseen_control_error_is_counted_and_the_thread_goes_on(floor_model, monkeypatch):
+    armed = raising_once(monkeypatch, "_handle_control")
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 1) as a:
+            before = srv.control_rejects
+            armed.append(True)
+            a.control_sock.sendto(encode_message({"type": "status"}), srv.control_addr)
+            assert a.request({"type": "status"})["type"] == "status"
+            assert srv.control_rejects == before + 1
+            assert srv.audio_rejects == 0
+
+
+def test_an_unforeseen_audio_error_is_counted_and_the_thread_goes_on(floor_model, monkeypatch):
+    armed = raising_once(monkeypatch, "_handle_audio")
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 1) as a:
+            armed.append(True)
+            a.send_frame(LOUD)
+            assert wait_for(lambda: srv.audio_rejects == 1)
+            a.send_frame(LOUD)
+            assert wait_for(lambda: len(srv.sessions["alice"].inbox) == 1)
+            assert srv.audio_rejects == 1
+            assert srv.control_rejects == 0
+
+
 # --- audio plane ---------------------------------------------------------------
 
 
