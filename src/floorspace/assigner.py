@@ -27,7 +27,7 @@ Scores within TIE_TOLERANCE of the best count as tied, so the order
 of summation cannot decide. Ties break toward the previously chosen
 configuration, then toward fewer floors, then toward the
 lexicographically smallest canonical form, so the choice is
-deterministic.
+deterministic. Only tied rows are ranked, when a tie occurs.
 
 ``FloorAssigner.assign`` accepts the posteriors as any ``Mapping``
 from unordered pair to probability: a plain dict, or the ``PairRow``
@@ -74,6 +74,7 @@ from __future__ import annotations
 import collections.abc
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,7 +88,7 @@ NEUTRAL_SCORE = 0.5  # score of a configuration with no pairs to witness it
 TIE_TOLERANCE = 1e-12
 DENSE_MEMBERS = 8  # members scored by one dense product before growing
 PRIMED_SUMS = 1 << 16  # within-floor sums stacked at once by FloorAssigner.prime
-_RANKED_ROWS = 1 << 13  # partitions whose rank codes _PartitionScorer._rank builds at once
+_GROWN_ROWS = 1 << 15  # rows whose block sums _PartitionScorer.within adds at once
 NORMAL_GAIN = 1.0
 QUIET_GAIN = 0.2
 EVAL_PERIOD_MS = 30
@@ -186,10 +187,12 @@ def enumerate_partitions(participants: Sequence[int]) -> List[Partition]:
 
 
 def bell_number(n: int) -> int:
-    """Number of set partitions of n elements (number of floor configurations)."""
-    if n == 0:
-        return 1
-    return len(enumerate_partitions(range(n)))
+    """Number of set partitions of n elements (floor configurations), by the Bell triangle."""
+    _check_capacity(n)
+    row = [1]
+    for _ in range(n):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[0]
 
 
 def score(partition: Iterable[Iterable[int]], posteriors: Mapping[PairKey, float]) -> float:
@@ -225,14 +228,14 @@ class _Level:
     row grown from each row of the level below.
 
     The mask is built one earlier member at a time: the ten-person level
-    (115,975 rows) keeps 3.0 MB and peaks at 6.0 MB while it is built,
-    where one integer product over the whole table would peak at 13.0 MB.
+    (115,975 rows) keeps 2.3 MB and peaks at 4.3 MB while it is built,
+    where one integer product over the whole table would peak at 12.9 MB.
     """
 
     def __init__(self, below: Optional["_Level"]):
         if below is None:
             self.labels = np.zeros((1, 1), dtype=np.int8)
-            self.n_blocks = np.ones(1, dtype=np.intp)
+            self.n_blocks = np.ones(1, dtype=np.int8)
             self.mask = np.zeros(1, dtype=np.intp)
             self.starts = np.zeros(1, dtype=np.intp)
             return
@@ -253,6 +256,16 @@ class _Level:
 @lru_cache(maxsize=None)
 def _level(x: int) -> _Level:
     return _Level(_level(x - 1) if x > 0 else None)
+
+
+@lru_cache(maxsize=None)
+def _dense(k: int) -> np.ndarray:
+    """The 0/1 same-floor table of k members' partitions, one column per
+    pair; the scorers of every room of k or more members share it."""
+    labels = _level(k - 1).labels
+    return np.stack(
+        [labels[:, a] == labels[:, b] for a, b in unordered_pairs(range(k))], axis=1
+    ).astype(np.float64)
 
 
 def _pair_index(n: int, a: int, b: int) -> int:
@@ -279,48 +292,25 @@ class _PartitionScorer:
         self.top = _level(n - 1)
         self.pair_members = np.array(unordered_pairs(range(n)), dtype=np.intp).T
         k = min(n, DENSE_MEMBERS)
-        labels = _level(k - 1).labels
         pairs = unordered_pairs(range(k))
         self.base_index = np.array([_pair_index(n, a, b) for a, b in pairs], dtype=np.intp)
-        self.base = np.stack(
-            [labels[:, a] == labels[:, b] for a, b in pairs], axis=1
-        ).astype(np.float64)
+        self.base = _dense(k)
         self.growth = []
         for x in range(k, n):
             subsets = (np.arange(1 << x)[:, None] >> np.arange(x) & 1).astype(np.float64)
             columns = np.array([_pair_index(n, j, x) for j in range(x)], dtype=np.intp)
-            repeats = _level(x - 1).n_blocks + 1
+            repeats = _level(x - 1).n_blocks.astype(np.intp) + 1
             self.growth.append((repeats, _level(x).mask, subsets, columns))
-        self.rank = self._rank()
-
-    def _rank(self) -> np.ndarray:
-        """Each top row's place in the order of (len(part), part).
-
-        The rows' codes are built _RANKED_ROWS at a time, so the wide
-        integer temporaries stay the size of one chunk. At ten members
-        the rank keeps 0.9 MB and peaks at 7.0 MB, most of it the codes
-        and their sort; codes built in one shot would peak at 47 MB.
-        """
-        rows, n = self.top.labels.shape
-        # a partition flattened as its blocks' members + 1, each block
-        # closed by a 0, compares like the tuple of tuples it encodes
-        code = np.zeros((rows, 2 * n), dtype=np.int8)
-        for lo in range(0, rows, _RANKED_ROWS):
-            labels = self.top.labels[lo : lo + _RANKED_ROWS].astype(np.intp)
-            order = np.argsort(labels * n + np.arange(n), axis=1, kind="stable")
-            block = np.take_along_axis(labels, order, axis=1)
-            code[np.arange(lo, lo + len(labels))[:, None], np.arange(n) + block] = order + 1
-        keys = [code[:, c] for c in range(2 * n - 1, -1, -1)] + [self.top.n_blocks]
-        rank = np.empty(rows, dtype=np.intp)
-        rank[np.lexsort(keys)] = np.arange(rows)
-        return rank
 
     def within(self, w: np.ndarray) -> np.ndarray:
         """Per row, the summed weights of the pairs it puts in one floor."""
         total = self.base @ w[self.base_index]
         for repeats, mask, subsets, columns in self.growth:
             total = np.repeat(total, repeats)
-            total += (subsets @ w[columns]).take(mask)
+            sums = subsets @ w[columns]
+            # in slices: a second full-size temporary made malloc trim and refault the heap
+            for lo in range(0, len(total), _GROWN_ROWS):
+                total[lo : lo + _GROWN_ROWS] += sums.take(mask[lo : lo + _GROWN_ROWS])
         return total
 
     def within_row(self, w: np.ndarray, row: int) -> np.float64:
@@ -409,8 +399,18 @@ class _TieSet:
         self.rows = rows
         self.within = within
         self.apart = apart
-        # fewest floors, then the smallest canonical form
-        self.first = int(np.argmin(scorer.rank[rows]))
+        # fewest floors, then the smallest canonical form, over these rows only
+        floors = scorer.top.n_blocks[rows]
+        fewest = np.flatnonzero(floors == floors.min())
+        labels = scorer.top.labels[rows[fewest]].astype(np.intp)
+        k, n = labels.shape
+        # a partition flattened as its blocks' members + 1, each block
+        # closed by a 0, compares like the tuple of tuples it encodes
+        order = np.argsort(labels * n + np.arange(n), axis=1, kind="stable")
+        block = np.take_along_axis(labels, order, axis=1)
+        code = np.zeros((k, 2 * n), dtype=np.int8)
+        code[np.arange(k)[:, None], np.arange(n) + block] = order + 1
+        self.first = int(fewest[np.lexsort(code.T[::-1])[0]])
 
     def pick(self, previous: Optional[FloorConfiguration]) -> FloorConfiguration:
         i = self.first
@@ -615,7 +615,7 @@ class FloorAssigner:
         new[0] = self._last is None or self._last[0] != (ids, block[0].tobytes())
         rows = block[new]
         # in slices, so the stacked sums stay small in rooms of eight
-        step = max(1, PRIMED_SUMS // len(_scorer(len(ids)).rank))
+        step = max(1, PRIMED_SUMS // len(_scorer(len(ids)).top.labels))
         for i in range(0, len(rows), step):
             part = rows[i : i + step]
             keys = [(ids, row.tobytes()) for row in part]

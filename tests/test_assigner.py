@@ -18,10 +18,14 @@ from floorspace.assigner import (
     QUIET_GAIN,
     TIE_TOLERANCE,
     _Level,
-    _PartitionScorer,
+    _TieSet,
+    _dense,
     _level,
+    _partition_at,
+    _partitions_of_range,
     _scorer,
     bell_number,
+    build_scorers,
     canonical_partition,
     enumerate_partitions,
     gains,
@@ -31,7 +35,7 @@ from floorspace.assigner import (
 )
 from floorspace.errors import CapacityError, PinPermissionError
 
-BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
 
 def rgs_partitions(n):
@@ -86,6 +90,14 @@ def test_partition_counts_match_bell_numbers():
     for n in range(0, 9):
         assert bell_number(n) == BELL[n]
         assert len(enumerate_partitions(range(n))) == BELL[n]
+
+
+def test_bell_numbers_list_no_partitions():
+    _partitions_of_range.cache_clear()
+    assert [bell_number(n) for n in range(MAX_PARTICIPANTS + 1)] == BELL
+    assert _partitions_of_range.cache_info().currsize == 0
+    with pytest.raises(CapacityError):
+        bell_number(MAX_PARTICIPANTS + 1)
 
 
 def test_enumeration_matches_growth_string_construction():
@@ -178,19 +190,37 @@ def test_score_matches_oracle_on_random_inputs():
         )
 
 
+def tie_pick(scorer, ids, rows):
+    """The row a tie set over ``rows`` picks with no previous choice."""
+    tie = _TieSet(scorer, tuple(ids), rows, np.zeros(len(rows)), 0.0)
+    return int(rows[tie.first])
+
+
+def tie_subsets(rng, scorer):
+    """60 sets of rows of random size and order, then every row of each floor count."""
+    rows = len(scorer.top.labels)
+    for _ in range(60):
+        size = int(rng.integers(1, min(rows, 200) + 1))
+        yield rng.choice(rows, size, replace=False)
+    for floors in np.unique(scorer.top.n_blocks):
+        yield np.flatnonzero(scorer.top.n_blocks == floors)
+
+
 def test_scorer_rows_follow_the_enumeration_and_rank_like_the_tie_rule():
+    rng = np.random.default_rng(15)
     for n in range(2, 8):
         ids = list(range(10, 10 + 2 * n, 2))
         parts = enumerate_partitions(ids)
         scorer = _scorer(n)
         assert [scorer.partition(r, ids) for r in range(len(parts))] == parts
         assert [scorer.row_of(part, ids) for part in parts] == list(range(len(parts)))
-        by_rule = sorted(range(len(parts)), key=lambda r: (len(parts[r]), parts[r]))
-        assert list(np.argsort(scorer.rank)) == by_rule
+        for rows in tie_subsets(rng, scorer):
+            by_rule = min(rows.tolist(), key=lambda r: (len(parts[r]), parts[r]))
+            assert tie_pick(scorer, ids, rows) == by_rule
 
 
 def rank_oracle(top):
-    """``_PartitionScorer.rank`` computed over the whole table at once."""
+    """Each row's place in the order of (len(part), part), over the whole table at once."""
     labels = top.labels.astype(np.intp)
     rows, n = labels.shape
     order = np.argsort(labels * n + np.arange(n), axis=1, kind="stable")
@@ -213,26 +243,44 @@ def mask_oracle(level):
 @pytest.mark.parametrize("n", [8, 9, 10])
 def test_tables_built_in_chunks_equal_the_whole_table_formulas(n):
     scorer = _scorer(n)
-    assert scorer.rank.dtype == np.intp
-    assert np.array_equal(scorer.rank, rank_oracle(scorer.top))
+    rank = rank_oracle(scorer.top)
+    ids = list(range(3, 3 + n))
+    for rows in tie_subsets(np.random.default_rng(n), scorer):
+        assert tie_pick(scorer, ids, rows) == rows[np.argmin(rank[rows])]
+    every = np.arange(len(rank))
+    assert scorer.partition(tie_pick(scorer, ids, every), ids) == (tuple(ids),)
     for x in range(1, n):
+        assert _level(x).n_blocks.dtype == np.int8
         assert _level(x).mask.dtype == np.intp
         assert np.array_equal(_level(x).mask, mask_oracle(_level(x)))
 
 
-def traced_peak_mb(build):
+def traced_mb(build):
+    """The traced memory ``build`` keeps and its peak, in MB."""
     tracemalloc.start()
     try:
         build()
-        return tracemalloc.get_traced_memory()[1] / 2**20
+        return [b / 2**20 for b in tracemalloc.get_traced_memory()]
     finally:
         tracemalloc.stop()
 
 
 def test_the_ten_person_tables_build_in_bounded_memory():
-    _level(9)  # the scorer's own levels come from the cache
-    assert traced_peak_mb(lambda: _PartitionScorer(10)) <= 16
-    assert traced_peak_mb(lambda: _Level(_level(8))) <= 8
+    for cache in (_partition_at, _scorer, _dense, _level):
+        cache.cache_clear()
+    kept, peak = traced_mb(lambda: build_scorers(10))
+    assert kept <= 5 and peak <= 8
+    assert _scorer(8).base is _scorer(10).base
+    assert traced_mb(lambda: _Level(_level(8)))[1] <= 8
+
+
+def test_a_ten_person_search_makes_one_full_size_array():
+    # its result (0.88 MB) and one slice of block sums; a second
+    # full-size temporary let malloc trim and refault the heap per search
+    scorer = _scorer(10)
+    w = 2.0 * np.random.default_rng(10).random(scorer.m) - 1.0
+    scorer.within(w)
+    assert traced_mb(lambda: scorer.within(w))[1] <= 1.25
 
 
 @st.composite
