@@ -19,7 +19,7 @@ from floorspace import (
     save_model,
     train,
 )
-from floorspace.features import NO_GAP, FeatureEngine
+from floorspace.features import NO_GAP, FeatureBinning, FeatureEngine
 from floorspace.learner import posterior_batch
 
 # four people, two floors, ten minutes: A+B talk, C+D talk
@@ -36,13 +36,13 @@ ids = sorted(corpus.ids.values())
 print(f"corpus: {len(corpus.records)} turns, participants {sorted(corpus.ids)}")
 
 # the engine the tracker and training use: activity in, every pair's
-# features at a batch of instants out
+# features at a batch of instants out, over the default binning's windows
 now = 120_000
 views = {
     pid: (lambda u=utterances[pid]: ([x.start for x in u], [x.end for x in u]))
     for pid in ids
 }
-engine = FeatureEngine(ids, views)
+engine = FeatureEngine(ids, views, FeatureBinning())
 for pid in ids:
     engine.add_activity(pid, streams[pid].window(0, now))
 raw = engine.raw([now])

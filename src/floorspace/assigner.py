@@ -463,12 +463,12 @@ def _decide_block(rows: np.ndarray, ids: Tuple[int, ...]) -> list:
     """``_decide``'s outcome for each row of posteriors ``rows``, to the bit,
     in a room of at most DENSE_MEMBERS.
 
-    Each row's within-floor sums come from the same ``within`` call as
-    a search's; the weights, the sums of 1 - p, the tie cut and the
-    argmax are taken over the stacked rows.
+    The within-floor sums come from one stacked product, run as one
+    product per row like ``within``'s; the weights, the sums of 1 - p,
+    the tie cut and the argmax are taken over the stacked rows.
     """
     scorer = _scorer(len(ids))
-    within = np.stack([scorer.within(w) for w in 2.0 * rows - 1.0])
+    within = (scorer.base @ (2.0 * rows - 1.0)[:, scorer.base_index, None])[..., 0]
     tied = within >= (within.max(axis=1) - TIE_TOLERANCE * scorer.m)[:, None]
     apart = (1.0 - rows).sum(axis=1)
     winner = within.argmax(axis=1)

@@ -60,6 +60,7 @@ def cmd_train(args) -> int:
         np.concatenate([s.labels for s in sets]),
         np.concatenate([s.gaps for s in sets]),
         np.concatenate([s.overlaps for s in sets]),
+        sets[0].binning,  # every set is made with the default binning
     )
     model = train(instances)
     save_model(model, args.out)

@@ -93,7 +93,9 @@ class FloorTracker:
         self.assigner = assigner or FloorAssigner()
         self.posterior_override = posterior_override
 
-        self._engine = FeatureEngine(participants, views, start_tick, step_ms=EVAL_PERIOD_MS)
+        self._engine = FeatureEngine(
+            participants, views, model.binning, start_tick, step_ms=EVAL_PERIOD_MS
+        )
         self.pairs = unordered_pairs(self.participants)
         self._next_eval = (start_tick // EVAL_PERIOD_MS + 1) * EVAL_PERIOD_MS
 
@@ -174,7 +176,7 @@ class FloorTracker:
                 dtype=np.float64,
             )
         m = len(self.pairs)
-        bins = self._engine.binned(ticks, self.model.binning)
+        bins = self._engine.binned(ticks)
         directed = posterior_batch(self.model, bins.reshape(-1, 4)).reshape(len(ticks), 2 * m)
         return 0.5 * (directed[:, :m] + directed[:, m:])
 

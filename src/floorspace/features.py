@@ -12,8 +12,10 @@ progress contributes its running end.
 
 ``FeatureEngine`` computes them for every pair at a batch of instants
 in array operations; training, replay and the live server all use it.
-``trp_gap_from_arrays`` and ``simultaneous_speech`` are the scalar
-definitions it is tested against.
+It counts over the three windows of the model's ``FeatureBinning``
+(by default 1/14/15 s, so a 30 s lookback), which also clips the gap
+(by default at 5 s) as it bins it. ``trp_gap_from_arrays`` and
+``simultaneous_speech`` are the scalar definitions it is tested against.
 """
 
 from __future__ import annotations
@@ -36,14 +38,12 @@ import numpy as np
 
 from .timeline import ActivityStream, Tick
 
-# Gaps are clipped to this magnitude; anything further apart carries
-# no alignment information worth distinguishing.
+# FeatureBinning's defaults. Gaps are clipped to TRP_CLIP_MS when
+# binned; anything further apart carries no alignment information worth
+# distinguishing. Simultaneous speech is counted over lookback windows,
+# most recent first: (now-1s, now], (now-15s, now-1s], (now-30s, now-15s].
 TRP_CLIP_MS = 5000
-
-# Lookback windows for simultaneous speech, most recent first:
-# (now-1s, now], (now-15s, now-1s], (now-30s, now-15s].
 WINDOW_LENGTHS_MS = (1000, 14000, 15000)
-LOOKBACK_MS = 30000
 
 # Array form of a missing gap (``None`` from trp_gap_from_arrays).
 NO_GAP = int(np.iinfo(np.int64).min)
@@ -62,7 +62,7 @@ def trp_gap_from_arrays(
     b_ends: Sequence[int],
     now: Tick,
 ) -> Optional[int]:
-    """Signed start-to-end gap on sorted utterance arrays.
+    """Signed start-to-end gap on sorted utterance arrays, unclipped.
 
     Positive: the a-side speaker began after the b-side's preceding
     turn ended, i.e. a transition at a turn boundary. Negative: the
@@ -77,16 +77,14 @@ def trp_gap_from_arrays(
     if j < 0:
         return None
     if b_ends[j] <= ua_start:
-        gap = ua_start - b_ends[j]
-    elif j >= 1:
+        return ua_start - b_ends[j]
+    if j >= 1:
         # b was mid-utterance when a started; the newest b turn that
         # had actually ended is the one before it
-        gap = ua_start - b_ends[j - 1]
-    else:
-        # b's only earlier utterance is still open at ua_start; use
-        # its running end, which makes the gap non-positive
-        gap = ua_start - min(b_ends[0], now)
-    return max(-TRP_CLIP_MS, min(TRP_CLIP_MS, gap))
+        return ua_start - b_ends[j - 1]
+    # b's only earlier utterance is still open at ua_start; use its
+    # running end, which makes the gap non-positive
+    return ua_start - min(b_ends[0], now)
 
 
 def simultaneous_speech(
@@ -94,14 +92,15 @@ def simultaneous_speech(
 ) -> Tuple[int, int, int]:
     """Tick counts where both streams are speech, per lookback window.
 
-    Returns (w1, w2, w3) covering the most recent second, 1 s to 15 s
-    back, and 15 s to 30 s back. Ticks before either recording exist
-    count as non-speech.
+    Returns (w1, w2, w3) over FeatureBinning's default windows: the most
+    recent second, 1 s to 15 s back, and 15 s to 30 s back. Ticks
+    before either recording exist count as non-speech.
     """
-    both = a.window(now - LOOKBACK_MS, now) & b.window(now - LOOKBACK_MS, now)
-    w3 = int(both[:15000].sum())
-    w2 = int(both[15000:29000].sum())
-    w1 = int(both[29000:].sum())
+    edges = np.cumsum((0,) + FeatureBinning().window_lengths_ms)
+    lookback = int(edges[-1])
+    both = a.window(now - lookback, now) & b.window(now - lookback, now)
+    w1, w2, w3 = (int(both[lookback - hi : lookback - lo].sum())
+                  for lo, hi in zip(edges[:-1], edges[1:]))
     return (w1, w2, w3)
 
 
@@ -109,16 +108,24 @@ def simultaneous_speech(
 class FeatureBinning:
     """Maps raw feature values onto table bins.
 
-    Gap values get fixed-width bins across the clipped range plus one
-    trailing bin for "no antecedent pair of turns yet". Overlap counts
-    get equal-width bins across each window's possible range. Every
-    value maps to exactly one bin.
+    Gap values get fixed-width bins across the range clipped to
+    ``trp_clip_ms`` plus one trailing bin for "no antecedent pair of
+    turns yet". Overlap counts get equal-width bins across each window's
+    possible range. Every value maps to exactly one bin. The engine
+    counts over ``window_lengths_ms``: three windows, most recent first.
+    Every field is a positive integer.
     """
 
     trp_bin_width_ms: int = 100
     trp_clip_ms: int = TRP_CLIP_MS
     overlap_bins_per_window: int = 20
     window_lengths_ms: Tuple[int, int, int] = WINDOW_LENGTHS_MS
+
+    def __post_init__(self):
+        values = (self.trp_bin_width_ms, self.trp_clip_ms, self.overlap_bins_per_window,
+                  *self.window_lengths_ms)
+        if len(self.window_lengths_ms) != 3 or not all(type(v) is int and v > 0 for v in values):
+            raise ValueError(f"a binning the feature engine cannot honour: {self}")
 
     @property
     def n_trp_value_bins(self) -> int:
@@ -166,10 +173,10 @@ class FeatureBinning:
     @classmethod
     def from_dict(cls, d: Mapping) -> "FeatureBinning":
         return cls(
-            trp_bin_width_ms=int(d["trp_bin_width_ms"]),
-            trp_clip_ms=int(d["trp_clip_ms"]),
-            overlap_bins_per_window=int(d["overlap_bins_per_window"]),
-            window_lengths_ms=tuple(int(x) for x in d["window_lengths_ms"]),
+            trp_bin_width_ms=d["trp_bin_width_ms"],
+            trp_clip_ms=d["trp_clip_ms"],
+            overlap_bins_per_window=d["overlap_bins_per_window"],
+            window_lengths_ms=tuple(d["window_lengths_ms"]),
         )
 
 
@@ -190,8 +197,6 @@ class RawFeatures(NamedTuple):
 # Utterance starts of all participants are searched as one sorted
 # array, keyed by row * _KEY_STRIDE + tick; ticks stay far below it.
 _KEY_STRIDE = 1 << 42
-# window edges behind ``now``: now, now-1s, now-15s, now-30s
-_EDGES_MS = np.cumsum((0,) + WINDOW_LENGTHS_MS)
 
 
 def _carried(rows: np.ndarray, old_keys: Sequence, new_keys: Sequence) -> np.ndarray:
@@ -213,7 +218,8 @@ class FeatureEngine:
     BLOCK_MS ticks, kept as cumulative counts over the retained window
     only: the lookback behind the earliest instant of the block being
     evaluated, plus the block. Counts are relative to that window, so
-    they stay small however long the session runs.
+    they stay small however long the session runs. The windows, and so
+    the lookback, are ``binning``'s, and ``binned`` bins with it.
 
     ``views`` supplies each participant's utterance (starts, ends) as
     observed so far; each is called once per batch. Instants must be
@@ -231,14 +237,19 @@ class FeatureEngine:
         self,
         participants: Sequence[int],
         views: Mapping[int, UtteranceView],
+        binning: FeatureBinning,
         start_tick: Tick = 0,
         step_ms: int = 1,
     ):
         self.views = dict(views)
+        self.binning = binning
+        # window edges behind ``now``: now, then back by each window
+        self._edges = np.cumsum((0,) + binning.window_lengths_ms)
+        self._lookback = int(self._edges[-1])
         self._origin = start_tick
         # counts are kept every _res ticks: every window edge of an
         # instant on the step_ms grid falls on a multiple of it
-        self._res = math.gcd(step_ms, start_tick, *(int(e) for e in _EDGES_MS))
+        self._res = math.gcd(step_ms, start_tick, *self._edges.tolist())
         self._block = max(BLOCK_MS // self._res, 1) * self._res
         self._index(participants)
         n = len(self.participants)
@@ -397,11 +408,11 @@ class FeatureEngine:
         """Count activity through covered ``tick`` without reading features,
         keeping only the lookback that instants after it can still read."""
         tick -= tick % self._res
-        self._count(tick, tick - LOOKBACK_MS)
+        self._count(tick, tick - self._lookback)
 
     def _overlap_counts(self, t: np.ndarray) -> np.ndarray:
         """(rows, k, 3) window counts at instants spanning less than BLOCK_MS."""
-        edges = np.maximum(t[:, None] - _EDGES_MS, self._origin)
+        edges = np.maximum(t[:, None] - self._edges, self._origin)
         keep_from = int(edges[0, -1])
         if keep_from < self._base:
             raise ValueError(
@@ -434,11 +445,11 @@ class FeatureEngine:
             windows[m:].sum(axis=2).T,
         )
 
-    def binned(self, ticks: Sequence[Tick], binning: FeatureBinning) -> np.ndarray:
+    def binned(self, ticks: Sequence[Tick]) -> np.ndarray:
         """(k, 2m, 4) bins of every ordered pair, in RawFeatures.gaps order."""
         raw = self.raw(ticks)
         overlaps = np.concatenate((raw.overlaps, raw.overlaps), axis=1)
-        return binning.bin_array(raw.gaps, overlaps)
+        return self.binning.bin_array(raw.gaps, overlaps)
 
     def _gaps(self, t: np.ndarray) -> np.ndarray:
         """``trp_gap_from_arrays`` for every ordered pair at every instant."""
@@ -473,6 +484,5 @@ class FeatureEngine:
             # b has no earlier turn, the running end of this one
             np.where(before >= 2, end_of[qb - 2], np.minimum(eb, t)),
         )
-        gap = np.minimum(np.maximum(ua - antecedent, -TRP_CLIP_MS), TRP_CLIP_MS)
         valid = has_a[self._dir_a] & (before >= 1)
-        return np.where(valid, gap, NO_GAP).T
+        return np.where(valid, ua - antecedent, NO_GAP).T

@@ -46,12 +46,14 @@ class TrainingSet:
     """Labeled feature vectors as aligned arrays, one row per ordered pair.
 
     ``labels`` (N,) holds SAME or DIFF, ``gaps`` (N,) the gap with
-    NO_GAP for a missing one, and ``overlaps`` (N, 3) the window counts.
+    NO_GAP for a missing one, and ``overlaps`` (N, 3) the counts over
+    the windows of ``binning``, which a model trained on them keeps.
     """
 
     labels: np.ndarray
     gaps: np.ndarray
     overlaps: np.ndarray
+    binning: FeatureBinning
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -82,13 +84,15 @@ def make_training_instances(
     utterances: Mapping[int, Sequence[Utterance]],
     duration_ms: Optional[Tick] = None,
     sample_period_ms: int = DEFAULT_SAMPLE_PERIOD_MS,
+    binning: FeatureBinning = FeatureBinning(),
 ) -> TrainingSet:
     """Sample labeled feature vectors from a labeled corpus.
 
     Every ``sample_period_ms`` a row is emitted for each ordered pair,
     (a, b) then (b, a), in which both participants produced speech
-    within the last 30 s. The class is whether the two participants'
-    most recent utterances carry the same floor label.
+    within the lookback of ``binning``'s windows (30 s by default).
+    The class is whether the two participants' most recent utterances
+    carry the same floor label.
 
     Raises CorpusError when an utterance is unlabeled.
     """
@@ -113,6 +117,7 @@ def make_training_instances(
     engine = FeatureEngine(
         ids,
         {pid: (lambda s=starts[pid], e=ends[pid]: (s, e)) for pid in ids},
+        binning,
         step_ms=sample_period_ms,
     )
     iu, ju = np.triu_indices(len(ids), 1)
@@ -147,20 +152,18 @@ def make_training_instances(
         gaps_out.append(np.stack(gaps, axis=1).ravel())
         overlaps_out.append(np.repeat(raw.overlaps[rows, pairs], 2, axis=0))
     return TrainingSet(
-        np.concatenate(labels_out), np.concatenate(gaps_out), np.concatenate(overlaps_out)
+        np.concatenate(labels_out), np.concatenate(gaps_out), np.concatenate(overlaps_out),
+        binning,
     )
 
 
-def train(
-    instances: TrainingSet,
-    binning: Optional[FeatureBinning] = None,
-) -> FloorModel:
-    """Fit priors and add-one smoothed likelihood tables.
+def train(instances: TrainingSet) -> FloorModel:
+    """Fit priors and add-one smoothed tables over the instances' binning.
 
     Needs at least one instance of each class; raises TrainingError
     otherwise.
     """
-    binning = binning or FeatureBinning()
+    binning = instances.binning
     labels = instances.labels
     bins = binning.bin_array(instances.gaps, instances.overlaps)
     class_counts = np.bincount(labels, minlength=2)
@@ -184,12 +187,9 @@ def train(
     return FloorModel(priors=priors, tables=tables, binning=binning)
 
 
-def summarize_training(
-    instances: TrainingSet,
-    binning: Optional[FeatureBinning] = None,
-) -> dict:
+def summarize_training(instances: TrainingSet) -> dict:
     """Class counts and per-feature occupied-bin counts, for reporting."""
-    binning = binning or FeatureBinning()
+    binning = instances.binning
     labels = instances.labels
     bins = binning.bin_array(instances.gaps, instances.overlaps)
     class_counts = {c: int(np.count_nonzero(labels == c)) for c in (SAME, DIFF)}

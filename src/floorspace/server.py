@@ -123,12 +123,6 @@ class ServerConfig:
             raise CapacityError(
                 f"max_participants must be in [1, {MAX_PARTICIPANTS}]"
             )
-        # the pump hands each detector one transport frame at a time
-        if FRAME_MS % self.vad.frame_ms:
-            raise FloorspaceError(
-                f"vad.frame_ms {self.vad.frame_ms} does not divide the "
-                f"{FRAME_MS} ms transport frame"
-            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServerConfig":

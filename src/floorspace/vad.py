@@ -1,7 +1,7 @@
 """Energy-based voice activity detection over 8 kHz 16-bit PCM.
 
-Decisions are made per frame (10 ms by default) and fanned out to the
-1 ms activity grid. A frame counts as speech when its RMS level clears
+Decisions are made per 10 ms frame and fanned out to the 1 ms
+activity grid. A frame counts as speech when its RMS level clears
 both an absolute floor and an adaptive noise floor plus an SNR margin;
 a hangover keeps brief intra-phrase pauses inside one speech region.
 
@@ -24,6 +24,9 @@ from .timeline import ActivityStream, Tick
 from .transport import SAMPLE_RATE, SAMPLES_PER_MS  # noqa: F401
 
 FULL_SCALE = 32768.0
+# the detector's frame: two to each 20 ms transport frame
+DETECTOR_FRAME_MS = 10
+DETECTOR_FRAME_SAMPLES = DETECTOR_FRAME_MS * SAMPLES_PER_MS
 
 _SILENCE_DB = -200.0  # stands in for log10(0) on all-zero frames
 _NOISE_FLOOR_MIN_DB = -90.0  # near-silent frames must not drag the floor down forever
@@ -31,23 +34,16 @@ _NOISE_FLOOR_MIN_DB = -90.0  # near-silent frames must not drag the floor down f
 
 @dataclass
 class VadConfig:
-    frame_ms: int = 10
     energy_floor_db: float = -60.0
     snr_threshold_db: float = 10.0
     hangover_ms: int = 200
     noise_adapt_rate: float = 0.05
 
     def __post_init__(self):
-        if self.frame_ms < 1:
-            raise ValueError("frame_ms must be at least 1")
         if self.hangover_ms < 0:
             raise ValueError("hangover_ms must be non-negative")
         if not 0.0 <= self.noise_adapt_rate <= 1.0:
             raise ValueError("noise_adapt_rate must lie in [0, 1]")
-
-    @property
-    def frame_samples(self) -> int:
-        return self.frame_ms * SAMPLES_PER_MS
 
 
 def mean_squares(pcm: np.ndarray, frame_samples: int) -> np.ndarray:
@@ -76,23 +72,21 @@ def room_frame_bits(detectors: Sequence["VoiceActivityDetector"], pcm: np.ndarra
 
     ``pcm`` is (detectors, samples), a whole number of detector frames
     per row (a 20 ms transport frame is two 10 ms detector frames);
-    there is at least one detector, and all share one frame length.
-    The levels of every frame come from one array operation, then each
-    detector decides on its frames in order.
+    there is at least one detector. The levels of every frame come
+    from one array operation, then each detector decides on its frames
+    in order.
     """
     pcm = np.asarray(pcm, dtype=np.int16)
-    cfg = detectors[0].cfg
-    fs = cfg.frame_samples
-    if pcm.shape[1] % fs != 0:
+    if pcm.shape[1] % DETECTOR_FRAME_SAMPLES != 0:
         raise UnsupportedFormatError(
             f"chunk of {pcm.shape[1]} samples is not a whole number of "
-            f"{cfg.frame_ms} ms frames"
+            f"{DETECTOR_FRAME_MS} ms frames"
         )
     decisions = [
         [det.decide(level_db(ms)) for ms in row]
-        for det, row in zip(detectors, mean_squares(pcm, fs).tolist())
+        for det, row in zip(detectors, mean_squares(pcm, DETECTOR_FRAME_SAMPLES).tolist())
     ]
-    return np.repeat(np.array(decisions, dtype=bool), cfg.frame_ms, axis=1)
+    return np.repeat(np.array(decisions, dtype=bool), DETECTOR_FRAME_MS, axis=1)
 
 
 class VoiceActivityDetector:
@@ -114,7 +108,7 @@ class VoiceActivityDetector:
             self._hangover_left = cfg.hangover_ms
             return True
         if self._hangover_left > 0:
-            self._hangover_left = max(0, self._hangover_left - cfg.frame_ms)
+            self._hangover_left = max(0, self._hangover_left - DETECTOR_FRAME_MS)
             return True
         # Adapt only while genuinely quiet so speech energy never
         # inflates the floor. Digital silence says nothing about the
@@ -152,10 +146,9 @@ def detect(
         raise UnsupportedFormatError("expected mono PCM (1-d array)")
     if len(pcm) == 0:
         return ActivityStream(participant, start_tick)
-    fs = cfg.frame_samples
-    if len(pcm) % fs != 0:
+    if len(pcm) % DETECTOR_FRAME_SAMPLES != 0:
         raise UnsupportedFormatError(
-            f"sample count {len(pcm)} is not a whole number of {cfg.frame_ms} ms frames"
+            f"sample count {len(pcm)} is not a whole number of {DETECTOR_FRAME_MS} ms frames"
         )
     bits = room_frame_bits([VoiceActivityDetector(cfg)], pcm[None, :])[0]
     return ActivityStream(participant, start_tick, bits)

@@ -64,7 +64,7 @@ def rgs_partitions(n):
     return out
 
 
-def gap_oracle(a_utterances, b_utterances, now, clip=5000):
+def gap_oracle(a_utterances, b_utterances, now):
     """Scan every utterance pair instead of bisecting."""
     started = [u for u in a_utterances if u.start <= now]
     if not started:
@@ -78,27 +78,21 @@ def gap_oracle(a_utterances, b_utterances, now, clip=5000):
         g = anchor - max(closed)
     else:
         g = anchor - min(prior[-1].end, now)
-    return max(-clip, min(clip, g))
+    return g
 
 
-def overlap_oracle(ia, ib, now):
-    """Window overlap counts straight from the interval lists."""
-    lo = now - 30000
-
-    def ticks(intervals):
-        arr = np.zeros(30000, dtype=bool)
-        for s, e in intervals:
-            s2, e2 = max(s, lo, 0), min(e, now)
-            if e2 > s2:
-                arr[s2 - lo : e2 - lo] = True
-        return arr
-
-    both = ticks(ia) & ticks(ib)
-    return (
-        int(both[29000:].sum()),
-        int(both[15000:29000].sum()),
-        int(both[:15000].sum()),
-    )
+def overlap_oracle(ia, ib, now, windows):
+    """Window overlap counts straight from the interval lists; ``windows``
+    are the window lengths, most recent first."""
+    out, hi = [], now
+    for length in windows:
+        lo = hi - length
+        # both-speech ticks are the intersections of the two lists' intervals
+        out.append(sum(
+            max(0, min(ea, eb, hi) - max(sa, sb, lo, 0)) for sa, ea in ia for sb, eb in ib
+        ))
+        hi = lo
+    return tuple(out)
 
 
 _REF_SEG_END = np.array(
@@ -312,52 +306,69 @@ def test_criterion_04_naive_bayes_correctness(floor_model):
     )
 
 
-def engine_features(ia, ib, now, duration):
-    """Overlaps and both gaps of participants 0 and 1 from a FeatureEngine."""
+def engine_features(ia, ib, now, duration, binning):
+    """Overlaps and both gaps of participants 0 and 1 from a FeatureEngine
+    serving ``binning``, and the engine."""
     views = {
         0: lambda: ([s for s, _ in ia], [e for _, e in ia]),
         1: lambda: ([s for s, _ in ib], [e for _, e in ib]),
     }
-    engine = FeatureEngine([0, 1], views, step_ms=1)
+    engine = FeatureEngine([0, 1], views, binning, step_ms=1)
     engine.add_activity(0, stream_from_intervals(0, ia, duration_ms=duration).bits)
     engine.add_activity(1, stream_from_intervals(1, ib, duration_ms=duration).bits)
     raw = engine.raw([now])
     gaps = [None if g == NO_GAP else g for g in raw.gaps[0].tolist()]
-    return tuple(raw.overlaps[0, 0].tolist()), gaps[0], gaps[1]
+    return (tuple(raw.overlaps[0, 0].tolist()), gaps[0], gaps[1]), engine
+
+
+def gap_bin_oracle(gap, binning):
+    """The bin of a gap: clipped, then fixed-width bins; the top edge
+    joins the last bin and a missing gap has its own."""
+    if gap is None:
+        return binning.missing_bin
+    clip, width = binning.trp_clip_ms, binning.trp_bin_width_ms
+    return min((max(-clip, min(clip, gap)) + clip) // width, 2 * clip // width - 1)
 
 
 def test_criterion_05_feature_oracles():
     rng = np.random.default_rng(505)
     gap_checked = overlap_checked = 0
     ok = True
+    # the default windows and clip, and a short set
+    binnings = (FeatureBinning(),
+                FeatureBinning(window_lengths_ms=(500, 2000, 2500), trp_clip_ms=4000))
     for _ in range(1000):
         horizon = int(rng.integers(4000, 36000))
         ia = random_intervals(rng, horizon)
         ib = random_intervals(rng, horizon)
         now = int(rng.integers(500, horizon + 2000))
         duration = now + 100
-
-        got = engine_features(ia, ib, now, duration)
-        overlaps, gap_ab, gap_ba = got
-        ok &= overlaps == overlap_oracle(ia, ib, now)
-        ok &= engine_features(ib, ia, now, duration) == (overlaps, gap_ba, gap_ab)
-        overlap_checked += 1
-
-        ua = [Utterance(0, s, e) for s, e in ia]
-        ub = [Utterance(1, s, e) for s, e in ib]
-        ok &= gap_ab == gap_oracle(ua, ub, now)
-        ok &= gap_ba == gap_oracle(ub, ua, now)
-        gap_checked += 2
-
         delta = int(rng.integers(0, 4000))
         ia2 = [(s + delta, e + delta) for s, e in ia]
         ib2 = [(s + delta, e + delta) for s, e in ib]
-        ok &= engine_features(ia2, ib2, now + delta, duration + delta) == got
+        ua = [Utterance(0, s, e) for s, e in ia]
+        ub = [Utterance(1, s, e) for s, e in ib]
+        gap_ab, gap_ba = gap_oracle(ua, ub, now), gap_oracle(ub, ua, now)
+
+        for binning in binnings:
+            got, engine = engine_features(ia, ib, now, duration, binning)
+            overlaps = got[0]
+            ok &= overlaps == overlap_oracle(ia, ib, now, binning.window_lengths_ms)
+            swapped = engine_features(ib, ia, now, duration, binning)[0]
+            ok &= swapped == (overlaps, got[2], got[1])
+            overlap_checked += 1
+
+            ok &= got[1:] == (gap_ab, gap_ba)
+            bins = engine.binned([now])[0, :, 0].tolist()
+            ok &= bins == [gap_bin_oracle(gap_ab, binning), gap_bin_oracle(gap_ba, binning)]
+            gap_checked += 2
+
+            ok &= engine_features(ia2, ib2, now + delta, duration + delta, binning)[0] == got
     report(
         5,
         ok,
-        f"{overlap_checked} FeatureEngine pairs vs tick-AND oracle with symmetry "
-        f"and translation, {gap_checked} gaps vs scan",
+        f"{overlap_checked} FeatureEngine pairs over two window sets vs interval "
+        f"oracle with symmetry and translation, {gap_checked} gaps and bins vs scan",
     )
 
 

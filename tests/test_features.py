@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floorspace.features import (
+    FeatureBinning,
     FeatureEngine,
-    LOOKBACK_MS,
     NO_GAP,
-    TRP_CLIP_MS,
-    WINDOW_LENGTHS_MS,
     simultaneous_speech,
     trp_gap_from_arrays,
 )
 from floorspace.timeline import ActivityStream, Utterance, stream_from_intervals
+
+DEFAULT = FeatureBinning()
+# the default windows and one short set; the engine serves either
+BINNINGS = (DEFAULT, FeatureBinning(window_lengths_ms=(500, 2000, 2500), trp_clip_ms=4000))
 
 
 def utts(pid, intervals):
@@ -30,7 +32,7 @@ def gap_of(a_utterances, b_utterances, now):
     )
 
 
-def gap_oracle(a_utterances, b_utterances, now, clip=TRP_CLIP_MS):
+def gap_oracle(a_utterances, b_utterances, now):
     """Scan every utterance pair instead of bisecting."""
     started = [u for u in a_utterances if u.start <= now]
     if not started:
@@ -44,7 +46,16 @@ def gap_oracle(a_utterances, b_utterances, now, clip=TRP_CLIP_MS):
         g = anchor - max(closed)
     else:
         g = anchor - min(prior[-1].end, now)
-    return max(-clip, min(clip, g))
+    return g
+
+
+def overlap_oracle(a, b, now, windows):
+    """Both-speech ticks of two streams in each window, most recent first."""
+    out, hi = [], now
+    for length in windows:
+        out.append(int((a.window(hi - length, hi) & b.window(hi - length, hi)).sum()))
+        hi -= length
+    return tuple(out)
 
 
 def random_utterances(rng, pid, horizon):
@@ -86,10 +97,16 @@ def test_gap_missing_cases():
 
 
 def test_gap_clipping_both_directions():
-    assert gap_of(utts(0, [(9000, 9500)]), utts(1, [(0, 1000)]), now=9999) == 5000
-    a = utts(0, [(200, 9000)])
-    b = utts(1, [(0, 10000)])
-    assert gap_of(a, b, now=10000) == -5000
+    # the gap itself is unclipped; binning clips it at the binning's clip
+    late = gap_of(utts(0, [(9000, 9500)]), utts(1, [(0, 1000)]), now=9999)
+    early = gap_of(utts(0, [(200, 9000)]), utts(1, [(0, 10000)]), now=10000)
+    assert (late, early) == (8000, -9800)
+    for b in BINNINGS:
+        clip = b.trp_clip_ms
+        gaps = [late, clip, clip - b.trp_bin_width_ms, early, -clip, 1 - clip]
+        bins = b.bin_array(gaps, np.zeros((len(gaps), 3), dtype=np.int64))[:, 0]
+        top = b.n_trp_value_bins - 1
+        assert bins.tolist() == [top, top, top, 0, 0, 0]
 
 
 def test_gap_skips_past_an_open_interjection():
@@ -122,8 +139,15 @@ def test_gap_translation_invariance():
 
 
 def test_window_lengths():
-    assert WINDOW_LENGTHS_MS == (1000, 14000, 15000)
-    assert sum(WINDOW_LENGTHS_MS) == LOOKBACK_MS == 30000
+    assert DEFAULT.window_lengths_ms == (1000, 14000, 15000)
+    assert DEFAULT.trp_clip_ms == 5000
+    # continuous speech fills each window, and the lookback is their sum
+    for b in BINNINGS:
+        engine = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, b)
+        engine.add_room_activity(np.ones((2, 40_000), dtype=bool))
+        raw = engine.raw([40_000])
+        assert tuple(raw.overlaps[0, 0]) == b.window_lengths_ms
+        assert raw.speech.tolist() == [[sum(b.window_lengths_ms)] * 2]
 
 
 def test_overlap_silent_streams():
@@ -153,7 +177,7 @@ def test_overlap_windows_tile_the_lookback():
         b = ActivityStream(1, bits=rng.random(dur) < 0.5)
         now = int(rng.integers(0, dur))
         w1, w2, w3 = simultaneous_speech(a, b, now)
-        both = a.window(now - LOOKBACK_MS, now) & b.window(now - LOOKBACK_MS, now)
+        both = a.window(now - 30000, now) & b.window(now - 30000, now)
         assert w1 + w2 + w3 == int(both.sum())
         assert 0 <= w1 <= 1000 and 0 <= w2 <= 14000 and 0 <= w3 <= 15000
 
@@ -176,6 +200,7 @@ def test_overlap_matches_per_tick_oracle():
             count(now - 30000, now - 15000),
         )
         assert simultaneous_speech(a, b, now) == expected
+        assert overlap_oracle(a, b, now, DEFAULT.window_lengths_ms) == expected
 
 
 def test_overlap_is_symmetric():
@@ -193,7 +218,7 @@ def test_engine_combines_gap_and_overlap():
         1: stream_from_intervals(1, [(0, 1000)], now),
     }
     turns = {0: ([1200], [2000]), 1: ([0], [1000])}
-    engine = FeatureEngine([0, 1], {p: (lambda v=turns[p]: v) for p in turns})
+    engine = FeatureEngine([0, 1], {p: (lambda v=turns[p]: v) for p in turns}, DEFAULT)
     for p in (0, 1):
         engine.add_activity(p, streams[p].bits)
     raw = engine.raw([now])
@@ -204,7 +229,7 @@ def test_engine_combines_gap_and_overlap():
 
 def test_engine_counts_ordered_pairs():
     def party(n):
-        engine = FeatureEngine(range(n), {p: lambda: ([], []) for p in range(n)})
+        engine = FeatureEngine(range(n), {p: lambda: ([], []) for p in range(n)}, DEFAULT)
         for p in range(n):
             engine.add_activity(p, np.zeros(1000, dtype=bool))
         return engine.raw([1000])
@@ -222,19 +247,21 @@ def test_engine_shares_overlap_across_directions():
     views = {
         i: (lambda u=utterances[i]: ([x.start for x in u], [x.end for x in u])) for i in range(3)
     }
-    engine = FeatureEngine(range(3), views)
-    for i in range(3):
-        engine.add_activity(i, streams[i].bits)
-    raw = engine.raw([4000])
     pairs = [(0, 1), (0, 2), (1, 2)]
-    for k, (a, b) in enumerate(pairs):
-        # one overlap row serves (a, b) and (b, a); each direction has its gap
-        overlaps = tuple(raw.overlaps[0, k])
-        assert overlaps == simultaneous_speech(streams[a], streams[b], 4000)
-        assert overlaps == simultaneous_speech(streams[b], streams[a], 4000)
-        for col, (x, y) in ((k, (a, b)), (len(pairs) + k, (b, a))):
-            gap = gap_of(utterances[x], utterances[y], 4000)
-            assert raw.gaps[0, col] == (NO_GAP if gap is None else gap)
+    for binning in BINNINGS:
+        engine = FeatureEngine(range(3), views, binning)
+        for i in range(3):
+            engine.add_activity(i, streams[i].bits)
+        raw = engine.raw([4000])
+        windows = binning.window_lengths_ms
+        for k, (a, b) in enumerate(pairs):
+            # one overlap row serves (a, b) and (b, a); each direction has its gap
+            overlaps = tuple(raw.overlaps[0, k])
+            assert overlaps == overlap_oracle(streams[a], streams[b], 4000, windows)
+            assert overlaps == overlap_oracle(streams[b], streams[a], 4000, windows)
+            for col, (x, y) in ((k, (a, b)), (len(pairs) + k, (b, a))):
+                gap = gap_of(utterances[x], utterances[y], 4000)
+                assert raw.gaps[0, col] == (NO_GAP if gap is None else gap)
 
 
 # --- the batched engine against the scalar definitions --------------------------
@@ -278,10 +305,10 @@ def sessions(draw):
     return n, duration, start, step, activity, turns, ticks, chunks
 
 
-def _engine(n, start, step, turns):
+def _engine(n, start, step, turns, binning):
     views = {p: (lambda s=[a for a, _ in turns[p]], e=[b for _, b in turns[p]]: (s, e))
              for p in range(n)}
-    return FeatureEngine(range(n), views, start_tick=start, step_ms=step)
+    return FeatureEngine(range(n), views, binning, start_tick=start, step_ms=step)
 
 
 def _feed_until(engine, streams, chunks, fed, tick):
@@ -304,38 +331,48 @@ def test_engine_matches_the_scalar_definitions_at_any_chunking(session):
     streams = [full[p].window(start, duration) for p in range(n)]
     # the engine is fed from start on; before it, the oracle hears silence
     oracle = [ActivityStream(p, start, streams[p]) for p in range(n)]
-
-    one_at_a_time = _engine(n, start, step, turns)
-    fed = [0] * n
-    singles = []
-    for t in ticks:
-        _feed_until(one_at_a_time, streams, chunks, fed, t)
-        singles.append(one_at_a_time.raw([t]))
-
-    batch = _engine(n, start, step, turns)
-    for p in range(n):
-        batch.add_activity(p, streams[p])
-    together = batch.raw(ticks)
-
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     m = len(pairs)
     starts = [[a for a, _ in turns[p]] for p in range(n)]
     ends = [[b for _, b in turns[p]] for p in range(n)]
-    for k, t in enumerate(ticks):
-        for field, single in zip(together, singles[k]):
-            assert np.array_equal(field[k], single[0])
-        for i, (a, b) in enumerate(pairs):
-            w = simultaneous_speech(oracle[a], oracle[b], t)
-            assert tuple(together.overlaps[k, i]) == w
-            for col, (x, y) in ((i, (a, b)), (m + i, (b, a))):
-                gap = trp_gap_from_arrays(starts[x], starts[y], ends[y], t)
-                assert together.gaps[k, col] == (NO_GAP if gap is None else gap)
+
+    for binning in BINNINGS:
+        windows = binning.window_lengths_ms
+        one_at_a_time = _engine(n, start, step, turns, binning)
+        fed, left = [0] * n, list(chunks)
+        singles = []
+        for t in ticks:
+            _feed_until(one_at_a_time, streams, left, fed, t)
+            singles.append(one_at_a_time.raw([t]))
+
+        batch = _engine(n, start, step, turns, binning)
         for p in range(n):
-            assert together.speech[k, p] == oracle[p].window(t - LOOKBACK_MS, t).sum()
+            batch.add_activity(p, streams[p])
+        together = batch.raw(ticks)
+
+        gaps = np.empty((len(ticks), 2 * m), dtype=np.int64)
+        for k, t in enumerate(ticks):
+            for field, single in zip(together, singles[k]):
+                assert np.array_equal(field[k], single[0])
+            for i, (a, b) in enumerate(pairs):
+                w = overlap_oracle(oracle[a], oracle[b], t, windows)
+                assert tuple(together.overlaps[k, i]) == w
+                for col, (x, y) in ((i, (a, b)), (m + i, (b, a))):
+                    gap = trp_gap_from_arrays(starts[x], starts[y], ends[y], t)
+                    gaps[k, col] = NO_GAP if gap is None else gap
+            for p in range(n):
+                assert together.speech[k, p] == oracle[p].window(t - sum(windows), t).sum()
+        assert np.array_equal(together.gaps, gaps)
+        # a second engine, since the first no longer holds the earliest instants
+        again = _engine(n, start, step, turns, binning)
+        for p in range(n):
+            again.add_activity(p, streams[p])
+        overlaps = np.concatenate((together.overlaps, together.overlaps), axis=1)
+        assert np.array_equal(again.binned(ticks), binning.bin_array(gaps, overlaps))
 
 
 def test_engine_rejects_instants_it_no_longer_holds():
-    engine = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])})
+    engine = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, DEFAULT)
     for p in (0, 1):
         engine.add_activity(p, np.ones(40_000, dtype=bool))
     engine.raw([39_000])
@@ -343,7 +380,8 @@ def test_engine_rejects_instants_it_no_longer_holds():
         engine.raw([8_000])
     with pytest.raises(ValueError, match="covered"):
         engine.raw([40_001])
-    on_grid = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, step_ms=30)
+    on_grid = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, DEFAULT,
+                            step_ms=30)
     for p in (0, 1):
         on_grid.add_activity(p, np.ones(100, dtype=bool))
     with pytest.raises(ValueError, match="multiples of 10"):
@@ -389,6 +427,11 @@ def memberships(draw):
 @settings(max_examples=60, deadline=None)
 @given(memberships())
 def test_engine_joins_and_leaves_match_a_fresh_engine_over_the_final_room(case):
+    for binning in BINNINGS:
+        _check_membership_changes(case, binning)
+
+
+def _check_membership_changes(case, binning):
     start, step, members, ops, tail, seed = case
     rng = np.random.default_rng(seed)
     turns = {p: [(int(s), int(s) + int(d)) for s, d in zip(
@@ -399,7 +442,7 @@ def test_engine_joins_and_leaves_match_a_fresh_engine_over_the_final_room(case):
     views = {p: (lambda s=[a for a, _ in ts], e=[b for _, b in ts]: (s, e))
              for p, ts in turns.items()}
 
-    engine = FeatureEngine(members, {p: views[p] for p in members},
+    engine = FeatureEngine(members, {p: views[p] for p in members}, binning,
                            start_tick=start, step_ms=step)
     tick = start
     # what each participant said since it last joined; before that, silence
@@ -443,7 +486,7 @@ def test_engine_joins_and_leaves_match_a_fresh_engine_over_the_final_room(case):
         assert engine.coverage == tick
     tick = feed(tail)
 
-    fresh = FeatureEngine(engine.participants, views, start_tick=start, step_ms=step)
+    fresh = FeatureEngine(engine.participants, views, binning, start_tick=start, step_ms=step)
     for pid in engine.participants:
         silent = np.zeros(joined_at[pid] - start, dtype=bool)
         fresh.add_activity(pid, np.concatenate([silent, *said[pid]]))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from floorspace.corpus import generate
 from floorspace.errors import CorpusError, ModelFormatError, ModelVersionError, TrainingError
 from floorspace.evaluation import FloorTracker
 from floorspace.features import FeatureBinning, FeatureEngine, NO_GAP
@@ -22,6 +23,8 @@ from floorspace.learner import (
     train,
 )
 from floorspace.timeline import Utterance, stream_from_intervals
+
+from conftest import four_party_config
 
 
 def labeled(pid, intervals, label):
@@ -48,7 +51,7 @@ def random_features(rng, k):
 
 
 def random_set(rng, k):
-    return TrainingSet(rng.integers(0, 2, k), *random_features(rng, k))
+    return TrainingSet(rng.integers(0, 2, k), *random_features(rng, k), FeatureBinning())
 
 
 def repeated(label, gap, overlaps, times):
@@ -57,6 +60,7 @@ def repeated(label, gap, overlaps, times):
         np.full(times, label),
         np.full(times, NO_GAP if gap is None else gap),
         np.tile(overlaps, (times, 1)),
+        FeatureBinning(),
     )
 
 
@@ -65,6 +69,7 @@ def concatenated(a, b):
         np.concatenate((a.labels, b.labels)),
         np.concatenate((a.gaps, b.gaps)),
         np.concatenate((a.overlaps, b.overlaps)),
+        a.binning,
     )
 
 
@@ -219,7 +224,8 @@ def test_instance_order_does_not_matter():
     m1 = train(instances)
     order = rng.permutation(len(instances))
     shuffled = TrainingSet(
-        instances.labels[order], instances.gaps[order], instances.overlaps[order]
+        instances.labels[order], instances.gaps[order], instances.overlaps[order],
+        instances.binning,
     )
     m2 = train(shuffled)
     assert np.array_equal(m1.priors, m2.priors)
@@ -327,7 +333,7 @@ def test_tracker_probability_is_the_mean_of_both_directions():
     bits = {p: stream_from_intervals(p, turns[p], duration).bits for p in range(3)}
     views = {p: (lambda t=turns[p]: ([s for s, _ in t], [e for _, e in t])) for p in range(3)}
     tracker = FloorTracker(range(3), model, views)
-    engine = FeatureEngine(range(3), views, step_ms=30)
+    engine = FeatureEngine(range(3), views, model.binning, step_ms=30)
     for p in range(3):
         tracker.add_activity(p, bits[p])
         engine.add_activity(p, bits[p])
@@ -409,4 +415,54 @@ def test_non_model_json_is_rejected(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"hello": "world"}')
     with pytest.raises(ModelFormatError):
+        load_model(str(path))
+
+
+SHORT = FeatureBinning(window_lengths_ms=(500, 2000, 2500), trp_clip_ms=4000)
+
+
+def test_a_model_counts_over_the_windows_it_was_trained_with(tmp_path):
+    corpus = generate(four_party_config(seed=5, duration_ms=120_000, epoch_ms=30_000))
+    streams, utterances = corpus.streams(), corpus.utterances()
+    instances = make_training_instances(
+        streams, utterances, duration_ms=corpus.duration_ms, binning=SHORT
+    )
+    assert instances.binning == SHORT
+    assert np.all(instances.overlaps <= SHORT.window_lengths_ms)
+    path = tmp_path / "short.json"
+    save_model(train(instances), str(path))
+    model = load_model(str(path))
+    assert model.binning == SHORT
+
+    # everyone talks at once: each window's count is its length
+    ids = sorted(streams)
+    tracker = FloorTracker(ids, model, {p: lambda: ([], []) for p in ids})
+    tracker.add_room_activity(np.ones((len(ids), 9_000), dtype=bool))
+    tracker.process_due()
+    raw = tracker._engine.raw([9_000])
+    assert np.all(raw.overlaps == SHORT.window_lengths_ms)
+    assert np.all(raw.speech == 5_000)
+    assert np.array_equal(tracker._engine.binned([9_000]), model.binning.bin_array(
+        raw.gaps, np.concatenate((raw.overlaps, raw.overlaps), axis=1)))
+
+
+@pytest.mark.parametrize("change", [
+    {"window_lengths_ms": [1000, 14000]},
+    {"window_lengths_ms": [1000, 14000, 15000, 1000]},
+    {"window_lengths_ms": [1000, 0, 15000]},
+    {"window_lengths_ms": [-500, 2000, 2500]},
+    {"window_lengths_ms": [500.5, 2000, 2500]},
+    {"window_lengths_ms": ["500", 2000, 2500]},
+    {"trp_clip_ms": 0},
+    {"trp_clip_ms": -4000},
+    {"trp_bin_width_ms": 0},
+    {"overlap_bins_per_window": 0},
+])
+def test_load_model_rejects_a_binning_the_engine_cannot_honour(tmp_path, change):
+    path = tmp_path / "m.json"
+    save_model(random_model(np.random.default_rng(53)), str(path))
+    doc = json.loads(path.read_text())
+    doc["binning"].update(change)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="cannot honour"):
         load_model(str(path))

@@ -54,3 +54,55 @@ def test_every_module_level_name_in_the_package_is_named_outside_its_definition(
             if node.name not in named:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, "named only in their own definition: " + ", ".join(unused)
+
+
+# Settable values in the package, counted by ``settable_values``; lower it
+# when a setting goes, and add none: a new setting fails here.
+SETTABLE_VALUES = 106
+
+
+def _defaulted(fn):
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def _is_dataclass(cls):
+    return any(
+        (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+        for d in cls.decorator_list
+        if isinstance(d.func if isinstance(d, ast.Call) else d, ast.Name)
+    )
+
+
+def settable_values():
+    """Per site, the values a caller can set: every ``--flag`` the CLI
+    adds, every field of a ``*Config`` class, every defaulted field of
+    another dataclass, and every defaulted parameter of a public
+    function, public method or constructor."""
+    sites = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"
+                    and node.args and str(node.args[0].value).startswith("-")):
+                sites[f"{path.stem} --flags"] = sites.get(f"{path.stem} --flags", 0) + 1
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                sites[f"{path.stem}.{node.name}"] = _defaulted(node)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                config = node.name.endswith("Config")
+                if config or _is_dataclass(node):
+                    sites[f"{path.stem}.{node.name} fields"] = sum(
+                        isinstance(f, ast.AnnAssign) and (config or f.value is not None)
+                        for f in node.body
+                    )
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and (
+                            fn.name == "__init__" or not fn.name.startswith("_")):
+                        sites[f"{path.stem}.{node.name}.{fn.name}"] = _defaulted(fn)
+    return {site: k for site, k in sites.items() if k}
+
+
+def test_no_setting_is_added():
+    sites = settable_values()
+    listed = ", ".join(f"{site} {k}" for site, k in sorted(sites.items()))
+    assert sum(sites.values()) == SETTABLE_VALUES, listed

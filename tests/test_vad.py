@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from floorspace.errors import UnsupportedFormatError
 from floorspace.vad import (
+    DETECTOR_FRAME_MS,
+    DETECTOR_FRAME_SAMPLES,
     SAMPLE_RATE,
     VadConfig,
     VoiceActivityDetector,
@@ -115,9 +117,8 @@ def test_hangover_bridges_short_energy_dips():
 
 
 def test_every_tick_of_a_frame_inherits_its_decision():
-    cfg = VadConfig(frame_ms=10)
     pcm = np.concatenate([np.zeros(80, dtype=np.int16), tone(10, 20000.0)])
-    bits = detect(pcm, cfg=cfg).bits
+    bits = detect(pcm).bits
     assert len(bits) == 20
     assert len(set(bits[:10])) == 1
     assert len(set(bits[10:])) == 1
@@ -141,10 +142,10 @@ def test_frame_bits_match_streaming_decisions():
     rng = np.random.default_rng(41)
     pcm = noise(200, 3000.0, rng)
     det = VoiceActivityDetector()
-    fs = det.cfg.frame_samples
+    fs = DETECTOR_FRAME_SAMPLES
     expected = []
     for i in range(len(pcm) // fs):
-        expected += [det.decide(frame_rms_db(pcm[i * fs : (i + 1) * fs]))] * det.cfg.frame_ms
+        expected += [det.decide(frame_rms_db(pcm[i * fs : (i + 1) * fs]))] * DETECTOR_FRAME_MS
     got = VoiceActivityDetector().frame_bits(pcm)
     assert list(got) == expected
 
@@ -184,7 +185,7 @@ def reference_decide(frame, cfg, state):
         state[1] = cfg.hangover_ms
         return True
     if state[1] > 0:
-        state[1] = max(0, state[1] - cfg.frame_ms)
+        state[1] = max(0, state[1] - DETECTOR_FRAME_MS)
         return True
     if rms > 0.0:  # digital silence leaves the floor alone
         state[0] = max(state[0] + cfg.noise_adapt_rate * (level - state[0]), -90.0)
@@ -201,7 +202,7 @@ def rooms(draw):
     frames = draw(st.integers(1, 40))
     cfg = VadConfig(hangover_ms=draw(st.sampled_from([0, 10, 15, 200])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    fs = cfg.frame_samples
+    fs = DETECTOR_FRAME_SAMPLES
     amp = rng.choice(AMPLITUDES, size=(sessions, 2 * frames, 1))
     # noise, a constant or a full-scale square wave, per detector frame
     kind = rng.integers(0, 3, size=(sessions, 2 * frames, 1))
@@ -220,23 +221,21 @@ def test_room_decisions_match_each_detector_alone(room):
     together = [VoiceActivityDetector(cfg) for _ in range(sessions)]
     alone = [VoiceActivityDetector(cfg) for _ in range(sessions)]
     states = [[cfg.energy_floor_db, 0] for _ in range(sessions)]
-    fs = cfg.frame_samples
+    fs = DETECTOR_FRAME_SAMPLES
     for f in range(frames):
         got = room_frame_bits(together, pcm[:, f])
-        assert got.shape == (sessions, chunk // fs * cfg.frame_ms)
+        assert got.shape == (sessions, chunk // fs * DETECTOR_FRAME_MS)
         for i in range(sessions):
             assert np.array_equal(got[i], alone[i].frame_bits(pcm[i, f]))
             want = [reference_decide(pcm[i, f, j:j + fs], cfg, states[i])
                     for j in range(0, chunk, fs)]
-            assert list(got[i]) == list(np.repeat(want, cfg.frame_ms))
+            assert list(got[i]) == list(np.repeat(want, DETECTOR_FRAME_MS))
     for det, ref, state in zip(together, alone, states):
         assert det.noise_floor_db == ref.noise_floor_db == state[0]
         assert det._hangover_left == ref._hangover_left == state[1]
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        VadConfig(frame_ms=0)
     with pytest.raises(ValueError):
         VadConfig(hangover_ms=-1)
     with pytest.raises(ValueError):
