@@ -15,11 +15,16 @@ NORMAL_GAIN / QUIET_GAIN levels, encode them together and send each.
 The frame, the period and the gains are constants, not
 ``ServerConfig`` fields.
 
-The room has one ``FloorTracker`` from its first join until it
-empties. Joins and leaves change its membership in place, so the
-assigner's previous choice, search caches and counters carry across
-them; until the next period the mixes follow the last floors, less
-whoever left, with a joiner alone.
+The room has one ``FloorTracker`` from its first member until it
+empties. A join or leave on the control thread only edits the session
+table and replies at once. The pump makes the tracker and the mixer
+follow the table at the top of its next frame, on its own thread; a
+pin, unpin or status that comes first does so before it reads the
+tracker. Only the pump advances the tick, so each change applies at
+the tick it arrived at. Membership changes in place, so the assigner's
+previous choice, search caches and counters carry across it, while a
+pin dissolves; until the next period the mixes follow the last floors,
+less whoever left, with a joiner alone.
 
 The pump is callable directly (pump_once) so tests and the replay
 path can drive time without a wall clock; serve() runs it paced.
@@ -203,6 +208,11 @@ class RealtimeServer:
         self.sessions: Dict[str, ClientSession] = {}
         self._by_ssrc: Dict[int, ClientSession] = {}
         self.tracker: Optional[FloorTracker] = None
+        # the session each tracker member stands for, and whether the
+        # session table (or the room's emptying) has changed since
+        self._members: Dict[int, ClientSession] = {}
+        self._table_changed = False
+        self._emptied = False
         self.events: List[ConfigurationEvent] = []
         self.tick = 0
         self._mixer = Mixer()
@@ -263,12 +273,7 @@ class RealtimeServer:
             session = ClientSession(name, participant, ssrc, addr, self.cfg, self.tick)
             self.sessions[name] = session
             self._by_ssrc[ssrc] = session
-            if self.tracker is None:
-                self.tracker = FloorTracker(
-                    [], self.model, {}, FloorAssigner(dwell_ms=self.cfg.dwell_ms),
-                    start_tick=self.tick,
-                )
-            self.tracker.join(participant, session.segmenter.view)
+            self._table_changed = True
             log.info("join %s as participant %d (ssrc %d)", name, participant, ssrc)
             return self._joined_reply(session)
 
@@ -290,12 +295,46 @@ class RealtimeServer:
             if session is None:
                 return {"type": "error", "message": f"unknown participant {name!r}"}
             self._by_ssrc.pop(session.ssrc, None)
-            self._mixer.forget(session.participant)
-            self.tracker.leave(session.participant)
+            self._table_changed = True
             if not self.sessions:
-                self.tracker = None
+                # whoever joins next starts the room afresh
+                self._emptied = True
             log.info("leave %s", name)
             return {"type": "left", "name": name}
+
+    def _follow_sessions(self) -> None:
+        """Make the tracker and the mixer follow the session table.
+
+        A member whose session is gone or replaced leaves; a new session
+        joins. The tick only advances in the pump, so each change applies
+        at the tick, and the coverage, it had when it arrived. A join and
+        a leave of one session in between cost the tracker nothing, but
+        like any join or leave they dissolve a pin. Call it with the lock
+        held, before reading the tracker.
+        """
+        if not self._table_changed:
+            return
+        self._table_changed = False
+        present = {s.participant: s for s in self.sessions.values()}
+        if self._emptied:
+            self._emptied = False
+            self.tracker = None
+        elif self.tracker is not None:
+            self.tracker.assigner.drop_pin()
+        for pid, session in list(self._members.items()):
+            if present.get(pid) is not session:
+                del self._members[pid]
+                self._mixer.forget(pid)
+                if self.tracker is not None:
+                    self.tracker.leave(pid)
+        for pid in sorted(present.keys() - self._members.keys()):
+            if self.tracker is None:
+                self.tracker = FloorTracker(
+                    [], self.model, {}, FloorAssigner(dwell_ms=self.cfg.dwell_ms),
+                    start_tick=self.tick,
+                )
+            self._members[pid] = present[pid]
+            self.tracker.join(pid, present[pid].segmenter.view)
 
     def _floors(self) -> Optional[FloorConfiguration]:
         """The current floors over the present sessions, or None before the
@@ -378,6 +417,7 @@ class RealtimeServer:
 
     def _pin(self, msg: dict) -> dict:
         with self._lock:
+            self._follow_sessions()
             if len(self.sessions) < 2:
                 return {"type": "error", "message": "fewer than two participants"}
             owner = str(msg["owner"])
@@ -392,6 +432,7 @@ class RealtimeServer:
 
     def _unpin(self, msg: dict) -> dict:
         with self._lock:
+            self._follow_sessions()
             if len(self.sessions) < 2:
                 return {"type": "error", "message": "fewer than two participants"}
             owner = str(msg["owner"])
@@ -400,6 +441,7 @@ class RealtimeServer:
 
     def _status(self) -> dict:
         with self._lock:
+            self._follow_sessions()
             names = {s.participant: s.name for s in self.sessions.values()}
             config = self._floors()
             if config is not None:
@@ -504,6 +546,7 @@ class RealtimeServer:
     def pump_once(self) -> None:
         """Advance the shared timeline by one frame."""
         with self._lock:
+            self._follow_sessions()
             sessions = sorted(self.sessions.values(), key=lambda s: s.participant)
             if not sessions:
                 self.tick += FRAME_MS

@@ -93,3 +93,14 @@ def loopback_latency_ms(depth_ms=60, marker_tick=5):
             return boundary + int(hits[0]) // SAMPLES_PER_MS - marker_tick
         boundary += FRAME_MS
     raise RuntimeError("marker never played out")
+
+
+class SentDatagrams:
+    """Stands in for a server socket and keeps what it sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def sendto(self, data, addr):
+        self.sent.append((bytes(data), addr))
+        return len(data)

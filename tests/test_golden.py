@@ -16,6 +16,8 @@ from floorspace.cli import main
 from floorspace.corpus import save_corpus
 from floorspace.learner import save_model
 
+from conftest import SentDatagrams
+
 MODEL_SHA256 = "5a3b5db4d2ea0071db5be200fa03d19c7c83a3afb0e3e7e5a8fda32a7b829210"
 
 REPORT_SHA256 = {
@@ -95,17 +97,6 @@ LIVE_SHA256 = {
 }
 
 
-class _SentDatagrams:
-    """Stands in for the server's audio socket and keeps what it sends."""
-
-    def __init__(self):
-        self.sent = []
-
-    def sendto(self, data, addr):
-        self.sent.append((bytes(data), addr))
-        return len(data)
-
-
 def _digest(items):
     h = hashlib.sha256()
     for item in items:
@@ -137,7 +128,7 @@ def _live_room(model):
     rng = np.random.default_rng(23)
     t = np.arange(FRAME_SAMPLES)
     srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0), model=model)
-    socket, srv.audio_sock = srv.audio_sock, _SentDatagrams()
+    socket, srv.audio_sock = srv.audio_sock, SentDatagrams()
     vad, segments = {}, []
     packetizers = {}
 

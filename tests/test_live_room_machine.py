@@ -1,0 +1,147 @@
+"""A stateful test of the live room's membership, driven in process.
+
+A ``hypothesis`` rule machine joins, leaves and rejoins participants
+from several control addresses, pins and unpins (valid and bogus),
+asks for status, sends audio and pumps. It calls ``_handle_control``,
+``_handle_audio`` and ``pump_once`` directly, with recording sockets
+in place of the real sends, and checks after every pump that the
+room's tracker follows the session table and every listener with an
+address gets one mix.
+"""
+
+import numpy as np
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    rule,
+    run_state_machine_as_test,
+)
+
+from floorspace.server import RealtimeServer, ServerConfig, decode_message, encode_message
+from floorspace.transport import FRAME_BYTES, FRAME_SAMPLES, HEADER_BYTES, Packetizer
+
+from conftest import SentDatagrams
+
+NAMES = ("a", "b", "c", "d", "e", "f")
+CONTROL = [("127.0.0.1", 9000 + i) for i in range(3)]
+# a name's own SSRC mostly; else another name's, or one outside the
+# header's 32 bits
+SSRCS = st.sampled_from(("own", "own", "own", "other", -1, 1 << 32))
+LOUD = np.full(FRAME_SAMPLES, 8000, dtype=np.int16)
+QUIET = np.zeros(FRAME_SAMPLES, dtype=np.int16)
+
+
+class LiveRoom(RuleBasedStateMachine):
+    model = None
+
+    def __init__(self):
+        super().__init__()
+        self.srv = RealtimeServer(
+            ServerConfig(audio_port=0, control_port=0, max_participants=5), model=self.model)
+        self.sockets = self.srv.audio_sock, self.srv.control_sock
+        self.srv.audio_sock, self.srv.control_sock = SentDatagrams(), SentDatagrams()
+        self.packetizers = {}
+
+    def teardown(self):
+        self.srv.audio_sock, self.srv.control_sock = self.sockets
+        self.srv.stop()
+
+    def control(self, msg, addr):
+        """Send ``msg`` from ``addr``; the one reply, as bytes and decoded."""
+        sent = self.srv.control_sock.sent
+        before = len(sent)
+        self.srv._handle_control(encode_message(msg), addr)
+        assert len(sent) == before + 1 and sent[-1][1] == addr
+        return sent[-1][0], decode_message(sent[-1][0])
+
+    @initialize(n=st.integers(0, 5))
+    def occupy(self, n):
+        for i, name in enumerate(NAMES[:n]):
+            self.join(name, CONTROL[i % len(CONTROL)], "own")
+
+    @rule(name=st.sampled_from(NAMES), addr=st.sampled_from(CONTROL), ssrc=SSRCS)
+    def join(self, name, addr, ssrc):
+        if ssrc in ("own", "other"):
+            ssrc = 100 + (NAMES.index(name) + (ssrc == "other")) % len(NAMES)
+        _, reply = self.control({"type": "join", "name": name, "ssrc": ssrc}, addr)
+        assert reply["type"] in ("joined", "error")
+        if reply["type"] == "joined":
+            assert self.srv.sessions[name].ssrc == ssrc
+
+    @rule(name=st.sampled_from(NAMES), addr=st.sampled_from(CONTROL), own=st.booleans())
+    def leave(self, name, addr, own):
+        joined = self.srv.sessions.get(name)
+        if own and joined is not None:
+            addr = joined.control_addr
+        _, reply = self.control({"type": "leave", "name": name}, addr)
+        assert (reply["type"] == "left") == (joined is not None and joined.control_addr == addr)
+
+    @rule(owner=st.sampled_from(NAMES), addr=st.sampled_from(CONTROL),
+          floors=st.lists(st.lists(st.sampled_from(NAMES + ("zed",)), max_size=3), max_size=3))
+    def pin_bogus(self, owner, addr, floors):
+        _, reply = self.control({"type": "pin", "owner": owner, "floors": floors}, addr)
+        assert reply["type"] in ("pinned", "error")
+
+    @rule(cut=st.integers(0, 5), data=st.data())
+    def pin_the_room(self, cut, data):
+        names = sorted(self.srv.sessions)
+        if not names:
+            return
+        owner = self.srv.sessions[data.draw(st.sampled_from(names))]
+        floors = [f for f in (names[:cut], names[cut:]) if f]
+        _, reply = self.control(
+            {"type": "pin", "owner": owner.name, "floors": floors}, owner.control_addr)
+        assert reply["type"] == ("pinned" if len(names) >= 2 else "error")
+
+    @rule(owner=st.sampled_from(NAMES), addr=st.sampled_from(CONTROL))
+    def unpin(self, owner, addr):
+        _, reply = self.control({"type": "unpin", "owner": owner}, addr)
+        assert reply["type"] in ("unpinned", "error")
+
+    @rule(addr=st.sampled_from(CONTROL))
+    def status(self, addr):
+        data, reply = self.control({"type": "status"}, addr)
+        assert encode_message(reply) == data
+        assert set(reply["participants"]) == set(self.srv.sessions)
+        self.check_tracker()
+
+    @rule(name=st.sampled_from(NAMES), loud=st.booleans())
+    def audio(self, name, loud):
+        session = self.srv.sessions.get(name)
+        if session is None:
+            return
+        packetizer = self.packetizers.setdefault(session.ssrc, Packetizer(ssrc=session.ssrc))
+        i = NAMES.index(name)
+        self.srv._handle_audio(
+            packetizer.packetize(LOUD if loud else QUIET).to_bytes(), ("127.0.0.1", 7000 + i))
+
+    @rule()
+    def pump(self):
+        srv = self.srv
+        listeners = sorted(s.audio_addr for s in srv.sessions.values() if s.audio_addr)
+        before = len(srv.audio_sock.sent)
+        srv.pump_once()
+        sent = srv.audio_sock.sent[before:]
+        if len(srv.sessions) < 2:
+            listeners = []
+        assert sorted(addr for _, addr in sent) == listeners
+        assert all(len(data) == HEADER_BYTES + FRAME_BYTES for data, _ in sent)  # 172
+        self.check_tracker()
+
+    def check_tracker(self):
+        srv = self.srv
+        if not srv.sessions:
+            assert srv.tracker is None
+            return
+        assert srv.tracker.participants == tuple(
+            sorted(s.participant for s in srv.sessions.values()))
+
+
+def test_the_tracker_follows_the_rooms_membership(floor_model):
+    class Room(LiveRoom):
+        model = floor_model
+
+    run_state_machine_as_test(Room, settings=settings(
+        max_examples=100, stateful_step_count=50, deadline=None, derandomize=True,
+        database=None))

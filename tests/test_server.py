@@ -737,8 +737,9 @@ def test_scripted_client_answers_sync_during_requests(floor_model):
 
 def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model):
     """After 90 s at n=10, a leave and a rejoin change the room's tracker
-    in place; its periods after the rejoin equal those of a tracker fed
-    the whole history of the final room, the rejoiner silent before."""
+    in place at the next pump; its periods after the rejoin equal those
+    of a tracker fed the whole history of the final room, the rejoiner
+    silent before."""
     from floorspace.assigner import FloorAssigner
     from floorspace.corpus import GeneratorConfig, generate
     from floorspace.evaluation import FloorTracker
@@ -755,7 +756,6 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
     try:
         for i, name in enumerate(names):
             srv._join(name, 100 + i, ("127.0.0.1", 9))
-        tracker = srv.tracker
         lookback = sum(floor_model.binning.window_lengths_ms)
         packetizers = [Packetizer(ssrc=100 + i) for i in range(10)]
 
@@ -773,6 +773,8 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
         # a pin keeps the 90 s cheap; the features run as always
         everyone = {"owner": "p0", "floors": [names]}
         srv._pin(everyone)
+        # the pin made the room's tracker follow the joins
+        tracker = srv.tracker
         while srv.tick < 90_000:
             pump()
         # everyone spoke in the lookback the tracker goes on reading
@@ -780,8 +782,6 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
         assert srv._leave("p3")["type"] == "left"
         rejoined = srv._join("p3", 103, ("127.0.0.1", 9))["participant"]
         rejoined_at = srv.tick
-        assert srv.tracker is tracker and tracker.assigner.pinned is None
-        assert max(len(s) for s in tracker.streams.values()) <= lookback + frame_ms
 
         sessions = sorted(srv.sessions.values(), key=lambda s: s.participant)
         full = FloorTracker(
@@ -796,8 +796,12 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
             full.add_activity(pid, np.concatenate(frames))
         full.process_due()
         full.assigner.unpin("p0")
-        for _ in range(10):
+        for k in range(10):
             pump()
+            if k == 0:
+                # the first pump since applied the leave and the rejoin
+                assert srv.tracker is tracker and tracker.assigner.pinned is None
+                assert max(len(s) for s in tracker.streams.values()) <= lookback + frame_ms
             for s in sessions:
                 full.add_activity(s.participant, history[s.participant][-1])
             full.process_due(srv.tick)
@@ -897,9 +901,11 @@ def test_a_pin_dissolves_at_a_leave_and_rejoin(floor_model):
             pin = {"type": "pin", "owner": "a", "floors": [["a"], ["b"], ["c"]]}
             assert a.request(pin)["type"] == "pinned"
             assert srv.tracker.assigner.pinned is not None
-            # the same ids come back before any period runs
+            # the same ids come back before any period runs; the next
+            # pump applies the leave and the rejoin
             assert c.leave()["type"] == "left"
             c.join()
+            srv.pump_once()
             assert srv.tracker.participants == (0, 1, 2)
             assert srv.tracker.assigner.pinned is None
             assert a.request({"type": "unpin", "owner": "a"})["type"] == "unpinned"
@@ -926,3 +932,146 @@ def test_listeners_keep_their_floor_mates_gains_across_a_leave(floor_model):
             after = {x.name: recv_frame(x.audio_sock) for x in (a, b, c)}
     for name in "abc":
         assert np.array_equal(after[name], before[name]), name
+
+
+# --- who applies membership ------------------------------------------------------
+
+
+def test_joins_and_leaves_reach_the_tracker_and_mixer_on_the_pumping_thread(
+        floor_model, monkeypatch):
+    """A join or leave over the control socket only edits the session
+    table; the tracker is made and regrouped, and the mixer forgets a
+    leaver, on the thread that pumps."""
+    from floorspace.evaluation import FloorTracker
+    from floorspace.features import FeatureEngine
+    from floorspace.mixer import Mixer
+
+    calls = []
+
+    def record(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, name in ((FeatureEngine, "_regroup"), (FloorTracker, "__init__"), (Mixer, "forget")):
+        record(cls, name)
+    with running_server(floor_model) as srv:
+        with joined(srv, "a", 1), joined(srv, "b", 2), joined(srv, "c", 3) as c:
+            srv.pump_once()
+            assert c.leave()["type"] == "left"
+            srv.pump_once()
+            c.join()
+            srv.pump_once()
+            assert srv.tracker.participants == (0, 1, 2)
+    assert {name for name, _ in calls} == {"_regroup", "__init__", "forget"}
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+def test_joins_and_leaves_from_many_threads_reach_the_tracker_whole(floor_model, monkeypatch):
+    """Control threads churning joins and leaves while the pump runs: no
+    change is lost, and every regroup runs on the pumping thread."""
+    from floorspace.features import FeatureEngine
+
+    regroups = []
+    regroup = FeatureEngine._regroup
+    monkeypatch.setattr(FeatureEngine, "_regroup",
+                        lambda *a: regroups.append(threading.get_ident()) or regroup(*a))
+    srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0), model=floor_model)
+    replies = []
+    monkeypatch.setattr(srv, "_send_control", lambda msg, addr: replies.append(msg["type"]))
+    rounds, threads = 40, 4
+
+    def churn(k):
+        join = encode_message({"type": "join", "name": f"p{k}", "ssrc": 100 + k})
+        leave = encode_message({"type": "leave", "name": f"p{k}"})
+        addr = ("127.0.0.1", 9000 + k)
+        for _ in range(rounds):
+            srv._handle_control(join, addr)
+            srv._handle_control(leave, addr)
+        srv._handle_control(join, addr)
+
+    workers = [threading.Thread(target=churn, args=(k,)) for k in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        deadline = time.monotonic() + 30
+        while any(w.is_alive() for w in workers) and time.monotonic() < deadline:
+            srv.pump_once()
+        for w in workers:
+            w.join(timeout=5)
+            assert not w.is_alive()
+        srv.pump_once()
+    finally:
+        sys.setswitchinterval(interval)
+        srv.stop()
+    assert replies.count("joined") == threads * (rounds + 1)
+    assert replies.count("left") == threads * rounds
+    assert srv.tracker.participants == tuple(range(threads))
+    assert regroups and set(regroups) == {threading.get_ident()}
+
+
+def test_a_pin_sent_before_the_pump_covers_the_joiner_and_holds(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "a", 1) as a, joined(srv, "b", 2):
+            srv.pump_once()
+            with joined(srv, "c", 3):
+                pin = {"type": "pin", "owner": "a", "floors": [["a", "c"], ["b"]]}
+                assert a.request(pin)["type"] == "pinned"
+                while not srv.tracker.configs:
+                    srv.pump_once()
+                assert srv.tracker.assigner.pinned == ((0, 2), (1,))
+                assert a.request({"type": "status"})["floors"] == [["a", "c"], ["b"]]
+
+
+def test_a_status_before_the_pump_lists_a_joiner_alone(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "a", 1) as a, joined(srv, "b", 2):
+            pin = {"type": "pin", "owner": "a", "floors": [["a", "b"]]}
+            assert a.request(pin)["type"] == "pinned"
+            while not srv.tracker.configs:
+                srv.pump_once()
+            assert a.request({"type": "status"})["floors"] == [["a", "b"]]
+            with joined(srv, "c", 3):
+                status = a.request({"type": "status"})
+                assert status["floors"] == [["a", "b"], ["c"]]
+                assert set(status["participants"]) == {"a", "b", "c"}
+
+
+def test_a_join_and_leave_between_pumps_leave_the_tracker_untouched(floor_model, monkeypatch):
+    """They never reach the tracker; like any join or leave, they
+    dissolve a pin."""
+    from floorspace.features import FeatureEngine
+
+    srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0), model=floor_model)
+    try:
+        for i, name in enumerate("ab"):
+            srv._join(name, 1 + i, ("127.0.0.1", 9000 + i))
+        while len(srv.tracker.configs if srv.tracker else ()) < 3:
+            srv.pump_once()
+        tracker, engine = srv.tracker, srv.tracker._engine
+        assigner = tracker.assigner
+        counters = (assigner.searched, assigner.certified, assigner.reused)
+        cum = engine._cum
+        counts = cum.copy()
+        assert srv._pin({"owner": "a", "floors": [["a", "b"]]})["type"] == "pinned"
+        regroups = []
+        regroup = FeatureEngine._regroup
+        monkeypatch.setattr(FeatureEngine, "_regroup",
+                            lambda *a: regroups.append(a) or regroup(*a))
+        assert srv._join("z", 9, ("127.0.0.1", 9100))["type"] == "joined"
+        assert srv._leave("z")["type"] == "left"
+        assert srv._status()["floors"]  # applies the table
+        assert srv.tracker is tracker and tracker.participants == (0, 1)
+        assert assigner.pinned is None
+        assert (assigner.searched, assigner.certified, assigner.reused) == counters
+        assert engine._cum is cum and np.array_equal(cum, counts)
+        srv.pump_once()
+        assert not regroups
+    finally:
+        srv.stop()
