@@ -2,11 +2,14 @@
 
 The tracker advances one evaluation period (30 ms) at a time and is
 purely a function of input timing: feeding the same activity in one
-batch or in packet-sized slices produces the same configuration log.
-Replay feeds a whole labeled corpus through the identical path the
-live server uses, just as fast as the machine allows. The live server
-keeps one tracker per room and changes its participants in place as
-people join and leave; replay's participants are fixed.
+batch or in packet-sized slices produces the same periods. Each
+``process_due`` call returns the periods it evaluated; the tracker
+itself keeps only its last one, so what it holds does not grow with
+the time it runs. Replay feeds a whole labeled corpus through the
+identical path the live server uses, just as fast as the machine
+allows, and keeps what its one ``process_due`` call returns. The live
+server keeps one tracker per room and changes its participants in
+place as people join and leave; replay's participants are fixed.
 
 Evaluation compares the replayed configuration stream against ground
 truth derived from the corpus labels: at any instant a participant
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from operator import ne
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,8 +62,21 @@ class ConfigurationEvent:
     score: float
 
 
+class Periods(NamedTuple):
+    """The periods one ``process_due`` call evaluated, oldest first.
+
+    ``posteriors`` is (periods, pairs), in the tracker's ``pairs``
+    order; ``events`` are the periods whose partition changed.
+    """
+
+    ticks: List[Tick]
+    posteriors: np.ndarray
+    configs: List[FloorConfiguration]
+    events: List[ConfigurationEvent]
+
+
 class FloorTracker:
-    """Streams in, configuration log out, one evaluation period at a time.
+    """Streams in, periods out, one evaluation period at a time.
 
     ``views`` supplies per-participant utterance (starts, ends) as
     observed so far; the replay path hands in full corpus records
@@ -72,6 +88,12 @@ class FloorTracker:
     rule, pin and dwell, period by period.
     Activity fed starts at ``start_tick``; earlier ticks read as
     non-speech. The first period evaluated is the first after it.
+
+    ``process_due`` returns the periods it evaluated. The tracker keeps
+    only the last: ``ticks`` and ``configs`` hold at most one entry, so a
+    caller that wants the whole log collects what each call returns.
+    ``oldest_needed`` names, per member, the oldest utterance start a
+    later period's gap can still read, so a view may drop older turns.
 
     Participants ``join`` and ``leave`` in place, so one tracker serves
     a live room for as long as anyone is in it. The assigner keeps its
@@ -99,10 +121,9 @@ class FloorTracker:
         self.pairs = unordered_pairs(self.participants)
         self._next_eval = (start_tick // EVAL_PERIOD_MS + 1) * EVAL_PERIOD_MS
 
+        # the last period evaluated, if any
         self.ticks: List[Tick] = []
         self.configs: List[FloorConfiguration] = []
-        self.events: List[ConfigurationEvent] = []
-        self.posteriors: List[np.ndarray] = []
 
     @property
     def participants(self) -> Tuple[int, ...]:
@@ -139,18 +160,25 @@ class FloorTracker:
         """Ticks fully observed across every participant."""
         return self._engine.coverage
 
-    def process_due(self, upto: Optional[Tick] = None) -> List[ConfigurationEvent]:
+    @property
+    def oldest_needed(self) -> Dict[int, Tick]:
+        """Per member with older turns to spare, the oldest utterance start
+        that a later period's gap can read (``FeatureEngine.oldest_needed``)."""
+        return self._engine.oldest_needed
+
+    def process_due(self, upto: Optional[Tick] = None) -> Periods:
         """Evaluate every period boundary now covered by all streams."""
         limit = self.coverage if upto is None else min(upto, self.coverage)
         period = EVAL_PERIOD_MS
+        due = Periods([], np.zeros((0, len(self.pairs))), [], [])
         if len(self.participants) < 2:
             # nothing to decide; keep only the lookback a later joiner's
             # first period reads
             self._engine.count_through(limit)
             self._next_eval = max(self._next_eval, (limit // period + 1) * period)
-            return []
+            return due
         per_block = max(BLOCK_MS // period, 1)
-        fresh: List[ConfigurationEvent] = []
+        rows = []
         while self._next_eval <= limit:
             last = min(limit, self._next_eval + (per_block - 1) * period)
             ticks = np.arange(self._next_eval, last + 1, period)
@@ -158,11 +186,13 @@ class FloorTracker:
             posteriors = self._posteriors(ticks)
             self.assigner.prime(ids, posteriors)
             for t, p in zip(ticks.tolist(), posteriors):
-                event = self._evaluate(t, p, ids)
-                if event is not None:
-                    fresh.append(event)
+                self._evaluate(t, p, ids, due)
+            rows.append(posteriors)
             self._next_eval = int(ticks[-1]) + period
-        return fresh
+        if not rows:
+            return due
+        self.ticks, self.configs = due.ticks[-1:], due.configs[-1:]
+        return due._replace(posteriors=np.concatenate(rows))
 
     def pair_posteriors(self, t: Tick) -> np.ndarray:
         """Unordered-pair mutual-floor posteriors at instant t."""
@@ -180,19 +210,13 @@ class FloorTracker:
         directed = posterior_batch(self.model, bins.reshape(-1, 4)).reshape(len(ticks), 2 * m)
         return 0.5 * (directed[:, :m] + directed[:, m:])
 
-    def _evaluate(
-        self, t: Tick, p: np.ndarray, ids: Tuple[int, ...]
-    ) -> Optional[ConfigurationEvent]:
+    def _evaluate(self, t: Tick, p: np.ndarray, ids: Tuple[int, ...], due: Periods) -> None:
         config = self.assigner.assign(PairRow(ids, p), ids, now_ms=t)
-        changed = not self.configs or self.configs[-1].partition != config.partition
-        self.ticks.append(t)
-        self.configs.append(config)
-        self.posteriors.append(p)
-        if changed:
-            event = ConfigurationEvent(t, config.partition, config.score)
-            self.events.append(event)
-            return event
-        return None
+        previous = (due.configs or self.configs or [None])[-1]
+        if previous is None or previous.partition != config.partition:
+            due.events.append(ConfigurationEvent(t, config.partition, config.score))
+        due.ticks.append(t)
+        due.configs.append(config)
 
 
 class TruthTracker:
@@ -306,22 +330,17 @@ def replay_corpus(
     streams = corpus.streams()
     for pid in ids:
         tracker.add_activity(pid, streams[pid].bits)
-    tracker.process_due()
+    due = tracker.process_due()
 
-    truth_parts = TruthTracker(corpus).partitions_at(tracker.ticks)
     return ReplayResult(
         participants=tracker.participants,
         pairs=tracker.pairs,
-        ticks=np.array(tracker.ticks, dtype=np.int64),
-        chosen=[c.partition for c in tracker.configs],
-        scores=np.array([c.score for c in tracker.configs]),
-        truth=truth_parts,
-        events=tracker.events,
-        posteriors=(
-            np.array(tracker.posteriors)
-            if tracker.posteriors
-            else np.zeros((0, len(tracker.pairs)))
-        ),
+        ticks=np.array(due.ticks, dtype=np.int64),
+        chosen=[c.partition for c in due.configs],
+        scores=np.array([c.score for c in due.configs]),
+        truth=TruthTracker(corpus).partitions_at(due.ticks),
+        events=due.events,
+        posteriors=due.posteriors,
     )
 
 

@@ -227,6 +227,12 @@ class FeatureEngine:
     of an earlier batch; activity before ``start_tick`` reads as
     non-speech.
 
+    The gap has no lookback limit, but a later instant reads few turns.
+    After each batch, ``oldest_needed`` maps every member with turns to
+    spare to the oldest utterance start a later instant's gap can read;
+    a view may drop the turns begun before it, so views stay small
+    however long the session runs.
+
     Participants ``join`` and ``leave`` in place. A joiner's rows start
     as zeros, so the ticks before it joined read as non-speech, and its
     activity is fed from the tick every member covers; a leaver's rows
@@ -265,6 +271,7 @@ class FeatureEngine:
         self._head = 0
         self._cols = 1
         self._base = start_tick
+        self.oldest_needed: Dict[int, Tick] = {}
 
     def _index(self, participants: Sequence[int]) -> None:
         """Rows and the index arrays over them for ``participants``."""
@@ -298,6 +305,8 @@ class FeatureEngine:
         self._fill = [old_fill.get(pid, joined_at) for pid in self.participants]
         self._bits = _carried(self._bits, old_ids, self.participants)
         self._cum = _carried(self._cum, old_pairs, self._overlap_ids())
+        # the next batch works it out for the new members
+        self.oldest_needed = {}
 
     def join(self, participant: int, view: UtteranceView) -> None:
         """Add a participant whose activity is fed from ``coverage`` on."""
@@ -406,9 +415,12 @@ class FeatureEngine:
 
     def count_through(self, tick: Tick) -> None:
         """Count activity through covered ``tick`` without reading features,
-        keeping only the lookback that instants after it can still read."""
+        keeping only the lookback and the turns that instants after it can
+        still read."""
         tick -= tick % self._res
         self._count(tick, tick - self._lookback)
+        starts, _, first = self._read_views()
+        self._note_needed(starts, first, [tick] * len(self.participants), tick)
 
     def _overlap_counts(self, t: np.ndarray) -> np.ndarray:
         """(rows, k, 3) window counts at instants spanning less than BLOCK_MS."""
@@ -451,31 +463,62 @@ class FeatureEngine:
         overlaps = np.concatenate((raw.overlaps, raw.overlaps), axis=1)
         return self.binning.bin_array(raw.gaps, overlaps)
 
-    def _gaps(self, t: np.ndarray) -> np.ndarray:
-        """``trp_gap_from_arrays`` for every ordered pair at every instant."""
+    def _read_views(self) -> Tuple[List[int], List[int], List[int]]:
+        """Every member's turn starts and ends, flattened in row order, and
+        where each row's turns begin: row r's are ``first[r]:first[r + 1]``."""
         starts: List[int] = []
         ends: List[int] = []
-        counts = []
+        first = [0]
         for pid in self.participants:
             s, e = self.views[pid]()
             starts.extend(s)
             ends.extend(e)
-            counts.append(len(s))
+            first.append(len(starts))
+        return starts, ends, first
+
+    def _note_needed(self, starts: List[int], first: List[int], newest: List[int],
+                     now: Tick) -> None:
+        """Set ``oldest_needed`` from each member's newest turn start at
+        ``now`` (``now`` itself for a member with none yet).
+
+        A later instant's gap for (a, b) reads b's two newest turns begun
+        before a's newest start, which only moves later. So b needs its
+        two newest turns begun before every other member's newest start,
+        and every turn after them; alone, those begun before ``now``,
+        where any joiner's turns start.
+        """
+        # every other member's newest start, at the earliest; ``now`` if none
+        lowest, second = sorted(newest + [now, now])[:2]
+        needed = {}
+        for r, pid in enumerate(self.participants):
+            reach = second if newest[r] == lowest else lowest
+            keep = bisect_left(starts, reach, first[r], first[r + 1]) - 2
+            if keep > first[r]:
+                needed[pid] = starts[keep]
+        self.oldest_needed = needed
+
+    def _gaps(self, t: np.ndarray) -> np.ndarray:
+        """``trp_gap_from_arrays`` for every ordered pair at every instant."""
+        starts, ends, first = self._read_views()
         # two trailing pads keep the gathers below in bounds for rows
         # with too few turns; those entries are masked out
         total = len(starts)
         flat = np.array(starts + [0, 0] + ends + [0, 0], dtype=np.int64)
         start_of, end_of = flat[: total + 2], flat[total + 2 :]
-        first = np.cumsum([0] + counts)
-        keys = start_of[:total] + np.repeat(self._row_key, counts)
+        row_first = np.array(first)
+        keys = start_of[:total] + np.repeat(self._row_key, np.diff(row_first))
+        now = int(t[-1])
 
         # newest turn start of each participant at or before t
         qa = np.searchsorted(keys, self._row_key[:, None] + t, side="right")
-        has_a = qa > first[:-1, None]
-        ua = start_of[qa - 1][self._dir_a]
+        has_a = qa > row_first[:-1, None]
+        newest = start_of[qa - 1]
+        self._note_needed(starts, first,
+                          np.where(has_a[:, -1], newest[:, -1], now).tolist(), now)
+        ua = newest[self._dir_a]
         # newest b turn begun strictly before ua, and the one before it
         qb = np.searchsorted(keys, self._key_b + ua, side="left")
-        before = qb - first[self._dir_b, None]
+        before = qb - row_first[self._dir_b, None]
         eb = end_of[qb - 1]
         antecedent = np.where(
             eb <= ua,

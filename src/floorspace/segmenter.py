@@ -9,6 +9,7 @@ Both thresholds are constants; ``speech_runs`` gives the raw runs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -66,11 +67,14 @@ class OnlineSegmenter:
     """Incremental mirror of ``segment`` over a growing stream.
 
     After feeding bits covering [start_tick, T), ``view()`` equals what
-    ``segment`` would produce on that prefix. Only the newest run can
-    still change (it may grow, or a later run may bridge into it), so
-    it is the only run kept; an older one is frozen into the view when
-    the next begins, or dropped if it is too short. The work per fed
-    chunk is proportional to the runs in the chunk.
+    ``segment`` would produce on that prefix, less the turns ``forget``
+    has dropped from its front. Only the newest run can still change (it
+    may grow, or a later run may bridge into it), so it is the only run
+    kept; an older one is frozen into the view when the next begins, or
+    dropped if it is too short. The work per fed chunk is proportional
+    to the runs in the chunk. The live room forgets the turns no later
+    gap can read (``FloorTracker.oldest_needed``), so the view stays a
+    few turns long however long the session runs.
     """
 
     def __init__(self, participant: int, start_tick: Tick = 0):
@@ -107,8 +111,14 @@ class OnlineSegmenter:
                 self._frozen_starts.append(s)
                 self._frozen_ends.append(e)
 
+    def forget(self, before: Tick) -> None:
+        """Drop the frozen utterances begun before ``before``."""
+        drop = bisect_left(self._frozen_starts, before)
+        del self._frozen_starts[:drop]
+        del self._frozen_ends[:drop]
+
     def view(self) -> Tuple[List[int], List[int]]:
-        """(starts, ends) of utterances visible so far, oldest first."""
+        """(starts, ends) of the utterances visible and kept, oldest first."""
         starts = list(self._frozen_starts)
         ends = list(self._frozen_ends)
         if self._tail is not None:
@@ -117,7 +127,3 @@ class OnlineSegmenter:
                 starts.append(s)
                 ends.append(e)
         return starts, ends
-
-    def utterances(self) -> List[Utterance]:
-        starts, ends = self.view()
-        return [Utterance(self.participant, s, e) for s, e in zip(starts, ends)]

@@ -19,12 +19,19 @@ The room has one ``FloorTracker`` from its first member until it
 empties. A join or leave on the control thread only edits the session
 table and replies at once. The pump makes the tracker and the mixer
 follow the table at the top of its next frame, on its own thread; a
-pin, unpin or status that comes first does so before it reads the
-tracker. Only the pump advances the tick, so each change applies at
-the tick it arrived at. Membership changes in place, so the assigner's
-previous choice, search caches and counters carry across it, while a
-pin dissolves; until the next period the mixes follow the last floors,
-less whoever left, with a joiner alone.
+pin or unpin that comes first does so before it uses the tracker. A
+status reads the table and the tracker's last floors as they stand,
+so it never changes the tracker. Only the pump advances the tick, so
+each change applies at the tick it arrived at. Membership changes in
+place, so the assigner's previous choice, search caches and counters
+carry across it, while a pin dissolves; until the next period the
+mixes follow the last floors, less whoever left, with a joiner alone.
+
+What the room keeps does not grow with the time it is open: the
+tracker keeps only its last period, and after each frame every
+session's segmenter forgets the turns no later period can read
+(``FloorTracker.oldest_needed``). ``events``, one entry per
+configuration change, is the exception.
 
 The pump is callable directly (pump_once) so tests and the replay
 path can drive time without a wall clock; serve() runs it paced.
@@ -336,14 +343,19 @@ class RealtimeServer:
             self._members[pid] = present[pid]
             self.tracker.join(pid, present[pid].segmenter.view)
 
+    def _fresh_tracker_due(self) -> bool:
+        """Whether the next pump makes a new tracker for the room."""
+        return self.tracker is None or self._emptied
+
     def _floors(self) -> Optional[FloorConfiguration]:
         """The current floors over the present sessions, or None before the
         first period. A leaver drops out of its floor; a joiner stands
-        alone until the next period decides."""
-        if self.tracker is None or not self.tracker.configs:
+        alone until the next period decides. Reads the session table, so
+        membership the pump has yet to apply counts already."""
+        if self._fresh_tracker_due() or not self.tracker.configs:
             return None
         config = self.tracker.configs[-1]
-        present = self.tracker.participants
+        present = sorted(s.participant for s in self.sessions.values())
         blocks = [[m for m in b if m in present] for b in config.partition]
         placed = {m for b in blocks for m in b}
         blocks += [[m] for m in present if m not in placed]
@@ -441,7 +453,6 @@ class RealtimeServer:
 
     def _status(self) -> dict:
         with self._lock:
-            self._follow_sessions()
             names = {s.participant: s.name for s in self.sessions.values()}
             config = self._floors()
             if config is not None:
@@ -453,9 +464,10 @@ class RealtimeServer:
             search = None
             if len(self.sessions) >= 2:
                 # the room's periods by how the search decided them, over
-                # its whole occupancy
-                assigner = self.tracker.assigner
-                search = {k: getattr(assigner, k) for k in ("searched", "certified", "reused")}
+                # its whole occupancy; none yet if the next pump starts it
+                fresh = self._fresh_tracker_due()
+                search = {k: 0 if fresh else getattr(self.tracker.assigner, k)
+                          for k in ("searched", "certified", "reused")}
             return {
                 "type": "status",
                 "tick_ms": self.tick,
@@ -565,7 +577,7 @@ class RealtimeServer:
             tracker = self.tracker
             tracker.add_room_activity(bits)
             self.tick += FRAME_MS
-            for event in tracker.process_due(self.tick):
+            for event in tracker.process_due(self.tick).events:
                 self.events.append(event)
                 names = {s.participant: s.name for s in sessions}
                 log.info(
@@ -574,6 +586,9 @@ class RealtimeServer:
                     [[names[m] for m in b] for b in event.partition],
                     event.score,
                 )
+            # views keep only the turns a later period's gap can read
+            for pid, start in tracker.oldest_needed.items():
+                self._members[pid].segmenter.forget(start)
             # the floors of the last period; gains() leaves out whoever has
             # left since, and a joiner stays alone until the next period
             config = tracker.configs[-1] if tracker.configs else None

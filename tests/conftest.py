@@ -3,13 +3,17 @@
 The two corpora use the same schedule but independent seeds, so any
 test that trains on one and evaluates on the other sees genuinely
 held-out turn timing. The loopback latency oracle is shared by the
-transport tests and the acceptance gate.
+transport tests and the acceptance gate. A tracker keeps only its
+last period; the ``periods`` fixture collects every one it returns.
 """
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from floorspace.corpus import GeneratorConfig, generate
+from floorspace.evaluation import FloorTracker
 from floorspace.learner import make_training_instances, train
 from floorspace.transport import (
     FRAME_MS,
@@ -104,3 +108,35 @@ class SentDatagrams:
     def sendto(self, data, addr):
         self.sent.append((bytes(data), addr))
         return len(data)
+
+
+class PeriodLog:
+    """Every period one tracker's ``process_due`` calls returned, oldest first."""
+
+    def __init__(self):
+        self.ticks = []
+        self.posteriors = []  # one row per period, in the pairs of its time
+        self.configs = []
+        self.events = []
+
+    def add(self, due):
+        self.ticks.extend(due.ticks)
+        self.posteriors.extend(due.posteriors)
+        self.configs.extend(due.configs)
+        self.events.extend(due.events)
+
+
+@pytest.fixture
+def periods(monkeypatch):
+    """A ``PeriodLog`` per tracker, of every period its ``process_due``
+    returns while the test runs, the server's own trackers included."""
+    logs = defaultdict(PeriodLog)
+    process_due = FloorTracker.process_due
+
+    def logged(self, *args, **kwargs):
+        due = process_due(self, *args, **kwargs)
+        logs[self].add(due)
+        return due
+
+    monkeypatch.setattr(FloorTracker, "process_due", logged)
+    return logs

@@ -125,7 +125,7 @@ def test_replay_posteriors_are_probabilities(eval_corpus, floor_model):
     assert np.all(result.posteriors <= 1.0)
 
 
-def test_tracker_chunking_does_not_change_the_outcome(floor_model):
+def test_tracker_chunking_does_not_change_the_outcome(floor_model, periods):
     corpus = generate(four_party_config(seed=44, duration_ms=90_000, epoch_ms=45_000))
     ids = sorted(corpus.ids.values())
     streams = corpus.streams()
@@ -148,6 +148,7 @@ def test_tracker_chunking_does_not_change_the_outcome(floor_model):
             fed[pid] = hi
         chunked.process_due()
 
+    chunked, batch = periods[chunked], periods[batch]
     assert chunked.ticks == batch.ticks
     assert [c.partition for c in chunked.configs] == [c.partition for c in batch.configs]
     assert _score_bits(chunked) == _score_bits(batch)
@@ -156,11 +157,11 @@ def test_tracker_chunking_does_not_change_the_outcome(floor_model):
     )
 
 
-def _score_bits(tracker):
-    return np.array([c.score for c in tracker.configs], dtype=np.float64).tobytes()
+def _score_bits(log):
+    return np.array([c.score for c in log.configs], dtype=np.float64).tobytes()
 
 
-def test_ten_person_tracker_decides_like_assign_on_plain_dicts(floor_model):
+def test_ten_person_tracker_decides_like_assign_on_plain_dicts(floor_model, periods):
     # a live room's chunking: every participant's 20 ms frame, then the
     # due periods; the tracker's row views must decide exactly like
     # one assign per period on a dict of Python floats
@@ -177,6 +178,7 @@ def test_ten_person_tracker_decides_like_assign_on_plain_dicts(floor_model):
             tracker.add_activity(pid, streams[pid].bits[lo:lo + 20])
         tracker.process_due()
 
+    tracker = periods[tracker]
     assert tracker.ticks[-1] == corpus.duration_ms
     reference = FloorAssigner()
     keys = unordered_pairs(ids)
@@ -239,7 +241,7 @@ def test_replay_derives_the_truth_once_without_oracle_posteriors(
     assert len(built) == 3
 
 
-def test_tracker_first_eval_skips_history(floor_model):
+def test_tracker_first_eval_skips_history(floor_model, periods):
     corpus = generate(four_party_config(seed=45, duration_ms=60_000, epoch_ms=30_000))
     ids = sorted(corpus.ids.values())
     streams = corpus.streams()
@@ -248,11 +250,12 @@ def test_tracker_first_eval_skips_history(floor_model):
     for pid in ids:
         tracker.add_activity(pid, streams[pid].bits[10_000:])
     tracker.process_due()
-    assert tracker.ticks[0] == 10_020  # next period boundary after 10 s
-    assert np.all(np.diff(tracker.ticks) == 30)
+    ticks = periods[tracker].ticks
+    assert ticks[0] == 10_020  # next period boundary after 10 s
+    assert np.all(np.diff(ticks) == 30)
 
 
-def test_a_lone_participant_is_tracked_but_not_decided(floor_model):
+def test_a_lone_participant_is_tracked_but_not_decided(floor_model, periods):
     """Alone, a participant's activity is counted but no period runs; a
     second joiner's first period is the first after it joined, and the
     periods from there equal those of a tracker fed everything."""
@@ -262,9 +265,13 @@ def test_a_lone_participant_is_tracked_but_not_decided(floor_model):
     lone = FloorTracker([0], floor_model, {0: views[0]}, start_tick=0)
     for lo in range(0, 40_000, 20):
         lone.add_room_activity(bits[0].bits[None, lo : lo + 20])
-        assert lone.process_due(lo + 20) == []
+        assert lone.process_due(lo + 20).ticks == []
         assert max(len(s) for s in lone.streams.values()) <= 20
     assert lone.ticks == []
+    # alone, it needs its two newest turns begun before now, where a
+    # joiner's turns will start
+    begun = [s for s in views[0]()[0] if s < 40_000]
+    assert lone.oldest_needed == {0: begun[-2]}
     lone.join(1, views[1])
     for lo in range(40_000, 42_000, 20):
         lone.add_room_activity(np.stack([bits[p].bits[lo : lo + 20] for p in (0, 1)]))
@@ -275,6 +282,7 @@ def test_a_lone_participant_is_tracked_but_not_decided(floor_model):
     full.add_activity(1, np.concatenate([np.zeros(40_000, dtype=bool),
                                          bits[1].bits[40_000:42_000]]))
     full.process_due()
+    lone, full = periods[lone], periods[full]
     since = [i for i, t in enumerate(full.ticks) if t > 40_000]
     assert lone.ticks == [full.ticks[i] for i in since] and lone.ticks[0] == 40_020
     assert np.array_equal(np.vstack(lone.posteriors), np.vstack([full.posteriors[i] for i in since]))
@@ -332,8 +340,8 @@ def test_flat_posteriors_fall_back_to_one_floor(floor_model):
     )
     for pid in ids:
         tracker.add_activity(pid, streams[pid].bits)
-    tracker.process_due()
-    assert all(c.partition == ((0, 1, 2, 3),) for c in tracker.configs)
+    due = tracker.process_due()
+    assert all(c.partition == ((0, 1, 2, 3),) for c in due.configs)
 
 
 def test_dwell_reduces_configuration_changes(eval_corpus, floor_model):

@@ -104,13 +104,17 @@ def _digest(items):
     return h.hexdigest()
 
 
-def _live_room(model):
+def _live_room(model, periods):
     """600 frames of a 10-person room driven in process, one leave and rejoin.
 
     Returns each session's VAD bits, the segmenter views after every
     frame, the room tracker's (tick, partition, score) log and every mix
-    datagram with its address.
+    datagram with its address. A view drops the turns no later period
+    reads, only ever from its front, so each frame's whole view is the
+    turns seen before the view's first, then the view.
     """
+    from bisect import bisect_left
+
     import numpy as np
 
     from floorspace.corpus import GeneratorConfig, generate
@@ -130,6 +134,7 @@ def _live_room(model):
     srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0), model=model)
     socket, srv.audio_sock = srv.audio_sock, SentDatagrams()
     vad, segments = {}, []
+    seen = {}  # per session, every turn its views have shown
     packetizers = {}
 
     def join(i):
@@ -158,18 +163,22 @@ def _live_room(model):
             for s in sorted(srv.sessions.values(), key=lambda s: s.participant):
                 vad.setdefault(s.name, []).append(s.stream.bits[-frame_ms:].tobytes())
                 starts, ends = s.segmenter.view()
+                old_starts, old_ends = seen.get(s, ([], []))
+                kept = bisect_left(old_starts, starts[0]) if starts else len(old_starts)
+                starts, ends = old_starts[:kept] + starts, old_ends[:kept] + ends
+                seen[s] = starts, ends
                 segments.append((s.name, [int(x) for x in starts], [int(x) for x in ends]))
-        tracker = srv.tracker
+        log = periods[srv.tracker]
         mixes = srv.audio_sock.sent
     finally:
         srv.audio_sock = socket
         srv.stop()
-    decisions = [(t, c.partition, c.score) for t, c in zip(tracker.ticks, tracker.configs)]
+    decisions = [(t, c.partition, c.score) for t, c in zip(log.ticks, log.configs)]
     return vad, segments, decisions, mixes
 
 
-def test_live_room_outputs_are_unchanged(floor_model):
-    vad, segments, decisions, mixes = _live_room(floor_model)
+def test_live_room_outputs_are_unchanged(floor_model, periods):
+    vad, segments, decisions, mixes = _live_room(floor_model, periods)
     got = {
         "vad": _digest(item for name in sorted(vad) for item in [name, *vad[name]]),
         "segments": _digest(segments),

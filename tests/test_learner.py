@@ -323,7 +323,7 @@ def test_posterior_batch_matches_scalar_path():
             assert p == posterior_batch(model, row[None])[0]
 
 
-def test_tracker_probability_is_the_mean_of_both_directions():
+def test_tracker_probability_is_the_mean_of_both_directions(periods):
     rng = np.random.default_rng(29)
     model = random_model(rng)
     duration = 40_000
@@ -338,10 +338,11 @@ def test_tracker_probability_is_the_mean_of_both_directions():
         tracker.add_activity(p, bits[p])
         engine.add_activity(p, bits[p])
     tracker.process_due()
+    log = periods[tracker]
     for t in (990, 15_000, 39_990):
         raw = engine.raw([t])
         m = raw.overlaps.shape[1]
-        row = tracker.posteriors[tracker.ticks.index(t)]
+        row = log.posteriors[log.ticks.index(t)]
         for k in range(m):
             both = posteriors(model, raw.gaps[0, [k, m + k]], raw.overlaps[0, [k, k]])
             assert row[k] == pytest.approx(both.mean(), abs=1e-12)

@@ -6,7 +6,9 @@ asks for status, sends audio and pumps. It calls ``_handle_control``,
 ``_handle_audio`` and ``pump_once`` directly, with recording sockets
 in place of the real sends, and checks after every pump that the
 room's tracker follows the session table and every listener with an
-address gets one mix.
+address gets one mix. A status leaves the tracker as it was, and its
+reply does not change when the pump's next step, applying the table,
+is taken before it.
 """
 
 import numpy as np
@@ -99,12 +101,22 @@ class LiveRoom(RuleBasedStateMachine):
         _, reply = self.control({"type": "unpin", "owner": owner}, addr)
         assert reply["type"] in ("unpinned", "error")
 
-    @rule(addr=st.sampled_from(CONTROL))
-    def status(self, addr):
+    @rule(addr=st.sampled_from(CONTROL), apply=st.booleans())
+    def status(self, addr, apply):
+        srv = self.srv
+        tracker = srv.tracker
+        members = tracker and tracker.participants
         data, reply = self.control({"type": "status"}, addr)
         assert encode_message(reply) == data
-        assert set(reply["participants"]) == set(self.srv.sessions)
-        self.check_tracker()
+        assert set(reply["participants"]) == set(srv.sessions)
+        # a status reads the session table and leaves the tracker alone
+        assert srv.tracker is tracker and (tracker and tracker.participants) == members
+        if apply:
+            # what the next pump does first; the reply is the same after it
+            with srv._lock:
+                srv._follow_sessions()
+            self.check_tracker()
+            assert self.control({"type": "status"}, addr)[0] == data
 
     @rule(name=st.sampled_from(NAMES), loud=st.booleans())
     def audio(self, name, loud):

@@ -462,7 +462,7 @@ def test_status_reports_jitter_counters(floor_model):
             assert reply["last_change_ms"] == srv.events[-1].tick
 
 
-def test_status_reports_how_the_search_decided_each_period(floor_model):
+def test_status_reports_how_the_search_decided_each_period(floor_model, periods):
     with running_server(floor_model) as srv:
         with joined(srv, "alice", 10) as a:
             assert a.request({"type": "status"})["search"] is None
@@ -482,7 +482,7 @@ def test_status_reports_how_the_search_decided_each_period(floor_model):
                 }
                 # a room of two is below the margin check's sizes
                 assert search["searched"] >= 1 and search["certified"] == 0
-                assert sum(search.values()) == len(srv.tracker.configs)
+                assert sum(search.values()) == len(periods[srv.tracker].configs)
 
 
 # --- pinning -------------------------------------------------------------------
@@ -735,7 +735,7 @@ def test_scripted_client_answers_sync_during_requests(floor_model):
 # --- membership changes in place ---------------------------------------------
 
 
-def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model):
+def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model, periods):
     """After 90 s at n=10, a leave and a rejoin change the room's tracker
     in place at the next pump; its periods after the rejoin equal those
     of a tracker fed the whole history of the final room, the rejoiner
@@ -808,6 +808,7 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
     finally:
         srv.stop()
 
+    tracker, full = periods[tracker], periods[full]
     after = [i for i, t in enumerate(tracker.ticks) if t > rejoined_at]
     since = [i for i, t in enumerate(full.ticks) if t > rejoined_at]
     assert len(after) == 6 and [tracker.ticks[i] for i in after] == [full.ticks[i] for i in since]
@@ -849,7 +850,8 @@ def _room(model, n, bits, silent=()):
     return srv, join, pump
 
 
-def test_a_leave_and_rejoin_between_periods_keeps_the_floors_and_the_search(floor_model):
+def test_a_leave_and_rejoin_between_periods_keeps_the_floors_and_the_search(
+        floor_model, periods):
     """The room's tracker lives on: a leave and rejoin of a silent member
     with no period between adds no configuration event, and the next
     10-person period is decided as in a room without the change: by the
@@ -873,9 +875,10 @@ def test_a_leave_and_rejoin_between_periods_keeps_the_floors_and_the_search(floo
         while srv.tick < 12_000:
             pump()
         while True:
-            tick, (searched, *_), periods = srv.tick, counts(srv), len(srv.tracker.configs)
+            log = periods[srv.tracker]
+            tick, (searched, *_), decided = srv.tick, counts(srv), len(log.configs)
             pump()
-            if len(srv.tracker.configs) == periods + 1 and counts(srv)[0] == searched:
+            if len(log.configs) == decided + 1 and counts(srv)[0] == searched:
                 break
         want = counts(srv)
     finally:
@@ -960,11 +963,16 @@ def test_joins_and_leaves_reach_the_tracker_and_mixer_on_the_pumping_thread(
     for cls, name in ((FeatureEngine, "_regroup"), (FloorTracker, "__init__"), (Mixer, "forget")):
         record(cls, name)
     with running_server(floor_model) as srv:
-        with joined(srv, "a", 1), joined(srv, "b", 2), joined(srv, "c", 3) as c:
+        with joined(srv, "a", 1) as a, joined(srv, "b", 2), joined(srv, "c", 3) as c:
             srv.pump_once()
             assert c.leave()["type"] == "left"
+            # a status before the pump reads the table, not the tracker
+            status = a.request({"type": "status"})
+            assert sorted(sum(status["floors"], [])) == ["a", "b"]
             srv.pump_once()
             c.join()
+            status = a.request({"type": "status"})
+            assert ["c"] in status["floors"] and set(status["participants"]) == set("abc")
             srv.pump_once()
             assert srv.tracker.participants == (0, 1, 2)
     assert {name for name, _ in calls} == {"_regroup", "__init__", "forget"}
@@ -1043,7 +1051,8 @@ def test_a_status_before_the_pump_lists_a_joiner_alone(floor_model):
                 assert set(status["participants"]) == {"a", "b", "c"}
 
 
-def test_a_join_and_leave_between_pumps_leave_the_tracker_untouched(floor_model, monkeypatch):
+def test_a_join_and_leave_between_pumps_leave_the_tracker_untouched(
+        floor_model, monkeypatch, periods):
     """They never reach the tracker; like any join or leave, they
     dissolve a pin."""
     from floorspace.features import FeatureEngine
@@ -1052,7 +1061,7 @@ def test_a_join_and_leave_between_pumps_leave_the_tracker_untouched(floor_model,
     try:
         for i, name in enumerate("ab"):
             srv._join(name, 1 + i, ("127.0.0.1", 9000 + i))
-        while len(srv.tracker.configs if srv.tracker else ()) < 3:
+        while len(periods[srv.tracker].configs if srv.tracker else ()) < 3:
             srv.pump_once()
         tracker, engine = srv.tracker, srv.tracker._engine
         assigner = tracker.assigner
@@ -1066,7 +1075,9 @@ def test_a_join_and_leave_between_pumps_leave_the_tracker_untouched(floor_model,
                             lambda *a: regroups.append(a) or regroup(*a))
         assert srv._join("z", 9, ("127.0.0.1", 9100))["type"] == "joined"
         assert srv._leave("z")["type"] == "left"
-        assert srv._status()["floors"]  # applies the table
+        assert srv._status()["floors"]
+        with srv._lock:
+            srv._follow_sessions()  # applies the table, as the next pump does first
         assert srv.tracker is tracker and tracker.participants == (0, 1)
         assert assigner.pinned is None
         assert (assigner.searched, assigner.certified, assigner.reused) == counters
