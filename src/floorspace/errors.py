@@ -33,6 +33,10 @@ class ModelVersionError(ModelFormatError):
     """A model file declares an incompatible format version."""
 
 
+class ConfigError(FloorspaceError):
+    """A configuration value lies outside what the program can run with."""
+
+
 class CapacityError(FloorspaceError):
     """Participant count exceeds what exhaustive configuration search allows."""
 

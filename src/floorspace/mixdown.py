@@ -20,7 +20,7 @@ from .corpus import Corpus
 from .errors import UnsupportedFormatError
 from .evaluation import ReplayResult, partition_codes, replay_corpus
 from .learner import FloorModel
-from .mixer import INT16_MAX, INT16_MIN, mix_timeline
+from .mixer import mix_timeline
 from .assigner import FloorConfiguration, Partition, gains
 from .transport import FRAME_SAMPLES, SAMPLE_RATE, SAMPLES_PER_MS
 
@@ -75,17 +75,17 @@ def _write_tones(track: np.ndarray, freq_hz: float, spans: List[Tuple[int, int]]
     sine /= SAMPLE_RATE
     np.sin(sine, out=sine)
     sine *= TONE_AMPLITUDE * 32767.0
-    level = np.clip(np.rint(sine), INT16_MIN, INT16_MAX).astype(np.int16)
+    # TONE_AMPLITUDE < 1 and the edges only scale down, so no sample
+    # leaves int16 and the rounded values need no clip
+    level = np.rint(sine).astype(np.int16)
     for a, b in spans:
         n = b - a
         track[a:b] = level[:n]
         edge = min(TONE_EDGE_MS * SAMPLES_PER_MS, n // 2)
         if edge > 0:
             ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
-            track[a : a + edge] = np.clip(np.rint(sine[:edge] * ramp), INT16_MIN, INT16_MAX)
-            track[b - edge : b] = np.clip(
-                np.rint(sine[n - edge : n] * ramp[::-1]), INT16_MIN, INT16_MAX
-            )
+            track[a : a + edge] = np.rint(sine[:edge] * ramp)
+            track[b - edge : b] = np.rint(sine[n - edge : n] * ramp[::-1])
 
 
 def tone_audio_for_corpus(corpus: Corpus) -> Dict[int, np.ndarray]:

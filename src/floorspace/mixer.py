@@ -16,7 +16,12 @@ gain at j = n.
 
 ``Mixer.mix_frame`` mixes a whole room per call, from ramp state held
 as dense listener x speaker arrays in room order, and sums the
-speakers in ascending order with one reduction.
+speakers in ascending order with one reduction. ``mix_timeline``
+renders one listener's whole timeline offline, in blocks of frames,
+and sums in the same order but skips the terms that are signed zeros
+(a speaker held at 0 or silent over the block), which can change only
+the sign of a zero sum; rounding and the int16 cast erase that, so
+both give the same samples.
 """
 
 from __future__ import annotations
@@ -153,35 +158,36 @@ class Mixer:
 def _frame_gains(targets: np.ndarray, ramp: int):
     """Start gain and per-sample step of every frame, walked from the targets.
 
-    Each speaker's column is walked by the ramp law only over the frames
-    where its target changes or its gain still glides; a settled frame
-    starts at its target with no step. Scalar float arithmetic does the
-    same IEEE operations as ``glide``, so the gains are the same bits.
+    Each speaker's column is walked by the ramp law only from each
+    frame where its target changes, for as long as its gain glides; a
+    settled frame starts at its target with no step. Scalar float
+    arithmetic does the same IEEE operations as ``glide``, so the gains
+    are the same bits.
     """
     start = targets.copy()
     step = np.zeros_like(targets)
     fs = FRAME_SAMPLES
-    n_frames = len(targets)
     for s in range(targets.shape[1]):
         col = targets[:, s]
-        changes = (np.flatnonzero(col[1:] != col[:-1]) + 1).tolist()
-        col = col.tolist()
-        value = target = col[0] if col else 0.0
-        d, f = 0.0, 0  # frames before f are walked
-        for c in changes:
-            if c < f:
-                continue  # retargeted mid-glide, already walked
-            f = c
-            while f < n_frames:
-                if col[f] != target:
-                    target = col[f]
-                    d = (target - value) / ramp
-                if value == target:
-                    break
-                start[f, s], step[f, s] = value, d
+        changes = np.flatnonzero(col[1:] != col[:-1]) + 1
+        if not len(changes):
+            continue
+        levels = col[changes].tolist()
+        changes = changes.tolist()
+        ends = changes[1:] + [len(targets)]
+        value = col[0].item()  # the gain at the start of frame f
+        frames, values, steps = [], [], []
+        for f, target, end in zip(changes, levels, ends):
+            d = (target - value) / ramp
+            while f < end and value != target:
+                frames.append(f)
+                values.append(value)
+                steps.append(d)
                 g = value + d * fs
                 value = min(g, target) if d > 0 else max(g, target)
                 f += 1
+        start[frames, s] = values
+        step[frames, s] = steps
     return start, step
 
 
@@ -200,45 +206,73 @@ def mix_timeline(
 
     Up to BLOCK_FRAMES frames are summed at a time, in place in buffers
     allocated once. A speaker's gain is held over the frames where it
-    does not glide; a held 0 adds nothing and a held 1 adds the track
-    as it is. Only the gliding frames compute ``glide``'s gains, and
-    one clip between each frame's start and target gains clamps them:
-    a glide moves from its start toward its target, so that clip is
-    ``glide``'s minimum or maximum, to the bit.
+    does not glide, and a held 1 adds the track as it is. Only the
+    gliding frames compute ``glide``'s gains, and one clip between each
+    frame's start and target gains clamps them: a glide moves from its
+    start toward its target, so that clip is ``glide``'s minimum or
+    maximum, to the bit.
+
+    A block does only the arithmetic that can change its samples. A
+    speaker held at 0, or whose track is all zeros over the block, is
+    skipped: its term is a signed zero, and x + 0.0 is x unless x is a
+    zero. The first remaining term is written, not added to a zeroed
+    buffer: 0.0 + p is p unless p is a zero. So the sum differs from
+    the frame-by-frame one at most in the sign of a zero, which rint
+    keeps and the int16 cast drops. A block with no term is written as
+    zeros, and the clip to int16 runs only when the rounded block
+    leaves that range, where it would change nothing otherwise. A
+    block's end samples are read before its samples are counted, so a
+    track that is seldom exactly 0, as a recording with a noise floor
+    is, rarely pays for the count.
     """
     fs, n = FRAME_SAMPLES, len(tracks[0])
     targets = np.asarray(targets, dtype=np.float64)
     start, step = _frame_gains(targets, ramp_samples(ramp_ms))
     gliding = start != targets
     low, high = np.minimum(start, targets), np.maximum(start, targets)
+    # per block and speaker: whether any frame glides, else the held gain
+    firsts = np.arange(0, len(targets), BLOCK_FRAMES)
+    glides = np.logical_or.reduceat(gliding, firsts).tolist()
+    held = start[firsts].tolist()
     j = np.arange(1, fs + 1)
     out = np.empty(n, dtype=np.int16)
     acc = np.empty(BLOCK_FRAMES * fs)
     weighted = np.empty(BLOCK_FRAMES * fs)
     gain = np.empty((BLOCK_FRAMES, fs))
-    for f0 in range(0, len(targets), BLOCK_FRAMES):
+    for f0, glide_s, held_s in zip(firsts.tolist(), glides, held):
         f1 = min(f0 + BLOCK_FRAMES, len(targets))
         a, b = f0 * fs, min(f1 * fs, n)
         total, part = acc[: b - a], weighted[: b - a]
-        total.fill(0.0)
+        dest = total  # the first term is written, the others added
         # speaker by speaker in ascending order, as Mixer.mix_frame sums
         for s, track in enumerate(tracks):
-            moving = gliding[f0:f1, s].nonzero()[0]
-            if len(moving):
+            if not (glide_s[s] or held_s[s]):
+                continue  # held at 0
+            pcm = track[a:b]
+            # an end sample answers for most blocks that are not silent
+            if not (pcm[0] or pcm[-1] or np.count_nonzero(pcm)):
+                continue  # silent
+            if glide_s[s]:
                 g = gain[: f1 - f0]
                 g[:] = start[f0:f1, s, None]
+                moving = gliding[f0:f1, s].nonzero()[0]
                 f = moving + f0
                 g[moving] = np.clip(start[f, s, None] + step[f, s, None] * j,
                                     low[f, s, None], high[f, s, None])
-                np.multiply(track[a:b], g.reshape(-1)[: b - a], out=part)
-            elif start[f0, s] == 1.0:
-                total += track[a:b]
-                continue
-            elif start[f0, s]:
-                np.multiply(track[a:b], start[f0, s], out=part)
+                np.multiply(pcm, g.reshape(-1)[: b - a], out=dest)
+            elif held_s[s] != 1.0 or dest is total:
+                np.multiply(pcm, held_s[s], out=dest)
             else:
-                continue  # adds only zeros
-            total += part
+                total += pcm
+                continue
+            if dest is part:
+                total += part
+            dest = part
+        if dest is total:
+            out[a:b] = 0  # every term was 0
+            continue
         np.rint(total, out=total)
-        out[a:b] = np.clip(total, INT16_MIN, INT16_MAX, out=total)
+        if total.max() > INT16_MAX or total.min() < INT16_MIN:
+            np.clip(total, INT16_MIN, INT16_MAX, out=total)
+        out[a:b] = total
     return out

@@ -64,7 +64,7 @@ from .assigner import (
     canonical_partition,
     gains,
 )
-from .errors import CapacityError, FloorspaceError, PacketFormatError
+from .errors import CapacityError, ConfigError, FloorspaceError, PacketFormatError
 from .evaluation import ConfigurationEvent, FloorTracker
 from .learner import FloorModel, load_model
 from .mixer import Mixer
@@ -135,6 +135,12 @@ class ServerConfig:
             raise CapacityError(
                 f"max_participants must be in [1, {MAX_PARTICIPANTS}]"
             )
+        # rejected here, not at the first join, where the client gets the blame
+        if self.jitter_depth_ms < FRAME_MS:
+            raise ConfigError(f"jitter_depth_ms must hold at least one frame ({FRAME_MS} ms)")
+        for name in ("audio_port", "control_port"):
+            if not 0 <= getattr(self, name) <= 65535:
+                raise ConfigError(f"{name} must be in [0, 65535]")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServerConfig":
@@ -239,7 +245,7 @@ class RealtimeServer:
         try:
             self.audio_sock.bind((cfg.host, cfg.audio_port))
             self.control_sock.bind((cfg.host, cfg.control_port))
-        except OSError:
+        except BaseException:
             # a failed bind must not hold the other port or leak either socket
             self.audio_sock.close()
             self.control_sock.close()

@@ -241,6 +241,23 @@ def test_serve_reports_a_vad_that_is_not_an_object(tmp_path, art, capsys):
         assert err.startswith("error:") and "bad server config" in err
 
 
+def test_serve_reports_a_port_out_of_range(art, capsys):
+    rc = main(["serve", "--audio-port", "70000", "--control-port", "0",
+               "--model", str(art.model)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "audio_port" in err
+
+
+def test_serve_reports_a_jitter_depth_below_one_frame(tmp_path, art, capsys):
+    path = tmp_path / "server.json"
+    path.write_text(json.dumps({"model_path": str(art.model), "jitter_depth_ms": 0}))
+    rc = main(["serve", "--config", str(path), "--audio-port", "0", "--control-port", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "jitter_depth_ms" in err
+
+
 # --- argument errors ----------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from floorspace.mixer import INT16_MAX, INT16_MIN, Mixer, glide, mix_timeline
+from floorspace.mixer import BLOCK_FRAMES, INT16_MAX, INT16_MIN, Mixer, glide, mix_timeline
 from floorspace.transport import FRAME_SAMPLES as FRAME
 
 
@@ -167,6 +167,9 @@ def test_forgotten_participant_starts_again_at_the_target():
     assert np.all(out == 2000)
 
 
+BLOCK = BLOCK_FRAMES * FRAME  # the samples of one block of mix_timeline
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 4),
@@ -175,10 +178,34 @@ def test_forgotten_participant_starts_again_at_the_target():
     st.lists(st.tuples(st.integers(1, 40), st.sampled_from([0.0, 0.2, 0.37, 1.0, 1.5])),
              min_size=1, max_size=60),
     st.integers(0, 2**32 - 1),
+    # (speaker, first sample, samples) spans zeroed; speaker -1 is everyone
+    st.lists(st.tuples(st.integers(-1, 3), st.integers(0, 300 * FRAME),
+                       st.integers(1, 300 * FRAME)), max_size=5),
 )
-def test_timeline_mix_equals_frame_by_frame_mixing(speakers, n, ramp_ms, holds, seed):
+@example(
+    # gains change every few frames, so each speaker glides in every
+    # block: speaker 0 is silent over block 0, where speaker 1's glide
+    # is the first term; in block 1, speaker 1 is silent at the start
+    # and speaker 0 at the end; every speaker is silent over block 2;
+    # speaker 2's whole track is silent; the last frame is partial and
+    # the full-range sums clip
+    speakers=3, n=4 * BLOCK - 90, ramp_ms=250,
+    holds=[(5, 0.2), (9, 1.0), (4, 0.0), (6, 0.37)], seed=1,
+    silences=[(0, 0, BLOCK), (1, BLOCK, 3000), (0, 2 * BLOCK - 3000, 3000),
+              (-1, 2 * BLOCK, BLOCK), (2, 0, 4 * BLOCK)],
+)
+@example(
+    # both held at 1: each one's track is the whole first term of a
+    # block where the other is silent, and their sum clips in the last,
+    # where speaker 1 is silent at both ends but not between
+    speakers=2, n=3 * BLOCK, ramp_ms=250, holds=[(300, 1.0)], seed=2,
+    silences=[(0, 0, BLOCK), (1, BLOCK, BLOCK), (1, 2 * BLOCK, 100), (1, 3 * BLOCK - 100, 100)],
+)
+def test_timeline_mix_equals_frame_by_frame_mixing(speakers, n, ramp_ms, holds, seed, silences):
     """Any gain levels, held for any number of frames per speaker, ramps
-    reversing mid-glide, a partial last frame and clipping."""
+    reversing mid-glide, a partial last frame, clipping, and silent
+    spans: part of a block, whole blocks, whole tracks and blocks where
+    every speaker is silent."""
     rng = np.random.default_rng(seed)
     frames = -(-n // FRAME)
     targets = np.empty((frames, speakers))
@@ -186,6 +213,8 @@ def test_timeline_mix_equals_frame_by_frame_mixing(speakers, n, ramp_ms, holds, 
         levels = np.concatenate([np.full(k, g) for k, g in holds])
         targets[:, s] = np.resize(np.roll(levels, int(rng.integers(len(levels)))), frames)
     tracks = rng.integers(-32768, 32768, (speakers, n)).astype(np.int16)
+    for s, a, k in silences:
+        tracks[slice(None) if s < 0 else s % speakers, a : a + k] = 0
     mixer, ids = Mixer(ramp_ms), list(range(speakers))
     want = np.concatenate([
         mix_one(mixer, 99, ids, tracks[:, f * FRAME : (f + 1) * FRAME], targets[f])

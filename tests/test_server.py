@@ -1,6 +1,7 @@
 """Live server plumbing over loopback UDP: membership, audio, control, sync."""
 
 import contextlib
+import gc
 import socket
 import sys
 import threading
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from floorspace.assigner import QUIET_GAIN
-from floorspace.errors import CapacityError, FloorspaceError, PacketFormatError
+from floorspace.errors import CapacityError, ConfigError, FloorspaceError, PacketFormatError
 from floorspace.server import (
     RealtimeServer,
     ServerConfig,
@@ -152,6 +153,35 @@ def test_config_bounds_participant_count():
         ServerConfig(max_participants=0)
     with pytest.raises(CapacityError):
         ServerConfig(max_participants=11)
+
+
+def test_config_rejects_a_jitter_depth_below_one_frame():
+    # else the server starts and answers every join as malformed
+    for depth in (0, 19, -20):
+        with pytest.raises(ConfigError, match="jitter_depth_ms"):
+            ServerConfig(jitter_depth_ms=depth)
+        with pytest.raises(ConfigError, match="jitter_depth_ms"):
+            ServerConfig.from_dict({"jitter_depth_ms": depth})
+    assert ServerConfig(jitter_depth_ms=20).jitter_depth_ms == 20
+
+
+def test_config_bounds_both_ports():
+    for field in ("audio_port", "control_port"):
+        for port in (-1, 65536, 70000):
+            with pytest.raises(ConfigError, match=field):
+                ServerConfig(**{field: port})
+            with pytest.raises(ConfigError, match=field):
+                ServerConfig.from_dict({field: port})
+
+
+def test_a_bind_that_fails_without_an_os_error_closes_both_sockets(floor_model):
+    # an unclosed socket warns when collected, which the test settings
+    # make an error
+    cfg = ServerConfig(audio_port=0, control_port=0)
+    cfg.control_port = 70000  # set after the checks, as bind sees it
+    with pytest.raises(OverflowError):
+        RealtimeServer(cfg, model=floor_model)
+    gc.collect()
 
 
 def test_server_needs_a_model():
