@@ -38,21 +38,29 @@ assigner therefore keeps the last search's outcome, keyed on the
 participant ids and the row's bytes. That outcome is either the
 winning ``FloorConfiguration`` itself, shared between periods, or, when
 several partitions tie, the tied rows with their scores. The tie rule
-runs on that set every period, so a repeated row is never searched
+runs on that set at every decision, so a repeated row is never searched
 again, even after a pin, a dwell hold or a tie changed the previous
 choice.
 
-The tracker computes a block of periods' posteriors at once and hands
-the block to ``FloorAssigner.prime`` before it assigns them period by
-period. In rooms of two to DENSE_MEMBERS with no pin, ``prime``
-searches every row that differs from the row before it in one pass:
-run starts from the rows' bits, the weights and the sums of 1 - p over
-all of them at once, each row's within-floor sums by the same call as
-a search, and the tie cut and the argmax over the stacked sums. The
+The tracker computes a block of periods' posteriors at once, one row
+per run of periods that share a row, and hands those rows to
+``FloorAssigner.prime``. In rooms of two to DENSE_MEMBERS with no pin,
+``prime`` searches them in one pass: the weights and the sums of 1 - p
+over all of them at once, each row's within-floor sums by the same call
+as a search, and the tie cut and the argmax over the stacked sums. The
 outcomes, the same objects a search would keep, go into a table under
 the same keys, which ``assign`` reads before it searches; it holds only
-the newest block. The tie rule, pins, dwell and the counters still run
-per period, and a primed row counts as searched.
+the newest block. A primed row counts as searched.
+
+The tracker then decides each run with one ``assign_run``: one
+``assign`` for its first period, whose choice holds for the rest of the
+run. That is what one ``assign`` per period would choose. A repeated
+row is not searched again but read back, so the rest of the run counts
+as reused; and if its outcome is a tie set, the previous choice, which
+the first period just made, is in it and is kept. A pin holds as long
+as the room does, and a period before a dwell hold expires holds again.
+Only the period where a pending hold expires can choose anew, so the
+run is split there and that period is decided by another ``assign``.
 
 In rooms of more than DENSE_MEMBERS (9 and 10 people) a new row is
 first tried against the last full search that found a unique winner.
@@ -79,7 +87,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, PinPermissionError
+from .errors import CapacityError, ConfigError, PinPermissionError
 from .timeline import MAX_PARTICIPANTS
 
 NEUTRAL_SCORE = 0.5  # score of a configuration with no pairs to witness it
@@ -512,6 +520,12 @@ def _decide(p: np.ndarray, w: np.ndarray, ids: Tuple[int, ...]):
     return found, _Reference(scorer, ids, w, row, lead - float(within.max()))
 
 
+def check_dwell(dwell_ms: int) -> None:
+    """Raise ConfigError unless ``dwell_ms`` is a non-negative int."""
+    if isinstance(dwell_ms, bool) or not isinstance(dwell_ms, int) or dwell_ms < 0:
+        raise ConfigError(f"dwell_ms must be a non-negative integer, got {dwell_ms!r}")
+
+
 def gains(config: FloorConfiguration, participants: Sequence[int]) -> np.ndarray:
     """Per-listener target gains: NORMAL_GAIN for floor-mates, QUIET_GAIN otherwise.
 
@@ -534,23 +548,27 @@ def gains(config: FloorConfiguration, participants: Sequence[int]) -> np.ndarray
 class FloorAssigner:
     """Periodic configuration selection with pinning and optional dwell.
 
-    ``assign`` is called once per evaluation period (EVAL_PERIOD_MS)
-    with the complete pairwise posterior map; a call without
-    ``now_ms`` advances the assigner's clock by one period. A pinned
-    configuration overrides the search until its owner unpins it or
-    the participant set changes.
+    ``assign`` decides one evaluation period (EVAL_PERIOD_MS) from the
+    complete pairwise posterior map; a call without ``now_ms`` advances
+    the assigner's clock by one period. ``assign_run`` decides a run of
+    periods that share one posterior map. A pinned configuration
+    overrides the search until its owner unpins it or the participant
+    set changes.
     ``dwell_ms`` > 0 suppresses a switch until that long has passed
     since the last one, trading latency for stability; the default is
-    no dwell.
+    no dwell. It must be a non-negative int (``check_dwell``).
     """
 
     def __init__(self, dwell_ms: int = 0):
+        check_dwell(dwell_ms)
         self.dwell_ms = dwell_ms
         self.previous: Optional[FloorConfiguration] = None
         self.pinned: Optional[Partition] = None
         self.pin_owner = None
         self._clock: int = 0
         self._last_change: Optional[int] = None
+        # when the last assign held a switch back: the first tick it may switch
+        self._hold_until: Optional[int] = None
         # the last decided row's key (ids, posterior row bytes) and what
         # the row decided: a FloorConfiguration or a _TieSet
         self._last: Optional[Tuple[tuple, object]] = None
@@ -598,9 +616,9 @@ class FloorAssigner:
         """Search ahead the rows of a block of periods, for the next
         ``assign`` calls to read.
 
-        ``block`` holds one posterior row per period, over the pairs of
-        the sorted ``ids`` in order. Every row that differs from the one
-        before it (the first: from the last row decided) is decided in
+        ``block`` holds posterior rows over the pairs of the sorted
+        ``ids`` in order, one per run of periods that share a row. Every
+        row (the first unless it is the last row decided) is decided in
         one pass, to the bit as a search would decide it, and kept until
         the next block; a row the table lacks is searched as usual.
         Rooms of more than DENSE_MEMBERS and pinned rooms are not primed.
@@ -608,12 +626,9 @@ class FloorAssigner:
         self._primed = {}
         if self.pinned is not None or not 2 <= len(ids) <= DENSE_MEMBERS or not len(block):
             return
-        block = np.ascontiguousarray(block, dtype=np.float64)
-        bits = block.view(np.uint64)
-        new = np.ones(len(block), dtype=bool)
-        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-        new[0] = self._last is None or self._last[0] != (ids, block[0].tobytes())
-        rows = block[new]
+        rows = np.asarray(block, dtype=np.float64)
+        if self._last is not None and self._last[0] == (ids, rows[0].tobytes()):
+            rows = rows[1:]
         # in slices, so the stacked sums stay small in rooms of eight
         step = max(1, PRIMED_SUMS // len(_scorer(len(ids)).top.labels))
         for i in range(0, len(rows), step):
@@ -668,6 +683,7 @@ class FloorAssigner:
             now_ms = self._clock
         else:
             self._clock = now_ms
+        self._hold_until = None
 
         if self.pinned is not None:
             covered = sorted(m for b in self.pinned for m in b)
@@ -693,8 +709,42 @@ class FloorAssigner:
             cfg = FloorConfiguration(
                 previous.partition, float(score(previous.partition, posteriors))
             )
+            self._hold_until = self._last_change + self.dwell_ms
 
         if previous is None or cfg.partition != previous.partition:
             self._last_change = now_ms
         self.previous = cfg
         return cfg
+
+    def assign_run(
+        self,
+        posteriors: Mapping[PairKey, float],
+        participants: Sequence[int],
+        now_ms: int,
+        periods: int,
+    ) -> List[Tuple[FloorConfiguration, int]]:
+        """Decide ``periods`` consecutive periods from ``now_ms`` on that
+        share one posterior map, exactly as one ``assign`` each would.
+
+        Returns the choices in order, each with the number of periods it
+        holds for. A run takes one ``assign`` call, two when a dwell
+        hold expires inside it: the periods after a call repeat its
+        choice, its clock and its counters (see the module docstring).
+        """
+        end = now_ms + periods * EVAL_PERIOD_MS
+        out: List[Tuple[FloorConfiguration, int]] = []
+        while now_ms < end:
+            cfg = self.assign(posteriors, participants, now_ms)
+            upto = end
+            if self._hold_until is not None:
+                # the first period at or after the hold's expiry decides anew
+                wait = -(-(self._hold_until - now_ms) // EVAL_PERIOD_MS)
+                upto = min(end, now_ms + wait * EVAL_PERIOD_MS)
+            repeats = (upto - now_ms) // EVAL_PERIOD_MS - 1
+            if repeats:
+                self._clock = upto - EVAL_PERIOD_MS
+                if self.pinned is None and len(participants) > 1:
+                    self.reused += repeats
+            out.append((cfg, repeats + 1))
+            now_ms = upto
+        return out

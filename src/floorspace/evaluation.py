@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import ne
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -82,10 +83,12 @@ class FloorTracker:
     observed so far; the replay path hands in full corpus records
     (the gap feature only looks at what had started by ``now``), the
     live path hands in online segmenter views. Due periods are
-    evaluated in blocks: features and posteriors for a whole block in
-    array operations, the block's distinct rows searched in one pass
-    (``FloorAssigner.prime``), then the assigner's choice, with its tie
-    rule, pin and dwell, period by period.
+    evaluated in blocks: features for a whole block in array
+    operations, then one posterior row per run of periods whose binned
+    features repeat bit for bit, the block's rows searched in one pass
+    (``FloorAssigner.prime``), and one ``FloorAssigner.assign_run`` per
+    run, whose choice, with its tie rule, pin and dwell, is what one
+    ``assign`` per period would make. A live pump's block is one period.
     Activity fed starts at ``start_tick``; earlier ticks read as
     non-speech. The first period evaluated is the first after it.
 
@@ -178,45 +181,72 @@ class FloorTracker:
             self._next_eval = max(self._next_eval, (limit // period + 1) * period)
             return due
         per_block = max(BLOCK_MS // period, 1)
-        rows = []
+        blocks = []
+        previous = self.configs[-1] if self.configs else None
         while self._next_eval <= limit:
             last = min(limit, self._next_eval + (per_block - 1) * period)
             ticks = np.arange(self._next_eval, last + 1, period)
             ids = self.participants
-            posteriors = self._posteriors(ticks)
-            self.assigner.prime(ids, posteriors)
-            for t, p in zip(ticks.tolist(), posteriors):
-                self._evaluate(t, p, ids, due)
-            rows.append(posteriors)
-            self._next_eval = int(ticks[-1]) + period
-        if not rows:
+            rows, runs = self._posteriors(ticks)
+            self.assigner.prime(ids, rows)
+            t = self._next_eval
+            for p, k in zip(rows, runs):
+                for config, n in self.assigner.assign_run(PairRow(ids, p), ids, t, k):
+                    if previous is None or previous.partition != config.partition:
+                        due.events.append(ConfigurationEvent(t, config.partition, config.score))
+                    due.configs.extend([config] * n)
+                    previous = config
+                    t += n * period
+            due.ticks.extend(ticks.tolist())
+            blocks.append(rows if len(rows) == len(ticks) else np.repeat(rows, runs, axis=0))
+            self._next_eval = t
+        if not blocks:
             return due
         self.ticks, self.configs = due.ticks[-1:], due.configs[-1:]
-        return due._replace(posteriors=np.concatenate(rows))
+        return due._replace(posteriors=np.concatenate(blocks))
 
     def pair_posteriors(self, t: Tick) -> np.ndarray:
         """Unordered-pair mutual-floor posteriors at instant t."""
-        return self._posteriors(np.array([t]))[0]
+        return self._posteriors(np.array([t]))[0][0]
 
-    def _posteriors(self, ticks: np.ndarray) -> np.ndarray:
-        """(ticks, pairs) posteriors, each the mean of both directions."""
+    def _posteriors(self, ticks: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+        """(runs, pairs) posteriors, each the mean of both directions, one
+        row per run of ticks whose rows are bit-identical, and the runs'
+        lengths.
+
+        Only the first tick of each run of repeated binned features is
+        computed; the arithmetic is per row, so the ticks after it would
+        repeat its bits. Runs of different bins can still give the same
+        row, and are joined.
+        """
         if self.posterior_override is not None:
-            return np.array(
+            rows = np.array(
                 [[p[k] for k in self.pairs] for p in map(self.posterior_override, ticks.tolist())],
                 dtype=np.float64,
             )
+            runs = np.ones(len(rows), dtype=np.intp)
+        elif len(ticks) == 1:
+            # a live pump's one period is one run; there is nothing to compare
+            return self._pair_means(self._engine.binned(ticks)), [1]
+        else:
+            bins = self._engine.binned(ticks).reshape(len(ticks), -1)
+            firsts = _run_starts(bins)
+            runs = np.diff(firsts, append=len(ticks))
+            rows = self._pair_means(bins[firsts])
+        firsts = _run_starts(rows.view(np.uint64))
+        return rows[firsts], np.add.reduceat(runs, firsts).tolist()
+
+    def _pair_means(self, bins: np.ndarray) -> np.ndarray:
+        """Per row of every ordered pair's binned features, each pair's
+        posterior as the mean of both directions."""
         m = len(self.pairs)
-        bins = self._engine.binned(ticks)
-        directed = posterior_batch(self.model, bins.reshape(-1, 4)).reshape(len(ticks), 2 * m)
+        directed = posterior_batch(self.model, bins.reshape(-1, 4)).reshape(-1, 2 * m)
         return 0.5 * (directed[:, :m] + directed[:, m:])
 
-    def _evaluate(self, t: Tick, p: np.ndarray, ids: Tuple[int, ...], due: Periods) -> None:
-        config = self.assigner.assign(PairRow(ids, p), ids, now_ms=t)
-        previous = (due.configs or self.configs or [None])[-1]
-        if previous is None or previous.partition != config.partition:
-            due.events.append(ConfigurationEvent(t, config.partition, config.score))
-        due.ticks.append(t)
-        due.configs.append(config)
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows of the 2-D integer array ``keys`` starts."""
+    return np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1))))
 
 
 class TruthTracker:
@@ -292,6 +322,18 @@ class ReplayResult:
     truth: List[Partition]
     events: List[ConfigurationEvent]
     posteriors: np.ndarray  # (periods, n_pairs)
+
+    @cached_property
+    def chosen_codes(self) -> Tuple[np.ndarray, List[Partition]]:
+        """Each period's chosen partition as a number, and the partitions
+        by number, in the order they were first chosen.
+
+        ``evaluate`` and every listener's render read the same numbers,
+        so they are worked out once.
+        """
+        index: Dict[Partition, int] = {}
+        codes = partition_codes(self.chosen, index)
+        return codes, list(index)
 
 
 def replay_corpus(
@@ -432,8 +474,8 @@ def evaluate(
     )
     ticks = result.ticks
     # equal partitions share a number, so each distinct one is scored once
-    index: Dict[Partition, int] = {}
-    chosen = partition_codes(result.chosen, index)
+    chosen, partitions = result.chosen_codes
+    index = {part: code for code, part in enumerate(partitions)}
     truth = partition_codes(result.truth, index)
     same = _pair_same_matrix(list(index), result.pairs)
     chosen_same, truth_same = same[chosen], same[truth]

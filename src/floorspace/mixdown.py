@@ -18,10 +18,10 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import UnsupportedFormatError
-from .evaluation import ReplayResult, partition_codes, replay_corpus
+from .evaluation import ReplayResult, replay_corpus
 from .learner import FloorModel
 from .mixer import mix_timeline
-from .assigner import FloorConfiguration, Partition, gains
+from .assigner import FloorConfiguration, gains
 from .transport import FRAME_SAMPLES, SAMPLE_RATE, SAMPLES_PER_MS
 
 # roughly a C-major scale so concurrent voices stay tellable apart
@@ -148,11 +148,13 @@ def render_listener_mix(
     starts_ms = np.arange(0, n, FRAME_SAMPLES) // SAMPLES_PER_MS
     chosen = np.searchsorted(result.ticks, starts_ms, side="right") - 1
     # one gain row per distinct partition; before the first choice
-    # (period -1) everyone is a singleton
-    codes: Dict[Partition, int] = {tuple((pid,) for pid in ids): 0}
-    period_codes = np.concatenate([[0], partition_codes(result.chosen, codes)])
+    # (period -1) everyone is a singleton, numbered after the chosen ones
+    codes, partitions = result.chosen_codes
+    period_codes = np.concatenate([[len(partitions)], codes])
     me = ids.index(listener)
-    rows = np.array([gains(FloorConfiguration(p, 0.0), ids)[me] for p in codes])
+    singletons = tuple((pid,) for pid in ids)
+    rows = np.array([gains(FloorConfiguration(p, 0.0), ids)[me]
+                     for p in partitions + [singletons]])
     targets = rows[period_codes[chosen + 1]]
     return mix_timeline([tracks[pid][:n] for pid in ids], targets)
 

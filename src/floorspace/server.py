@@ -62,6 +62,7 @@ from .assigner import (
     Partition,
     build_scorers,
     canonical_partition,
+    check_dwell,
     gains,
 )
 from .errors import CapacityError, ConfigError, FloorspaceError, PacketFormatError
@@ -141,6 +142,13 @@ class ServerConfig:
         for name in ("audio_port", "control_port"):
             if not 0 <= getattr(self, name) <= 65535:
                 raise ConfigError(f"{name} must be in [0, 65535]")
+        # both are first read by the pump, where a bad value ends the room
+        check_dwell(self.dwell_ms)
+        sync = self.sync_interval_s
+        if isinstance(sync, bool) or not isinstance(sync, (int, float)) or not sync >= 0:
+            raise ConfigError(
+                f"sync_interval_s must be a non-negative number of seconds, got {sync!r}"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServerConfig":

@@ -110,6 +110,16 @@ class SentDatagrams:
         return len(data)
 
 
+def changes(ticks, configs):
+    """(tick, partition) of every period whose partition differs from the last."""
+    out, last = [], None
+    for t, c in zip(ticks, configs):
+        if c.partition != last:
+            out.append((t, c.partition))
+            last = c.partition
+    return out
+
+
 class PeriodLog:
     """Every period one tracker's ``process_due`` calls returned, oldest first."""
 

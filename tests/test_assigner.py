@@ -33,7 +33,9 @@ from floorspace.assigner import (
     score,
     unordered_pairs,
 )
-from floorspace.errors import CapacityError, PinPermissionError
+from floorspace.errors import CapacityError, ConfigError, PinPermissionError
+
+from conftest import changes
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -487,6 +489,15 @@ def test_dwell_suppresses_rapid_switching():
     assert a.assign(split, [0, 1], now_ms=160).partition == ((0,), (1,))
 
 
+def test_a_dwell_must_be_a_non_negative_integer():
+    # a negative dwell silently meant none, and a string failed at the
+    # first switch
+    for dwell in (-100, -1, "600", 1.5, True, None):
+        with pytest.raises(ConfigError, match="dwell_ms"):
+            FloorAssigner(dwell_ms=dwell)
+    assert FloorAssigner(dwell_ms=600).dwell_ms == 600
+
+
 def test_no_dwell_switches_immediately():
     a = FloorAssigner(dwell_ms=0)
     assert a.assign({(0, 1): 0.9}, [0, 1], now_ms=30).partition == ((0, 1),)
@@ -796,16 +807,6 @@ def primed_scripts(draw):
     return rooms, pool, blocks, draw(st.sampled_from([0, 60, 200]))
 
 
-def changes(ticks, configs):
-    """(tick, partition) of every period whose partition differs from the last."""
-    out, last = [], None
-    for t, c in zip(ticks, configs):
-        if c.partition != last:
-            out.append((t, c.partition))
-            last = c.partition
-    return out
-
-
 @settings(max_examples=120, deadline=None)
 @given(primed_scripts())
 def test_primed_blocks_decide_like_one_dict_per_period(script):
@@ -836,6 +837,83 @@ def test_primed_blocks_decide_like_one_dict_per_period(script):
     assert changes(ticks, got) == changes(ticks, want)
     assert ((primed.searched, primed.certified, primed.reused)
             == (plain.searched, plain.certified, plain.reused))
+
+
+class CountedAssigner(FloorAssigner):
+    """Counts ``assign`` calls, as the benchmark's tracer and faults see them."""
+
+    calls = 0
+
+    def assign(self, posteriors, participants, now_ms=None):
+        self.calls += 1
+        return super().assign(posteriors, participants, now_ms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(primed_scripts())
+# a merge at 30 ms, then ten periods of a split row: with a 200 ms dwell
+# the hold expires at 240 ms, inside the run
+@example((((0, 1), (0, 5)), [np.array([0.9]), np.array([0.1])],
+          [(0, [(0, ("none",))] + [(1, ("none",))] * 10)], 200))
+# a pinned run, whose repeats are not decided and count as nothing
+@example((((0, 1, 2), (0, 1, 6)), [np.array([0.9, 0.1, 0.2])],
+          [(0, [(0, ("pin", [0, 0, 1]))] + [(0, ("none",))] * 4
+            + [(0, ("unpin",))] + [(0, ("none",))] * 3)], 60))
+def test_a_run_decides_like_one_assign_per_period(script):
+    # consecutive periods of one row, with nothing done before any but the
+    # first, are one run, decided by one assign_run as by one assign each
+    rooms, pool, blocks, dwell = script
+    runs, plain = CountedAssigner(dwell_ms=dwell), FloorAssigner(dwell_ms=dwell)
+    ticks, got, want = [], [], []
+    for which, periods in blocks:
+        spans = []  # [ids, row, what happens before, periods]
+        for r, before in periods:
+            ids = rooms[1 - which] if before[0] == "other" else rooms[which]
+            if spans and before == ("none",) and spans[-1][:2] == [ids, r]:
+                spans[-1][3] += 1
+            else:
+                spans.append([ids, r, before, 1])
+        runs.prime(rooms[which], np.array([pool[r] for _, r, _, _ in spans]))
+        for ids, r, before, k in spans:
+            if before[0] == "pin":
+                floors = {}
+                for m, label in zip(ids, before[1]):
+                    floors.setdefault(label, []).append(m)
+                for a in (runs, plain):
+                    a.pin(floors.values(), owner="host", participants=ids)
+            elif before[0] == "unpin":
+                for a in (runs, plain):
+                    a.unpin("host")
+            start = EVAL_PERIOD_MS * (len(ticks) + 1)
+            calls = runs.calls
+            decided = runs.assign_run(PairRow(ids, pool[r]), ids, start, k)
+            # one assign per run, and one more where a dwell hold expires
+            assert runs.calls - calls == len(decided) <= 2
+            assert sum(n for _, n in decided) == k
+            for cfg, n in decided:
+                got.extend([cfg] * n)
+            for _ in range(k):
+                ticks.append(EVAL_PERIOD_MS * (len(ticks) + 1))
+                want.append(plain.assign(dict(zip(unordered_pairs(ids), pool[r].tolist())), ids,
+                                         now_ms=ticks[-1]))
+    assert [c.partition for c in got] == [c.partition for c in want]
+    assert (np.array([c.score for c in got]).tobytes()
+            == np.array([c.score for c in want]).tobytes())
+    assert changes(ticks, got) == changes(ticks, want)
+    assert ((runs.searched, runs.certified, runs.reused)
+            == (plain.searched, plain.certified, plain.reused))
+    assert (runs._clock, runs._last_change, runs.previous, runs.pinned) == (
+        plain._clock, plain._last_change, plain.previous, plain.pinned)
+
+
+def test_a_run_in_a_room_of_one_counts_nothing():
+    # one participant has one partition and no search, so nothing is reused
+    runs, plain = FloorAssigner(), FloorAssigner()
+    assert runs.assign_run({}, [4], 30, 5) == [(FloorConfiguration(((4,),), 0.5), 5)]
+    for t in range(30, 180, 30):
+        plain.assign({}, [4], now_ms=t)
+    assert (runs.searched, runs.certified, runs.reused, runs._clock) == (0, 0, 0, 150)
+    assert (plain.searched, plain.certified, plain.reused, plain._clock) == (0, 0, 0, 150)
 
 
 @pytest.mark.parametrize("n", range(2, MAX_PARTICIPANTS + 1))

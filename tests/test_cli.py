@@ -258,6 +258,27 @@ def test_serve_reports_a_jitter_depth_below_one_frame(tmp_path, art, capsys):
     assert err.startswith("error:") and "jitter_depth_ms" in err
 
 
+def test_serve_reports_a_dwell_that_is_not_an_integer(tmp_path, art, capsys):
+    path = tmp_path / "server.json"
+    path.write_text(json.dumps({"model_path": str(art.model), "dwell_ms": "600"}))
+    rc = main(["serve", "--config", str(path), "--audio-port", "0", "--control-port", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dwell_ms" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "replay", "mixdown"])
+def test_a_negative_dwell_is_an_error(tmp_path, art, capsys, command):
+    argv = [command, "--corpus", str(art.corpus), "--model", str(art.model), "--dwell", "-5"]
+    if command == "mixdown":
+        argv += ["--listener", "A", "--out", str(tmp_path / "mix.wav"), "--tones"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "dwell_ms" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "mix.wav").exists()
+
+
 # --- argument errors ----------------------------------------------------------
 
 

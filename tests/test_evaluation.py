@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from floorspace.assigner import FloorAssigner, unordered_pairs
+from floorspace.assigner import DENSE_MEMBERS, FloorAssigner, unordered_pairs
 from floorspace.corpus import Corpus, GeneratorConfig, TurnRecord, generate
 from floorspace.errors import EvaluationError
 from floorspace.evaluation import (
@@ -19,7 +19,7 @@ from floorspace.evaluation import (
     write_timeline,
 )
 
-from conftest import four_party_config
+from conftest import changes, four_party_config
 
 
 def _tracker_views(corpus):
@@ -191,25 +191,76 @@ def test_ten_person_tracker_decides_like_assign_on_plain_dicts(floor_model, peri
     assert len({c.partition for c in want}) > 1
 
 
-@pytest.mark.parametrize("n", [4, 8])
-def test_a_primed_replay_decides_like_assign_on_plain_dicts(floor_model, n):
-    # whole blocks of periods are primed; each period must decide, score
-    # and count exactly like one assign per period on a dict
+@pytest.mark.parametrize("n, dwell_ms, feed", [
+    pytest.param(4, 0, "whole", id="4"),
+    pytest.param(8, 0, "whole", id="8"),
+    pytest.param(10, 0, "whole", id="10"),
+    pytest.param(4, 600, "whole", id="4-dwell"),
+    pytest.param(8, 600, "whole", id="8-dwell"),
+    pytest.param(10, 600, "whole", id="10-dwell"),
+    pytest.param(4, 600, "pinned", id="4-dwell-pinned"),
+    pytest.param(10, 0, "pinned", id="10-pinned"),
+    pytest.param(4, 600, "chunks", id="4-dwell-chunks"),
+    pytest.param(8, 0, "chunks", id="8-chunks"),
+    pytest.param(10, 600, "chunks", id="10-dwell-chunks"),
+])
+def test_a_primed_replay_decides_like_assign_on_plain_dicts(floor_model, periods, n, dwell_ms, feed):
+    # whole blocks of periods are primed and each run of repeated rows is
+    # decided by one assign_run; each period must decide, score and count
+    # exactly like one assign per period on a dict. Rooms of ten take the
+    # margin check and the full search; a 600 ms dwell holds switches, and
+    # at n=4 one hold expires inside a run of repeated rows
     floors = (tuple(range(n // 2)), tuple(range(n // 2, n)))
+    room = (tuple(range(n)),)
     corpus = generate(GeneratorConfig(
-        participants=n, duration_ms=20_000, schedule=[(0, floors), (10_000, (tuple(range(n)),))],
-        seed=47,
+        participants=n, duration_ms=20_000,
+        schedule=[(0, floors), (5_000, room), (10_000, floors), (15_000, room)], seed=50,
     ))
-    result = replay_corpus(corpus, floor_model)
-    reference = FloorAssigner()
-    keys = unordered_pairs(result.participants)
+    ids = sorted(corpus.ids.values())
+    streams = corpus.streams()
+    tracker = FloorTracker(ids, floor_model, _tracker_views(corpus),
+                           assigner=FloorAssigner(dwell_ms=dwell_ms))
+    reference = FloorAssigner(dwell_ms=dwell_ms)
+    if feed == "pinned":
+        for a in (tracker.assigner, reference):
+            a.pin(floors, owner="host", participants=ids)
+    # 700 ms chunks end blocks inside runs of repeated rows
+    step = 700 if feed == "chunks" else corpus.duration_ms
+    for lo in range(0, corpus.duration_ms, step):
+        for pid in ids:
+            tracker.add_activity(pid, streams[pid].bits[lo:lo + step])
+        tracker.process_due()
+
+    log = periods[tracker]
+    keys = unordered_pairs(ids)
     want = [
-        reference.assign(dict(zip(keys, p.tolist())), result.participants, now_ms=int(t))
-        for t, p in zip(result.ticks, result.posteriors)
+        reference.assign(dict(zip(keys, p.tolist())), ids, now_ms=t)
+        for t, p in zip(log.ticks, log.posteriors)
     ]
-    assert result.chosen == [c.partition for c in want]
-    assert result.scores.tobytes() == np.array([c.score for c in want]).tobytes()
-    assert reference.reused > 0 and reference.searched > 0
+    assert log.ticks[-1] == corpus.duration_ms - corpus.duration_ms % 30
+    assert [c.partition for c in log.configs] == [c.partition for c in want]
+    assert _score_bits(log) == np.array([c.score for c in want]).tobytes()
+    assert [(e.tick, e.partition) for e in log.events] == changes(log.ticks, want)
+    got = tracker.assigner
+    assert ((got.searched, got.certified, got.reused)
+            == (reference.searched, reference.certified, reference.reused))
+    assert (got._clock, got._last_change, got.previous) == (
+        reference._clock, reference._last_change, reference.previous)
+    if feed == "pinned":
+        assert {c.partition for c in want} == {floors}
+        assert reference.searched + reference.certified + reference.reused == 0
+    else:
+        assert reference.reused > 0 and reference.searched > 0
+        assert (reference.certified > 0) == (n > DENSE_MEMBERS)
+    if n == 4 and dwell_ms and feed != "pinned":
+        # a switch where the row did not change: a hold that expired mid-run
+        rows = np.vstack(log.posteriors)
+        moved = [log.ticks.index(e.tick) for e in log.events[1:]]
+        assert any(rows[i].tobytes() == rows[i - 1].tobytes() for i in moved)
+    if feed == "whole":
+        result = replay_corpus(corpus, floor_model, dwell_ms=dwell_ms)
+        assert result.chosen == [c.partition for c in want]
+        assert result.scores.tobytes() == np.array([c.score for c in want]).tobytes()
 
 
 def test_partition_codes_number_runs_like_one_lookup_per_period():

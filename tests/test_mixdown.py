@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from floorspace.assigner import FloorConfiguration, gains
 from floorspace.corpus import Corpus, TurnRecord, generate
 from floorspace.errors import UnsupportedFormatError
-from floorspace.evaluation import ReplayResult, replay_corpus
+from floorspace.evaluation import ReplayResult, evaluate, partition_codes, replay_corpus
 from floorspace.mixdown import (
     load_participant_tracks,
     mixdown_corpus,
@@ -252,6 +252,27 @@ def test_a_partial_last_frame_is_mixed_too(floor_model):
     mix = render_listener_mix(corpus, result, listener=0, tracks=_dc_tracks(corpus))
     assert len(mix) == 6010 * 8
     assert np.all(mix[8 * 3500 :] == 3000)
+
+
+def test_a_replay_numbers_its_chosen_partitions_once(floor_model, monkeypatch):
+    # evaluate and every listener's render share one numbering of the
+    # chosen partitions; only the truth is numbered besides
+    numbered = []
+
+    def counted(partitions, index):
+        numbered.append(partitions)
+        return partition_codes(partitions, index)
+
+    monkeypatch.setattr("floorspace.evaluation.partition_codes", counted)
+    corpus = generate(four_party_config(seed=52, duration_ms=40_000, epoch_ms=10_000))
+    _, result = evaluate(corpus, floor_model)
+    tracks = tone_audio_for_corpus(corpus)
+    for listener in corpus.ids.values():
+        render_listener_mix(corpus, result, listener, tracks=tracks)
+    assert numbered == [result.chosen, result.truth]
+    codes, partitions = result.chosen_codes
+    assert [partitions[c] for c in codes] == result.chosen
+    assert len(set(partitions)) == len(partitions) > 1
 
 
 def test_mixdown_writes_one_file_per_listener(tmp_path, floor_model):

@@ -174,6 +174,24 @@ def test_config_bounds_both_ports():
                 ServerConfig.from_dict({field: port})
 
 
+def test_config_rejects_a_bad_dwell_or_sync_interval():
+    # else the string reaches the assigner's first comparison on the pump
+    # thread, which ends the room, and a negative value silently means none
+    for dwell in ("600", -100, 1.5, True, None):
+        with pytest.raises(ConfigError, match="dwell_ms"):
+            ServerConfig(dwell_ms=dwell)
+        with pytest.raises(ConfigError, match="dwell_ms"):
+            ServerConfig.from_dict({"audio_port": 0, "control_port": 0, "dwell_ms": dwell})
+    for sync in ("10", -1, -0.5, float("nan"), False, None):
+        with pytest.raises(ConfigError, match="sync_interval_s"):
+            ServerConfig(sync_interval_s=sync)
+        with pytest.raises(ConfigError, match="sync_interval_s"):
+            ServerConfig.from_dict({"sync_interval_s": sync})
+    cfg = ServerConfig.from_dict({"dwell_ms": 600, "sync_interval_s": 0})
+    assert (cfg.dwell_ms, cfg.sync_interval_s) == (600, 0)
+    assert ServerConfig(sync_interval_s=2.5).sync_interval_s == 2.5
+
+
 def test_a_bind_that_fails_without_an_os_error_closes_both_sockets(floor_model):
     # an unclosed socket warns when collected, which the test settings
     # make an error
