@@ -2,11 +2,11 @@
 
 A floor configuration is a partition of the present participants into
 disjoint conversational floors. Every evaluation period
-(EVAL_PERIOD_MS, 30 ms) the assigner scores all set partitions (their
-count is the Bell number of the participant count, 115,975 at the
-10-person cap) and picks the best. Each listener then hears
-floor-mates at NORMAL_GAIN and everyone else at QUIET_GAIN. The
-period and the two gains are constants, the same for replay and live.
+(EVAL_PERIOD_MS, 30 ms) the assigner finds the best of all set
+partitions (their count is the Bell number of the participant count,
+115,975 at the 10-person cap). Each listener then hears floor-mates at
+NORMAL_GAIN and everyone else at QUIET_GAIN. The period and the two
+gains are constants, the same for replay and live.
 
 A partition's score is the mean, over every unordered pair of present
 participants, of the probability the partition assigns to that pair:
@@ -17,64 +17,59 @@ multi-floor configurations beat a lone high-posterior pair: evidence
 that two people are apart must count against configurations that
 join them, and vice versa.
 
-The search stays exhaustive but never lists the partitions. They are
-grown one member at a time, so a partition's score is its parent's
-plus the weights of the new member's pairs with the block it joined;
-the first DENSE_MEMBERS members are scored by one dense product. Only
-the winning row is turned back into a partition.
+With m pairs, a score is (sum(1 - p) + sum of w = 2p - 1 over the
+pairs the partition joins) / m, so partitions compare on the sum of
+their blocks' values, a block's value being the sum of its pairs'
+weights. The search is exact but never lists the partitions: it is
+the subset dynamic program of coalition structure generation (Yeh
+1986; Rahwan & Jennings 2008). For every subset S, f(S) is the best
+total over partitions of S, taken over the blocks that hold S's lowest
+member, each plus f of what it leaves; subsets are solved in order of
+size. Only subsets of members 1..n-1 and the whole room are needed,
+10,353 (subset, block) steps at n=10.
 
-Scores within TIE_TOLERANCE of the best count as tied, so the order
-of summation cannot decide. Ties break toward the previously chosen
-configuration, then toward fewer floors, then toward the
-lexicographically smallest canonical form, so the choice is
-deterministic. Only tied rows are ranked, when a tie occurs.
+The weights are rounded to integers, w = rint((2p - 1) * 2^40), so
+every sum is exact (at most 45 terms of at most 2^40, well inside the
+53 bits of a float64) and no order of summation can decide a tie. The
+program maximises 16 * value - floors, so an exact tie goes to the
+fewest floors, and each subset's blocks are tried in the order of
+their member tuples, so the first maximum is the smallest canonical
+form. The previous choice is kept instead whenever its exact value
+equals the best. The rounding moves a partition's value by less than
+2^-40 per pair, so the chosen score is within 2^-40 of the real best.
+The reported score is computed in float64 from the row and the chosen
+partition.
 
 ``FloorAssigner.assign`` accepts the posteriors as any ``Mapping``
 from unordered pair to probability: a plain dict, or the ``PairRow``
 view the tracker hands in over one row of its posterior array, which
 the search reads as an array without a lookup per pair. Posteriors are
 binned features, so consecutive periods often repeat a row. The
-assigner therefore keeps the last search's outcome, keyed on the
-participant ids and the row's bytes. That outcome is either the
-winning ``FloorConfiguration`` itself, shared between periods, or, when
-several partitions tie, the tied rows with their scores. The tie rule
-runs on that set at every decision, so a repeated row is never searched
-again, even after a pin, a dwell hold or a tie changed the previous
-choice.
+assigner therefore keeps the last search's winner and its exact value,
+keyed on the participant ids and the row's bytes, and a repeated row
+is never searched again; the tie rule runs at every decision, so it
+still keeps a previous choice that a pin, a dwell hold or a tie
+changed.
 
 The tracker computes a block of periods' posteriors at once, one row
 per run of periods that share a row, and hands those rows to
-``FloorAssigner.prime``. In rooms of two to DENSE_MEMBERS with no pin,
-``prime`` searches them in one pass: the weights and the sums of 1 - p
-over all of them at once, each row's within-floor sums by the same call
-as a search, and the tie cut and the argmax over the stacked sums. The
-outcomes, the same objects a search would keep, go into a table under
-the same keys, which ``assign`` reads before it searches; it holds only
-the newest block. A primed row counts as searched.
+``FloorAssigner.prime``. In rooms of two to _BATCHED_MEMBERS with no
+pin, ``prime`` runs the program over all of them in one pass, and the
+outcomes go into a table under the same keys, which ``assign`` reads
+before it searches; it holds only the newest block. A primed row
+counts as searched. Larger rooms search one row per ``assign``: there
+a batch's arrays outgrow the cache, and a row costs as much or more in
+a batch as alone.
 
 The tracker then decides each run with one ``assign_run``: one
 ``assign`` for its first period, whose choice holds for the rest of the
 run. That is what one ``assign`` per period would choose. A repeated
 row is not searched again but read back, so the rest of the run counts
-as reused; and if its outcome is a tie set, the previous choice, which
-the first period just made, is in it and is kept. A pin holds as long
-as the room does, and a period before a dwell hold expires holds again.
+as reused; and if the previous choice, which the first period just
+made, ties with the winner, it is kept again. A pin holds as long as
+the room does, and a period before a dwell hold expires holds again.
 Only the period where a pending hold expires can choose anew, so the
 run is split there and that period is decided by another ``assign``.
-
-In rooms of more than DENSE_MEMBERS (9 and 10 people) a new row is
-first tried against the last full search that found a unique winner.
-That search keeps its weights, its winner and the winner's margin
-over the runner-up. No partition can gain on the winner more than the
-weight its pairs moved in its favour: the drops on the pairs the
-winner joins plus the rises on the pairs it separates. While the
-margin exceeds that bound by twice the tie tolerance, the winner still
-wins alone, and only its own score is computed, with the same
-operations as a full search so that it has the same bits. Otherwise
-the row is searched in full, and a unique winner becomes the new
-reference; a tie set never does. Rooms of eight or fewer skip the
-check: there the whole search is one small dense product that costs
-no more than the check itself.
 """
 
 from __future__ import annotations
@@ -82,7 +77,7 @@ from __future__ import annotations
 import collections.abc
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,12 +86,9 @@ from .errors import CapacityError, ConfigError, PinPermissionError
 from .timeline import MAX_PARTICIPANTS
 
 NEUTRAL_SCORE = 0.5  # score of a configuration with no pairs to witness it
-# scores this close to the best count as tied: far above the float64
-# error of a mean of <= 45 terms in [0, 1], far below any real margin
-TIE_TOLERANCE = 1e-12
-DENSE_MEMBERS = 8  # members scored by one dense product before growing
-PRIMED_SUMS = 1 << 16  # within-floor sums stacked at once by FloorAssigner.prime
-_GROWN_ROWS = 1 << 15  # rows whose block sums _PartitionScorer.within adds at once
+_WEIGHT_SCALE = float(1 << 40)  # integer weights are rint((2p - 1) * this)
+_BATCHED_MEMBERS = 8  # larger rooms are searched one row at a time
+_PASS_VALUES = 1 << 14  # block values one batched pass of FloorAssigner.prime holds
 NORMAL_GAIN = 1.0
 QUIET_GAIN = 0.2
 EVAL_PERIOD_MS = 30
@@ -225,163 +217,126 @@ def score(partition: Iterable[Iterable[int]], posteriors: Mapping[PairKey, float
     return total / count
 
 
-class _Level:
-    """Partitions of members 0..x, grown from the partitions of 0..x-1.
-
-    Rows follow ``_partitions_of_range``: each row of the level below
-    is followed, in order, by member x joining each of its blocks and
-    then by x opening a new block. ``labels`` holds each row's block
-    per member (a restricted growth string), ``mask`` the bitmask of
-    the earlier members in the block x joined, ``starts`` the first
-    row grown from each row of the level below.
-
-    The mask is built one earlier member at a time: the ten-person level
-    (115,975 rows) keeps 2.3 MB and peaks at 4.3 MB while it is built,
-    where one integer product over the whole table would peak at 12.9 MB.
-    """
-
-    def __init__(self, below: Optional["_Level"]):
-        if below is None:
-            self.labels = np.zeros((1, 1), dtype=np.int8)
-            self.n_blocks = np.ones(1, dtype=np.int8)
-            self.mask = np.zeros(1, dtype=np.intp)
-            self.starts = np.zeros(1, dtype=np.intp)
-            return
-        x = below.labels.shape[1]
-        counts = below.n_blocks + 1
-        parent = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
-        self.starts = np.cumsum(counts) - counts
-        joined = np.arange(len(parent), dtype=np.intp) - self.starts[parent]
-        self.labels = np.concatenate(
-            [below.labels[parent], joined.astype(np.int8)[:, None]], axis=1
-        )
-        self.mask = np.zeros(len(parent), dtype=np.intp)
-        for j in range(x):
-            self.mask[self.labels[:, j] == self.labels[:, x]] |= 1 << j
-        self.n_blocks = below.n_blocks[parent] + (joined == below.n_blocks[parent])
-
-
 @lru_cache(maxsize=None)
-def _level(x: int) -> _Level:
-    return _Level(_level(x - 1) if x > 0 else None)
+def _lexicographic(r: int) -> np.ndarray:
+    """Every subset of r ordered members, as a bitmask, in the order of
+    their member tuples (a prefix first): 0, {0}, {0, 1}, ..., {1}, ..."""
+    order = [0]
+
+    def grow(mask: int, start: int) -> None:
+        for i in range(start, r):
+            order.append(mask | 1 << i)
+            grow(mask | 1 << i, i + 1)
+
+    grow(0, 0)
+    return np.array(order, dtype=np.intp)
 
 
-@lru_cache(maxsize=None)
-def _dense(k: int) -> np.ndarray:
-    """The 0/1 same-floor table of k members' partitions, one column per
-    pair; the scorers of every room of k or more members share it."""
-    labels = _level(k - 1).labels
-    return np.stack(
-        [labels[:, a] == labels[:, b] for a, b in unordered_pairs(range(k))], axis=1
-    ).astype(np.float64)
+class _SubsetProgram:
+    """The subset dynamic program over the partitions of n members.
 
-
-def _pair_index(n: int, a: int, b: int) -> int:
-    """Position of pair (a, b), a < b, in ``unordered_pairs(range(n))``."""
-    return a * (2 * n - a - 1) // 2 + (b - a - 1)
-
-
-class _PartitionScorer:
-    """Scores every partition of n members, one member at a time.
-
-    The first DENSE_MEMBERS members are scored by a dense product of
-    their 0/1 same-floor table with the pair weights 2p - 1; every
-    later member x adds, to each row grown from a row of the level
-    below, the summed weights of its pairs with the block it joined.
-    Those sums come from a table over all subsets of the members
-    before x, so one level costs a repeat and a lookup per row.
+    Subsets are bitmasks over the members. ``pairs`` marks the pairs
+    each subset holds, so one product gives every block's value.
+    ``singles`` are the lone members 1..n-1, each its own block.
+    ``layers`` lists, for each larger size, the subsets of members
+    1..n-1 of that size, and last the whole room: each with its
+    candidate blocks (the lowest member plus any subset of the others,
+    in the order of their member tuples) and what each candidate leaves.
     """
 
     def __init__(self, n: int):
         # n >= 2: smaller rooms have a single partition and no pairs
         _check_capacity(n)
         self.n = n
-        self.m = n * (n - 1) // 2
-        self.top = _level(n - 1)
-        self.pair_members = np.array(unordered_pairs(range(n)), dtype=np.intp).T
-        k = min(n, DENSE_MEMBERS)
-        pairs = unordered_pairs(range(k))
-        self.base_index = np.array([_pair_index(n, a, b) for a, b in pairs], dtype=np.intp)
-        self.base = _dense(k)
-        self.growth = []
-        for x in range(k, n):
-            subsets = (np.arange(1 << x)[:, None] >> np.arange(x) & 1).astype(np.float64)
-            columns = np.array([_pair_index(n, j, x) for j in range(x)], dtype=np.intp)
-            repeats = _level(x - 1).n_blocks.astype(np.intp) + 1
-            self.growth.append((repeats, _level(x).mask, subsets, columns))
+        masks = np.arange(1 << n)
+        # per subset, 1.0 for each pair it holds
+        self.pairs = np.zeros((1 << n, n * (n - 1) // 2))
+        for j, (a, b) in enumerate(unordered_pairs(range(n))):
+            self.pairs[:, j] = masks >> a & masks >> b & 1
+        self.singles = 1 << np.arange(1, n)
+        self.layers = []
+        for k in range(2, n + 1):
+            members = np.array(list(combinations(range(1, n), k)) if k < n else [range(n)],
+                               dtype=np.intp)
+            choose = _lexicographic(k - 1)[:, None] >> np.arange(k - 1) & 1
+            blocks = (1 << members[:, :1]) + (1 << members[:, 1:]) @ choose.T
+            subsets = (1 << members).sum(axis=1)
+            starts = np.arange(0, blocks.size, blocks.shape[1])
+            self.layers.append((subsets, blocks, subsets[:, None] ^ blocks, starts))
 
-    def within(self, w: np.ndarray) -> np.ndarray:
-        """Per row, the summed weights of the pairs it puts in one floor."""
-        total = self.base @ w[self.base_index]
-        for repeats, mask, subsets, columns in self.growth:
-            total = np.repeat(total, repeats)
-            sums = subsets @ w[columns]
-            # in slices: a second full-size temporary made malloc trim and refault the heap
-            for lo in range(0, len(total), _GROWN_ROWS):
-                total[lo : lo + _GROWN_ROWS] += sums.take(mask[lo : lo + _GROWN_ROWS])
-        return total
-
-    def within_row(self, w: np.ndarray, row: int) -> np.float64:
-        """``within(w)[row]``, to the bit.
-
-        It repeats ``within``'s operations in the same order: the full
-        dense product and the full subset products, then one scalar add
-        per level along the row's ancestors, since a product of one row
-        alone may sum in another order.
-        """
-        ancestors = [row]
-        for x in range(self.n - 1, self.n - 1 - len(self.growth), -1):
-            ancestors.append(int(_level(x).starts.searchsorted(ancestors[-1], "right")) - 1)
-        total = (self.base @ w[self.base_index])[ancestors.pop()]
-        for (_, mask, subsets, columns), r in zip(self.growth, reversed(ancestors)):
-            total = total + (subsets @ w[columns])[mask[r]]
-        return total
-
-    def same_floor(self, row: int) -> np.ndarray:
-        """Per pair, whether the row puts its two members in one floor."""
-        labels = self.top.labels[row]
-        return labels[self.pair_members[0]] == labels[self.pair_members[1]]
-
-    def partition(self, row: int, ids: Sequence[int]) -> Partition:
-        blocks: List[List[int]] = [[] for _ in range(int(self.top.n_blocks[row]))]
-        for i, b in zip(ids, self.top.labels[row].tolist()):
-            blocks[b].append(i)
-        return tuple(tuple(b) for b in blocks)
-
-    def row_of(self, partition: Partition, ids: Sequence[int]) -> Optional[int]:
-        """Row of a canonical partition of ``ids``; None if it covers others."""
-        if sorted(m for b in partition for m in b) != list(ids):
-            return None
-        pos = {m: i for i, m in enumerate(ids)}
-        labels = [0] * self.n
-        for b, block in enumerate(partition):
-            for m in block:
-                labels[pos[m]] = b
-        row = 0
-        for x in range(1, self.n):
-            row = int(_level(x).starts[row]) + labels[x]
-        return row
+    def solve(self, w: np.ndarray) -> Tuple[List[int], List[Tuple[int, ...]]]:
+        """Per row of integer pair weights ``w``, of shape (m,) for one row
+        or (m, rows) for several: the best partition's exact value, and
+        its blocks as bitmasks in canonical order, padded with zeros."""
+        full = (1 << self.n) - 1
+        # one block's key: 16 times its value, less one floor. Subsets are
+        # on the first axis, where indexing is NumPy's fast path, and a
+        # single row stays one-dimensional
+        key = self.pairs @ (16.0 * w) - 1.0
+        best = np.zeros_like(key)
+        choice = np.zeros(key.shape, dtype=np.intp)
+        # a lone member is its own block
+        best[self.singles] = -1.0
+        choice[self.singles] = self.singles.reshape(-1, *[1] * (w.ndim - 1))
+        for subsets, blocks, rest, starts in self.layers:
+            total = key[blocks]
+            total += best[rest]
+            best[subsets] = total.max(axis=1)
+            choice[subsets] = blocks.ravel()[(total.argmax(axis=1).T + starts).T]
+        top = best[full].reshape(-1)
+        if w.ndim == 1:
+            # one row: its few choices are read faster one by one
+            left, picked = full, []
+            while left:
+                picked.append(choice.item(left))
+                left ^= picked[-1]
+            chosen = [tuple(picked)]
+        else:
+            every = np.arange(len(top))
+            left = np.full(len(top), full)
+            picked = []
+            while left.any():
+                picked.append(choice[left, every])
+                left ^= picked[-1]
+            chosen = list(map(tuple, np.stack(picked, axis=1).tolist()))
+        # the key is 16 * value - floors, with 1 <= floors < 16
+        return np.ceil(top / 16).astype(np.int64).tolist(), chosen
 
 
 @lru_cache(maxsize=None)
-def _scorer(n: int) -> _PartitionScorer:
-    return _PartitionScorer(n)
-
-
-@lru_cache(maxsize=1024)
-def _partition_at(row: int, ids: Tuple[int, ...]) -> Partition:
-    # the same few partitions win period after period
-    return _scorer(len(ids)).partition(row, ids)
+def _program(n: int) -> _SubsetProgram:
+    return _SubsetProgram(n)
 
 
 def build_scorers(max_participants: int) -> None:
-    """Build the search structures for every room size up to the cap.
+    """Build the search tables for every room size up to the cap.
 
     The first search at a room size builds them otherwise; a live
     server calls this at start-up so no frame pays for it.
     """
     for n in range(2, max_participants + 1):
-        _scorer(n)
+        _program(n)
+
+
+def _weights(p: np.ndarray) -> np.ndarray:
+    """The pairs' integer weights, as exact float64 integers."""
+    return np.rint((2.0 * p - 1.0) * _WEIGHT_SCALE)
+
+
+@lru_cache(maxsize=1024)
+def _partition_of(blocks: Tuple[int, ...], ids: Tuple[int, ...]) -> Partition:
+    # the same few partitions win period after period
+    return tuple(tuple(m for i, m in enumerate(ids) if b >> i & 1) for b in blocks if b)
+
+
+@lru_cache(maxsize=1024)
+def _same_floor(partition: Partition, ids: Tuple[int, ...]) -> Optional[np.ndarray]:
+    """1.0 per pair of ``ids`` the partition joins, else 0.0; None if
+    the partition covers other members."""
+    block_of = {m: i for i, b in enumerate(partition) for m in b}
+    if sorted(block_of) != list(ids):
+        return None
+    return np.array([block_of[a] == block_of[b] for a, b in _pairs_of(ids)], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -392,132 +347,23 @@ class FloorConfiguration:
     score: float
 
 
-class _TieSet:
-    """The partitions of ``ids`` that tie for the best score on one row.
-
-    ``rows`` are the tied scorer rows, ``within`` their within-floor
-    weight sums and ``apart`` the row's sum of 1 - p, so a row scores
-    (apart + within) / m. ``pick`` applies the tie rule.
-    """
-
-    def __init__(self, scorer: "_PartitionScorer", ids: Tuple[int, ...],
-                 rows: np.ndarray, within: np.ndarray, apart: float):
-        self.scorer = scorer
-        self.ids = ids
-        self.rows = rows
-        self.within = within
-        self.apart = apart
-        # fewest floors, then the smallest canonical form, over these rows only
-        floors = scorer.top.n_blocks[rows]
-        fewest = np.flatnonzero(floors == floors.min())
-        labels = scorer.top.labels[rows[fewest]].astype(np.intp)
-        k, n = labels.shape
-        # a partition flattened as its blocks' members + 1, each block
-        # closed by a 0, compares like the tuple of tuples it encodes
-        order = np.argsort(labels * n + np.arange(n), axis=1, kind="stable")
-        block = np.take_along_axis(labels, order, axis=1)
-        code = np.zeros((k, 2 * n), dtype=np.int8)
-        code[np.arange(k)[:, None], np.arange(n) + block] = order + 1
-        self.first = int(fewest[np.lexsort(code.T[::-1])[0]])
-
-    def pick(self, previous: Optional[FloorConfiguration]) -> FloorConfiguration:
-        i = self.first
-        if previous is not None:
-            kept = np.flatnonzero(self.rows == self.scorer.row_of(previous.partition, self.ids))
-            if len(kept):
-                i = int(kept[0])
-        best = (self.apart + float(self.within[i])) / self.scorer.m
-        return FloorConfiguration(_partition_at(int(self.rows[i]), self.ids), best)
+def _scores(p: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """(sum(1 - p) + sum(2p - 1 over the pairs ``same`` joins)) / m, for
+    one row or along each row of a block, with the same bits either way."""
+    return ((1.0 - p).sum(axis=-1) + ((2.0 * p - 1.0) * same).sum(axis=-1)) / p.shape[-1]
 
 
-class _Reference:
-    """A searched row's unique winner and its lead over every other row.
-
-    ``w`` are the searched row's weights 2p - 1 and ``margin`` the
-    winner's within-floor sum minus the runner-up's. From ``w`` to new
-    weights w + d, another partition gains on the winner only on the
-    pairs where the two differ: at most -d on a pair the winner joins
-    and d on a pair it separates. ``decide`` sums those gains over
-    every pair as a bound, and while the margin exceeds it the winner
-    still wins alone.
-    """
-
-    def __init__(self, scorer: "_PartitionScorer", ids: Tuple[int, ...],
-                 w: np.ndarray, row: int, margin: float):
-        self.scorer = scorer
-        self.ids = ids
-        self.w = w
-        self.row = row
-        self.margin = margin
-        self.sign = np.where(scorer.same_floor(row), -1.0, 1.0)
-
-    def decide(self, p: np.ndarray, w: np.ndarray) -> Optional[FloorConfiguration]:
-        """The winner on row ``p`` (weights ``w``) if the margin proves it."""
-        scorer = self.scorer
-        bound = np.maximum(self.sign * (w - self.w), 0.0).sum()
-        # One TIE_TOLERANCE * m keeps every other row below the search's
-        # tie cut. The second covers round-off: the margin, the bound
-        # and the new within-floor sums are float sums of at most 45
-        # terms no larger than 2, so their error is orders of magnitude
-        # below TIE_TOLERANCE * m, the same reason the tie cut uses it.
-        if self.margin - bound <= 2 * TIE_TOLERANCE * scorer.m:
-            return None
-        apart = float((1.0 - p).sum())
-        best = (apart + float(scorer.within_row(w, self.row))) / scorer.m
-        return FloorConfiguration(_partition_at(self.row, self.ids), best)
-
-
-def _decide_block(rows: np.ndarray, ids: Tuple[int, ...]) -> list:
-    """``_decide``'s outcome for each row of posteriors ``rows``, to the bit,
-    in a room of at most DENSE_MEMBERS.
-
-    The within-floor sums come from one stacked product, run as one
-    product per row like ``within``'s; the weights, the sums of 1 - p,
-    the tie cut and the argmax are taken over the stacked rows.
-    """
-    scorer = _scorer(len(ids))
-    within = (scorer.base @ (2.0 * rows - 1.0)[:, scorer.base_index, None])[..., 0]
-    tied = within >= (within.max(axis=1) - TIE_TOLERANCE * scorer.m)[:, None]
-    apart = (1.0 - rows).sum(axis=1)
-    winner = within.argmax(axis=1)
-    best = ((apart + within[np.arange(len(rows)), winner]) / scorer.m).tolist()
-    found: list = []
-    for i, (n_tied, row, a) in enumerate(zip(tied.sum(axis=1).tolist(), winner.tolist(),
-                                             apart.tolist())):
-        if n_tied == 1:
-            found.append(FloorConfiguration(_partition_at(row, ids), best[i]))
-        else:
-            cols = tied[i].nonzero()[0]
-            found.append(_TieSet(scorer, ids, cols, within[i, cols], a))
-    return found
-
-
-def _decide(p: np.ndarray, w: np.ndarray, ids: Tuple[int, ...]):
-    """The winning configuration of row ``p`` (weights ``w = 2p - 1``),
-    or its tie set.
-
-    Also returns a ``_Reference`` for a unique winner in rooms of more
-    than DENSE_MEMBERS, else None.
-    """
-    scorer = _scorer(len(ids))
-    # score = (sum(1 - p) + within) / m, so rows compare on within
-    within = scorer.within(w)
-    cut = within.max() - TIE_TOLERANCE * scorer.m
-    # a third of the periods of a 4-person replay search; at that size
-    # NumPy's Python-level wrappers (np.flatnonzero, np.sum) cost more
-    # than the arithmetic, so the array methods are called directly
-    tied = (within >= cut).nonzero()[0]
-    apart = float((1.0 - p).sum())
-    if len(tied) > 1:
-        return _TieSet(scorer, ids, tied, within[tied], apart), None
-    row = int(tied[0])
-    best = (apart + float(within[row])) / scorer.m
-    found = FloorConfiguration(_partition_at(row, ids), best)
-    if scorer.n <= DENSE_MEMBERS:
-        return found, None
-    lead = float(within[row])
-    within[row] = -np.inf
-    return found, _Reference(scorer, ids, w, row, lead - float(within.max()))
+def _winners(rows: np.ndarray, ids: Tuple[int, ...]) -> List[Tuple[FloorConfiguration, int]]:
+    """The winner of each row of posteriors ``rows`` and its exact value."""
+    w = _weights(rows)
+    # a lone row runs one-dimensional, at about half the cost
+    values, chosen = _program(len(ids)).solve(w[0] if len(w) == 1 else w.T)
+    # a block's rows choose few distinct partitions: number them first
+    number = {blocks: i for i, blocks in enumerate(dict.fromkeys(chosen))}
+    parts = [_partition_of(blocks, ids) for blocks in number]
+    which = [number[blocks] for blocks in chosen]
+    scores = _scores(rows, np.array([_same_floor(part, ids) for part in parts])[which])
+    return [(FloorConfiguration(parts[i], s), v) for i, s, v in zip(which, scores.tolist(), values)]
 
 
 def check_dwell(dwell_ms: int) -> None:
@@ -569,17 +415,14 @@ class FloorAssigner:
         self._last_change: Optional[int] = None
         # when the last assign held a switch back: the first tick it may switch
         self._hold_until: Optional[int] = None
-        # the last decided row's key (ids, posterior row bytes) and what
-        # the row decided: a FloorConfiguration or a _TieSet
-        self._last: Optional[Tuple[tuple, object]] = None
+        # the last decided row's key (ids, posterior row bytes), its
+        # winner and the winner's exact integer value
+        self._last: Optional[Tuple[tuple, Tuple[FloorConfiguration, int]]] = None
         # what the rows of the last primed block decide, by the same key
-        self._primed: Dict[tuple, object] = {}
-        # the last full search with a unique winner in a large room
-        self._reference: Optional[_Reference] = None
+        self._primed: Dict[tuple, Tuple[FloorConfiguration, int]] = {}
         # unpinned periods with two or more present, by how they were
-        # decided: a full search, the reference's margin, or _last
+        # decided: a search (alone or primed), or read back from _last
         self.searched = 0
-        self.certified = 0
         self.reused = 0
 
     def pin(self, partition: Iterable[Iterable[int]], owner,
@@ -621,20 +464,21 @@ class FloorAssigner:
         row (the first unless it is the last row decided) is decided in
         one pass, to the bit as a search would decide it, and kept until
         the next block; a row the table lacks is searched as usual.
-        Rooms of more than DENSE_MEMBERS and pinned rooms are not primed.
+        Rooms of more than _BATCHED_MEMBERS and pinned rooms are not
+        primed.
         """
         self._primed = {}
-        if self.pinned is not None or not 2 <= len(ids) <= DENSE_MEMBERS or not len(block):
+        if self.pinned is not None or not 2 <= len(ids) <= _BATCHED_MEMBERS or not len(block):
             return
         rows = np.asarray(block, dtype=np.float64)
         if self._last is not None and self._last[0] == (ids, rows[0].tobytes()):
             rows = rows[1:]
-        # in slices, so the stacked sums stay small in rooms of eight
-        step = max(1, PRIMED_SUMS // len(_scorer(len(ids)).top.labels))
+        # in slices, so the block values and candidate sums stay small in rooms of eight
+        step = max(1, _PASS_VALUES >> len(ids))
         for i in range(0, len(rows), step):
             part = rows[i : i + step]
             keys = [(ids, row.tobytes()) for row in part]
-            self._primed.update(zip(keys, _decide_block(part, ids)))
+            self._primed.update(zip(keys, _winners(part, ids)))
 
     def _search(
         self, posteriors: Mapping[PairKey, float], ids: Tuple[int, ...]
@@ -651,24 +495,18 @@ class FloorAssigner:
             self.reused += 1
         else:
             found = self._primed.get(key)
-            if found is not None:
-                self.searched += 1  # searched with its block by ``prime``
-            else:
-                w = 2.0 * p - 1.0
-                ref = self._reference
-                found = ref.decide(p, w) if ref is not None and ref.ids == ids else None
-                if found is not None:
-                    self.certified += 1
-                else:
-                    found, reference = _decide(p, w, ids)
-                    self.searched += 1
-                    if reference is not None:
-                        self._reference = reference
+            if found is None:  # not primed: searched alone
+                found = _winners(p[None], ids)[0]
             self._last = (key, found)
-        found = self._last[1]
-        if isinstance(found, _TieSet):
-            return found.pick(self.previous)
-        return found
+            self.searched += 1
+        best, value = self._last[1]
+        previous = self.previous
+        if previous is not None and previous.partition != best.partition:
+            same = _same_floor(previous.partition, ids)
+            # the previous choice keeps a tie, decided on the exact weights
+            if same is not None and _weights(p) @ same == value:
+                return FloorConfiguration(previous.partition, float(_scores(p, same)))
+        return best
 
     def assign(
         self,

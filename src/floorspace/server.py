@@ -132,6 +132,12 @@ class ServerConfig:
     vad: VadConfig = field(default_factory=VadConfig)
 
     def __post_init__(self):
+        # a float would pass the range checks and fail later as a bare
+        # TypeError (in range() or bind()), and a bool would count as 0 or 1
+        for name in ("max_participants", "audio_port", "control_port"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.max_participants <= MAX_PARTICIPANTS:
             raise CapacityError(
                 f"max_participants must be in [1, {MAX_PARTICIPANTS}]"
@@ -481,7 +487,7 @@ class RealtimeServer:
                 # its whole occupancy; none yet if the next pump starts it
                 fresh = self._fresh_tracker_due()
                 search = {k: 0 if fresh else getattr(self.tracker.assigner, k)
-                          for k in ("searched", "certified", "reused")}
+                          for k in ("searched", "reused")}
             return {
                 "type": "status",
                 "tick_ms": self.tick,

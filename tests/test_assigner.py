@@ -2,13 +2,14 @@
 
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from floorspace.assigner import (
-    DENSE_MEMBERS,
     EVAL_PERIOD_MS,
     FloorAssigner,
     FloorConfiguration,
@@ -16,14 +17,13 @@ from floorspace.assigner import (
     NORMAL_GAIN,
     PairRow,
     QUIET_GAIN,
-    TIE_TOLERANCE,
-    _Level,
-    _TieSet,
-    _dense,
-    _level,
-    _partition_at,
+    _lexicographic,
     _partitions_of_range,
-    _scorer,
+    _program,
+    _same_floor,
+    _scores,
+    _weights,
+    _winners,
     bell_number,
     build_scorers,
     canonical_partition,
@@ -107,6 +107,9 @@ def test_enumeration_matches_growth_string_construction():
         ours = set(enumerate_partitions(range(n)))
         reference = set(rgs_partitions(n))
         assert ours == reference
+        # and so do the label rows the oracle tests enumerate with
+        labels = [partition_from(row, range(n)) for row in labels_of(n)]
+        assert labels == enumerate_partitions(range(n))
 
 
 def test_partitions_are_canonical_and_unique():
@@ -192,69 +195,92 @@ def test_score_matches_oracle_on_random_inputs():
         )
 
 
-def tie_pick(scorer, ids, rows):
-    """The row a tie set over ``rows`` picks with no previous choice."""
-    tie = _TieSet(scorer, tuple(ids), rows, np.zeros(len(rows)), 0.0)
-    return int(rows[tie.first])
+@lru_cache(maxsize=None)
+def labels_of(n):
+    """Every partition of range(n) as a row of block labels (a restricted
+    growth string), grown one member at a time in NumPy, so that rooms
+    of ten need no 115 975 Python tuples."""
+    labels, floors = np.zeros((1, 1), dtype=np.int8), np.ones(1, dtype=np.int8)
+    for _ in range(1, n):
+        choices = floors.astype(np.intp) + 1
+        parent = np.repeat(np.arange(len(floors)), choices)
+        joined = np.arange(len(parent)) - (np.cumsum(choices) - choices)[parent]
+        labels = np.concatenate([labels[parent], joined[:, None].astype(np.int8)], axis=1)
+        floors = floors[parent] + (joined == floors[parent])
+    return labels
 
 
-def tie_subsets(rng, scorer):
-    """60 sets of rows of random size and order, then every row of each floor count."""
-    rows = len(scorer.top.labels)
-    for _ in range(60):
-        size = int(rng.integers(1, min(rows, 200) + 1))
-        yield rng.choice(rows, size, replace=False)
-    for floors in np.unique(scorer.top.n_blocks):
-        yield np.flatnonzero(scorer.top.n_blocks == floors)
+def partition_from(labels, ids):
+    blocks = {}
+    for m, label in zip(ids, labels.tolist()):
+        blocks.setdefault(label, []).append(m)
+    return tuple(tuple(b) for b in blocks.values())
 
 
-def test_scorer_rows_follow_the_enumeration_and_rank_like_the_tie_rule():
-    rng = np.random.default_rng(15)
-    for n in range(2, 8):
-        ids = list(range(10, 10 + 2 * n, 2))
-        parts = enumerate_partitions(ids)
-        scorer = _scorer(n)
-        assert [scorer.partition(r, ids) for r in range(len(parts))] == parts
-        assert [scorer.row_of(part, ids) for part in parts] == list(range(len(parts)))
-        for rows in tie_subsets(rng, scorer):
-            by_rule = min(rows.tolist(), key=lambda r: (len(parts[r]), parts[r]))
-            assert tie_pick(scorer, ids, rows) == by_rule
+def exact_weights(post, ids):
+    """The pairs' weights rint((2p - 1) * 2^40), as Python integers."""
+    p = np.array([post[k] for k in unordered_pairs(ids)])
+    return [int(x) for x in np.rint((2.0 * p - 1.0) * 2.0**40)]
 
 
-def rank_oracle(top):
-    """Each row's place in the order of (len(part), part), over the whole table at once."""
-    labels = top.labels.astype(np.intp)
-    rows, n = labels.shape
-    order = np.argsort(labels * n + np.arange(n), axis=1, kind="stable")
-    block = np.take_along_axis(labels, order, axis=1)
-    code = np.zeros((rows, 2 * n), dtype=np.int8)
-    code[np.arange(rows)[:, None], np.arange(n) + block] = order + 1
-    keys = [code[:, c] for c in range(2 * n - 1, -1, -1)] + [top.n_blocks]
-    rank = np.empty(rows, dtype=np.intp)
-    rank[np.lexsort(keys)] = np.arange(rows)
-    return rank
+def exact_values(ids, post):
+    """Every partition of ``ids`` as block labels, its exact value (the sum
+    of the integer weights of the pairs it joins) and, in float, its score."""
+    labels = labels_of(len(ids))
+    p = [post[k] for k in unordered_pairs(ids)]
+    values = np.zeros(len(labels), dtype=np.int64)
+    scores = np.full(len(labels), sum(1.0 - x for x in p))
+    for (a, b), w, x in zip(unordered_pairs(range(len(ids))), exact_weights(post, ids), p):
+        joined = labels[:, a] == labels[:, b]
+        values[joined] += w
+        scores[joined] += 2.0 * x - 1.0
+    return labels, values, scores / len(p)
 
 
-def mask_oracle(level):
-    """``_Level.mask`` computed over the whole table at once."""
-    x = level.labels.shape[1] - 1
-    same = level.labels[:, :x] == level.labels[:, x:]
-    return same.astype(np.intp) @ (1 << np.arange(x, dtype=np.intp))
+def exact_oracle(ids, post, previous=None):
+    """The tie rule on exact values: the previous choice if it ties for
+    the best, else the fewest floors, else the smallest canonical form."""
+    labels, values, _ = exact_values(ids, post)
+    tied = [partition_from(row, ids) for row in labels[values == values.max()]]
+    if previous in tied:
+        return previous, int(values.max())
+    return min(tied, key=lambda part: (len(part), part)), int(values.max())
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])
 def test_tables_built_in_chunks_equal_the_whole_table_formulas(n):
-    scorer = _scorer(n)
-    rank = rank_oracle(scorer.top)
-    ids = list(range(3, 3 + n))
-    for rows in tie_subsets(np.random.default_rng(n), scorer):
-        assert tie_pick(scorer, ids, rows) == rows[np.argmin(rank[rows])]
-    every = np.arange(len(rank))
-    assert scorer.partition(tie_pick(scorer, ids, every), ids) == (tuple(ids),)
-    for x in range(1, n):
-        assert _level(x).n_blocks.dtype == np.int8
-        assert _level(x).mask.dtype == np.intp
-        assert np.array_equal(_level(x).mask, mask_oracle(_level(x)))
+    # the program's tables are built one subset size at a time; together
+    # they must list every subset of two or more of members 1..n-1 by
+    # size, then the room, each with every block that holds its lowest
+    # member, in the order of the blocks' member tuples, and what each
+    # block leaves; and the pairs each subset holds
+    program = _program(n)
+    assert program.singles.tolist() == [1 << m for m in range(1, n)]
+    solved = []
+    for subsets, blocks, rest, starts in program.layers:
+        assert np.array_equal(starts, np.arange(0, blocks.size, blocks.shape[1]))
+        for s, row, left in zip(subsets.tolist(), blocks.tolist(), rest.tolist()):
+            members = [m for m in range(n) if s >> m & 1]
+            want = sorted(members[:1] + list(c) for k in range(len(members))
+                          for c in combinations(members[1:], k))
+            assert row == [sum(1 << m for m in b) for b in want]
+            assert left == [s ^ b for b in row]
+            solved.append(s)
+    below = [sum(1 << m for m in c) for k in range(2, n) for c in combinations(range(1, n), k)]
+    assert solved == below + [(1 << n) - 1]
+    for s in range(1 << n):
+        assert program.pairs[s].tolist() == [float(s >> a & s >> b & 1)
+                                             for a, b in unordered_pairs(range(n))]
+    # a block solves its rows as each would alone, to the bit
+    w = np.rint((2 * np.random.default_rng(n).random((n * (n - 1) // 2, 6)) - 1) * 2.0**40)
+    values, chosen = program.solve(w)
+    alone = [program.solve(w[:, r]) for r in range(6)]
+    assert values == [v for (v,), _ in alone]
+    assert [tuple(b for b in blocks if b) for blocks in chosen] == [c for _, (c,) in alone]
+    # when every partition ties, the fewest floors: the whole room
+    ids = tuple(range(3, 3 + n))
+    (cfg, value), = _winners(np.full((1, n * (n - 1) // 2), 0.5), ids)
+    assert (cfg.partition, value) == ((ids,), 0)
 
 
 def traced_mb(build):
@@ -267,22 +293,22 @@ def traced_mb(build):
         tracemalloc.stop()
 
 
+# measured at 0.92, 1.04 and 0.07 MB
+KEPT_MB, PEAK_MB, SEARCH_MB = 1.0, 1.25, 0.125
+
+
 def test_the_ten_person_tables_build_in_bounded_memory():
-    for cache in (_partition_at, _scorer, _dense, _level):
+    for cache in (_program, _lexicographic):
         cache.cache_clear()
     kept, peak = traced_mb(lambda: build_scorers(10))
-    assert kept <= 5 and peak <= 8
-    assert _scorer(8).base is _scorer(10).base
-    assert traced_mb(lambda: _Level(_level(8)))[1] <= 8
+    assert kept <= KEPT_MB and peak <= PEAK_MB
 
 
-def test_a_ten_person_search_makes_one_full_size_array():
-    # its result (0.88 MB) and one slice of block sums; a second
-    # full-size temporary let malloc trim and refault the heap per search
-    scorer = _scorer(10)
-    w = 2.0 * np.random.default_rng(10).random(scorer.m) - 1.0
-    scorer.within(w)
-    assert traced_mb(lambda: scorer.within(w))[1] <= 1.25
+def test_a_ten_person_search_peaks_in_bounded_memory():
+    ids = tuple(range(10))
+    p = np.random.default_rng(10).random((1, 45))
+    _winners(p, ids)
+    assert traced_mb(lambda: _winners(p, ids))[1] <= SEARCH_MB
 
 
 @st.composite
@@ -293,41 +319,89 @@ def rooms(draw, sizes):
     return ids, {k: draw(probs) for k in unordered_pairs(ids)}
 
 
-def scorer_scores(ids, post):
-    """Every partition's score, as the assigner's search computes it."""
+def check_scores(ids, post, partitions):
+    """The search's score and exact value of each partition match ``score``
+    and the integer sum of the pairs' weights."""
     p = np.array([post[k] for k in unordered_pairs(ids)])
-    scorer = _scorer(len(ids))
-    return scorer, (np.sum(1.0 - p) + scorer.within(2.0 * p - 1.0)) / scorer.m
+    weights = exact_weights(post, ids)
+    for part in partitions:
+        same = _same_floor(part, tuple(ids))
+        assert abs(float(_scores(p, same)) - score(part, post)) <= 1e-12
+        assert _weights(p) @ same == sum(w for w, joined in zip(weights, same) if joined)
 
 
 @settings(max_examples=40, deadline=None)
 @given(rooms((2, 7)))
 def test_scorer_matches_score_on_every_partition(room):
     ids, post = room
-    scorer, scores = scorer_scores(ids, post)
-    for r, s in enumerate(scores):
-        assert abs(s - score(scorer.partition(r, ids), post)) <= 1e-12
+    check_scores(ids, post, enumerate_partitions(ids))
 
 
 @settings(max_examples=15, deadline=None)
 @given(rooms((8, 10)), st.randoms(use_true_random=False))
 def test_scorer_matches_score_on_sampled_partitions_of_large_rooms(room, rnd):
     ids, post = room
-    scorer, scores = scorer_scores(ids, post)
-    for r in rnd.sample(range(len(scores)), 300) + [0, len(scores) - 1]:
-        assert abs(scores[r] - score(scorer.partition(r, ids), post)) <= 1e-12
+    labels = labels_of(len(ids))
+    rows = rnd.sample(range(len(labels)), 300) + [0, len(labels) - 1]
+    check_scores(ids, post, [partition_from(labels[r], ids) for r in rows])
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 10), st.data())
-def test_within_row_has_the_bits_of_the_full_search(n, data):
-    scorer = _scorer(n)
-    weight = st.floats(-1.0, 1.0, allow_nan=False) | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
-    w = np.array(data.draw(st.lists(weight, min_size=scorer.m, max_size=scorer.m)))
-    full = scorer.within(w)
-    rows = data.draw(st.lists(st.integers(0, len(full) - 1), max_size=20))
-    for r in rows + [0, len(full) - 1]:
-        assert scorer.within_row(w, r).tobytes() == full[r].tobytes()
+@st.composite
+def coarse_rooms(draw, sizes):
+    """A room with posteriors in quarters, so exact ties are common, and
+    a previous choice drawn from its partitions, or none."""
+    n = draw(st.integers(*sizes))
+    ids = sorted(draw(st.sets(st.integers(0, 500), min_size=n, max_size=n)))
+    post = {k: draw(st.integers(0, 4)) / 4 for k in unordered_pairs(ids)}
+    previous = None
+    if draw(st.booleans()):
+        previous = partition_from(labels_of(n)[draw(st.integers(0, bell_number(n) - 1))], ids)
+    return ids, post, previous
+
+
+def check_against_the_oracle(ids, post, previous):
+    a = FloorAssigner()
+    if previous is not None:
+        # a pinned period makes it the previous choice without a search
+        a.pin(previous, owner="host", participants=ids)
+        a.assign(post, ids)
+        a.unpin("host")
+    got = a.assign(post, ids)
+    want, top = exact_oracle(ids, post, previous)
+    assert got.partition == want
+    assert abs(got.score - score(got.partition, post)) <= 1e-12
+    # rounding moves each pair by at most half of 2^-40
+    assert got.score >= exact_values(ids, post)[2].max() - 2.0**-40
+    # the winner's exact value, and the same bits alone or in a block
+    p = np.array([post[k] for k in unordered_pairs(ids)])
+    alone = _winners(p[None], tuple(ids))[0]
+    assert alone[1] == top
+    assert _winners(np.stack([1.0 - p, p]), tuple(ids))[1] == alone
+
+
+# a real gain of 2^-43 on one pair, lost to the rounding: the two
+# two-floor partitions tie exactly, so the tie rule decides
+NEAR_TIE = {(0, 1): 0.75, (0, 2): 0.75 + 2.0**-44, (1, 2): 0.0625}
+
+
+@settings(max_examples=150, deadline=None)
+@given(coarse_rooms((2, 7)))
+@example(([0, 1, 2], NEAR_TIE, None))
+@example(([0, 1, 2], NEAR_TIE, ((0, 2), (1,))))
+def test_the_program_matches_the_exhaustive_oracle(room):
+    check_against_the_oracle(*room)
+
+
+@settings(max_examples=9, deadline=None)
+@given(coarse_rooms((8, 10)))
+def test_the_program_matches_the_exhaustive_oracle_in_large_rooms(room):
+    check_against_the_oracle(*room)
+
+
+def test_a_near_tie_lost_to_rounding_keeps_the_tie_rule():
+    # the example above, spelled out
+    assert score(((0, 2), (1,)), NEAR_TIE) > score(((0, 1), (2,)), NEAR_TIE)
+    assert FloorAssigner().assign(NEAR_TIE, range(3)).partition == ((0, 1), (2,))
 
 
 # --- assignment -------------------------------------------------------------
@@ -459,21 +533,30 @@ def exact_score(partition, post):
 def test_tie_rules_hold_when_round_off_splits_an_exact_tie():
     # tenths are not binary fractions: each pair of partitions below
     # ties exactly in real arithmetic, while a float sum over the pairs
-    # can put either one ahead in the last bit
+    # can put either one ahead in the last bit. A tie is judged on the
+    # weights rounded to multiples of 2^-40, whose sums are exact in any
+    # order: where the rounding keeps a tie the tie rule decides, and
+    # where it splits one by a unit the larger exact value wins, within
+    # 2^-40 of the other
     merged = ((0, 1, 2, 3),)
     fewer = {(0, 1): 0.9, (0, 2): 0.3, (0, 3): 0.9, (1, 2): 0.9, (1, 3): 0.9, (2, 3): 0.3}
     assert exact_score(merged, fewer) == exact_score(((0, 1, 3), (2,)), fewer)
     assert FloorAssigner().assign(fewer, range(4)).partition == merged
 
     kept = ((0, 2, 3), (1,))
-    tie = {(0, 1): 0.3, (0, 2): 0.9, (0, 3): 0.7, (1, 2): 0.9, (1, 3): 0.3, (2, 3): 0.7}
-    assert exact_score(merged, tie) == exact_score(kept, tie)
-    a = FloorAssigner()
     clear = {k: 0.9 if 1 not in k else 0.1 for k in unordered_pairs(range(4))}
-    assert a.assign(clear, range(4)).partition == kept
-    cfg = a.assign(tie, range(4))
-    assert cfg.partition == kept
-    assert cfg.score == pytest.approx(float(exact_score(kept, tie)) / 6, abs=1e-12)
+    split = {(0, 1): 0.3, (0, 2): 0.9, (0, 3): 0.7, (1, 2): 0.9, (1, 3): 0.3, (2, 3): 0.7}
+    tie = {**split, (0, 1): 0.25, (1, 2): 0.75, (1, 3): 0.5}
+    for post, rounded in ((tie, 0), (split, 1)):
+        assert exact_score(merged, post) == exact_score(kept, post)
+        # merged joins what kept separates: (0, 1), (1, 2) and (1, 3)
+        w = dict(zip(unordered_pairs(range(4)), exact_weights(post, range(4))))
+        assert w[(0, 1)] + w[(1, 2)] + w[(1, 3)] == rounded
+        a = FloorAssigner()
+        assert a.assign(clear, range(4)).partition == kept
+        cfg = a.assign(post, range(4))
+        assert cfg.partition == (merged if rounded else kept)
+        assert cfg.score == pytest.approx(float(exact_score(kept, post)) / 6, abs=2.0**-40)
 
 
 def test_dwell_suppresses_rapid_switching():
@@ -551,41 +634,20 @@ def test_unpinned_search_resumes():
 
 
 class FreshSearch(FloorAssigner):
-    """An assigner that forgets the last row's outcome and its margin
-    reference before every search, so it searches every row in full."""
+    """An assigner that forgets the last row's outcome before every
+    search, so it searches every row."""
 
     def _search(self, posteriors, ids):
         self._last = None
-        self._reference = None
         return super()._search(posteriors, ids)
-
-
-def winner_margin(p, ids):
-    """The best row's lead in within-floor weight over the runner-up, and
-    the pairs where the runner-up differs from it, with the sign of a
-    weight move in the runner-up's favour on each."""
-    scorer = _scorer(len(ids))
-    within = scorer.within(2.0 * p - 1.0)
-    best = int(within.argmax())
-    lead = within[best]
-    within[best] = -np.inf
-    runner_up = int(within.argmax())
-    same, other = scorer.same_floor(best), scorer.same_floor(runner_up)
-    differ = np.flatnonzero(same != other)
-    return lead - within[runner_up], differ, np.where(same[differ], -1.0, 1.0)
 
 
 @st.composite
 def drifting_rows(draw, ids):
     """Large-room rows, each the previous one with a few pairs moved.
 
-    The first row has a few clear floors under noise, as real rooms do.
-    Each later row moves pairs of the one before by, in total, 0.3 to
-    1.5 times the previous winner's margin: either one to four pairs
-    the runner-up treats unlike the winner, all in the runner-up's
-    favour, so the margin check meets rows on both sides of its bound
-    and drifts that pass the first margin only over several rows, or
-    two to five pairs in random directions.
+    The first row has a few clear floors under noise, as real rooms do;
+    each later row moves one to five of its pairs by up to 0.3.
     """
     pairs = unordered_pairs(ids)
     floor = draw(st.lists(st.integers(0, 2), min_size=len(ids), max_size=len(ids)))
@@ -594,19 +656,10 @@ def drifting_rows(draw, ids):
         0.95 - draw(noise) if floor[a] == floor[b] else 0.05 + draw(noise) for a, b in pairs
     ])]
     for _ in range(draw(st.integers(1, 4))):
-        prev = rows[-1]
-        margin, differ, toward = winner_margin(prev, ids)
-        if draw(st.booleans()):
-            k = draw(st.integers(1, min(4, len(differ))))
-            moved, signs = differ[:k], toward[:k]
-        else:
-            moved = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=2, max_size=5, unique=True))
-            signs = [draw(st.sampled_from([-1.0, 1.0])) for _ in moved]
-        step = draw(st.floats(0.3, 1.5)) * margin / len(moved)
-        row = prev.copy()
-        for j, sign in zip(moved, signs):
-            # a pair's weight is 2p - 1, so p moves by half the step
-            row[j] = min(max(prev[j] + sign * step / 2, 0.0), 1.0)
+        row = rows[-1].copy()
+        for j in draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=5,
+                               unique=True)):
+            row[j] = min(max(row[j] + draw(st.floats(-0.3, 0.3)), 0.0), 1.0)
         rows.append(row)
     return [dict(zip(pairs, row.tolist())) for row in rows]
 
@@ -618,13 +671,12 @@ def assign_scripts(draw):
     In rooms of up to six a later map is either drawn afresh or the
     first with one pair changed, so a search keyed on part of the row
     would be caught. Rooms of nine or ten draw ``drifting_rows`` and
-    walk them in order before the drawn steps, so the margin check
-    decides some of them.
+    walk them in order before the drawn steps.
     """
     n = draw(st.integers(2, 6) | st.integers(9, 10))
     ids = list(range(n))
     walk = []
-    if n > DENSE_MEMBERS:
+    if n > 8:
         pool = draw(drifting_rows(ids))
         walk = [("assign", i, -1) for i in range(len(pool))]
     else:
@@ -724,57 +776,6 @@ def test_a_repeated_row_reuses_its_tie_set_for_a_new_previous_choice():
     assert reused._last[1] is tie_set
 
 
-def test_the_margin_check_decides_only_while_the_margin_exceeds_the_bound():
-    ids = tuple(range(9))
-    pairs = unordered_pairs(ids)
-    rng = np.random.default_rng(17)
-    floor = [0, 0, 0, 1, 1, 1, 2, 2, 2]
-    p = np.array([0.8 if floor[a] == floor[b] else 0.25 for a, b in pairs])
-    p += rng.uniform(-0.1, 0.1, len(p))
-    margin, differ, toward = winner_margin(p, ids)
-    # move one pair the runner-up treats unlike the winner, in its favour
-    j, sign = int(differ[0]), toward[0]
-    slack = TIE_TOLERANCE * _scorer(len(ids)).m
-
-    def moved(by):
-        q = p.copy()
-        q[j] += sign * by / 2
-        return dict(zip(pairs, q.tolist()))
-
-    # the bound just under the margin, inside the doubled tolerance, just
-    # over it, and over it only after two moves that each stay under it
-    for walk, counts, same_winner in (
-        ([margin - 1e-9], (1, 1, 0), True),
-        ([margin - 1.5 * slack], (2, 0, 0), True),
-        ([margin + 1e-9], (2, 0, 0), False),
-        ([0.6 * margin, 1.2 * margin], (2, 1, 0), False),
-    ):
-        a, fresh = FloorAssigner(), FreshSearch()
-        first = a.assign(moved(0.0), ids)
-        for by in walk:
-            got, want = a.assign(moved(by), ids), fresh.assign(moved(by), ids)
-            assert (got.partition, got.score) == (want.partition, want.score)
-        assert (got.partition == first.partition) == same_winner
-        assert (a.searched, a.certified, a.reused) == counts
-
-
-def test_a_tie_set_never_becomes_the_margin_reference():
-    # two certain floors that are a coin flip apart: the merged room and
-    # the split tie exactly, and moving a pair inside a floor keeps the tie
-    ids = tuple(range(9))
-    split = ((0, 1, 2, 3), (4, 5, 6, 7, 8))
-    apart = {(a, b): 1.0 if (a < 4) == (b < 4) else 0.5 for a, b in unordered_pairs(ids)}
-    a = FloorAssigner()
-    assert a.assign(apart, ids).partition == (ids,)
-    a.pin(split, owner="host", participants=ids)
-    a.assign(apart, ids)
-    a.unpin("host")
-    # the previous choice, now the split, wins the tie again
-    assert a.assign({**apart, (0, 1): 0.75}, ids).partition == split
-    assert (a.searched, a.certified, a.reused) == (2, 0, 0)
-    assert a._reference is None
-
-
 # --- primed blocks ----------------------------------------------------------
 
 
@@ -786,12 +787,12 @@ def primed_scripts(draw):
 
     Rooms of up to eight draw rows from a few exact values, so partitions
     tie, or from any floats, so the order of a sum shows in its bits;
-    rooms of nine or ten draw ``drifting_rows`` so that the margin check
-    decides some of them.
+    rooms of nine or ten, which are searched row by row, draw
+    ``drifting_rows``.
     """
     n = draw(st.integers(2, 10))
     rooms = (tuple(range(n)), tuple(range(n - 1)) + (n + 3,))
-    if n > DENSE_MEMBERS:
+    if n > 8:
         pool = [np.array(list(d.values())) for d in draw(drifting_rows(list(range(n))))]
     else:
         m = n * (n - 1) // 2
@@ -835,8 +836,7 @@ def test_primed_blocks_decide_like_one_dict_per_period(script):
     assert (np.array([c.score for c in got]).tobytes()
             == np.array([c.score for c in want]).tobytes())
     assert changes(ticks, got) == changes(ticks, want)
-    assert ((primed.searched, primed.certified, primed.reused)
-            == (plain.searched, plain.certified, plain.reused))
+    assert (primed.searched, primed.reused) == (plain.searched, plain.reused)
 
 
 class CountedAssigner(FloorAssigner):
@@ -900,8 +900,7 @@ def test_a_run_decides_like_one_assign_per_period(script):
     assert (np.array([c.score for c in got]).tobytes()
             == np.array([c.score for c in want]).tobytes())
     assert changes(ticks, got) == changes(ticks, want)
-    assert ((runs.searched, runs.certified, runs.reused)
-            == (plain.searched, plain.certified, plain.reused))
+    assert (runs.searched, runs.reused) == (plain.searched, plain.reused)
     assert (runs._clock, runs._last_change, runs.previous, runs.pinned) == (
         plain._clock, plain._last_change, plain.previous, plain.pinned)
 
@@ -912,8 +911,8 @@ def test_a_run_in_a_room_of_one_counts_nothing():
     assert runs.assign_run({}, [4], 30, 5) == [(FloorConfiguration(((4,),), 0.5), 5)]
     for t in range(30, 180, 30):
         plain.assign({}, [4], now_ms=t)
-    assert (runs.searched, runs.certified, runs.reused, runs._clock) == (0, 0, 0, 150)
-    assert (plain.searched, plain.certified, plain.reused, plain._clock) == (0, 0, 0, 150)
+    assert (runs.searched, runs.reused, runs._clock) == (0, 0, 150)
+    assert (plain.searched, plain.reused, plain._clock) == (0, 0, 150)
 
 
 @pytest.mark.parametrize("n", range(2, MAX_PARTICIPANTS + 1))
@@ -929,9 +928,8 @@ def test_a_primed_block_scores_to_the_bit_of_a_search_per_period(n):
         want = plain.assign(dict(zip(unordered_pairs(ids), row.tolist())), ids)
         assert got.partition == want.partition
         assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes()
-    counts = (primed.searched, primed.certified, primed.reused)
-    assert counts == (plain.searched, plain.certified, plain.reused)
-    assert (counts[0] + counts[1], counts[2]) == (7, 4)
+    counts = (primed.searched, primed.reused)
+    assert counts == (plain.searched, plain.reused) == (7, 4)
 
 
 def test_a_block_that_starts_with_the_last_row_reuses_it():
@@ -942,7 +940,7 @@ def test_a_block_that_starts_with_the_last_row_reuses_it():
         a.prime(ids, np.array(block))
         for row in block:
             a.assign(PairRow(ids, row), ids)
-    assert (a.searched, a.certified, a.reused) == (3, 0, 1)
+    assert (a.searched, a.reused) == (3, 1)
     # the repeated row was not searched again with its block
     assert set(a._primed) == {(ids, r3.tobytes())}
 
@@ -978,7 +976,7 @@ def test_a_primed_tie_set_keeps_the_previous_choice_across_a_pin_change():
     assert a.assign(PairRow(ids, row), ids).partition == split
     a.unpin("host")
     assert a.assign(PairRow(ids, row), ids).partition == split
-    assert (a.searched, a.certified, a.reused) == (1, 0, 2)
+    assert (a.searched, a.reused) == (1, 2)
 
 
 def test_the_primed_table_holds_only_the_newest_block():

@@ -249,6 +249,19 @@ def test_serve_reports_a_port_out_of_range(art, capsys):
     assert err.startswith("error:") and "audio_port" in err
 
 
+@pytest.mark.parametrize("field, value", [("max_participants", 2.5), ("audio_port", 0.5)])
+def test_serve_reports_a_count_or_port_that_is_not_an_integer(tmp_path, art, capsys,
+                                                              field, value):
+    # both printed a traceback: a TypeError from the search tables' build or from bind
+    path = tmp_path / "server.json"
+    path.write_text(json.dumps({"model_path": str(art.model), "audio_port": 0,
+                                "control_port": 0, field: value}))
+    rc = main(["serve", "--config", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err and len(err.splitlines()) == 1
+
+
 def test_serve_reports_a_jitter_depth_below_one_frame(tmp_path, art, capsys):
     path = tmp_path / "server.json"
     path.write_text(json.dumps({"model_path": str(art.model), "jitter_depth_ms": 0}))

@@ -9,6 +9,13 @@ room's tracker follows the session table and every listener with an
 address gets one mix. A status leaves the tracker as it was, and its
 reply does not change when the pump's next step, applying the table,
 is taken before it.
+
+Hostile audio arrives too: truncated datagrams, a bad RTP version, a
+wrong payload length, an unknown SSRC, and a known SSRC from a second
+address. Each is counted in ``audio_rejects`` exactly once, valid audio
+never is, and after every step no counter that ``status`` reports has
+fallen: the room's for good, a session's while it stays, the search's
+while its tracker does.
 """
 
 import numpy as np
@@ -16,6 +23,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
+    invariant,
     rule,
     run_state_machine_as_test,
 )
@@ -44,6 +52,7 @@ class LiveRoom(RuleBasedStateMachine):
         self.sockets = self.srv.audio_sock, self.srv.control_sock
         self.srv.audio_sock, self.srv.control_sock = SentDatagrams(), SentDatagrams()
         self.packetizers = {}
+        self.counters = {}
 
     def teardown(self):
         self.srv.audio_sock, self.srv.control_sock = self.sockets
@@ -118,15 +127,76 @@ class LiveRoom(RuleBasedStateMachine):
             self.check_tracker()
             assert self.control({"type": "status"}, addr)[0] == data
 
+    def packet(self, ssrc, loud=False):
+        packetizer = self.packetizers.setdefault(ssrc, Packetizer(ssrc=ssrc))
+        return packetizer.packetize(LOUD if loud else QUIET).to_bytes()
+
+    def rejected(self, data, addr):
+        """Send ``data`` from ``addr``, which the room must count as one reject."""
+        before = self.srv.audio_rejects
+        self.srv._handle_audio(data, addr)
+        assert self.srv.audio_rejects == before + 1
+
     @rule(name=st.sampled_from(NAMES), loud=st.booleans())
     def audio(self, name, loud):
         session = self.srv.sessions.get(name)
         if session is None:
             return
-        packetizer = self.packetizers.setdefault(session.ssrc, Packetizer(ssrc=session.ssrc))
-        i = NAMES.index(name)
-        self.srv._handle_audio(
-            packetizer.packetize(LOUD if loud else QUIET).to_bytes(), ("127.0.0.1", 7000 + i))
+        before = self.srv.audio_rejects
+        self.srv._handle_audio(self.packet(session.ssrc, loud),
+                               ("127.0.0.1", 7000 + NAMES.index(name)))
+        assert self.srv.audio_rejects == before
+
+    def some_ssrc(self, data):
+        """A present session's SSRC, else one no session holds."""
+        ssrcs = sorted(s.ssrc for s in self.srv.sessions.values())
+        return data.draw(st.sampled_from(ssrcs)) if ssrcs else 99
+
+    @rule(size=st.integers(0, HEADER_BYTES - 1), data=st.data())
+    def truncated_audio(self, size, data):
+        self.rejected(self.packet(self.some_ssrc(data))[:size], ("127.0.0.1", 7000))
+
+    @rule(version=st.sampled_from([0, 1, 3]), data=st.data())
+    def audio_of_another_version(self, version, data):
+        packet = bytearray(self.packet(self.some_ssrc(data)))
+        packet[0] = version << 6 | packet[0] & 0x3F
+        self.rejected(bytes(packet), ("127.0.0.1", 7000))
+
+    @rule(size=st.sampled_from([0, 1, FRAME_BYTES - 1, FRAME_BYTES + 1, 2 * FRAME_BYTES]),
+          data=st.data())
+    def audio_of_a_wrong_length(self, size, data):
+        packet = self.packet(self.some_ssrc(data))
+        self.rejected(packet[:HEADER_BYTES] + bytes(size), ("127.0.0.1", 7000))
+
+    @rule()
+    def audio_of_an_unknown_source(self):
+        self.rejected(self.packet(99), ("127.0.0.1", 7000))
+
+    @rule(data=st.data())
+    def audio_from_a_second_address(self, data):
+        heard = sorted((s for s in self.srv.sessions.values() if s.audio_addr),
+                       key=lambda s: s.participant)
+        if not heard:
+            return
+        session = data.draw(st.sampled_from(heard))
+        addr = session.audio_addr
+        self.rejected(self.packet(session.ssrc), ("127.0.0.1", addr[1] + 1000))
+        assert session.audio_addr == addr
+
+    @invariant()
+    def no_status_counter_falls(self):
+        srv = self.srv
+        reply = srv._status()
+        counters = {name: reply[name]
+                    for name in ("changes", "overruns", "control_rejects", "audio_rejects")}
+        for s in srv.sessions.values():
+            counters.update({(s, k): v for k, v in vars(s.jitter.stats).items()})
+            counters[(s, "overload_drops")] = s.overload_drops
+        if reply["search"] is not None and not srv._fresh_tracker_due():
+            counters.update({(srv.tracker, k): v for k, v in reply["search"].items()})
+        for key, value in counters.items():
+            assert value >= self.counters.get(key, value), key
+        self.counters = counters
 
     @rule()
     def pump(self):
