@@ -53,13 +53,12 @@ changed.
 
 The tracker computes a block of periods' posteriors at once, one row
 per run of periods that share a row, and hands those rows to
-``FloorAssigner.prime``. In rooms of two to _BATCHED_MEMBERS with no
-pin, ``prime`` runs the program over all of them in one pass, and the
-outcomes go into a table under the same keys, which ``assign`` reads
-before it searches; it holds only the newest block. A primed row
-counts as searched. Larger rooms search one row per ``assign``: there
-a batch's arrays outgrow the cache, and a row costs as much or more in
-a batch as alone.
+``FloorAssigner.prime``. The first ``assign`` whose row is not yet
+decided runs the program over all of them in one pass, at any room
+size, and the outcomes go into a table under the same keys, which
+later calls read before they search; it holds only the newest block.
+A row read from the table counts as searched. A pinned room never
+searches, so its block is searched only once the pin is gone.
 
 The tracker then decides each run with one ``assign_run``: one
 ``assign`` for its first period, whose choice holds for the rest of the
@@ -87,8 +86,7 @@ from .timeline import MAX_PARTICIPANTS
 
 NEUTRAL_SCORE = 0.5  # score of a configuration with no pairs to witness it
 _WEIGHT_SCALE = float(1 << 40)  # integer weights are rint((2p - 1) * this)
-_BATCHED_MEMBERS = 8  # larger rooms are searched one row at a time
-_PASS_VALUES = 1 << 14  # block values one batched pass of FloorAssigner.prime holds
+_PASS_VALUES = 1 << 14  # block values one pass over a primed block holds
 NORMAL_GAIN = 1.0
 QUIET_GAIN = 0.2
 EVAL_PERIOD_MS = 30
@@ -418,7 +416,9 @@ class FloorAssigner:
         # the last decided row's key (ids, posterior row bytes), its
         # winner and the winner's exact integer value
         self._last: Optional[Tuple[tuple, Tuple[FloorConfiguration, int]]] = None
-        # what the rows of the last primed block decide, by the same key
+        # the last primed block (ids, rows) until a search decides it, then
+        # what its rows decide, by the same key
+        self._block: Optional[tuple] = None
         self._primed: Dict[tuple, Tuple[FloorConfiguration, int]] = {}
         # unpinned periods with two or more present, by how they were
         # decided: a search (alone or primed), or read back from _last
@@ -456,29 +456,27 @@ class FloorAssigner:
         self.pin_owner = None
 
     def prime(self, ids: Tuple[int, ...], block: np.ndarray) -> None:
-        """Search ahead the rows of a block of periods, for the next
-        ``assign`` calls to read.
+        """Hand over the rows of a block of periods, for the next
+        ``assign`` calls to decide.
 
         ``block`` holds posterior rows over the pairs of the sorted
-        ``ids`` in order, one per run of periods that share a row. Every
-        row (the first unless it is the last row decided) is decided in
-        one pass, to the bit as a search would decide it, and kept until
-        the next block; a row the table lacks is searched as usual.
-        Rooms of more than _BATCHED_MEMBERS and pinned rooms are not
-        primed.
+        ``ids`` in order, one per run of periods that share a row. The
+        first search in the room of ``ids`` decides them all in one pass
+        (``_search_block``), to the bit as each would be searched alone,
+        and keeps them until the next block.
         """
-        self._primed = {}
-        if self.pinned is not None or not 2 <= len(ids) <= _BATCHED_MEMBERS or not len(block):
-            return
-        rows = np.asarray(block, dtype=np.float64)
-        if self._last is not None and self._last[0] == (ids, rows[0].tobytes()):
+        self._block, self._primed = (ids, np.asarray(block, dtype=np.float64)), {}
+
+    def _search_block(self) -> None:
+        """Decide every row of the primed block but a first row that is the
+        last row decided, in slices of at most _PASS_VALUES block values."""
+        (ids, rows), self._block = self._block, None
+        if len(rows) and self._last is not None and self._last[0] == (ids, rows[0].tobytes()):
             rows = rows[1:]
-        # in slices, so the block values and candidate sums stay small in rooms of eight
         step = max(1, _PASS_VALUES >> len(ids))
         for i in range(0, len(rows), step):
             part = rows[i : i + step]
-            keys = [(ids, row.tobytes()) for row in part]
-            self._primed.update(zip(keys, _winners(part, ids)))
+            self._primed.update(zip([(ids, row.tobytes()) for row in part], _winners(part, ids)))
 
     def _search(
         self, posteriors: Mapping[PairKey, float], ids: Tuple[int, ...]
@@ -494,8 +492,10 @@ class FloorAssigner:
         if self._last is not None and self._last[0] == key:
             self.reused += 1
         else:
+            if self._block is not None and self._block[0] == ids:
+                self._search_block()
             found = self._primed.get(key)
-            if found is None:  # not primed: searched alone
+            if found is None:  # not in the block: searched alone
                 found = _winners(p[None], ids)[0]
             self._last = (key, found)
             self.searched += 1

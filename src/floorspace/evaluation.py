@@ -85,10 +85,13 @@ class FloorTracker:
     live path hands in online segmenter views. Due periods are
     evaluated in blocks: features for a whole block in array
     operations, then one posterior row per run of periods whose binned
-    features repeat bit for bit, the block's rows searched in one pass
-    (``FloorAssigner.prime``), and one ``FloorAssigner.assign_run`` per
-    run, whose choice, with its tie rule, pin and dwell, is what one
-    ``assign`` per period would make. A live pump's block is one period.
+    features repeat bit for bit, the block's rows handed to the assigner
+    (``FloorAssigner.prime``), whose first search decides them all in
+    one pass, and one ``FloorAssigner.assign_run`` per run, whose
+    choice, with its tie rule, pin and dwell, is what one ``assign`` per
+    period would make. A live pump's block is one period.
+    ``posterior_override`` maps a block's ticks to posterior rows in
+    ``pairs`` order, in place of the model's (replay's oracle mode).
     Activity fed starts at ``start_tick``; earlier ticks read as
     non-speech. The first period evaluated is the first after it.
 
@@ -111,7 +114,7 @@ class FloorTracker:
         model: FloorModel,
         views: Mapping[int, UtteranceView],
         assigner: Optional[FloorAssigner] = None,
-        posterior_override: Optional[Callable[[Tick], Mapping[Tuple[int, int], float]]] = None,
+        posterior_override: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         start_tick: Tick = 0,
     ):
         self.model = model
@@ -220,10 +223,7 @@ class FloorTracker:
         row, and are joined.
         """
         if self.posterior_override is not None:
-            rows = np.array(
-                [[p[k] for k in self.pairs] for p in map(self.posterior_override, ticks.tolist())],
-                dtype=np.float64,
-            )
+            rows = np.asarray(self.posterior_override(ticks), dtype=np.float64)
             runs = np.ones(len(rows), dtype=np.intp)
         elif len(ticks) == 1:
             # a live pump's one period is one run; there is nothing to compare
@@ -352,15 +352,10 @@ def replay_corpus(
 
     override = None
     if oracle_posteriors:
-        truth_for_oracle = TruthTracker(corpus)
+        oracle, pairs = TruthTracker(corpus), unordered_pairs(ids)
 
-        def override(t: Tick) -> Dict[Tuple[int, int], float]:
-            part = truth_for_oracle.partition_at(t)
-            block_of = {m: i for i, b in enumerate(part) for m in b}
-            return {
-                (a, b): 1.0 if block_of[a] == block_of[b] else 0.0
-                for (a, b) in unordered_pairs(ids)
-            }
+        def override(ticks: np.ndarray) -> np.ndarray:
+            return _pair_same_matrix(oracle.partitions_at(ticks), pairs)
 
     tracker = FloorTracker(
         ids,

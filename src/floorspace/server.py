@@ -132,9 +132,9 @@ class ServerConfig:
     vad: VadConfig = field(default_factory=VadConfig)
 
     def __post_init__(self):
-        # a float would pass the range checks and fail later as a bare
-        # TypeError (in range() or bind()), and a bool would count as 0 or 1
-        for name in ("max_participants", "audio_port", "control_port"):
+        # a float would pass the range checks, then fail in range() or bind()
+        # or, as a NaN jitter depth, never start playout; a bool counts as 0 or 1
+        for name in ("max_participants", "audio_port", "control_port", "jitter_depth_ms"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")

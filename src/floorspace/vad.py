@@ -40,6 +40,10 @@ class VadConfig:
     noise_adapt_rate: float = 0.05
 
     def __post_init__(self):
+        # a NaN fails every comparison in ``decide``: no frame is speech
+        for name in ("energy_floor_db", "snr_threshold_db", "hangover_ms", "noise_adapt_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.hangover_ms < 0:
             raise ValueError("hangover_ms must be non-negative")
         if not 0.0 <= self.noise_adapt_rate <= 1.0:

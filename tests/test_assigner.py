@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import floorspace.assigner as assigner_module
 from floorspace.assigner import (
     EVAL_PERIOD_MS,
     FloorAssigner,
@@ -787,8 +788,7 @@ def primed_scripts(draw):
 
     Rooms of up to eight draw rows from a few exact values, so partitions
     tie, or from any floats, so the order of a sum shows in its bits;
-    rooms of nine or ten, which are searched row by row, draw
-    ``drifting_rows``.
+    rooms of nine or ten draw ``drifting_rows``, as real rooms move.
     """
     n = draw(st.integers(2, 10))
     rooms = (tuple(range(n)), tuple(range(n - 1)) + (n + 3,))
@@ -969,7 +969,8 @@ def test_a_primed_tie_set_keeps_the_previous_choice_across_a_pin_change():
     a.unpin("host")
     # the pinned split is now the previous choice, and it is in the tie set
     assert a.assign(PairRow(ids, row), ids).partition == split
-    # a block primed under a pin is searched period by period once unpinned
+    # a block primed under a pin waits for a search once unpinned; here
+    # every period repeats the last row, so none comes
     a.pin(split, owner="host", participants=ids)
     a.prime(ids, block)
     assert a._primed == {}
@@ -988,12 +989,54 @@ def test_the_primed_table_holds_only_the_newest_block():
     for _ in range(6):
         block = rng.random((20, 10))
         a.prime(ids, block)
-        assert set(a._primed) == {(ids, row.tobytes()) for row in block}
         for row in block:
             a.assign(PairRow(ids, row), ids)
-    # rooms the table does not serve leave it empty
-    a.prime(tuple(range(9)), rng.random((3, 36)))
-    assert a._primed == {}
+        assert set(a._primed) == {(ids, row.tobytes()) for row in block}
+
+
+class CountedWinners:
+    """Counts the calls of ``assigner._winners`` and the rows they search."""
+
+    def __init__(self, monkeypatch):
+        self.passes, self.rows = 0, 0
+        self._winners = assigner_module._winners
+        monkeypatch.setattr(assigner_module, "_winners", self)
+
+    def __call__(self, rows, ids):
+        self.passes += 1
+        self.rows += len(rows)
+        return self._winners(rows, ids)
+
+
+def test_a_ten_person_block_is_searched_by_its_first_assign(monkeypatch):
+    # every size of room searches its block in one pass of slices of
+    # _PASS_VALUES >> 10 = 16 rows, from inside the first assign that
+    # needs one, and never again
+    ids = tuple(range(10))
+    block = np.random.default_rng(10).random((40, 45))
+    a = FloorAssigner()
+    winners = CountedWinners(monkeypatch)
+    a.prime(ids, block)
+    assert (winners.passes, a._primed) == (0, {})
+    a.assign(PairRow(ids, block[0]), ids)
+    assert (winners.passes, winners.rows) == (3, 40)
+    assert set(a._primed) == {(ids, row.tobytes()) for row in block}
+    for row in block[::-1]:
+        a.assign(PairRow(ids, row), ids)
+    assert (winners.passes, a.searched) == (3, 41)
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_a_pinned_room_never_searches_its_block(monkeypatch, n):
+    ids = tuple(range(n))
+    block = np.random.default_rng(n).random((12, n * (n - 1) // 2))
+    a = FloorAssigner()
+    a.pin([ids], owner="host", participants=ids)
+    winners = CountedWinners(monkeypatch)
+    a.prime(ids, block)
+    for row in block:
+        assert a.assign(PairRow(ids, row), ids).partition == (ids,)
+    assert (winners.passes, a.searched, a.reused) == (0, 0, 0)
 
 
 # --- gains ------------------------------------------------------------------

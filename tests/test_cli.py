@@ -263,12 +263,14 @@ def test_serve_reports_a_count_or_port_that_is_not_an_integer(tmp_path, art, cap
 
 
 def test_serve_reports_a_jitter_depth_below_one_frame(tmp_path, art, capsys):
+    # a JSON file may spell Infinity and NaN, and Python's json reads both
     path = tmp_path / "server.json"
-    path.write_text(json.dumps({"model_path": str(art.model), "jitter_depth_ms": 0}))
-    rc = main(["serve", "--config", str(path), "--audio-port", "0", "--control-port", "0"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "jitter_depth_ms" in err
+    for depth in ("0", "Infinity", "NaN", "60.5"):
+        path.write_text(f'{{"model_path": {json.dumps(str(art.model))}, "jitter_depth_ms": {depth}}}')
+        rc = main(["serve", "--config", str(path), "--audio-port", "0", "--control-port", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "jitter_depth_ms" in err
 
 
 def test_serve_reports_a_dwell_that_is_not_an_integer(tmp_path, art, capsys):

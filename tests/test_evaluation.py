@@ -194,6 +194,7 @@ def test_ten_person_tracker_decides_like_assign_on_plain_dicts(floor_model, peri
 @pytest.mark.parametrize("n, dwell_ms, feed", [
     pytest.param(4, 0, "whole", id="4"),
     pytest.param(8, 0, "whole", id="8"),
+    pytest.param(9, 600, "chunks", id="9-dwell-chunks"),
     pytest.param(10, 0, "whole", id="10"),
     pytest.param(4, 600, "whole", id="4-dwell"),
     pytest.param(8, 600, "whole", id="8-dwell"),
@@ -207,9 +208,9 @@ def test_ten_person_tracker_decides_like_assign_on_plain_dicts(floor_model, peri
 def test_a_primed_replay_decides_like_assign_on_plain_dicts(floor_model, periods, n, dwell_ms, feed):
     # whole blocks of periods are primed and each run of repeated rows is
     # decided by one assign_run; each period must decide, score and count
-    # exactly like one assign per period on a dict. Rooms of ten are
-    # searched row by row, smaller ones primed; a 600 ms dwell holds switches, and
-    # at n=4 one hold expires inside a run of repeated rows
+    # exactly like one assign per period on a dict, in rooms of every size
+    # up to ten; a 600 ms dwell holds switches, and at n=4 one hold expires
+    # inside a run of repeated rows
     floors = (tuple(range(n // 2)), tuple(range(n // 2, n)))
     room = (tuple(range(n)),)
     corpus = generate(GeneratorConfig(
@@ -381,7 +382,7 @@ def test_short_corpus_is_rejected(floor_model):
 
 def test_flat_posteriors_fall_back_to_one_floor(floor_model):
     corpus = generate(four_party_config(seed=46, duration_ms=45_000, epoch_ms=45_000))
-    flat = lambda t: {pair: 0.5 for pair in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
+    flat = lambda ticks: np.full((len(ticks), 6), 0.5)
     ids = sorted(corpus.ids.values())
     streams = corpus.streams()
     tracker = FloorTracker(

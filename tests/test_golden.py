@@ -1,11 +1,11 @@
 """Byte-identical outputs on fixed seeds.
 
 The model file, the ``eval --report`` JSON, the ``replay --timeline``
-TSV and the ``mixdown --tones`` WAVs of the conftest corpora are
-pinned by their sha256, and so is what an in-process 10-person live
-room decides and sends. A change that moves any of these bytes
-changes what the program decides; a pure refactor or speed-up must
-leave them alone.
+TSV (with the model's posteriors and with ``--oracle``) and the
+``mixdown --tones`` WAVs of the conftest corpora are pinned by their
+sha256, and so is what an in-process 10-person live room decides and
+sends. A change that moves any of these bytes changes what the
+program decides; a pure refactor or speed-up must leave them alone.
 """
 
 import hashlib
@@ -28,6 +28,13 @@ REPORT_SHA256 = {
 TIMELINE_SHA256 = {
     11: "c3bd0e3b97b1dd8936d08813cd478f4d009a4604c180d073e911221459c5ebd7",
     99: "6d7933fee70366338dfd589730c4ca3493a51096dd9773e2b9f669cd24e732c0",
+}
+
+# the same two commands with --oracle, on the seed-99 corpus: posteriors
+# straight from the truth, which bypass the model
+ORACLE_SHA256 = {
+    "report": "ca8db5c2bbfc82556b855ab2beffdbc738892263aeaef7a09aacd38b267204f6",
+    "timeline": "32bee028ba35fc14f7af49eee4cecfb87473af1aa2bddd765ad34734045e16ef",
 }
 
 # listeners of the seed-99 corpus
@@ -72,6 +79,18 @@ def test_eval_report_and_replay_timeline_are_unchanged(files, seed, capsys):
     capsys.readouterr()
     assert sha256(report) == REPORT_SHA256[seed]
     assert sha256(timeline) == TIMELINE_SHA256[seed]
+
+
+def test_oracle_report_and_timeline_are_unchanged(files, capsys):
+    d, model, corpora = files
+    report, timeline = d / "oracle.json", d / "oracle.tsv"
+    corpus = str(corpora[99])
+    assert main(["eval", "--oracle", "--model", str(model), "--corpus", corpus,
+                 "--report", str(report)]) == 0
+    assert main(["replay", "--oracle", "--model", str(model), "--corpus", corpus,
+                 "--timeline", str(timeline)]) == 0
+    capsys.readouterr()
+    assert {"report": sha256(report), "timeline": sha256(timeline)} == ORACLE_SHA256
 
 
 def test_tone_mixdowns_are_unchanged(files, eval_corpus, capsys):

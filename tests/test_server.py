@@ -143,7 +143,8 @@ def test_config_rejects_the_fixed_format_and_policy():
 
 def test_config_rejects_bad_vad_fields():
     # the file's errors reach the command line as config errors, not tracebacks
-    for vad in ({"hangover_ms": -1}, {"noise_adapt_rate": 2.0}, {"bogus": 1}, None, 5, [1]):
+    for vad in ({"hangover_ms": -1}, {"noise_adapt_rate": 2.0}, {"bogus": 1}, None, 5, [1],
+                {"energy_floor_db": float("nan")}, {"snr_threshold_db": float("nan")}):
         with pytest.raises(FloorspaceError, match="bad server config"):
             ServerConfig.from_dict({"vad": vad})
 
@@ -156,8 +157,10 @@ def test_config_bounds_participant_count():
 
 
 def test_config_rejects_a_jitter_depth_below_one_frame():
-    # else the server starts and answers every join as malformed
-    for depth in (0, 19, -20):
+    # else the server starts and answers every join as malformed; a depth
+    # that is not an integer (a NaN or infinite one never starts playout,
+    # so every session is heard as silence) is rejected too
+    for depth in (0, 19, -20, float("inf"), float("nan"), 60.5, True, "60", None):
         with pytest.raises(ConfigError, match="jitter_depth_ms"):
             ServerConfig(jitter_depth_ms=depth)
         with pytest.raises(ConfigError, match="jitter_depth_ms"):

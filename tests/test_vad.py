@@ -240,3 +240,8 @@ def test_config_validation():
         VadConfig(hangover_ms=-1)
     with pytest.raises(ValueError):
         VadConfig(noise_adapt_rate=1.5)
+    # a NaN level or threshold fails every comparison, so nothing is speech
+    for field in ("energy_floor_db", "snr_threshold_db", "hangover_ms", "noise_adapt_rate"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=field):
+                VadConfig(**{field: value})
