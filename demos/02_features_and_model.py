@@ -35,16 +35,16 @@ utterances = corpus.utterances()
 ids = sorted(corpus.ids.values())
 print(f"corpus: {len(corpus.records)} turns, participants {sorted(corpus.ids)}")
 
-# the engine the tracker and training use: activity in, every pair's
-# features at a batch of instants out, over the default binning's windows
+# the engine the tracker and training use: the room's activity in, one
+# row per participant, every pair's features at a batch of instants out,
+# over the default binning's windows
 now = 120_000
 views = {
     pid: (lambda u=utterances[pid]: ([x.start for x in u], [x.end for x in u]))
     for pid in ids
 }
 engine = FeatureEngine(ids, views, FeatureBinning())
-for pid in ids:
-    engine.add_activity(pid, streams[pid].window(0, now))
+engine.add_activity([streams[pid].window(0, now) for pid in ids])
 raw = engine.raw([now])
 pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
 

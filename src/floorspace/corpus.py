@@ -213,7 +213,8 @@ class GeneratorConfig:
     force from then on, as tuples of participant-index tuples. The
     first epoch must start at 0. ``overlap_probability`` is the exact
     chance that a within-floor transition starts before the previous
-    turn has ended.
+    turn has ended. Timing numbers are finite, the median turn positive,
+    the spreads and the integer seed non-negative.
     """
 
     participants: int
@@ -231,6 +232,22 @@ class GeneratorConfig:
     min_turn_ms: int = 100
 
     def __post_init__(self):
+        timing = {name: getattr(self, name) for name in (
+            "turn_median_ms", "turn_sigma", "pause_mean_ms", "pause_sd_ms", "pause_floor_ms",
+            "overlap_probability", "solo_gap_mean_ms", "solo_gap_sd_ms")}
+        for name, value in timing.items():
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise CorpusError(f"{name} must be a finite number, not {value!r}")
+        if self.turn_median_ms <= 0:
+            raise CorpusError(f"turn_median_ms must be positive, not {self.turn_median_ms!r}")
+        for name in ("turn_sigma", "pause_sd_ms", "solo_gap_sd_ms"):
+            if timing[name] < 0:
+                raise CorpusError(f"{name} must not be negative, not {timing[name]!r}")
+        if not 0 <= self.overlap_probability <= 1:
+            raise CorpusError(
+                f"overlap_probability must lie in [0, 1], not {self.overlap_probability!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise CorpusError(f"seed must be a non-negative integer, not {self.seed!r}")
         if not 1 <= self.participants <= len(DEFAULT_NAMES):
             raise CorpusError(
                 f"participant count must lie in [1, {len(DEFAULT_NAMES)}]"

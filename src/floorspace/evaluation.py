@@ -1,14 +1,15 @@
 """Tick-driven floor tracking, corpus replay, and accuracy evaluation.
 
 The tracker advances one evaluation period (30 ms) at a time and is
-purely a function of input timing: feeding the same activity in one
-batch or in packet-sized slices produces the same periods. Each
-``process_due`` call returns the periods it evaluated; the tracker
-itself keeps only its last one, so what it holds does not grow with
-the time it runs. Replay feeds a whole labeled corpus through the
-identical path the live server uses, just as fast as the machine
-allows, and keeps what its one ``process_due`` call returns. The live
-server keeps one tracker per room and changes its participants in
+purely a function of input timing: activity arrives in room blocks, a
+row per participant, and one block or frame-sized blocks of the same
+activity produce the same periods. Each ``process_due`` call returns
+the periods it evaluated; the tracker itself keeps only its last one,
+so what it holds does not grow with the time it runs. Replay feeds a
+whole labeled corpus as one block through the identical path the live
+server uses, as fast as the machine allows, and keeps what its one
+``process_due`` call returns. The live server keeps one tracker per
+room, feeds it a block per frame and changes its participants in
 place as people join and leave; replay's participants are fixed.
 
 Evaluation compares the replayed configuration stream against ground
@@ -82,10 +83,12 @@ class FloorTracker:
     ``views`` supplies per-participant utterance (starts, ends) as
     observed so far; the replay path hands in full corpus records
     (the gap feature only looks at what had started by ``now``), the
-    live path hands in online segmenter views. Due periods are
-    evaluated in blocks: features for a whole block in array
-    operations, then one posterior row per run of periods whose binned
-    features repeat bit for bit, the block's rows handed to the assigner
+    live path hands in online segmenter views. ``add_activity`` takes
+    the room's next block of activity, a row per participant in
+    participant order. Due periods, up to that ``coverage``, are
+    evaluated in blocks: features for a whole block in array operations,
+    then one posterior row per run of periods whose binned features
+    repeat bit for bit, the block's rows handed to the assigner
     (``FloorAssigner.prime``), whose first search decides them all in
     one pass, and one ``FloorAssigner.assign_run`` per run, whose
     choice, with its tie rule, pin and dwell, is what one ``assign`` per
@@ -148,13 +151,10 @@ class FloorTracker:
         self.pairs = unordered_pairs(self.participants)
         self.assigner.drop_pin()
 
-    def add_activity(self, participant: int, bits) -> None:
-        self._engine.add_activity(participant, bits)
-
-    def add_room_activity(self, bits) -> None:
-        """The next chunk of every participant's activity, one row each in
-        participant order; every participant must cover the same ticks."""
-        self._engine.add_room_activity(bits)
+    def add_activity(self, rows) -> None:
+        """The room's next ticks of activity, one row per participant in
+        participant order (``FeatureEngine.add_activity``)."""
+        self._engine.add_activity(rows)
 
     @property
     def streams(self) -> Dict[int, np.ndarray]:
@@ -163,7 +163,7 @@ class FloorTracker:
 
     @property
     def coverage(self) -> Tick:
-        """Ticks fully observed across every participant."""
+        """The tick the activity fed so far reaches, for every participant."""
         return self._engine.coverage
 
     @property
@@ -172,9 +172,9 @@ class FloorTracker:
         that a later period's gap can read (``FeatureEngine.oldest_needed``)."""
         return self._engine.oldest_needed
 
-    def process_due(self, upto: Optional[Tick] = None) -> Periods:
-        """Evaluate every period boundary now covered by all streams."""
-        limit = self.coverage if upto is None else min(upto, self.coverage)
+    def process_due(self) -> Periods:
+        """Evaluate every period boundary the activity fed so far covers."""
+        limit = self.coverage
         period = EVAL_PERIOD_MS
         due = Periods([], np.zeros((0, len(self.pairs))), [], [])
         if len(self.participants) < 2:
@@ -355,7 +355,9 @@ def replay_corpus(
         oracle, pairs = TruthTracker(corpus), unordered_pairs(ids)
 
         def override(ticks: np.ndarray) -> np.ndarray:
-            return _pair_same_matrix(oracle.partitions_at(ticks), pairs)
+            index: Dict[Partition, int] = {}
+            codes = partition_codes(oracle.partitions_at(ticks), index)
+            return _pair_same_matrix(list(index), pairs)[codes]
 
     tracker = FloorTracker(
         ids,
@@ -365,8 +367,7 @@ def replay_corpus(
         posterior_override=override,
     )
     streams = corpus.streams()
-    for pid in ids:
-        tracker.add_activity(pid, streams[pid].bits)
+    tracker.add_activity([streams[pid].bits for pid in ids])
     due = tracker.process_due()
 
     return ReplayResult(

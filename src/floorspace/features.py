@@ -211,15 +211,18 @@ def _carried(rows: np.ndarray, old_keys: Sequence, new_keys: Sequence) -> np.nda
 class FeatureEngine:
     """Features of every ordered pair at a batch of instants, in array ops.
 
-    Activity arrives per participant in chunks of any size, or for the
-    whole room in one block, and waits until every participant covers
-    it. Overlap counts then come from one AND over all pairs (and each
-    participant with itself, for ``speech``) per block of at most
-    BLOCK_MS ticks, kept as cumulative counts over the retained window
-    only: the lookback behind the earliest instant of the block being
-    evaluated, plus the block. Counts are relative to that window, so
-    they stay small however long the session runs. The windows, and so
-    the lookback, are ``binning``'s, and ``binned`` bins with it.
+    Activity arrives for the whole room: each ``add_activity`` call
+    takes the next block of any length, one row per participant in
+    participant order. Every row so covers the same ticks, and
+    ``coverage`` is one tick that all rows share; a room without
+    participants has no rows, so its coverage stays. Overlap
+    counts come from one AND over all pairs (and each participant with
+    itself, for ``speech``) per block of at most BLOCK_MS ticks, kept as
+    cumulative counts over the retained window only: the lookback
+    behind the earliest instant of the block being evaluated, plus the
+    block. Counts are relative to that window, so they stay small
+    however long the session runs. The windows, and so the lookback,
+    are ``binning``'s, and ``binned`` bins with it.
 
     ``views`` supplies each participant's utterance (starts, ends) as
     observed so far; each is called once per batch. Instants must be
@@ -235,8 +238,8 @@ class FeatureEngine:
 
     Participants ``join`` and ``leave`` in place. A joiner's rows start
     as zeros, so the ticks before it joined read as non-speech, and its
-    activity is fed from the tick every member covers; a leaver's rows
-    are dropped. Nothing already counted is counted again.
+    activity is fed from ``coverage`` on; a leaver's rows are dropped.
+    Nothing already counted is counted again.
     """
 
     def __init__(
@@ -259,12 +262,10 @@ class FeatureEngine:
         self._block = max(BLOCK_MS // self._res, 1) * self._res
         self._index(participants)
         n = len(self.participants)
-        # activity not yet counted: row r holds ticks [_bits_tick, _fill[r])
+        # activity not yet counted: every row holds ticks [_bits_tick, coverage)
         self._bits = np.zeros((n, 1024), dtype=bool)
         self._bits_tick = start_tick
-        self._fill = [start_tick] * n
-        # the tick an empty room covers: where its last members stood
-        self._idle_tick = start_tick
+        self.coverage: Tick = start_tick
         # column _head + i holds the counts over [_base, _base + i * _res)
         # plus a common offset per row; the window ends at the covered tick
         self._cum = np.zeros((len(self._row_a), 1024), dtype=np.int32)
@@ -298,11 +299,7 @@ class FeatureEngine:
         """Re-index for ``participants``; rows of members that stay keep
         their activity and counts, new rows are zeros."""
         old_ids, old_pairs = self.participants, self._overlap_ids()
-        old_fill = dict(zip(old_ids, self._fill))
-        joined_at = self.coverage
-        self._idle_tick = max(self._fill, default=self._idle_tick)
         self._index(participants)
-        self._fill = [old_fill.get(pid, joined_at) for pid in self.participants]
         self._bits = _carried(self._bits, old_ids, self.participants)
         self._cum = _carried(self._cum, old_pairs, self._overlap_ids())
         # the next batch works it out for the new members
@@ -322,35 +319,27 @@ class FeatureEngine:
         del self.views[participant]
         self._regroup([p for p in self.participants if p != participant])
 
-    def add_activity(self, participant: int, bits) -> None:
-        bits = np.asarray(bits, dtype=bool).reshape(-1)
-        r = self._row[participant]
-        end = self._fill[r] + len(bits)
+    def add_activity(self, rows) -> None:
+        """The room's next ticks of activity: one row per participant in
+        participant order, all of one length (a (participants, ticks) array
+        or a list of rows), each written straight into the buffer."""
+        rows = [np.asarray(row, dtype=bool) for row in rows]
+        if len(rows) != len(self.participants) or len({row.shape for row in rows}) > 1:
+            raise ValueError(f"a room block needs one row per participant, "
+                             f"{len(self.participants)} of one length")
+        end = self.coverage + (len(rows[0]) if rows else 0)
         if end - self._bits_tick > self._bits.shape[1]:
             self._make_room(end)
-        lo = self._fill[r] - self._bits_tick
-        self._bits[r, lo : lo + len(bits)] = bits
-        self._fill[r] = end
-
-    def add_room_activity(self, bits) -> None:
-        """The next chunk of every participant's activity, one row each in
-        participant order; every participant must cover the same ticks."""
-        bits = np.asarray(bits, dtype=bool)
-        fill = self.coverage
-        if bits.shape[0] != len(self._fill) or max(self._fill, default=fill) != fill:
-            raise ValueError("room activity needs one row per participant, all fed alike")
-        end = fill + bits.shape[1]
-        if end - self._bits_tick > self._bits.shape[1]:
-            self._make_room(end)
-        lo = fill - self._bits_tick
-        self._bits[:, lo : lo + bits.shape[1]] = bits
-        self._fill = [end] * len(self._fill)
+        lo = self.coverage - self._bits_tick
+        for r, row in enumerate(rows):
+            self._bits[r, lo : lo + len(row)] = row
+        self.coverage = end
 
     def _make_room(self, end: Tick) -> None:
         """Drop counted activity and grow the buffer to reach ``end``."""
         skip = self._covered - self._bits_tick
-        keep = self._bits[:, skip : max(self._fill, default=self._covered) - self._bits_tick]
-        need = max([end, *self._fill]) - self._covered
+        keep = self._bits[:, skip : self.coverage - self._bits_tick]
+        need = end - self._covered
         if need > self._bits.shape[1]:
             grown = np.zeros((len(keep), max(need, 2 * self._bits.shape[1])), dtype=bool)
             grown[:, : keep.shape[1]] = keep
@@ -363,15 +352,8 @@ class FeatureEngine:
     def streams(self) -> Dict[int, np.ndarray]:
         """Activity received but not yet counted, per participant."""
         lo = self._covered - self._bits_tick
-        return {
-            pid: self._bits[r, lo : self._fill[r] - self._bits_tick]
-            for pid, r in self._row.items()
-        }
-
-    @property
-    def coverage(self) -> Tick:
-        """Ticks fully observed across every participant."""
-        return min(self._fill, default=self._idle_tick)
+        hi = self.coverage - self._bits_tick
+        return {pid: self._bits[r, lo:hi] for pid, r in self._row.items()}
 
     @property
     def _covered(self) -> Tick:

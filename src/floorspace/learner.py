@@ -17,7 +17,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import CorpusError, ModelFormatError, ModelVersionError, TrainingError
+from .errors import ConfigError, CorpusError, ModelFormatError, ModelVersionError, TrainingError
 # simultaneous_speech and trp_gap_from_arrays are unused here but stay
 # importable under these names, where the benchmark's tracer wraps them
 from .features import (  # noqa: F401
@@ -94,8 +94,11 @@ def make_training_instances(
     The class is whether the two participants' most recent utterances
     carry the same floor label.
 
-    Raises CorpusError when an utterance is unlabeled.
+    Raises CorpusError when an utterance is unlabeled, and ConfigError
+    unless ``sample_period_ms`` is a positive int.
     """
+    if type(sample_period_ms) is not int or sample_period_ms <= 0:
+        raise ConfigError(f"sample period must be a positive int, not {sample_period_ms!r}")
     ids = sorted(streams)
     for pid in ids:
         for u in utterances.get(pid, ()):
@@ -129,13 +132,9 @@ def make_training_instances(
     sample_ticks = np.arange(sample_period_ms, duration_ms + 1, sample_period_ms)
     per_batch = max(TRAINING_BATCH_MS // sample_period_ms, 1)
     start_arrays = [np.array(starts[pid], dtype=np.int64) for pid in ids]
-    fed = 0
     for lo in range(0, len(sample_ticks), per_batch):
         ticks = sample_ticks[lo : lo + per_batch]
-        upto = int(ticks[-1])
-        for pid in ids:
-            engine.add_activity(pid, streams[pid].window(fed, upto))
-        fed = upto
+        engine.add_activity([streams[pid].window(engine.coverage, int(ticks[-1])) for pid in ids])
         raw = engine.raw(ticks)
         active = raw.speech > 0
         # label of each participant's newest utterance begun by t (-1: none)

@@ -595,9 +595,9 @@ class RealtimeServer:
                 s.last_frame = (self.tick, b)
                 s.segmenter.feed(b)
             tracker = self.tracker
-            tracker.add_room_activity(bits)
+            tracker.add_activity(bits)
             self.tick += FRAME_MS
-            for event in tracker.process_due(self.tick).events:
+            for event in tracker.process_due().events:
                 self.events.append(event)
                 names = {s.participant: s.name for s in sessions}
                 log.info(

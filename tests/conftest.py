@@ -110,6 +110,11 @@ class SentDatagrams:
         return len(data)
 
 
+def room_block(streams, ids, lo=0, hi=None):
+    """Ticks [lo, hi) of the ``ids``' streams, one row each: a room block."""
+    return np.stack([streams[pid].bits[lo:hi] for pid in ids])
+
+
 def changes(ticks, configs):
     """(tick, partition) of every period whose partition differs from the last."""
     out, last = [], None

@@ -314,8 +314,8 @@ def engine_features(ia, ib, now, duration, binning):
         1: lambda: ([s for s, _ in ib], [e for _, e in ib]),
     }
     engine = FeatureEngine([0, 1], views, binning, step_ms=1)
-    engine.add_activity(0, stream_from_intervals(0, ia, duration_ms=duration).bits)
-    engine.add_activity(1, stream_from_intervals(1, ib, duration_ms=duration).bits)
+    engine.add_activity(np.stack([stream_from_intervals(p, iv, duration_ms=duration).bits
+                                  for p, iv in enumerate((ia, ib))]))
     raw = engine.raw([now])
     gaps = [None if g == NO_GAP else g for g in raw.gaps[0].tolist()]
     return (tuple(raw.overlaps[0, 0].tolist()), gaps[0], gaps[1]), engine

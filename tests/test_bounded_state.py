@@ -44,7 +44,7 @@ def chunked_room(model, bits, chunk_ms, leaver, leave_at, rejoin_at):
         block = bits[list(tracker.participants), lo : lo + chunk_ms]
         for p, row in zip(tracker.participants, block):
             segmenters[p].feed(row)
-        tracker.add_room_activity(block)
+        tracker.add_activity(block)
         tracker.process_due()
         # what the pump does after every frame
         for p, start in tracker.oldest_needed.items():

@@ -103,6 +103,17 @@ def test_train_needs_both_classes(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("period", ["0", "-5"])
+def test_train_rejects_a_sample_period_below_one_ms(tmp_path, art, capsys, period):
+    rc = main(["train", "--corpus", str(art.corpus), "--out", str(tmp_path / "m.json"),
+               "--sample-period", period])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "sample period" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_missing_corpus_file(tmp_path, capsys):
     rc = main(
         ["train", "--corpus", str(tmp_path / "nope.corpus"),

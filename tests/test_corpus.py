@@ -219,6 +219,33 @@ def test_schedule_validation():
         )  # duplicate epoch time
 
 
+@pytest.mark.parametrize("field, value", [
+    ("turn_median_ms", 0),
+    ("turn_median_ms", float("nan")),
+    ("turn_median_ms", float("inf")),
+    ("turn_sigma", -1),
+    ("pause_mean_ms", float("nan")),
+    ("pause_sd_ms", -1),
+    ("pause_floor_ms", float("-inf")),
+    ("solo_gap_mean_ms", float("nan")),
+    ("solo_gap_sd_ms", -1),
+    ("overlap_probability", 2),
+    ("overlap_probability", -0.1),
+    ("turn_sigma", "0.8"),
+    ("seed", -1),
+    ("seed", 1.5),
+])
+def test_config_rejects_out_of_range_numbers(field, value):
+    doc = {"participants": 2, "duration_ms": 10_000, "schedule": [[0, [[0], [1]]]],
+           field: value}
+    with pytest.raises(CorpusError, match=field):
+        GeneratorConfig.from_dict(doc)
+    # the edges of each range generate
+    edges = {"turn_sigma": 0, "pause_sd_ms": 0, "solo_gap_sd_ms": 0, "overlap_probability": 1,
+             "seed": 0}
+    generate(GeneratorConfig.from_dict({**doc, field: edges.get(field, 1)}))
+
+
 def test_config_round_trips_through_json(tmp_path):
     cfg = four_party_config(seed=9, duration_ms=60_000, epoch_ms=30_000)
     path = tmp_path / "gen.json"

@@ -19,7 +19,9 @@ from floorspace.evaluation import (
     write_timeline,
 )
 
-from conftest import changes, four_party_config
+from floorspace.features import BLOCK_MS
+
+from conftest import changes, four_party_config, room_block
 
 
 def _tracker_views(corpus):
@@ -131,21 +133,16 @@ def test_tracker_chunking_does_not_change_the_outcome(floor_model, periods):
     streams = corpus.streams()
 
     batch = FloorTracker(ids, floor_model, _tracker_views(corpus))
-    for pid in ids:
-        batch.add_activity(pid, streams[pid].bits)
+    batch.add_activity(room_block(streams, ids))
     batch.process_due()
 
+    # room blocks of one tick, of a frame or so, and across BLOCK_MS
     rng = np.random.default_rng(3)
     chunked = FloorTracker(ids, floor_model, _tracker_views(corpus))
-    fed = {pid: 0 for pid in ids}
-    while any(fed[pid] < corpus.duration_ms for pid in ids):
-        pid = ids[int(rng.integers(len(ids)))]
-        n = int(rng.integers(1, 5000))
-        lo = fed[pid]
-        hi = min(lo + n, corpus.duration_ms)
-        if lo < hi:
-            chunked.add_activity(pid, streams[pid].bits[lo:hi])
-            fed[pid] = hi
+    while chunked.coverage < corpus.duration_ms:
+        lo = chunked.coverage
+        n = int(rng.choice([1, rng.integers(1, 100), rng.integers(1, 2 * BLOCK_MS)]))
+        chunked.add_activity(room_block(streams, ids, lo, lo + n))
         chunked.process_due()
 
     chunked, batch = periods[chunked], periods[batch]
@@ -174,8 +171,7 @@ def test_ten_person_tracker_decides_like_assign_on_plain_dicts(floor_model, peri
     streams = corpus.streams()
     tracker = FloorTracker(ids, floor_model, _tracker_views(corpus))
     for lo in range(0, corpus.duration_ms, 20):
-        for pid in ids:
-            tracker.add_activity(pid, streams[pid].bits[lo:lo + 20])
+        tracker.add_activity(room_block(streams, ids, lo, lo + 20))
         tracker.process_due()
 
     tracker = periods[tracker]
@@ -228,8 +224,7 @@ def test_a_primed_replay_decides_like_assign_on_plain_dicts(floor_model, periods
     # 700 ms chunks end blocks inside runs of repeated rows
     step = 700 if feed == "chunks" else corpus.duration_ms
     for lo in range(0, corpus.duration_ms, step):
-        for pid in ids:
-            tracker.add_activity(pid, streams[pid].bits[lo:lo + step])
+        tracker.add_activity(room_block(streams, ids, lo, lo + step))
         tracker.process_due()
 
     log = periods[tracker]
@@ -297,8 +292,7 @@ def test_tracker_first_eval_skips_history(floor_model, periods):
     streams = corpus.streams()
     # a tracker started late evaluates from the first period after its start
     tracker = FloorTracker(ids, floor_model, _tracker_views(corpus), start_tick=10_000)
-    for pid in ids:
-        tracker.add_activity(pid, streams[pid].bits[10_000:])
+    tracker.add_activity(room_block(streams, ids, 10_000))
     tracker.process_due()
     ticks = periods[tracker].ticks
     assert ticks[0] == 10_020  # next period boundary after 10 s
@@ -314,8 +308,8 @@ def test_a_lone_participant_is_tracked_but_not_decided(floor_model, periods):
     views = _tracker_views(corpus)
     lone = FloorTracker([0], floor_model, {0: views[0]}, start_tick=0)
     for lo in range(0, 40_000, 20):
-        lone.add_room_activity(bits[0].bits[None, lo : lo + 20])
-        assert lone.process_due(lo + 20).ticks == []
+        lone.add_activity(room_block(bits, [0], lo, lo + 20))
+        assert lone.process_due().ticks == []
         assert max(len(s) for s in lone.streams.values()) <= 20
     assert lone.ticks == []
     # alone, it needs its two newest turns begun before now, where a
@@ -324,13 +318,12 @@ def test_a_lone_participant_is_tracked_but_not_decided(floor_model, periods):
     assert lone.oldest_needed == {0: begun[-2]}
     lone.join(1, views[1])
     for lo in range(40_000, 42_000, 20):
-        lone.add_room_activity(np.stack([bits[p].bits[lo : lo + 20] for p in (0, 1)]))
-        lone.process_due(lo + 20)
+        lone.add_activity(room_block(bits, [0, 1], lo, lo + 20))
+        lone.process_due()
 
     full = FloorTracker([0, 1], floor_model, {p: views[p] for p in (0, 1)}, start_tick=0)
-    full.add_activity(0, bits[0].bits[:42_000])
-    full.add_activity(1, np.concatenate([np.zeros(40_000, dtype=bool),
-                                         bits[1].bits[40_000:42_000]]))
+    full.add_activity(np.stack([bits[0].bits[:42_000], np.concatenate(
+        [np.zeros(40_000, dtype=bool), bits[1].bits[40_000:42_000]])]))
     full.process_due()
     lone, full = periods[lone], periods[full]
     since = [i for i, t in enumerate(full.ticks) if t > 40_000]
@@ -388,8 +381,7 @@ def test_flat_posteriors_fall_back_to_one_floor(floor_model):
     tracker = FloorTracker(
         ids, floor_model, _tracker_views(corpus), posterior_override=flat
     )
-    for pid in ids:
-        tracker.add_activity(pid, streams[pid].bits)
+    tracker.add_activity(room_block(streams, ids))
     due = tracker.process_due()
     assert all(c.partition == ((0, 1, 2, 3),) for c in due.configs)
 

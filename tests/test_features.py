@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floorspace.features import (
+    BLOCK_MS,
     FeatureBinning,
     FeatureEngine,
     NO_GAP,
@@ -144,7 +145,7 @@ def test_window_lengths():
     # continuous speech fills each window, and the lookback is their sum
     for b in BINNINGS:
         engine = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, b)
-        engine.add_room_activity(np.ones((2, 40_000), dtype=bool))
+        engine.add_activity(np.ones((2, 40_000), dtype=bool))
         raw = engine.raw([40_000])
         assert tuple(raw.overlaps[0, 0]) == b.window_lengths_ms
         assert raw.speech.tolist() == [[sum(b.window_lengths_ms)] * 2]
@@ -219,8 +220,7 @@ def test_engine_combines_gap_and_overlap():
     }
     turns = {0: ([1200], [2000]), 1: ([0], [1000])}
     engine = FeatureEngine([0, 1], {p: (lambda v=turns[p]: v) for p in turns}, DEFAULT)
-    for p in (0, 1):
-        engine.add_activity(p, streams[p].bits)
+    engine.add_activity(np.stack([streams[p].bits for p in (0, 1)]))
     raw = engine.raw([now])
     # 0 starts 200 ms after 1's turn ends; no turn of 0's precedes 1's
     assert raw.gaps.tolist() == [[200, NO_GAP]]
@@ -230,8 +230,7 @@ def test_engine_combines_gap_and_overlap():
 def test_engine_counts_ordered_pairs():
     def party(n):
         engine = FeatureEngine(range(n), {p: lambda: ([], []) for p in range(n)}, DEFAULT)
-        for p in range(n):
-            engine.add_activity(p, np.zeros(1000, dtype=bool))
+        engine.add_activity(np.zeros((n, 1000), dtype=bool))
         return engine.raw([1000])
 
     for n, ordered in ((2, 2), (4, 12)):
@@ -250,8 +249,7 @@ def test_engine_shares_overlap_across_directions():
     pairs = [(0, 1), (0, 2), (1, 2)]
     for binning in BINNINGS:
         engine = FeatureEngine(range(3), views, binning)
-        for i in range(3):
-            engine.add_activity(i, streams[i].bits)
+        engine.add_activity(np.stack([streams[i].bits for i in range(3)]))
         raw = engine.raw([4000])
         windows = binning.window_lengths_ms
         for k, (a, b) in enumerate(pairs):
@@ -300,8 +298,9 @@ def sessions(draw):
     if lo > hi:
         step, lo, hi = 1, start, duration
     ticks = sorted(k * step for k in draw(st.lists(st.integers(lo, hi), min_size=1, max_size=12)))
-    chunks = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 9000)),
-                           min_size=1, max_size=40))
+    # room blocks of one tick, of a frame or so, and across BLOCK_MS
+    sizes = st.one_of(st.just(1), st.integers(1, 100), st.integers(1, 2 * BLOCK_MS))
+    chunks = draw(st.lists(sizes, min_size=1, max_size=40))
     return n, duration, start, step, activity, turns, ticks, chunks
 
 
@@ -311,16 +310,13 @@ def _engine(n, start, step, turns, binning):
     return FeatureEngine(range(n), views, binning, start_tick=start, step_ms=step)
 
 
-def _feed_until(engine, streams, chunks, fed, tick):
-    """Feed the chunks in order (then whole streams) until ``tick`` is covered."""
+def _feed_until(engine, room, start, chunks, tick):
+    """Feed ``room``, the activity from ``start`` on, in blocks of the
+    chunks' lengths in order (then the rest) until ``tick`` is covered."""
     while engine.coverage < tick:
-        if chunks:
-            p, size = chunks.pop(0)
-        else:
-            p = min(range(len(fed)), key=lambda q: fed[q])
-            size = len(streams[p])
-        engine.add_activity(p, streams[p][fed[p] : fed[p] + size])
-        fed[p] = min(fed[p] + size, len(streams[p]))
+        fed = engine.coverage - start
+        size = chunks.pop(0) if chunks else room.shape[1]
+        engine.add_activity(room[:, fed : fed + size])
 
 
 @settings(max_examples=80, deadline=None)
@@ -329,6 +325,7 @@ def test_engine_matches_the_scalar_definitions_at_any_chunking(session):
     n, duration, start, step, activity, turns, ticks, chunks = session
     full = [stream_from_intervals(p, activity[p], duration) for p in range(n)]
     streams = [full[p].window(start, duration) for p in range(n)]
+    room = np.stack(streams)
     # the engine is fed from start on; before it, the oracle hears silence
     oracle = [ActivityStream(p, start, streams[p]) for p in range(n)]
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -339,15 +336,14 @@ def test_engine_matches_the_scalar_definitions_at_any_chunking(session):
     for binning in BINNINGS:
         windows = binning.window_lengths_ms
         one_at_a_time = _engine(n, start, step, turns, binning)
-        fed, left = [0] * n, list(chunks)
+        left = list(chunks)
         singles = []
         for t in ticks:
-            _feed_until(one_at_a_time, streams, left, fed, t)
+            _feed_until(one_at_a_time, room, start, left, t)
             singles.append(one_at_a_time.raw([t]))
 
         batch = _engine(n, start, step, turns, binning)
-        for p in range(n):
-            batch.add_activity(p, streams[p])
+        batch.add_activity(room)
         together = batch.raw(ticks)
 
         gaps = np.empty((len(ticks), 2 * m), dtype=np.int64)
@@ -365,16 +361,32 @@ def test_engine_matches_the_scalar_definitions_at_any_chunking(session):
         assert np.array_equal(together.gaps, gaps)
         # a second engine, since the first no longer holds the earliest instants
         again = _engine(n, start, step, turns, binning)
-        for p in range(n):
-            again.add_activity(p, streams[p])
+        again.add_activity(room)
         overlaps = np.concatenate((together.overlaps, together.overlaps), axis=1)
         assert np.array_equal(again.binned(ticks), binning.bin_array(gaps, overlaps))
 
 
+def test_an_engine_block_is_one_row_per_participant_of_one_length():
+    engine = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, DEFAULT)
+    for bad in (np.ones((1, 10), dtype=bool), np.ones((3, 10), dtype=bool),
+                [np.ones(10, dtype=bool), np.ones(9, dtype=bool)]):
+        with pytest.raises(ValueError, match="one row per participant"):
+            engine.add_activity(bad)
+    assert engine.coverage == 0
+    # a list of rows reads as the array it would stack into
+    engine.add_activity([np.ones(40_000, dtype=bool), np.zeros(40_000, dtype=bool)])
+    assert engine.coverage == 40_000
+    assert engine.raw([40_000]).speech.tolist() == [[30_000, 0]]
+    # a room without participants has no rows to cover ticks with
+    engine.leave(0)
+    engine.leave(1)
+    engine.add_activity(np.ones((0, 100), dtype=bool))
+    assert engine.coverage == 40_000
+
+
 def test_engine_rejects_instants_it_no_longer_holds():
     engine = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, DEFAULT)
-    for p in (0, 1):
-        engine.add_activity(p, np.ones(40_000, dtype=bool))
+    engine.add_activity(np.ones((2, 40_000), dtype=bool))
     engine.raw([39_000])
     with pytest.raises(ValueError, match="retained"):
         engine.raw([8_000])
@@ -382,8 +394,7 @@ def test_engine_rejects_instants_it_no_longer_holds():
         engine.raw([40_001])
     on_grid = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, DEFAULT,
                             step_ms=30)
-    for p in (0, 1):
-        on_grid.add_activity(p, np.ones(100, dtype=bool))
+    on_grid.add_activity(np.ones((2, 100), dtype=bool))
     with pytest.raises(ValueError, match="multiples of 10"):
         on_grid.raw([45])
 
@@ -454,12 +465,8 @@ def _check_membership_changes(case, binning):
         if not engine.participants:
             return tick  # an empty room has no activity to cover
         chunk = rng.random((len(engine.participants), k)) < 0.3
-        if rng.random() < 0.5:
-            engine.add_room_activity(chunk)
-        else:
-            for row, pid in enumerate(engine.participants):
-                for part in np.array_split(chunk[row], int(rng.integers(1, 4))):
-                    engine.add_activity(pid, part)
+        for part in np.array_split(chunk, int(rng.integers(1, 4)), axis=1):
+            engine.add_activity(part)
         for row, pid in enumerate(engine.participants):
             said[pid].append(chunk[row])
         return tick + k
@@ -487,9 +494,9 @@ def _check_membership_changes(case, binning):
     tick = feed(tail)
 
     fresh = FeatureEngine(engine.participants, views, binning, start_tick=start, step_ms=step)
-    for pid in engine.participants:
-        silent = np.zeros(joined_at[pid] - start, dtype=bool)
-        fresh.add_activity(pid, np.concatenate([silent, *said[pid]]))
+    fresh.add_activity(np.stack([
+        np.concatenate([np.zeros(joined_at[pid] - start, dtype=bool), *said[pid]])
+        for pid in engine.participants]))
     # grid instants after the last change, and no earlier than the last read
     first = max(last_change + 1, read)
     instants = np.arange(first + (start - first) % step, tick + 1, step)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from floorspace.corpus import generate
-from floorspace.errors import CorpusError, ModelFormatError, ModelVersionError, TrainingError
+from floorspace.errors import (
+    ConfigError,
+    CorpusError,
+    ModelFormatError,
+    ModelVersionError,
+    TrainingError,
+)
 from floorspace.evaluation import FloorTracker
 from floorspace.features import FeatureBinning, FeatureEngine, NO_GAP
 from floorspace.learner import (
@@ -176,6 +182,13 @@ def test_sample_period_scales_instance_count():
     assert len(instances) == 60
 
 
+@pytest.mark.parametrize("period", [0, -5, 2.5, True])
+def test_a_sample_period_must_be_a_positive_int(period):
+    streams, utterances, duration = two_speaker_corpus()
+    with pytest.raises(ConfigError, match="sample period"):
+        make_training_instances(streams, utterances, duration, sample_period_ms=period)
+
+
 # --- training ---------------------------------------------------------------
 
 
@@ -334,9 +347,9 @@ def test_tracker_probability_is_the_mean_of_both_directions(periods):
     views = {p: (lambda t=turns[p]: ([s for s, _ in t], [e for _, e in t])) for p in range(3)}
     tracker = FloorTracker(range(3), model, views)
     engine = FeatureEngine(range(3), views, model.binning, step_ms=30)
-    for p in range(3):
-        tracker.add_activity(p, bits[p])
-        engine.add_activity(p, bits[p])
+    room = np.stack([bits[p] for p in range(3)])
+    tracker.add_activity(room)
+    engine.add_activity(room)
     tracker.process_due()
     log = periods[tracker]
     for t in (990, 15_000, 39_990):
@@ -438,7 +451,7 @@ def test_a_model_counts_over_the_windows_it_was_trained_with(tmp_path):
     # everyone talks at once: each window's count is its length
     ids = sorted(streams)
     tracker = FloorTracker(ids, model, {p: lambda: ([], []) for p in ids})
-    tracker.add_room_activity(np.ones((len(ids), 9_000), dtype=bool))
+    tracker.add_activity(np.ones((len(ids), 9_000), dtype=bool))
     tracker.process_due()
     raw = tracker._engine.raw([9_000])
     assert np.all(raw.overlaps == SHORT.window_lengths_ms)

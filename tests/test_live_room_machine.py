@@ -11,11 +11,16 @@ reply does not change when the pump's next step, applying the table,
 is taken before it.
 
 Hostile audio arrives too: truncated datagrams, a bad RTP version, a
-wrong payload length, an unknown SSRC, and a known SSRC from a second
-address. Each is counted in ``audio_rejects`` exactly once, valid audio
-never is, and after every step no counter that ``status`` reports has
-fallen: the room's for good, a session's while it stays, the search's
-while its tracker does.
+wrong payload length or payload type, an unknown SSRC, and a known
+SSRC from a second address. Each is counted in ``audio_rejects``
+exactly once, valid audio never is, and after every step no counter
+that ``status`` reports has fallen: the room's for good, a session's
+while it stays, the search's while its tracker does. A burst of valid
+audio past ``INBOX_FRAMES`` between pumps counts each frame over in
+``overload_drops``, and no inbox ever holds more. A ``sync_response``
+the room never asked for is dropped without a reply, and counted in
+``control_rejects`` only when it names a session from another control
+address.
 """
 
 import numpy as np
@@ -28,7 +33,13 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from floorspace.server import RealtimeServer, ServerConfig, decode_message, encode_message
+from floorspace.server import (
+    INBOX_FRAMES,
+    RealtimeServer,
+    ServerConfig,
+    decode_message,
+    encode_message,
+)
 from floorspace.transport import FRAME_BYTES, FRAME_SAMPLES, HEADER_BYTES, Packetizer
 
 from conftest import SentDatagrams
@@ -137,15 +148,31 @@ class LiveRoom(RuleBasedStateMachine):
         self.srv._handle_audio(data, addr)
         assert self.srv.audio_rejects == before + 1
 
+    def audio_addr(self, ssrc):
+        """The address the session holding ``ssrc`` sends audio from."""
+        names = [s.name for s in self.srv.sessions.values() if s.ssrc == ssrc]
+        return ("127.0.0.1", 7000 + (NAMES.index(names[0]) if names else 0))
+
     @rule(name=st.sampled_from(NAMES), loud=st.booleans())
     def audio(self, name, loud):
         session = self.srv.sessions.get(name)
         if session is None:
             return
         before = self.srv.audio_rejects
-        self.srv._handle_audio(self.packet(session.ssrc, loud),
-                               ("127.0.0.1", 7000 + NAMES.index(name)))
+        self.srv._handle_audio(self.packet(session.ssrc, loud), self.audio_addr(session.ssrc))
         assert self.srv.audio_rejects == before
+
+    @rule(name=st.sampled_from(NAMES), excess=st.integers(1, 3))
+    def audio_burst(self, name, excess):
+        srv = self.srv
+        session = srv.sessions.get(name)
+        if session is None:
+            return
+        drops, rejects = session.overload_drops, srv.audio_rejects
+        for _ in range(INBOX_FRAMES - len(session.inbox) + excess):
+            srv._handle_audio(self.packet(session.ssrc), self.audio_addr(session.ssrc))
+        assert session.overload_drops == drops + excess
+        assert srv.audio_rejects == rejects
 
     def some_ssrc(self, data):
         """A present session's SSRC, else one no session holds."""
@@ -168,6 +195,14 @@ class LiveRoom(RuleBasedStateMachine):
         packet = self.packet(self.some_ssrc(data))
         self.rejected(packet[:HEADER_BYTES] + bytes(size), ("127.0.0.1", 7000))
 
+    @rule(payload_type=st.sampled_from([8, 96, 127]), data=st.data())
+    def audio_of_another_payload_type(self, payload_type, data):
+        # from the session's own address: only the payload type is wrong
+        ssrc = self.some_ssrc(data)
+        packet = bytearray(self.packet(ssrc))
+        packet[1] = payload_type
+        self.rejected(bytes(packet), self.audio_addr(ssrc))
+
     @rule()
     def audio_of_an_unknown_source(self):
         self.rejected(self.packet(99), ("127.0.0.1", 7000))
@@ -182,6 +217,26 @@ class LiveRoom(RuleBasedStateMachine):
         addr = session.audio_addr
         self.rejected(self.packet(session.ssrc), ("127.0.0.1", addr[1] + 1000))
         assert session.audio_addr == addr
+
+    @rule(name=st.sampled_from(NAMES + ("zed",)), addr=st.sampled_from(CONTROL),
+          own=st.booleans(), t1=st.integers(-1, 1))
+    def stray_sync_response(self, name, addr, own, t1):
+        # the room never asks for a sync here, so every response is stray
+        srv = self.srv
+        session = srv.sessions.get(name)
+        if own and session is not None:
+            addr = session.control_addr
+        foreign = session is not None and session.control_addr != addr
+        sent, rejects = len(srv.control_sock.sent), srv.control_rejects
+        srv._handle_control(encode_message(
+            {"type": "sync_response", "name": name, "t1": t1, "t2": 0, "t3": 0}), addr)
+        assert len(srv.control_sock.sent) == sent
+        assert session is None or session.clock is None
+        assert srv.control_rejects == rejects + foreign
+
+    @invariant()
+    def no_inbox_overflows(self):
+        assert all(len(s.inbox) <= INBOX_FRAMES for s in self.srv.sessions.values())
 
     @invariant()
     def no_status_counter_falls(self):
@@ -210,6 +265,8 @@ class LiveRoom(RuleBasedStateMachine):
         assert sorted(addr for _, addr in sent) == listeners
         assert all(len(data) == HEADER_BYTES + FRAME_BYTES for data, _ in sent)  # 172
         self.check_tracker()
+        # the pump fed the tracker the frame it advanced the tick by
+        assert srv.tracker is None or srv.tracker.coverage == srv.tick
 
     def check_tracker(self):
         srv = self.srv

@@ -851,8 +851,7 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
         # same previous choice into the periods compared
         full.assigner.pin([range(10)], "p0", range(10))
         history[rejoined] = [np.zeros(rejoined_at, dtype=bool)]
-        for pid, frames in history.items():
-            full.add_activity(pid, np.concatenate(frames))
+        full.add_activity(np.stack([np.concatenate(history[s.participant]) for s in sessions]))
         full.process_due()
         full.assigner.unpin("p0")
         for k in range(10):
@@ -861,9 +860,8 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
                 # the first pump since applied the leave and the rejoin
                 assert srv.tracker is tracker and tracker.assigner.pinned is None
                 assert max(len(s) for s in tracker.streams.values()) <= lookback + frame_ms
-            for s in sessions:
-                full.add_activity(s.participant, history[s.participant][-1])
-            full.process_due(srv.tick)
+            full.add_activity(np.stack([history[s.participant][-1] for s in sessions]))
+            full.process_due()
     finally:
         srv.stop()
 
