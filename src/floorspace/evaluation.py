@@ -45,7 +45,6 @@ from .errors import EvaluationError
 # trp_gap_from_arrays is unused here but stays importable under this
 # name, where the benchmark's tracer wraps it
 from .features import (  # noqa: F401
-    BLOCK_MS,
     FeatureEngine,
     UtteranceView,
     trp_gap_from_arrays,
@@ -86,13 +85,15 @@ class FloorTracker:
     live path hands in online segmenter views. ``add_activity`` takes
     the room's next block of activity, a row per participant in
     participant order. Due periods, up to that ``coverage``, are
-    evaluated in blocks: features for a whole block in array operations,
-    then one posterior row per run of periods whose binned features
-    repeat bit for bit, the block's rows handed to the assigner
-    (``FloorAssigner.prime``), whose first search decides them all in
-    one pass, and one ``FloorAssigner.assign_run`` per run, whose
-    choice, with its tie rule, pin and dwell, is what one ``assign`` per
-    period would make. A live pump's block is one period.
+    evaluated in blocks of the feature engine's ``span``, which one
+    memory budget sizes for the room (``features.BLOCK_CELLS``): 256
+    periods for ten members, 1 408 for four. Features for a whole block
+    come in array operations, then one posterior row per run of periods
+    whose binned features repeat bit for bit, the block's rows handed to
+    the assigner (``FloorAssigner.prime``), whose first search decides
+    them all in one pass, and one ``FloorAssigner.assign_run`` per run,
+    whose choice, with its tie rule, pin and dwell, is what one
+    ``assign`` per period would make. A live pump's block is one period.
     ``posterior_override`` maps a block's ticks to posterior rows in
     ``pairs`` order, in place of the model's (replay's oracle mode).
     Activity fed starts at ``start_tick``; earlier ticks read as
@@ -183,7 +184,7 @@ class FloorTracker:
             self._engine.count_through(limit)
             self._next_eval = max(self._next_eval, (limit // period + 1) * period)
             return due
-        per_block = max(BLOCK_MS // period, 1)
+        per_block = max(self._engine.span // period, 1)
         blocks = []
         previous = self.configs[-1] if self.configs else None
         while self._next_eval <= limit:

@@ -16,6 +16,12 @@ It counts over the three windows of the model's ``FeatureBinning``
 (by default 1/14/15 s, so a 30 s lookback), which also clips the gap
 (by default at 5 s) as it bins it. ``trp_gap_from_arrays`` and
 ``simultaneous_speech`` are the scalar definitions it is tested against.
+
+The engine works in blocks whose size is one memory budget,
+``BLOCK_CELLS`` cells of (count row, tick), not one span of time: a
+room with fewer count rows takes longer blocks, so it pays each
+block's fixed cost fewer times, and no block's arrays outgrow what a
+ten-person room's 7.68 s block holds.
 """
 
 from __future__ import annotations
@@ -48,10 +54,12 @@ WINDOW_LENGTHS_MS = (1000, 14000, 15000)
 # Array form of a missing gap (``None`` from trp_gap_from_arrays).
 NO_GAP = int(np.iinfo(np.int64).min)
 
-# Most ticks of activity the engine turns into overlap counts at once,
-# which bounds the memory a long recording needs; the tracker also
-# evaluates its periods in batches of this span.
-BLOCK_MS = 7680
+# Most cells (count rows x ticks) of activity the engine turns into
+# overlap counts at once: a ten-person room's 55 rows over 7.68 s. It
+# bounds the memory a block needs at every room size; each engine
+# derives its block span from it and its rows, and the tracker evaluates
+# its periods in blocks of that span.
+BLOCK_CELLS = 55 * 7680
 
 UtteranceView = Callable[[], Tuple[Sequence[int], Sequence[int]]]
 
@@ -217,12 +225,17 @@ class FeatureEngine:
     ``coverage`` is one tick that all rows share; a room without
     participants has no rows, so its coverage stays. Overlap
     counts come from one AND over all pairs (and each participant with
-    itself, for ``speech``) per block of at most BLOCK_MS ticks, kept as
+    itself, for ``speech``) per block of at most ``span`` ticks, kept as
     cumulative counts over the retained window only: the lookback
     behind the earliest instant of the block being evaluated, plus the
     block. Counts are relative to that window, so they stay small
     however long the session runs. The windows, and so the lookback,
     are ``binning``'s, and ``binned`` bins with it.
+
+    ``span`` is the longest block whose count rows, the m pairs plus the
+    n participants alone, fit ``BLOCK_CELLS``, in whole steps of the
+    count resolution: 7 680 ms for ten members, 42 240 ms for four and
+    140 800 ms for two at a 30 ms step. A join or leave sets it anew.
 
     ``views`` supplies each participant's utterance (starts, ends) as
     observed so far; each is called once per batch. Instants must be
@@ -259,7 +272,6 @@ class FeatureEngine:
         # counts are kept every _res ticks: every window edge of an
         # instant on the step_ms grid falls on a multiple of it
         self._res = math.gcd(step_ms, start_tick, *self._edges.tolist())
-        self._block = max(BLOCK_MS // self._res, 1) * self._res
         self._index(participants)
         n = len(self.participants)
         # activity not yet counted: every row holds ticks [_bits_tick, coverage)
@@ -289,6 +301,9 @@ class FeatureEngine:
         self._dir_b = np.concatenate((ju, iu))
         self._row_key = np.arange(n, dtype=np.int64) * _KEY_STRIDE
         self._key_b = self._row_key[self._dir_b, None]
+        # the longest block of whole count steps whose rows fit the budget
+        cells = BLOCK_CELLS // max(len(self._row_a), 1)
+        self.span: Tick = max(cells // self._res, 1) * self._res
 
     def _overlap_ids(self) -> List[Tuple[int, int]]:
         """The participant pair of every overlap row, in row order."""
@@ -390,7 +405,7 @@ class FeatureEngine:
         self._release(keep_from)
         while self._covered < upto:
             lo = self._covered
-            hi = min(upto, lo + self._block)
+            hi = min(upto, lo + self.span)
             bits = self._bits[:, lo - self._bits_tick : hi - self._bits_tick]
             self._append(bits[self._row_a] & bits[self._row_b])
             self._release(keep_from)
@@ -405,7 +420,7 @@ class FeatureEngine:
         self._note_needed(starts, first, [tick] * len(self.participants), tick)
 
     def _overlap_counts(self, t: np.ndarray) -> np.ndarray:
-        """(rows, k, 3) window counts at instants spanning less than BLOCK_MS."""
+        """(rows, k, 3) window counts at instants spanning less than ``span``."""
         edges = np.maximum(t[:, None] - self._edges, self._origin)
         keep_from = int(edges[0, -1])
         if keep_from < self._base:
@@ -423,12 +438,12 @@ class FeatureEngine:
             raise ValueError(f"instant {int(t[-1])} is past the covered {self.coverage}")
         if np.any(t % self._res):
             raise ValueError(f"instants must be multiples of {self._res} ms")
-        # counts for one BLOCK_MS span of instants at a time, so the
-        # retained window stays within BLOCK_MS past the lookback
+        # counts for one span of instants at a time, so the retained
+        # window stays within ``span`` past the lookback
         parts = []
         i = 0
         while i < len(t):
-            j = int(np.searchsorted(t, t[i] + BLOCK_MS))
+            j = int(np.searchsorted(t, t[i] + self.span))
             parts.append(self._overlap_counts(t[i:j]))
             i = j
         windows = np.concatenate(parts, axis=1)

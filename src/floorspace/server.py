@@ -148,6 +148,12 @@ class ServerConfig:
         for name in ("audio_port", "control_port"):
             if not 0 <= getattr(self, name) <= 65535:
                 raise ConfigError(f"{name} must be in [0, 65535]")
+        # bind raises a TypeError on any other host, and open() reads an
+        # integer path as a file descriptor, which it then closes
+        if not isinstance(self.host, str):
+            raise ConfigError(f"host must be a string, got {self.host!r}")
+        if self.model_path is not None and not isinstance(self.model_path, str):
+            raise ConfigError(f"model_path must be a string or null, got {self.model_path!r}")
         # both are first read by the pump, where a bad value ends the room
         check_dwell(self.dwell_ms)
         sync = self.sync_interval_s

@@ -58,10 +58,13 @@ class ActivityStream:
     def __init__(self, participant: int, start_tick: Tick = 0, bits=None):
         self.participant = participant
         self.start_tick = start_tick
-        self._buf = np.zeros(1024, dtype=bool)
-        self._len = 0
-        if bits is not None:
-            self.append(bits)
+        if bits is None:
+            self._buf = np.zeros(1024, dtype=bool)
+            self._len = 0
+        else:
+            # a copy of exactly the bits given; only appends grow it
+            self._buf = np.array(np.atleast_1d(bits), dtype=bool)
+            self._len = len(self._buf)
 
     def __len__(self) -> int:
         return self._len

@@ -41,11 +41,13 @@ class VadConfig:
 
     def __post_init__(self):
         # a NaN fails every comparison in ``decide``: no frame is speech
-        for name in ("energy_floor_db", "snr_threshold_db", "hangover_ms", "noise_adapt_rate"):
+        for name in ("energy_floor_db", "snr_threshold_db", "noise_adapt_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.hangover_ms < 0:
-            raise ValueError("hangover_ms must be non-negative")
+        # the hangover counts down in whole milliseconds; true would read as 1
+        hangover = self.hangover_ms
+        if isinstance(hangover, bool) or not isinstance(hangover, int) or hangover < 0:
+            raise ValueError(f"hangover_ms must be a non-negative integer, got {hangover!r}")
         if not 0.0 <= self.noise_adapt_rate <= 1.0:
             raise ValueError("noise_adapt_rate must lie in [0, 1]")
 

@@ -273,6 +273,17 @@ def test_serve_reports_a_count_or_port_that_is_not_an_integer(tmp_path, art, cap
     assert err.startswith("error:") and field in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("field, value", [("host", 5), ("model_path", 7), ("model_path", True)])
+def test_serve_reports_a_host_or_model_path_that_is_not_a_string(tmp_path, capsys, field, value):
+    # a TypeError traceback from bind; a read of descriptor 7; stdout closed
+    path = tmp_path / "server.json"
+    path.write_text(json.dumps({"audio_port": 0, "control_port": 0, field: value}))
+    rc = main(["serve", "--config", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err and len(err.splitlines()) == 1
+
+
 def test_serve_reports_a_jitter_depth_below_one_frame(tmp_path, art, capsys):
     # a JSON file may spell Infinity and NaN, and Python's json reads both
     path = tmp_path / "server.json"

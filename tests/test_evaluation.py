@@ -18,8 +18,7 @@ from floorspace.evaluation import (
     write_report,
     write_timeline,
 )
-
-from floorspace.features import BLOCK_MS
+from floorspace.features import FeatureEngine
 
 from conftest import changes, four_party_config, room_block
 
@@ -127,21 +126,37 @@ def test_replay_posteriors_are_probabilities(eval_corpus, floor_model):
     assert np.all(result.posteriors <= 1.0)
 
 
+def _two_party_corpus(seed, duration_ms):
+    together, apart = ((0, 1),), ((0,), (1,))
+    schedule = [(t, together if i % 2 == 0 else apart)
+                for i, t in enumerate(range(0, duration_ms, 60_000))]
+    return generate(GeneratorConfig(participants=2, duration_ms=duration_ms,
+                                    schedule=schedule, seed=seed))
+
+
 def test_tracker_chunking_does_not_change_the_outcome(floor_model, periods):
-    corpus = generate(four_party_config(seed=44, duration_ms=90_000, epoch_ms=45_000))
+    # each runs past its room's block span: 42.24 s at four, 140.8 s at two
+    for corpus in (generate(four_party_config(seed=44, duration_ms=90_000, epoch_ms=45_000)),
+                   _two_party_corpus(seed=45, duration_ms=300_000)):
+        _check_chunking(corpus, floor_model, periods)
+
+
+def _check_chunking(corpus, floor_model, periods):
     ids = sorted(corpus.ids.values())
     streams = corpus.streams()
 
     batch = FloorTracker(ids, floor_model, _tracker_views(corpus))
+    span = batch._engine.span
+    assert corpus.duration_ms > span
     batch.add_activity(room_block(streams, ids))
     batch.process_due()
 
-    # room blocks of one tick, of a frame or so, and across BLOCK_MS
+    # room blocks of one tick, of a frame or so, and across the block span
     rng = np.random.default_rng(3)
     chunked = FloorTracker(ids, floor_model, _tracker_views(corpus))
     while chunked.coverage < corpus.duration_ms:
         lo = chunked.coverage
-        n = int(rng.choice([1, rng.integers(1, 100), rng.integers(1, 2 * BLOCK_MS)]))
+        n = int(rng.choice([1, rng.integers(1, 100), rng.integers(1, 2 * span)]))
         chunked.add_activity(room_block(streams, ids, lo, lo + n))
         chunked.process_due()
 
@@ -152,6 +167,21 @@ def test_tracker_chunking_does_not_change_the_outcome(floor_model, periods):
     assert np.array_equal(
         np.vstack(chunked.posteriors), np.vstack(batch.posteriors)
     )
+
+
+def test_the_tracker_decides_its_periods_in_blocks_of_the_engine_span(
+        floor_model, monkeypatch):
+    corpus = generate(four_party_config(seed=44, duration_ms=150_000, epoch_ms=45_000))
+    ids = sorted(corpus.ids.values())
+    tracker = FloorTracker(ids, floor_model, _tracker_views(corpus))
+    blocks = []
+    binned = FeatureEngine.binned
+    monkeypatch.setattr(FeatureEngine, "binned",
+                        lambda self, ticks: blocks.append(len(ticks)) or binned(self, ticks))
+    tracker.add_activity(room_block(corpus.streams(), ids))
+    tracker.process_due()
+    # 42 240 ms at four: 1 408 periods a block, where 7 680 ms held 256
+    assert blocks == [1408, 1408, 1408, 5000 - 3 * 1408]
 
 
 def _score_bits(log):

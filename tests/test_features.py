@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from floorspace.features import (
-    BLOCK_MS,
+    BLOCK_CELLS,
     FeatureBinning,
     FeatureEngine,
     NO_GAP,
@@ -283,11 +283,20 @@ def _lay_out(steps, max_tick):
     return out
 
 
+def longest_span(n):
+    """No n-member engine's block is longer: the cell budget over its
+    count rows, every pair and every member alone."""
+    return BLOCK_CELLS // (n * (n + 1) // 2)
+
+
 @st.composite
 def sessions(draw):
     n = draw(st.integers(2, 4))
+    span = longest_span(n)
     start = draw(st.integers(0, 3000))
-    duration = draw(st.integers(start + 500, 70_000))
+    # short sessions, and ones that run past the engine's block span
+    duration = draw(st.one_of(st.integers(start + 500, 70_000),
+                              st.integers(span + 1, span + 30_000)))
     activity = [draw(intervals(duration)) for _ in range(n)]
     # turns are drawn apart from the activity, and may run past the
     # instants asked about: those are still open then
@@ -297,9 +306,12 @@ def sessions(draw):
     lo, hi = -(-start // step), duration // step
     if lo > hi:
         step, lo, hi = 1, start, duration
-    ticks = sorted(k * step for k in draw(st.lists(st.integers(lo, hi), min_size=1, max_size=12)))
-    # room blocks of one tick, of a frame or so, and across BLOCK_MS
-    sizes = st.one_of(st.just(1), st.integers(1, 100), st.integers(1, 2 * BLOCK_MS))
+    # at times the grid's ends too, so a long session's instants cross its span
+    ends = draw(st.sampled_from([[], [lo, hi]]))
+    picks = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=12))
+    ticks = sorted(k * step for k in picks + ends)
+    # room blocks of one tick, of a frame or so, and across the block span
+    sizes = st.one_of(st.just(1), st.integers(1, 100), st.integers(1, 2 * span))
     chunks = draw(st.lists(sizes, min_size=1, max_size=40))
     return n, duration, start, step, activity, turns, ticks, chunks
 
@@ -364,6 +376,52 @@ def test_engine_matches_the_scalar_definitions_at_any_chunking(session):
         again.add_activity(room)
         overlaps = np.concatenate((together.overlaps, together.overlaps), axis=1)
         assert np.array_equal(again.binned(ticks), binning.bin_array(gaps, overlaps))
+
+
+def _silent(ids):
+    return {p: (lambda: ([], [])) for p in ids}
+
+
+def test_the_block_span_fits_the_cell_budget_at_every_room_size():
+    for binning in BINNINGS:
+        for step in (1, 30, 1000):
+            for n in range(1, 11):
+                engine = FeatureEngine(range(n), _silent(range(n)), binning, step_ms=step)
+                rows, span, res = n * (n + 1) // 2, engine.span, engine._res
+                assert rows * span <= BLOCK_CELLS
+                assert span % res == 0
+                # and the longest such block
+                assert rows * (span + res) > BLOCK_CELLS
+    spans = {(n, step): FeatureEngine(range(n), _silent(range(n)), DEFAULT, step_ms=step).span
+             for n in (2, 4, 10) for step in (30, 1000)}
+    assert spans == {(2, 30): 140_800, (4, 30): 42_240, (10, 30): 7680,
+                     (2, 1000): 140_000, (4, 1000): 42_000, (10, 1000): 7000}
+    # a join or leave sizes the block anew for the room it makes
+    engine = FeatureEngine(range(4), _silent(range(10)), DEFAULT, step_ms=30)
+    engine.join(4, lambda: ([], []))
+    assert engine.span == 28_160
+    for p in range(3):
+        engine.leave(p)
+    assert engine.span == 140_800
+
+
+def test_the_engine_counts_in_blocks_of_its_span(monkeypatch):
+    # every AND block of a long feed is the span: the budget's cells at most
+    widths = []
+    append = FeatureEngine._append
+
+    def spy(self, both):
+        widths.append(both.shape)
+        append(self, both)
+
+    monkeypatch.setattr(FeatureEngine, "_append", spy)
+    rng = np.random.default_rng(5)
+    for n, blocks in ((2, 2), (4, 7), (10, 3)):
+        engine = FeatureEngine(range(n), _silent(range(n)), DEFAULT, step_ms=30)
+        engine.add_activity(rng.random((n, engine.span * blocks)) < 0.3)
+        widths.clear()
+        engine.count_through(engine.coverage)
+        assert widths == [(n * (n + 1) // 2, engine.span)] * blocks
 
 
 def test_an_engine_block_is_one_row_per_participant_of_one_length():
@@ -437,6 +495,9 @@ def memberships(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(memberships())
+# a lone member counted through a tick between grid instants, then a joiner:
+# as in the tracker, no instant before that tick is read
+@example((1, 10, [0], [("feed", 5001), ("read", None), ("join", 1), ("read", None)], 1, 0))
 def test_engine_joins_and_leaves_match_a_fresh_engine_over_the_final_room(case):
     for binning in BINNINGS:
         _check_membership_changes(case, binning)
@@ -476,7 +537,9 @@ def _check_membership_changes(case, binning):
             tick = feed(arg)
         elif kind == "read":
             due = tick - (tick - start) % step
-            if len(engine.participants) >= 2 and due > start:
+            # count_through keeps what instants after its tick read, and the
+            # tracker reads none before it
+            if len(engine.participants) >= 2 and due > start and due >= read:
                 engine.raw([due])
                 read = due
             else:

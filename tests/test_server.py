@@ -143,7 +143,8 @@ def test_config_rejects_the_fixed_format_and_policy():
 
 def test_config_rejects_bad_vad_fields():
     # the file's errors reach the command line as config errors, not tracebacks
-    for vad in ({"hangover_ms": -1}, {"noise_adapt_rate": 2.0}, {"bogus": 1}, None, 5, [1],
+    for vad in ({"hangover_ms": -1}, {"hangover_ms": 5.5}, {"hangover_ms": True},
+                {"noise_adapt_rate": 2.0}, {"bogus": 1}, None, 5, [1],
                 {"energy_floor_db": float("nan")}, {"snr_threshold_db": float("nan")}):
         with pytest.raises(FloorspaceError, match="bad server config"):
             ServerConfig.from_dict({"vad": vad})
@@ -206,6 +207,26 @@ def test_config_rejects_a_bad_dwell_or_sync_interval():
     cfg = ServerConfig.from_dict({"dwell_ms": 600, "sync_interval_s": 0})
     assert (cfg.dwell_ms, cfg.sync_interval_s) == (600, 0)
     assert ServerConfig(sync_interval_s=2.5).sync_interval_s == 2.5
+
+
+def test_config_rejects_a_host_or_model_path_that_is_not_a_string():
+    # a host of another type ended serve in a TypeError from bind; an
+    # integer model path read that file descriptor, and true (descriptor 1)
+    # closed the process's stdout
+    for host in (5, True, None, b"127.0.0.1", ["127.0.0.1"]):
+        with pytest.raises(ConfigError, match="host"):
+            ServerConfig(host=host)
+        with pytest.raises(ConfigError, match="host"):
+            ServerConfig.from_dict({"audio_port": 0, "control_port": 0, "host": host})
+    for model_path in (7, True, False, 0, 1.5, ["model.json"]):
+        with pytest.raises(ConfigError, match="model_path"):
+            ServerConfig(model_path=model_path)
+        with pytest.raises(ConfigError, match="model_path"):
+            ServerConfig.from_dict({"audio_port": 0, "control_port": 0,
+                                    "model_path": model_path})
+    cfg = ServerConfig.from_dict({"host": "localhost", "model_path": "model.json"})
+    assert (cfg.host, cfg.model_path) == ("localhost", "model.json")
+    assert ServerConfig.from_dict({"model_path": None}).model_path is None
 
 
 def test_a_bind_that_fails_without_an_os_error_closes_both_sockets(floor_model):

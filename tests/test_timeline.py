@@ -116,6 +116,19 @@ def test_stream_growth_past_initial_buffer():
     assert s.bits.all()
 
 
+def test_a_stream_made_from_bits_keeps_a_copy_of_exactly_their_length(eval_corpus):
+    bits = np.ones(600_001, dtype=bool)
+    s = ActivityStream(0, bits=bits)
+    assert s._buf.nbytes == 600_001
+    bits[0] = False  # the caller's array stays its own
+    assert s.bits[0]
+    s.append([False])  # appends still double
+    assert len(s) == 600_002 and s._buf.nbytes == 1_200_002
+    # a 600 s four-party corpus holds its 2.4 MB of bits, not 4 MB of buffers
+    held = sum(stream._buf.nbytes for stream in eval_corpus.streams().values())
+    assert held == 4 * eval_corpus.duration_ms == 2_400_000
+
+
 def test_bits_view_is_read_only():
     s = ActivityStream(0, bits=np.zeros(8, dtype=bool))
     with pytest.raises(ValueError):

@@ -240,6 +240,12 @@ def test_config_validation():
         VadConfig(hangover_ms=-1)
     with pytest.raises(ValueError):
         VadConfig(noise_adapt_rate=1.5)
+    # the hangover is a whole number of milliseconds; true read as 1
+    for hangover in (5.5, 200.0, True, False, "200", None):
+        with pytest.raises(ValueError, match="hangover_ms"):
+            VadConfig(hangover_ms=hangover)
+    assert VadConfig(hangover_ms=15).hangover_ms == 15
+    assert VadConfig(hangover_ms=0).hangover_ms == 0
     # a NaN level or threshold fails every comparison, so nothing is speech
     for field in ("energy_floor_db", "snr_threshold_db", "hangover_ms", "noise_adapt_rate"):
         for value in (float("nan"), float("inf"), float("-inf")):
