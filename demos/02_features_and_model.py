@@ -19,7 +19,7 @@ from floorspace import (
     save_model,
     train,
 )
-from floorspace.features import NO_GAP, FeatureBinning, FeatureEngine
+from floorspace.features import NO_GAP, FeatureBinning, FeatureEngine, utterance_views
 from floorspace.learner import posterior_batch
 
 # four people, two floors, ten minutes: A+B talk, C+D talk
@@ -39,11 +39,7 @@ print(f"corpus: {len(corpus.records)} turns, participants {sorted(corpus.ids)}")
 # row per participant, every pair's features at a batch of instants out,
 # over the default binning's windows
 now = 120_000
-views = {
-    pid: (lambda u=utterances[pid]: ([x.start for x in u], [x.end for x in u]))
-    for pid in ids
-}
-engine = FeatureEngine(ids, views, FeatureBinning())
+engine = FeatureEngine(ids, utterance_views(utterances), FeatureBinning())
 engine.add_activity([streams[pid].window(0, now) for pid in ids])
 raw = engine.raw([now])
 pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]

@@ -74,6 +74,8 @@ class Corpus:
         self.records = sorted(records, key=lambda r: (r.start_ms, r.participant))
         inferred = max((r.end_ms for r in self.records), default=0)
         self.duration_ms = duration_ms if duration_ms is not None else inferred
+        if self.duration_ms < 0:
+            raise CorpusError(f"declared duration {self.duration_ms} is negative")
         if self.duration_ms < inferred:
             raise CorpusError(
                 f"declared duration {self.duration_ms} shorter than "
@@ -174,6 +176,10 @@ def load_corpus(path: str) -> Corpus:
             continue
         fields = line.split()
         kind = fields[0]
+        if kind in ("duration", "participant") and records:
+            raise CorpusError(f"{path}:{lineno}: {kind!r} line after the first 'turn' line")
+        if kind == "duration" and duration is not None:
+            raise CorpusError(f"{path}:{lineno}: second 'duration' line")
         try:
             if kind == "duration":
                 if len(fields) != 2:

@@ -15,7 +15,9 @@ place as people join and leave; replay's participants are fixed.
 Evaluation compares the replayed configuration stream against ground
 truth derived from the corpus labels: at any instant a participant
 belongs to the floor of their most recent labeled turn, participants
-yet to speak stand alone. Accuracy is measured in steady state,
+yet to speak stand alone. That definition is ``timeline.floor_labels``,
+by which training labels its samples too; replay reads the truth, and
+oracle posteriors, from it. Accuracy is measured in steady state,
 excluding a warm-up and a guard band around every ground-truth
 change, since the feature windows need history before they mean
 anything.
@@ -48,9 +50,10 @@ from .features import (  # noqa: F401
     FeatureEngine,
     UtteranceView,
     trp_gap_from_arrays,
+    utterance_views,
 )
 from .learner import FloorModel, posterior_batch
-from .timeline import Tick
+from .timeline import Tick, floor_labels
 
 WARMUP_MS = 30000
 CHANGE_EXCLUSION_MS = 2000
@@ -247,70 +250,21 @@ class FloorTracker:
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
     """Where each run of equal rows of the 2-D integer array ``keys`` starts."""
-    return np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1))))
+    return np.flatnonzero(np.concatenate(([len(keys) > 0], (keys[1:] != keys[:-1]).any(axis=1))))
 
 
-class TruthTracker:
-    """Derived ground-truth partition as a function of time.
-
-    Groups participants by the floor label of their most recent turn;
-    a participant with no turn yet is their own singleton floor.
-    """
-
-    def __init__(self, corpus: Corpus):
-        ids = corpus.ids
-        self.participants = tuple(sorted(ids.values()))
-        self._events = sorted(
-            (r.start_ms, ids[r.participant], r.floor_label) for r in corpus.records
-        )
-        self._starts = np.array([e[0] for e in self._events], dtype=np.int64)
-        self._cursor = 0
-        self._label: Dict[int, Optional[int]] = {p: None for p in self.participants}
-        self._partition = self._compute()
-
-    def _compute(self) -> Partition:
-        blocks: Dict[object, List[int]] = {}
-        for pid in self.participants:
-            lab = self._label[pid]
-            key = ("solo", pid) if lab is None else ("floor", lab)
-            blocks.setdefault(key, []).append(pid)
-        return canonical_partition(blocks.values())
-
-    def partition_at(self, t: Tick) -> Partition:
-        """Advance to instant t (non-decreasing calls) and return the truth."""
-        moved = False
-        while self._cursor < len(self._events) and self._events[self._cursor][0] <= t:
-            _, pid, label = self._events[self._cursor]
-            self._cursor += 1
-            if self._label[pid] != label:
-                self._label[pid] = label
-                moved = True
-        if moved:
-            self._partition = self._compute()
-        return self._partition
-
-    def partitions_at(self, ticks: Sequence[Tick]) -> List[Partition]:
-        """The truth at each of the non-decreasing instants ``ticks``.
-
-        The truth moves only at turn starts, so it is advanced once per
-        run of instants that see the same turns started.
-        """
-        ticks = np.asarray(ticks, dtype=np.int64)
-        started = np.searchsorted(self._starts, ticks, side="right")
-        firsts = np.flatnonzero(np.diff(started, prepend=-1)).tolist()
-        out: List[Partition] = []
-        for i, end in zip(firsts, firsts[1:] + [len(ticks)]):
-            out.extend([self.partition_at(int(ticks[i]))] * (end - i))
-        return out
-
-
-def _record_views(corpus: Corpus) -> Dict[int, UtteranceView]:
-    views: Dict[int, UtteranceView] = {}
-    for pid, utts in corpus.utterances().items():
-        starts = [u.start for u in utts]
-        ends = [u.end for u in utts]
-        views[pid] = lambda s=starts, e=ends: (s, e)
-    return views
+def truth_partitions(labels: np.ndarray, ids: Sequence[int]) -> List[Partition]:
+    """Per row of ``floor_labels``, the members grouped by floor code,
+    each one without a turn yet (-1) alone; worked out once per run of
+    equal rows."""
+    firsts = _run_starts(labels).tolist()
+    out: List[Partition] = []
+    for i, end in zip(firsts, firsts[1:] + [len(labels)]):
+        blocks: Dict[int, List[int]] = {}
+        for pid, code in zip(ids, labels[i].tolist()):
+            blocks.setdefault(code if code >= 0 else -1 - pid, []).append(pid)
+        out.extend([canonical_partition(blocks.values())] * (end - i))
+    return out
 
 
 @dataclass
@@ -350,20 +304,20 @@ def replay_corpus(
     isolates the configuration search from feature or model error.
     """
     ids = sorted(corpus.ids.values())
+    utterances = corpus.utterances()
 
     override = None
     if oracle_posteriors:
-        oracle, pairs = TruthTracker(corpus), unordered_pairs(ids)
+        iu, ju = np.triu_indices(len(ids), 1)
 
         def override(ticks: np.ndarray) -> np.ndarray:
-            index: Dict[Partition, int] = {}
-            codes = partition_codes(oracle.partitions_at(ticks), index)
-            return _pair_same_matrix(list(index), pairs)[codes]
+            labels = floor_labels(utterances, ids, ticks)
+            return (labels[:, iu] >= 0) & (labels[:, iu] == labels[:, ju])
 
     tracker = FloorTracker(
         ids,
         model,
-        _record_views(corpus),
+        utterance_views(utterances),
         assigner=FloorAssigner(dwell_ms=dwell_ms),
         posterior_override=override,
     )
@@ -377,7 +331,7 @@ def replay_corpus(
         ticks=np.array(due.ticks, dtype=np.int64),
         chosen=[c.partition for c in due.configs],
         scores=np.array([c.score for c in due.configs]),
-        truth=TruthTracker(corpus).partitions_at(due.ticks),
+        truth=truth_partitions(floor_labels(utterances, ids, due.ticks), ids),
         events=due.events,
         posteriors=due.posteriors,
     )

@@ -42,7 +42,7 @@ from typing import (
 
 import numpy as np
 
-from .timeline import ActivityStream, Tick
+from .timeline import ActivityStream, Tick, Utterance
 
 # FeatureBinning's defaults. Gaps are clipped to TRP_CLIP_MS when
 # binned; anything further apart carries no alignment information worth
@@ -62,6 +62,15 @@ NO_GAP = int(np.iinfo(np.int64).min)
 BLOCK_CELLS = 55 * 7680
 
 UtteranceView = Callable[[], Tuple[Sequence[int], Sequence[int]]]
+
+
+def utterance_views(utterances: Mapping[int, Sequence[Utterance]]) -> Dict[int, UtteranceView]:
+    """Each participant's recorded utterance (starts, ends), as a view."""
+    views: Dict[int, UtteranceView] = {}
+    for pid, utts in utterances.items():
+        starts, ends = [u.start for u in utts], [u.end for u in utts]
+        views[pid] = lambda s=starts, e=ends: (s, e)
+    return views
 
 
 def trp_gap_from_arrays(

@@ -25,8 +25,9 @@ from .features import (  # noqa: F401
     FeatureEngine,
     simultaneous_speech,
     trp_gap_from_arrays,
+    utterance_views,
 )
-from .timeline import ActivityStream, Tick, Utterance
+from .timeline import ActivityStream, Tick, Utterance, floor_labels
 
 SAME, DIFF = 0, 1
 CLASS_NAMES = ("same", "diff")
@@ -109,20 +110,8 @@ def make_training_instances(
     if duration_ms is None:
         duration_ms = max((s.end_tick for s in streams.values()), default=0)
 
-    starts = {pid: [u.start for u in utterances.get(pid, ())] for pid in ids}
-    ends = {pid: [u.end for u in utterances.get(pid, ())] for pid in ids}
-    codes: Dict[object, int] = {}
-    labels = [
-        np.array([codes.setdefault(u.floor_label, len(codes))
-                  for u in utterances.get(pid, ())] + [-1], dtype=np.int64)
-        for pid in ids
-    ]
-    engine = FeatureEngine(
-        ids,
-        {pid: (lambda s=starts[pid], e=ends[pid]: (s, e)) for pid in ids},
-        binning,
-        step_ms=sample_period_ms,
-    )
+    utterances = {pid: utterances.get(pid, ()) for pid in ids}
+    engine = FeatureEngine(ids, utterance_views(utterances), binning, step_ms=sample_period_ms)
     iu, ju = np.triu_indices(len(ids), 1)
     m = len(iu)
 
@@ -131,22 +120,16 @@ def make_training_instances(
     overlaps_out = [np.zeros((0, 3), dtype=np.int64)]
     sample_ticks = np.arange(sample_period_ms, duration_ms + 1, sample_period_ms)
     per_batch = max(TRAINING_BATCH_MS // sample_period_ms, 1)
-    start_arrays = [np.array(starts[pid], dtype=np.int64) for pid in ids]
+    labels = floor_labels(utterances, ids, sample_ticks)
+    same = (labels[:, iu] >= 0) & (labels[:, iu] == labels[:, ju])
     for lo in range(0, len(sample_ticks), per_batch):
         ticks = sample_ticks[lo : lo + per_batch]
         engine.add_activity([streams[pid].window(engine.coverage, int(ticks[-1])) for pid in ids])
         raw = engine.raw(ticks)
         active = raw.speech > 0
-        # label of each participant's newest utterance begun by t (-1: none)
-        latest = np.stack(
-            [lab[np.searchsorted(s, ticks, side="right") - 1]
-             for s, lab in zip(start_arrays, labels)],
-            axis=1,
-        )
-        same = (latest[:, iu] >= 0) & (latest[:, iu] == latest[:, ju])
         rows, pairs = np.nonzero(active[:, iu] & active[:, ju])
         # both directions of each pair share its label and overlaps
-        labels_out.append(np.repeat(np.where(same[rows, pairs], SAME, DIFF), 2))
+        labels_out.append(np.repeat(np.where(same[lo + rows, pairs], SAME, DIFF), 2))
         gaps = (raw.gaps[rows, pairs], raw.gaps[rows, m + pairs])
         gaps_out.append(np.stack(gaps, axis=1).ravel())
         overlaps_out.append(np.repeat(raw.overlaps[rows, pairs], 2, axis=0))

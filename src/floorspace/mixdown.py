@@ -41,7 +41,11 @@ def write_wav(path: str, pcm: np.ndarray) -> None:
 
 def read_wav(path: str) -> np.ndarray:
     """Load mono 16-bit PCM at the native rate; anything else is rejected."""
-    with wave.open(path, "rb") as wf:
+    try:
+        wf = wave.open(path, "rb")
+    except (wave.Error, EOFError) as exc:  # EOFError: the file ends in its header
+        raise UnsupportedFormatError(f"{path}: not a WAV file: {str(exc) or 'cut short'}") from exc
+    with wf:
         if wf.getnchannels() != 1:
             raise UnsupportedFormatError(
                 f"{path}: expected mono, got {wf.getnchannels()} channels"

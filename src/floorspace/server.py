@@ -221,7 +221,7 @@ class ClientSession:
         retained-state count.
         """
         tick, bits = self.last_frame
-        return ActivityStream(self.participant, tick, bits)
+        return ActivityStream(self.participant, tick, bits=bits)
 
     def push_packet(self, pkt: AudioPacket) -> None:
         if len(self.inbox) >= INBOX_FRAMES:

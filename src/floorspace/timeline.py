@@ -1,4 +1,4 @@
-"""Time base, the room size cap, and per-tick speech activity.
+"""Time base, the room size cap, per-tick speech activity, and labels.
 
 Everything downstream runs on one integer tick grid: a tick is one
 millisecond since the session epoch, and bit ``i`` of an activity
@@ -10,7 +10,7 @@ the same grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -49,25 +49,21 @@ class Utterance:
 class ActivityStream:
     """Dense speech/non-speech bits for one participant.
 
-    A single writer appends to the stream; readers see every bit
-    appended so far. Reads outside the recorded range are
-    defined as non-speech, so late joiners and short recordings need no
-    special casing downstream.
+    A stream is written once, from complete bits, and read from then
+    on. Reads outside the recorded range are defined as non-speech, so
+    late joiners and short recordings need no special casing
+    downstream.
     """
 
-    def __init__(self, participant: int, start_tick: Tick = 0, bits=None):
+    def __init__(self, participant: int, start_tick: Tick = 0, *, bits):
         self.participant = participant
         self.start_tick = start_tick
-        if bits is None:
-            self._buf = np.zeros(1024, dtype=bool)
-            self._len = 0
-        else:
-            # a copy of exactly the bits given; only appends grow it
-            self._buf = np.array(np.atleast_1d(bits), dtype=bool)
-            self._len = len(self._buf)
+        # a read-only copy of exactly the bits given
+        self._bits = np.array(np.atleast_1d(bits), dtype=bool)
+        self._bits.flags.writeable = False
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._bits)
 
     def __repr__(self):
         return (
@@ -78,27 +74,12 @@ class ActivityStream:
     @property
     def end_tick(self) -> Tick:
         """One past the last recorded tick."""
-        return self.start_tick + self._len
+        return self.start_tick + len(self._bits)
 
     @property
     def bits(self) -> np.ndarray:
-        """Read-only view of everything recorded so far."""
-        view = self._buf[: self._len]
-        view.flags.writeable = False
-        return view
-
-    def append(self, bits) -> None:
-        bits = np.atleast_1d(np.asarray(bits, dtype=bool))
-        need = self._len + len(bits)
-        if need > len(self._buf):
-            cap = max(len(self._buf), 1)
-            while cap < need:
-                cap *= 2
-            grown = np.zeros(cap, dtype=bool)
-            grown[: self._len] = self._buf[: self._len]
-            self._buf = grown
-        self._buf[self._len : need] = bits
-        self._len = need
+        """Every recorded bit, read-only."""
+        return self._bits
 
     def window(self, from_tick: Tick, to_tick: Tick) -> np.ndarray:
         """Bits covering [from_tick, to_tick), zero-padded outside the recording."""
@@ -110,7 +91,7 @@ class ActivityStream:
         lo = max(from_tick, self.start_tick)
         hi = min(to_tick, self.end_tick)
         if lo < hi:
-            out[lo - from_tick : hi - from_tick] = self._buf[
+            out[lo - from_tick : hi - from_tick] = self._bits[
                 lo - self.start_tick : hi - self.start_tick
             ]
         return out
@@ -126,4 +107,27 @@ def stream_from_intervals(
         hi = min(int(e) - start_tick, duration_ms)
         if lo < hi:
             bits[lo:hi] = True
-    return ActivityStream(participant, start_tick, bits)
+    return ActivityStream(participant, start_tick, bits=bits)
+
+
+def floor_labels(
+    utterances: Mapping[int, Sequence[Utterance]], ids: Sequence[int], ticks
+) -> np.ndarray:
+    """Each participant's floor at each tick, as (ticks, participants) codes.
+
+    A participant is on the floor of their newest utterance begun by the
+    tick. Codes are equal exactly where floor labels are, and -1 before
+    a participant's first utterance. Each participant's utterances are
+    in start order; columns follow ``ids``.
+    """
+    ticks = np.asarray(ticks, dtype=np.int64)
+    codes: Dict[object, int] = {}
+    out = np.empty((len(ticks), len(ids)), dtype=np.int64)
+    for k, pid in enumerate(ids):
+        utts = utterances.get(pid, ())
+        starts = np.array([u.start for u in utts], dtype=np.int64)
+        # the -1 after the last code is what index -1, no turn yet, reads
+        labels = np.array([codes.setdefault(u.floor_label, len(codes)) for u in utts] + [-1],
+                          dtype=np.int64)
+        out[:, k] = labels[np.searchsorted(starts, ticks, side="right") - 1]
+    return out

@@ -151,10 +151,10 @@ def detect(
     if pcm.ndim != 1:
         raise UnsupportedFormatError("expected mono PCM (1-d array)")
     if len(pcm) == 0:
-        return ActivityStream(participant, start_tick)
+        return ActivityStream(participant, start_tick, bits=np.zeros(0, dtype=bool))
     if len(pcm) % DETECTOR_FRAME_SAMPLES != 0:
         raise UnsupportedFormatError(
             f"sample count {len(pcm)} is not a whole number of {DETECTOR_FRAME_MS} ms frames"
         )
     bits = room_frame_bits([VoiceActivityDetector(cfg)], pcm[None, :])[0]
-    return ActivityStream(participant, start_tick, bits)
+    return ActivityStream(participant, start_tick, bits=bits)

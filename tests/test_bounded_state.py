@@ -105,7 +105,7 @@ def test_the_engines_gaps_over_kept_turns_equal_those_over_every_turn(floor_mode
 
     def turns(p, upto):
         start = rejoin_at if p == leaver and upto > rejoin_at else 0
-        utts = segment(ActivityStream(p, start, bits[p, start:upto]))
+        utts = segment(ActivityStream(p, start, bits=bits[p, start:upto]))
         return [u.start for u in utts], [u.end for u in utts]
 
     # the views forgot most turns

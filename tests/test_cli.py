@@ -208,6 +208,20 @@ def test_mixdown_requires_participant_audio(tmp_path, art, capsys):
     assert err.startswith("error:") and "A.wav" in err
 
 
+def test_mixdown_reports_a_participant_file_that_is_not_a_wav(tmp_path, art, capsys):
+    for name in "ABCD":
+        (tmp_path / f"{name}.wav").write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+    rc = main(
+        ["mixdown", "--corpus", str(art.corpus), "--model", str(art.model),
+         "--listener", "A", "--out", str(tmp_path / "mix.wav"),
+         "--audio-dir", str(tmp_path)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ".wav" in err and "not a WAV file" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_mixdown_rejects_unknown_listener(tmp_path, art, capsys):
     rc = main(
         ["mixdown", "--corpus", str(art.corpus), "--model", str(art.model),

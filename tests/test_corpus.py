@@ -155,11 +155,23 @@ def test_loader_rejects_bad_files(tmp_path):
         "kind": "floorspace-corpus 1\nchapter 1\n",
         "fields": "floorspace-corpus 1\nturn a 0 100\n",
         "numbers": "floorspace-corpus 1\nparticipant a\nturn a zero 100 0\n",
+        "turn-first": "floorspace-corpus 1\nturn a 0 1000 0\nparticipant a\n",
+        "duration-after-turn":
+            "floorspace-corpus 1\nparticipant a\nturn a 0 1000 0\nduration 5000\n",
+        "second-duration":
+            "floorspace-corpus 1\nduration 5000\nparticipant a\nduration 9000\n",
+        "negative-duration": "floorspace-corpus 1\nduration -5\nparticipant a\n",
+    }
+    why = {
+        "turn-first": "'participant' line after the first 'turn' line",
+        "duration-after-turn": "'duration' line after the first 'turn' line",
+        "second-duration": "second 'duration' line",
+        "negative-duration": "duration -5 is negative",
     }
     for name, text in cases.items():
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
-        with pytest.raises(CorpusError):
+        with pytest.raises(CorpusError, match=why.get(name)):
             load_corpus(str(path))
 
 

@@ -4,35 +4,70 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from floorspace.assigner import FloorAssigner, unordered_pairs
+from floorspace.assigner import FloorAssigner, canonical_partition, unordered_pairs
 from floorspace.corpus import Corpus, GeneratorConfig, TurnRecord, generate
 from floorspace.errors import EvaluationError
 from floorspace.evaluation import (
     FloorTracker,
-    TruthTracker,
+    _pair_same_matrix,
     evaluate,
     partition_codes,
     partition_text,
     replay_corpus,
+    truth_partitions,
     write_report,
     write_timeline,
 )
-from floorspace.features import FeatureEngine
+from floorspace.features import FeatureEngine, utterance_views
+from floorspace.timeline import floor_labels
 
 from conftest import changes, four_party_config, room_block
 
 
 def _tracker_views(corpus):
-    views = {}
-    for pid, utts in corpus.utterances().items():
-        starts = [u.start for u in utts]
-        ends = [u.end for u in utts]
-        views[pid] = lambda s=starts, e=ends: (s, e)
-    return views
+    return utterance_views(corpus.utterances())
 
 
 # --- derived ground truth ---------------------------------------------------
+
+
+def walk_truth(corpus, ticks):
+    """Per non-decreasing instant, every participant's newest floor label
+    (-1 before their first turn) and the truth partition, by one walk over
+    the turns in start order with a cursor: each participant holds the
+    label of their newest turn begun by the instant, and those yet to
+    speak stand alone. ``floor_labels`` and ``truth_partitions`` must
+    agree with it."""
+    ids = corpus.ids
+    participants = sorted(ids.values())
+    events = sorted((r.start_ms, ids[r.participant], r.floor_label) for r in corpus.records)
+    label = {pid: None for pid in participants}
+    cursor = 0
+    labels, partitions = [], []
+    for t in ticks:
+        while cursor < len(events) and events[cursor][0] <= t:
+            _, pid, lab = events[cursor]
+            label[pid] = lab
+            cursor += 1
+        blocks = {}
+        for pid in participants:
+            key = ("solo", pid) if label[pid] is None else ("floor", label[pid])
+            blocks.setdefault(key, []).append(pid)
+        labels.append([-1 if label[pid] is None else label[pid] for pid in participants])
+        partitions.append(canonical_partition(blocks.values()))
+    return np.array(labels, dtype=np.int64).reshape(len(ticks), len(participants)), partitions
+
+
+def truth_at(corpus, ticks):
+    ids = sorted(corpus.ids.values())
+    return truth_partitions(floor_labels(corpus.utterances(), ids, ticks), ids)
+
+
+def same_floor(labels):
+    """Per row of labels, whether each two participants share a floor."""
+    return (labels[:, :, None] >= 0) & (labels[:, :, None] == labels[:, None, :])
 
 
 def test_truth_groups_by_most_recent_label():
@@ -46,13 +81,14 @@ def test_truth_groups_by_most_recent_label():
         ],
         duration_ms=6000,
     )
-    truth = TruthTracker(c)
-    # before anyone speaks: all singletons
-    assert truth.partition_at(0) == ((0,), (1,), (2,))
-    # a and b share floor 0, c sits alone on floor 1
-    assert truth.partition_at(3000) == ((0, 1), (2,))
-    # b's move to floor 1 regroups the room
-    assert truth.partition_at(5500) == ((0,), (1, 2))
+    assert truth_at(c, [0, 3000, 5500]) == [
+        # before anyone speaks: all singletons
+        ((0,), (1,), (2,)),
+        # a and b share floor 0, c sits alone on floor 1
+        ((0, 1), (2,)),
+        # b's move to floor 1 regroups the room
+        ((0,), (1, 2)),
+    ]
 
 
 def test_truth_changes_exactly_at_turn_starts():
@@ -61,9 +97,7 @@ def test_truth_changes_exactly_at_turn_starts():
         [TurnRecord("a", 0, 1000, 0), TurnRecord("b", 2000, 3000, 0)],
         duration_ms=4000,
     )
-    truth = TruthTracker(c)
-    assert truth.partition_at(1999) == ((0,), (1,))
-    assert truth.partition_at(2000) == ((0, 1),)
+    assert truth_at(c, [1999, 2000]) == [((0,), (1,)), ((0, 1),)]
 
 
 def test_truth_timeline_matches_the_per_instant_walk(eval_corpus):
@@ -86,8 +120,51 @@ def test_truth_timeline_matches_the_per_instant_walk(eval_corpus):
         (same_tick, []),
         (eval_corpus, list(range(30, eval_corpus.duration_ms + 1, 30))),
     ):
-        walk = TruthTracker(corpus)
-        assert TruthTracker(corpus).partitions_at(ticks) == [walk.partition_at(t) for t in ticks]
+        labels, partitions = walk_truth(corpus, ticks)
+        got = floor_labels(corpus.utterances(), sorted(corpus.ids.values()), ticks)
+        assert np.array_equal(same_floor(got), same_floor(labels))
+        assert truth_at(corpus, ticks) == partitions
+
+
+@st.composite
+def labeled_rooms(draw):
+    """Up to five participants, some silent, with turns on a 100 ms grid
+    so that several start at the same tick, and labels from three floors."""
+    names = "abcde"[: draw(st.integers(1, 5))]
+    turns = []
+    for name in names:
+        t = 0
+        for _ in range(draw(st.integers(0, 4))):
+            t += 100 * draw(st.integers(0, 5))
+            end = t + 100 * draw(st.integers(1, 4)) - draw(st.sampled_from([0, 1, 50]))
+            turns.append((name, t, end, draw(st.integers(0, 2))))
+            t = end
+    # labels must be contiguous: number the ones drawn in order
+    rank = {lab: k for k, lab in enumerate(sorted({lab for *_, lab in turns}))}
+    records = [TurnRecord(name, s, e, rank[lab]) for name, s, e, lab in turns]
+    duration = max((e for _, _, e, _ in turns), default=0) + draw(st.integers(0, 200))
+    return Corpus(list(names), records, duration_ms=duration)
+
+
+@settings(max_examples=80, deadline=None)
+@given(labeled_rooms())
+def test_floor_labels_truth_and_oracle_rows_agree_with_the_walk(floor_model, corpus):
+    ids = sorted(corpus.ids.values())
+    ticks = np.arange(corpus.duration_ms + 1)
+    want, partitions = walk_truth(corpus, ticks)
+    got = floor_labels(corpus.utterances(), ids, ticks)
+    assert got.shape == want.shape
+    assert np.array_equal(got < 0, want < 0)
+    assert np.array_equal(same_floor(got), same_floor(want))
+    assert truth_partitions(got, ids) == partitions
+
+    result = replay_corpus(corpus, floor_model, oracle_posteriors=True)
+    assert result.truth == [partitions[t] for t in result.ticks.tolist()]
+    if result.truth:
+        index = {}
+        codes = partition_codes(result.truth, index)
+        rows = _pair_same_matrix(list(index), result.pairs)[codes]
+        assert np.array_equal(result.posteriors, rows.astype(np.float64))
 
 
 # --- replay -----------------------------------------------------------------
@@ -302,18 +379,20 @@ def test_partition_codes_number_runs_like_one_lookup_per_period():
 def test_replay_derives_the_truth_once_without_oracle_posteriors(
     eval_corpus, floor_model, monkeypatch
 ):
-    built = []
+    looked_up = []
 
-    class Counted(TruthTracker):
-        def __init__(self, corpus):
-            built.append(corpus)
-            super().__init__(corpus)
+    def counted(utterances, ids, ticks):
+        looked_up.append(len(ticks))
+        return floor_labels(utterances, ids, ticks)
 
-    monkeypatch.setattr("floorspace.evaluation.TruthTracker", Counted)
-    replay_corpus(eval_corpus, floor_model)
-    assert len(built) == 1
+    monkeypatch.setattr("floorspace.evaluation.floor_labels", counted)
+    periods = len(replay_corpus(eval_corpus, floor_model).ticks)
+    assert looked_up == [periods]
+    # oracle posteriors read each block's labels once, then the truth all of them
+    looked_up.clear()
     replay_corpus(eval_corpus, floor_model, oracle_posteriors=True)
-    assert len(built) == 3
+    assert len(looked_up) > 2
+    assert looked_up[-1] == periods and sum(looked_up) == 2 * periods
 
 
 def test_tracker_first_eval_skips_history(floor_model, periods):

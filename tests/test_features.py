@@ -152,8 +152,8 @@ def test_window_lengths():
 
 
 def test_overlap_silent_streams():
-    a = ActivityStream(0)
-    b = ActivityStream(1)
+    a = ActivityStream(0, bits=[])
+    b = ActivityStream(1, bits=[])
     assert simultaneous_speech(a, b, now=30000) == (0, 0, 0)
 
 
@@ -339,7 +339,7 @@ def test_engine_matches_the_scalar_definitions_at_any_chunking(session):
     streams = [full[p].window(start, duration) for p in range(n)]
     room = np.stack(streams)
     # the engine is fed from start on; before it, the oracle hears silence
-    oracle = [ActivityStream(p, start, streams[p]) for p in range(n)]
+    oracle = [ActivityStream(p, start, bits=streams[p]) for p in range(n)]
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     m = len(pairs)
     starts = [[a for a, _ in turns[p]] for p in range(n)]

@@ -66,6 +66,20 @@ def test_read_rejects_eight_bit(tmp_path):
         read_wav(str(path))
 
 
+@pytest.mark.parametrize("content, why", [
+    (bytes(range(7, 107)), "does not start with RIFF id"),
+    (b"RIFF\x04\x00\x00\x00WAVE", "chunk missing"),
+    (b"RIFF", "cut short"),
+    (b"", "cut short"),
+], ids=["random", "bare-header", "cut-header", "empty"])
+def test_read_rejects_a_file_that_is_not_a_wav(tmp_path, content, why):
+    path = tmp_path / "A.wav"
+    path.write_bytes(content)
+    with pytest.raises(UnsupportedFormatError, match=why) as caught:
+        read_wav(str(path))
+    assert str(path) in str(caught.value)
+
+
 # --- synthesized tone tracks ------------------------------------------------
 
 

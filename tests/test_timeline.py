@@ -24,13 +24,12 @@ def overlap_ms(a: Utterance, b: Utterance) -> int:
 
 def clip_stream(stream: ActivityStream, from_tick: int, to_tick: int) -> ActivityStream:
     """Sub-stream covering exactly [from_tick, to_tick), silent outside the recording."""
-    return ActivityStream(stream.participant, from_tick, stream.window(from_tick, to_tick))
+    return ActivityStream(stream.participant, from_tick, bits=stream.window(from_tick, to_tick))
 
 
-def extend_to(stream: ActivityStream, tick: int) -> None:
-    """Pad with non-speech so the stream covers ticks up to ``tick``."""
-    if tick > stream.end_tick:
-        stream.append(np.zeros(tick - stream.end_tick, dtype=bool))
+def extend_to(stream: ActivityStream, tick: int) -> ActivityStream:
+    """The stream padded with non-speech to cover ticks up to ``tick``."""
+    return clip_stream(stream, stream.start_tick, max(tick, stream.end_tick))
 
 
 def discard_before(stream: ActivityStream, tick: int) -> ActivityStream:
@@ -70,14 +69,13 @@ def test_overlap_symmetry_and_bound():
         assert 0 <= o <= min(a.duration_ms, b.duration_ms)
 
 
-def test_stream_append_and_read():
-    s = ActivityStream(participant=3)
+def test_stream_reads_exactly_the_bits_it_is_made_from():
+    s = ActivityStream(participant=3, bits=[])
     assert len(s) == 0
     assert s.end_tick == 0
-    s.append([True, False, True])
-    s.append(np.ones(4, dtype=bool))
+    s = ActivityStream(participant=3, start_tick=5, bits=[True, False, True] + [True] * 4)
     assert len(s) == 7
-    assert s.end_tick == 7
+    assert s.end_tick == 12
     assert list(s.bits) == [True, False, True, True, True, True, True]
 
 
@@ -107,25 +105,23 @@ def test_window_rejects_reversed_range():
         s.window(4, 2)
 
 
-def test_stream_growth_past_initial_buffer():
-    s = ActivityStream(0)
-    chunk = np.ones(100, dtype=bool)
-    for _ in range(100):
-        s.append(chunk)
+def test_a_long_stream_reads_every_chunk_it_is_made_from():
+    rng = np.random.default_rng(9)
+    chunks = [rng.random(100) < 0.5 for _ in range(100)]
+    s = ActivityStream(0, bits=np.concatenate(chunks))
     assert len(s) == 10_000
-    assert s.bits.all()
+    for k, chunk in enumerate(chunks):
+        assert np.array_equal(s.window(100 * k, 100 * (k + 1)), chunk)
 
 
 def test_a_stream_made_from_bits_keeps_a_copy_of_exactly_their_length(eval_corpus):
     bits = np.ones(600_001, dtype=bool)
     s = ActivityStream(0, bits=bits)
-    assert s._buf.nbytes == 600_001
+    assert s.bits.nbytes == 600_001
     bits[0] = False  # the caller's array stays its own
     assert s.bits[0]
-    s.append([False])  # appends still double
-    assert len(s) == 600_002 and s._buf.nbytes == 1_200_002
     # a 600 s four-party corpus holds its 2.4 MB of bits, not 4 MB of buffers
-    held = sum(stream._buf.nbytes for stream in eval_corpus.streams().values())
+    held = sum(stream.bits.nbytes for stream in eval_corpus.streams().values())
     assert held == 4 * eval_corpus.duration_ms == 2_400_000
 
 
@@ -170,22 +166,20 @@ def test_stream_from_intervals_clamps_to_duration():
 
 
 def test_extend_to_pads_with_silence():
-    s = ActivityStream(0, bits=np.ones(5, dtype=bool))
-    extend_to(s, 12)
+    s = extend_to(ActivityStream(0, bits=np.ones(5, dtype=bool)), 12)
     assert len(s) == 12
-    assert not s.bits[5:].any()
-    extend_to(s, 3)  # never shrinks
+    assert s.bits[:5].all() and not s.bits[5:].any()
+    s = extend_to(s, 3)  # never shrinks
     assert len(s) == 12
 
 
-def test_discard_before_keeps_the_tail_and_later_appends():
+def test_discard_before_keeps_the_tail():
     rng = np.random.default_rng(4)
-    bits = rng.random(3000) < 0.5
-    s = ActivityStream(0, 100, bits[:1000])
+    bits = rng.random(1000) < 0.5
+    s = ActivityStream(0, 100, bits=bits)
     s = discard_before(s, 600)
     assert (s.start_tick, s.end_tick, len(s)) == (600, 1100, 500)
     assert np.array_equal(s.window(400, 1100), np.r_[np.zeros(200, bool), bits[500:1000]])
-    s = discard_before(s, 5000)  # past the end: nothing left, and appends still work
-    assert len(s) == 0 and s.start_tick == 1100
-    s.append(bits[1000:3000])
-    assert np.array_equal(s.bits, bits[1000:3000]) and s.end_tick == 3100
+    s = discard_before(s, 5000)  # past the end: nothing left, and it reads as silence
+    assert len(s) == 0 and s.start_tick == s.end_tick == 1100
+    assert not s.window(0, 2000).any()
