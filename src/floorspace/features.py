@@ -160,7 +160,8 @@ class FeatureBinning:
         """Bins of shape S + (4,) in FEATURE_NAMES order.
 
         ``gaps`` has shape S with NO_GAP for a missing gap; ``overlaps``
-        has shape S + (3,).
+        has shape S + (3,), or any shape that broadcasts against it, and
+        is then binned once for every gap it is broadcast to.
         """
         gaps = np.asarray(gaps, dtype=np.int64)
         overlaps = np.asarray(overlaps, dtype=np.int64)
@@ -466,8 +467,10 @@ class FeatureEngine:
     def binned(self, ticks: Sequence[Tick]) -> np.ndarray:
         """(k, 2m, 4) bins of every ordered pair, in RawFeatures.gaps order."""
         raw = self.raw(ticks)
-        overlaps = np.concatenate((raw.overlaps, raw.overlaps), axis=1)
-        return self.binning.bin_array(raw.gaps, overlaps)
+        k, m = raw.overlaps.shape[:2]
+        # both directions of a pair share its overlap counts: bin them once
+        bins = self.binning.bin_array(raw.gaps.reshape(k, 2, m), raw.overlaps[:, None])
+        return bins.reshape(k, 2 * m, 4)
 
     def _read_views(self) -> Tuple[List[int], List[int], List[int]]:
         """Every member's turn starts and ends, flattened in row order, and

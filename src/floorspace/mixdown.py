@@ -1,7 +1,8 @@
 """Offline audible renders: what each listener would have heard.
 
 Each participant gets a fixed-frequency tone that sounds whenever
-their corpus turns say they speak, the corpus is replayed to get the
+their corpus turns say they speak (one period of the tone, repeated;
+see ``_write_tones``), the corpus is replayed to get the
 configuration timeline, and the per-listener mixes are rendered with
 the same gain ramps the live mixer uses. Same-floor voices
 come through at full level, other floors sit at the background level,
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import os
 import wave
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,37 +61,55 @@ def read_wav(path: str) -> np.ndarray:
                 f"{path}: expected {SAMPLE_RATE} Hz, got {wf.getframerate()}"
             )
         raw = wf.readframes(wf.getnframes())
+    if len(raw) % 2:
+        raise UnsupportedFormatError(f"{path}: not a WAV file: cut short mid-sample")
     return np.frombuffer(raw, dtype=np.int16)
 
 
-def _write_tones(track: np.ndarray, freq_hz: float, spans: List[Tuple[int, int]]) -> None:
+def _tone(t: np.ndarray, freq_hz: int) -> np.ndarray:
+    """TONE_AMPLITUDE * 32767 * sin(2 pi f t / rate) at the sample
+    numbers ``t``, by these operations in this order, on one array."""
+    x = t.astype(np.float64)
+    x *= 2.0 * np.pi * freq_hz
+    x /= SAMPLE_RATE
+    np.sin(x, out=x)
+    x *= TONE_AMPLITUDE * 32767.0
+    return x
+
+
+def _write_tones(track: np.ndarray, freq_hz: int, spans: List[Tuple[int, int]]) -> None:
     """Write a tone burst into ``track`` on every [a, b) span.
 
-    Every burst starts at phase 0, so the sine and its rounding are
-    computed once, as long as the longest burst; only the
-    raised-cosine edges, which keep turn boundaries click-free, are
-    computed per burst.
+    Every burst starts at phase 0. The tone repeats every
+    P = SAMPLE_RATE / gcd(f, SAMPLE_RATE) samples (at most 8 000; 200 at
+    440 Hz), so ``_tone`` is computed and rounded over one period and
+    laid along the longest burst. That equals a sine computed afresh for
+    each burst wherever the value computed at t rounds like the one
+    computed at t mod P. They differ by the roundings of the argument
+    2 pi f t / rate, about 3e-12 * t after scaling (7.7e-6 at 600 s),
+    while the period sample nearest a rounding boundary x.5 lies 1.64e-4
+    from it: only a turn of about two hours could round otherwise. Only
+    the raised-cosine edges, which keep turn boundaries click-free, are
+    computed per burst, the tails from their own sample numbers.
     """
     if not spans:
         return
-    # in place, so one float array is alive: the operations and their
-    # order are those of TONE_AMPLITUDE * 32767 * sin(2 pi f t / rate)
-    sine = np.arange(max(b - a for a, b in spans), dtype=np.float64)
-    sine *= 2.0 * np.pi * freq_hz
-    sine /= SAMPLE_RATE
-    np.sin(sine, out=sine)
-    sine *= TONE_AMPLITUDE * 32767.0
+    longest = max(b - a for a, b in spans)
+    period = SAMPLE_RATE // gcd(freq_hz, SAMPLE_RATE)
+    edge = TONE_EDGE_MS * SAMPLES_PER_MS
+    # one period, and at least one edge for the heads, up to the longest burst
+    sine = _tone(np.arange(min(max(period, edge), longest)), freq_hz)
     # TONE_AMPLITUDE < 1 and the edges only scale down, so no sample
     # leaves int16 and the rounded values need no clip
-    level = np.rint(sine).astype(np.int16)
+    level = np.resize(np.rint(sine[:period]).astype(np.int16), longest)
     for a, b in spans:
         n = b - a
         track[a:b] = level[:n]
-        edge = min(TONE_EDGE_MS * SAMPLES_PER_MS, n // 2)
-        if edge > 0:
-            ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
-            track[a : a + edge] = np.rint(sine[:edge] * ramp)
-            track[b - edge : b] = np.rint(sine[n - edge : n] * ramp[::-1])
+        fade = min(edge, n // 2)
+        if fade > 0:
+            ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(fade) / fade)
+            track[a : a + fade] = np.rint(sine[:fade] * ramp)
+            track[b - fade : b] = np.rint(_tone(np.arange(n - fade, n), freq_hz) * ramp[::-1])
 
 
 def tone_audio_for_corpus(corpus: Corpus) -> Dict[int, np.ndarray]:

@@ -222,6 +222,26 @@ def test_mixdown_reports_a_participant_file_that_is_not_a_wav(tmp_path, art, cap
     assert len(err.splitlines()) == 1
 
 
+def test_mixdown_reports_a_participant_file_cut_mid_sample(tmp_path, art, capsys):
+    for name in "ABCD":
+        path = tmp_path / f"{name}.wav"
+        with wave.open(str(path), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(8000)
+            wf.writeframes(b"\x00" * 1600)
+        path.write_bytes(path.read_bytes()[:-1])
+    rc = main(
+        ["mixdown", "--corpus", str(art.corpus), "--model", str(art.model),
+         "--listener", "A", "--out", str(tmp_path / "mix.wav"),
+         "--audio-dir", str(tmp_path)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "A.wav" in err and "cut short" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_mixdown_rejects_unknown_listener(tmp_path, art, capsys):
     rc = main(
         ["mixdown", "--corpus", str(art.corpus), "--model", str(art.model),

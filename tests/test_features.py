@@ -110,6 +110,20 @@ def test_gap_clipping_both_directions():
         assert bins.tolist() == [top, top, top, 0, 0, 0]
 
 
+@pytest.mark.parametrize("binning", BINNINGS)
+def test_overlaps_binned_once_per_pair_equal_bins_of_both_directions(binning):
+    # the engine bins a pair's overlap counts once, broadcast against the
+    # gaps of both directions; that is the binning of the counts repeated
+    rng = np.random.default_rng(67)
+    for k, m in ((1, 1), (7, 6), (40, 45)):
+        gaps = rng.integers(-12_000, 12_000, (k, 2 * m))
+        gaps[rng.random((k, 2 * m)) < 0.2] = NO_GAP
+        overlaps = rng.integers(-5, 3000, (k, m, 3))
+        once = binning.bin_array(gaps.reshape(k, 2, m), overlaps[:, None]).reshape(k, 2 * m, 4)
+        both = binning.bin_array(gaps, np.concatenate((overlaps, overlaps), axis=1))
+        assert np.array_equal(once, both)
+
+
 def test_gap_skips_past_an_open_interjection():
     # b spoke twice; the newer b turn is still open when a starts, so
     # the gap anchors on the older turn's end

@@ -1,7 +1,9 @@
 """Offline WAV render path: file I/O, tone tracks, per-listener mixes."""
 
+import io
 import os
 import wave
+from math import gcd
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from floorspace.mixdown import (
     mixdown_corpus,
     read_wav,
     render_listener_mix,
+    _write_tones,
     tone_audio_for_corpus,
     write_wav,
 )
@@ -66,12 +69,24 @@ def test_read_rejects_eight_bit(tmp_path):
         read_wav(str(path))
 
 
+def _cut_mid_sample():
+    """A valid WAV header over 16-bit data that ends half a sample early."""
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(8000)
+        wf.writeframes(b"\x00" * 1600)
+    return buf.getvalue()[:-1]
+
+
 @pytest.mark.parametrize("content, why", [
     (bytes(range(7, 107)), "does not start with RIFF id"),
     (b"RIFF\x04\x00\x00\x00WAVE", "chunk missing"),
     (b"RIFF", "cut short"),
     (b"", "cut short"),
-], ids=["random", "bare-header", "cut-header", "empty"])
+    (_cut_mid_sample(), "cut short"),
+], ids=["random", "bare-header", "cut-header", "empty", "cut-mid-sample"])
 def test_read_rejects_a_file_that_is_not_a_wav(tmp_path, content, why):
     path = tmp_path / "A.wav"
     path.write_bytes(content)
@@ -106,22 +121,28 @@ def test_tracks_span_the_corpus():
     assert tracks[0].dtype == np.int16
 
 
+def _reference_burst(n, freq):
+    """One tone burst of ``n`` samples, its sine computed afresh."""
+    from floorspace.mixdown import TONE_AMPLITUDE
+
+    t = np.arange(n, dtype=np.float64)
+    burst = TONE_AMPLITUDE * 32767.0 * np.sin(2.0 * np.pi * freq * t / 8000)
+    edge = min(80, n // 2)
+    ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
+    burst[:edge] *= ramp
+    burst[len(burst) - edge :] *= ramp[::-1]
+    return np.clip(np.rint(burst), -32768, 32767)
+
+
 def _reference_tones(corpus):
     """Tone tracks as a sine computed afresh for every burst."""
-    from floorspace.mixdown import TONE_AMPLITUDE, TONE_FREQS_HZ
+    from floorspace.mixdown import TONE_FREQS_HZ
 
     tracks = {pid: np.zeros(corpus.duration_ms * 8, dtype=np.int16) for pid in corpus.ids.values()}
     for rec in corpus.records:
         pid = corpus.ids[rec.participant]
         a, b = rec.start_ms * 8, rec.end_ms * 8
-        t = np.arange(b - a, dtype=np.float64)
-        freq = TONE_FREQS_HZ[pid % len(TONE_FREQS_HZ)]
-        burst = TONE_AMPLITUDE * 32767.0 * np.sin(2.0 * np.pi * freq * t / 8000)
-        edge = min(80, (b - a) // 2)
-        ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
-        burst[:edge] *= ramp
-        burst[len(burst) - edge :] *= ramp[::-1]
-        tracks[pid][a:b] = np.clip(np.rint(burst), -32768, 32767)
+        tracks[pid][a:b] = _reference_burst(b - a, TONE_FREQS_HZ[pid % len(TONE_FREQS_HZ)])
     return tracks
 
 
@@ -144,6 +165,45 @@ def test_tones_equal_a_sine_computed_per_burst(corpus):
     assert got.keys() == want.keys()
     for pid in want:
         assert np.array_equal(got[pid], want[pid])
+
+
+def _ten_tone_corpus():
+    """Ten speakers, one per tone: each a turn of over 150 s, then turns
+    of 1, 19, 20 and 21 ms and of a period of its tone and one ms
+    either side of it."""
+    from floorspace.mixdown import TONE_FREQS_HZ
+
+    names = [f"p{i}" for i in range(10)]
+    records = []
+    for i, (name, freq) in enumerate(zip(names, TONE_FREQS_HZ)):
+        records.append(TurnRecord(name, 0, 150_000 + 37 * i, 0))
+        period_ms = 1000 // gcd(freq, 8000)
+        t = 151_000
+        for length in (1, 19, 20, 21, period_ms - 1, period_ms, period_ms + 1):
+            records.append(TurnRecord(name, t, t + length, 0))
+            t += length + 7
+    return Corpus(names, records)
+
+
+def test_every_tone_equals_a_sine_computed_per_burst():
+    corpus = _ten_tone_corpus()
+    got = tone_audio_for_corpus(corpus)
+    want = _reference_tones(corpus)
+    assert sorted(got) == list(range(10))
+    for pid in want:
+        assert np.array_equal(got[pid], want[pid])
+
+
+@pytest.mark.parametrize("freq", [400, 1000, 2000])
+def test_a_tone_whose_period_is_shorter_than_its_edges_equals_a_sine_per_burst(freq):
+    # periods of 20, 8 and 4 samples against 80-sample edges
+    spans = [(0, 1), (10, 50), (100, 259), (300, 460), (500, 661), (700, 1900)]
+    track = np.zeros(2000, dtype=np.int16)
+    _write_tones(track, freq, spans)
+    want = np.zeros_like(track)
+    for a, b in spans:
+        want[a:b] = _reference_burst(b - a, freq)
+    assert np.array_equal(track, want)
 
 
 # --- loading real audio -----------------------------------------------------
