@@ -52,23 +52,22 @@ still keeps a previous choice that a pin, a dwell hold or a tie
 changed.
 
 The tracker computes a block of periods' posteriors at once, one row
-per run of periods that share a row, and hands those rows to
-``FloorAssigner.prime``. The first ``assign`` whose row is not yet
-decided runs the program over all of them in one pass, at any room
-size, and the outcomes go into a table under the same keys, which
-later calls read before they search; it holds only the newest block.
-A row read from the table counts as searched. A pinned room never
-searches, so its block is searched only once the pin is gone.
-
-The tracker then decides each run with one ``assign_run``: one
-``assign`` for its first period, whose choice holds for the rest of the
-run. That is what one ``assign`` per period would choose. A repeated
-row is not searched again but read back, so the rest of the run counts
-as reused; and if the previous choice, which the first period just
-made, ties with the winner, it is kept again. A pin holds as long as
-the room does, and a period before a dwell hold expires holds again.
-Only the period where a pending hold expires can choose anew, so the
-run is split there and that period is decided by another ``assign``.
+per run of periods that share a row, and hands the block to
+``FloorAssigner.assign_block``. Its first run goes through ``assign``,
+which runs the program over every row of the block in one pass, at
+any room size; the winners are kept in row order. A later run whose
+winner is the held choice is decided as that winner, with no call and
+no lookup: that is what ``assign`` would choose, since the tie rule
+and the dwell only act on a winner that differs from the previous
+choice. Any other run goes through ``assign``, which reads its winner
+off the block's search and applies the tie rule and the dwell. A
+choice holds for the rest of its run: the row repeats, so one
+``assign`` per period would read the same winner back, count it as
+reused and keep the same choice again. A dwell hold is the one choice
+that can end inside a run, at the first period at or after its
+expiry, so the run is split there and that period goes through
+``assign`` too. A pinned room searches nothing and decides each run
+with ``assign``.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ from .timeline import MAX_PARTICIPANTS
 
 NEUTRAL_SCORE = 0.5  # score of a configuration with no pairs to witness it
 _WEIGHT_SCALE = float(1 << 40)  # integer weights are rint((2p - 1) * this)
-_PASS_VALUES = 1 << 14  # block values one pass over a primed block holds
+_PASS_VALUES = 1 << 14  # block values one slice of a block's search holds
 NORMAL_GAIN = 1.0
 QUIET_GAIN = 0.2
 EVAL_PERIOD_MS = 30
@@ -165,6 +164,18 @@ class PairRow(collections.abc.Mapping):
 
     def __len__(self) -> int:
         return len(self._slots)
+
+
+class _BlockRow(PairRow):
+    """Row ``index`` of the ``rows`` that one ``assign_block`` call
+    decides. ``found`` is shared by every row of the block: empty until the
+    block is searched, then each row's winner and exact value, in order."""
+
+    __slots__ = ("rows", "index", "found")
+
+    def __init__(self, ids: Tuple[int, ...], rows: np.ndarray, index: int, found: list):
+        super().__init__(ids, rows[index])
+        self.rows, self.index, self.found = rows, index, found
 
 
 def enumerate_partitions(participants: Sequence[int]) -> List[Partition]:
@@ -394,10 +405,10 @@ class FloorAssigner:
 
     ``assign`` decides one evaluation period (EVAL_PERIOD_MS) from the
     complete pairwise posterior map; a call without ``now_ms`` advances
-    the assigner's clock by one period. ``assign_run`` decides a run of
-    periods that share one posterior map. A pinned configuration
-    overrides the search until its owner unpins it or the participant
-    set changes.
+    the assigner's clock by one period. ``assign_block`` decides a block
+    of periods, in runs that share one posterior row. A pinned
+    configuration overrides the search until its owner unpins it or the
+    participant set changes.
     ``dwell_ms`` > 0 suppresses a switch until that long has passed
     since the last one, trading latency for stability; the default is
     no dwell. It must be a non-negative int (``check_dwell``).
@@ -416,12 +427,8 @@ class FloorAssigner:
         # the last decided row's key (ids, posterior row bytes), its
         # winner and the winner's exact integer value
         self._last: Optional[Tuple[tuple, Tuple[FloorConfiguration, int]]] = None
-        # the last primed block (ids, rows) until a search decides it, then
-        # what its rows decide, by the same key
-        self._block: Optional[tuple] = None
-        self._primed: Dict[tuple, Tuple[FloorConfiguration, int]] = {}
         # unpinned periods with two or more present, by how they were
-        # decided: a search (alone or primed), or read back from _last
+        # decided: a search (alone or with its block), or read back
         self.searched = 0
         self.reused = 0
 
@@ -455,28 +462,17 @@ class FloorAssigner:
         self.pinned = None
         self.pin_owner = None
 
-    def prime(self, ids: Tuple[int, ...], block: np.ndarray) -> None:
-        """Hand over the rows of a block of periods, for the next
-        ``assign`` calls to decide.
-
-        ``block`` holds posterior rows over the pairs of the sorted
-        ``ids`` in order, one per run of periods that share a row. The
-        first search in the room of ``ids`` decides them all in one pass
-        (``_search_block``), to the bit as each would be searched alone,
-        and keeps them until the next block.
-        """
-        self._block, self._primed = (ids, np.asarray(block, dtype=np.float64)), {}
-
-    def _search_block(self) -> None:
-        """Decide every row of the primed block but a first row that is the
-        last row decided, in slices of at most _PASS_VALUES block values."""
-        (ids, rows), self._block = self._block, None
-        if len(rows) and self._last is not None and self._last[0] == (ids, rows[0].tobytes()):
-            rows = rows[1:]
+    def _search_block(self, ids: Tuple[int, ...], rows: np.ndarray) -> list:
+        """Every row's winner and exact value, in row order, searched in one
+        pass of slices of at most _PASS_VALUES block values; a first row
+        that is the last row decided is read back, not searched."""
+        found = []
+        if self._last is not None and self._last[0] == (ids, rows[0].tobytes()):
+            found, rows = [self._last[1]], rows[1:]
         step = max(1, _PASS_VALUES >> len(ids))
         for i in range(0, len(rows), step):
-            part = rows[i : i + step]
-            self._primed.update(zip([(ids, row.tobytes()) for row in part], _winners(part, ids)))
+            found += _winners(rows[i : i + step], ids)
+        return found
 
     def _search(
         self, posteriors: Mapping[PairKey, float], ids: Tuple[int, ...]
@@ -488,16 +484,17 @@ class FloorAssigner:
             p = posteriors.row
         else:
             p = np.array([posteriors[k] for k in _pairs_of(ids)], dtype=np.float64)
+        found = None
+        if isinstance(posteriors, _BlockRow) and posteriors.ids == ids:
+            # the block's first call searches every row of the block
+            if not posteriors.found:
+                posteriors.found += self._search_block(ids, posteriors.rows)
+            found = posteriors.found[posteriors.index]
         key = (ids, p.tobytes())
         if self._last is not None and self._last[0] == key:
             self.reused += 1
         else:
-            if self._block is not None and self._block[0] == ids:
-                self._search_block()
-            found = self._primed.get(key)
-            if found is None:  # not in the block: searched alone
-                found = _winners(p[None], ids)[0]
-            self._last = (key, found)
+            self._last = (key, found or _winners(p[None], ids)[0])
             self.searched += 1
         best, value = self._last[1]
         previous = self.previous
@@ -554,35 +551,58 @@ class FloorAssigner:
         self.previous = cfg
         return cfg
 
-    def assign_run(
+    def assign_block(
         self,
-        posteriors: Mapping[PairKey, float],
-        participants: Sequence[int],
+        ids: Tuple[int, ...],
+        rows: np.ndarray,
+        runs: Sequence[int],
         now_ms: int,
-        periods: int,
     ) -> List[Tuple[FloorConfiguration, int]]:
-        """Decide ``periods`` consecutive periods from ``now_ms`` on that
-        share one posterior map, exactly as one ``assign`` each would.
+        """Decide a block of consecutive periods from ``now_ms`` on, exactly
+        as one ``assign`` each would.
 
+        ``rows`` holds posterior rows over the pairs of the sorted ``ids``
+        in order, each for ``runs[i]`` periods; consecutive rows differ.
         Returns the choices in order, each with the number of periods it
-        holds for. A run takes one ``assign`` call, two when a dwell
-        hold expires inside it: the periods after a call repeat its
-        choice, its clock and its counters (see the module docstring).
+        holds for. The first run is decided by ``assign``, which searches
+        every row; a later run whose winner is the held choice is decided
+        as that winner, and any other by ``assign`` (see the module
+        docstring).
         """
-        end = now_ms + periods * EVAL_PERIOD_MS
+        found: list = []
+        cfg = self.assign(_BlockRow(ids, rows, 0, found), ids, now_ms)
+        bulk = self.pinned is None and len(ids) > 1
         out: List[Tuple[FloorConfiguration, int]] = []
-        while now_ms < end:
-            cfg = self.assign(posteriors, participants, now_ms)
-            upto = end
-            if self._hold_until is not None:
+        t = now_ms
+        read = 0  # later runs read off the block's winners
+        for i, n in enumerate(runs):
+            if i == 0:
+                pass  # decided by the call above
+            elif bulk and found[i][0].partition == self.previous.partition:
+                # what assign would choose: no tie to keep, nothing to hold
+                cfg = self.previous = found[i][0]
+                self._hold_until = None
+                read += 1
+            else:
+                if bulk:
+                    # the period before held another row: this one is a search
+                    self._last = None
+                cfg = self.assign(_BlockRow(ids, rows, i, found), ids, t)
+            end = t + n * EVAL_PERIOD_MS
+            if self._hold_until is not None and self._hold_until <= end - EVAL_PERIOD_MS:
                 # the first period at or after the hold's expiry decides anew
-                wait = -(-(self._hold_until - now_ms) // EVAL_PERIOD_MS)
-                upto = min(end, now_ms + wait * EVAL_PERIOD_MS)
-            repeats = (upto - now_ms) // EVAL_PERIOD_MS - 1
-            if repeats:
-                self._clock = upto - EVAL_PERIOD_MS
-                if self.pinned is None and len(participants) > 1:
-                    self.reused += repeats
-            out.append((cfg, repeats + 1))
-            now_ms = upto
+                wait = -(-(self._hold_until - t) // EVAL_PERIOD_MS)
+                out.append((cfg, wait))
+                t += wait * EVAL_PERIOD_MS
+                n -= wait
+                cfg = self.assign(_BlockRow(ids, rows, i, found), ids, t)
+            out.append((cfg, n))
+            t = end
+        self._clock = t - EVAL_PERIOD_MS
+        if bulk:
+            # what no assign call counted: each run read off the winners is
+            # a search, and every period after a choice's first repeats its row
+            self.searched += read
+            self.reused += sum(runs) - len(out)
+            self._last = ((ids, rows[-1].tobytes()), found[-1])
         return out

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain, compress, repeat
 from operator import ne
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -37,7 +38,6 @@ from .assigner import (
     EVAL_PERIOD_MS,
     FloorAssigner,
     FloorConfiguration,
-    PairRow,
     Partition,
     canonical_partition,
     unordered_pairs,
@@ -92,11 +92,15 @@ class FloorTracker:
     memory budget sizes for the room (``features.BLOCK_CELLS``): 256
     periods for ten members, 1 408 for four. Features for a whole block
     come in array operations, then one posterior row per run of periods
-    whose binned features repeat bit for bit, the block's rows handed to
-    the assigner (``FloorAssigner.prime``), whose first search decides
-    them all in one pass, and one ``FloorAssigner.assign_run`` per run,
-    whose choice, with its tie rule, pin and dwell, is what one
-    ``assign`` per period would make. A live pump's block is one period.
+    whose binned features repeat bit for bit. One
+    ``FloorAssigner.assign_block`` call decides the block: one ``assign``
+    for its first run, which searches every row in one pass, and the
+    later runs read off that search. A run whose winner is the held
+    choice is decided as that winner, which is what ``assign`` would
+    choose; only a run whose winner differs goes through ``assign``, for
+    its tie rule and dwell, and a pinned room decides each run with
+    ``assign``. Events are built only where the choice changes. A live
+    pump's block is one period.
     ``posterior_override`` maps a block's ticks to posterior rows in
     ``pairs`` order, in place of the model's (replay's oracle mode).
     Activity fed starts at ``start_tick``; earlier ticks read as
@@ -189,24 +193,25 @@ class FloorTracker:
             return due
         per_block = max(self._engine.span // period, 1)
         blocks = []
-        previous = self.configs[-1] if self.configs else None
+        previous = self.configs[-1].partition if self.configs else None
         while self._next_eval <= limit:
             last = min(limit, self._next_eval + (per_block - 1) * period)
             ticks = np.arange(self._next_eval, last + 1, period)
-            ids = self.participants
             rows, runs = self._posteriors(ticks)
-            self.assigner.prime(ids, rows)
             t = self._next_eval
-            for p, k in zip(rows, runs):
-                for config, n in self.assigner.assign_run(PairRow(ids, p), ids, t, k):
-                    if previous is None or previous.partition != config.partition:
-                        due.events.append(ConfigurationEvent(t, config.partition, config.score))
-                    due.configs.extend([config] * n)
-                    previous = config
-                    t += n * period
+            configs, counts = zip(*self.assigner.assign_block(self.participants, rows, runs, t))
+            parts = [c.partition for c in configs]
+            starts = list(accumulate(counts, initial=0))
+            # events only where the partition changes
+            due.events.extend(
+                ConfigurationEvent(t + starts[i] * period, parts[i], configs[i].score)
+                for i in compress(range(len(parts)), map(ne, parts, [previous] + parts))
+            )
+            due.configs.extend(chain.from_iterable(map(repeat, configs, counts)))
             due.ticks.extend(ticks.tolist())
             blocks.append(rows if len(rows) == len(ticks) else np.repeat(rows, runs, axis=0))
-            self._next_eval = t
+            previous = parts[-1]
+            self._next_eval = t + starts[-1] * period
         if not blocks:
             return due
         self.ticks, self.configs = due.ticks[-1:], due.configs[-1:]

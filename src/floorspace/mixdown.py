@@ -41,8 +41,15 @@ def write_wav(path: str, pcm: np.ndarray) -> None:
         wf.writeframes(data.tobytes())
 
 
+# the sample count ``wave`` reads from the 0xFFFFFFFF data size that a
+# streaming writer leaves in a header it never came back to fill in
+_STREAMED_FRAMES = 0xFFFFFFFF // 2
+
+
 def read_wav(path: str) -> np.ndarray:
-    """Load mono 16-bit PCM at the native rate; anything else is rejected."""
+    """Load mono 16-bit PCM at the native rate; anything else is rejected,
+    as is a file whose data holds fewer samples than its header declares,
+    unless the header carries a streaming writer's placeholder size."""
     try:
         wf = wave.open(path, "rb")
     except (wave.Error, EOFError) as exc:  # EOFError: the file ends in its header
@@ -60,9 +67,15 @@ def read_wav(path: str) -> np.ndarray:
             raise UnsupportedFormatError(
                 f"{path}: expected {SAMPLE_RATE} Hz, got {wf.getframerate()}"
             )
-        raw = wf.readframes(wf.getnframes())
+        declared = wf.getnframes()
+        raw = wf.readframes(declared)
     if len(raw) % 2:
         raise UnsupportedFormatError(f"{path}: not a WAV file: cut short mid-sample")
+    if len(raw) // 2 < declared and declared != _STREAMED_FRAMES:
+        raise UnsupportedFormatError(
+            f"{path}: cut short: its header declares {declared} samples,"
+            f" its data holds {len(raw) // 2}"
+        )
     return np.frombuffer(raw, dtype=np.int16)
 
 

@@ -1,6 +1,7 @@
 """Partition enumeration, configuration scoring, and the period assigner."""
 
 import tracemalloc
+from unittest import mock
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -777,14 +778,71 @@ def test_a_repeated_row_reuses_its_tie_set_for_a_new_previous_choice():
     assert reused._last[1] is tie_set
 
 
-# --- primed blocks ----------------------------------------------------------
+# --- blocks -----------------------------------------------------------------
+
+
+def _as_runs(rows):
+    """``rows`` of one block as ``assign_block`` takes them: consecutive
+    bit-identical rows joined into one run."""
+    out, runs = [], []
+    for row in rows:
+        if out and out[-1].tobytes() == row.tobytes():
+            runs[-1] += 1
+        else:
+            out.append(row)
+            runs.append(1)
+    return np.array(out), runs
+
+
+def _expand(decided):
+    return [cfg for cfg, n in decided for _ in range(n)]
+
+
+class CountedAssigner(FloorAssigner):
+    """Records the period of every ``assign`` call, as the benchmark's
+    tracer and faults see them."""
+
+    def __init__(self, dwell_ms=0):
+        super().__init__(dwell_ms)
+        self.called = []
+
+    def assign(self, posteriors, participants, now_ms=None):
+        self.called.append(now_ms)
+        return super().assign(posteriors, participants, now_ms)
+
+
+class CountedWinners:
+    """Counts the calls of ``assigner._winners`` and the rows they search."""
+
+    def __init__(self):
+        self.passes, self.rows = 0, 0
+        self._winners = assigner_module._winners
+
+    def __call__(self, rows, ids):
+        self.passes += 1
+        self.rows += len(rows)
+        return self._winners(rows, ids)
+
+
+@pytest.fixture
+def winners(monkeypatch):
+    counted = CountedWinners()
+    monkeypatch.setattr(assigner_module, "_winners", counted)
+    return counted
+
+
+# a certain pair (0, 1) and (2, 3) whose floors are a coin flip: the
+# merged room and the two pairs tie exactly, and nothing else comes close
+TIE = np.array([1.0 if k in ((0, 1), (2, 3)) else 0.5 for k in unordered_pairs(range(4))])
+# the two pairs apart
+APART = np.array([0.9 if k in ((0, 1), (2, 3)) else 0.1 for k in unordered_pairs(range(4))])
 
 
 @st.composite
-def primed_scripts(draw):
+def block_scripts(draw):
     """Blocks of posterior rows with runs, repeats and exact ties, and what
-    happens before each period: nothing, a pin, an unpin, or the period
-    decided for another room of the same size (one member swapped).
+    happens before each block: nothing, a pin or an unpin; each block is
+    decided for one of two rooms of the same size (one member swapped).
 
     Rooms of up to eight draw rows from a few exact values, so partitions
     tie, or from any floats, so the order of a sum shows in its bits;
@@ -800,118 +858,105 @@ def primed_scripts(draw):
         probs = st.lists(exact | st.floats(0.0, 1.0), min_size=m, max_size=m)
         pool = [np.array(draw(probs)) for _ in range(draw(st.integers(1, 3)))]
     labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
-    before = (st.sampled_from([("none",), ("none",), ("unpin",), ("other",)])
+    before = (st.sampled_from([("none",), ("none",), ("unpin",)])
               | st.tuples(st.just("pin"), labels))
-    period = st.tuples(st.integers(0, len(pool) - 1), before)
-    blocks = draw(st.lists(st.tuples(st.integers(0, 1), st.lists(period, min_size=1, max_size=10)),
+    run = st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 12))
+    blocks = draw(st.lists(st.tuples(st.integers(0, 1), before, st.lists(run, min_size=1,
+                                                                         max_size=8)),
                            min_size=1, max_size=4))
     return rooms, pool, blocks, draw(st.sampled_from([0, 60, 200]))
 
 
-@settings(max_examples=120, deadline=None)
-@given(primed_scripts())
-def test_primed_blocks_decide_like_one_dict_per_period(script):
-    rooms, pool, blocks, dwell = script
-    primed, plain = FloorAssigner(dwell_ms=dwell), FloorAssigner(dwell_ms=dwell)
-    ticks, got, want = [], [], []
-    for which, periods in blocks:
-        block = np.array([pool[r] for r, _ in periods])
-        primed.prime(rooms[which], block)
-        for row, (_, before) in zip(block, periods):
-            ids = rooms[1 - which] if before[0] == "other" else rooms[which]
-            if before[0] == "pin":
-                floors = {}
-                for m, label in zip(ids, before[1]):
-                    floors.setdefault(label, []).append(m)
-                for a in (primed, plain):
-                    a.pin(floors.values(), owner="host", participants=ids)
-            elif before[0] == "unpin":
-                for a in (primed, plain):
-                    a.unpin("host")
-            ticks.append(EVAL_PERIOD_MS * (len(ticks) + 1))
-            got.append(primed.assign(PairRow(ids, row), ids, now_ms=ticks[-1]))
-            want.append(plain.assign(dict(zip(unordered_pairs(ids), row.tolist())), ids,
-                                     now_ms=ticks[-1]))
-    assert [c.partition for c in got] == [c.partition for c in want]
-    assert (np.array([c.score for c in got]).tobytes()
-            == np.array([c.score for c in want]).tobytes())
-    assert changes(ticks, got) == changes(ticks, want)
-    assert (primed.searched, primed.reused) == (plain.searched, plain.reused)
-
-
-class CountedAssigner(FloorAssigner):
-    """Counts ``assign`` calls, as the benchmark's tracer and faults see them."""
-
-    calls = 0
-
-    def assign(self, posteriors, participants, now_ms=None):
-        self.calls += 1
-        return super().assign(posteriors, participants, now_ms)
-
-
 @settings(max_examples=150, deadline=None)
-@given(primed_scripts())
-# a merge at 30 ms, then ten periods of a split row: with a 200 ms dwell
-# the hold expires at 240 ms, inside the run
+@given(block_scripts())
+# ties with the held choice: inside a block after a row whose winner is
+# the held choice, and at the first row of the fourth block, which is the
+# third's last row; then the same rows in the other room
+@example((((0, 1, 2, 3), (0, 1, 2, 7)), [TIE, APART],
+          [(0, ("none",), [(0, 3)]),
+           (0, ("pin", [0, 0, 1, 1]), [(0, 2), (1, 1)]),
+           (0, ("unpin",), [(1, 2), (0, 3), (1, 1), (0, 2)]),
+           (0, ("none",), [(0, 2), (1, 1)]),
+           (1, ("none",), [(1, 1), (0, 2)])], 0))
+# a merge at 30 ms, then a split row: a 200 ms hold expires at 240 ms,
+# inside the first run of the next block, and a 60 ms hold inside a
+# block's second run
 @example((((0, 1), (0, 5)), [np.array([0.9]), np.array([0.1])],
-          [(0, [(0, ("none",))] + [(1, ("none",))] * 10)], 200))
-# a pinned run, whose repeats are not decided and count as nothing
-@example((((0, 1, 2), (0, 1, 6)), [np.array([0.9, 0.1, 0.2])],
-          [(0, [(0, ("pin", [0, 0, 1]))] + [(0, ("none",))] * 4
-            + [(0, ("unpin",))] + [(0, ("none",))] * 3)], 60))
-def test_a_run_decides_like_one_assign_per_period(script):
-    # consecutive periods of one row, with nothing done before any but the
-    # first, are one run, decided by one assign_run as by one assign each
+          [(0, ("none",), [(0, 1)]), (0, ("none",), [(1, 10), (0, 1)])], 200))
+@example((((0, 1), (0, 5)), [np.array([0.9]), np.array([0.1])],
+          [(0, ("none",), [(0, 1), (1, 5), (0, 1), (1, 1)])], 60))
+# a pinned block, then a room change under the pin, which dissolves it
+@example((((0, 1, 2), (0, 1, 6)), [np.array([0.9, 0.1, 0.2]), np.array([0.2, 0.9, 0.1])],
+          [(0, ("pin", [0, 0, 1]), [(0, 4), (1, 2)]), (1, ("none",), [(1, 3), (0, 2)])], 60))
+def test_primed_blocks_decide_like_one_dict_per_period(script):
+    # one assign_block per block must decide, score, count and keep state
+    # exactly like one assign per period on a dict of Python floats; the
+    # block's first assign makes its only search
     rooms, pool, blocks, dwell = script
-    runs, plain = CountedAssigner(dwell_ms=dwell), FloorAssigner(dwell_ms=dwell)
+    bulk, plain = CountedAssigner(dwell_ms=dwell), FloorAssigner(dwell_ms=dwell)
+    counted = CountedWinners()
     ticks, got, want = [], [], []
-    for which, periods in blocks:
-        spans = []  # [ids, row, what happens before, periods]
-        for r, before in periods:
-            ids = rooms[1 - which] if before[0] == "other" else rooms[which]
-            if spans and before == ("none",) and spans[-1][:2] == [ids, r]:
-                spans[-1][3] += 1
-            else:
-                spans.append([ids, r, before, 1])
-        runs.prime(rooms[which], np.array([pool[r] for _, r, _, _ in spans]))
-        for ids, r, before, k in spans:
-            if before[0] == "pin":
-                floors = {}
-                for m, label in zip(ids, before[1]):
-                    floors.setdefault(label, []).append(m)
-                for a in (runs, plain):
-                    a.pin(floors.values(), owner="host", participants=ids)
-            elif before[0] == "unpin":
-                for a in (runs, plain):
-                    a.unpin("host")
-            start = EVAL_PERIOD_MS * (len(ticks) + 1)
-            calls = runs.calls
-            decided = runs.assign_run(PairRow(ids, pool[r]), ids, start, k)
-            # one assign per run, and one more where a dwell hold expires
-            assert runs.calls - calls == len(decided) <= 2
-            assert sum(n for _, n in decided) == k
-            for cfg, n in decided:
-                got.extend([cfg] * n)
+    last = None  # the last row an unpinned period decided, and its room
+    for which, before, spec in blocks:
+        ids = rooms[which]
+        if before[0] == "pin":
+            floors = {}
+            for m, label in zip(rooms[0], before[1]):
+                floors.setdefault(label, []).append(m)
+            for a in (bulk, plain):
+                a.pin(floors.values(), owner="host", participants=rooms[0])
+        elif before[0] == "unpin":
+            for a in (bulk, plain):
+                a.unpin("host")
+        rows, runs = _as_runs([pool[r] for r, k in spec for _ in range(k)])
+        pinned = bulk.pinned is not None and sorted(m for b in bulk.pinned for m in b) == list(ids)
+        start = EVAL_PERIOD_MS * (len(ticks) + 1)
+        calls, searched = len(bulk.called), counted.rows
+        with mock.patch.object(assigner_module, "_winners", counted):
+            decided = bulk.assign_block(ids, rows, runs, start)
+        called = bulk.called[calls:]
+        assert sum(n for _, n in decided) == sum(runs)
+        got.extend(_expand(decided))
+        firsts, may_change, changed = [], set(), set()
+        for row, k in zip(rows, runs):
+            firsts.append(EVAL_PERIOD_MS * (len(ticks) + 1))
+            winner = _winners(row[None], ids)[0][0].partition
             for _ in range(k):
                 ticks.append(EVAL_PERIOD_MS * (len(ticks) + 1))
-                want.append(plain.assign(dict(zip(unordered_pairs(ids), pool[r].tolist())), ids,
+                if ticks[-1] > start and winner != want[-1].partition:
+                    may_change.add(ticks[-1])
+                want.append(plain.assign(dict(zip(unordered_pairs(ids), row.tolist())), ids,
                                          now_ms=ticks[-1]))
+                if ticks[-1] > start and want[-1].partition != want[-2].partition:
+                    changed.add(ticks[-1])
+        if pinned:
+            # each run decided by one assign, with no search
+            assert (called, counted.rows - searched) == (firsts, 0)
+        else:
+            # one assign for the first run, then only where the winner is
+            # not the held choice, and wherever the choice changes
+            assert called[0] == start and len(set(called)) == len(called)
+            assert changed <= set(called[1:]) <= may_change
+            # every row searched once, but a first row that is the last one decided
+            assert counted.rows - searched == len(rows) - (last == (ids, rows[0].tobytes()))
+            last = (ids, rows[-1].tobytes())
     assert [c.partition for c in got] == [c.partition for c in want]
     assert (np.array([c.score for c in got]).tobytes()
             == np.array([c.score for c in want]).tobytes())
     assert changes(ticks, got) == changes(ticks, want)
-    assert (runs.searched, runs.reused) == (plain.searched, plain.reused)
-    assert (runs._clock, runs._last_change, runs.previous, runs.pinned) == (
+    assert (bulk.searched, bulk.reused) == (plain.searched, plain.reused)
+    assert (bulk._clock, bulk._last_change, bulk.previous, bulk.pinned) == (
         plain._clock, plain._last_change, plain.previous, plain.pinned)
 
 
 def test_a_run_in_a_room_of_one_counts_nothing():
     # one participant has one partition and no search, so nothing is reused
-    runs, plain = FloorAssigner(), FloorAssigner()
-    assert runs.assign_run({}, [4], 30, 5) == [(FloorConfiguration(((4,),), 0.5), 5)]
+    bulk, plain = FloorAssigner(), FloorAssigner()
+    alone = FloorConfiguration(((4,),), 0.5)
+    assert bulk.assign_block((4,), np.zeros((1, 0)), [5], 30) == [(alone, 5)]
     for t in range(30, 180, 30):
         plain.assign({}, [4], now_ms=t)
-    assert (runs.searched, runs.reused, runs._clock) == (0, 0, 150)
+    assert (bulk.searched, bulk.reused, bulk._clock) == (0, 0, 150)
     assert (plain.searched, plain.reused, plain._clock) == (0, 0, 150)
 
 
@@ -921,121 +966,103 @@ def test_a_primed_block_scores_to_the_bit_of_a_search_per_period(n):
     rng = np.random.default_rng(n)
     rows = rng.random((6, n * (n - 1) // 2))
     block = rows[[0, 0, 1, 2, 2, 2, 3, 1, 4, 5, 5]]
-    primed, plain = FloorAssigner(), FloorAssigner()
-    primed.prime(ids, block)
-    for row in block:
-        got = primed.assign(PairRow(ids, row), ids)
+    bulk, plain = FloorAssigner(), FloorAssigner()
+    decided = _expand(bulk.assign_block(ids, *_as_runs(block), EVAL_PERIOD_MS))
+    for got, row in zip(decided, block):
         want = plain.assign(dict(zip(unordered_pairs(ids), row.tolist())), ids)
         assert got.partition == want.partition
         assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes()
-    counts = (primed.searched, primed.reused)
+    counts = (bulk.searched, bulk.reused)
     assert counts == (plain.searched, plain.reused) == (7, 4)
 
 
-def test_a_block_that_starts_with_the_last_row_reuses_it():
+def test_a_block_that_starts_with_the_last_row_reuses_it(winners):
     ids = (0, 1, 2, 3)
     r1, r2, r3 = np.random.default_rng(3).random((3, 6))
     a = FloorAssigner()
-    for block in ([r1, r2], [r2, r3]):
-        a.prime(ids, np.array(block))
-        for row in block:
-            a.assign(PairRow(ids, row), ids)
+    a.assign_block(ids, np.array([r1, r2]), [1, 1], 30)
+    a.assign_block(ids, np.array([r2, r3]), [1, 1], 90)
     assert (a.searched, a.reused) == (3, 1)
     # the repeated row was not searched again with its block
-    assert set(a._primed) == {(ids, r3.tobytes())}
+    assert (winners.passes, winners.rows) == (2, 3)
 
 
 def test_a_primed_row_is_not_read_for_another_room():
-    row = np.array([0.9, 0.1, 0.1])
+    row = np.array([[0.9, 0.1, 0.1]])
     a = FloorAssigner()
-    a.prime((0, 1, 2), row[None])
+    assert a.assign_block((0, 1, 2), row, [1], 30) == [(a.previous, 1)]
     # the same row bytes, but 2 has left and 5 has joined
-    assert a.assign(PairRow((0, 1, 5), row), (0, 1, 5)).partition == ((0, 1), (5,))
-    assert a.assign(PairRow((0, 1, 2), row), (0, 1, 2)).partition == ((0, 1), (2,))
-    assert (a.searched, a.reused) == (2, 0)
+    assert a.assign_block((0, 1, 5), row, [1], 60)[0][0].partition == ((0, 1), (5,))
+    assert a.assign_block((0, 1, 2), row, [1], 90)[0][0].partition == ((0, 1), (2,))
+    assert (a.searched, a.reused) == (3, 0)
 
 
 def test_a_primed_tie_set_keeps_the_previous_choice_across_a_pin_change():
     # the merged room and the two pairs tie, as in the unprimed case above
     ids = (0, 1, 2, 3)
     split, merged = ((0, 1), (2, 3)), ((0, 1, 2, 3),)
-    row = np.array([1.0 if k in ((0, 1), (2, 3)) else 0.5 for k in unordered_pairs(ids)])
-    block = np.array([row] * 4)
     a = FloorAssigner()
-    a.prime(ids, block)
-    assert a.assign(PairRow(ids, row), ids).partition == merged
+
+    def block(t, runs):
+        return [cfg.partition for cfg, _ in a.assign_block(ids, np.array([TIE]), runs, t)]
+
+    assert block(30, [4]) == [merged]
     a.pin(split, owner="host", participants=ids)
-    assert a.assign(PairRow(ids, row), ids).partition == split
+    assert block(150, [2]) == [split]
     a.unpin("host")
     # the pinned split is now the previous choice, and it is in the tie set
-    assert a.assign(PairRow(ids, row), ids).partition == split
-    # a block primed under a pin waits for a search once unpinned; here
-    # every period repeats the last row, so none comes
+    assert block(210, [3]) == [split]
+    # a block whose first row is the last row keeps it too
     a.pin(split, owner="host", participants=ids)
-    a.prime(ids, block)
-    assert a._primed == {}
-    assert a.assign(PairRow(ids, row), ids).partition == split
+    assert block(300, [1]) == [split]
     a.unpin("host")
-    assert a.assign(PairRow(ids, row), ids).partition == split
-    assert (a.searched, a.reused) == (1, 2)
+    assert block(330, [2]) == [split]
+    assert (a.searched, a.reused) == (1, 8)
 
 
-def test_the_primed_table_holds_only_the_newest_block():
-    # a room that runs for hours keeps one block's decisions, not every
+def test_an_assigner_keeps_nothing_of_a_block_but_its_last_row():
+    # a room that runs for hours keeps the last row's winner, not every
     # row it ever decided
     ids = tuple(range(5))
     rng = np.random.default_rng(8)
     a = FloorAssigner()
-    for _ in range(6):
+    for i in range(6):
         block = rng.random((20, 10))
-        a.prime(ids, block)
-        for row in block:
-            a.assign(PairRow(ids, row), ids)
-        assert set(a._primed) == {(ids, row.tobytes()) for row in block}
+        a.assign_block(ids, block, [1] * 20, 30 + 600 * i)
+        assert set(vars(a)) == set(vars(FloorAssigner()))
+        assert a._last[0] == (ids, block[-1].tobytes())
 
 
-class CountedWinners:
-    """Counts the calls of ``assigner._winners`` and the rows they search."""
-
-    def __init__(self, monkeypatch):
-        self.passes, self.rows = 0, 0
-        self._winners = assigner_module._winners
-        monkeypatch.setattr(assigner_module, "_winners", self)
-
-    def __call__(self, rows, ids):
-        self.passes += 1
-        self.rows += len(rows)
-        return self._winners(rows, ids)
-
-
-def test_a_ten_person_block_is_searched_by_its_first_assign(monkeypatch):
+def test_a_ten_person_block_is_searched_by_its_first_assign(winners):
     # every size of room searches its block in one pass of slices of
-    # _PASS_VALUES >> 10 = 16 rows, from inside the first assign that
-    # needs one, and never again
+    # _PASS_VALUES >> 10 = 16 rows, from inside the block's first assign
     ids = tuple(range(10))
     block = np.random.default_rng(10).random((40, 45))
-    a = FloorAssigner()
-    winners = CountedWinners(monkeypatch)
-    a.prime(ids, block)
-    assert (winners.passes, a._primed) == (0, {})
-    a.assign(PairRow(ids, block[0]), ids)
-    assert (winners.passes, winners.rows) == (3, 40)
-    assert set(a._primed) == {(ids, row.tobytes()) for row in block}
-    for row in block[::-1]:
-        a.assign(PairRow(ids, row), ids)
-    assert (winners.passes, a.searched) == (3, 41)
+    seen = []
+
+    class Watched(FloorAssigner):
+        def assign(self, posteriors, participants, now_ms=None):
+            seen.append(winners.passes)
+            cfg = super().assign(posteriors, participants, now_ms)
+            seen.append(winners.passes)
+            return cfg
+
+    a = Watched()
+    a.assign_block(ids, block, [2] * 40, 30)
+    # later assign calls, where a run's winner is not the held choice,
+    # read it off the block's search
+    assert seen == [0] + [3] * (len(seen) - 1) and winners.rows == 40
+    assert (a.searched, a.reused) == (40, 40)
 
 
 @pytest.mark.parametrize("n", [4, 10])
-def test_a_pinned_room_never_searches_its_block(monkeypatch, n):
+def test_a_pinned_room_never_searches_its_block(winners, n):
     ids = tuple(range(n))
     block = np.random.default_rng(n).random((12, n * (n - 1) // 2))
     a = FloorAssigner()
     a.pin([ids], owner="host", participants=ids)
-    winners = CountedWinners(monkeypatch)
-    a.prime(ids, block)
-    for row in block:
-        assert a.assign(PairRow(ids, row), ids).partition == (ids,)
+    decided = a.assign_block(ids, block, [3] * 12, 30)
+    assert [cfg.partition for cfg, _ in decided] == [(ids,)] * 12
     assert (winners.passes, a.searched, a.reused) == (0, 0, 0)
 
 

@@ -242,6 +242,27 @@ def test_mixdown_reports_a_participant_file_cut_mid_sample(tmp_path, art, capsys
     assert len(err.splitlines()) == 1
 
 
+def test_mixdown_reports_a_participant_file_cut_on_a_sample_boundary(tmp_path, art, capsys):
+    for name in "ABCD":
+        path = tmp_path / f"{name}.wav"
+        with wave.open(str(path), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(8000)
+            wf.writeframes(b"\x00" * 1600)
+        path.write_bytes(path.read_bytes()[:-600])
+    rc = main(
+        ["mixdown", "--corpus", str(art.corpus), "--model", str(art.model),
+         "--listener", "A", "--out", str(tmp_path / "mix.wav"),
+         "--audio-dir", str(tmp_path)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "A.wav" in err
+    assert "declares 800 samples, its data holds 500" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_mixdown_rejects_unknown_listener(tmp_path, art, capsys):
     rc = main(
         ["mixdown", "--corpus", str(art.corpus), "--model", str(art.model),

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floorspace.assigner import FloorAssigner, canonical_partition, unordered_pairs
+from floorspace.assigner import (
+    FloorAssigner,
+    FloorConfiguration,
+    _SubsetProgram,
+    canonical_partition,
+    score,
+    unordered_pairs,
+)
 from floorspace.corpus import Corpus, GeneratorConfig, TurnRecord, generate
 from floorspace.errors import EvaluationError
 from floorspace.evaluation import (
@@ -309,8 +316,8 @@ def test_ten_person_tracker_decides_like_assign_on_plain_dicts(floor_model, peri
     pytest.param(10, 600, "chunks", id="10-dwell-chunks"),
 ])
 def test_a_primed_replay_decides_like_assign_on_plain_dicts(floor_model, periods, n, dwell_ms, feed):
-    # whole blocks of periods are primed and each run of repeated rows is
-    # decided by one assign_run; each period must decide, score and count
+    # each block of periods is decided by one assign_block, which reads
+    # runs of repeated rows off one search; each period must decide, score and count
     # exactly like one assign per period on a dict, in rooms of every size
     # up to ten; a 600 ms dwell holds switches, and at n=4 one hold expires
     # inside a run of repeated rows
@@ -362,6 +369,76 @@ def test_a_primed_replay_decides_like_assign_on_plain_dicts(floor_model, periods
         result = replay_corpus(corpus, floor_model, dwell_ms=dwell_ms)
         assert result.chosen == [c.partition for c in want]
         assert result.scores.tobytes() == np.array([c.score for c in want]).tobytes()
+
+
+def _hook_corpus(n):
+    if n == 4:
+        return generate(four_party_config(seed=47, duration_ms=90_000, epoch_ms=30_000))
+    pairs = tuple((2 * i, 2 * i + 1) for i in range(5))
+    halves = (tuple(range(5)), tuple(range(5, 10)))
+    return generate(GeneratorConfig(
+        participants=10, duration_ms=20_000, schedule=[(0, pairs), (10_000, halves)], seed=48,
+    ))
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_replay_decides_and_searches_each_block_inside_assign(floor_model, monkeypatch, n):
+    # the benchmark's tracer times FloorAssigner.assign, and its fault
+    # injection alters what assign returns: every block's first decision
+    # must be what an assign call returned, and every search must run
+    # inside an assign call, also where a block starts with the last row
+    assign, solve, assign_block = (
+        FloorAssigner.assign, _SubsetProgram.solve, FloorAssigner.assign_block)
+    inside, outside, returned, blocks = [0], [], {}, []
+
+    def traced_assign(self, posteriors, participants, now_ms=None):
+        inside[0] += 1
+        try:
+            cfg = assign(self, posteriors, participants, now_ms)
+        finally:
+            inside[0] -= 1
+        returned[now_ms] = cfg
+        return cfg
+
+    def traced_solve(self, w):
+        if not inside[0]:
+            outside.append(w.shape)
+        return solve(self, w)
+
+    def traced_block(self, ids, rows, runs, now_ms):
+        blocks.append((now_ms, rows[0].tobytes(), rows[-1].tobytes()))
+        return assign_block(self, ids, rows, runs, now_ms)
+
+    monkeypatch.setattr(FloorAssigner, "assign", traced_assign)
+    monkeypatch.setattr(_SubsetProgram, "solve", traced_solve)
+    monkeypatch.setattr(FloorAssigner, "assign_block", traced_block)
+    corpus = _hook_corpus(n)
+    repeats = 0
+    for oracle in (False, True):
+        returned.clear()
+        blocks.clear()
+        result = replay_corpus(corpus, floor_model, oracle_posteriors=oracle)
+        at = {t: i for i, t in enumerate(result.ticks.tolist())}
+        # every block's first decision and every change come from assign,
+        # and what each assign call returned is what the replay chose
+        assert len(blocks) > 1 and {t for t, _, _ in blocks} <= set(returned)
+        assert {e.tick for e in result.events} <= set(returned)
+        for t, cfg in returned.items():
+            assert result.chosen[at[t]] is cfg.partition
+        assert outside == []
+        repeats += sum(first == last for (_, first, _), (_, _, last) in zip(blocks[1:], blocks))
+    assert repeats > 0
+
+    def altered(self, posteriors, participants, now_ms=None):
+        cfg = assign(self, posteriors, participants, now_ms)
+        ids = tuple(sorted(participants))
+        other = (ids,) if cfg.partition == tuple((m,) for m in ids) else tuple((m,) for m in ids)
+        return FloorConfiguration(other, score(other, posteriors))
+
+    monkeypatch.setattr(FloorAssigner, "assign", altered)
+    changed = replay_corpus(corpus, floor_model, oracle_posteriors=True)
+    firsts = [at[t] for t, _, _ in blocks]
+    assert all(changed.chosen[i] != result.chosen[i] for i in firsts)
 
 
 def test_partition_codes_number_runs_like_one_lookup_per_period():

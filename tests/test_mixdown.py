@@ -95,6 +95,40 @@ def test_read_rejects_a_file_that_is_not_a_wav(tmp_path, content, why):
     assert str(path) in str(caught.value)
 
 
+def _wav_of(pcm):
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(8000)
+        wf.writeframes(pcm.tobytes())
+    data = buf.getvalue()
+    assert data[36:40] == b"data"  # its size follows, at bytes 40-43
+    return data
+
+
+def test_read_rejects_a_file_cut_on_a_sample_boundary(tmp_path):
+    # 800 samples declared, the last 300 cut off: not a speaker gone quiet
+    path = tmp_path / "A.wav"
+    path.write_bytes(_wav_of(np.arange(800, dtype=np.int16))[:-600])
+    with pytest.raises(UnsupportedFormatError,
+                       match="declares 800 samples, its data holds 500") as caught:
+        read_wav(str(path))
+    assert str(path) in str(caught.value)
+
+
+def test_read_accepts_a_streamed_file_whose_header_holds_no_size(tmp_path):
+    # a streaming writer leaves 0xFFFFFFFF as the RIFF and data sizes
+    pcm = np.arange(-400, 400, dtype=np.int16)
+    data = bytearray(_wav_of(pcm))
+    data[4:8] = data[40:44] = b"\xff" * 4
+    path = tmp_path / "A.wav"
+    path.write_bytes(bytes(data))
+    with wave.open(str(path)) as wf:
+        assert wf.getnframes() == 2_147_483_647
+    assert np.array_equal(read_wav(str(path)), pcm)
+
+
 # --- synthesized tone tracks ------------------------------------------------
 
 
