@@ -949,6 +949,55 @@ def test_primed_blocks_decide_like_one_dict_per_period(script):
         plain._clock, plain._last_change, plain.previous, plain.pinned)
 
 
+@settings(max_examples=100, deadline=None)
+@given(block_scripts())
+# a merge at 30 ms, then ten periods of a split row: with a 200 ms dwell
+# the hold expires at 240 ms, inside the run
+@example((((0, 1), (0, 5)), [np.array([0.9]), np.array([0.1])],
+          [(0, ("none",), [(0, 1), (1, 10)])], 200))
+# a pinned run, whose repeats are not decided and count as nothing
+@example((((0, 1, 2), (0, 1, 6)), [np.array([0.9, 0.1, 0.2])],
+          [(0, ("pin", [0, 0, 1]), [(0, 5)]), (0, ("unpin",), [(0, 4)])], 60))
+def test_a_run_decides_like_one_assign_per_period(script):
+    # a run of one row, given to assign_block as a block of its own, is
+    # decided by one assign, and one more where a dwell hold expires, as
+    # by one assign per period
+    rooms, pool, blocks, dwell = script
+    runs, plain = CountedAssigner(dwell_ms=dwell), FloorAssigner(dwell_ms=dwell)
+    ticks, got, want = [], [], []
+    for which, before, spec in blocks:
+        ids = rooms[which]
+        if before[0] == "pin":
+            floors = {}
+            for m, label in zip(rooms[0], before[1]):
+                floors.setdefault(label, []).append(m)
+            for a in (runs, plain):
+                a.pin(floors.values(), owner="host", participants=rooms[0])
+        elif before[0] == "unpin":
+            for a in (runs, plain):
+                a.unpin("host")
+        rows, ks = _as_runs([pool[r] for r, k in spec for _ in range(k)])
+        for row, k in zip(rows, ks):
+            start = EVAL_PERIOD_MS * (len(ticks) + 1)
+            calls = len(runs.called)
+            decided = runs.assign_block(ids, row[None], [k], start)
+            assert runs.called[calls] == start
+            assert len(runs.called) - calls == len(decided) <= 2
+            assert sum(n for _, n in decided) == k
+            got.extend(_expand(decided))
+            for _ in range(k):
+                ticks.append(EVAL_PERIOD_MS * (len(ticks) + 1))
+                want.append(plain.assign(dict(zip(unordered_pairs(ids), row.tolist())), ids,
+                                         now_ms=ticks[-1]))
+    assert [c.partition for c in got] == [c.partition for c in want]
+    assert (np.array([c.score for c in got]).tobytes()
+            == np.array([c.score for c in want]).tobytes())
+    assert changes(ticks, got) == changes(ticks, want)
+    assert (runs.searched, runs.reused) == (plain.searched, plain.reused)
+    assert (runs._clock, runs._last_change, runs.previous, runs.pinned) == (
+        plain._clock, plain._last_change, plain.previous, plain.pinned)
+
+
 def test_a_run_in_a_room_of_one_counts_nothing():
     # one participant has one partition and no search, so nothing is reused
     bulk, plain = FloorAssigner(), FloorAssigner()
