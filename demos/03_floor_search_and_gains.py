@@ -39,8 +39,9 @@ for part in ranked:
     label = " | ".join(",".join(str(m) for m in b) for b in part)
     print(f"  {score(part, posteriors):.4f}  {label}")
 
+# one decision per 30 ms evaluation period, each at its time in ms
 assigner = FloorAssigner()
-cfg = assigner.assign(posteriors, ids)
+cfg = assigner.assign(posteriors, ids, now_ms=30)
 print(f"\nassigner picks {cfg.partition} with score {cfg.score:.4f}")
 
 gm = gains(cfg, ids)
@@ -51,7 +52,7 @@ print("floor-mates at 1.0, the other conversation at 0.2, self muted")
 
 # a pin freezes the layout no matter what the probabilities say
 assigner.pin([(0, 2), (1, 3)], owner=0, participants=ids)
-pinned = assigner.assign(posteriors, ids)
+pinned = assigner.assign(posteriors, ids, now_ms=60)
 print(f"\npinned: assigner now returns {pinned.partition} "
       f"(score {pinned.score:.4f}, ignored)")
 
@@ -60,5 +61,5 @@ try:
 except Exception as exc:
     print(f"participant 3 cannot release it: {exc}")
 assigner.unpin(owner=0)
-after = assigner.assign(posteriors, ids)
+after = assigner.assign(posteriors, ids, now_ms=90)
 print(f"unpinned by its owner, the search resumes: {after.partition}")

@@ -40,16 +40,19 @@ equals the best. The rounding moves a partition's value by less than
 The reported score is computed in float64 from the row and the chosen
 partition.
 
-``FloorAssigner.assign`` accepts the posteriors as any ``Mapping``
-from unordered pair to probability: a plain dict, or the ``PairRow``
-view the tracker hands in over one row of its posterior array, which
-the search reads as an array without a lookup per pair. Posteriors are
-binned features, so consecutive periods often repeat a row. The
-assigner therefore keeps the last search's winner and its exact value,
-keyed on the participant ids and the row's bytes, and a repeated row
-is never searched again; the tie rule runs at every decision, so it
-still keeps a previous choice that a pin, a dwell hold or a tie
-changed.
+``FloorAssigner.assign`` decides one period at the time ``now_ms`` it
+is given, from the posteriors as any ``Mapping`` from unordered pair
+to probability: a plain dict, or a ``PairRow`` view over one row of a
+posterior array, which the search reads as an array without a lookup
+per pair. The tracker does not call ``assign`` itself: it hands each
+block of rows to ``assign_block`` (below), which calls ``assign`` with
+``_BlockRow`` views, a ``PairRow`` that also carries the whole block
+and its winners. Posteriors are binned features, so consecutive
+periods often repeat a row. The assigner therefore keeps the last
+search's winner and its exact value, keyed on the participant ids and
+the row's bytes, and a repeated row is never searched again; the tie
+rule runs at every decision, so it still keeps a previous choice that
+a pin, a dwell hold or a tie changed.
 
 The tracker computes a block of periods' posteriors at once, one row
 per run of periods that share a row, and hands the block to
@@ -339,7 +342,7 @@ def _partition_of(blocks: Tuple[int, ...], ids: Tuple[int, ...]) -> Partition:
 
 
 @lru_cache(maxsize=1024)
-def _same_floor(partition: Partition, ids: Tuple[int, ...]) -> Optional[np.ndarray]:
+def same_floor(partition: Partition, ids: Tuple[int, ...]) -> Optional[np.ndarray]:
     """1.0 per pair of ``ids`` the partition joins, else 0.0; None if
     the partition covers other members."""
     block_of = {m: i for i, b in enumerate(partition) for m in b}
@@ -371,7 +374,7 @@ def _winners(rows: np.ndarray, ids: Tuple[int, ...]) -> List[Tuple[FloorConfigur
     number = {blocks: i for i, blocks in enumerate(dict.fromkeys(chosen))}
     parts = [_partition_of(blocks, ids) for blocks in number]
     which = [number[blocks] for blocks in chosen]
-    scores = _scores(rows, np.array([_same_floor(part, ids) for part in parts])[which])
+    scores = _scores(rows, np.array([same_floor(part, ids) for part in parts])[which])
     return [(FloorConfiguration(parts[i], s), v) for i, s, v in zip(which, scores.tolist(), values)]
 
 
@@ -403,12 +406,11 @@ def gains(config: FloorConfiguration, participants: Sequence[int]) -> np.ndarray
 class FloorAssigner:
     """Periodic configuration selection with pinning and optional dwell.
 
-    ``assign`` decides one evaluation period (EVAL_PERIOD_MS) from the
-    complete pairwise posterior map; a call without ``now_ms`` advances
-    the assigner's clock by one period. ``assign_block`` decides a block
-    of periods, in runs that share one posterior row. A pinned
-    configuration overrides the search until its owner unpins it or the
-    participant set changes.
+    ``assign`` decides the evaluation period (EVAL_PERIOD_MS) at
+    ``now_ms`` from the complete pairwise posterior map. ``assign_block``
+    decides a block of periods, in runs that share one posterior row. A
+    pinned configuration overrides the search until its owner unpins it
+    or the participant set changes.
     ``dwell_ms`` > 0 suppresses a switch until that long has passed
     since the last one, trading latency for stability; the default is
     no dwell. It must be a non-negative int (``check_dwell``).
@@ -420,7 +422,6 @@ class FloorAssigner:
         self.previous: Optional[FloorConfiguration] = None
         self.pinned: Optional[Partition] = None
         self.pin_owner = None
-        self._clock: int = 0
         self._last_change: Optional[int] = None
         # when the last assign held a switch back: the first tick it may switch
         self._hold_until: Optional[int] = None
@@ -499,7 +500,7 @@ class FloorAssigner:
         best, value = self._last[1]
         previous = self.previous
         if previous is not None and previous.partition != best.partition:
-            same = _same_floor(previous.partition, ids)
+            same = same_floor(previous.partition, ids)
             # the previous choice keeps a tie, decided on the exact weights
             if same is not None and _weights(p) @ same == value:
                 return FloorConfiguration(previous.partition, float(_scores(p, same)))
@@ -509,15 +510,10 @@ class FloorAssigner:
         self,
         posteriors: Mapping[PairKey, float],
         participants: Sequence[int],
-        now_ms: Optional[int] = None,
+        now_ms: int,
     ) -> FloorConfiguration:
-        """Pick the best configuration for this evaluation period."""
+        """Pick the best configuration for the evaluation period at ``now_ms``."""
         ids = tuple(sorted(participants))
-        if now_ms is None:
-            self._clock += EVAL_PERIOD_MS
-            now_ms = self._clock
-        else:
-            self._clock = now_ms
         self._hold_until = None
 
         if self.pinned is not None:
@@ -598,7 +594,6 @@ class FloorAssigner:
                 cfg = self.assign(_BlockRow(ids, rows, i, found), ids, t)
             out.append((cfg, n))
             t = end
-        self._clock = t - EVAL_PERIOD_MS
         if bulk:
             # what no assign call counted: each run read off the winners is
             # a search, and every period after a choice's first repeats its row

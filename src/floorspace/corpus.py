@@ -12,9 +12,12 @@ file format is line-delimited text with an explicit header:
     turn B 2100 3950 0
 
 ``duration`` and ``participant`` lines come before any ``turn`` line.
-Times are integer milliseconds, labels small contiguous integers.
-Lines starting with ``#`` are comments. Any other line kind, or extra
-fields on a line, is an error: the format carries exactly this.
+Times are integer milliseconds, labels small contiguous integers and
+participant names words without whitespace; ``TurnRecord`` and
+``Corpus`` reject anything else, so every corpus saves to a file that
+loads back equal. Lines starting with ``#`` are comments. Any other
+line kind, or extra fields on a line, is an error: the format carries
+exactly this.
 
 The generator produces statistically plausible floor behavior from a
 membership schedule: within a floor, speakers alternate with pauses
@@ -40,6 +43,20 @@ CORPUS_FORMAT = "floorspace-corpus"
 CORPUS_FORMAT_VERSION = 1
 
 
+def _check_integer(value, what: str) -> None:
+    """Reject what the file format cannot carry as an integer: a float,
+    a bool, anything but an int or a NumPy integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise CorpusError(f"{what} must be an integer, not {value!r}")
+
+
+def _check_name(name) -> None:
+    """Reject a participant name that is not one whitespace-free word."""
+    if not isinstance(name, str) or not name or any(c.isspace() for c in name):
+        raise CorpusError(
+            f"participant name must be a non-empty string without whitespace, not {name!r}")
+
+
 @dataclass(frozen=True)
 class TurnRecord:
     """One speech turn: who, when, and which floor it belonged to."""
@@ -50,6 +67,9 @@ class TurnRecord:
     floor_label: int
 
     def __post_init__(self):
+        _check_name(self.participant)
+        for what in ("start_ms", "end_ms", "floor_label"):
+            _check_integer(getattr(self, what), f"turn {what}")
         if self.start_ms >= self.end_ms:
             raise CorpusError(
                 f"turn of {self.participant} has empty interval "
@@ -68,6 +88,10 @@ class Corpus:
         records: Sequence[TurnRecord],
         duration_ms: Optional[int] = None,
     ):
+        for name in participants:
+            _check_name(name)
+        if duration_ms is not None:
+            _check_integer(duration_ms, "duration")
         if len(set(participants)) != len(participants):
             raise CorpusError("duplicate participant names")
         self.participants = list(participants)
@@ -238,6 +262,8 @@ class GeneratorConfig:
     min_turn_ms: int = 100
 
     def __post_init__(self):
+        _check_integer(self.participants, "participants")
+        _check_integer(self.duration_ms, "duration_ms")
         timing = {name: getattr(self, name) for name in (
             "turn_median_ms", "turn_sigma", "pause_mean_ms", "pause_sd_ms", "pause_floor_ms",
             "overlap_probability", "solo_gap_mean_ms", "solo_gap_sd_ms")}

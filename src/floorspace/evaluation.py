@@ -40,6 +40,7 @@ from .assigner import (
     FloorConfiguration,
     Partition,
     canonical_partition,
+    same_floor,
     unordered_pairs,
 )
 from .corpus import Corpus
@@ -357,15 +358,6 @@ def partition_codes(partitions: List[Partition], index: Dict[Partition, int]) ->
     return np.repeat(np.array(codes, dtype=np.intp), np.diff(starts + [n]))
 
 
-def _pair_same_matrix(partitions: List[Partition], pairs: List[Tuple[int, int]]) -> np.ndarray:
-    """Per partition, whether it puts each pair in one floor."""
-    out = np.zeros((len(partitions), len(pairs)), dtype=bool)
-    for i, part in enumerate(partitions):
-        block_of = {m: k for k, b in enumerate(part) for m in b}
-        out[i] = [block_of.get(a) == block_of.get(b) for a, b in pairs]
-    return out
-
-
 @dataclass
 class EvaluationReport:
     configuration_accuracy: float
@@ -433,7 +425,9 @@ def evaluate(
     chosen, partitions = result.chosen_codes
     index = {part: code for code, part in enumerate(partitions)}
     truth = partition_codes(result.truth, index)
-    same = _pair_same_matrix(list(index), result.pairs)
+    # per partition, whether it joins each pair, in ``result.pairs`` order
+    same = np.array([same_floor(part, result.participants) for part in index],
+                    dtype=bool).reshape(len(index), len(result.pairs))
     chosen_same, truth_same = same[chosen], same[truth]
     config_ok = chosen == truth
 

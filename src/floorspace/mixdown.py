@@ -170,16 +170,15 @@ def render_listener_mix(
     corpus: Corpus,
     result: ReplayResult,
     listener: int,
-    tracks: Optional[Dict[int, np.ndarray]] = None,
+    tracks: Dict[int, np.ndarray],
 ) -> np.ndarray:
-    """Render what one listener hears from the timeline of target gains.
+    """Render what one listener hears of ``tracks`` from the timeline of
+    target gains.
 
     Each frame, the last one possibly partial, is mixed under the
     partition chosen at its start (singletons before the first choice),
     with the live mixer's ramp law, in array blocks.
     """
-    if tracks is None:
-        tracks = tone_audio_for_corpus(corpus)
     ids = sorted(corpus.ids.values())
     n = corpus.duration_ms * SAMPLES_PER_MS
     starts_ms = np.arange(0, n, FRAME_SAMPLES) // SAMPLES_PER_MS
@@ -201,27 +200,24 @@ def mixdown_corpus(
     model: FloorModel,
     out_dir: str,
     listeners: Optional[Sequence[str]] = None,
-    tracks: Optional[Dict[int, np.ndarray]] = None,
-    dwell_ms: int = 0,
 ) -> List[str]:
-    """Replay a corpus and write one WAV per requested listener.
+    """Replay a corpus and write one WAV of its tones per requested
+    listener.
 
     Returns the written paths. ``listeners`` are corpus participant
-    names, all of them by default; ``tracks`` default to synthesized
-    tones.
+    names, all of them by default.
     """
     ids = corpus.ids
     names = list(listeners) if listeners is not None else list(corpus.participants)
     for name in names:
         if name not in ids:
             raise UnsupportedFormatError(f"unknown participant {name!r}")
-    result = replay_corpus(corpus, model, dwell_ms=dwell_ms)
-    if tracks is None:
-        tracks = tone_audio_for_corpus(corpus)
+    result = replay_corpus(corpus, model)
+    tracks = tone_audio_for_corpus(corpus)
     os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
     for name in names:
-        pcm = render_listener_mix(corpus, result, ids[name], tracks=tracks)
+        pcm = render_listener_mix(corpus, result, ids[name], tracks)
         path = os.path.join(out_dir, f"mix_{name}.wav")
         write_wav(path, pcm)
         written.append(path)

@@ -10,7 +10,7 @@ SAMPLE_RATE.
 The ramp law, shared by the live ``Mixer`` and the offline
 ``mix_timeline``: a pair seen for the first time starts at its target;
 when the target changes, the per-sample step becomes (target - value)
-/ ramp_samples; within a frame the gain at sample j = 1..n is
+/ RAMP_SAMPLES; within a frame the gain at sample j = 1..n is
 value + step * j, clamped at the target; the next frame starts from the
 gain at j = n.
 
@@ -35,12 +35,7 @@ from .transport import FRAME_SAMPLES, SAMPLES_PER_MS
 INT16_MIN = -32768
 INT16_MAX = 32767
 RAMP_MS = 250
-
-
-def ramp_samples(ramp_ms: int) -> int:
-    """Samples a full gain change takes, at least one."""
-    return max(1, ramp_ms * SAMPLES_PER_MS)
-
+RAMP_SAMPLES = RAMP_MS * SAMPLES_PER_MS  # samples a full gain change takes
 BLOCK_FRAMES = 64  # most frames of a timeline weighted in one array operation
 
 
@@ -68,8 +63,7 @@ class Mixer:
     own arrays.
     """
 
-    def __init__(self, ramp_ms: int = RAMP_MS):
-        self.ramp_samples = ramp_samples(ramp_ms)
+    def __init__(self):
         self._slot: Dict[int, int] = {}
         # known (1.0 once a pair has been mixed), value, target, step
         self._state = np.zeros((4, 0, 0))
@@ -140,7 +134,7 @@ class Mixer:
         target = np.where(self._own, 0.0, targets)
         moved = target != self._target
         if moved.any():
-            step[moved] = (target[moved] - value[moved]) / self.ramp_samples
+            step[moved] = (target[moved] - value[moved]) / RAMP_SAMPLES
         self._target = target
         pcm = frames.astype(np.float64)
         weighted = value[..., None] * pcm
@@ -155,7 +149,7 @@ class Mixer:
         return np.clip(np.rint(acc), INT16_MIN, INT16_MAX).astype(np.int16)
 
 
-def _frame_gains(targets: np.ndarray, ramp: int):
+def _frame_gains(targets: np.ndarray):
     """Start gain and per-sample step of every frame, walked from the targets.
 
     Each speaker's column is walked by the ramp law only from each
@@ -178,7 +172,7 @@ def _frame_gains(targets: np.ndarray, ramp: int):
         value = col[0].item()  # the gain at the start of frame f
         frames, values, steps = [], [], []
         for f, target, end in zip(changes, levels, ends):
-            d = (target - value) / ramp
+            d = (target - value) / RAMP_SAMPLES
             while f < end and value != target:
                 frames.append(f)
                 values.append(value)
@@ -191,18 +185,14 @@ def _frame_gains(targets: np.ndarray, ramp: int):
     return start, step
 
 
-def mix_timeline(
-    tracks: Sequence[np.ndarray],
-    targets: np.ndarray,
-    ramp_ms: int = RAMP_MS,
-) -> np.ndarray:
+def mix_timeline(tracks: Sequence[np.ndarray], targets: np.ndarray) -> np.ndarray:
     """One listener's whole int16 mix from a timeline of target gains.
 
     ``tracks`` are the speakers' int16 tracks, all of one length, in
     ascending id order; ``targets`` holds one row of gains per frame,
     a column per speaker, the last frame possibly partial. The samples
     equal those of ``Mixer.mix_frame`` called frame by frame with the
-    same rows, starting from a fresh mixer with the same ``ramp_ms``.
+    same rows, starting from a fresh mixer.
 
     Up to BLOCK_FRAMES frames are summed at a time, in place in buffers
     allocated once. A speaker's gain is held over the frames where it
@@ -227,7 +217,7 @@ def mix_timeline(
     """
     fs, n = FRAME_SAMPLES, len(tracks[0])
     targets = np.asarray(targets, dtype=np.float64)
-    start, step = _frame_gains(targets, ramp_samples(ramp_ms))
+    start, step = _frame_gains(targets)
     gliding = start != targets
     low, high = np.minimum(start, targets), np.maximum(start, targets)
     # per block and speaker: whether any frame glides, else the held gain

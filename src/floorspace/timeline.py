@@ -97,17 +97,16 @@ class ActivityStream:
         return out
 
 
-def stream_from_intervals(
-    participant: int, intervals, duration_ms: Tick, start_tick: Tick = 0
-) -> ActivityStream:
-    """Build a stream that is speech exactly inside the given [start, end) pairs."""
+def stream_from_intervals(participant: int, intervals, duration_ms: Tick) -> ActivityStream:
+    """Build a stream over [0, duration_ms) that is speech exactly inside
+    the given [start, end) pairs."""
     bits = np.zeros(duration_ms, dtype=bool)
     for s, e in intervals:
-        lo = max(int(s) - start_tick, 0)
-        hi = min(int(e) - start_tick, duration_ms)
+        lo = max(int(s), 0)
+        hi = min(int(e), duration_ms)
         if lo < hi:
             bits[lo:hi] = True
-    return ActivityStream(participant, start_tick, bits=bits)
+    return ActivityStream(participant, bits=bits)
 
 
 def floor_labels(

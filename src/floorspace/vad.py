@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import UnsupportedFormatError
-from .timeline import ActivityStream, Tick
+from .timeline import ActivityStream
 # SAMPLE_RATE stays importable from here, where perfbench reads it
 from .transport import SAMPLE_RATE, SAMPLES_PER_MS  # noqa: F401
 
@@ -133,17 +133,12 @@ class VoiceActivityDetector:
         return room_frame_bits([self], np.asarray(pcm).reshape(1, -1))[0]
 
 
-def detect(
-    pcm,
-    start_tick: Tick = 0,
-    cfg: Optional[VadConfig] = None,
-    participant: int = 0,
-) -> ActivityStream:
+def detect(pcm, cfg: Optional[VadConfig] = None) -> ActivityStream:
     """Run detection over a whole recording.
 
-    The returned stream covers exactly the input duration, one bit per
-    millisecond, every tick of a frame inheriting that frame's
-    decision. The input is SAMPLE_RATE (8 kHz) PCM, and the sample
+    The returned stream, of participant 0, covers exactly the input
+    duration from tick 0, one bit per millisecond, every tick of a
+    frame inheriting that frame's decision. The input is SAMPLE_RATE (8 kHz) PCM, and the sample
     count must be a whole number of frames.
     """
     cfg = cfg or VadConfig()
@@ -151,10 +146,10 @@ def detect(
     if pcm.ndim != 1:
         raise UnsupportedFormatError("expected mono PCM (1-d array)")
     if len(pcm) == 0:
-        return ActivityStream(participant, start_tick, bits=np.zeros(0, dtype=bool))
+        return ActivityStream(0, bits=np.zeros(0, dtype=bool))
     if len(pcm) % DETECTOR_FRAME_SAMPLES != 0:
         raise UnsupportedFormatError(
             f"sample count {len(pcm)} is not a whole number of {DETECTOR_FRAME_MS} ms frames"
         )
     bits = room_frame_bits([VoiceActivityDetector(cfg)], pcm[None, :])[0]
-    return ActivityStream(participant, start_tick, bits=bits)
+    return ActivityStream(0, bits=bits)

@@ -28,7 +28,7 @@ from floorspace.evaluation import evaluate, replay_corpus
 from floorspace.features import FeatureBinning, FeatureEngine, NO_GAP
 from floorspace.learner import DIFF, FEATURE_NAMES, FloorModel, SAME, posterior_batch, train
 from floorspace.mixdown import render_listener_mix, tone_audio_for_corpus
-from floorspace.mixer import Mixer
+from floorspace.mixer import RAMP_SAMPLES, Mixer
 from floorspace.timeline import Utterance, stream_from_intervals
 from floorspace.transport import Packetizer, decode_ulaw, encode_ulaw
 from floorspace.vad import SAMPLE_RATE, VadConfig, VoiceActivityDetector
@@ -207,7 +207,7 @@ def test_criterion_03_assigner_matches_exhaustive_search():
             top = max(scores)
             tied = [parts[i] for i, s in enumerate(scores) if s == top]
             expected = min(tied, key=lambda p: (len(p), p))
-            got = FloorAssigner().assign(post, members).partition
+            got = FloorAssigner().assign(post, members, now_ms=30).partition
             checked += 1
             if got != expected:
                 mismatches += 1
@@ -546,7 +546,7 @@ def test_criterion_10_mixer_properties():
         gain_path.append(out.astype(np.float64) / 10000.0)
     g = np.concatenate(gain_path)
     max_slope = float(np.abs(np.diff(g)).max())
-    bound = 1.0 / mixer.ramp_samples + 2e-4
+    bound = 1.0 / RAMP_SAMPLES + 2e-4
     ok &= max_slope <= bound
     report(
         10,

@@ -22,7 +22,7 @@ from floorspace.assigner import (
     _lexicographic,
     _partitions_of_range,
     _program,
-    _same_floor,
+    same_floor,
     _scores,
     _weights,
     _winners,
@@ -134,7 +134,8 @@ def test_capacity_limit():
     with pytest.raises(CapacityError):
         enumerate_partitions(range(11))
     with pytest.raises(CapacityError):
-        FloorAssigner().assign(random_posteriors(np.random.default_rng(0), range(11)), range(11))
+        FloorAssigner().assign(random_posteriors(np.random.default_rng(0), range(11)), range(11),
+                               now_ms=30)
 
 
 def test_canonical_partition_sorts_blocks_and_members():
@@ -327,7 +328,7 @@ def check_scores(ids, post, partitions):
     p = np.array([post[k] for k in unordered_pairs(ids)])
     weights = exact_weights(post, ids)
     for part in partitions:
-        same = _same_floor(part, tuple(ids))
+        same = same_floor(part, tuple(ids))
         assert abs(float(_scores(p, same)) - score(part, post)) <= 1e-12
         assert _weights(p) @ same == sum(w for w, joined in zip(weights, same) if joined)
 
@@ -366,9 +367,9 @@ def check_against_the_oracle(ids, post, previous):
     if previous is not None:
         # a pinned period makes it the previous choice without a search
         a.pin(previous, owner="host", participants=ids)
-        a.assign(post, ids)
+        a.assign(post, ids, now_ms=30)
         a.unpin("host")
-    got = a.assign(post, ids)
+    got = a.assign(post, ids, now_ms=60)
     want, top = exact_oracle(ids, post, previous)
     assert got.partition == want
     assert abs(got.score - score(got.partition, post)) <= 1e-12
@@ -403,7 +404,7 @@ def test_the_program_matches_the_exhaustive_oracle_in_large_rooms(room):
 def test_a_near_tie_lost_to_rounding_keeps_the_tie_rule():
     # the example above, spelled out
     assert score(((0, 2), (1,)), NEAR_TIE) > score(((0, 1), (2,)), NEAR_TIE)
-    assert FloorAssigner().assign(NEAR_TIE, range(3)).partition == ((0, 1), (2,))
+    assert FloorAssigner().assign(NEAR_TIE, range(3), now_ms=30).partition == ((0, 1), (2,))
 
 
 # --- assignment -------------------------------------------------------------
@@ -411,11 +412,11 @@ def test_a_near_tie_lost_to_rounding_keeps_the_tie_rule():
 
 def test_assign_two_party_split_and_merge():
     a = FloorAssigner()
-    cfg = a.assign({(0, 1): 0.9}, [0, 1])
+    cfg = a.assign({(0, 1): 0.9}, [0, 1], now_ms=30)
     assert cfg.partition == ((0, 1),)
     assert cfg.score == pytest.approx(0.9)
     b = FloorAssigner()
-    cfg = b.assign({(0, 1): 0.3}, [0, 1])
+    cfg = b.assign({(0, 1): 0.3}, [0, 1], now_ms=30)
     assert cfg.partition == ((0,), (1,))
     assert cfg.score == pytest.approx(0.7)
 
@@ -424,7 +425,7 @@ def test_assign_recovers_two_floors_of_two():
     post = {k: 0.1 for k in unordered_pairs(range(4))}
     post[(0, 1)] = 0.9
     post[(2, 3)] = 0.9
-    cfg = FloorAssigner().assign(post, range(4))
+    cfg = FloorAssigner().assign(post, range(4), now_ms=30)
     assert cfg.partition == ((0, 1), (2, 3))
     assert cfg.score == pytest.approx(0.9)
 
@@ -436,7 +437,7 @@ def test_assign_matches_exhaustive_oracle():
         ids = list(range(n))
         post = random_posteriors(rng, ids)
         assigner = FloorAssigner()
-        got = assigner.assign(post, ids)
+        got = assigner.assign(post, ids, now_ms=30)
         assert got.partition == assign_oracle(post, ids)
         assert got.score == pytest.approx(
             score_oracle(got.partition, post), abs=1e-12
@@ -445,7 +446,7 @@ def test_assign_matches_exhaustive_oracle():
 
 def test_uninformative_posteriors_prefer_fewest_floors():
     post = {k: 0.5 for k in unordered_pairs(range(3))}
-    cfg = FloorAssigner().assign(post, range(3))
+    cfg = FloorAssigner().assign(post, range(3), now_ms=30)
     assert cfg.partition == ((0, 1, 2),)
     assert cfg.score == 0.5
 
@@ -454,9 +455,9 @@ def test_uninformative_posteriors_keep_the_previous_choice():
     post_clear = {(0, 1): 0.9, (0, 2): 0.1, (1, 2): 0.1}
     post_flat = {k: 0.5 for k in unordered_pairs(range(3))}
     a = FloorAssigner()
-    first = a.assign(post_clear, range(3))
+    first = a.assign(post_clear, range(3), now_ms=30)
     assert first.partition == ((0, 1), (2,))
-    second = a.assign(post_flat, range(3))
+    second = a.assign(post_flat, range(3), now_ms=60)
     assert second.partition == ((0, 1), (2,))
 
 
@@ -464,7 +465,7 @@ def test_exact_tie_between_equal_sized_partitions_breaks_lexically():
     # posteriors built from exact binary fractions so the two
     # two-block partitions score identically down to the bit
     post = {(0, 1): 0.75, (0, 2): 0.75, (1, 2): 0.0625}
-    cfg = FloorAssigner().assign(post, range(3))
+    cfg = FloorAssigner().assign(post, range(3), now_ms=30)
     assert cfg.partition == ((0, 1), (2,))
 
 
@@ -477,8 +478,8 @@ def test_assign_is_stable_under_relabeling():
         mapped = {
             pair_key(perm[a], perm[b]): v for (a, b), v in post.items()
         }
-        base = FloorAssigner().assign(post, ids).partition
-        relabeled = FloorAssigner().assign(mapped, ids).partition
+        base = FloorAssigner().assign(post, ids, now_ms=30).partition
+        relabeled = FloorAssigner().assign(mapped, ids, now_ms=30).partition
         expected = canonical_partition(
             tuple(tuple(perm[m] for m in blk) for blk in base)
         )
@@ -519,7 +520,7 @@ def test_assign_matches_exhaustive_oracle_in_large_rooms(n):
             floor = rng.integers(0, 3, n)
             post = {(a, b): float(np.clip(v + (0.5 if floor[a] == floor[b] else -0.5), 0, 1))
                     for (a, b), v in post.items()}
-        got = FloorAssigner().assign(post, range(n))
+        got = FloorAssigner().assign(post, range(n), now_ms=30)
         assert got.partition == canonical_partition(best(post))
         assert got.score == pytest.approx(score_oracle(got.partition, post), abs=1e-12)
 
@@ -543,7 +544,7 @@ def test_tie_rules_hold_when_round_off_splits_an_exact_tie():
     merged = ((0, 1, 2, 3),)
     fewer = {(0, 1): 0.9, (0, 2): 0.3, (0, 3): 0.9, (1, 2): 0.9, (1, 3): 0.9, (2, 3): 0.3}
     assert exact_score(merged, fewer) == exact_score(((0, 1, 3), (2,)), fewer)
-    assert FloorAssigner().assign(fewer, range(4)).partition == merged
+    assert FloorAssigner().assign(fewer, range(4), now_ms=30).partition == merged
 
     kept = ((0, 2, 3), (1,))
     clear = {k: 0.9 if 1 not in k else 0.1 for k in unordered_pairs(range(4))}
@@ -555,8 +556,8 @@ def test_tie_rules_hold_when_round_off_splits_an_exact_tie():
         w = dict(zip(unordered_pairs(range(4)), exact_weights(post, range(4))))
         assert w[(0, 1)] + w[(1, 2)] + w[(1, 3)] == rounded
         a = FloorAssigner()
-        assert a.assign(clear, range(4)).partition == kept
-        cfg = a.assign(post, range(4))
+        assert a.assign(clear, range(4), now_ms=30).partition == kept
+        cfg = a.assign(post, range(4), now_ms=60)
         assert cfg.partition == (merged if rounded else kept)
         assert cfg.score == pytest.approx(float(exact_score(kept, post)) / 6, abs=2.0**-40)
 
@@ -592,7 +593,7 @@ def test_no_dwell_switches_immediately():
 def test_pin_overrides_the_search():
     a = FloorAssigner()
     a.pin([(0,), (1,)], owner="host", participants=[0, 1])
-    cfg = a.assign({(0, 1): 0.99}, [0, 1])
+    cfg = a.assign({(0, 1): 0.99}, [0, 1], now_ms=30)
     assert cfg.partition == ((0,), (1,))
     assert cfg.score == pytest.approx(0.01)
 
@@ -621,7 +622,7 @@ def test_unpin_requires_the_owner():
 def test_pin_dissolves_when_membership_changes():
     a = FloorAssigner()
     a.pin([(0, 1)], owner="host", participants=[0, 1])
-    cfg = a.assign({(0, 1): 0.1, (0, 2): 0.1, (1, 2): 0.1}, [0, 1, 2])
+    cfg = a.assign({(0, 1): 0.1, (0, 2): 0.1, (1, 2): 0.1}, [0, 1, 2], now_ms=30)
     assert a.pinned is None
     assert cfg.partition == ((0,), (1,), (2,))
 
@@ -629,9 +630,9 @@ def test_pin_dissolves_when_membership_changes():
 def test_unpinned_search_resumes():
     a = FloorAssigner()
     a.pin([(0,), (1,)], owner="host", participants=[0, 1])
-    a.assign({(0, 1): 0.99}, [0, 1])
+    a.assign({(0, 1): 0.99}, [0, 1], now_ms=30)
     a.unpin("host")
-    cfg = a.assign({(0, 1): 0.99}, [0, 1])
+    cfg = a.assign({(0, 1): 0.99}, [0, 1], now_ms=60)
     assert cfg.partition == ((0, 1),)
 
 
@@ -731,11 +732,11 @@ def test_a_repeated_search_still_follows_the_previous_choice():
     # every partition ties, so the previous choice decides
     tie = {k: 0.5 for k in unordered_pairs(range(3))}
     a = FloorAssigner()
-    assert a.assign(tie, range(3)).partition == ((0, 1, 2),)
+    assert a.assign(tie, range(3), now_ms=30).partition == ((0, 1, 2),)
     a.pin([(0,), (1, 2)], owner="host", participants=range(3))
-    a.assign(tie, range(3))
+    a.assign(tie, range(3), now_ms=60)
     a.unpin("host")
-    assert a.assign(tie, range(3)).partition == ((0,), (1, 2))
+    assert a.assign(tie, range(3), now_ms=90).partition == ((0,), (1, 2))
 
 
 def test_a_repeated_row_reuses_its_tie_set_for_a_new_previous_choice():
@@ -806,7 +807,7 @@ class CountedAssigner(FloorAssigner):
         super().__init__(dwell_ms)
         self.called = []
 
-    def assign(self, posteriors, participants, now_ms=None):
+    def assign(self, posteriors, participants, now_ms):
         self.called.append(now_ms)
         return super().assign(posteriors, participants, now_ms)
 
@@ -945,8 +946,8 @@ def test_primed_blocks_decide_like_one_dict_per_period(script):
             == np.array([c.score for c in want]).tobytes())
     assert changes(ticks, got) == changes(ticks, want)
     assert (bulk.searched, bulk.reused) == (plain.searched, plain.reused)
-    assert (bulk._clock, bulk._last_change, bulk.previous, bulk.pinned) == (
-        plain._clock, plain._last_change, plain.previous, plain.pinned)
+    assert (bulk._last_change, bulk.previous, bulk.pinned) == (
+        plain._last_change, plain.previous, plain.pinned)
 
 
 @settings(max_examples=100, deadline=None)
@@ -994,8 +995,8 @@ def test_a_run_decides_like_one_assign_per_period(script):
             == np.array([c.score for c in want]).tobytes())
     assert changes(ticks, got) == changes(ticks, want)
     assert (runs.searched, runs.reused) == (plain.searched, plain.reused)
-    assert (runs._clock, runs._last_change, runs.previous, runs.pinned) == (
-        plain._clock, plain._last_change, plain.previous, plain.pinned)
+    assert (runs._last_change, runs.previous, runs.pinned) == (
+        plain._last_change, plain.previous, plain.pinned)
 
 
 def test_a_run_in_a_room_of_one_counts_nothing():
@@ -1005,8 +1006,7 @@ def test_a_run_in_a_room_of_one_counts_nothing():
     assert bulk.assign_block((4,), np.zeros((1, 0)), [5], 30) == [(alone, 5)]
     for t in range(30, 180, 30):
         plain.assign({}, [4], now_ms=t)
-    assert (bulk.searched, bulk.reused, bulk._clock) == (0, 0, 150)
-    assert (plain.searched, plain.reused, plain._clock) == (0, 0, 150)
+    assert (bulk.searched, bulk.reused) == (plain.searched, plain.reused) == (0, 0)
 
 
 @pytest.mark.parametrize("n", range(2, MAX_PARTICIPANTS + 1))
@@ -1017,8 +1017,9 @@ def test_a_primed_block_scores_to_the_bit_of_a_search_per_period(n):
     block = rows[[0, 0, 1, 2, 2, 2, 3, 1, 4, 5, 5]]
     bulk, plain = FloorAssigner(), FloorAssigner()
     decided = _expand(bulk.assign_block(ids, *_as_runs(block), EVAL_PERIOD_MS))
-    for got, row in zip(decided, block):
-        want = plain.assign(dict(zip(unordered_pairs(ids), row.tolist())), ids)
+    for k, (got, row) in enumerate(zip(decided, block), 1):
+        want = plain.assign(dict(zip(unordered_pairs(ids), row.tolist())), ids,
+                            now_ms=k * EVAL_PERIOD_MS)
         assert got.partition == want.partition
         assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes()
     counts = (bulk.searched, bulk.reused)
@@ -1090,7 +1091,7 @@ def test_a_ten_person_block_is_searched_by_its_first_assign(winners):
     seen = []
 
     class Watched(FloorAssigner):
-        def assign(self, posteriors, participants, now_ms=None):
+        def assign(self, posteriors, participants, now_ms):
             seen.append(winners.passes)
             cfg = super().assign(posteriors, participants, now_ms)
             seen.append(winners.passes)

@@ -65,6 +65,21 @@ def test_simulate_rejects_bad_json(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("duration", [6e4, True])
+def test_simulate_rejects_a_duration_that_is_not_an_integer(tmp_path, capsys, duration):
+    # 6e4 wrote "duration 60000.0", a corpus its own loader rejects
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"participants": 2, "duration_ms": duration,
+                               "schedule": [[0, [[0, 1]]]]}))
+    out = tmp_path / "x.corpus"
+    assert main(["simulate", "--gen-config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert err.startswith("error:") and "duration_ms" in err
+    assert len(err.splitlines()) == 1
+    assert captured.out == "" and not out.exists()
+
+
 # --- train --------------------------------------------------------------------
 
 

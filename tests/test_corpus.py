@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from floorspace.corpus import (
     Corpus,
@@ -42,6 +43,85 @@ def test_turn_record_validation():
         TurnRecord("a", 500, 100, 0)
     with pytest.raises(CorpusError):
         TurnRecord("a", -5, 100, 0)
+
+
+@pytest.mark.parametrize("fields", [
+    ("a", 0.0, 100, 0),
+    ("a", 0, 100.5, 0),
+    ("a", 0, 100, 0.0),
+    ("a", False, 100, 0),
+    ("a", 0, True, 0),
+    ("a", 0, 100, False),
+    ("a", None, 100, 0),
+    ("a", "0", 100, 0),
+    ("", 0, 100, 0),
+    ("a b", 0, 100, 0),
+    ("a\n", 0, 100, 0),
+    ("a\u2028b", 0, 100, 0),
+    (7, 0, 100, 0),
+])
+def test_a_turn_the_file_format_cannot_carry_is_rejected(fields):
+    with pytest.raises(CorpusError):
+        TurnRecord(*fields)
+
+
+@pytest.mark.parametrize("participants, duration", [
+    (["A B", "Z"], None),
+    (["", "Z"], None),
+    (["A\tB"], None),
+    ([1], None),
+    (["A"], 1000.5),
+    (["A"], 1000.0),
+    (["A"], True),
+    (["A"], "1000"),
+])
+def test_a_corpus_the_file_format_cannot_carry_is_rejected(participants, duration):
+    # each one saved, and the loader rejected the file or read back
+    # another corpus; a float duration failed later, in streams()
+    with pytest.raises(CorpusError):
+        Corpus(participants, [], duration)
+
+
+def test_numpy_integers_are_integers():
+    rec = TurnRecord("a", np.int64(0), np.int32(100), np.uint8(0))
+    c = Corpus(["a"], [rec], np.int64(200))
+    assert c.duration_ms == 200 and len(c.streams()[0]) == 200
+
+
+@st.composite
+def corpus_arguments(draw):
+    """Names, (name, start, end, label) turns and a duration for ``Corpus``:
+    mostly what it accepts, now and then what it must reject, a float or a
+    bool for every number or a name that is empty or holds whitespace."""
+    number = draw(st.sampled_from([int, int, int, int, np.int64, float, bool]))
+    word = st.text(min_size=1, max_size=5).filter(lambda s: not any(c.isspace() for c in s))
+    names = draw(st.lists(word, max_size=4, unique=True))
+    if names and draw(st.integers(0, 5)) == 0:
+        names[-1] = draw(st.sampled_from(["", " ", "a b", "a\tb", "a\u2028b", "a\x1cb"]))
+    spans = []
+    for name in names:
+        cuts = sorted(draw(st.sets(st.integers(0, 10_000), max_size=8)))
+        spans += [(name, a, b, draw(st.integers(0, 3))) for a, b in zip(cuts[::2], cuts[1::2])]
+    # labels made contiguous from a drawn base
+    base = draw(st.integers(0, 3))
+    rank = {label: base + i for i, label in enumerate(sorted({t[3] for t in spans}))}
+    turns = [(name, number(a), number(b), number(rank[label])) for name, a, b, label in spans]
+    end = max((t[2] for t in spans), default=0)
+    duration = draw(st.none() | st.integers(end, end + 1000).map(number))
+    return names, turns, duration
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus_arguments())
+def test_every_corpus_saves_to_a_file_that_loads_back_equal(tmp_path_factory, arguments):
+    names, turns, duration = arguments
+    try:
+        corpus = Corpus(names, [TurnRecord(*t) for t in turns], duration)
+    except CorpusError:
+        reject()
+    path = tmp_path_factory.mktemp("corpus") / "c.txt"
+    save_corpus(corpus, str(path))
+    assert load_corpus(str(path)) == corpus
 
 
 def test_duplicate_participants_rejected():
@@ -246,6 +326,12 @@ def test_schedule_validation():
     ("turn_sigma", "0.8"),
     ("seed", -1),
     ("seed", 1.5),
+    # 6e4 generated a corpus that saved as "duration 60000.0"
+    ("duration_ms", 6e4),
+    ("duration_ms", True),
+    ("duration_ms", "60000"),
+    ("participants", 2.0),
+    ("participants", True),
 ])
 def test_config_rejects_out_of_range_numbers(field, value):
     doc = {"participants": 2, "duration_ms": 10_000, "schedule": [[0, [[0], [1]]]],
@@ -254,7 +340,7 @@ def test_config_rejects_out_of_range_numbers(field, value):
         GeneratorConfig.from_dict(doc)
     # the edges of each range generate
     edges = {"turn_sigma": 0, "pause_sd_ms": 0, "solo_gap_sd_ms": 0, "overlap_probability": 1,
-             "seed": 0}
+             "seed": 0, "participants": 2}
     generate(GeneratorConfig.from_dict({**doc, field: edges.get(field, 1)}))
 
 

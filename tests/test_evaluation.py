@@ -11,6 +11,7 @@ from floorspace.assigner import (
     FloorConfiguration,
     _SubsetProgram,
     canonical_partition,
+    same_floor,
     score,
     unordered_pairs,
 )
@@ -18,7 +19,6 @@ from floorspace.corpus import Corpus, GeneratorConfig, TurnRecord, generate
 from floorspace.errors import EvaluationError
 from floorspace.evaluation import (
     FloorTracker,
-    _pair_same_matrix,
     evaluate,
     partition_codes,
     partition_text,
@@ -72,7 +72,7 @@ def truth_at(corpus, ticks):
     return truth_partitions(floor_labels(corpus.utterances(), ids, ticks), ids)
 
 
-def same_floor(labels):
+def labels_share_floor(labels):
     """Per row of labels, whether each two participants share a floor."""
     return (labels[:, :, None] >= 0) & (labels[:, :, None] == labels[:, None, :])
 
@@ -129,7 +129,7 @@ def test_truth_timeline_matches_the_per_instant_walk(eval_corpus):
     ):
         labels, partitions = walk_truth(corpus, ticks)
         got = floor_labels(corpus.utterances(), sorted(corpus.ids.values()), ticks)
-        assert np.array_equal(same_floor(got), same_floor(labels))
+        assert np.array_equal(labels_share_floor(got), labels_share_floor(labels))
         assert truth_at(corpus, ticks) == partitions
 
 
@@ -162,7 +162,7 @@ def test_floor_labels_truth_and_oracle_rows_agree_with_the_walk(floor_model, cor
     got = floor_labels(corpus.utterances(), ids, ticks)
     assert got.shape == want.shape
     assert np.array_equal(got < 0, want < 0)
-    assert np.array_equal(same_floor(got), same_floor(want))
+    assert np.array_equal(labels_share_floor(got), labels_share_floor(want))
     assert truth_partitions(got, ids) == partitions
 
     result = replay_corpus(corpus, floor_model, oracle_posteriors=True)
@@ -170,8 +170,8 @@ def test_floor_labels_truth_and_oracle_rows_agree_with_the_walk(floor_model, cor
     if result.truth:
         index = {}
         codes = partition_codes(result.truth, index)
-        rows = _pair_same_matrix(list(index), result.pairs)[codes]
-        assert np.array_equal(result.posteriors, rows.astype(np.float64))
+        rows = np.array([same_floor(part, result.participants) for part in index])[codes]
+        assert np.array_equal(result.posteriors, rows)
 
 
 # --- replay -----------------------------------------------------------------
@@ -353,8 +353,7 @@ def test_a_primed_replay_decides_like_assign_on_plain_dicts(floor_model, periods
     assert [(e.tick, e.partition) for e in log.events] == changes(log.ticks, want)
     got = tracker.assigner
     assert (got.searched, got.reused) == (reference.searched, reference.reused)
-    assert (got._clock, got._last_change, got.previous) == (
-        reference._clock, reference._last_change, reference.previous)
+    assert (got._last_change, got.previous) == (reference._last_change, reference.previous)
     if feed == "pinned":
         assert {c.partition for c in want} == {floors}
         assert reference.searched + reference.reused == 0
@@ -391,7 +390,7 @@ def test_replay_decides_and_searches_each_block_inside_assign(floor_model, monke
         FloorAssigner.assign, _SubsetProgram.solve, FloorAssigner.assign_block)
     inside, outside, returned, blocks = [0], [], {}, []
 
-    def traced_assign(self, posteriors, participants, now_ms=None):
+    def traced_assign(self, posteriors, participants, now_ms):
         inside[0] += 1
         try:
             cfg = assign(self, posteriors, participants, now_ms)
@@ -429,7 +428,7 @@ def test_replay_decides_and_searches_each_block_inside_assign(floor_model, monke
         repeats += sum(first == last for (_, first, _), (_, _, last) in zip(blocks[1:], blocks))
     assert repeats > 0
 
-    def altered(self, posteriors, participants, now_ms=None):
+    def altered(self, posteriors, participants, now_ms):
         cfg = assign(self, posteriors, participants, now_ms)
         ids = tuple(sorted(participants))
         other = (ids,) if cfg.partition == tuple((m,) for m in ids) else tuple((m,) for m in ids)

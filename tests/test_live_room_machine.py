@@ -5,8 +5,9 @@ from several control addresses, pins and unpins (valid and bogus),
 asks for status, sends audio and pumps. It calls ``_handle_control``,
 ``_handle_audio`` and ``pump_once`` directly, with recording sockets
 in place of the real sends, and checks after every pump that the
-room's tracker follows the session table and every listener with an
-address gets one mix. A status leaves the tracker as it was, and its
+room's tracker follows the session table, every listener with an
+address gets one mix, and the mixer holds no ramp state for an id that
+no session holds. A status leaves the tracker as it was, and its
 reply does not change when the pump's next step, applying the table,
 is taken before it.
 
@@ -267,6 +268,7 @@ class LiveRoom(RuleBasedStateMachine):
         self.check_tracker()
         # the pump fed the tracker the frame it advanced the tick by
         assert srv.tracker is None or srv.tracker.coverage == srv.tick
+        self.check_mixer()
 
     def check_tracker(self):
         srv = self.srv
@@ -275,6 +277,18 @@ class LiveRoom(RuleBasedStateMachine):
             return
         assert srv.tracker.participants == tuple(
             sorted(s.participant for s in srv.sessions.values()))
+
+    def check_mixer(self):
+        """The mixer keeps ramps only for present participants: every slot
+        of an id no session holds is all zeros, and the room it mixes
+        densely, if any, lists present ids only."""
+        mixer = self.srv._mixer
+        present = {s.participant for s in self.srv.sessions.values()}
+        for pid, slot in mixer._slot.items():
+            if pid not in present:
+                assert not mixer._state[:, slot].any() and not mixer._state[:, :, slot].any(), pid
+        if mixer._room is not None:
+            assert set(mixer._room[0]) | set(mixer._room[1]) <= present
 
 
 def test_the_tracker_follows_the_rooms_membership(floor_model):

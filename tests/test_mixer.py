@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from floorspace.mixer import BLOCK_FRAMES, INT16_MAX, INT16_MIN, Mixer, glide, mix_timeline
+from floorspace.mixer import (
+    BLOCK_FRAMES, INT16_MAX, INT16_MIN, RAMP_SAMPLES, Mixer, glide, mix_timeline,
+)
 from floorspace.transport import FRAME_SAMPLES as FRAME
 
 
@@ -104,7 +106,7 @@ def test_gain_change_ramps_within_the_slope_bound():
         implied.extend(out.astype(np.float64) / 10000.0)
     implied = np.array(implied)
     steps = np.diff(implied)
-    bound = (1.0 - 0.2) / mixer.ramp_samples
+    bound = (1.0 - 0.2) / RAMP_SAMPLES
     assert np.max(steps) <= bound + 2e-4
     assert np.min(steps) >= -2e-4
     assert implied[0] == pytest.approx(0.2, abs=1e-3)
@@ -115,7 +117,7 @@ def test_ramp_reaches_the_target_exactly():
     mixer = Mixer()
     dc = np.full(FRAME, 10000, dtype=np.int16)
     mix_one(mixer, 0, [1], [dc], [0.2])
-    frames_to_settle = -(-mixer.ramp_samples // FRAME) + 1
+    frames_to_settle = -(-RAMP_SAMPLES // FRAME) + 1
     for _ in range(frames_to_settle):
         out = mix_one(mixer, 0, [1], [dc], [1.0])
     assert np.all(out == 10000)
@@ -128,7 +130,7 @@ def test_ramp_is_continuous_across_frame_boundaries():
     first = mix_one(mixer, 0, [1], [dc], [1.0])
     second = mix_one(mixer, 0, [1], [dc], [1.0])
     jump = float(second[0]) - float(first[-1])
-    per_sample = 10000.0 / mixer.ramp_samples
+    per_sample = 10000.0 / RAMP_SAMPLES
     assert abs(jump) <= per_sample + 1.0
 
 
@@ -174,7 +176,6 @@ BLOCK = BLOCK_FRAMES * FRAME  # the samples of one block of mix_timeline
 @given(
     st.integers(1, 4),
     st.integers(1, 300 * FRAME),
-    st.integers(0, 500),
     st.lists(st.tuples(st.integers(1, 40), st.sampled_from([0.0, 0.2, 0.37, 1.0, 1.5])),
              min_size=1, max_size=60),
     st.integers(0, 2**32 - 1),
@@ -189,7 +190,7 @@ BLOCK = BLOCK_FRAMES * FRAME  # the samples of one block of mix_timeline
     # and speaker 0 at the end; every speaker is silent over block 2;
     # speaker 2's whole track is silent; the last frame is partial and
     # the full-range sums clip
-    speakers=3, n=4 * BLOCK - 90, ramp_ms=250,
+    speakers=3, n=4 * BLOCK - 90,
     holds=[(5, 0.2), (9, 1.0), (4, 0.0), (6, 0.37)], seed=1,
     silences=[(0, 0, BLOCK), (1, BLOCK, 3000), (0, 2 * BLOCK - 3000, 3000),
               (-1, 2 * BLOCK, BLOCK), (2, 0, 4 * BLOCK)],
@@ -198,10 +199,10 @@ BLOCK = BLOCK_FRAMES * FRAME  # the samples of one block of mix_timeline
     # both held at 1: each one's track is the whole first term of a
     # block where the other is silent, and their sum clips in the last,
     # where speaker 1 is silent at both ends but not between
-    speakers=2, n=3 * BLOCK, ramp_ms=250, holds=[(300, 1.0)], seed=2,
+    speakers=2, n=3 * BLOCK, holds=[(300, 1.0)], seed=2,
     silences=[(0, 0, BLOCK), (1, BLOCK, BLOCK), (1, 2 * BLOCK, 100), (1, 3 * BLOCK - 100, 100)],
 )
-def test_timeline_mix_equals_frame_by_frame_mixing(speakers, n, ramp_ms, holds, seed, silences):
+def test_timeline_mix_equals_frame_by_frame_mixing(speakers, n, holds, seed, silences):
     """Any gain levels, held for any number of frames per speaker, ramps
     reversing mid-glide, a partial last frame, clipping, and silent
     spans: part of a block, whole blocks, whole tracks and blocks where
@@ -215,12 +216,12 @@ def test_timeline_mix_equals_frame_by_frame_mixing(speakers, n, ramp_ms, holds, 
     tracks = rng.integers(-32768, 32768, (speakers, n)).astype(np.int16)
     for s, a, k in silences:
         tracks[slice(None) if s < 0 else s % speakers, a : a + k] = 0
-    mixer, ids = Mixer(ramp_ms), list(range(speakers))
+    mixer, ids = Mixer(), list(range(speakers))
     want = np.concatenate([
         mix_one(mixer, 99, ids, tracks[:, f * FRAME : (f + 1) * FRAME], targets[f])
         for f in range(frames)
     ])
-    assert np.array_equal(mix_timeline(list(tracks), targets, ramp_ms), want)
+    assert np.array_equal(mix_timeline(list(tracks), targets), want)
 
 
 class SlotMixer:
@@ -228,8 +229,7 @@ class SlotMixer:
     and written every frame, and each listener's mix summed speaker by
     speaker in ascending order."""
 
-    def __init__(self, ramp_samples):
-        self.ramp_samples = ramp_samples
+    def __init__(self):
         self.state = {}  # (listener, speaker) -> (value, target, step)
 
     def forget(self, pid):
@@ -246,7 +246,7 @@ class SlotMixer:
                 target = 0.0 if listener == speaker else float(targets[i][s])
                 value, old, step = self.state.get((listener, speaker), (target, target, 0.0))
                 if target != old:
-                    step = (target - value) / self.ramp_samples
+                    step = (target - value) / RAMP_SAMPLES
                 gain = value
                 if value != target:
                     gain = glide(value, step, target, j)
@@ -267,7 +267,6 @@ ROOM_STEPS = ["frame"] * 6 + ["join", "leave", "rejoin", "address"]
 @given(
     st.lists(st.tuples(st.sampled_from(ROOM_STEPS), st.integers(0, 5),
                        st.integers(0, 2**32 - 1)), max_size=50),
-    st.sampled_from([20, 60, 250]),
 )
 @example(
     # ramps under way when one listener loses its address, when a
@@ -276,15 +275,14 @@ ROOM_STEPS = ["frame"] * 6 + ["join", "leave", "rejoin", "address"]
     steps=[("frame", 0, 1), ("frame", 0, 2), ("address", 2, 0), ("frame", 0, 3),
            ("address", 2, 0), ("frame", 0, 4), ("rejoin", 1, 0), ("frame", 0, 5),
            ("join", 4, 0), ("frame", 0, 6), ("leave", 0, 0), ("frame", 0, 7)],
-    ramp_ms=250,
 )
-def test_room_mix_equals_a_speaker_by_speaker_slot_reference(steps, ramp_ms):
+def test_room_mix_equals_a_speaker_by_speaker_slot_reference(steps):
     """A room of ids 0-5 starting with 0-3, all addressed: joins, leaves,
     a leave and rejoin between two frames (the mixer forgets the id
     while the room stays the same), and listeners without an address,
     who are left out of the mix; each frame retargets some pairs."""
-    mixer = Mixer(ramp_ms)
-    ref = SlotMixer(mixer.ramp_samples)
+    mixer = Mixer()
+    ref = SlotMixer()
     room, addressed = {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5}
     wanted = {}
     for kind, pid, seed in steps:

@@ -128,7 +128,8 @@ def test_segmentation_is_idempotent():
 
 
 def test_stream_offset_shifts_utterances():
-    s = stream_from_intervals(2, [(1000, 1500)], 1000, start_tick=1000)
+    # ticks [1000, 2000), speech over the first 500
+    s = ActivityStream(2, start_tick=1000, bits=np.arange(1000) < 500)
     utts = segment(s)
     assert spans(utts) == [(1000, 1500)]
     assert utts[0].participant == 2
