@@ -43,39 +43,33 @@ partition.
 ``FloorAssigner.assign`` decides one period at the time ``now_ms`` it
 is given, from the posteriors as any ``Mapping`` from unordered pair
 to probability: a plain dict, or a ``PairRow`` view over one row of a
-posterior array, which the search reads as an array without a lookup
-per pair. The tracker does not call ``assign`` itself: it hands each
-block of rows to ``assign_block`` (below), which calls ``assign`` with
-``_BlockRow`` views, a ``PairRow`` that also carries the whole block
-and its winners. Posteriors are binned features, so consecutive
-periods often repeat a row. The assigner therefore keeps the last
-search's winner and its exact value, keyed on the participant ids and
-the row's bytes, and a repeated row is never searched again; the tie
-rule runs at every decision, so it still keeps a previous choice that
-a pin, a dwell hold or a tie changed.
-
+posterior array, which the search reads without a lookup per pair.
 The tracker computes a block of periods' posteriors at once, one row
 per run of periods that share a row, and hands the block to
-``FloorAssigner.assign_block``. Its first run goes through ``assign``,
-which runs the program over every row of the block in one pass, at
-any room size; the winners are kept in row order. A later run whose
-winner is the held choice is decided as that winner, with no call and
-no lookup: that is what ``assign`` would choose, since the tie rule
-and the dwell only act on a winner that differs from the previous
-choice. Any other run goes through ``assign``, which reads its winner
-off the block's search and applies the tie rule and the dwell. A
-choice holds for the rest of its run: the row repeats, so one
-``assign`` per period would read the same winner back, count it as
-reused and keep the same choice again. A dwell hold is the one choice
-that can end inside a run, at the first period at or after its
-expiry, so the run is split there and that period goes through
-``assign`` too. A pinned room searches nothing and decides each run
-with ``assign``.
+``assign_block``. Its first run goes through ``assign`` with a
+``_BlockRow`` (a ``PairRow`` that also carries the whole block and its
+winners), which runs the program over every row of the block in one
+pass, at any room size. A later run whose winner is the held choice is
+decided as that winner, with no call: that is what ``assign`` would
+choose, since the tie rule and the dwell only act on a winner that
+differs from the previous choice. Any other run goes through
+``assign``, which reads its winner off the block's search and applies
+the tie rule and the dwell. A choice holds for the rest of its run,
+since the row repeats; only a dwell hold can end inside a run, so the
+run is split at the first period at or after its expiry and that
+period gets its own ``assign``. A pinned room searches nothing and
+decides each run with ``assign``. Posteriors are binned features and
+often repeat a row, so the assigner keeps the last row's key (the
+participant ids and the row's bytes), its winner and the winner's
+exact value, and a repeated row is never searched again; the tie rule
+runs at every decision, so it still keeps a previous choice that a
+pin, a dwell hold or a tie changed.
 """
 
 from __future__ import annotations
 
 import collections.abc
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -83,7 +77,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, PinPermissionError
+from .errors import CapacityError, ConfigError, PinPermissionError, check_integer
 from .timeline import MAX_PARTICIPANTS
 
 NEUTRAL_SCORE = 0.5  # score of a configuration with no pairs to witness it
@@ -378,12 +372,6 @@ def _winners(rows: np.ndarray, ids: Tuple[int, ...]) -> List[Tuple[FloorConfigur
     return [(FloorConfiguration(parts[i], s), v) for i, s, v in zip(which, scores.tolist(), values)]
 
 
-def check_dwell(dwell_ms: int) -> None:
-    """Raise ConfigError unless ``dwell_ms`` is a non-negative int."""
-    if isinstance(dwell_ms, bool) or not isinstance(dwell_ms, int) or dwell_ms < 0:
-        raise ConfigError(f"dwell_ms must be a non-negative integer, got {dwell_ms!r}")
-
-
 def gains(config: FloorConfiguration, participants: Sequence[int]) -> np.ndarray:
     """Per-listener target gains: NORMAL_GAIN for floor-mates, QUIET_GAIN otherwise.
 
@@ -413,12 +401,11 @@ class FloorAssigner:
     or the participant set changes.
     ``dwell_ms`` > 0 suppresses a switch until that long has passed
     since the last one, trading latency for stability; the default is
-    no dwell. It must be a non-negative int (``check_dwell``).
+    no dwell. It must be a non-negative integer.
     """
 
     def __init__(self, dwell_ms: int = 0):
-        check_dwell(dwell_ms)
-        self.dwell_ms = dwell_ms
+        self.dwell_ms = check_integer(dwell_ms, "dwell_ms", 0, math.inf, ConfigError)
         self.previous: Optional[FloorConfiguration] = None
         self.pinned: Optional[Partition] = None
         self.pin_owner = None

@@ -36,18 +36,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CorpusError
+from .errors import CorpusError, check_integer, check_number
 from .timeline import ActivityStream, Utterance, stream_from_intervals
 
 CORPUS_FORMAT = "floorspace-corpus"
 CORPUS_FORMAT_VERSION = 1
-
-
-def _check_integer(value, what: str) -> None:
-    """Reject what the file format cannot carry as an integer: a float,
-    a bool, anything but an int or a NumPy integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise CorpusError(f"{what} must be an integer, not {value!r}")
 
 
 def _check_name(name) -> None:
@@ -68,15 +61,14 @@ class TurnRecord:
 
     def __post_init__(self):
         _check_name(self.participant)
-        for what in ("start_ms", "end_ms", "floor_label"):
-            _check_integer(getattr(self, what), f"turn {what}")
+        check_integer(self.start_ms, "turn start_ms", 0, math.inf, CorpusError)
+        for what in ("end_ms", "floor_label"):
+            check_integer(getattr(self, what), f"turn {what}", -math.inf, math.inf, CorpusError)
         if self.start_ms >= self.end_ms:
             raise CorpusError(
                 f"turn of {self.participant} has empty interval "
                 f"[{self.start_ms}, {self.end_ms})"
             )
-        if self.start_ms < 0:
-            raise CorpusError(f"turn of {self.participant} starts before 0")
 
 
 class Corpus:
@@ -91,7 +83,7 @@ class Corpus:
         for name in participants:
             _check_name(name)
         if duration_ms is not None:
-            _check_integer(duration_ms, "duration")
+            check_integer(duration_ms, "duration", -math.inf, math.inf, CorpusError)
         if len(set(participants)) != len(participants):
             raise CorpusError("duplicate participant names")
         self.participants = list(participants)
@@ -243,8 +235,9 @@ class GeneratorConfig:
     force from then on, as tuples of participant-index tuples. The
     first epoch must start at 0. ``overlap_probability`` is the exact
     chance that a within-floor transition starts before the previous
-    turn has ended. Timing numbers are finite, the median turn positive,
-    the spreads and the integer seed non-negative.
+    turn has ended. The counts, times, seed and members are integers,
+    the timing values finite numbers (``errors``' two rules); the median
+    turn is positive and the shortest turn kept at least 1 ms.
     """
 
     participants: int
@@ -262,39 +255,34 @@ class GeneratorConfig:
     min_turn_ms: int = 100
 
     def __post_init__(self):
-        _check_integer(self.participants, "participants")
-        _check_integer(self.duration_ms, "duration_ms")
-        timing = {name: getattr(self, name) for name in (
-            "turn_median_ms", "turn_sigma", "pause_mean_ms", "pause_sd_ms", "pause_floor_ms",
-            "overlap_probability", "solo_gap_mean_ms", "solo_gap_sd_ms")}
-        for name, value in timing.items():
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise CorpusError(f"{name} must be a finite number, not {value!r}")
+        self.participants = check_integer(
+            self.participants, "participants", 1, len(DEFAULT_NAMES), CorpusError)
+        self.duration_ms = check_integer(self.duration_ms, "duration_ms", 0, math.inf, CorpusError)
+        self.seed = check_integer(self.seed, "seed", 0, math.inf, CorpusError)
+        self.min_turn_ms = check_integer(self.min_turn_ms, "min_turn_ms", 1, math.inf, CorpusError)
+        for name in ("turn_median_ms", "pause_mean_ms", "pause_floor_ms", "solo_gap_mean_ms"):
+            check_number(getattr(self, name), name, -math.inf, math.inf, CorpusError)
+        for name in ("turn_sigma", "pause_sd_ms", "solo_gap_sd_ms"):
+            check_number(getattr(self, name), name, 0, math.inf, CorpusError)
+        check_number(self.overlap_probability, "overlap_probability", 0, 1, CorpusError)
         if self.turn_median_ms <= 0:
             raise CorpusError(f"turn_median_ms must be positive, not {self.turn_median_ms!r}")
-        for name in ("turn_sigma", "pause_sd_ms", "solo_gap_sd_ms"):
-            if timing[name] < 0:
-                raise CorpusError(f"{name} must not be negative, not {timing[name]!r}")
-        if not 0 <= self.overlap_probability <= 1:
-            raise CorpusError(
-                f"overlap_probability must lie in [0, 1], not {self.overlap_probability!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise CorpusError(f"seed must be a non-negative integer, not {self.seed!r}")
-        if not 1 <= self.participants <= len(DEFAULT_NAMES):
-            raise CorpusError(
-                f"participant count must lie in [1, {len(DEFAULT_NAMES)}]"
-            )
-        if not self.schedule or self.schedule[0][0] != 0:
+        times = [check_integer(t, "schedule epoch time", 0, math.inf, CorpusError)
+                 for t, _ in self.schedule]
+        if not times or times[0] != 0:
             raise CorpusError("schedule must begin with an epoch at 0 ms")
-        times = [t for t, _ in self.schedule]
         if times != sorted(times) or len(set(times)) != len(times):
             raise CorpusError("schedule epochs must be strictly increasing")
+        self.schedule = [(t, part) for t, (_, part) in zip(times, self.schedule)]
         everyone = set(range(self.participants))
         for t, partition in self.schedule:
             seen: set = set()
             for block in partition:
                 if not block:
                     raise CorpusError(f"empty floor in epoch at {t} ms")
+                for m in block:
+                    check_integer(m, f"member of the epoch at {t} ms", 0, self.participants - 1,
+                                  CorpusError)
                 if seen & set(block):
                     raise CorpusError(f"overlapping floors in epoch at {t} ms")
                 seen |= set(block)
@@ -305,17 +293,14 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        if not isinstance(d, dict):
+            raise CorpusError(f"a generator config must be a JSON object, not {type(d).__name__}")
+        extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise CorpusError(f"unknown generator fields: {sorted(extra)}")
-        kwargs = dict(d)
         try:
-            kwargs["schedule"] = [
-                (int(t), tuple(tuple(int(i) for i in b) for b in part))
-                for t, part in d["schedule"]
-            ]
-            return cls(**kwargs)
+            schedule = [(t, tuple(tuple(b) for b in part)) for t, part in d["schedule"]]
+            return cls(**{**d, "schedule": schedule})
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"malformed generator config: {exc}") from exc
 
@@ -326,8 +311,6 @@ class GeneratorConfig:
                 doc = json.load(fh)
         except (OSError, ValueError) as exc:
             raise CorpusError(f"cannot read generator config {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise CorpusError(f"generator config {path} must be a JSON object")
         return cls.from_dict(doc)
 
 

@@ -1,4 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two rules that check
+every integer and number setting or control field: each site passes its
+bounds and the exception its callers catch, and the message names the field."""
+
+import math
+
+import numpy as np
+
+
+def check_integer(value, what: str, lo, hi, error: type) -> int:
+    """Return ``value`` as a Python int, whose arithmetic cannot overflow,
+    if it is an int or a NumPy integer, never a bool, in [lo, hi]; else
+    raise ``error`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        raise error(f"{what} must be an integer in [{lo}, {hi}], not {value!r}")
+    return int(value)
+
+
+def check_number(value, what: str, lo, hi, error: type):
+    """Return ``value`` if it is an int or a float (NumPy's too), never a
+    bool, finite and in [lo, hi]; else raise ``error`` naming ``what``."""
+    # compared, not math.isfinite: an int past float range is finite
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (lo <= value <= hi and -math.inf < value < math.inf)):
+        raise error(f"{what} must be a finite number in [{lo}, {hi}], not {value!r}")
+    return value
 
 
 class FloorspaceError(Exception):
@@ -37,7 +62,7 @@ class ConfigError(FloorspaceError):
     """A configuration value lies outside what the program can run with."""
 
 
-class CapacityError(FloorspaceError):
+class CapacityError(ConfigError):
     """Participant count exceeds what exhaustive configuration search allows."""
 
 

@@ -94,14 +94,9 @@ class FloorTracker:
     periods for ten members, 1 408 for four. Features for a whole block
     come in array operations, then one posterior row per run of periods
     whose binned features repeat bit for bit. One
-    ``FloorAssigner.assign_block`` call decides the block: one ``assign``
-    for its first run, which searches every row in one pass, and the
-    later runs read off that search. A run whose winner is the held
-    choice is decided as that winner, which is what ``assign`` would
-    choose; only a run whose winner differs goes through ``assign``, for
-    its tie rule and dwell, and a pinned room decides each run with
-    ``assign``. Events are built only where the choice changes. A live
-    pump's block is one period.
+    ``FloorAssigner.assign_block`` call decides the block (the block path
+    is told in the ``assigner`` module docstring). Events are built only
+    where the choice changes. A live pump's block is one period.
     ``posterior_override`` maps a block's ticks to posterior rows in
     ``pairs`` order, in place of the model's (replay's oracle mode).
     Activity fed starts at ``start_tick``; earlier ticks read as

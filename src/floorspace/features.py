@@ -42,6 +42,7 @@ from typing import (
 
 import numpy as np
 
+from .errors import check_integer
 from .timeline import ActivityStream, Tick, Utterance
 
 # FeatureBinning's defaults. Gaps are clipped to TRP_CLIP_MS when
@@ -139,10 +140,15 @@ class FeatureBinning:
     window_lengths_ms: Tuple[int, int, int] = WINDOW_LENGTHS_MS
 
     def __post_init__(self):
-        values = (self.trp_bin_width_ms, self.trp_clip_ms, self.overlap_bins_per_window,
-                  *self.window_lengths_ms)
-        if len(self.window_lengths_ms) != 3 or not all(type(v) is int and v > 0 for v in values):
-            raise ValueError(f"a binning the feature engine cannot honour: {self}")
+        honour = "a binning the feature engine cannot honour:"
+        if len(self.window_lengths_ms) != 3:
+            raise ValueError(f"{honour} {self}")
+        for name in ("trp_bin_width_ms", "trp_clip_ms", "overlap_bins_per_window"):
+            object.__setattr__(self, name, check_integer(
+                getattr(self, name), f"{honour} {name}", 1, math.inf, ValueError))
+        object.__setattr__(self, "window_lengths_ms", tuple(
+            check_integer(w, f"{honour} window_lengths_ms", 1, math.inf, ValueError)
+            for w in self.window_lengths_ms))
 
     @property
     def n_trp_value_bins(self) -> int:

@@ -11,13 +11,15 @@ average the two directions.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, CorpusError, ModelFormatError, ModelVersionError, TrainingError
+from .errors import (ConfigError, CorpusError, ModelFormatError, ModelVersionError,
+                     TrainingError, check_integer)
 # simultaneous_speech and trp_gap_from_arrays are unused here but stay
 # importable under these names, where the benchmark's tracer wraps them
 from .features import (  # noqa: F401
@@ -96,10 +98,9 @@ def make_training_instances(
     carry the same floor label.
 
     Raises CorpusError when an utterance is unlabeled, and ConfigError
-    unless ``sample_period_ms`` is a positive int.
+    unless ``sample_period_ms`` is a positive integer.
     """
-    if type(sample_period_ms) is not int or sample_period_ms <= 0:
-        raise ConfigError(f"sample period must be a positive int, not {sample_period_ms!r}")
+    sample_period_ms = check_integer(sample_period_ms, "sample period", 1, math.inf, ConfigError)
     ids = sorted(streams)
     for pid in ids:
         for u in utterances.get(pid, ()):

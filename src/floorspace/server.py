@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import socket
 import struct
 import threading
@@ -62,10 +63,10 @@ from .assigner import (
     Partition,
     build_scorers,
     canonical_partition,
-    check_dwell,
     gains,
 )
-from .errors import CapacityError, ConfigError, FloorspaceError, PacketFormatError
+from .errors import (CapacityError, ConfigError, FloorspaceError, PacketFormatError,
+                     check_integer, check_number)
 from .evaluation import ConfigurationEvent, FloorTracker
 from .learner import FloorModel, load_model
 from .mixer import Mixer
@@ -100,6 +101,14 @@ def encode_message(msg: dict) -> bytes:
     return _LEN.pack(len(body)) + body
 
 
+def _string(msg: dict, field: str) -> str:
+    """``msg[field]``, which must be a JSON string: a name or an owner."""
+    value = msg[field]
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, not {value!r}")
+    return value
+
+
 def decode_message(data: bytes) -> dict:
     if len(data) < _LEN.size:
         raise PacketFormatError(f"control message too short: {len(data)} bytes")
@@ -132,40 +141,32 @@ class ServerConfig:
     vad: VadConfig = field(default_factory=VadConfig)
 
     def __post_init__(self):
-        # a float would pass the range checks, then fail in range() or bind()
-        # or, as a NaN jitter depth, never start playout; a bool counts as 0 or 1
-        for name in ("max_participants", "audio_port", "control_port", "jitter_depth_ms"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.max_participants <= MAX_PARTICIPANTS:
-            raise CapacityError(
-                f"max_participants must be in [1, {MAX_PARTICIPANTS}]"
-            )
-        # rejected here, not at the first join, where the client gets the blame
-        if self.jitter_depth_ms < FRAME_MS:
-            raise ConfigError(f"jitter_depth_ms must hold at least one frame ({FRAME_MS} ms)")
+        # each is first read by range(), bind() or the pump, where a bad
+        # value ends the command or the room with a traceback
+        self.max_participants = check_integer(
+            self.max_participants, "max_participants", 1, MAX_PARTICIPANTS, CapacityError)
         for name in ("audio_port", "control_port"):
-            if not 0 <= getattr(self, name) <= 65535:
-                raise ConfigError(f"{name} must be in [0, 65535]")
+            setattr(self, name, check_integer(getattr(self, name), name, 0, 65535, ConfigError))
+        self.dwell_ms = check_integer(self.dwell_ms, "dwell_ms", 0, math.inf, ConfigError)
+        # 0 turns clock sync off
+        check_number(self.sync_interval_s, "sync_interval_s", 0, math.inf, ConfigError)
+        # rejected here, not at the first join, where the client gets the blame
+        try:
+            JitterBuffer(self.jitter_depth_ms)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         # bind raises a TypeError on any other host, and open() reads an
         # integer path as a file descriptor, which it then closes
         if not isinstance(self.host, str):
             raise ConfigError(f"host must be a string, got {self.host!r}")
         if self.model_path is not None and not isinstance(self.model_path, str):
             raise ConfigError(f"model_path must be a string or null, got {self.model_path!r}")
-        # both are first read by the pump, where a bad value ends the room
-        check_dwell(self.dwell_ms)
-        sync = self.sync_interval_s
-        if isinstance(sync, bool) or not isinstance(sync, (int, float)) or not sync >= 0:
-            raise ConfigError(
-                f"sync_interval_s must be a non-negative number of seconds, got {sync!r}"
-            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServerConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ConfigError(f"a server config must be a JSON object, not {type(data).__name__}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise FloorspaceError(
                 f"unknown server config fields: {sorted(unknown)}"
@@ -278,8 +279,7 @@ class RealtimeServer:
 
     def _join(self, name: str, ssrc: int, addr: Tuple[str, int]) -> dict:
         # the packet header carries a 32-bit SSRC; no packet reaches any other
-        if not 0 <= ssrc < 1 << 32:
-            return {"type": "error", "message": f"ssrc {ssrc} outside [0, 2**32)"}
+        check_integer(ssrc, "ssrc", 0, (1 << 32) - 1, ValueError)
         with self._lock:
             if name in self.sessions:
                 existing = self.sessions[name]
@@ -406,9 +406,9 @@ class RealtimeServer:
                     "from that participant's control address",
                 }
             elif kind == "join":
-                reply = self._join(str(msg["name"]), int(msg["ssrc"]), addr)
+                reply = self._join(_string(msg, "name"), msg["ssrc"], addr)
             elif kind == "leave":
-                reply = self._leave(str(msg["name"]))
+                reply = self._leave(_string(msg, "name"))
             elif kind == "pin":
                 reply = self._pin(msg)
             elif kind == "unpin":
@@ -420,8 +420,7 @@ class RealtimeServer:
                 return
             else:
                 reply = {"type": "error", "message": f"unknown message type {kind!r}"}
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # OverflowError: a JSON number such as 1e400 reads as inf
+        except (KeyError, TypeError, ValueError) as exc:
             reply = {"type": "error", "message": f"malformed {kind}: {exc!r}"}
         except FloorspaceError as exc:
             reply = {"type": "error", "message": str(exc)}
@@ -430,15 +429,20 @@ class RealtimeServer:
     def _from_session(self, msg: dict, kind: str, addr: Tuple[str, int]) -> bool:
         """Whether ``addr`` may act for the session ``msg`` names.
 
-        An unknown name passes, so its handler can say it is unknown.
+        An unknown or mistyped name passes, so its handler can say so.
         """
         with self._lock:
-            session = self.sessions.get(str(msg.get(SESSION_FIELD[kind])))
+            session = self._session_named(msg, SESSION_FIELD[kind])
             if session is None or session.control_addr == addr:
                 return True
             self.control_rejects += 1
             log.debug("%s for %s from %s rejected", kind, session.name, addr)
             return False
+
+    def _session_named(self, msg: dict, field: str) -> Optional[ClientSession]:
+        """The session the string ``msg[field]`` names, else None."""
+        name = msg.get(field)
+        return self.sessions.get(name) if isinstance(name, str) else None
 
     def _names_to_partition(self, floors: List[List[str]]) -> Tuple[Tuple[int, ...], ...]:
         part = []
@@ -458,7 +462,7 @@ class RealtimeServer:
             self._follow_sessions()
             if len(self.sessions) < 2:
                 return {"type": "error", "message": "fewer than two participants"}
-            owner = str(msg["owner"])
+            owner = _string(msg, "owner")
             if owner not in self.sessions:
                 return {"type": "error", "message": f"unknown participant {owner!r}"}
             partition = self._names_to_partition(msg["floors"])
@@ -473,7 +477,7 @@ class RealtimeServer:
             self._follow_sessions()
             if len(self.sessions) < 2:
                 return {"type": "error", "message": "fewer than two participants"}
-            owner = str(msg["owner"])
+            owner = _string(msg, "owner")
             self.tracker.assigner.unpin(owner)
             return {"type": "unpinned", "owner": owner}
 
@@ -538,10 +542,11 @@ class RealtimeServer:
         with self._lock:
             # a stray response (unknown name, nothing pending) is dropped
             # before its fields are read
-            session = self.sessions.get(str(msg.get("name", "")))
+            session = self._session_named(msg, "name")
             if session is None or session.pending_sync_t1 is None:
                 return
-            t1, t2, t3 = int(msg["t1"]), int(msg["t2"]), int(msg["t3"])
+            t1, t2, t3 = (check_integer(msg[k], k, -math.inf, math.inf, ValueError)
+                          for k in ("t1", "t2", "t3"))
             if session.pending_sync_t1 != t1:
                 return
             session.pending_sync_t1 = None

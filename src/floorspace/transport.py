@@ -16,13 +16,14 @@ to place remote speech on the local timeline.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import PacketFormatError, UnsupportedFormatError
+from .errors import PacketFormatError, UnsupportedFormatError, check_integer
 from .ulaw import decode_ulaw, encode_ulaw
 
 RTP_VERSION = 2
@@ -166,9 +167,9 @@ class JitterBuffer:
     codeword of a zero sample, 0xFF, in every byte.
     """
 
-    def __init__(self, depth_ms: int = 60):
-        if depth_ms < FRAME_MS:
-            raise ValueError("depth must hold at least one frame")
+    def __init__(self, depth_ms: int):
+        # ``ServerConfig.jitter_depth_ms`` holds the default and checks by this
+        depth_ms = check_integer(depth_ms, "jitter_depth_ms", FRAME_MS, math.inf, ValueError)
         self.depth_frames = depth_ms // FRAME_MS
         self._pending: Dict[int, bytes] = {}
         self._anchor: Optional[int] = None

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedFormatError
+from .errors import UnsupportedFormatError, check_integer, check_number
 from .timeline import ActivityStream
 # SAMPLE_RATE stays importable from here, where perfbench reads it
 from .transport import SAMPLE_RATE, SAMPLES_PER_MS  # noqa: F401
@@ -41,15 +41,11 @@ class VadConfig:
 
     def __post_init__(self):
         # a NaN fails every comparison in ``decide``: no frame is speech
-        for name in ("energy_floor_db", "snr_threshold_db", "noise_adapt_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for name in ("energy_floor_db", "snr_threshold_db"):
+            check_number(getattr(self, name), name, -math.inf, math.inf, ValueError)
+        check_number(self.noise_adapt_rate, "noise_adapt_rate", 0, 1, ValueError)
         # the hangover counts down in whole milliseconds; true would read as 1
-        hangover = self.hangover_ms
-        if isinstance(hangover, bool) or not isinstance(hangover, int) or hangover < 0:
-            raise ValueError(f"hangover_ms must be a non-negative integer, got {hangover!r}")
-        if not 0.0 <= self.noise_adapt_rate <= 1.0:
-            raise ValueError("noise_adapt_rate must lie in [0, 1]")
+        self.hangover_ms = check_integer(self.hangover_ms, "hangover_ms", 0, math.inf, ValueError)
 
 
 def mean_squares(pcm: np.ndarray, frame_samples: int) -> np.ndarray:

@@ -1,8 +1,11 @@
 """End-to-end command-line runs, in process, against temp files."""
 
 import json
+import re
+import shlex
 import socket
 import wave
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -78,6 +81,49 @@ def test_simulate_rejects_a_duration_that_is_not_an_integer(tmp_path, capsys, du
     assert err.startswith("error:") and "duration_ms" in err
     assert len(err.splitlines()) == 1
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("change, field", [
+    # "(seed True)" was printed over a generated corpus
+    ({"seed": True}, "seed"),
+    ({"turn_sigma": True}, "turn_sigma"),
+    # a TypeError traceback from the generator
+    ({"min_turn_ms": "x"}, "min_turn_ms"),
+    # int() truncated the times to 0 and 5000, and the member to 1
+    ({"schedule": [[0.9, [[0, 1]]], [5000, [[0], [1]]]]}, "schedule epoch time"),
+    ({"schedule": [[0, [[0, 1]]], [5000.7, [[0], [1]]]]}, "schedule epoch time"),
+    ({"schedule": [[0, [[0, 1.7]]]]}, "member of the epoch"),
+])
+def test_simulate_rejects_a_setting_the_rules_refuse(tmp_path, capsys, change, field):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"participants": 2, "duration_ms": 10_000,
+                               "schedule": [[0, [[0, 1]]]], **change}))
+    out = tmp_path / "x.corpus"
+    assert main(["simulate", "--gen-config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert err.startswith("error:") and field in err
+    assert len(err.splitlines()) == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_the_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """Every command of the README's quick start but ``serve``, in order, on
+    the generator config the README gives."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    commands, config = re.findall(r"```(?:json)?\n(.*?)```", section, re.S)[:2]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "room.json").write_text(config)
+    lines = [shlex.split(line) for line in commands.splitlines() if line.strip()]
+    assert all(line[0] == "floorspace" for line in lines)
+    for argv in lines:
+        if argv[1] != "serve":
+            assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
+    for name in ("session.corpus", "other.corpus", "model.json", "report.json",
+                 "timeline.tsv", "mix_A.wav"):
+        assert (tmp_path / name).stat().st_size > 0, name
 
 
 # --- train --------------------------------------------------------------------
@@ -372,6 +418,25 @@ def test_serve_reports_a_dwell_that_is_not_an_integer(tmp_path, art, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "dwell_ms" in err
+
+
+@pytest.mark.parametrize("doc", ["[[1]]", '"x"', "5", "null"])
+def test_serve_reports_a_config_that_is_not_an_object(tmp_path, capsys, doc):
+    # [[1]] ended in "TypeError: unhashable type", and "x" was read as a field
+    path = tmp_path / "server.json"
+    path.write_text(doc)
+    assert main(["serve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "JSON object" in err and len(err.splitlines()) == 1
+
+
+def test_serve_reports_a_sync_interval_of_infinity(tmp_path, art, capsys):
+    # 0 already turns sync off; Infinity was accepted
+    path = tmp_path / "server.json"
+    path.write_text(f'{{"model_path": {json.dumps(str(art.model))}, "sync_interval_s": Infinity}}')
+    assert main(["serve", "--config", str(path), "--audio-port", "0", "--control-port", "0"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "sync_interval_s" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["eval", "replay", "mixdown"])

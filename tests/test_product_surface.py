@@ -58,7 +58,7 @@ def test_every_module_level_name_in_the_package_is_named_outside_its_definition(
 
 # Settable values in the package, counted by ``settable_values``; lower it
 # when a setting goes, and add none: a new setting fails here.
-SETTABLE_VALUES = 95
+SETTABLE_VALUES = 94
 
 
 def _defaulted(fn):
@@ -106,3 +106,33 @@ def test_no_setting_is_added():
     sites = settable_values()
     listed = ", ".join(f"{site} {k}" for site, k in sorted(sites.items()))
     assert sum(sites.values()) == SETTABLE_VALUES, listed
+
+
+def rule_spellings(tree):
+    """Lines that spell out what ``errors.check_integer`` and
+    ``check_number`` say: ``isinstance(…, bool)``, ``type(…) is int`` or
+    ``math.isfinite``."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", "") == "isinstance"
+                and len(node.args) == 2
+                and "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                and getattr(node.left.func, "id", "") == "type"
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(getattr(c, "id", "") == "int" for c in node.comparators)):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                and getattr(node.value, "id", "") == "math"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_two_rules_are_the_only_spelling_of_an_integer_or_a_number():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"
+        for line in rule_spellings(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, "use errors.check_integer or check_number at: " + ", ".join(found)

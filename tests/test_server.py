@@ -398,6 +398,72 @@ def test_a_stray_sync_response_past_float_range_is_dropped(floor_model):
             assert srv.sessions["alice"].clock is None
 
 
+def test_a_join_with_a_mistyped_name_or_ssrc_gets_an_error(floor_model):
+    # 1.9 and true joined as SSRC 1, and a name was str() of whatever came:
+    # ["x"] joined as "['x']", and null as "None"
+    with running_server(floor_model) as srv:
+        client = ScriptedClient("x", 1, srv.audio_addr, srv.control_addr)
+        try:
+            for name, ssrc in (("x", 1.9), ("x", True), ("x", "8"), (None, 8), (None, "8"),
+                               (["x"], 8), (5, 8)):
+                reply = client.request({"type": "join", "name": name, "ssrc": ssrc})
+                assert reply["type"] == "error", (name, ssrc)
+                assert "malformed join" in reply["message"]
+                assert not srv.sessions and not srv._by_ssrc
+                assert client.request({"type": "status"})["type"] == "status"
+            assert client.join()["participant"] == 0
+        finally:
+            client.close()
+
+
+def test_a_leave_with_a_mistyped_name_gets_an_error(floor_model):
+    # null read as the name "None"
+    with running_server(floor_model) as srv:
+        with joined(srv, "None", 1) as a:
+            for name in (None, ["None"], 5):
+                reply = a.request({"type": "leave", "name": name})
+                assert reply["type"] == "error" and "malformed leave" in reply["message"]
+                assert "None" in srv.sessions
+            assert a.leave()["type"] == "left"
+            assert not srv.sessions
+
+
+def test_a_pin_or_unpin_with_an_owner_that_is_not_a_string_gets_an_error(floor_model):
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 10) as a, joined(srv, "bob", 20):
+            floors = [["alice"], ["bob"]]
+            for owner in (None, 5, ["alice"], {"alice": 1}):
+                for kind in ("pin", "unpin"):
+                    reply = a.request({"type": kind, "owner": owner, "floors": floors})
+                    assert reply["type"] == "error", (kind, owner)
+                    assert f"malformed {kind}" in reply["message"]
+                    assert srv.tracker.assigner.pinned is None
+            pin = {"type": "pin", "owner": "alice", "floors": floors}
+            assert a.request(pin)["type"] == "pinned"
+            assert a.request({"type": "unpin", "owner": "alice"})["type"] == "unpinned"
+
+
+def test_a_pending_sync_response_with_times_that_are_not_integers_is_refused(floor_model):
+    # int() truncated 250.7 to 250
+    with running_server(floor_model) as srv:
+        with joined(srv, "alice", 10) as a:
+            srv._start_sync()
+            t1 = decode_message(a.control_sock.recvfrom(65536)[0])["t1"]
+            for times in ({"t2": t1 + 250.7}, {"t3": t1 + 250.2}, {"t1": float(t1)},
+                          {"t2": True}, {"t3": "5"}):
+                body = {"type": "sync_response", "name": "alice",
+                        "t1": t1, "t2": t1 + 250, "t3": t1 + 250, **times}
+                a.control_sock.sendto(encode_message(body), srv.control_addr)
+                reply = decode_message(a.control_sock.recvfrom(65536)[0])
+                assert reply["type"] == "error" and "malformed sync_response" in reply["message"]
+                assert srv.sessions["alice"].clock is None
+            body = {"type": "sync_response", "name": "alice", "t1": t1, "t2": t1 + 250,
+                    "t3": t1 + 250}
+            a.control_sock.sendto(encode_message(body), srv.control_addr)
+            assert wait_for(lambda: srv.sessions["alice"].clock is not None)
+            assert srv.sessions["alice"].clock.offset_ms == 250
+
+
 def test_deeply_nested_control_json_gets_an_error(floor_model):
     with running_server(floor_model) as srv:
         with joined(srv, "alice", 1) as a:
