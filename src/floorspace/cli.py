@@ -10,7 +10,6 @@ zero on success and nonzero with a one-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import replace
@@ -19,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from .corpus import Corpus, GeneratorConfig, generate, load_corpus, save_corpus
-from .errors import FloorspaceError
+from .errors import ConfigError, CorpusError, FloorspaceError, read_json
 from .evaluation import (
     evaluate,
     replay_corpus,
@@ -101,7 +100,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = GeneratorConfig.from_json_file(args.gen_config)
+    cfg = GeneratorConfig.from_dict(read_json(args.gen_config, "generator config", CorpusError))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     corpus = generate(cfg)
@@ -140,7 +139,7 @@ def cmd_serve(args) -> int:
     from .server import RealtimeServer, ServerConfig
 
     if args.config:
-        cfg = ServerConfig.from_json_file(args.config)
+        cfg = ServerConfig.from_dict(read_json(args.config, "server config", ConfigError))
     else:
         cfg = ServerConfig()
     overrides = {}
@@ -268,9 +267,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (FloorspaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         return 130

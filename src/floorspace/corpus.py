@@ -29,14 +29,13 @@ mutual alignment.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CorpusError, check_integer, check_number
+from .errors import CorpusError, check_integer, check_number, from_object
 from .timeline import ActivityStream, Utterance, stream_from_intervals
 
 CORPUS_FORMAT = "floorspace-corpus"
@@ -273,7 +272,8 @@ class GeneratorConfig:
             raise CorpusError("schedule must begin with an epoch at 0 ms")
         if times != sorted(times) or len(set(times)) != len(times):
             raise CorpusError("schedule epochs must be strictly increasing")
-        self.schedule = [(t, part) for t, (_, part) in zip(times, self.schedule)]
+        self.schedule = [(t, tuple(tuple(b) for b in part))
+                         for t, (_, part) in zip(times, self.schedule)]
         everyone = set(range(self.participants))
         for t, partition in self.schedule:
             seen: set = set()
@@ -293,25 +293,7 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
-        if not isinstance(d, dict):
-            raise CorpusError(f"a generator config must be a JSON object, not {type(d).__name__}")
-        extra = set(d) - set(cls.__dataclass_fields__)
-        if extra:
-            raise CorpusError(f"unknown generator fields: {sorted(extra)}")
-        try:
-            schedule = [(t, tuple(tuple(b) for b in part)) for t, part in d["schedule"]]
-            return cls(**{**d, "schedule": schedule})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"malformed generator config: {exc}") from exc
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "GeneratorConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise CorpusError(f"cannot read generator config {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return from_object(cls, d, "generator config", CorpusError)
 
 
 def _truncated_pause(rng: np.random.Generator, cfg: GeneratorConfig, negative: bool) -> float:

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the two rules that check
-every integer and number setting or control field: each site passes its
-bounds and the exception its callers catch, and the message names the field."""
+"""Exception types shared across the package, the two rules that check
+every integer and number setting or control field, and the two that read
+every JSON file and build a config from it: each site passes its bounds
+or its document's name and the exception its callers catch, and the
+message names the field or the document."""
 
+import json
 import math
 
 import numpy as np
@@ -24,6 +27,32 @@ def check_number(value, what: str, lo, hi, error: type):
             or not (lo <= value <= hi and -math.inf < value < math.inf)):
         raise error(f"{what} must be a finite number in [{lo}, {hi}], not {value!r}")
     return value
+
+
+def read_json(path: str, what: str, error: type):
+    """Return the JSON document in the file at ``path``; raise ``error``
+    naming ``what`` and the path when the file cannot be opened, is not
+    UTF-8, is not JSON or nests past the parser's recursion limit."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def from_object(cls, doc, what: str, error: type):
+    """Return ``cls(**doc)`` for a JSON object whose keys are all fields of
+    the dataclass ``cls``; else raise ``error`` naming ``what``, also for a
+    ``TypeError`` or ``ValueError`` from the constructor."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object, not {type(doc).__name__}")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise error(f"unknown {what} fields: {sorted(unknown)}")
+    try:
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:
+        raise error(f"bad {what}: {exc}") from exc
 
 
 class FloorspaceError(Exception):

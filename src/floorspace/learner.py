@@ -19,7 +19,7 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import (ConfigError, CorpusError, ModelFormatError, ModelVersionError,
-                     TrainingError, check_integer)
+                     TrainingError, check_integer, read_json)
 # simultaneous_speech and trp_gap_from_arrays are unused here but stay
 # importable under these names, where the benchmark's tracer wraps them
 from .features import (  # noqa: F401
@@ -73,7 +73,6 @@ class FloorModel:
     priors: np.ndarray
     tables: Dict[str, np.ndarray]
     binning: FeatureBinning = field(default_factory=FeatureBinning)
-    format_version: int = MODEL_FORMAT_VERSION
 
     def __post_init__(self):
         self.priors = np.asarray(self.priors, dtype=np.float64)
@@ -217,7 +216,7 @@ def save_model(model: FloorModel, path: str) -> None:
     """Write a model as deterministic JSON; reruns are byte-identical."""
     doc = {
         "format": MODEL_FORMAT,
-        "format_version": model.format_version,
+        "format_version": MODEL_FORMAT_VERSION,
         "binning": model.binning.to_dict(),
         "priors": {
             "same": float(model.priors[SAME]),
@@ -240,11 +239,7 @@ def save_model(model: FloorModel, path: str) -> None:
 
 def load_model(path: str) -> FloorModel:
     """Read a model file, validating format, version, and table shapes."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
+    doc = read_json(path, "model file", ModelFormatError)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} file")
     version = doc.get("format_version")
@@ -276,6 +271,4 @@ def load_model(path: str) -> FloorModel:
             raise ModelFormatError(f"table '{name}' contains non-positive entries")
     if not np.isclose(priors.sum(), 1.0):
         raise ModelFormatError("class priors do not sum to 1")
-    return FloorModel(
-        priors=priors, tables=tables, binning=binning, format_version=version
-    )
+    return FloorModel(priors=priors, tables=tables, binning=binning)

@@ -66,7 +66,7 @@ from .assigner import (
     gains,
 )
 from .errors import (CapacityError, ConfigError, FloorspaceError, PacketFormatError,
-                     check_integer, check_number)
+                     check_integer, check_number, from_object)
 from .evaluation import ConfigurationEvent, FloorTracker
 from .learner import FloorModel, load_model
 from .mixer import Mixer
@@ -161,29 +161,12 @@ class ServerConfig:
             raise ConfigError(f"host must be a string, got {self.host!r}")
         if self.model_path is not None and not isinstance(self.model_path, str):
             raise ConfigError(f"model_path must be a string or null, got {self.model_path!r}")
+        if not isinstance(self.vad, VadConfig):
+            self.vad = from_object(VadConfig, self.vad, "server config vad", ConfigError)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServerConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"a server config must be a JSON object, not {type(data).__name__}")
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise FloorspaceError(
-                f"unknown server config fields: {sorted(unknown)}"
-            )
-        kwargs = dict(data)
-        try:
-            if "vad" in kwargs:
-                # anything but an object fails here, not in __post_init__
-                kwargs["vad"] = VadConfig(**kwargs["vad"])
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise FloorspaceError(f"bad server config: {exc}") from exc
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "ServerConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return from_object(cls, data, "server config", ConfigError)
 
 
 class ClientSession:
@@ -444,11 +427,13 @@ class RealtimeServer:
         name = msg.get(field)
         return self.sessions.get(name) if isinstance(name, str) else None
 
-    def _names_to_partition(self, floors: List[List[str]]) -> Tuple[Tuple[int, ...], ...]:
+    def _names_to_partition(self, floors) -> Tuple[Tuple[int, ...], ...]:
+        if not (isinstance(floors, list) and all(
+                isinstance(block, list) and block and all(isinstance(n, str) for n in block)
+                for block in floors)):
+            raise FloorspaceError("floors must be an array of non-empty arrays of names")
         part = []
         for block in floors:
-            if not block:
-                raise FloorspaceError("a pinned floor must not be empty")
             ids = []
             for name in block:
                 if name not in self.sessions:

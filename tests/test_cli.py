@@ -365,7 +365,7 @@ def test_serve_reports_a_vad_that_is_not_an_object(tmp_path, art, capsys):
                    "--control-port", "0"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "bad server config" in err
+        assert err.startswith("error:") and "server config vad" in err
 
 
 def test_serve_reports_a_port_out_of_range(art, capsys):
@@ -437,6 +437,44 @@ def test_serve_reports_a_sync_interval_of_infinity(tmp_path, art, capsys):
     assert main(["serve", "--config", str(path), "--audio-port", "0", "--control-port", "0"]) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "sync_interval_s" in err and len(err.splitlines()) == 1
+
+
+# --- bad files ------------------------------------------------------------------
+
+BAD_FILES = {
+    "missing": None,
+    "directory": None,
+    "not utf-8": b'{"seed": "\xff"}',
+    "not json": b"not valid json {",
+    # past the parser's recursion limit: a RecursionError traceback
+    "nested 100 000 deep": b"[" * 100_000 + b"]" * 100_000,
+    "not an object": b"[1, 2]",
+}
+
+
+@pytest.mark.parametrize("case", BAD_FILES)
+@pytest.mark.parametrize("command, flag, what", [
+    ("serve", "--config", "server config"),
+    ("simulate", "--gen-config", "generator config"),
+    ("eval", "--model", "model file"),
+])
+def test_a_bad_json_file_ends_the_command_with_one_error_line(tmp_path, art, capsys,
+                                                              command, flag, what, case):
+    path = tmp_path / "bad.json"
+    if case == "directory":
+        path.mkdir()
+    elif BAD_FILES[case] is not None:
+        path.write_bytes(BAD_FILES[case])
+    argv = {
+        "serve": ["--audio-port", "0", "--control-port", "0"],
+        "simulate": ["--out", str(tmp_path / "x.corpus")],
+        "eval": ["--corpus", str(art.corpus)],
+    }[command]
+    assert main([command, flag, str(path), *argv]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert err.startswith("error:") and what in err and len(err.splitlines()) == 1
+    assert not captured.out and not (tmp_path / "x.corpus").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "replay", "mixdown"])

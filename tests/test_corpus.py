@@ -15,7 +15,7 @@ from floorspace.corpus import (
     load_corpus,
     save_corpus,
 )
-from floorspace.errors import CorpusError
+from floorspace.errors import CorpusError, read_json
 from floorspace.segmenter import speech_runs
 
 from conftest import four_party_config
@@ -348,7 +348,7 @@ def test_config_round_trips_through_json(tmp_path):
     cfg = four_party_config(seed=9, duration_ms=60_000, epoch_ms=30_000)
     path = tmp_path / "gen.json"
     path.write_text(json.dumps(dataclasses.asdict(cfg)))
-    back = GeneratorConfig.from_json_file(str(path))
+    back = GeneratorConfig.from_dict(read_json(str(path), "generator config", CorpusError))
     assert back == cfg
 
 

@@ -58,7 +58,7 @@ def test_every_module_level_name_in_the_package_is_named_outside_its_definition(
 
 # Settable values in the package, counted by ``settable_values``; lower it
 # when a setting goes, and add none: a new setting fails here.
-SETTABLE_VALUES = 94
+SETTABLE_VALUES = 93
 
 
 def _defaulted(fn):
@@ -136,3 +136,35 @@ def test_the_two_rules_are_the_only_spelling_of_an_integer_or_a_number():
         for line in rule_spellings(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not found, "use errors.check_integer or check_number at: " + ", ".join(found)
+
+
+# the one function per module that may parse JSON: every file is read by
+# ``read_json``, and only the control plane parses bytes off the wire
+JSON_READERS = {"errors.py": "read_json", "server.py": "decode_message"}
+
+
+def json_reads(tree, reader=None):
+    """Lines that call ``json.load`` or ``json.loads`` outside the
+    function named ``reader``."""
+    lines = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == reader:
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("load", "loads")
+                and getattr(node.func.value, "id", "") == "json"):
+            lines.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+def test_every_json_file_is_read_by_the_one_rule():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in json_reads(ast.parse(path.read_text(encoding="utf-8")),
+                               JSON_READERS.get(path.name))
+    ]
+    assert not found, "read a JSON file with errors.read_json at: " + ", ".join(found)

@@ -146,7 +146,7 @@ def test_config_rejects_bad_vad_fields():
     for vad in ({"hangover_ms": -1}, {"hangover_ms": 5.5}, {"hangover_ms": True},
                 {"noise_adapt_rate": 2.0}, {"bogus": 1}, None, 5, [1],
                 {"energy_floor_db": float("nan")}, {"snr_threshold_db": float("nan")}):
-        with pytest.raises(FloorspaceError, match="bad server config"):
+        with pytest.raises(FloorspaceError, match="server config vad"):
             ServerConfig.from_dict({"vad": vad})
 
 
@@ -441,6 +441,20 @@ def test_a_pin_or_unpin_with_an_owner_that_is_not_a_string_gets_an_error(floor_m
             pin = {"type": "pin", "owner": "alice", "floors": floors}
             assert a.request(pin)["type"] == "pinned"
             assert a.request({"type": "unpin", "owner": "alice"})["type"] == "unpinned"
+
+
+def test_a_pin_whose_floors_are_not_arrays_of_names_gets_an_error(floor_model):
+    # "ab" and {"a": 1, "b": 2} were iterated into [["a"], ["b"]] and pinned
+    with running_server(floor_model) as srv:
+        with joined(srv, "a", 10) as a, joined(srv, "b", 20):
+            for floors in ("ab", {"a": 1, "b": 2}, 5, None, [["a", 5]], [["a"], "b"],
+                           [["a"], [["b"]]], [["a", "b"], []]):
+                reply = a.request({"type": "pin", "owner": "a", "floors": floors})
+                assert reply["type"] == "error", floors
+                assert "floors" in reply["message"]
+                assert srv.tracker.assigner.pinned is None
+            pin = {"type": "pin", "owner": "a", "floors": [["a"], ["b"]]}
+            assert a.request(pin)["type"] == "pinned"
 
 
 def test_a_pending_sync_response_with_times_that_are_not_integers_is_refused(floor_model):
