@@ -1,8 +1,8 @@
-"""Exception types shared across the package, the two rules that check
-every integer and number setting or control field, and the two that read
-every JSON file and build a config from it: each site passes its bounds
-or its document's name and the exception its callers catch, and the
-message names the field or the document."""
+"""Exception types shared across the package, the rules that check
+every integer and number setting, control field or model entry, and the
+two that read every JSON file and build a config from it: each site
+passes its bounds or its document's name and the exception its callers
+catch, and the message names the field, the entry or the document."""
 
 import json
 import math
@@ -27,6 +27,16 @@ def check_number(value, what: str, lo, hi, error: type):
             or not (lo <= value <= hi and -math.inf < value < math.inf)):
         raise error(f"{what} must be a finite number in [{lo}, {hi}], not {value!r}")
     return value
+
+
+def check_numbers(values, what: str, lo, hi, error: type) -> np.ndarray:
+    """Return the JSON array ``values`` as a float64 array if it is a list
+    whose every entry passes ``check_number``, the i-th named
+    ``what[i]``; else raise ``error``."""
+    if not isinstance(values, list):
+        raise error(f"{what} must be an array of numbers, not {type(values).__name__}")
+    return np.array([check_number(v, f"{what}[{i}]", lo, hi, error)
+                     for i, v in enumerate(values)], dtype=np.float64)
 
 
 def read_json(path: str, what: str, error: type):

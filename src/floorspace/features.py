@@ -152,7 +152,9 @@ class FeatureBinning:
 
     @property
     def n_trp_value_bins(self) -> int:
-        return 2 * self.trp_clip_ms // self.trp_bin_width_ms
+        # at least one, or a bin wider than the clipped range would put
+        # every gap in bin -1
+        return max(2 * self.trp_clip_ms // self.trp_bin_width_ms, 1)
 
     @property
     def missing_bin(self) -> int:
@@ -166,8 +168,12 @@ class FeatureBinning:
         """Bins of shape S + (4,) in FEATURE_NAMES order.
 
         ``gaps`` has shape S with NO_GAP for a missing gap; ``overlaps``
-        has shape S + (3,), or any shape that broadcasts against it, and
-        is then binned once for every gap it is broadcast to.
+        has shape S + (3,), or leading axes that broadcast against S, and
+        is then binned once for every gap it is broadcast to. Each
+        window's counts are binned on their own, in int64, as
+        ``count * bins // length`` clipped to the window's bins: a
+        scalar divisor takes NumPy's fast integer division, where an
+        array of the three lengths broadcast over every count does not.
         """
         gaps = np.asarray(gaps, dtype=np.int64)
         overlaps = np.asarray(overlaps, dtype=np.int64)
@@ -177,8 +183,10 @@ class FeatureBinning:
         out[..., 0] = np.where(
             gaps == NO_GAP, self.missing_bin, np.minimum(trp, self.n_trp_value_bins - 1)
         )
-        ob = overlaps * self.overlap_bins_per_window // self.window_lengths_ms
-        out[..., 1:] = np.minimum(np.maximum(ob, 0), self.overlap_bins_per_window - 1)
+        bins = self.overlap_bins_per_window
+        for w, length in enumerate(self.window_lengths_ms):
+            ob = overlaps[..., w] * bins // length
+            out[..., 1 + w] = np.minimum(np.maximum(ob, 0), bins - 1)
         return out
 
     def bins_for(self, feature: str) -> int:
@@ -398,9 +406,14 @@ class FeatureEngine:
             self._base += drop * self._res
 
     def _append(self, both: np.ndarray) -> None:
+        """Add one block of co-speech, (rows, ticks) bools whose ticks are
+        a multiple of ``_res``, to the cumulative counts. At a resolution
+        above one tick each ``_res`` ticks are summed first, by ``einsum``
+        over a uint8 view: ``sum(axis=2)`` over so short an inner axis is
+        NumPy's slow case."""
         if self._res > 1:
-            both = both.reshape(len(both), both.shape[1] // self._res, self._res).sum(
-                axis=2, dtype=np.int32)
+            ticks = both.view(np.uint8).reshape(len(both), -1, self._res)
+            both = np.einsum("rck->rc", ticks, dtype=np.int32)
         c = both.shape[1]
         if self._head + self._cols + c > self._cum.shape[1]:
             live = self._cum[:, self._head : self._head + self._cols]
@@ -447,8 +460,9 @@ class FeatureEngine:
         counts = self._cum[:, self._head + (edges - self._base) // self._res]
         return counts[..., :3] - counts[..., 1:]
 
-    def raw(self, ticks: Sequence[Tick]) -> RawFeatures:
-        """Features at each of ``ticks`` (at least one, non-decreasing, covered)."""
+    def _windows(self, ticks: Sequence[Tick]) -> Tuple[np.ndarray, np.ndarray]:
+        """``ticks`` (at least one, non-decreasing, covered) as an array,
+        and the (rows, k, 3) window counts of every count row at them."""
         t = np.asarray(ticks, dtype=np.int64).reshape(-1)
         if t[-1] > self.coverage:
             raise ValueError(f"instant {int(t[-1])} is past the covered {self.coverage}")
@@ -462,7 +476,13 @@ class FeatureEngine:
             j = int(np.searchsorted(t, t[i] + self.span))
             parts.append(self._overlap_counts(t[i:j]))
             i = j
-        windows = np.concatenate(parts, axis=1)
+        return t, np.concatenate(parts, axis=1)
+
+    def raw(self, ticks: Sequence[Tick]) -> RawFeatures:
+        """Features at each of ``ticks`` (at least one, non-decreasing,
+        covered), with each participant's ``speech``, which only training
+        reads."""
+        t, windows = self._windows(ticks)
         m = self._m
         return RawFeatures(
             self._gaps(t),
@@ -471,11 +491,13 @@ class FeatureEngine:
         )
 
     def binned(self, ticks: Sequence[Tick]) -> np.ndarray:
-        """(k, 2m, 4) bins of every ordered pair, in RawFeatures.gaps order."""
-        raw = self.raw(ticks)
-        k, m = raw.overlaps.shape[:2]
+        """(k, 2m, 4) bins of every ordered pair, in RawFeatures.gaps order,
+        at ``ticks`` as ``raw`` takes them; no ``speech`` is summed."""
+        t, windows = self._windows(ticks)
+        k, m = len(t), self._m
         # both directions of a pair share its overlap counts: bin them once
-        bins = self.binning.bin_array(raw.gaps.reshape(k, 2, m), raw.overlaps[:, None])
+        overlaps = windows[:m].transpose(1, 0, 2)
+        bins = self.binning.bin_array(self._gaps(t).reshape(k, 2, m), overlaps[:, None])
         return bins.reshape(k, 2 * m, 4)
 
     def _read_views(self) -> Tuple[List[int], List[int], List[int]]:

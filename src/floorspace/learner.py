@@ -19,7 +19,7 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import (ConfigError, CorpusError, ModelFormatError, ModelVersionError,
-                     TrainingError, check_integer, read_json)
+                     TrainingError, check_integer, check_number, check_numbers, read_json)
 # simultaneous_speech and trp_gap_from_arrays are unused here but stay
 # importable under these names, where the benchmark's tracer wraps them
 from .features import (  # noqa: F401
@@ -38,6 +38,13 @@ FEATURE_NAMES = ("trp_gap", "overlap_w1", "overlap_w2", "overlap_w3")
 
 MODEL_FORMAT = "floorspace-model"
 MODEL_FORMAT_VERSION = 1
+
+# A model file's priors and table entries are probabilities: finite,
+# positive (from the smallest positive float) and at most 1, and each
+# row sums to 1 within PROBABILITY_SUM_TOLERANCE, far above the rounding
+# of a trained row's sum and far below any entry it holds.
+SMALLEST_PROBABILITY = math.ulp(0.0)
+PROBABILITY_SUM_TOLERANCE = 1e-9
 
 DEFAULT_SAMPLE_PERIOD_MS = 1000
 # activity fed to the feature engine per batch of samples
@@ -142,17 +149,15 @@ def make_training_instances(
 def train(instances: TrainingSet) -> FloorModel:
     """Fit priors and add-one smoothed tables over the instances' binning.
 
-    Needs at least one instance of each class; raises TrainingError
-    otherwise.
+    Each feature's (class, bin) tally is one ``np.bincount`` of
+    ``label * n_bins + bin``, which counts far faster than
+    ``np.add.at`` on the (2, n_bins) table. Needs at least one instance
+    of each class; raises TrainingError otherwise.
     """
     binning = instances.binning
     labels = instances.labels
     bins = binning.bin_array(instances.gaps, instances.overlaps)
     class_counts = np.bincount(labels, minlength=2)
-    counts = {}
-    for k, name in enumerate(FEATURE_NAMES):
-        counts[name] = np.zeros((2, binning.bins_for(name)), dtype=np.int64)
-        np.add.at(counts[name], (labels, bins[:, k]), 1)
     if class_counts.min() == 0:
         missing = CLASS_NAMES[int(np.argmin(class_counts))]
         raise TrainingError(
@@ -160,9 +165,10 @@ def train(instances: TrainingSet) -> FloorModel:
             f"(counts: same={class_counts[SAME]}, diff={class_counts[DIFF]})"
         )
     tables = {}
-    for name in FEATURE_NAMES:
+    for k, name in enumerate(FEATURE_NAMES):
         n_bins = binning.bins_for(name)
-        tables[name] = (counts[name] + 1.0) / (
+        counts = np.bincount(labels * n_bins + bins[:, k], minlength=2 * n_bins)
+        tables[name] = (counts.reshape(2, n_bins) + 1.0) / (
             class_counts[:, None] + float(n_bins)
         )
     priors = class_counts / class_counts.sum()
@@ -237,8 +243,20 @@ def save_model(model: FloorModel, path: str) -> None:
     os.replace(tmp, path)
 
 
+def _distribution(row: np.ndarray, what: str) -> np.ndarray:
+    """``row`` if it sums to 1 within PROBABILITY_SUM_TOLERANCE."""
+    total = float(row.sum())
+    if not abs(total - 1.0) <= PROBABILITY_SUM_TOLERANCE:
+        raise ModelFormatError(
+            f"{what} sums to {total!r}, not 1 within {PROBABILITY_SUM_TOLERANCE}")
+    return row
+
+
 def load_model(path: str) -> FloorModel:
-    """Read a model file, validating format, version, and table shapes."""
+    """Read a model file, validating format, version, table shapes and
+    every prior and table entry: each a JSON number, finite, positive
+    and at most 1, each row summing to 1. Anything else raises
+    ModelFormatError naming the entry or row."""
     doc = read_json(path, "model file", ModelFormatError)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path} is not a {MODEL_FORMAT} file")
@@ -248,27 +266,24 @@ def load_model(path: str) -> FloorModel:
             f"model format version {version!r} unsupported "
             f"(expected {MODEL_FORMAT_VERSION})"
         )
+    where = f"model file {path}:"
+    probability = (SMALLEST_PROBABILITY, 1.0, ModelFormatError)
     try:
         binning = FeatureBinning.from_dict(doc["binning"])
-        priors = np.array(
-            [doc["priors"]["same"], doc["priors"]["diff"]], dtype=np.float64
-        )
+        priors = _distribution(np.array(
+            [check_number(doc["priors"][c], f"{where} priors.{c}", *probability)
+             for c in CLASS_NAMES]), f"{where} priors")
         tables = {}
         for name in FEATURE_NAMES:
-            rows = doc["tables"][name]
-            tables[name] = np.array(
-                [rows["same"], rows["diff"]], dtype=np.float64
-            )
+            rows = [check_numbers(doc["tables"][name][c], f"{where} tables.{name}.{c}",
+                                  *probability) for c in CLASS_NAMES]
+            if any(len(row) != binning.bins_for(name) for row in rows):
+                raise ModelFormatError(
+                    f"{where} tables.{name} has rows of {[len(row) for row in rows]} "
+                    f"entries, expected {binning.bins_for(name)}"
+                )
+            tables[name] = np.stack([_distribution(row, f"{where} tables.{name}.{c}")
+                                     for c, row in zip(CLASS_NAMES, rows)])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model file {path} is malformed: {exc}") from exc
-    for name, table in tables.items():
-        if table.shape != (2, binning.bins_for(name)):
-            raise ModelFormatError(
-                f"table '{name}' has shape {table.shape}, "
-                f"expected (2, {binning.bins_for(name)})"
-            )
-        if not np.all(table > 0):
-            raise ModelFormatError(f"table '{name}' contains non-positive entries")
-    if not np.isclose(priors.sum(), 1.0):
-        raise ModelFormatError("class priors do not sum to 1")
     return FloorModel(priors=priors, tables=tables, binning=binning)

@@ -103,7 +103,8 @@ def _write_tones(track: np.ndarray, freq_hz: int, spans: List[Tuple[int, int]]) 
     while the period sample nearest a rounding boundary x.5 lies 1.64e-4
     from it: only a turn of about two hours could round otherwise. Only
     the raised-cosine edges, which keep turn boundaries click-free, are
-    computed per burst, the tails from their own sample numbers.
+    computed per burst, the tails from their own sample numbers; the
+    ramp and the head of each fade length are built once per track.
     """
     if not spans:
         return
@@ -115,14 +116,18 @@ def _write_tones(track: np.ndarray, freq_hz: int, spans: List[Tuple[int, int]]) 
     # TONE_AMPLITUDE < 1 and the edges only scale down, so no sample
     # leaves int16 and the rounded values need no clip
     level = np.resize(np.rint(sine[:period]).astype(np.int16), longest)
+    fades: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for a, b in spans:
         n = b - a
         track[a:b] = level[:n]
         fade = min(edge, n // 2)
         if fade > 0:
-            ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(fade) / fade)
-            track[a : a + fade] = np.rint(sine[:fade] * ramp)
-            track[b - fade : b] = np.rint(_tone(np.arange(n - fade, n), freq_hz) * ramp[::-1])
+            if fade not in fades:
+                ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(fade) / fade)
+                fades[fade] = ramp[::-1], np.rint(sine[:fade] * ramp)
+            fall, head = fades[fade]
+            track[a : a + fade] = head
+            track[b - fade : b] = np.rint(_tone(np.arange(n - fade, n), freq_hz) * fall)
 
 
 def tone_audio_for_corpus(corpus: Corpus) -> Dict[int, np.ndarray]:

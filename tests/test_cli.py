@@ -477,6 +477,25 @@ def test_a_bad_json_file_ends_the_command_with_one_error_line(tmp_path, art, cap
     assert not captured.out and not (tmp_path / "x.corpus").exists()
 
 
+@pytest.mark.parametrize("entry, value", [("tables.trp_gap.same[0]", float("inf")),
+                                          ("priors.diff", "0.5")])
+@pytest.mark.parametrize("command", ["eval", "serve"])
+def test_a_model_entry_that_is_no_probability_is_one_error_line(tmp_path, art, capsys,
+                                                                 command, entry, value):
+    doc = json.loads(art.model.read_text())
+    if entry == "priors.diff":
+        doc["priors"]["diff"] = value
+    else:
+        doc["tables"]["trp_gap"]["same"][0] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    argv = {"eval": ["--corpus", str(art.corpus)],
+            "serve": ["--audio-port", "0", "--control-port", "0"]}[command]
+    assert main([command, "--model", str(path), *argv]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and entry in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("command", ["eval", "replay", "mixdown"])
 def test_a_negative_dwell_is_an_error(tmp_path, art, capsys, command):
     argv = [command, "--corpus", str(art.corpus), "--model", str(art.model), "--dwell", "-5"]

@@ -396,6 +396,29 @@ def _silent(ids):
     return {p: (lambda: ([], [])) for p in ids}
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 10, 1000]), st.integers(2, 4), st.integers(0, 40), st.data())
+def test_engine_window_counts_match_simultaneous_speech_at_every_resolution(res, n, k, data):
+    # the first tick and the instants on the grid of ``res``: the default
+    # windows' edges, multiples of 1 000 ms, leave it the count resolution
+    start = k * res
+    duration = start + data.draw(st.one_of(st.integers(1, 40_000),
+                                           st.integers(longest_span(n), longest_span(n) + 40_000)))
+    streams = [stream_from_intervals(p, data.draw(intervals(duration)), duration)
+               .window(start, duration) for p in range(n)]
+    oracle = [ActivityStream(p, start, bits=streams[p]) for p in range(n)]
+    picks = data.draw(st.lists(st.integers(k, duration // res), min_size=1, max_size=8))
+    ticks = sorted(res * pick for pick in picks)
+    engine = FeatureEngine(range(n), _silent(range(n)), DEFAULT, start_tick=start, step_ms=res)
+    assert engine._res == res
+    engine.add_activity(np.stack(streams))
+    overlaps = engine.raw(ticks).overlaps
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for row, t in enumerate(ticks):
+        for i, (a, b) in enumerate(pairs):
+            assert tuple(overlaps[row, i]) == simultaneous_speech(oracle[a], oracle[b], t)
+
+
 def test_the_block_span_fits_the_cell_budget_at_every_room_size():
     for binning in BINNINGS:
         for step in (1, 30, 1000):

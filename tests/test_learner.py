@@ -1,9 +1,11 @@
 """Discretization, training, and posterior inference for pair classification."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floorspace.corpus import generate
 from floorspace.errors import (
@@ -16,6 +18,7 @@ from floorspace.errors import (
 from floorspace.evaluation import FloorTracker
 from floorspace.features import FeatureBinning, FeatureEngine, NO_GAP
 from floorspace.learner import (
+    CLASS_NAMES,
     DIFF,
     FEATURE_NAMES,
     FloorModel,
@@ -113,6 +116,13 @@ def test_trp_bin_reference_points():
     assert bins[:, 0].tolist() == [100, 0, 0, 1, 50, 99, 99, 99, 0]
 
 
+def test_a_gap_bin_wider_than_the_clipped_range_is_the_one_value_bin():
+    b = FeatureBinning(trp_bin_width_ms=300, trp_clip_ms=100)
+    assert b.n_trp_bins == 2
+    bins = b.bin_array([-500, 0, 500, NO_GAP], np.zeros((4, 3)))
+    assert bins[:, 0].tolist() == [0, 0, 0, 1]
+
+
 def test_overlap_bin_reference_points():
     b = FeatureBinning()
     cases = [  # (overlap, window, bin)
@@ -134,6 +144,55 @@ def test_every_feature_value_maps_to_one_bin():
     assert bins.shape == (500, 4)
     assert np.all((0 <= bins[:, 0]) & (bins[:, 0] < 101))
     assert np.all((0 <= bins[:, 1:]) & (bins[:, 1:] < 20))
+
+
+@st.composite
+def binnings(draw, most=5000):
+    """FeatureBinnings of one bin to about ``most`` per feature, with
+    windows from 1 ms to far past the defaults."""
+    clip = draw(st.integers(1, 50_000))
+    return FeatureBinning(
+        trp_bin_width_ms=draw(st.integers(max(2 * clip // most, 1), 3 * clip)),
+        trp_clip_ms=clip,
+        overlap_bins_per_window=draw(st.integers(1, most)),
+        window_lengths_ms=tuple(draw(st.lists(st.integers(1, 10**7), min_size=3, max_size=3))),
+    )
+
+
+def scalar_bins(binning, gap, overlaps):
+    """One feature vector's bins by the binning rule, in Python ints."""
+    clip, width = binning.trp_clip_ms, binning.trp_bin_width_ms
+    trp = (binning.missing_bin if gap == NO_GAP else
+           min((min(max(gap, -clip), clip) + clip) // width, binning.n_trp_value_bins - 1))
+    b = binning.overlap_bins_per_window
+    return [trp] + [min(max(o * b // w, 0), b - 1)
+                    for o, w in zip(overlaps, binning.window_lengths_ms)]
+
+
+@st.composite
+def binned_values(draw):
+    """A binning, and gaps and window counts for it: missing, negative,
+    past the clip or the window, and at the int64 ends for gaps."""
+    binning = draw(binnings())
+    clip = binning.trp_clip_ms
+    gap = st.one_of(st.just(NO_GAP), st.integers(-3 * clip, 3 * clip),
+                    st.sampled_from([NO_GAP + 1, np.iinfo(np.int64).max]))
+    count = st.tuples(*(st.one_of(st.integers(-2 * w, 3 * w), st.sampled_from([0, w]))
+                        for w in binning.window_lengths_ms))
+    rows = draw(st.lists(st.tuples(gap, gap, count), min_size=1, max_size=40))
+    return binning, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(binned_values())
+def test_bin_array_bins_every_entry_by_the_scalar_rule(case):
+    binning, rows = case
+    gaps = np.array([[a, b] for a, b, _ in rows], dtype=np.int64)
+    overlaps = np.array([c for _, _, c in rows], dtype=np.int64)
+    want = [[scalar_bins(binning, g, c) for g in (a, b)] for a, b, c in rows]
+    # each row's counts binned once for both of its gaps, and once per gap
+    assert binning.bin_array(gaps, overlaps[:, None]).tolist() == want
+    assert binning.bin_array(gaps[:, 0], overlaps).tolist() == [w[0] for w in want]
 
 
 # --- instance sampling ------------------------------------------------------
@@ -244,6 +303,26 @@ def test_instance_order_does_not_matter():
     assert np.array_equal(m1.priors, m2.priors)
     for name in FEATURE_NAMES:
         assert np.array_equal(m1.tables[name], m2.tables[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(binnings(), st.integers(0, 2**32 - 1), st.integers(2, 500))
+def test_train_tallies_every_instance_like_add_at(binning, seed, k):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, k)
+    labels[:2] = SAME, DIFF
+    clip = binning.trp_clip_ms
+    gaps = np.where(rng.random(k) < 0.15, NO_GAP, rng.integers(-2 * clip, 2 * clip + 1, k))
+    overlaps = rng.integers(0, np.array(binning.window_lengths_ms) + 1, (k, 3))
+    model = train(TrainingSet(labels, gaps, overlaps, binning))
+    bins = binning.bin_array(gaps, overlaps)
+    class_counts = np.bincount(labels, minlength=2)
+    for f, name in enumerate(FEATURE_NAMES):
+        n_bins = binning.bins_for(name)
+        counts = np.zeros((2, n_bins), dtype=np.int64)
+        np.add.at(counts, (labels, bins[:, f]), 1)
+        assert np.array_equal(model.tables[name],
+                              (counts + 1.0) / (class_counts[:, None] + float(n_bins)))
 
 
 def test_summarize_training_counts():
@@ -479,4 +558,55 @@ def test_load_model_rejects_a_binning_the_engine_cannot_honour(tmp_path, change)
     doc["binning"].update(change)
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="cannot honour"):
+        load_model(str(path))
+
+
+# every way one entry can fail to be a probability; ``str`` makes the
+# numeric string that np.float64 would parse
+BAD_ENTRIES = {
+    "string": str,
+    "true": lambda x: True,
+    "false": lambda x: False,
+    "infinity": lambda x: float("inf"),
+    "-infinity": lambda x: -float("inf"),
+    "nan": lambda x: float("nan"),
+    "zero": lambda x: 0,
+    "negative": lambda x: -x,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(binnings(most=200), st.integers(0, 2**32 - 1), st.sampled_from(("priors",) + FEATURE_NAMES),
+       st.sampled_from(CLASS_NAMES), st.integers(0, 10**6),
+       st.sampled_from(sorted(BAD_ENTRIES) + ["halved row"]))
+def test_every_trained_model_round_trips_and_no_bad_entry_loads(
+        tmp_path_factory, binning, seed, table, cls, index, bad):
+    rng = np.random.default_rng(seed)
+    model = train(TrainingSet(np.array([SAME, DIFF] + list(rng.integers(0, 2, 60))),
+                              *random_features(rng, 62), binning))
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(model, str(path))
+    text = path.read_text()
+    back = load_model(str(path))
+    assert np.array_equal(back.priors, model.priors) and back.binning == binning
+    for name in FEATURE_NAMES:
+        assert np.array_equal(back.tables[name], model.tables[name])
+    save_model(back, str(path))
+    assert path.read_text() == text
+
+    doc = json.loads(text)
+    if table == "priors":
+        holder, key, named = doc["priors"], cls, f"priors.{cls}"
+    else:
+        holder = doc["tables"][table][cls]
+        key = index % len(holder)
+        named = f"tables.{table}.{cls}[{key}]"
+    if bad == "halved row":
+        for k in (CLASS_NAMES if table == "priors" else range(len(holder))):
+            holder[k] /= 2
+        named = "priors sums" if table == "priors" else f"tables.{table}.{cls} sums"
+    else:
+        holder[key] = BAD_ENTRIES[bad](holder[key])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=re.escape(named)):
         load_model(str(path))
