@@ -64,6 +64,25 @@ participant ids and the row's bytes), its winner and the winner's
 exact value, and a repeated row is never searched again; the tie rule
 runs at every decision, so it still keeps a previous choice that a
 pin, a dwell hold or a tie changed.
+
+A new lone row (a dict's, or the one row of a live pump's block) may
+still be decided without a program pass. Its pass keeps each subset's
+second-best total as well as its best, so it also returns the winner's
+margin: its key less the best key of any other partition, an exact
+integer in key units (16 * value - floors). The assigner keeps one
+anchor, the last lone row the program searched: its integer weights
+w0, its winner and that winner's margin. A later lone row w of the same
+ids moves each partition's key by 16 times the sum of w - w0 over the
+pairs it joins, so the winner's lead over any rival falls by at most
+16 * L, where L sums w0 - w over the pairs the winner joins and w - w0
+over the pairs it splits, wherever that is positive. When 16 * L <
+margin the winner still leads every other partition by at least one
+key unit, so the program would choose it, and it is decided as the
+anchor's winner with value w @ same_floor and the score that a search
+would report; the tie rule and the dwell then run as after a search.
+Every term is an exact integer, so the bound never errs; the row still
+counts as searched, and ``bounded`` counts it too. Block searches keep
+no anchor and read none.
 """
 
 from __future__ import annotations
@@ -271,42 +290,68 @@ class _SubsetProgram:
             self.layers.append((subsets, blocks, subsets[:, None] ^ blocks, starts))
 
     def solve(self, w: np.ndarray) -> Tuple[List[int], List[Tuple[int, ...]]]:
-        """Per row of integer pair weights ``w``, of shape (m,) for one row
-        or (m, rows) for several: the best partition's exact value, and
-        its blocks as bitmasks in canonical order, padded with zeros."""
+        """Per column of integer pair weights ``w``, of shape (m, rows): the
+        best partition's exact value, and its blocks as bitmasks in
+        canonical order, padded with zeros."""
         full = (1 << self.n) - 1
         # one block's key: 16 times its value, less one floor. Subsets are
-        # on the first axis, where indexing is NumPy's fast path, and a
-        # single row stays one-dimensional
+        # on the first axis, where indexing is NumPy's fast path
         key = self.pairs @ (16.0 * w) - 1.0
         best = np.zeros_like(key)
         choice = np.zeros(key.shape, dtype=np.intp)
         # a lone member is its own block
         best[self.singles] = -1.0
-        choice[self.singles] = self.singles.reshape(-1, *[1] * (w.ndim - 1))
+        choice[self.singles] = self.singles[:, None]
         for subsets, blocks, rest, starts in self.layers:
             total = key[blocks]
             total += best[rest]
             best[subsets] = total.max(axis=1)
             choice[subsets] = blocks.ravel()[(total.argmax(axis=1).T + starts).T]
-        top = best[full].reshape(-1)
-        if w.ndim == 1:
-            # one row: its few choices are read faster one by one
-            left, picked = full, []
-            while left:
-                picked.append(choice.item(left))
-                left ^= picked[-1]
-            chosen = [tuple(picked)]
-        else:
-            every = np.arange(len(top))
-            left = np.full(len(top), full)
-            picked = []
-            while left.any():
-                picked.append(choice[left, every])
-                left ^= picked[-1]
-            chosen = list(map(tuple, np.stack(picked, axis=1).tolist()))
+        top = best[full]
+        every = np.arange(len(top))
+        left = np.full(len(top), full)
+        picked = []
+        while left.any():
+            picked.append(choice[left, every])
+            left ^= picked[-1]
+        chosen = list(map(tuple, np.stack(picked, axis=1).tolist()))
         # the key is 16 * value - floors, with 1 <= floors < 16
         return np.ceil(top / 16).astype(np.int64).tolist(), chosen
+
+    def solve_row(self, w: np.ndarray) -> Tuple[int, Tuple[int, ...], float]:
+        """One row of integer pair weights ``w``, of shape (m,): the best
+        partition's exact value, its blocks as bitmasks in canonical
+        order, and its margin, its key less the best key of any other
+        partition.
+
+        Each subset keeps its best and its second-best total over its
+        partitions: the second is the best over the candidates once the
+        winning candidate's total is replaced by its block plus the
+        second best of what it leaves.
+        """
+        full = (1 << self.n) - 1
+        key = self.pairs @ (16.0 * w) - 1.0
+        best = np.zeros_like(key)
+        # the empty set and a lone member have one partition, no second
+        second = np.full_like(key, -np.inf)
+        choice = np.zeros(key.shape, dtype=np.intp)
+        best[self.singles] = -1.0
+        choice[self.singles] = self.singles
+        for subsets, blocks, rest, starts in self.layers:
+            total = key[blocks]
+            total += best[rest]
+            best[subsets] = total.max(axis=1)
+            at = total.argmax(axis=1) + starts
+            chosen = choice[subsets] = blocks.ravel()[at]
+            total.ravel()[at] = key[chosen] + second[rest.ravel()[at]]
+            second[subsets] = total.max(axis=1)
+        # its few choices are read faster one by one
+        left, picked = full, []
+        while left:
+            picked.append(choice.item(left))
+            left ^= picked[-1]
+        top = best.item(full)
+        return math.ceil(top / 16), tuple(picked), top - second.item(full)
 
 
 @lru_cache(maxsize=None)
@@ -362,8 +407,13 @@ def _scores(p: np.ndarray, same: np.ndarray) -> np.ndarray:
 def _winners(rows: np.ndarray, ids: Tuple[int, ...]) -> List[Tuple[FloorConfiguration, int]]:
     """The winner of each row of posteriors ``rows`` and its exact value."""
     w = _weights(rows)
-    # a lone row runs one-dimensional, at about half the cost
-    values, chosen = _program(len(ids)).solve(w[0] if len(w) == 1 else w.T)
+    if len(w) == 1:
+        # one-dimensional, even with its second-best totals, a lone row
+        # costs less than a block of one
+        value, blocks, _ = _program(len(ids)).solve_row(w[0])
+        values, chosen = [value], [blocks]
+    else:
+        values, chosen = _program(len(ids)).solve(w.T)
     # a block's rows choose few distinct partitions: number them first
     number = {blocks: i for i, blocks in enumerate(dict.fromkeys(chosen))}
     parts = [_partition_of(blocks, ids) for blocks in number]
@@ -415,10 +465,15 @@ class FloorAssigner:
         # the last decided row's key (ids, posterior row bytes), its
         # winner and the winner's exact integer value
         self._last: Optional[Tuple[tuple, Tuple[FloorConfiguration, int]]] = None
+        # the last lone row the program searched: its ids, its integer
+        # weights, its winner, the winner's same_floor vector and margin
+        self._anchor: Optional[tuple] = None
         # unpinned periods with two or more present, by how they were
-        # decided: a search (alone or with its block), or read back
+        # decided: a search (alone or with its block), or read back; and
+        # the searched lone rows that the anchor's bound decided
         self.searched = 0
         self.reused = 0
+        self.bounded = 0
 
     def pin(self, partition: Iterable[Iterable[int]], owner,
             participants: Sequence[int]) -> Partition:
@@ -457,10 +512,32 @@ class FloorAssigner:
         found = []
         if self._last is not None and self._last[0] == (ids, rows[0].tobytes()):
             found, rows = [self._last[1]], rows[1:]
+        elif len(rows) == 1:
+            # a block of one row, as a live pump's, is decided as a lone row
+            return [self._search_row(rows[0], ids)]
         step = max(1, _PASS_VALUES >> len(ids))
         for i in range(0, len(rows), step):
             found += _winners(rows[i : i + step], ids)
         return found
+
+    def _search_row(self, p: np.ndarray, ids: Tuple[int, ...]) -> Tuple[FloorConfiguration, int]:
+        """The winner of one new row ``p`` and its exact value: the anchor's
+        winner when the bound shows that no other partition can reach it,
+        else the program's, which makes this row the anchor."""
+        w = _weights(p)
+        if self._anchor is not None and self._anchor[0] == ids:
+            _, w0, part, same, margin = self._anchor
+            # how far each pair moved against the winner: down where it
+            # joins the pair, up where it splits it
+            against = np.maximum((w0 - w) * (2.0 * same - 1.0), 0.0)
+            if 16.0 * against.sum() < margin:
+                self.bounded += 1
+                return FloorConfiguration(part, float(_scores(p, same))), int(w @ same)
+        value, blocks, margin = _program(len(ids)).solve_row(w)
+        part = _partition_of(blocks, ids)
+        same = same_floor(part, ids)
+        self._anchor = (ids, w, part, same, margin)
+        return FloorConfiguration(part, float(_scores(p, same))), value
 
     def _search(
         self, posteriors: Mapping[PairKey, float], ids: Tuple[int, ...]
@@ -482,7 +559,7 @@ class FloorAssigner:
         if self._last is not None and self._last[0] == key:
             self.reused += 1
         else:
-            self._last = (key, found or _winners(p[None], ids)[0])
+            self._last = (key, found or self._search_row(p, ids))
             self.searched += 1
         best, value = self._last[1]
         previous = self.previous

@@ -482,7 +482,7 @@ class RealtimeServer:
                 # its whole occupancy; none yet if the next pump starts it
                 fresh = self._fresh_tracker_due()
                 search = {k: 0 if fresh else getattr(self.tracker.assigner, k)
-                          for k in ("searched", "reused")}
+                          for k in ("searched", "reused", "bounded")}
             return {
                 "type": "status",
                 "tick_ms": self.tick,

@@ -277,9 +277,9 @@ def test_tables_built_in_chunks_equal_the_whole_table_formulas(n):
     # a block solves its rows as each would alone, to the bit
     w = np.rint((2 * np.random.default_rng(n).random((n * (n - 1) // 2, 6)) - 1) * 2.0**40)
     values, chosen = program.solve(w)
-    alone = [program.solve(w[:, r]) for r in range(6)]
-    assert values == [v for (v,), _ in alone]
-    assert [tuple(b for b in blocks if b) for blocks in chosen] == [c for _, (c,) in alone]
+    alone = [program.solve_row(w[:, r]) for r in range(6)]
+    assert values == [v for v, _, _ in alone]
+    assert [tuple(b for b in blocks if b) for blocks in chosen] == [c for _, c, _ in alone]
     # when every partition ties, the fewest floors: the whole room
     ids = tuple(range(3, 3 + n))
     (cfg, value), = _winners(np.full((1, n * (n - 1) // 2), 0.5), ids)
@@ -296,7 +296,7 @@ def traced_mb(build):
         tracemalloc.stop()
 
 
-# measured at 0.92, 1.04 and 0.07 MB
+# measured at 0.92, 1.04 and 0.08 MB
 KEPT_MB, PEAK_MB, SEARCH_MB = 1.0, 1.25, 0.125
 
 
@@ -641,7 +641,7 @@ class FreshSearch(FloorAssigner):
     search, so it searches every row."""
 
     def _search(self, posteriors, ids):
-        self._last = None
+        self._last = self._anchor = None
         return super()._search(posteriors, ids)
 
 
@@ -779,6 +779,119 @@ def test_a_repeated_row_reuses_its_tie_set_for_a_new_previous_choice():
     assert reused._last[1] is tie_set
 
 
+# --- the anchor's bound --------------------------------------------------------
+
+
+def _exact_row(k):
+    """Posteriors p = 0.5 + k / 2^41, whose integer weights are k exactly."""
+    return 0.5 + np.asarray(k, dtype=np.float64) / 2.0**41
+
+
+@st.composite
+def bound_walks(draw):
+    """Walks of rows of exact integer weights, with pins between them.
+
+    The first row holds each pair at +spread when a drawn labelling puts
+    it in one floor and -spread otherwise, plus a unit or two of noise;
+    each later row moves one to three pairs of the last by up to two
+    units, or repeats it. Small integers make exact ties and margins of
+    a few key units common. A pin holds a partition for one period, so
+    the next row meets a previous choice other than the winner the
+    bound holds.
+    """
+    n = draw(st.integers(2, 10))
+    ids = tuple(range(n))
+    m = n * (n - 1) // 2
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    spread = draw(st.integers(0, 3))
+    noise = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    row = [(spread if labels[a] == labels[b] else -spread) + e
+           for (a, b), e in zip(unordered_pairs(ids), noise)]
+    partitions = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    steps = [("row", tuple(row))]
+    for _ in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(["move", "move", "move", "repeat", "pin"]))
+        if kind == "pin":
+            floors = {}
+            for member, label in zip(ids, draw(partitions)):
+                floors.setdefault(label, []).append(member)
+            steps.append(("pin", canonical_partition(floors.values())))
+            continue
+        if kind == "move":
+            moves = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(-2, 2)),
+                                  min_size=1, max_size=3))
+            for j, step in moves:
+                row[j] += step
+        steps.append(("row", tuple(row)))
+    return ids, steps, draw(st.sampled_from([0, 0, 60]))
+
+
+def decide_walk(ids, steps, dwell):
+    """Decide every row of a walk by ``assign`` on a dict, by a one-row
+    ``assign_block`` and by a ``FreshSearch``; all three must agree to
+    the bit. Returns the first two assigners."""
+    dicts, blocks = FloorAssigner(dwell_ms=dwell), FloorAssigner(dwell_ms=dwell)
+    fresh = FreshSearch(dwell_ms=dwell)
+    pairs = unordered_pairs(ids)
+    row = _exact_row(steps[0][1])
+    for now, step in enumerate(steps, 1):
+        now *= EVAL_PERIOD_MS
+        pin = step[0] == "pin"
+        if pin:
+            for a in (dicts, blocks, fresh):
+                a.pin(step[1], owner="host", participants=ids)
+        else:
+            row = _exact_row(step[1])
+        post = dict(zip(pairs, row.tolist()))
+        want = fresh.assign(post, ids, now_ms=now)
+        got = [dicts.assign(post, ids, now_ms=now)]
+        [(cfg, periods)] = blocks.assign_block(ids, row[None], [1], now)
+        got.append(cfg)
+        assert periods == 1
+        for cfg in got:
+            assert cfg.partition == want.partition
+            assert np.float64(cfg.score).tobytes() == np.float64(want.score).tobytes()
+        if pin:
+            for a in (dicts, blocks, fresh):
+                a.unpin("host")
+    assert dicts._last_change == blocks._last_change == fresh._last_change
+    # the same rows in the same order meet the same anchors
+    assert (dicts.searched, dicts.reused) == (blocks.searched, blocks.reused)
+    assert dicts.bounded == blocks.bounded <= dicts.searched
+    return dicts, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_walks())
+# (0, 2) and (1, 3) win by 32 key units over (0, 1) and (2, 3); the next
+# row takes two units off (0, 2), so 16 * L equals the margin and the two
+# tie exactly, and the smaller canonical form wins: the bound must not
+# hold the old winner. The pin makes the previous choice neither of them
+@example(((0, 1, 2, 3), [("row", (2, 3, -10, -10, 3, 2)),
+                         ("pin", ((0,), (1,), (2,), (3,))),
+                         ("row", (2, 1, -10, -10, 3, 2))], 0))
+def test_the_bound_decides_every_row_as_a_fresh_search(walk):
+    decide_walk(*walk)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_PARTICIPANTS + 1))
+def test_the_bound_decides_rows_of_a_walk_without_a_program_pass(n):
+    # a first row of clear floors, then rows that move a few pairs by a
+    # few units: the anchor's winner holds on most of them
+    rng = np.random.default_rng(n)
+    ids = tuple(range(n))
+    pairs = unordered_pairs(ids)
+    labels = rng.integers(0, 3, n)
+    row = np.array([8 if labels[a] == labels[b] else -8 for a, b in pairs])
+    steps = [("row", tuple(row))]
+    for _ in range(30):
+        row = row.copy()
+        row[rng.integers(0, len(pairs), 2)] += rng.integers(-2, 3, 2)
+        steps.append(("row", tuple(row)))
+    dicts, blocks = decide_walk(ids, steps, 0)
+    assert 0 < dicts.bounded == blocks.bounded < dicts.searched
+
+
 # --- blocks -----------------------------------------------------------------
 
 
@@ -813,11 +926,21 @@ class CountedAssigner(FloorAssigner):
 
 
 class CountedWinners:
-    """Counts the calls of ``assigner._winners`` and the rows they search."""
+    """Counts the calls of ``assigner._winners`` and the rows they search,
+    and the lone rows that ``FloorAssigner._search_row`` decides, by a
+    program pass or by the anchor's bound, as one pass and one row each."""
 
     def __init__(self):
         self.passes, self.rows = 0, 0
         self._winners = assigner_module._winners
+        search_row = FloorAssigner._search_row
+
+        def lone(assigner, p, ids):
+            self.passes += 1
+            self.rows += 1
+            return search_row(assigner, p, ids)
+
+        self.lone = lone
 
     def __call__(self, rows, ids):
         self.passes += 1
@@ -829,6 +952,7 @@ class CountedWinners:
 def winners(monkeypatch):
     counted = CountedWinners()
     monkeypatch.setattr(assigner_module, "_winners", counted)
+    monkeypatch.setattr(FloorAssigner, "_search_row", counted.lone)
     return counted
 
 
@@ -913,7 +1037,8 @@ def test_primed_blocks_decide_like_one_dict_per_period(script):
         pinned = bulk.pinned is not None and sorted(m for b in bulk.pinned for m in b) == list(ids)
         start = EVAL_PERIOD_MS * (len(ticks) + 1)
         calls, searched = len(bulk.called), counted.rows
-        with mock.patch.object(assigner_module, "_winners", counted):
+        with mock.patch.object(assigner_module, "_winners", counted), \
+                mock.patch.object(FloorAssigner, "_search_row", counted.lone):
             decided = bulk.assign_block(ids, rows, runs, start)
         called = bulk.called[calls:]
         assert sum(n for _, n in decided) == sum(runs)
@@ -938,7 +1063,8 @@ def test_primed_blocks_decide_like_one_dict_per_period(script):
             # not the held choice, and wherever the choice changes
             assert called[0] == start and len(set(called)) == len(called)
             assert changed <= set(called[1:]) <= may_change
-            # every row searched once, but a first row that is the last one decided
+            # every row searched once, by the program or the bound, but a
+            # first row that is the last one decided
             assert counted.rows - searched == len(rows) - (last == (ids, rows[0].tobytes()))
             last = (ids, rows[-1].tobytes())
     assert [c.partition for c in got] == [c.partition for c in want]

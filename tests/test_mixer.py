@@ -1,9 +1,12 @@
 """Per-listener mixing with ramped gain transitions."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import floorspace.mixer as mixer_module
 from floorspace.mixer import (
     BLOCK_FRAMES, INT16_MAX, INT16_MIN, RAMP_SAMPLES, Mixer, glide, mix_timeline,
 )
@@ -222,6 +225,45 @@ def test_timeline_mix_equals_frame_by_frame_mixing(speakers, n, holds, seed, sil
         for f in range(frames)
     ])
     assert np.array_equal(mix_timeline(list(tracks), targets), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 700 * FRAME),
+    st.integers(0, 2**32 - 1),
+    # (speaker, first sample, samples) spans zeroed; speaker -1 is everyone
+    st.lists(st.tuples(st.integers(-1, 3), st.integers(0, 700 * FRAME),
+                       st.integers(1, 300 * FRAME)), max_size=5),
+)
+@example(
+    # speaker 0 is silent at both ends of the timeline, and at both ends
+    # of the second and the third three-frame block, but not between
+    speakers=2, n=3 * BLOCK, seed=3,
+    silences=[(0, 0, 100), (0, 3 * BLOCK - 100, 100), (0, 3 * FRAME, 50),
+              (0, 6 * FRAME - 50, 100), (0, 9 * FRAME - 50, 50)],
+)
+def test_the_mix_block_size_changes_no_sample(speakers, n, seed, silences):
+    """BLOCK_FRAMES is a speed constant only: blocks of one frame, of a
+    few, of the default and of more than the timeline give the same
+    bytes, over glides, holds at 0 and 1, clipping and silent spans."""
+    rng = np.random.default_rng(seed)
+    frames = -(-n // FRAME)
+    levels = np.array([0.0, 0.2, 0.37, 1.0, 1.5])
+    # per speaker, random levels each held for 1 to 40 frames
+    targets = np.stack([
+        np.repeat(levels[rng.integers(0, len(levels), frames)],
+                  rng.integers(1, 41, frames))[:frames]
+        for _ in range(speakers)
+    ], axis=1)
+    tracks = rng.integers(-32768, 32768, (speakers, n)).astype(np.int16)
+    for s, a, k in silences:
+        tracks[slice(None) if s < 0 else s % speakers, a : a + k] = 0
+    mixes = []
+    for block in (1, 3, 64, 500):
+        with mock.patch.object(mixer_module, "BLOCK_FRAMES", block):
+            mixes.append(mix_timeline(list(tracks), targets).tobytes())
+    assert mixes[1:] == mixes[:-1]
 
 
 class SlotMixer:

@@ -640,9 +640,10 @@ def test_status_reports_how_the_search_decided_each_period(floor_model, periods)
                     recv_frame(b.audio_sock)
                 search = a.request({"type": "status"})["search"]
                 assigner = srv.tracker.assigner
-                assert search == {"searched": assigner.searched, "reused": assigner.reused}
+                assert search == {"searched": assigner.searched, "reused": assigner.reused,
+                                  "bounded": assigner.bounded}
                 assert search["searched"] >= 1
-                assert sum(search.values()) == len(periods[srv.tracker].configs)
+                assert search["searched"] + search["reused"] == len(periods[srv.tracker].configs)
 
 
 # --- pinning -------------------------------------------------------------------
@@ -1006,6 +1007,25 @@ def _room(model, n, bits, silent=()):
     for i in range(n):
         join(i)
     return srv, join, pump
+
+
+def test_status_counts_the_periods_the_bound_decided(floor_model):
+    """In a steady ten-person room most new posterior rows move a few
+    pairs, so the anchor's bound decides some of them without a program
+    pass; each of those is a searched period."""
+    from floorspace.corpus import GeneratorConfig, generate
+
+    corpus = generate(GeneratorConfig(
+        participants=10, duration_ms=8_000, seed=32,
+        schedule=[(0, tuple((2 * i, 2 * i + 1) for i in range(5)))]))
+    srv, _, pump = _room(floor_model, 10, [s.bits for s in corpus.streams().values()])
+    try:
+        while srv.tick < 6_000:
+            pump()
+        search = srv._status()["search"]
+    finally:
+        srv.stop()
+    assert 0 < search["bounded"] <= search["searched"]
 
 
 def test_a_leave_and_rejoin_between_periods_keeps_the_floors_and_the_search(
