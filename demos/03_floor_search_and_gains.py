@@ -9,18 +9,12 @@ hand, then shows the gain matrix the winner implies and what pinning
 does to the search.
 """
 
-from floorspace import (
-    FloorAssigner,
-    bell_number,
-    enumerate_partitions,
-    gains,
-    score,
-)
+from floorspace import FloorAssigner, enumerate_partitions, gains, score
 
 ids = (0, 1, 2, 3)
 candidates = enumerate_partitions(ids)
 print(f"{len(candidates)} candidate configurations for 4 people "
-      f"(Bell number B4 = {bell_number(4)})")
+      "(the Bell number B4 = 15)")
 
 # pairwise P(same floor): 0+1 clearly together, 2+3 clearly together,
 # everything across the aisle near zero

@@ -11,7 +11,7 @@ imported from its module (``floorspace.server``, ``floorspace.mixer``
 and so on).
 """
 
-from .assigner import FloorAssigner, bell_number, enumerate_partitions, gains, score
+from .assigner import FloorAssigner, enumerate_partitions, gains, score
 from .corpus import GeneratorConfig, generate
 from .evaluation import evaluate, partition_text, write_report, write_timeline
 from .learner import load_model, make_training_instances, save_model, train
@@ -25,7 +25,6 @@ __all__ = [
     "FloorAssigner",
     "GeneratorConfig",
     "VadConfig",
-    "bell_number",
     "detect",
     "enumerate_partitions",
     "evaluate",

@@ -46,43 +46,45 @@ to probability: a plain dict, or a ``PairRow`` view over one row of a
 posterior array, which the search reads without a lookup per pair.
 The tracker computes a block of periods' posteriors at once, one row
 per run of periods that share a row, and hands the block to
-``assign_block``. Its first run goes through ``assign`` with a
+``assign_block``. One place, ``_search_block``, finds, counts and
+keeps every row's winner, a dict's as a block of one. Posteriors are
+binned features and often repeat a row, so it keeps the last row's key
+(the participant ids and the row's bytes), its winner and the winner's
+exact value: a first row equal to it is read back and counted
+``reused``, and every other row is counted ``searched``. It runs the
+program over the block in slices, a slice of one as a lone row (below).
+``assign_block`` sends the first run through ``assign`` with a
 ``_BlockRow`` (a ``PairRow`` that also carries the whole block and its
-winners), which runs the program over every row of the block in one
-pass, at any room size. A later run whose winner is the held choice is
-decided as that winner, with no call: that is what ``assign`` would
-choose, since the tie rule and the dwell only act on a winner that
-differs from the previous choice. Any other run goes through
-``assign``, which reads its winner off the block's search and applies
-the tie rule and the dwell. A choice holds for the rest of its run,
-since the row repeats; only a dwell hold can end inside a run, so the
-run is split at the first period at or after its expiry and that
-period gets its own ``assign``. A pinned room searches nothing and
-decides each run with ``assign``. Posteriors are binned features and
-often repeat a row, so the assigner keeps the last row's key (the
-participant ids and the row's bytes), its winner and the winner's
-exact value, and a repeated row is never searched again; the tie rule
-runs at every decision, so it still keeps a previous choice that a
-pin, a dwell hold or a tie changed.
+winners), which searches the block. A later run whose winner is the
+held choice is decided as that winner, with no call: that is what
+``assign`` would choose, since the tie rule and the dwell only act on a
+winner that differs from the previous choice. Any other run goes
+through ``assign``, which reads its winner off the block's search and
+applies the tie rule and the dwell; the tie rule runs at every
+decision, so a row read back still keeps a previous choice that a pin,
+a dwell hold or a tie changed. A choice holds for the rest of its run,
+whose later periods count ``reused``; only a dwell hold can end inside
+a run, so the run is split at the first period at or after its expiry
+and that period gets its own ``assign``. A pinned room searches nothing
+and decides each run with ``assign``.
 
-A new lone row (a dict's, or the one row of a live pump's block) may
-still be decided without a program pass. Its pass keeps each subset's
+A lone row (a dict's, a live pump's, or a block's last slice of one)
+may be decided without a program pass. Its pass keeps each subset's
 second-best total as well as its best, so it also returns the winner's
 margin: its key less the best key of any other partition, an exact
 integer in key units (16 * value - floors). The assigner keeps one
 anchor, the last lone row the program searched: its integer weights
-w0, its winner and that winner's margin. A later lone row w of the same
-ids moves each partition's key by 16 times the sum of w - w0 over the
-pairs it joins, so the winner's lead over any rival falls by at most
-16 * L, where L sums w0 - w over the pairs the winner joins and w - w0
-over the pairs it splits, wherever that is positive. When 16 * L <
-margin the winner still leads every other partition by at least one
-key unit, so the program would choose it, and it is decided as the
-anchor's winner with value w @ same_floor and the score that a search
-would report; the tie rule and the dwell then run as after a search.
-Every term is an exact integer, so the bound never errs; the row still
-counts as searched, and ``bounded`` counts it too. Block searches keep
-no anchor and read none.
+w0, its winner and that winner's margin. A later lone row w of the
+same ids moves each partition's key by 16 times the sum of w - w0 over
+the pairs it joins, so the winner's lead over any rival falls by at
+most 16 * L, where L sums w0 - w over the pairs the winner joins and
+w - w0 over the pairs it splits, wherever that is positive. When
+16 * L < margin the winner still leads every other partition by at
+least one key unit, so the program would choose it, and it is decided
+as the anchor's winner with value w @ same_floor and the score that a
+search would report; the tie rule and the dwell then run as after a
+search. Every term is an exact integer, so the bound never errs; the
+row still counts as searched, and ``bounded`` counts it too.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ import collections.abc
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -209,15 +211,6 @@ def enumerate_partitions(participants: Sequence[int]) -> List[Partition]:
     if ids == list(range(n)):
         return list(base)
     return [tuple(tuple(ids[i] for i in block) for block in p) for p in base]
-
-
-def bell_number(n: int) -> int:
-    """Number of set partitions of n elements (floor configurations), by the Bell triangle."""
-    _check_capacity(n)
-    row = [1]
-    for _ in range(n):
-        row = list(accumulate(row, initial=row[-1]))
-    return row[0]
 
 
 def score(partition: Iterable[Iterable[int]], posteriors: Mapping[PairKey, float]) -> float:
@@ -406,14 +399,7 @@ def _scores(p: np.ndarray, same: np.ndarray) -> np.ndarray:
 
 def _winners(rows: np.ndarray, ids: Tuple[int, ...]) -> List[Tuple[FloorConfiguration, int]]:
     """The winner of each row of posteriors ``rows`` and its exact value."""
-    w = _weights(rows)
-    if len(w) == 1:
-        # one-dimensional, even with its second-best totals, a lone row
-        # costs less than a block of one
-        value, blocks, _ = _program(len(ids)).solve_row(w[0])
-        values, chosen = [value], [blocks]
-    else:
-        values, chosen = _program(len(ids)).solve(w.T)
+    values, chosen = _program(len(ids)).solve(_weights(rows).T)
     # a block's rows choose few distinct partitions: number them first
     number = {blocks: i for i, blocks in enumerate(dict.fromkeys(chosen))}
     parts = [_partition_of(blocks, ids) for blocks in number]
@@ -506,18 +492,22 @@ class FloorAssigner:
         self.pin_owner = None
 
     def _search_block(self, ids: Tuple[int, ...], rows: np.ndarray) -> list:
-        """Every row's winner and exact value, in row order, searched in one
-        pass of slices of at most _PASS_VALUES block values; a first row
-        that is the last row decided is read back, not searched."""
+        """Every row's winner and exact value, in row order, each counted
+        and the last one kept. A first row that is the last row decided is
+        read back; the rest are searched in slices of at most _PASS_VALUES
+        block values, a slice of one as a lone row."""
         found = []
         if self._last is not None and self._last[0] == (ids, rows[0].tobytes()):
-            found, rows = [self._last[1]], rows[1:]
-        elif len(rows) == 1:
-            # a block of one row, as a live pump's, is decided as a lone row
-            return [self._search_row(rows[0], ids)]
+            found.append(self._last[1])
+            self.reused += 1
+        self.searched += len(rows) - len(found)
         step = max(1, _PASS_VALUES >> len(ids))
-        for i in range(0, len(rows), step):
-            found += _winners(rows[i : i + step], ids)
+        for i in range(len(found), len(rows), step):
+            if i + 1 == len(rows):
+                found.append(self._search_row(rows[i], ids))
+            else:
+                found += _winners(rows[i : i + step], ids)
+        self._last = ((ids, rows[-1].tobytes()), found[-1])
         return found
 
     def _search_row(self, p: np.ndarray, ids: Tuple[int, ...]) -> Tuple[FloorConfiguration, int]:
@@ -549,19 +539,13 @@ class FloorAssigner:
             p = posteriors.row
         else:
             p = np.array([posteriors[k] for k in _pairs_of(ids)], dtype=np.float64)
-        found = None
         if isinstance(posteriors, _BlockRow) and posteriors.ids == ids:
             # the block's first call searches every row of the block
             if not posteriors.found:
                 posteriors.found += self._search_block(ids, posteriors.rows)
-            found = posteriors.found[posteriors.index]
-        key = (ids, p.tobytes())
-        if self._last is not None and self._last[0] == key:
-            self.reused += 1
+            best, value = posteriors.found[posteriors.index]
         else:
-            self._last = (key, found or self._search_row(p, ids))
-            self.searched += 1
-        best, value = self._last[1]
+            [(best, value)] = self._search_block(ids, p[None])
         previous = self.previous
         if previous is not None and previous.partition != best.partition:
             same = same_floor(previous.partition, ids)
@@ -634,7 +618,6 @@ class FloorAssigner:
         bulk = self.pinned is None and len(ids) > 1
         out: List[Tuple[FloorConfiguration, int]] = []
         t = now_ms
-        read = 0  # later runs read off the block's winners
         for i, n in enumerate(runs):
             if i == 0:
                 pass  # decided by the call above
@@ -642,11 +625,7 @@ class FloorAssigner:
                 # what assign would choose: no tie to keep, nothing to hold
                 cfg = self.previous = found[i][0]
                 self._hold_until = None
-                read += 1
             else:
-                if bulk:
-                    # the period before held another row: this one is a search
-                    self._last = None
                 cfg = self.assign(_BlockRow(ids, rows, i, found), ids, t)
             end = t + n * EVAL_PERIOD_MS
             if self._hold_until is not None and self._hold_until <= end - EVAL_PERIOD_MS:
@@ -659,9 +638,7 @@ class FloorAssigner:
             out.append((cfg, n))
             t = end
         if bulk:
-            # what no assign call counted: each run read off the winners is
-            # a search, and every period after a choice's first repeats its row
-            self.searched += read
-            self.reused += sum(runs) - len(out)
-            self._last = ((ids, rows[-1].tobytes()), found[-1])
+            # the search counted each run's first period; every later one
+            # repeats its row
+            self.reused += sum(runs) - len(runs)
         return out

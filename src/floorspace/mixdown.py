@@ -34,7 +34,9 @@ TONE_EDGE_MS = 10
 
 def write_wav(path: str, pcm: np.ndarray) -> None:
     data = np.asarray(pcm, dtype=np.int16)
-    with wave.open(path, "wb") as wf:
+    # opened here, not by ``wave``: a writer that fails to open its path
+    # fails again as it is collected, past the caller's error
+    with open(path, "wb") as f, wave.open(f, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(SAMPLE_RATE)

@@ -194,10 +194,6 @@ class JitterBuffer:
                 self._pending, key=lambda s: seq_delta(s, self._anchor)
             )
 
-    @property
-    def primed(self) -> bool:
-        return self._next_seq is not None
-
     def pop(self) -> bytes:
         """Codewords of the next playout frame; silence while priming or across a loss."""
         if self._next_seq is None:

@@ -20,13 +20,11 @@ from floorspace.assigner import (
     PairRow,
     QUIET_GAIN,
     _lexicographic,
-    _partitions_of_range,
     _program,
     same_floor,
     _scores,
     _weights,
     _winners,
-    bell_number,
     build_scorers,
     canonical_partition,
     enumerate_partitions,
@@ -92,16 +90,7 @@ def random_posteriors(rng, ids):
 
 def test_partition_counts_match_bell_numbers():
     for n in range(0, 9):
-        assert bell_number(n) == BELL[n]
         assert len(enumerate_partitions(range(n))) == BELL[n]
-
-
-def test_bell_numbers_list_no_partitions():
-    _partitions_of_range.cache_clear()
-    assert [bell_number(n) for n in range(MAX_PARTICIPANTS + 1)] == BELL
-    assert _partitions_of_range.cache_info().currsize == 0
-    with pytest.raises(CapacityError):
-        bell_number(MAX_PARTICIPANTS + 1)
 
 
 def test_enumeration_matches_growth_string_construction():
@@ -358,7 +347,7 @@ def coarse_rooms(draw, sizes):
     post = {k: draw(st.integers(0, 4)) / 4 for k in unordered_pairs(ids)}
     previous = None
     if draw(st.booleans()):
-        previous = partition_from(labels_of(n)[draw(st.integers(0, bell_number(n) - 1))], ids)
+        previous = partition_from(labels_of(n)[draw(st.integers(0, BELL[n] - 1))], ids)
     return ids, post, previous
 
 
@@ -1229,6 +1218,42 @@ def test_a_ten_person_block_is_searched_by_its_first_assign(winners):
     # read it off the block's search
     assert seen == [0] + [3] * (len(seen) - 1) and winners.rows == 40
     assert (a.searched, a.reused) == (40, 40)
+
+
+@pytest.mark.parametrize("n, size, again", [(10, 17, False), (9, 33, False), (6, 2, True)])
+def test_a_row_a_block_leaves_alone_is_decided_as_a_lone_row(n, size, again):
+    # slices of _PASS_VALUES >> n rows (16 at ten, 32 at nine) leave a
+    # block's last row alone, as does a first row that is read back. The
+    # lone row goes through _search_row, so it reads and sets the anchor
+    ids = tuple(range(n))
+    pairs = unordered_pairs(ids)
+    rng = np.random.default_rng(n)
+    block = rng.random((size, len(pairs)))
+    runs = rng.integers(1, 4, size).tolist()
+    # decided alone first: the row read back, or the anchor of the last row
+    before = block[0] if again else block[-1]
+    bulk, plain = FloorAssigner(), FloorAssigner()
+    bulk.assign_block(ids, before[None], [1], 30)
+    plain.assign(dict(zip(pairs, before.tolist())), ids, now_ms=30)
+    lone, search_row = [], FloorAssigner._search_row
+
+    def spied(assigner, p, ids):
+        lone.append(p.tobytes())
+        return search_row(assigner, p, ids)
+
+    with mock.patch.object(FloorAssigner, "_search_row", spied):
+        decided = _expand(bulk.assign_block(ids, block, runs, 60))
+    assert lone == [block[-1].tobytes()]
+    want = [plain.assign(dict(zip(pairs, row.tolist())), ids, now_ms=60 + EVAL_PERIOD_MS * k)
+            for k, row in enumerate(np.repeat(block, runs, axis=0))]
+    assert [c.partition for c in decided] == [c.partition for c in want]
+    assert (np.array([c.score for c in decided]).tobytes()
+            == np.array([c.score for c in want]).tobytes())
+    assert (bulk.searched, bulk.reused) == (plain.searched, plain.reused)
+    # the anchor's own row is decided by its bound; a new row by a pass
+    # that makes it the anchor
+    assert bulk.bounded == (not again)
+    assert np.array_equal(bulk._anchor[1], _weights(block[-1]))
 
 
 @pytest.mark.parametrize("n", [4, 10])

@@ -324,6 +324,18 @@ def test_mixdown_reports_a_participant_file_cut_on_a_sample_boundary(tmp_path, a
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_mixdown_to_a_path_it_cannot_open_is_one_error_line(tmp_path, art, capsys, where):
+    out = tmp_path / "missing" / "mix.wav" if where == "missing" else tmp_path
+    rc = main(
+        ["mixdown", "--corpus", str(art.corpus), "--model", str(art.model),
+         "--listener", "A", "--out", str(out), "--tones"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_mixdown_rejects_unknown_listener(tmp_path, art, capsys):
     rc = main(
         ["mixdown", "--corpus", str(art.corpus), "--model", str(art.model),

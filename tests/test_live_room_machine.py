@@ -1,15 +1,17 @@
 """A stateful test of the live room's membership, driven in process.
 
-A ``hypothesis`` rule machine joins, leaves and rejoins participants
-from several control addresses, pins and unpins (valid and bogus),
-asks for status, sends audio and pumps. It calls ``_handle_control``,
-``_handle_audio`` and ``pump_once`` directly, with recording sockets
-in place of the real sends, and checks after every pump that the
-room's tracker follows the session table, every listener with an
-address gets one mix, and the mixer holds no ramp state for an id that
-no session holds. A status leaves the tracker as it was, and its
-reply does not change when the pump's next step, applying the table,
-is taken before it.
+A ``hypothesis`` rule machine draws the room's dwell and jitter depth,
+joins, leaves and rejoins participants from several control
+addresses, pins and unpins (valid and bogus), asks for status, sends
+audio and pumps. It calls ``_handle_control``, ``_handle_audio`` and
+``pump_once`` directly, with recording sockets in place of the real
+sends, and checks after every pump that the room's tracker follows
+the session table, every listener with an address gets one mix, the
+mixer holds no ramp state for an id that no session holds, and the
+search counted each period the pump decided unpinned once, as
+``searched`` or ``reused``, with ``bounded`` no more than ``searched``.
+A status leaves the tracker as it was, and its reply does not change
+when the pump's next step, applying the table, is taken before it.
 
 Hostile audio arrives too: truncated datagrams, a bad RTP version, a
 wrong payload length or payload type, an unknown SSRC, and a known
@@ -59,16 +61,14 @@ class LiveRoom(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.srv = RealtimeServer(
-            ServerConfig(audio_port=0, control_port=0, max_participants=5), model=self.model)
-        self.sockets = self.srv.audio_sock, self.srv.control_sock
-        self.srv.audio_sock, self.srv.control_sock = SentDatagrams(), SentDatagrams()
+        self.srv = None
         self.packetizers = {}
         self.counters = {}
 
     def teardown(self):
-        self.srv.audio_sock, self.srv.control_sock = self.sockets
-        self.srv.stop()
+        if self.srv is not None:
+            self.srv.audio_sock, self.srv.control_sock = self.sockets
+            self.srv.stop()
 
     def control(self, msg, addr):
         """Send ``msg`` from ``addr``; the one reply, as bytes and decoded."""
@@ -78,8 +78,14 @@ class LiveRoom(RuleBasedStateMachine):
         assert len(sent) == before + 1 and sent[-1][1] == addr
         return sent[-1][0], decode_message(sent[-1][0])
 
-    @initialize(n=st.integers(0, 5))
-    def occupy(self, n):
+    @initialize(n=st.integers(0, 5), dwell_ms=st.sampled_from([0, 60, 200]),
+                jitter_depth_ms=st.sampled_from([20, 60]))
+    def occupy(self, n, dwell_ms, jitter_depth_ms):
+        self.srv = RealtimeServer(ServerConfig(
+            audio_port=0, control_port=0, max_participants=5, dwell_ms=dwell_ms,
+            jitter_depth_ms=jitter_depth_ms), model=self.model)
+        self.sockets = self.srv.audio_sock, self.srv.control_sock
+        self.srv.audio_sock, self.srv.control_sock = SentDatagrams(), SentDatagrams()
         for i, name in enumerate(NAMES[:n]):
             self.join(name, CONTROL[i % len(CONTROL)], "own")
 
@@ -259,7 +265,28 @@ class LiveRoom(RuleBasedStateMachine):
         srv = self.srv
         listeners = sorted(s.audio_addr for s in srv.sessions.values() if s.audio_addr)
         before = len(srv.audio_sock.sent)
+        # the pump's first step, taken here to watch the tracker it decides with
+        with srv._lock:
+            srv._follow_sessions()
+        tracker, decided = srv.tracker, []
+        if tracker is not None:
+            search = tracker.assigner
+            counted = search.searched + search.reused
+            process_due = tracker.process_due
+
+            def watched():
+                decided.append(process_due())
+                return decided[-1]
+
+            tracker.process_due = watched
         srv.pump_once()
+        if tracker is not None:
+            del tracker.process_due
+            # each period decided unpinned with two or more members counts
+            # once; a pin is never set in a pump, so one held now held throughout
+            periods = sum(len(due.ticks) for due in decided) if search.pinned is None else 0
+            assert search.searched + search.reused == counted + periods
+            assert search.bounded <= search.searched
         sent = srv.audio_sock.sent[before:]
         if len(srv.sessions) < 2:
             listeners = []

@@ -10,6 +10,7 @@ from floorspace.transport import (
     FRAME_SAMPLES,
     JitterBuffer,
     Packetizer,
+    SILENCE,
     decode_room,
     decode_ulaw,
     depacketize,
@@ -212,14 +213,13 @@ def test_priming_needs_a_full_depth():
     jb = JitterBuffer(depth_ms=60)
     p = Packetizer(ssrc=1)
     frames = frames_with_marker(3)
-    assert not jb.primed
-    assert not decode_ulaw(jb.pop()).any()  # silence before priming
-    jb.push(p.packetize(frames[0]))
-    assert not jb.primed
-    jb.push(p.packetize(frames[1]))
-    assert not jb.primed
+    for f in frames[:2]:
+        # silence before priming, and nothing played
+        assert jb.pop() == SILENCE and jb.stats.played == 0
+        jb.push(p.packetize(f))
+    assert jb.pop() == SILENCE and jb.stats.played == 0
     jb.push(p.packetize(frames[2]))
-    assert jb.primed
+    assert marker_of(jb.pop()) == 0 and jb.stats.played == 1
 
 
 def test_in_order_replay():
@@ -336,8 +336,8 @@ def test_malformed_payloads_never_enter_the_buffer():
         jb.push(AudioPacket(0, 0, 1, b"\x00" * 100))
     with pytest.raises(UnsupportedFormatError):
         jb.push(AudioPacket(0, 0, 1, b"\x00" * FRAME_SAMPLES, payload_type=8))
-    assert not jb.primed
-    assert jb.stats.received == 0
+    assert jb.pop() == SILENCE
+    assert jb.stats.received == jb.stats.played == 0
 
 
 # --- the room path: one decode, one encode ------------------------------------
