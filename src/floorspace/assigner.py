@@ -42,31 +42,35 @@ partition.
 
 ``FloorAssigner.assign`` decides one period at the time ``now_ms`` it
 is given, from the posteriors as any ``Mapping`` from unordered pair
-to probability: a plain dict, or a ``PairRow`` view over one row of a
-posterior array, which the search reads without a lookup per pair.
-The tracker computes a block of periods' posteriors at once, one row
-per run of periods that share a row, and hands the block to
-``assign_block``. One place, ``_search_block``, finds, counts and
-keeps every row's winner, a dict's as a block of one. Posteriors are
-binned features and often repeat a row, so it keeps the last row's key
-(the participant ids and the row's bytes), its winner and the winner's
-exact value: a first row equal to it is read back and counted
-``reused``, and every other row is counted ``searched``. It runs the
-program over the block in slices, a slice of one as a lone row (below).
-``assign_block`` sends the first run through ``assign`` with a
-``_BlockRow`` (a ``PairRow`` that also carries the whole block and its
-winners), which searches the block. A later run whose winner is the
-held choice is decided as that winner, with no call: that is what
-``assign`` would choose, since the tie rule and the dwell only act on a
-winner that differs from the previous choice. Any other run goes
+to probability: a plain dict, whose values it reads once in pair order
+as a block of one row, or a ``_BlockRow`` view over one row of a
+block. It is the one place that chooses a period's partition: the pin,
+else the search's winner, unless the previous choice keeps a tie or
+the dwell holds it. Every choice is scored the same way, from the row
+and the partition's same_floor vector, and a winner that stands is the
+search's own ``FloorConfiguration``. The tracker computes a block of
+periods' posteriors at once, one row per run of periods that share a
+row, and hands the block to ``assign_block``. One place,
+``_search_block``, finds, counts and keeps every row's winner.
+Posteriors are binned features and often repeat a row, so it keeps the
+last row's key (the participant ids and the row's bytes), its winner
+and the winner's exact value: a first row equal to it is read back and
+counted ``reused``, and every other row is counted ``searched``. It
+runs the program over the block in slices, a slice of one as a lone
+row (below). ``assign_block`` sends the first run through ``assign``
+with a ``_BlockRow``, which also carries the whole block and its
+winners, and that call searches the block. A later run whose winner is
+the held choice is decided as that winner, with no call: that is what
+``assign`` would choose, since the tie rule and the dwell only act on
+a winner that differs from the previous choice. Any other run goes
 through ``assign``, which reads its winner off the block's search and
 applies the tie rule and the dwell; the tie rule runs at every
 decision, so a row read back still keeps a previous choice that a pin,
 a dwell hold or a tie changed. A choice holds for the rest of its run,
 whose later periods count ``reused``; only a dwell hold can end inside
 a run, so the run is split at the first period at or after its expiry
-and that period gets its own ``assign``. A pinned room searches nothing
-and decides each run with ``assign``.
+and that period gets its own ``assign``. A pinned room searches
+nothing and decides each run with ``assign``.
 
 A lone row (a dict's, a live pump's, or a block's last slice of one)
 may be decided without a program pass. Its pass keeps each subset's
@@ -160,18 +164,22 @@ def _slots_of(ids: Tuple[int, ...]) -> Dict[PairKey, int]:
     return {k: i for i, k in enumerate(_pairs_of(ids))}
 
 
-class PairRow(collections.abc.Mapping):
-    """Read-only pair -> probability view over one posterior row.
+class _BlockRow(collections.abc.Mapping):
+    """Read-only pair -> probability view over row ``index`` of the
+    ``rows`` that one ``assign_block`` call decides, or over the one row
+    that ``assign`` reads from a dict.
 
-    ``row`` is a float64 array holding the probability of each pair of
+    Each row holds the probability of each pair of
     ``unordered_pairs(ids)``, in that order; ``ids`` are sorted.
+    ``found`` is shared by every row of the block: empty until the block
+    is searched, then each row's winner and exact value, in order.
     """
 
-    __slots__ = ("ids", "row", "_slots")
+    __slots__ = ("ids", "rows", "index", "found", "row", "_slots")
 
-    def __init__(self, ids: Tuple[int, ...], row: np.ndarray):
-        self.ids = ids
-        self.row = row
+    def __init__(self, ids: Tuple[int, ...], rows: np.ndarray, index: int, found: list):
+        self.ids, self.rows, self.index, self.found = ids, rows, index, found
+        self.row = rows[index]
         self._slots = _slots_of(ids)
 
     def __getitem__(self, key: PairKey):
@@ -182,18 +190,6 @@ class PairRow(collections.abc.Mapping):
 
     def __len__(self) -> int:
         return len(self._slots)
-
-
-class _BlockRow(PairRow):
-    """Row ``index`` of the ``rows`` that one ``assign_block`` call
-    decides. ``found`` is shared by every row of the block: empty until the
-    block is searched, then each row's winner and exact value, in order."""
-
-    __slots__ = ("rows", "index", "found")
-
-    def __init__(self, ids: Tuple[int, ...], rows: np.ndarray, index: int, found: list):
-        super().__init__(ids, rows[index])
-        self.rows, self.index, self.found = rows, index, found
 
 
 def enumerate_partitions(participants: Sequence[int]) -> List[Partition]:
@@ -219,6 +215,8 @@ def score(partition: Iterable[Iterable[int]], posteriors: Mapping[PairKey, float
     ``posteriors`` must hold a mutual-floor probability for each
     unordered pair of the partition's members. With fewer than two
     participants there are no pairs and the score is NEUTRAL_SCORE.
+    This is the pair-by-pair reference; the assigner scores a row with
+    ``_scores``, whose last bits may differ.
     """
     blocks = [tuple(b) for b in partition]
     members = sorted(m for b in blocks for m in b)
@@ -529,30 +527,12 @@ class FloorAssigner:
         self._anchor = (ids, w, part, same, margin)
         return FloorConfiguration(part, float(_scores(p, same))), value
 
-    def _search(
-        self, posteriors: Mapping[PairKey, float], ids: Tuple[int, ...]
-    ) -> FloorConfiguration:
-        """Best configuration of ``ids`` by score, then by the tie rules."""
-        if len(ids) < 2:
-            return FloorConfiguration((ids,) if ids else (), NEUTRAL_SCORE)
-        if isinstance(posteriors, PairRow) and posteriors.ids == ids:
-            p = posteriors.row
-        else:
-            p = np.array([posteriors[k] for k in _pairs_of(ids)], dtype=np.float64)
-        if isinstance(posteriors, _BlockRow) and posteriors.ids == ids:
-            # the block's first call searches every row of the block
-            if not posteriors.found:
-                posteriors.found += self._search_block(ids, posteriors.rows)
-            best, value = posteriors.found[posteriors.index]
-        else:
-            [(best, value)] = self._search_block(ids, p[None])
-        previous = self.previous
-        if previous is not None and previous.partition != best.partition:
-            same = same_floor(previous.partition, ids)
-            # the previous choice keeps a tie, decided on the exact weights
-            if same is not None and _weights(p) @ same == value:
-                return FloorConfiguration(previous.partition, float(_scores(p, same)))
-        return best
+    def _search(self, row: _BlockRow) -> Tuple[FloorConfiguration, int]:
+        """The winner of ``row`` and its exact value; the block's first
+        call searches every row of the block."""
+        if not row.found:
+            row.found += self._search_block(row.ids, row.rows)
+        return row.found[row.index]
 
     def assign(
         self,
@@ -560,40 +540,45 @@ class FloorAssigner:
         participants: Sequence[int],
         now_ms: int,
     ) -> FloorConfiguration:
-        """Pick the best configuration for the evaluation period at ``now_ms``."""
+        """Pick the configuration for the evaluation period at ``now_ms``:
+        the pin, else the search's winner, unless the previous choice
+        keeps a tie or the dwell holds it. Every choice is scored on the
+        period's row the way the search scores its winners."""
         ids = tuple(sorted(participants))
         self._hold_until = None
-
+        if self.pinned is not None and sorted(m for b in self.pinned for m in b) != list(ids):
+            # membership changed underneath the pin; it dissolves
+            self.drop_pin()
+        if isinstance(posteriors, _BlockRow) and posteriors.ids == ids:
+            row = posteriors
+        else:
+            p = np.array([[posteriors[k] for k in _pairs_of(ids)]], dtype=np.float64)
+            row = _BlockRow(ids, p, 0, [])
+        previous, best = self.previous, None
         if self.pinned is not None:
-            covered = sorted(m for b in self.pinned for m in b)
-            if covered != list(ids):
-                # membership changed underneath the pin; it dissolves
-                self.drop_pin()
-            else:
-                cfg = FloorConfiguration(self.pinned, score(self.pinned, posteriors))
-                self.previous = cfg
-                return cfg
-
-        cfg = self._search(posteriors, ids)
-        previous = self.previous
-        if (
-            self.dwell_ms > 0
-            and previous is not None
-            and cfg.partition != previous.partition
-            and self._last_change is not None
-            and now_ms - self._last_change < self.dwell_ms
-            and sorted(m for b in previous.partition for m in b) == list(ids)
-        ):
-            # still inside the dwell window; hold the current choice
-            cfg = FloorConfiguration(
-                previous.partition, float(score(previous.partition, posteriors))
-            )
-            self._hold_until = self._last_change + self.dwell_ms
-
-        if previous is None or cfg.partition != previous.partition:
+            partition = self.pinned
+        elif len(ids) < 2:
+            partition = (ids,) if ids else ()
+        else:
+            best, value = self._search(row)
+            partition = best.partition
+            moved = previous is not None and previous.partition != partition
+            kept = same_floor(previous.partition, ids) if moved else None
+            if kept is not None and _weights(row.row) @ kept == value:
+                # the previous choice keeps a tie, decided on the exact weights
+                partition = previous.partition
+            elif (kept is not None and self.dwell_ms > 0 and self._last_change is not None
+                  and now_ms - self._last_change < self.dwell_ms):
+                # still inside the dwell window; hold the current choice
+                partition = previous.partition
+                self._hold_until = self._last_change + self.dwell_ms
+        if self.pinned is None and (previous is None or partition != previous.partition):
             self._last_change = now_ms
-        self.previous = cfg
-        return cfg
+        if best is None or partition != best.partition:
+            scored = _scores(row.row, same_floor(partition, ids)) if len(ids) > 1 else NEUTRAL_SCORE
+            best = FloorConfiguration(partition, float(scored))
+        self.previous = best
+        return best
 
     def assign_block(
         self,

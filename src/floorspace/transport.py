@@ -4,8 +4,9 @@ Audio travels as 20 ms mu-law frames behind a fixed 12-byte header:
 2-bit version (2), 7-bit payload type (0, mu-law), a 16-bit wrapping
 sequence number, a 32-bit sample-clock timestamp, and a 32-bit source
 identifier. Received packets pass through a small jitter buffer that
-repairs reordering within its depth and substitutes silence for
-anything lost or late. The buffer holds each frame as its 160
+repairs reordering within its depth, substitutes silence for
+anything lost or late, and follows a sender whose sequence numbers
+jump or drift. The buffer holds each frame as its 160
 codewords, undecoded: a room pops one frame per session and decodes
 them all with one ``decode_room``, and encodes its mixes with one
 ``encode_room``, after which each listener's ``Packetizer`` only
@@ -41,6 +42,8 @@ SILENCE = b"\xff" * FRAME_BYTES  # the codeword of a zero sample
 
 SEQ_MOD = 1 << 16
 TS_MOD = 1 << 32
+# how many frames past its depth playout may trail the newest arrival: 1 s
+_TRAIL_FRAMES = 50
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,10 @@ def seq_delta(a: int, b: int) -> int:
 class Packetizer:
     """Turns consecutive frames into wire packets for one source."""
 
-    def __init__(self, ssrc: int, first_sequence: int = 0, first_timestamp: int = 0):
+    def __init__(self, ssrc: int):
         self.ssrc = ssrc
-        self._seq = first_sequence % SEQ_MOD
-        self._ts = first_timestamp % TS_MOD
+        self._seq = 0
+        self._ts = 0
 
     def stamp(self, codes: bytes) -> bytes:
         """The next datagram: this source's next header, then ``codes``.
@@ -165,6 +168,15 @@ class JitterBuffer:
     already played) and duplicates are dropped. Frames are held and
     popped as their mu-law codewords; silence is ``SILENCE``, the
     codeword of a zero sample, 0xFF, in every byte.
+
+    A sender whose sequence numbers jump or drift does not stay broken.
+    A late packet whose sequence number follows the late packet just
+    before it means the sender jumped back or restarted: the buffer
+    drops what it holds, counting it lost, and primes afresh from that
+    packet (the probation of RFC 3550, appendix A.1). An arrival more
+    than _TRAIL_FRAMES past the depth ahead of playout, after a jump
+    forward or from a sender whose clock runs fast, moves playout up to
+    the depth behind it; every frame skipped counts as lost.
     """
 
     def __init__(self, depth_ms: int):
@@ -174,25 +186,41 @@ class JitterBuffer:
         self._pending: Dict[int, bytes] = {}
         self._anchor: Optional[int] = None
         self._next_seq: Optional[int] = None
+        # the sequence number after the last packet, if it came late
+        self._probe: Optional[int] = None
         self.stats = JitterStats()
 
     def push(self, packet: AudioPacket) -> None:
         check_payload(packet)
         seq = packet.sequence
         self.stats.received += 1
-        if self._next_seq is not None and seq_delta(seq, self._next_seq) < 0:
-            self.stats.late += 1
-            return
+        ahead = None if self._next_seq is None else seq_delta(seq, self._next_seq)
+        if ahead is not None and ahead < 0:
+            if seq != self._probe:
+                self._probe = (seq + 1) % SEQ_MOD
+                self.stats.late += 1
+                return
+            # a second late packet in sequence: prime afresh from it
+            self.stats.lost += len(self._pending)
+            self._pending.clear()
+            self._anchor = self._next_seq = None
+        self._probe = None
         if seq in self._pending:
             self.stats.duplicate += 1
             return
         self._pending[seq] = packet.payload
         if self._anchor is None:
             self._anchor = seq
-        if self._next_seq is None and len(self._pending) >= self.depth_frames:
-            self._next_seq = min(
-                self._pending, key=lambda s: seq_delta(s, self._anchor)
-            )
+        if self._next_seq is None:
+            if len(self._pending) >= self.depth_frames:
+                self._next_seq = min(self._pending, key=lambda s: seq_delta(s, self._anchor))
+        elif ahead >= self.depth_frames + _TRAIL_FRAMES:
+            # playout trails too far: skip to the depth behind this packet
+            self.stats.lost += ahead + 1 - self.depth_frames
+            self._next_seq = (seq + 1 - self.depth_frames) % SEQ_MOD
+            self._pending = {
+                s: f for s, f in self._pending.items() if seq_delta(s, self._next_seq) >= 0
+            }
 
     def pop(self) -> bytes:
         """Codewords of the next playout frame; silence while priming or across a loss."""

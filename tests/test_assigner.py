@@ -17,8 +17,8 @@ from floorspace.assigner import (
     FloorConfiguration,
     MAX_PARTICIPANTS,
     NORMAL_GAIN,
-    PairRow,
     QUIET_GAIN,
+    _BlockRow,
     _lexicographic,
     _program,
     same_floor,
@@ -625,13 +625,70 @@ def test_unpinned_search_resumes():
     assert cfg.partition == ((0, 1),)
 
 
+def _rows_of_ten(seed):
+    """50 posterior maps over ten participants, each pair uniform in [0, 1)."""
+    rng = np.random.default_rng(seed)
+    pairs = unordered_pairs(range(10))
+    return [dict(zip(pairs, rng.random(len(pairs)).tolist())) for _ in range(50)]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _searched_score(post, partition, ids):
+    """The score the search reports for ``partition`` of ``ids`` on ``post``."""
+    p = np.array([post[k] for k in unordered_pairs(ids)])
+    return float(_scores(p, same_floor(partition, ids)))
+
+
+def test_pinning_the_searched_partition_reports_the_searched_score():
+    # score() sums pair by pair: on 31 of these rows its last bits differed
+    ids = tuple(range(10))
+    for post in _rows_of_ten(0):
+        searched = FloorAssigner().assign(post, ids, now_ms=30)
+        a = FloorAssigner()
+        a.pin(searched.partition, owner="host", participants=ids)
+        got = a.assign(post, ids, now_ms=30)
+        assert got.partition == searched.partition
+        assert _bits(got.score) == _bits(searched.score)
+
+
+def test_a_dwell_hold_and_a_kept_tie_are_scored_like_a_search():
+    ids = tuple(range(10))
+    rows = _rows_of_ten(1)
+    for first, second in zip(rows[::2], rows[1::2]):
+        a = FloorAssigner(dwell_ms=60)
+        was = a.assign(first, ids, now_ms=30).partition
+        held = a.assign(second, ids, now_ms=60)
+        assert held.partition == was and a._hold_until == 90
+        assert _bits(held.score) == _bits(_searched_score(second, was, ids))
+    # posteriors this close to 0.5 weigh 0, so every partition ties, and
+    # a pinned choice is kept once unpinned
+    rng = np.random.default_rng(2)
+    pairs = unordered_pairs(ids)
+    for _ in range(25):
+        post = dict(zip(pairs, (0.5 + rng.integers(-1000, 1000, len(pairs)) / 2.0**52).tolist()))
+        floors = {}
+        for member, label in zip(ids, rng.integers(0, 4, len(ids)).tolist()):
+            floors.setdefault(label, []).append(member)
+        pin = canonical_partition(floors.values())
+        a = FloorAssigner()
+        a.pin(pin, owner="host", participants=ids)
+        a.assign(post, ids, now_ms=30)
+        a.unpin("host")
+        kept = a.assign(post, ids, now_ms=60)
+        assert kept.partition == pin
+        assert _bits(kept.score) == _bits(_searched_score(post, pin, ids))
+
+
 class FreshSearch(FloorAssigner):
     """An assigner that forgets the last row's outcome before every
     search, so it searches every row."""
 
-    def _search(self, posteriors, ids):
+    def _search(self, row):
         self._last = self._anchor = None
-        return super()._search(posteriors, ids)
+        return super()._search(row)
 
 
 @st.composite
@@ -734,15 +791,22 @@ def test_a_repeated_row_reuses_its_tie_set_for_a_new_previous_choice():
     ids = (0, 1, 2, 3)
     split, merged = ((0, 1), (2, 3)), ((0, 1, 2, 3),)
     row = {k: 1.0 if k in ((0, 1), (2, 3)) else 0.5 for k in unordered_pairs(ids)}
-    view = PairRow(ids, np.array([row[k] for k in unordered_pairs(ids)]))
     reused, fresh = FloorAssigner(), FreshSearch()
     now = 0
+
+    def view():
+        """The row as a block of one, as ``assign_block`` hands it over."""
+        return _BlockRow(ids, np.array([[row[k] for k in unordered_pairs(ids)]]), 0, [])
 
     def both(posteriors):
         nonlocal now
         now += 30
-        got = reused.assign(posteriors, ids, now_ms=now)
-        want = fresh.assign(posteriors, ids, now_ms=now)
+        def given():
+            # each call gets its own view, so neither reads the other's search
+            return posteriors() if callable(posteriors) else posteriors
+
+        got = reused.assign(given(), ids, now_ms=now)
+        want = fresh.assign(given(), ids, now_ms=now)
         assert (got.partition, got.score) == (want.partition, want.score)
         return got
 

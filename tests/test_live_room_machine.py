@@ -23,7 +23,8 @@ audio past ``INBOX_FRAMES`` between pumps counts each frame over in
 ``overload_drops``, and no inbox ever holds more. A ``sync_response``
 the room never asked for is dropped without a reply, and counted in
 ``control_rejects`` only when it names a session from another control
-address.
+address. So is every leave, pin, unpin or rejoin (with the session's
+SSRC) from another control address, and no other message.
 """
 
 import numpy as np
@@ -52,6 +53,8 @@ CONTROL = [("127.0.0.1", 9000 + i) for i in range(3)]
 # a name's own SSRC mostly; else another name's, or one outside the
 # header's 32 bits
 SSRCS = st.sampled_from(("own", "own", "own", "other", -1, 1 << 32))
+# the field naming the session a message acts for
+ACTS_FOR = {"join": "name", "leave": "name", "pin": "owner", "unpin": "owner"}
 LOUD = np.full(FRAME_SAMPLES, 8000, dtype=np.int16)
 QUIET = np.zeros(FRAME_SAMPLES, dtype=np.int16)
 
@@ -71,11 +74,21 @@ class LiveRoom(RuleBasedStateMachine):
             self.srv.stop()
 
     def control(self, msg, addr):
-        """Send ``msg`` from ``addr``; the one reply, as bytes and decoded."""
-        sent = self.srv.control_sock.sent
+        """Send ``msg`` from ``addr``; the one reply, as bytes and decoded.
+
+        ``control_rejects`` rises by one when ``msg`` acts for a session
+        from another control address (a leave, pin or unpin naming it, or
+        a rejoin with its SSRC), and by none otherwise.
+        """
+        srv = self.srv
+        session = srv.sessions.get(msg.get(ACTS_FOR.get(msg["type"])))
+        foreign = (session is not None and session.control_addr != addr
+                   and msg.get("ssrc", session.ssrc) == session.ssrc)
+        sent, rejects = srv.control_sock.sent, srv.control_rejects
         before = len(sent)
-        self.srv._handle_control(encode_message(msg), addr)
+        srv._handle_control(encode_message(msg), addr)
         assert len(sent) == before + 1 and sent[-1][1] == addr
+        assert srv.control_rejects == rejects + foreign
         return sent[-1][0], decode_message(sent[-1][0])
 
     @initialize(n=st.integers(0, 5), dwell_ms=st.sampled_from([0, 60, 200]),

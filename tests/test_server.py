@@ -746,7 +746,7 @@ def test_the_first_audio_packet_fixes_where_the_mix_goes(floor_model):
             recv_frame(a.audio_sock)
             recv_frame(b.audio_sock)
             # a packet with alice's ssrc from bob's audio socket is dropped
-            forged = Packetizer(ssrc=10, first_sequence=1).packetize(QUIET)
+            forged = AudioPacket(sequence=1, timestamp=0, ssrc=10, payload=b"\xff" * 160)
             b.audio_sock.sendto(forged.to_bytes(), srv.audio_addr)
             assert wait_for(lambda: srv.audio_rejects == 1)
             assert not alice.inbox

@@ -7,10 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from floorspace.errors import PacketFormatError, UnsupportedFormatError
 from floorspace.transport import (
     AudioPacket,
+    FRAME_BYTES,
     FRAME_SAMPLES,
     JitterBuffer,
     Packetizer,
     SILENCE,
+    _TRAIL_FRAMES,
     decode_room,
     decode_ulaw,
     depacketize,
@@ -147,6 +149,13 @@ def test_depacketize_validates_payload():
         depacketize(short)
 
 
+def packetizer(ssrc, seq, ts=0):
+    """A packetizer whose next packet carries sequence ``seq`` and timestamp ``ts``."""
+    p = Packetizer(ssrc=ssrc)
+    p._seq, p._ts = seq, ts
+    return p
+
+
 def test_packetizer_counts_sequence_and_timestamp():
     p = Packetizer(ssrc=7)
     frame = np.zeros(FRAME_SAMPLES, dtype=np.int16)
@@ -159,7 +168,7 @@ def test_packetizer_counts_sequence_and_timestamp():
 
 
 def test_packetizer_wraps_sequence_and_timestamp():
-    p = Packetizer(ssrc=1, first_sequence=65535, first_timestamp=2**32 - 160)
+    p = packetizer(1, 65535, 2**32 - 160)
     frame = np.zeros(FRAME_SAMPLES, dtype=np.int16)
     a = p.packetize(frame)
     b = p.packetize(frame)
@@ -302,7 +311,7 @@ def test_duplicate_packet_is_dropped():
 
 def test_sequence_wraparound_does_not_confuse_ordering():
     jb = JitterBuffer(depth_ms=60)
-    p = Packetizer(ssrc=1, first_sequence=65534)
+    p = packetizer(1, 65534)
     frames = frames_with_marker(5)
     for f in frames:
         jb.push(p.packetize(f))
@@ -340,6 +349,64 @@ def test_malformed_payloads_never_enter_the_buffer():
     assert jb.stats.received == jb.stats.played == 0
 
 
+def numbered(seq):
+    """A packet whose payload spells its own sequence number."""
+    return AudioPacket(seq % 65536, 0, 1, (seq % 65536).to_bytes(2, "big") * (FRAME_BYTES // 2))
+
+
+def play(jb, seqs):
+    """Push each of ``seqs`` and pop one frame after each: the sequence
+    number each pop played, None for silence."""
+    out = []
+    for seq in seqs:
+        jb.push(numbered(seq))
+        frame = jb.pop()
+        out.append(None if frame == SILENCE else int.from_bytes(frame[:2], "big"))
+    return out
+
+
+@pytest.mark.parametrize("back", [5, 100])
+def test_a_sender_that_jumps_back_is_heard_again(back):
+    # every packet after a jump back came late, for good: a restart at
+    # sequence 0 (back 100) went silent. The second late packet in
+    # sequence primes the buffer afresh
+    jb = JitterBuffer(depth_ms=60)
+    assert play(jb, range(100))[2:] == list(range(98))
+    start = 100 - back
+    played = play(jb, range(start, start + 1000))
+    # 98 was held; 99, held too, is dropped; then two frames of priming
+    assert played[:3] == [98, None, None]
+    assert played[3:] == list(range(start + 1, start + 998))
+    assert (jb.stats.late, jb.stats.lost) == (1, 1)
+
+
+def test_a_sender_that_jumps_forward_is_heard_at_the_depth_again():
+    # a jump forward of 1 000 left 1 002 frames pending, 20 s behind for good
+    jb = JitterBuffer(depth_ms=60)
+    play(jb, range(100))
+    played = play(jb, range(1100, 2100))
+    # playout skips to two frames behind 1100: 98 to 1097, then 1098 and 1099
+    assert played[:2] == [None, None]
+    assert played[2:] == list(range(1100, 2098))
+    assert jb.stats.lost == 1002 and len(jb._pending) == 2
+
+
+def test_a_fast_sender_is_never_heard_more_than_a_second_behind():
+    # a sender 1 % fast for an hour left 1 801 frames, 36 s, pending; ten
+    # minutes of it would leave 300
+    jb = JitterBuffer(depth_ms=60)
+    seq = 0
+    for frame in range(30_000):
+        for _ in range(2 if frame % 100 == 99 else 1):
+            jb.push(numbered(seq))
+            seq += 1
+        jb.pop()
+        assert len(jb._pending) <= jb.depth_frames + _TRAIL_FRAMES
+    # every frame sent was played, skipped (lost) or is still held
+    assert jb.stats.played + jb.stats.lost + len(jb._pending) == seq
+    assert 0 < jb.stats.lost <= 300 and jb.stats.late == 0
+
+
 # --- the room path: one decode, one encode ------------------------------------
 
 
@@ -361,7 +428,7 @@ def test_room_decode_of_popped_frames_equals_per_packet_depacketize(schedules, s
     rng = np.random.default_rng(seed)
     rooms = []
     for schedule in schedules:
-        p = Packetizer(ssrc=len(rooms), first_sequence=int(rng.integers(65530, 65536)))
+        p = packetizer(len(rooms), int(rng.integers(65530, 65536)))
         pkts = [
             p.packetize(rng.integers(-32768, 32768, FRAME_SAMPLES).astype(np.int16))
             for _ in schedule
@@ -409,8 +476,8 @@ def test_stamped_room_encode_equals_packetize(ssrc, seq, ts, frames, rows, seed)
     """Across sequence and timestamp wrap, stamping a listener's row of
     the room encode gives the bytes packetize would have sent."""
     rng = np.random.default_rng(seed)
-    stamped = [Packetizer(ssrc + k, seq, ts) for k in range(rows)]
-    packetized = [Packetizer(ssrc + k, seq, ts) for k in range(rows)]
+    stamped = [packetizer(ssrc + k, seq, ts) for k in range(rows)]
+    packetized = [packetizer(ssrc + k, seq, ts) for k in range(rows)]
     for f in range(frames):
         pcm = rng.integers(-32768, 32768, (rows, FRAME_SAMPLES)).astype(np.int16)
         for k, codes in enumerate(encode_room(pcm)):
