@@ -412,7 +412,9 @@ class FeatureEngine:
         over a uint8 view: ``sum(axis=2)`` over so short an inner axis is
         NumPy's slow case."""
         if self._res > 1:
-            ticks = both.view(np.uint8).reshape(len(both), -1, self._res)
+            # the column count is spelled out: a room of no pairs has no rows
+            cols = both.shape[1] // self._res
+            ticks = both.view(np.uint8).reshape(len(both), cols, self._res)
             both = np.einsum("rck->rc", ticks, dtype=np.int32)
         c = both.shape[1]
         if self._head + self._cols + c > self._cum.shape[1]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,13 +170,15 @@ class JitterBuffer:
     codeword of a zero sample, 0xFF, in every byte.
 
     A sender whose sequence numbers jump or drift does not stay broken.
-    A late packet whose sequence number follows the late packet just
-    before it means the sender jumped back or restarted: the buffer
-    drops what it holds, counting it lost, and primes afresh from that
-    packet (the probation of RFC 3550, appendix A.1). An arrival more
-    than _TRAIL_FRAMES past the depth ahead of playout, after a jump
-    forward or from a sender whose clock runs fast, moves playout up to
-    the depth behind it; every frame skipped counts as lost.
+    The window runs from playout to _TRAIL_FRAMES past the depth ahead
+    of it; an arrival outside it, already played or too far ahead, is
+    dropped and counted late. When such arrivals keep following one
+    another in sequence while a whole depth of frames plays out, the
+    sender jumped, restarted, fell behind or runs fast: the buffer
+    drops what it holds, counting it lost, and primes afresh from the
+    latest (the probation of RFC 3550, appendix A.1). A late burst
+    after a stall, or one stray packet, ends before that and leaves
+    playout alone.
     """
 
     def __init__(self, depth_ms: int):
@@ -186,41 +188,39 @@ class JitterBuffer:
         self._pending: Dict[int, bytes] = {}
         self._anchor: Optional[int] = None
         self._next_seq: Optional[int] = None
-        # the sequence number after the last packet, if it came late
-        self._probe: Optional[int] = None
+        # for a run of arrivals outside the window: the sequence number
+        # that extends it, and where playout was when it began
+        self._run: Optional[Tuple[int, int]] = None
         self.stats = JitterStats()
 
     def push(self, packet: AudioPacket) -> None:
         check_payload(packet)
         seq = packet.sequence
         self.stats.received += 1
-        ahead = None if self._next_seq is None else seq_delta(seq, self._next_seq)
-        if ahead is not None and ahead < 0:
-            if seq != self._probe:
-                self._probe = (seq + 1) % SEQ_MOD
-                self.stats.late += 1
-                return
-            # a second late packet in sequence: prime afresh from it
-            self.stats.lost += len(self._pending)
-            self._pending.clear()
-            self._anchor = self._next_seq = None
-        self._probe = None
+        if self._next_seq is not None:
+            ahead = seq_delta(seq, self._next_seq)
+            if not 0 <= ahead < self.depth_frames + _TRAIL_FRAMES:
+                run = self._run
+                began = run[1] if run is not None and seq == run[0] else self._next_seq
+                if seq_delta(self._next_seq, began) < self.depth_frames:
+                    self._run = ((seq + 1) % SEQ_MOD, began)
+                    self.stats.late += 1
+                    return
+                # a depth of playout outside the window, in sequence: prime afresh
+                self.stats.lost += len(self._pending)
+                self._pending.clear()
+                self._anchor = self._next_seq = None
+        self._run = None
         if seq in self._pending:
             self.stats.duplicate += 1
             return
         self._pending[seq] = packet.payload
         if self._anchor is None:
             self._anchor = seq
-        if self._next_seq is None:
-            if len(self._pending) >= self.depth_frames:
-                self._next_seq = min(self._pending, key=lambda s: seq_delta(s, self._anchor))
-        elif ahead >= self.depth_frames + _TRAIL_FRAMES:
-            # playout trails too far: skip to the depth behind this packet
-            self.stats.lost += ahead + 1 - self.depth_frames
-            self._next_seq = (seq + 1 - self.depth_frames) % SEQ_MOD
-            self._pending = {
-                s: f for s, f in self._pending.items() if seq_delta(s, self._next_seq) >= 0
-            }
+        if self._next_seq is None and len(self._pending) >= self.depth_frames:
+            self._next_seq = min(
+                self._pending, key=lambda s: seq_delta(s, self._anchor)
+            )
 
     def pop(self) -> bytes:
         """Codewords of the next playout frame; silence while priming or across a loss."""

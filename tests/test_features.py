@@ -535,6 +535,9 @@ def memberships(draw):
 # a lone member counted through a tick between grid instants, then a joiner:
 # as in the tracker, no instant before that tick is read
 @example((1, 10, [0], [("feed", 5001), ("read", None), ("join", 1), ("read", None)], 1, 0))
+# a room that fell below two members between counts adds a block of no pairs
+@example((2, 10, [], [("feed", 1)] * 3 + [("join", 0)] + [("feed", 1)] * 3
+          + [("leave", 0), ("feed", 1), ("read", None), ("join", 0), ("join", 1)], 1, 0))
 def test_engine_joins_and_leaves_match_a_fresh_engine_over_the_final_room(case):
     for binning in BINNINGS:
         _check_membership_changes(case, binning)

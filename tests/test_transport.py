@@ -368,16 +368,16 @@ def play(jb, seqs):
 @pytest.mark.parametrize("back", [5, 100])
 def test_a_sender_that_jumps_back_is_heard_again(back):
     # every packet after a jump back came late, for good: a restart at
-    # sequence 0 (back 100) went silent. The second late packet in
-    # sequence primes the buffer afresh
+    # sequence 0 (back 100) went silent. Late arrivals in sequence while
+    # a depth of frames plays out prime the buffer afresh
     jb = JitterBuffer(depth_ms=60)
     assert play(jb, range(100))[2:] == list(range(98))
     start = 100 - back
     played = play(jb, range(start, start + 1000))
-    # 98 was held; 99, held too, is dropped; then two frames of priming
-    assert played[:3] == [98, None, None]
-    assert played[3:] == list(range(start + 1, start + 998))
-    assert (jb.stats.late, jb.stats.lost) == (1, 1)
+    # 98 and 99 were held; 100 is lost; then two frames of priming
+    assert played[:5] == [98, 99, None, None, None]
+    assert played[5:] == list(range(start + 3, start + 998))
+    assert (jb.stats.late, jb.stats.lost) == (3, 1)
 
 
 def test_a_sender_that_jumps_forward_is_heard_at_the_depth_again():
@@ -385,10 +385,18 @@ def test_a_sender_that_jumps_forward_is_heard_at_the_depth_again():
     jb = JitterBuffer(depth_ms=60)
     play(jb, range(100))
     played = play(jb, range(1100, 2100))
-    # playout skips to two frames behind 1100: 98 to 1097, then 1098 and 1099
-    assert played[:2] == [None, None]
-    assert played[2:] == list(range(1100, 2098))
-    assert jb.stats.lost == 1002 and len(jb._pending) == 2
+    assert played[:5] == [98, 99, None, None, None]
+    assert played[5:] == list(range(1103, 2098))
+    assert (jb.stats.late, jb.stats.lost) == (3, 1) and len(jb._pending) == 2
+
+
+def test_a_sender_that_restarts_from_the_upper_half_loses_no_phantom_frames():
+    # from 40 000, sequence 0 reads as a jump forward of 25 536 frames
+    jb = JitterBuffer(depth_ms=60)
+    play(jb, range(40_000, 40_100))
+    played = play(jb, range(100))
+    assert played[5:] == list(range(3, 98))
+    assert (jb.stats.late, jb.stats.lost) == (3, 1)
 
 
 def test_a_fast_sender_is_never_heard_more_than_a_second_behind():
@@ -402,9 +410,29 @@ def test_a_fast_sender_is_never_heard_more_than_a_second_behind():
             seq += 1
         jb.pop()
         assert len(jb._pending) <= jb.depth_frames + _TRAIL_FRAMES
-    # every frame sent was played, skipped (lost) or is still held
-    assert jb.stats.played + jb.stats.lost + len(jb._pending) == seq
-    assert 0 < jb.stats.lost <= 300 and jb.stats.late == 0
+    # every frame sent was played, dropped, discarded (lost) or is still held
+    s = jb.stats
+    assert s.played + s.late + s.lost + len(jb._pending) == seq
+    assert 0 < s.late + s.lost <= 300
+
+
+def test_a_late_burst_after_a_stall_leaves_playout_alone():
+    # a stall: 100 and 101 play as silence, then arrive late with 102-104
+    jb = JitterBuffer(depth_ms=60)
+    play(jb, range(100))
+    assert [jb.pop() == SILENCE for _ in range(4)] == [False, False, True, True]
+    for seq in range(100, 104):
+        jb.push(numbered(seq))
+    assert play(jb, range(104, 110)) == list(range(102, 108))
+    assert (jb.stats.late, jb.stats.lost) == (2, 2)
+
+
+def test_one_stray_packet_far_ahead_leaves_playout_alone():
+    jb = JitterBuffer(depth_ms=60)
+    play(jb, range(100))
+    jb.push(numbered(30_000))
+    assert play(jb, range(100, 110)) == list(range(98, 108))
+    assert (jb.stats.late, jb.stats.lost) == (1, 0)
 
 
 # --- the room path: one decode, one encode ------------------------------------
