@@ -1,16 +1,15 @@
 """Tick-driven floor tracking, corpus replay, and accuracy evaluation.
 
-The tracker advances one evaluation period (30 ms) at a time and is
-purely a function of input timing: activity arrives in room blocks, a
-row per participant, and one block or frame-sized blocks of the same
-activity produce the same periods. Each ``process_due`` call returns
-the periods it evaluated; the tracker itself keeps only its last one,
-so what it holds does not grow with the time it runs. Replay feeds a
-whole labeled corpus as one block through the identical path the live
-server uses, as fast as the machine allows, and keeps what its one
-``process_due`` call returns. The live server keeps one tracker per
-room, feeds it a block per frame and changes its participants in
-place as people join and leave; replay's participants are fixed.
+``FloorTracker`` is the room's feature engine with the posteriors and
+the floor decision on top, advancing one evaluation period (30 ms) at
+a time. It is purely a function of input timing: one block or
+frame-sized blocks of the same activity produce the same periods.
+Replay feeds a whole labeled corpus as one block through the identical
+path the live server uses, as fast as the machine allows, and keeps
+what its one ``process_due`` call returns. The live server keeps one
+tracker per room, feeds it a block per frame and changes its
+participants in place as people join and leave; replay's participants
+are fixed.
 
 Evaluation compares the replayed configuration stream against ground
 truth derived from the corpus labels: at any instant a participant
@@ -41,7 +40,6 @@ from .assigner import (
     Partition,
     canonical_partition,
     same_floor,
-    unordered_pairs,
 )
 from .corpus import Corpus
 from .errors import EvaluationError
@@ -80,39 +78,33 @@ class Periods(NamedTuple):
     events: List[ConfigurationEvent]
 
 
-class FloorTracker:
+class FloorTracker(FeatureEngine):
     """Streams in, periods out, one evaluation period at a time.
 
-    ``views`` supplies per-participant utterance (starts, ends) as
-    observed so far; the replay path hands in full corpus records
-    (the gap feature only looks at what had started by ``now``), the
-    live path hands in online segmenter views. ``add_activity`` takes
-    the room's next block of activity, a row per participant in
-    participant order. Due periods, up to that ``coverage``, are
-    evaluated in blocks of the feature engine's ``span``, which one
-    memory budget sizes for the room (``features.BLOCK_CELLS``): 256
-    periods for ten members, 1 408 for four. Features for a whole block
-    come in array operations, then one posterior row per run of periods
-    whose binned features repeat bit for bit. One
+    A ``FeatureEngine`` at the period's step: activity, membership and
+    turn bookkeeping are the engine's. ``views`` are the full corpus
+    records in replay and the online segmenters' views live. Due
+    periods, up to ``coverage``, are evaluated in blocks of the engine's
+    ``span``: 256 periods for ten members, 1 408 for four. Features for
+    a whole block come in array operations, then one posterior row per
+    run of periods whose binned features repeat bit for bit. One
     ``FloorAssigner.assign_block`` call decides the block (the block path
     is told in the ``assigner`` module docstring). Events are built only
     where the choice changes. A live pump's block is one period.
     ``posterior_override`` maps a block's ticks to posterior rows in
     ``pairs`` order, in place of the model's (replay's oracle mode).
-    Activity fed starts at ``start_tick``; earlier ticks read as
-    non-speech. The first period evaluated is the first after it.
+    The first period evaluated is the first after ``start_tick``.
 
     ``process_due`` returns the periods it evaluated. The tracker keeps
     only the last: ``ticks`` and ``configs`` hold at most one entry, so a
     caller that wants the whole log collects what each call returns.
-    ``oldest_needed`` names, per member, the oldest utterance start a
-    later period's gap can still read, so a view may drop older turns.
 
-    Participants ``join`` and ``leave`` in place, so one tracker serves
-    a live room for as long as anyone is in it. The assigner keeps its
-    previous choice, repeat cache and counters across a change; a pin
-    dissolves. With fewer than two participants the tracker takes
-    activity but evaluates no period.
+    A join or leave leaves the assigner as it is: its previous choice,
+    repeat cache and counters carry across. A pin is the caller's to
+    dissolve (the live server drops it at every change of its session
+    table); ``assign`` drops one that no longer covers the members. With
+    fewer than two participants the tracker takes activity but
+    evaluates no period.
     """
 
     def __init__(
@@ -124,57 +116,15 @@ class FloorTracker:
         posterior_override: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         start_tick: Tick = 0,
     ):
+        super().__init__(participants, views, model.binning, start_tick, step_ms=EVAL_PERIOD_MS)
         self.model = model
         self.assigner = assigner or FloorAssigner()
         self.posterior_override = posterior_override
-
-        self._engine = FeatureEngine(
-            participants, views, model.binning, start_tick, step_ms=EVAL_PERIOD_MS
-        )
-        self.pairs = unordered_pairs(self.participants)
         self._next_eval = (start_tick // EVAL_PERIOD_MS + 1) * EVAL_PERIOD_MS
 
         # the last period evaluated, if any
         self.ticks: List[Tick] = []
         self.configs: List[FloorConfiguration] = []
-
-    @property
-    def participants(self) -> Tuple[int, ...]:
-        return self._engine.participants
-
-    def join(self, participant: int, view: UtteranceView) -> None:
-        """Add a participant whose activity is fed from ``coverage`` on."""
-        self._engine.join(participant, view)
-        self._membership_changed()
-
-    def leave(self, participant: int) -> None:
-        self._engine.leave(participant)
-        self._membership_changed()
-
-    def _membership_changed(self) -> None:
-        self.pairs = unordered_pairs(self.participants)
-        self.assigner.drop_pin()
-
-    def add_activity(self, rows) -> None:
-        """The room's next ticks of activity, one row per participant in
-        participant order (``FeatureEngine.add_activity``)."""
-        self._engine.add_activity(rows)
-
-    @property
-    def streams(self) -> Dict[int, np.ndarray]:
-        """Activity received but not yet turned into overlap counts."""
-        return self._engine.streams
-
-    @property
-    def coverage(self) -> Tick:
-        """The tick the activity fed so far reaches, for every participant."""
-        return self._engine.coverage
-
-    @property
-    def oldest_needed(self) -> Dict[int, Tick]:
-        """Per member with older turns to spare, the oldest utterance start
-        that a later period's gap can read (``FeatureEngine.oldest_needed``)."""
-        return self._engine.oldest_needed
 
     def process_due(self) -> Periods:
         """Evaluate every period boundary the activity fed so far covers."""
@@ -184,10 +134,10 @@ class FloorTracker:
         if len(self.participants) < 2:
             # nothing to decide; keep only the lookback a later joiner's
             # first period reads
-            self._engine.count_through(limit)
+            self.count_through(limit)
             self._next_eval = max(self._next_eval, (limit // period + 1) * period)
             return due
-        per_block = max(self._engine.span // period, 1)
+        per_block = max(self.span // period, 1)
         blocks = []
         previous = self.configs[-1].partition if self.configs else None
         while self._next_eval <= limit:
@@ -232,9 +182,9 @@ class FloorTracker:
             runs = np.ones(len(rows), dtype=np.intp)
         elif len(ticks) == 1:
             # a live pump's one period is one run; there is nothing to compare
-            return self._pair_means(self._engine.binned(ticks)), [1]
+            return self._pair_means(self.binned(ticks)), [1]
         else:
-            bins = self._engine.binned(ticks).reshape(len(ticks), -1)
+            bins = self.binned(ticks).reshape(len(ticks), -1)
             firsts = _run_starts(bins)
             runs = np.diff(firsts, append=len(ticks))
             rows = self._pair_means(bins[firsts])

@@ -11,7 +11,8 @@ Both features are computed per ordered pair at an observation instant
 progress contributes its running end.
 
 ``FeatureEngine`` computes them for every pair at a batch of instants
-in array operations; training, replay and the live server all use it.
+in array operations. Training uses it as it is; replay and the live
+server use ``evaluation.FloorTracker``, which is one.
 It counts over the three windows of the model's ``FeatureBinning``
 (by default 1/14/15 s, so a 30 s lookback), which also clips the gap
 (by default at 5 s) as it bins it. ``trp_gap_from_arrays`` and
@@ -216,7 +217,7 @@ class RawFeatures(NamedTuple):
     """Features of every pair at a batch of k instants.
 
     ``gaps`` is (k, 2m): the gap of (a, b) for each of the m unordered
-    pairs, in ``unordered_pairs`` order, then of (b, a) for each.
+    pairs, in the engine's ``pairs`` order, then of (b, a) for each.
     ``overlaps`` is (k, m, 3), shared by both directions. ``speech`` is
     (k, n): each participant's speech ticks in the lookback window.
     """
@@ -273,10 +274,11 @@ class FeatureEngine:
     a view may drop the turns begun before it, so views stay small
     however long the session runs.
 
-    Participants ``join`` and ``leave`` in place. A joiner's rows start
-    as zeros, so the ticks before it joined read as non-speech, and its
-    activity is fed from ``coverage`` on; a leaver's rows are dropped.
-    Nothing already counted is counted again.
+    Participants ``join`` and ``leave`` in place, and ``participants``
+    and ``pairs`` (the member pairs, in ``RawFeatures`` order) follow. A
+    joiner's rows start as zeros, so the ticks before it joined read as
+    non-speech, and its activity is fed from ``coverage`` on; a leaver's
+    rows are dropped. Nothing already counted is counted again.
     """
 
     def __init__(
@@ -317,6 +319,9 @@ class FeatureEngine:
         self._row = {pid: r for r, pid in enumerate(self.participants)}
         iu, ju = np.triu_indices(n, 1)
         self._m = len(iu)
+        # the member pairs, in overlap-row and ``assigner.unordered_pairs`` order
+        ids = self.participants
+        self.pairs = [(ids[a], ids[b]) for a, b in zip(iu.tolist(), ju.tolist())]
         # overlap rows: every unordered pair, then every participant alone
         self._row_a = np.concatenate((iu, np.arange(n)))
         self._row_b = np.concatenate((ju, np.arange(n)))
@@ -331,8 +336,7 @@ class FeatureEngine:
 
     def _overlap_ids(self) -> List[Tuple[int, int]]:
         """The participant pair of every overlap row, in row order."""
-        ids = self.participants
-        return [(ids[a], ids[b]) for a, b in zip(self._row_a.tolist(), self._row_b.tolist())]
+        return self.pairs + [(p, p) for p in self.participants]
 
     def _regroup(self, participants: Sequence[int]) -> None:
         """Re-index for ``participants``; rows of members that stay keep

@@ -12,7 +12,8 @@ The ramp law, shared by the live ``Mixer`` and the offline
 when the target changes, the per-sample step becomes (target - value)
 / RAMP_SAMPLES; within a frame the gain at sample j = 1..n is
 value + step * j, clamped at the target; the next frame starts from the
-gain at j = n.
+gain at j = n. A glide moves from the frame's start toward its target,
+so both clamp it with one clip between the two.
 
 ``Mixer.mix_frame`` mixes a whole room per call, from ramp state held
 as dense listener x speaker arrays in room order, and sums the
@@ -37,12 +38,6 @@ INT16_MAX = 32767
 RAMP_MS = 250
 RAMP_SAMPLES = RAMP_MS * SAMPLES_PER_MS  # samples a full gain change takes
 BLOCK_FRAMES = 64  # most frames of a timeline weighted in one array operation
-
-
-def glide(value, step, target, j):
-    """Gains at samples ``j`` of a frame that starts at ``value``, by the ramp law."""
-    g = value + step * j
-    return np.where(step > 0, np.minimum(g, target), np.maximum(g, target))
 
 
 class Mixer:
@@ -140,8 +135,9 @@ class Mixer:
         weighted = value[..., None] * pcm
         ramping = np.nonzero(value != target)
         if len(ramping[0]):
-            g = glide(value[ramping][:, None], step[ramping][:, None],
-                      target[ramping][:, None], np.arange(1, n + 1))
+            v, t = value[ramping][:, None], target[ramping][:, None]
+            g = np.clip(v + step[ramping][:, None] * np.arange(1, n + 1),
+                        np.minimum(v, t), np.maximum(v, t))
             value[ramping] = g[:, -1]
             weighted[ramping] = g * pcm[ramping[1]]
         # speaker by speaker in ascending order
@@ -155,8 +151,8 @@ def _frame_gains(targets: np.ndarray):
     Each speaker's column is walked by the ramp law only from each
     frame where its target changes, for as long as its gain glides; a
     settled frame starts at its target with no step. Scalar float
-    arithmetic does the same IEEE operations as ``glide``, so the gains
-    are the same bits.
+    arithmetic does the same IEEE operations as ``Mixer.mix_frame``, so
+    the gains are the same bits.
     """
     start = targets.copy()
     step = np.zeros_like(targets)
@@ -197,10 +193,8 @@ def mix_timeline(tracks: Sequence[np.ndarray], targets: np.ndarray) -> np.ndarra
     Up to BLOCK_FRAMES frames are summed at a time, in place in buffers
     allocated once. A speaker's gain is held over the frames where it
     does not glide, and a held 1 adds the track as it is. Only the
-    gliding frames compute ``glide``'s gains, and one clip between each
-    frame's start and target gains clamps them: a glide moves from its
-    start toward its target, so that clip is ``glide``'s minimum or
-    maximum, to the bit.
+    gliding frames compute ramp gains, clipped between each frame's
+    start and target gains as ``Mixer.mix_frame`` clips them.
 
     A block does only the arithmetic that can change its samples. A
     speaker held at 0, or whose track is all zeros over the block, is

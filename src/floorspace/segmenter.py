@@ -85,10 +85,6 @@ class OnlineSegmenter:
         self._frozen_starts: List[int] = []
         self._frozen_ends: List[int] = []
 
-    @property
-    def end_tick(self) -> Tick:
-        return self._next_tick
-
     def feed(self, bits) -> None:
         bits = np.atleast_1d(np.asarray(bits, dtype=bool))
         base = self._next_tick

@@ -41,10 +41,6 @@ class Utterance:
         if self.start >= self.end:
             raise InvalidRangeError(f"empty utterance [{self.start}, {self.end})")
 
-    @property
-    def duration_ms(self) -> int:
-        return self.end - self.start
-
 
 class ActivityStream:
     """Dense speech/non-speech bits for one participant.

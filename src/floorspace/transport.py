@@ -171,14 +171,16 @@ class JitterBuffer:
 
     A sender whose sequence numbers jump or drift does not stay broken.
     The window runs from playout to _TRAIL_FRAMES past the depth ahead
-    of it; an arrival outside it, already played or too far ahead, is
-    dropped and counted late. When such arrivals keep following one
-    another in sequence while a whole depth of frames plays out, the
-    sender jumped, restarted, fell behind or runs fast: the buffer
-    drops what it holds, counting it lost, and primes afresh from the
-    latest (the probation of RFC 3550, appendix A.1). A late burst
-    after a stall, or one stray packet, ends before that and leaves
-    playout alone.
+    of it; while priming, as far either way around the first arrival
+    (the anchor). An arrival outside it, already played or too far from
+    playout, is dropped and counted late. When such arrivals keep
+    following one another in sequence while a whole depth of frames
+    plays out (while priming, for a depth of arrivals), the sender
+    jumped, restarted, fell behind or runs fast, or the anchor was a
+    stray: the buffer drops what it holds, counting it lost, and primes
+    afresh from the latest (the probation of RFC 3550, appendix A.1). A
+    late burst after a stall, or one stray packet, ends before that and
+    leaves playout alone.
     """
 
     def __init__(self, depth_ms: int):
@@ -197,16 +199,23 @@ class JitterBuffer:
         check_payload(packet)
         seq = packet.sequence
         self.stats.received += 1
-        if self._next_seq is not None:
-            ahead = seq_delta(seq, self._next_seq)
-            if not 0 <= ahead < self.depth_frames + _TRAIL_FRAMES:
+        if self._anchor is not None:
+            reach = self.depth_frames + _TRAIL_FRAMES
+            if self._next_seq is None:
+                # priming: around the anchor either way, a run counted in arrivals
+                here = seq
+                inside = abs(seq_delta(seq, self._anchor)) < reach
+            else:
+                here = self._next_seq
+                inside = 0 <= seq_delta(seq, here) < reach
+            if not inside:
                 run = self._run
-                began = run[1] if run is not None and seq == run[0] else self._next_seq
-                if seq_delta(self._next_seq, began) < self.depth_frames:
+                began = run[1] if run is not None and seq == run[0] else here
+                if seq_delta(here, began) < self.depth_frames:
                     self._run = ((seq + 1) % SEQ_MOD, began)
                     self.stats.late += 1
                     return
-                # a depth of playout outside the window, in sequence: prime afresh
+                # a depth outside the window, in sequence: prime afresh
                 self.stats.lost += len(self._pending)
                 self._pending.clear()
                 self._anchor = self._next_seq = None

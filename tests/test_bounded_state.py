@@ -53,12 +53,11 @@ def chunked_room(model, bits, chunk_ms, leaver, leave_at, rejoin_at):
 
 
 def retained(tracker, segmenters):
-    engine = tracker._engine
     return {
         "ticks": len(tracker.ticks),
         "configs": len(tracker.configs),
-        "bits": engine._bits.shape,
-        "cum": engine._cum.shape,
+        "bits": tracker._bits.shape,
+        "cum": tracker._cum.shape,
         "views": {p: len(s.view()[0]) for p, s in segmenters.items()},
     }
 

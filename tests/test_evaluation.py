@@ -230,7 +230,7 @@ def _check_chunking(corpus, floor_model, periods):
     streams = corpus.streams()
 
     batch = FloorTracker(ids, floor_model, _tracker_views(corpus))
-    span = batch._engine.span
+    span = batch.span
     assert corpus.duration_ms > span
     batch.add_activity(room_block(streams, ids))
     batch.process_due()

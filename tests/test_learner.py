@@ -16,7 +16,7 @@ from floorspace.errors import (
     TrainingError,
 )
 from floorspace.evaluation import FloorTracker
-from floorspace.features import FeatureBinning, FeatureEngine, NO_GAP
+from floorspace.features import FeatureBinning, FeatureEngine, NO_GAP, utterance_views
 from floorspace.learner import (
     CLASS_NAMES,
     DIFF,
@@ -33,7 +33,7 @@ from floorspace.learner import (
 )
 from floorspace.timeline import Utterance, stream_from_intervals
 
-from conftest import four_party_config
+from conftest import four_party_config, instances_for, room_block
 
 
 def labeled(pid, intervals, label):
@@ -440,6 +440,30 @@ def test_tracker_probability_is_the_mean_of_both_directions(periods):
             assert row[k] == pytest.approx(both.mean(), abs=1e-12)
 
 
+def test_training_reads_the_features_the_tracker_serves(train_corpus, floor_model):
+    # training's engine counts at its 1 000 ms step, fed in 60 s batches;
+    # the tracker counts at the 30 ms period's resolution, fed at once
+    ids = sorted(train_corpus.ids.values())
+    instances = instances_for(train_corpus)
+    tracker = FloorTracker(ids, floor_model, utterance_views(train_corpus.utterances()))
+    tracker.add_activity(room_block(train_corpus.streams(), ids))
+    ticks = np.arange(1000, train_corpus.duration_ms + 1, 1000)
+    raw = tracker.raw(ticks)
+
+    # the pairs training keeps: both spoke in the lookback before each instant
+    lookback = sum(floor_model.binning.window_lengths_ms)
+    spoken = np.cumsum(room_block(train_corpus.streams(), ids), axis=1, dtype=np.int64)
+    spoken = np.concatenate((np.zeros((len(ids), 1), dtype=np.int64), spoken), axis=1)
+    spoke = (spoken[:, ticks] - spoken[:, np.maximum(ticks - lookback, 0)] > 0).T
+    iu, ju = np.triu_indices(len(ids), 1)
+    rows, pairs = np.nonzero(spoke[:, iu] & spoke[:, ju])
+    m = len(iu)
+    assert len(rows) > 0.9 * len(ticks) * m
+    gaps = np.stack((raw.gaps[rows, pairs], raw.gaps[rows, m + pairs]), axis=1).ravel()
+    assert np.array_equal(instances.gaps, gaps)
+    assert np.array_equal(instances.overlaps, np.repeat(raw.overlaps[rows, pairs], 2, axis=0))
+
+
 def test_boosting_an_observed_bin_never_lowers_the_posterior():
     rng = np.random.default_rng(31)
     for _ in range(100):
@@ -532,10 +556,10 @@ def test_a_model_counts_over_the_windows_it_was_trained_with(tmp_path):
     tracker = FloorTracker(ids, model, {p: lambda: ([], []) for p in ids})
     tracker.add_activity(np.ones((len(ids), 9_000), dtype=bool))
     tracker.process_due()
-    raw = tracker._engine.raw([9_000])
+    raw = tracker.raw([9_000])
     assert np.all(raw.overlaps == SHORT.window_lengths_ms)
     assert np.all(raw.speech == 5_000)
-    assert np.array_equal(tracker._engine.binned([9_000]), model.binning.bin_array(
+    assert np.array_equal(tracker.binned([9_000]), model.binning.bin_array(
         raw.gaps, np.concatenate((raw.overlaps, raw.overlaps), axis=1)))
 
 

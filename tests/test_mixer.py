@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import floorspace.mixer as mixer_module
 from floorspace.mixer import (
-    BLOCK_FRAMES, INT16_MAX, INT16_MIN, RAMP_SAMPLES, Mixer, glide, mix_timeline,
+    BLOCK_FRAMES, INT16_MAX, INT16_MIN, RAMP_SAMPLES, Mixer, mix_timeline,
 )
 from floorspace.transport import FRAME_SAMPLES as FRAME
 
@@ -266,10 +266,17 @@ def test_the_mix_block_size_changes_no_sample(speakers, n, seed, silences):
     assert mixes[1:] == mixes[:-1]
 
 
+def glide(value, step, target, j):
+    """Gains at samples ``j`` of a frame that starts at ``value``, by the
+    ramp law as written: clamped at the target from the side it moves."""
+    g = value + step * j
+    return np.where(step > 0, np.minimum(g, target), np.maximum(g, target))
+
+
 class SlotMixer:
     """Reference mixer: ramp state per (listener, speaker) id pair, read
-    and written every frame, and each listener's mix summed speaker by
-    speaker in ascending order."""
+    and written every frame, ramps glided by ``glide``, and each
+    listener's mix summed speaker by speaker in ascending order."""
 
     def __init__(self):
         self.state = {}  # (listener, speaker) -> (value, target, step)

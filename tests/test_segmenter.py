@@ -113,7 +113,7 @@ def test_utterances_are_disjoint_and_ordered():
         for u, v in zip(utts, utts[1:]):
             assert u.end <= v.start
         for u in utts:
-            assert u.duration_ms >= MIN_UTTERANCE_MS
+            assert u.end - u.start >= MIN_UTTERANCE_MS
 
 
 def test_segmentation_is_idempotent():
@@ -186,5 +186,7 @@ def test_online_respects_start_tick():
     online.feed(np.ones(200, dtype=bool))
     starts, ends = online.view()
     assert (starts, ends) == ([500], [700])
-    assert online.end_tick == 700
+    # the next chunk starts where the first ended
+    online.feed(np.r_[np.zeros(300, dtype=bool), np.ones(200, dtype=bool)])
+    assert online.view() == ([500, 1000], [700, 1200])
 

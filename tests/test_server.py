@@ -1241,10 +1241,10 @@ def test_a_join_and_leave_between_pumps_leave_the_tracker_untouched(
             srv._join(name, 1 + i, ("127.0.0.1", 9000 + i))
         while len(periods[srv.tracker].configs if srv.tracker else ()) < 3:
             srv.pump_once()
-        tracker, engine = srv.tracker, srv.tracker._engine
+        tracker = srv.tracker
         assigner = tracker.assigner
         counters = (assigner.searched, assigner.reused)
-        cum = engine._cum
+        cum = tracker._cum
         counts = cum.copy()
         assert srv._pin({"owner": "a", "floors": [["a", "b"]]})["type"] == "pinned"
         regroups = []
@@ -1259,7 +1259,7 @@ def test_a_join_and_leave_between_pumps_leave_the_tracker_untouched(
         assert srv.tracker is tracker and tracker.participants == (0, 1)
         assert assigner.pinned is None
         assert (assigner.searched, assigner.reused) == counters
-        assert engine._cum is cum and np.array_equal(cum, counts)
+        assert tracker._cum is cum and np.array_equal(cum, counts)
         srv.pump_once()
         assert not regroups
     finally:

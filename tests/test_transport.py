@@ -435,6 +435,33 @@ def test_one_stray_packet_far_ahead_leaves_playout_alone():
     assert (jb.stats.late, jb.stats.lost) == (1, 0)
 
 
+def test_a_stray_packet_while_priming_is_never_played():
+    # kept while priming, 20 000 stayed pending after 2 998 frames played,
+    # to play later in place of the real frame 20 000
+    jb = JitterBuffer(depth_ms=60)
+    played = play(jb, [0, 20_000] + list(range(1, 3000)))
+    assert played[:3] == [None] * 3 and played[3:] == list(range(2998))
+    assert 20_000 not in jb._pending
+    assert (jb.stats.late, jb.stats.lost) == (1, 0)
+
+
+def test_a_stray_packet_while_priming_does_not_start_playout():
+    # playout started at a stray 40 000 and played it, then 4 silent frames
+    jb = JitterBuffer(depth_ms=60)
+    played = play(jb, [0, 40_000] + list(range(1, 100)))
+    assert played[:3] == [None] * 3 and played[3:] == list(range(98))
+    assert (jb.stats.late, jb.stats.lost) == (1, 0)
+
+
+def test_a_stray_first_packet_delays_the_real_stream_by_at_most_a_depth():
+    # alone, 0 would play at the third pop; here a depth of arrivals in
+    # sequence, 0-2, counts late, and 3 re-anchors and plays at the sixth
+    jb = JitterBuffer(depth_ms=60)
+    played = play(jb, [40_000] + list(range(100)))
+    assert played[:6] == [None] * 6 and played[6:] == list(range(3, 98))
+    assert (jb.stats.late, jb.stats.lost) == (3, 1)
+
+
 # --- the room path: one decode, one encode ------------------------------------
 
 
