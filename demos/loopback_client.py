@@ -9,7 +9,6 @@ with it over loopback UDP. It is not a demo itself (the demos are the
 from __future__ import annotations
 
 import socket
-import time
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -22,9 +21,9 @@ from floorspace.transport import AudioPacket, Packetizer, decode_ulaw
 class ScriptedClient:
     """Minimal loopback client for tests and demos.
 
-    Sends prepared PCM frames on the audio socket, answers the
-    server's sync requests (optionally with a skewed clock), and
-    collects whatever mixed audio comes back.
+    Sends prepared PCM frames on the audio socket, sends control
+    requests and reads their one reply each, and collects whatever
+    mixed audio comes back.
     """
 
     def __init__(
@@ -33,14 +32,11 @@ class ScriptedClient:
         ssrc: int,
         server_audio: Tuple[str, int],
         server_control: Tuple[str, int],
-        clock_skew_ms: int = 0,
     ):
         self.name = name
         self.ssrc = ssrc
         self.server_audio = server_audio
         self.server_control = server_control
-        self.clock_skew_ms = clock_skew_ms
-        self._epoch = time.monotonic()
         self.audio_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.audio_sock.bind(("127.0.0.1", 0))
         self.audio_sock.settimeout(0.2)
@@ -51,33 +47,10 @@ class ScriptedClient:
         self.participant: Optional[int] = None
         self.received: List[np.ndarray] = []
 
-    def _now_ms(self) -> int:
-        return int((time.monotonic() - self._epoch) * 1000) + self.clock_skew_ms
-
     def request(self, msg: dict) -> dict:
         self.control_sock.sendto(encode_message(msg), self.server_control)
-        while True:
-            data, _ = self.control_sock.recvfrom(65536)
-            reply = decode_message(data)
-            if reply["type"] == "sync_request":
-                self._answer_sync(reply)
-                continue
-            return reply
-
-    def _answer_sync(self, msg: dict) -> None:
-        t = self._now_ms()
-        self.control_sock.sendto(
-            encode_message(
-                {
-                    "type": "sync_response",
-                    "name": self.name,
-                    "t1": msg["t1"],
-                    "t2": t,
-                    "t3": self._now_ms(),
-                }
-            ),
-            self.server_control,
-        )
+        data, _ = self.control_sock.recvfrom(65536)
+        return decode_message(data)
 
     def join(self) -> dict:
         reply = self.request({"type": "join", "name": self.name, "ssrc": self.ssrc})

@@ -2,11 +2,11 @@
 
 Two sockets. The audio port speaks the 12-byte-header packet format
 from transport; the control port speaks small length-prefixed JSON
-messages (join, leave, pin, unpin, status, and the clock-sync
-exchange the server initiates). Each client session owns its jitter
-buffer, voice activity detector, online segmenter, and measured
-clock offset; a single pump advances the shared timeline one
-transport frame (FRAME_MS, 20 ms) at a time: drain arrivals, pop one
+messages (join, leave, pin, unpin, status), each answered by exactly
+one reply; the server never starts a control message. Each client
+session owns its jitter buffer, voice activity detector and online
+segmenter; a single pump advances the shared timeline one transport
+frame (FRAME_MS, 20 ms) at a time: drain arrivals, pop one
 frame per session and decode them together, hand the room's VAD bits
 to the floor tracker as one block, re-evaluate the floor
 configuration on its own EVAL_PERIOD_MS (30 ms) grid, then mix every
@@ -36,10 +36,9 @@ configuration change, is the exception.
 The pump is callable directly (pump_once) so tests and the replay
 path can drive time without a wall clock; serve() runs it paced.
 
-Activity joins the shared timeline at jitter-buffer playout, so all
-streams are already expressed on the server clock when features see
-them; the measured per-client offsets are kept on the session for
-diagnostics and log timestamps rather than re-timing audio.
+Activity joins the shared timeline at jitter-buffer playout, so every
+stream is on the server's timeline when features see it; no timestamp
+taken on a client's clock is ever compared with another.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .assigner import (
     gains,
 )
 from .errors import (CapacityError, ConfigError, FloorspaceError, PacketFormatError,
-                     check_integer, check_number, from_object)
+                     check_integer, from_object)
 from .evaluation import ConfigurationEvent, FloorTracker
 from .learner import FloorModel, load_model
 from .mixer import Mixer
@@ -81,8 +80,6 @@ from .transport import (
     check_payload,
     decode_room,
     encode_room,
-    estimate_clock_offset,
-    ClockOffset,
 )
 from .vad import VadConfig, VoiceActivityDetector, room_frame_bits
 
@@ -93,7 +90,7 @@ MAX_CONTROL_BYTES = 64 * 1024
 INBOX_FRAMES = 64
 # control messages that act for a session, and the field naming it: they
 # count only from the control address that session joined from
-SESSION_FIELD = {"leave": "name", "pin": "owner", "unpin": "owner", "sync_response": "name"}
+SESSION_FIELD = {"leave": "name", "pin": "owner", "unpin": "owner"}
 
 
 def encode_message(msg: dict) -> bytes:
@@ -137,7 +134,6 @@ class ServerConfig:
     max_participants: int = MAX_PARTICIPANTS
     jitter_depth_ms: int = 60
     dwell_ms: int = 0
-    sync_interval_s: float = 10.0
     vad: VadConfig = field(default_factory=VadConfig)
 
     def __post_init__(self):
@@ -148,8 +144,6 @@ class ServerConfig:
         for name in ("audio_port", "control_port"):
             setattr(self, name, check_integer(getattr(self, name), name, 0, 65535, ConfigError))
         self.dwell_ms = check_integer(self.dwell_ms, "dwell_ms", 0, math.inf, ConfigError)
-        # 0 turns clock sync off
-        check_number(self.sync_interval_s, "sync_interval_s", 0, math.inf, ConfigError)
         # rejected here, not at the first join, where the client gets the blame
         try:
             JitterBuffer(self.jitter_depth_ms)
@@ -193,8 +187,6 @@ class ClientSession:
         # the tick and VAD bits of the session's last frame
         self.last_frame: Tuple[int, np.ndarray] = (start_tick, np.zeros(0, dtype=bool))
         self.packetizer = Packetizer(ssrc=ssrc ^ 0xFFFFFFFF)
-        self.clock: Optional[ClockOffset] = None
-        self.pending_sync_t1: Optional[int] = None
 
     @property
     def stream(self) -> ActivityStream:
@@ -236,7 +228,6 @@ class RealtimeServer:
         build_scorers(cfg.max_participants)
         self._lock = threading.RLock()
         self._stop = threading.Event()
-        self._last_sync = 0.0
         self.control_rejects = 0
         self.audio_rejects = 0
         self.overruns = 0  # paced pumps that started a whole frame or more late
@@ -381,8 +372,6 @@ class RealtimeServer:
         kind = msg.get("type")
         try:
             if kind in SESSION_FIELD and not self._from_session(msg, kind, addr):
-                if kind == "sync_response":
-                    return
                 reply = {
                     "type": "error",
                     "message": f"{kind} for {msg[SESSION_FIELD[kind]]!r} must come "
@@ -398,9 +387,6 @@ class RealtimeServer:
                 reply = self._unpin(msg)
             elif kind == "status":
                 reply = self._status()
-            elif kind == "sync_response":
-                self._finish_sync(msg)
-                return
             else:
                 reply = {"type": "error", "message": f"unknown message type {kind!r}"}
         except (KeyError, TypeError, ValueError) as exc:
@@ -414,18 +400,14 @@ class RealtimeServer:
 
         An unknown or mistyped name passes, so its handler can say so.
         """
+        name = msg.get(SESSION_FIELD[kind])
         with self._lock:
-            session = self._session_named(msg, SESSION_FIELD[kind])
+            session = self.sessions.get(name) if isinstance(name, str) else None
             if session is None or session.control_addr == addr:
                 return True
             self.control_rejects += 1
             log.debug("%s for %s from %s rejected", kind, session.name, addr)
             return False
-
-    def _session_named(self, msg: dict, field: str) -> Optional[ClientSession]:
-        """The session the string ``msg[field]`` names, else None."""
-        name = msg.get(field)
-        return self.sessions.get(name) if isinstance(name, str) else None
 
     def _names_to_partition(self, floors) -> Tuple[Tuple[int, ...], ...]:
         if not (isinstance(floors, list) and all(
@@ -497,7 +479,6 @@ class RealtimeServer:
                 "participants": {
                     s.name: {
                         "participant": s.participant,
-                        "clock_offset_ms": None if s.clock is None else s.clock.offset_ms,
                         "jitter": vars(s.jitter.stats).copy(),
                         "overload_drops": s.overload_drops,
                     }
@@ -510,38 +491,6 @@ class RealtimeServer:
             self.control_sock.sendto(encode_message(msg), addr)
         except OSError as exc:
             log.warning("control send to %s failed: %s", addr, exc)
-
-    # ---- clock sync ----
-
-    def _start_sync(self) -> None:
-        t1 = self.tick
-        with self._lock:
-            for session in self.sessions.values():
-                session.pending_sync_t1 = t1
-                self._send_control(
-                    {"type": "sync_request", "t1": t1}, session.control_addr
-                )
-
-    def _finish_sync(self, msg: dict) -> None:
-        t4 = self.tick
-        with self._lock:
-            # a stray response (unknown name, nothing pending) is dropped
-            # before its fields are read
-            session = self._session_named(msg, "name")
-            if session is None or session.pending_sync_t1 is None:
-                return
-            t1, t2, t3 = (check_integer(msg[k], k, -math.inf, math.inf, ValueError)
-                          for k in ("t1", "t2", "t3"))
-            if session.pending_sync_t1 != t1:
-                return
-            session.pending_sync_t1 = None
-            session.clock = estimate_clock_offset(t1, t2, t3, t4)
-            log.debug(
-                "sync %s: offset %d ms, rtt %d ms",
-                session.name,
-                session.clock.offset_ms,
-                session.clock.round_trip_ms,
-            )
 
     # ---- audio plane ----
 
@@ -689,12 +638,6 @@ class RealtimeServer:
                     self.overruns += 1
                 next_at += period
                 self.pump_once()
-                if (
-                    self.cfg.sync_interval_s > 0
-                    and time.monotonic() - self._last_sync >= self.cfg.sync_interval_s
-                ):
-                    self._last_sync = time.monotonic()
-                    self._start_sync()
         except KeyboardInterrupt:
             pass
         finally:

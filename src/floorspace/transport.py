@@ -1,4 +1,4 @@
-"""Audio packets, jitter buffering, and clock synchronization.
+"""Audio packets and jitter buffering.
 
 Audio travels as 20 ms mu-law frames behind a fixed 12-byte header:
 2-bit version (2), 7-bit payload type (0, mu-law), a 16-bit wrapping
@@ -10,9 +10,9 @@ jump or drift. The buffer holds each frame as its 160
 codewords, undecoded: a room pops one frame per session and decodes
 them all with one ``decode_room``, and encodes its mixes with one
 ``encode_room``, after which each listener's ``Packetizer`` only
-stamps its header on its row. Senders stamp timestamps from their own
-clocks, so a four-timestamp sync exchange estimates the offset used
-to place remote speech on the local timeline.
+stamps its header on its row. A sender stamps timestamps from its own
+clock, and nothing compares them across senders: a stream joins the
+room's timeline at playout.
 """
 
 from __future__ import annotations
@@ -242,29 +242,3 @@ class JitterBuffer:
             return SILENCE
         self.stats.played += 1
         return frame
-
-
-@dataclass(frozen=True)
-class ClockOffset:
-    """Estimated remote-to-local clock mapping from one sync exchange.
-
-    ``offset_ms`` is local minus remote: add it to a remote timestamp
-    to place the event on the local timeline. ``round_trip_ms``
-    bounds the estimation error (asymmetric paths skew the estimate
-    by up to half the asymmetry).
-    """
-
-    offset_ms: float
-    round_trip_ms: float
-
-
-def estimate_clock_offset(t1: float, t2: float, t3: float, t4: float) -> ClockOffset:
-    """Four-timestamp offset estimate.
-
-    t1: request sent (remote clock), t2: request received (local),
-    t3: reply sent (local), t4: reply received (remote clock).
-    """
-    offset = ((t2 - t1) + (t3 - t4)) / 2.0
-    rtt = (t4 - t1) - (t3 - t2)
-    return ClockOffset(offset_ms=offset, round_trip_ms=rtt)
-

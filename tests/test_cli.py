@@ -442,13 +442,14 @@ def test_serve_reports_a_config_that_is_not_an_object(tmp_path, capsys, doc):
     assert err.startswith("error:") and "JSON object" in err and len(err.splitlines()) == 1
 
 
-def test_serve_reports_a_sync_interval_of_infinity(tmp_path, art, capsys):
-    # 0 already turns sync off; Infinity was accepted
+def test_serve_reports_a_vad_floor_of_infinity(tmp_path, art, capsys):
+    # JSON's Infinity parses to a float that no number setting accepts
     path = tmp_path / "server.json"
-    path.write_text(f'{{"model_path": {json.dumps(str(art.model))}, "sync_interval_s": Infinity}}')
+    path.write_text(f'{{"model_path": {json.dumps(str(art.model))}, '
+                    '"vad": {"energy_floor_db": Infinity}}')
     assert main(["serve", "--config", str(path), "--audio-port", "0", "--control-port", "0"]) == 1
     err = capsys.readouterr().err.strip()
-    assert err.startswith("error:") and "sync_interval_s" in err and len(err.splitlines()) == 1
+    assert err.startswith("error:") and "energy_floor_db" in err and len(err.splitlines()) == 1
 
 
 # --- bad files ------------------------------------------------------------------

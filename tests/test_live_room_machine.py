@@ -20,11 +20,12 @@ exactly once, valid audio never is, and after every step no counter
 that ``status`` reports has fallen: the room's for good, a session's
 while it stays, the search's while its tracker does. A burst of valid
 audio past ``INBOX_FRAMES`` between pumps counts each frame over in
-``overload_drops``, and no inbox ever holds more. A ``sync_response``
-the room never asked for is dropped without a reply, and counted in
-``control_rejects`` only when it names a session from another control
-address. So is every leave, pin, unpin or rejoin (with the session's
-SSRC) from another control address, and no other message.
+``overload_drops``, and no inbox ever holds more. A message of a type
+the room does not know, a ``sync_response`` or ``sync_request`` among
+them, gets exactly one ``error`` naming the type and moves no counter
+or session. ``control_rejects`` counts every leave, pin, unpin or
+rejoin (with the session's SSRC) from another control address, and no
+other message.
 """
 
 import numpy as np
@@ -238,21 +239,18 @@ class LiveRoom(RuleBasedStateMachine):
         self.rejected(self.packet(session.ssrc), ("127.0.0.1", addr[1] + 1000))
         assert session.audio_addr == addr
 
-    @rule(name=st.sampled_from(NAMES + ("zed",)), addr=st.sampled_from(CONTROL),
-          own=st.booleans(), t1=st.integers(-1, 1))
-    def stray_sync_response(self, name, addr, own, t1):
-        # the room never asks for a sync here, so every response is stray
+    @rule(kind=st.sampled_from(("sync_response", "sync_request", "hello")),
+          name=st.sampled_from(NAMES + ("zed",)), addr=st.sampled_from(CONTROL),
+          own=st.booleans(), t1=st.sampled_from([-1, 0, 1, float("inf")]))
+    def stray_unknown_message(self, kind, name, addr, own, t1):
         srv = self.srv
         session = srv.sessions.get(name)
         if own and session is not None:
             addr = session.control_addr
-        foreign = session is not None and session.control_addr != addr
-        sent, rejects = len(srv.control_sock.sent), srv.control_rejects
-        srv._handle_control(encode_message(
-            {"type": "sync_response", "name": name, "t1": t1, "t2": 0, "t3": 0}), addr)
-        assert len(srv.control_sock.sent) == sent
-        assert session is None or session.clock is None
-        assert srv.control_rejects == rejects + foreign
+        sessions, status = dict(srv.sessions), srv._status()
+        _, reply = self.control({"type": kind, "name": name, "t1": t1, "t2": 0, "t3": 0}, addr)
+        assert reply == {"type": "error", "message": f"unknown message type {kind!r}"}
+        assert srv.sessions == sessions and srv._status() == status
 
     @invariant()
     def no_inbox_overflows(self):

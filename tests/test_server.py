@@ -1,4 +1,4 @@
-"""Live server plumbing over loopback UDP: membership, audio, control, sync."""
+"""Live server plumbing over loopback UDP: membership, audio and control."""
 
 import contextlib
 import gc
@@ -50,8 +50,8 @@ def running_server(model, **cfg_kwargs):
 
 
 @contextlib.contextmanager
-def joined(srv, name, ssrc, **kw):
-    client = ScriptedClient(name, ssrc, srv.audio_addr, srv.control_addr, **kw)
+def joined(srv, name, ssrc):
+    client = ScriptedClient(name, ssrc, srv.audio_addr, srv.control_addr)
     try:
         client.join()
         yield client
@@ -126,8 +126,11 @@ def test_config_from_dict_applies_nested_vad():
 
 
 def test_config_rejects_unknown_fields():
-    with pytest.raises(FloorspaceError, match="unknown server config"):
-        ServerConfig.from_dict({"audio_prot": 46000})
+    # the second set the period of a clock exchange the server no longer runs
+    for doc in ({"audio_prot": 46000}, {"sync_interval_s": 10}):
+        with pytest.raises(FloorspaceError, match="unknown server config") as err:
+            ServerConfig.from_dict(doc)
+        assert str(err.value) == f"unknown server config fields: {sorted(doc)}"
 
 
 def test_config_rejects_the_fixed_format_and_policy():
@@ -191,7 +194,7 @@ def test_config_rejects_a_count_or_port_that_is_not_an_integer():
     assert (cfg.audio_port, cfg.control_port, cfg.max_participants) == (0, 0, 2)
 
 
-def test_config_rejects_a_bad_dwell_or_sync_interval():
+def test_config_rejects_a_bad_dwell():
     # else the string reaches the assigner's first comparison on the pump
     # thread, which ends the room, and a negative value silently means none
     for dwell in ("600", -100, 1.5, True, None):
@@ -199,14 +202,7 @@ def test_config_rejects_a_bad_dwell_or_sync_interval():
             ServerConfig(dwell_ms=dwell)
         with pytest.raises(ConfigError, match="dwell_ms"):
             ServerConfig.from_dict({"audio_port": 0, "control_port": 0, "dwell_ms": dwell})
-    for sync in ("10", -1, -0.5, float("nan"), False, None):
-        with pytest.raises(ConfigError, match="sync_interval_s"):
-            ServerConfig(sync_interval_s=sync)
-        with pytest.raises(ConfigError, match="sync_interval_s"):
-            ServerConfig.from_dict({"sync_interval_s": sync})
-    cfg = ServerConfig.from_dict({"dwell_ms": 600, "sync_interval_s": 0})
-    assert (cfg.dwell_ms, cfg.sync_interval_s) == (600, 0)
-    assert ServerConfig(sync_interval_s=2.5).sync_interval_s == 2.5
+    assert ServerConfig.from_dict({"dwell_ms": 600}).dwell_ms == 600
 
 
 def test_config_rejects_a_host_or_model_path_that_is_not_a_string():
@@ -387,15 +383,21 @@ def test_a_join_with_an_ssrc_past_float_range_gets_an_error(floor_model):
             client.close()
 
 
-def test_a_stray_sync_response_past_float_range_is_dropped(floor_model):
+def test_a_sync_message_is_an_unknown_type(floor_model):
+    # the server once ran a clock exchange; "t1": 1e400 ended its control thread
+    response = b'{"type":"sync_response","name":"alice","t1":1e400,"t2":0,"t3":0}'
     with running_server(floor_model) as srv:
-        with joined(srv, "alice", 1) as a:
-            for name in (b"nobody", b"alice"):  # unknown, and nothing pending
-                body = b'{"type":"sync_response","name":"%s","t1":1e400,"t2":0,"t3":0}' % name
-                a.control_sock.sendto(framed(body), srv.control_addr)
-                # no reply to the stray: the next one is the status
-                assert a.request({"type": "status"})["type"] == "status"
-            assert srv.sessions["alice"].clock is None
+        with joined(srv, "alice", 1) as a, joined(srv, "bob", 2) as b:
+            sessions, status = dict(srv.sessions), a.request({"type": "status"})
+            for client, kind, body in ((a, "sync_response", response),
+                                       (b, "sync_response", response),
+                                       (a, "sync_request", b'{"type":"sync_request","t1":0}')):
+                client.control_sock.sendto(framed(body), srv.control_addr)
+                reply = decode_message(client.control_sock.recvfrom(65536)[0])
+                assert reply == {"type": "error", "message": f"unknown message type {kind!r}"}
+                # one reply only: the next is the status's, and nothing moved
+                assert client.request({"type": "status"}) == status
+                assert srv.sessions == sessions
 
 
 def test_a_join_with_a_mistyped_name_or_ssrc_gets_an_error(floor_model):
@@ -455,27 +457,6 @@ def test_a_pin_whose_floors_are_not_arrays_of_names_gets_an_error(floor_model):
                 assert srv.tracker.assigner.pinned is None
             pin = {"type": "pin", "owner": "a", "floors": [["a"], ["b"]]}
             assert a.request(pin)["type"] == "pinned"
-
-
-def test_a_pending_sync_response_with_times_that_are_not_integers_is_refused(floor_model):
-    # int() truncated 250.7 to 250
-    with running_server(floor_model) as srv:
-        with joined(srv, "alice", 10) as a:
-            srv._start_sync()
-            t1 = decode_message(a.control_sock.recvfrom(65536)[0])["t1"]
-            for times in ({"t2": t1 + 250.7}, {"t3": t1 + 250.2}, {"t1": float(t1)},
-                          {"t2": True}, {"t3": "5"}):
-                body = {"type": "sync_response", "name": "alice",
-                        "t1": t1, "t2": t1 + 250, "t3": t1 + 250, **times}
-                a.control_sock.sendto(encode_message(body), srv.control_addr)
-                reply = decode_message(a.control_sock.recvfrom(65536)[0])
-                assert reply["type"] == "error" and "malformed sync_response" in reply["message"]
-                assert srv.sessions["alice"].clock is None
-            body = {"type": "sync_response", "name": "alice", "t1": t1, "t2": t1 + 250,
-                    "t3": t1 + 250}
-            a.control_sock.sendto(encode_message(body), srv.control_addr)
-            assert wait_for(lambda: srv.sessions["alice"].clock is not None)
-            assert srv.sessions["alice"].clock.offset_ms == 250
 
 
 def test_deeply_nested_control_json_gets_an_error(floor_model):
@@ -711,16 +692,7 @@ def test_only_a_sessions_own_address_acts_for_it(floor_model):
             assert b.request(as_alice)["type"] == "error"
             assert "alice" in srv.sessions
             assert srv.tracker.assigner.pinned == pinned
-
-            # a stray sync answer is dropped without a reply
-            srv._start_sync()
-            t1 = decode_message(a.control_sock.recvfrom(65536)[0])["t1"]
-            b.control_sock.sendto(encode_message(
-                {"type": "sync_response", "name": "alice", "t1": t1, "t2": t1, "t3": t1}),
-                srv.control_addr)
-            status = b.request({"type": "status"})
-            assert status["control_rejects"] == 4
-            assert srv.sessions["alice"].clock is None
+            assert b.request({"type": "status"})["control_rejects"] == 3
 
             assert a.leave()["type"] == "left"
 
@@ -829,68 +801,6 @@ def test_status_counts_pumps_that_start_a_frame_late(floor_model):
         srv.stop()
         runner.join(timeout=5.0)
     assert not runner.is_alive()
-
-
-# --- clock sync ----------------------------------------------------------------
-
-
-def test_sync_measures_a_crafted_offset(floor_model):
-    with running_server(floor_model) as srv:
-        with joined(srv, "alice", 10) as a:
-            srv._start_sync()
-            req = decode_message(a.control_sock.recvfrom(65536)[0])
-            assert req["type"] == "sync_request"
-            t1 = req["t1"]
-            a.control_sock.sendto(
-                encode_message(
-                    {
-                        "type": "sync_response",
-                        "name": "alice",
-                        "t1": t1,
-                        "t2": t1 + 250,
-                        "t3": t1 + 250,
-                    }
-                ),
-                srv.control_addr,
-            )
-            assert wait_for(lambda: srv.sessions["alice"].clock is not None)
-            clock = srv.sessions["alice"].clock
-            assert clock.offset_ms == 250
-            assert clock.round_trip_ms == 0
-
-
-def test_stale_sync_responses_are_ignored(floor_model):
-    with running_server(floor_model) as srv:
-        with joined(srv, "alice", 10) as a:
-            srv._start_sync()
-            req = decode_message(a.control_sock.recvfrom(65536)[0])
-            a.control_sock.sendto(
-                encode_message(
-                    {
-                        "type": "sync_response",
-                        "name": "alice",
-                        "t1": req["t1"] + 999,
-                        "t2": 5,
-                        "t3": 5,
-                    }
-                ),
-                srv.control_addr,
-            )
-            time.sleep(0.15)
-            assert srv.sessions["alice"].clock is None
-
-
-def test_scripted_client_answers_sync_during_requests(floor_model):
-    with running_server(floor_model) as srv:
-        with joined(srv, "alice", 10, clock_skew_ms=300) as a:
-            srv._start_sync()
-            # the pending sync request is answered transparently before
-            # the status reply comes back
-            reply = a.request({"type": "status"})
-            assert reply["type"] == "status"
-            assert wait_for(lambda: srv.sessions["alice"].clock is not None)
-            offset = srv.sessions["alice"].clock.offset_ms
-            assert 200 <= offset <= 400
 
 
 # --- membership changes in place ---------------------------------------------

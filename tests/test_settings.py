@@ -77,8 +77,6 @@ ROWS = [
     ("ServerConfig", "jitter_depth_ms", lambda v: ServerConfig(jitter_depth_ms=v), ConfigError,
      True, 20, INF),
     ("ServerConfig", "dwell_ms", lambda v: ServerConfig(dwell_ms=v), ConfigError, True, 0, INF),
-    ("ServerConfig", "sync_interval_s", lambda v: ServerConfig(sync_interval_s=v), ConfigError,
-     False, 0, INF),
     ("VadConfig", "energy_floor_db", lambda v: VadConfig(energy_floor_db=v), ValueError, False,
      -INF, INF),
     ("VadConfig", "snr_threshold_db", lambda v: VadConfig(snr_threshold_db=v), ValueError,
@@ -199,7 +197,7 @@ VAD_VALID = {"energy_floor_db": [-60.0, -50], "snr_threshold_db": [10.0, 0],
              "hangover_ms": [200, 0], "noise_adapt_rate": [0.05, 1]}
 SERVER_VALID = {"host": ["127.0.0.1"], "audio_port": [0, 46000], "control_port": [0, 65535],
                 "model_path": [None, "model.json"], "max_participants": [1, 10],
-                "jitter_depth_ms": [20, 60], "dwell_ms": [0, 600], "sync_interval_s": [0, 2.5],
+                "jitter_depth_ms": [20, 60], "dwell_ms": [0, 600],
                 "vad": [{}, {"hangover_ms": 15}]}
 SERVER_INTEGERS = ("max_participants", "audio_port", "control_port", "jitter_depth_ms",
                    "dwell_ms")
@@ -215,7 +213,6 @@ def test_a_server_config_document_keeps_the_rules_or_is_one_error(doc):
     except FloorspaceError:
         return
     assert all(is_integer(getattr(cfg, name)) for name in SERVER_INTEGERS)
-    assert is_number(cfg.sync_interval_s)
     assert is_integer(cfg.vad.hangover_ms)
     assert all(is_number(getattr(cfg.vad, name))
                for name in ("energy_floor_db", "snr_threshold_db", "noise_adapt_rate"))

@@ -1,4 +1,4 @@
-"""Companding, packet framing, jitter buffering, and clock sync."""
+"""Companding, packet framing and jitter buffering."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from floorspace.transport import (
     depacketize,
     encode_room,
     encode_ulaw,
-    estimate_clock_offset,
     seq_delta,
 )
 
@@ -545,42 +544,6 @@ def test_stamped_room_encode_equals_packetize(ssrc, seq, ts, frames, rows, seed)
                 payload=encode_ulaw(pcm[k]).tobytes(),
             )
             assert datagram == want.to_bytes()
-
-
-# --- clock sync -------------------------------------------------------------
-
-
-def test_offset_recovers_symmetric_skew():
-    est = estimate_clock_offset(t1=1000, t2=1250, t3=1260, t4=1110)
-    assert est.offset_ms == pytest.approx(200.0)
-    assert est.round_trip_ms == pytest.approx(100.0)
-
-
-def test_asymmetric_delay_biases_by_half_the_asymmetry():
-    est = estimate_clock_offset(t1=0, t2=10, t3=10, t4=100)
-    assert est.offset_ms == pytest.approx(-40.0)
-    assert est.round_trip_ms == pytest.approx(100.0)
-
-
-def test_equal_clocks_and_no_delay_give_zero():
-    est = estimate_clock_offset(0, 0, 0, 0)
-    assert est.offset_ms == 0.0
-    assert est.round_trip_ms == 0.0
-
-
-def test_offset_is_exact_under_symmetric_delays():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        skew = float(rng.uniform(-500, 500))
-        delay = float(rng.uniform(0, 80))
-        proc = float(rng.uniform(0, 20))
-        t1 = float(rng.uniform(0, 10_000))
-        t2 = t1 + delay + skew
-        t3 = t2 + proc
-        t4 = t3 - skew + delay
-        est = estimate_clock_offset(t1, t2, t3, t4)
-        assert est.offset_ms == pytest.approx(skew, abs=1e-9)
-        assert est.round_trip_ms == pytest.approx(2 * delay, abs=1e-9)
 
 
 # --- end-to-end latency -----------------------------------------------------
