@@ -364,18 +364,28 @@ class FeatureEngine:
 
     def add_activity(self, rows) -> None:
         """The room's next ticks of activity: one row per participant in
-        participant order, all of one length (a (participants, ticks) array
-        or a list of rows), each written straight into the buffer."""
-        rows = [np.asarray(row, dtype=bool) for row in rows]
-        if len(rows) != len(self.participants) or len({row.shape for row in rows}) > 1:
+        participant order, all of one length, as a (participants, ticks)
+        array or a list of rows. Either is written into the buffer with
+        one slice assignment; a list is checked row by row and not
+        stacked first, which would copy every row once more. Anything
+        else, a ragged list included, is refused, and an empty room's
+        ``coverage`` does not move."""
+        n = len(self.participants)
+        # the shapes of the rows; an empty list is no rows of no ticks
+        if isinstance(rows, np.ndarray):
+            shapes = {rows.shape[1:]}
+        else:
+            shapes = {np.shape(row) for row in rows} or {(0,)}
+        if len(rows) != n or len(shapes) != 1 or len(row := shapes.pop()) != 1:
             raise ValueError(f"a room block needs one row per participant, "
-                             f"{len(self.participants)} of one length")
-        end = self.coverage + (len(rows[0]) if rows else 0)
+                             f"{n} of one length")
+        if not n:
+            return
+        end = self.coverage + row[0]
         if end - self._bits_tick > self._bits.shape[1]:
             self._make_room(end)
         lo = self.coverage - self._bits_tick
-        for r, row in enumerate(rows):
-            self._bits[r, lo : lo + len(row)] = row
+        self._bits[:, lo : end - self._bits_tick] = rows
         self.coverage = end
 
     def _make_room(self, end: Tick) -> None:
@@ -474,6 +484,8 @@ class FeatureEngine:
             raise ValueError(f"instant {int(t[-1])} is past the covered {self.coverage}")
         if np.any(t % self._res):
             raise ValueError(f"instants must be multiples of {self._res} ms")
+        if t[-1] - t[0] < self.span:
+            return t, self._overlap_counts(t)
         # counts for one span of instants at a time, so the retained
         # window stays within ``span`` past the lookback
         parts = []

@@ -17,7 +17,13 @@ so both clamp it with one clip between the two.
 
 ``Mixer.mix_frame`` mixes a whole room per call, from ramp state held
 as dense listener x speaker arrays in room order, and sums the
-speakers in ascending order with one reduction. ``mix_timeline``
+speakers in ascending order with one ``einsum`` contraction. The
+held gains go in as a view, which ``einsum`` stretches over the
+samples; only a frame where a pair ramps spells out each sample's
+gain. ``einsum`` runs without ``optimize``: its own loop then adds the
+speakers one at a time in order, where ``optimize`` reorders the
+operands and ``@`` hands the sum to BLAS, and either changes the
+order of the sum and so the last bits of some samples. ``mix_timeline``
 renders one listener's whole timeline offline, in blocks of frames,
 and sums in the same order but skips the terms that are signed zeros
 (a speaker held at 0 or silent over the block), which can change only
@@ -119,6 +125,12 @@ class Mixer:
         frames as rows; ``targets`` holds the wanted gain per
         (listener, speaker). A listener's own frame is excluded
         regardless of the targets.
+
+        The held gains enter the sum as a (listeners, speakers, 1) view;
+        a frame where some pairs ramp copies them out to every sample and
+        writes the gliding gains. One ``einsum`` without ``optimize``
+        weights and sums the speakers in ascending order, with no
+        (listeners, speakers, samples) product array.
         """
         n = frames.shape[1]
         room = (tuple(listeners), tuple(speakers))
@@ -132,16 +144,17 @@ class Mixer:
             step[moved] = (target[moved] - value[moved]) / RAMP_SAMPLES
         self._target = target
         pcm = frames.astype(np.float64)
-        weighted = value[..., None] * pcm
+        gain = value[..., None]
         ramping = np.nonzero(value != target)
         if len(ramping[0]):
             v, t = value[ramping][:, None], target[ramping][:, None]
             g = np.clip(v + step[ramping][:, None] * np.arange(1, n + 1),
                         np.minimum(v, t), np.maximum(v, t))
+            gain = gain.repeat(n, axis=2)  # a copy, before ``value`` moves
+            gain[ramping] = g
             value[ramping] = g[:, -1]
-            weighted[ramping] = g * pcm[ramping[1]]
-        # speaker by speaker in ascending order
-        acc = np.add.reduce(weighted, axis=1)
+        # speaker by speaker in ascending order: no ``optimize``, no BLAS
+        acc = np.einsum("lsn,sn->ln", gain, pcm)
         return np.clip(np.rint(acc), INT16_MIN, INT16_MAX).astype(np.int16)
 
 

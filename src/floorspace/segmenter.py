@@ -22,15 +22,17 @@ BRIDGE_GAP_MS = 200
 
 def speech_runs(bits: np.ndarray) -> List[Tuple[int, int]]:
     """Maximal [start, end) index runs of true bits."""
-    bits = np.asarray(bits, dtype=bool)
-    if len(bits) == 0:
+    return _runs(np.asarray(bits, dtype=bool))
+
+
+def _runs(bits: np.ndarray) -> List[Tuple[int, int]]:
+    """``speech_runs`` of a bool array, 1-D or a bare bool (one tick)."""
+    # most live chunks are all silence or all speech; one count tells both
+    speech = np.count_nonzero(bits)
+    if not speech:
         return []
-    # most live chunks are all silence or all speech
-    if bits[0]:
-        if bits.all():
-            return [(0, len(bits))]
-    elif not bits.any():
-        return []
+    if speech == bits.size:
+        return [(0, bits.size)]
     edges = np.flatnonzero(np.diff(bits.astype(np.int8)))
     # Python ints, like the edges at the chunk's ends, so views serialise
     starts = (edges[bits[edges + 1]] + 1).tolist()
@@ -86,9 +88,10 @@ class OnlineSegmenter:
         self._frozen_ends: List[int] = []
 
     def feed(self, bits) -> None:
-        bits = np.atleast_1d(np.asarray(bits, dtype=bool))
+        """Segment the next chunk of bits: any length, or a bare bool."""
+        bits = np.asarray(bits, dtype=bool)
         base = self._next_tick
-        for s, e in speech_runs(bits):
+        for s, e in _runs(bits):
             s += base
             e += base
             tail = self._tail
@@ -98,7 +101,7 @@ class OnlineSegmenter:
             else:
                 self._freeze_tail()
                 self._tail = [s, e]
-        self._next_tick = base + len(bits)
+        self._next_tick = base + bits.size
 
     def _freeze_tail(self) -> None:
         if self._tail is not None:

@@ -11,7 +11,9 @@ from floorspace.features import (
     NO_GAP,
     simultaneous_speech,
     trp_gap_from_arrays,
+    utterance_views,
 )
+from floorspace.segmenter import segment
 from floorspace.timeline import ActivityStream, Utterance, stream_from_intervals
 
 DEFAULT = FeatureBinning()
@@ -463,20 +465,48 @@ def test_the_engine_counts_in_blocks_of_its_span(monkeypatch):
 
 def test_an_engine_block_is_one_row_per_participant_of_one_length():
     engine = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, DEFAULT)
-    for bad in (np.ones((1, 10), dtype=bool), np.ones((3, 10), dtype=bool),
-                [np.ones(10, dtype=bool), np.ones(9, dtype=bool)]):
-        with pytest.raises(ValueError, match="one row per participant"):
+    refused = "^a room block needs one row per participant, 2 of one length$"
+    bad_blocks = (np.ones((1, 10), dtype=bool), np.ones((3, 10), dtype=bool),
+                  np.ones(2, dtype=bool), np.ones((2, 10, 1), dtype=bool),
+                  [np.ones(10, dtype=bool), np.ones(9, dtype=bool)])
+    for bad in bad_blocks:
+        with pytest.raises(ValueError, match=refused):
             engine.add_activity(bad)
     assert engine.coverage == 0
     # a list of rows reads as the array it would stack into
     engine.add_activity([np.ones(40_000, dtype=bool), np.zeros(40_000, dtype=bool)])
     assert engine.coverage == 40_000
     assert engine.raw([40_000]).speech.tolist() == [[30_000, 0]]
+    for bad in bad_blocks:
+        with pytest.raises(ValueError, match=refused):
+            engine.add_activity(bad)
+    assert engine.coverage == 40_000
     # a room without participants has no rows to cover ticks with
     engine.leave(0)
     engine.leave(1)
     engine.add_activity(np.ones((0, 100), dtype=bool))
     assert engine.coverage == 40_000
+
+
+def test_a_list_of_rows_bins_as_its_stacked_array():
+    """The same room fed as lists of rows and as stacked arrays, in blocks
+    of uneven length, bins every ordered pair to the same bits."""
+    rng = np.random.default_rng(29)
+    bits = np.repeat(rng.random((3, 9_000)) < 0.4, 10, axis=1)
+    streams = {pid: ActivityStream(pid, bits=row) for pid, row in enumerate(bits)}
+    views = utterance_views({pid: segment(s) for pid, s in streams.items()})
+    as_lists = FeatureEngine([0, 1, 2], views, DEFAULT, step_ms=30)
+    as_arrays = FeatureEngine([0, 1, 2], views, DEFAULT, step_ms=30)
+    fed = 0
+    for n in (20, 7, 2_000, 0, 1, 31_972, 20, 55_980):
+        block = bits[:, fed : fed + n]
+        as_lists.add_activity(list(block))
+        as_arrays.add_activity(block.copy())
+        fed += n
+        ticks = np.arange(fed // 30 * 30, 0, -30)[:40][::-1]
+        if len(ticks):
+            assert as_lists.binned(ticks).tobytes() == as_arrays.binned(ticks).tobytes()
+    assert as_lists.coverage == as_arrays.coverage == bits.shape[1]
 
 
 def test_engine_rejects_instants_it_no_longer_holds():

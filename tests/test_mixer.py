@@ -314,7 +314,7 @@ ROOM_STEPS = ["frame"] * 6 + ["join", "leave", "rejoin", "address"]
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.lists(st.tuples(st.sampled_from(ROOM_STEPS), st.integers(0, 5),
+    st.lists(st.tuples(st.sampled_from(ROOM_STEPS), st.integers(0, 9),
                        st.integers(0, 2**32 - 1)), max_size=50),
 )
 @example(
@@ -323,16 +323,21 @@ ROOM_STEPS = ["frame"] * 6 + ["join", "leave", "rejoin", "address"]
     # participant joins
     steps=[("frame", 0, 1), ("frame", 0, 2), ("address", 2, 0), ("frame", 0, 3),
            ("address", 2, 0), ("frame", 0, 4), ("rejoin", 1, 0), ("frame", 0, 5),
-           ("join", 4, 0), ("frame", 0, 6), ("leave", 0, 0), ("frame", 0, 7)],
+           ("join", 8, 0), ("frame", 0, 6), ("leave", 0, 0), ("frame", 0, 7)],
+)
+@example(
+    # the full ten-person room, steady and ramping, with small samples
+    steps=[("join", 8, 0), ("join", 9, 0)] + [("frame", 0, seed) for seed in range(8, 20)],
 )
 def test_room_mix_equals_a_speaker_by_speaker_slot_reference(steps):
-    """A room of ids 0-5 starting with 0-3, all addressed: joins, leaves,
-    a leave and rejoin between two frames (the mixer forgets the id
-    while the room stays the same), and listeners without an address,
-    who are left out of the mix; each frame retargets some pairs."""
+    """A room of ids 0-9 starting with 0-7, all addressed: joins up to
+    ten people, leaves, a leave and rejoin between two frames (the mixer
+    forgets the id while the room stays the same), and listeners without
+    an address, who are left out of the mix; each frame retargets some
+    pairs."""
     mixer = Mixer()
     ref = SlotMixer()
-    room, addressed = {0, 1, 2, 3}, {0, 1, 2, 3, 4, 5}
+    room, addressed = set(range(8)), set(range(10))
     wanted = {}
     for kind, pid, seed in steps:
         if kind == "join":

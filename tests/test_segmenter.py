@@ -153,6 +153,38 @@ def test_online_matches_batch_on_any_chunking():
             assert list(zip(starts, ends)) == expect, f"trial {trial} at {fed}"
 
 
+def test_online_matches_batch_on_vad_shaped_chunks():
+    """Bits shaped as the live VAD gives them: constant over each 10 ms
+    frame, in stretches from one frame to 3 s, fed mostly as 20-tick
+    chunks, so most chunks are all silence or all speech; zero-length
+    chunks and bare bools fall between them."""
+    rng = np.random.default_rng(211)
+    chunks = {"silent": 0, "speech": 0, "mixed": 0}
+    for trial in range(10):
+        stretches = rng.choice([1, 3, 15, 80, 300], 200)
+        frames = np.repeat(np.arange(200) % 2 == trial % 2, stretches)[:1500]
+        bits = np.repeat(frames, 10)
+        online = OnlineSegmenter(0)
+        fed = 0
+        while fed < len(bits):
+            kind = rng.random()
+            if kind < 0.1:
+                chunk = bits[fed:fed]
+            elif kind < 0.15:
+                chunk = bool(bits[fed])
+            elif kind < 0.2:
+                chunk = bits[fed]
+            else:
+                chunk = bits[fed : fed + 20]
+                chunks["speech" if chunk.all() else "mixed" if chunk.any() else "silent"] += 1
+            online.feed(chunk)
+            fed += np.size(chunk)
+            expect = [(u.start, u.end) for u in segment(ActivityStream(0, bits=bits[:fed]))]
+            assert list(zip(*online.view())) == expect, f"trial {trial} at {fed}"
+    # the chunks with no edge are most of them, and every kind runs
+    assert chunks["silent"] + chunks["speech"] > 4 * chunks["mixed"] > 0
+
+
 def test_online_keeps_only_the_newest_run_over_ten_minutes():
     """Ten minutes of alternating speech and silence in 20 ms chunks: the
     view matches ``segment`` on every minute's prefix, and apart from the
