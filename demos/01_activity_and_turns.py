@@ -3,16 +3,18 @@ From raw microphone samples to turns at talk
 ============================================
 
 Synthesizes a few seconds of 8 kHz audio with speech bursts over a
-quiet noise bed, runs the energy detector on it, and segments the
-resulting 1 ms activity bits into utterances.
+quiet noise bed and walks it as the live server does: each 20 ms frame
+goes through the energy detector, and the 1 ms activity bits that come
+out are fed to an online segmenter, which keeps the utterances so far.
 """
 
 import numpy as np
 
-from floorspace import VadConfig, detect, segment
-from floorspace.segmenter import speech_runs
+from floorspace import VadConfig
+from floorspace.segmenter import OnlineSegmenter
+from floorspace.transport import FRAME_MS, FRAME_SAMPLES, SAMPLE_RATE
+from floorspace.vad import VoiceActivityDetector, room_frame_bits
 
-SAMPLE_RATE = 8000
 rng = np.random.default_rng(1)
 
 
@@ -23,6 +25,10 @@ def tone(duration_ms, freq=440.0, amplitude=6000):
 
 def silence(duration_ms):
     return np.zeros(duration_ms * SAMPLE_RATE // 1000)
+
+
+def spans(starts, ends):
+    return ", ".join(f"[{s}, {e})" for s, e in zip(starts, ends)) or "none"
 
 
 # a 4 s scene: quiet, one long burst, a pause, then a burst broken by
@@ -40,22 +46,33 @@ scene = np.concatenate([
 noise = rng.normal(0.0, 30.0, scene.shape)  # around -55 dBFS
 pcm = np.clip(scene + noise, -32768, 32767).astype(np.int16)
 
-stream = detect(pcm, cfg=VadConfig())
-bits = stream.window(0, 4000)
-print(f"samples in: {len(pcm)}  activity ticks out: {len(bits)} (1 per ms)")
+# one participant: a room of one detector, one row of samples per frame
+detector = VoiceActivityDetector(VadConfig())
+segmenter = OnlineSegmenter(participant=0)
+frames = []
+print("utterances known as the frames arrive:")
+for start in range(0, len(pcm), FRAME_SAMPLES):
+    bits = room_frame_bits([detector], pcm[None, start : start + FRAME_SAMPLES])[0]
+    segmenter.feed(bits)
+    frames.append(bits)
+    now = len(frames) * FRAME_MS
+    if now % 500 == 0:
+        print(f"  at {now:>4} ms: {spans(*segmenter.view())}")
+
+bits = np.concatenate(frames)
+print(f"\nsamples in: {len(pcm)}  activity ticks out: {len(bits)} (1 per ms)")
 print(f"total speech: {int(bits.sum())} ms")
 
 # raw speech runs, before any smoothing
-raw = speech_runs(stream.bits)
+edges = np.flatnonzero(np.diff(np.concatenate([[0], bits.astype(np.int8), [0]])))
 print("\nraw runs:")
-for start, end in raw:
+for start, end in zip(edges[::2], edges[1::2]):
     print(f"  [{start:>5} ms, {end:>5} ms)  {end - start} ms")
 
-# the defaults bridge what is left of the hesitation
-utterances = segment(stream)
+# the segmenter bridges what is left of the hesitation
 print("\nsegmented utterances:")
-for u in utterances:
-    print(f"  [{u.start:>5} ms, {u.end:>5} ms)  {u.end - u.start} ms")
+for start, end in zip(*segmenter.view()):
+    print(f"  [{start:>5} ms, {end:>5} ms)  {end - start} ms")
 
 print("\nhangover already stretched each burst past the tone; the")
 print("segmenter then absorbed the remaining gap, so the hesitation")

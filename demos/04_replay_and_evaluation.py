@@ -16,13 +16,13 @@ from floorspace import (
     evaluate,
     generate,
     make_training_instances,
-    mixdown_corpus,
     partition_text,
     read_wav,
     train,
     write_report,
     write_timeline,
 )
+from floorspace.mixdown import render_listener_mix, tone_audio_for_corpus, write_wav
 
 SPLIT = ((0, 1), (2, 3))
 MERGED = ((0, 1, 2, 3),)
@@ -64,7 +64,11 @@ with tempfile.TemporaryDirectory() as tmp:
     write_timeline(str(out / "timeline.tsv"), result)
     print(f"report and per-period timeline written under {out}")
 
-    # audible version: placeholder tones per speaker, mixed for listener A
-    paths = mixdown_corpus(eval_corpus, model, str(out), listeners=["A"])
-    samples = read_wav(paths[0])
-    print(f"listener A mix: {paths[0]} ({len(samples) / 8000:.0f} s at 8000 Hz)")
+    # audible version, as `floorspace mixdown --tones` renders it: a tone
+    # per speaker over their turns, mixed for listener A under the
+    # replayed timeline
+    tracks = tone_audio_for_corpus(eval_corpus)
+    path = str(out / "mix_A.wav")
+    write_wav(path, render_listener_mix(eval_corpus, result, eval_corpus.ids["A"], tracks))
+    samples = read_wav(path)
+    print(f"listener A mix: {path} ({len(samples) / 8000:.0f} s at 8000 Hz)")

@@ -83,5 +83,7 @@ alice.request({"type": "unpin", "owner": "alice"})
 
 bob.leave()
 alice.leave()
+bob.close()
+alice.close()
 server.stop()
 print("clients left, server stopped")

@@ -15,9 +15,8 @@ from .assigner import FloorAssigner, enumerate_partitions, gains, score
 from .corpus import GeneratorConfig, generate
 from .evaluation import evaluate, partition_text, write_report, write_timeline
 from .learner import load_model, make_training_instances, save_model, train
-from .mixdown import mixdown_corpus, read_wav
-from .segmenter import segment
-from .vad import VadConfig, detect
+from .mixdown import read_wav
+from .vad import VadConfig
 
 __version__ = "0.1.0"
 
@@ -25,19 +24,16 @@ __all__ = [
     "FloorAssigner",
     "GeneratorConfig",
     "VadConfig",
-    "detect",
     "enumerate_partitions",
     "evaluate",
     "gains",
     "generate",
     "load_model",
     "make_training_instances",
-    "mixdown_corpus",
     "partition_text",
     "read_wav",
     "save_model",
     "score",
-    "segment",
     "train",
     "write_report",
     "write_timeline",

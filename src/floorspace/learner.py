@@ -237,10 +237,16 @@ def save_model(model: FloorModel, path: str) -> None:
         },
     }
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            json.dump(doc, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write or rename leaves no temp file beside ``path``
+        os.remove(tmp)
+        raise
 
 
 def _distribution(row: np.ndarray, what: str) -> np.ndarray:

@@ -1,12 +1,14 @@
-"""Offline audible renders: what each listener would have heard.
+"""Offline audible renders: what a listener would have heard.
 
-Each participant gets a fixed-frequency tone that sounds whenever
-their corpus turns say they speak (one period of the tone, repeated;
-see ``_write_tones``), the corpus is replayed to get the
-configuration timeline, and the per-listener mixes are rendered with
-the same gain ramps the live mixer uses. Same-floor voices
-come through at full level, other floors sit at the background level,
-so floor changes are directly audible as tones fading in and out.
+The pieces of ``floorspace mixdown``. Each participant's track is
+either their recorded WAV (``load_participant_tracks``) or a
+fixed-frequency tone that sounds whenever their corpus turns say they
+speak (``tone_audio_for_corpus``; one period of the tone, repeated, see
+``_write_tones``). Given the configuration timeline of a replay,
+``render_listener_mix`` renders one listener's mix with the same gain
+ramps the live mixer uses. Same-floor voices come through at full
+level, other floors sit at the background level, so floor changes are
+directly audible as tones fading in and out.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ from __future__ import annotations
 import os
 import wave
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .corpus import Corpus
 from .errors import UnsupportedFormatError
-from .evaluation import ReplayResult, replay_corpus
-from .learner import FloorModel
+from .evaluation import ReplayResult
 from .mixer import mix_timeline
 from .assigner import FloorConfiguration, gains
 from .transport import FRAME_SAMPLES, SAMPLE_RATE, SAMPLES_PER_MS
@@ -200,32 +201,3 @@ def render_listener_mix(
                      for p in partitions + [singletons]])
     targets = rows[period_codes[chosen + 1]]
     return mix_timeline([tracks[pid][:n] for pid in ids], targets)
-
-
-def mixdown_corpus(
-    corpus: Corpus,
-    model: FloorModel,
-    out_dir: str,
-    listeners: Optional[Sequence[str]] = None,
-) -> List[str]:
-    """Replay a corpus and write one WAV of its tones per requested
-    listener.
-
-    Returns the written paths. ``listeners`` are corpus participant
-    names, all of them by default.
-    """
-    ids = corpus.ids
-    names = list(listeners) if listeners is not None else list(corpus.participants)
-    for name in names:
-        if name not in ids:
-            raise UnsupportedFormatError(f"unknown participant {name!r}")
-    result = replay_corpus(corpus, model)
-    tracks = tone_audio_for_corpus(corpus)
-    os.makedirs(out_dir, exist_ok=True)
-    written: List[str] = []
-    for name in names:
-        pcm = render_listener_mix(corpus, result, ids[name], tracks)
-        path = os.path.join(out_dir, f"mix_{name}.wav")
-        write_wav(path, pcm)
-        written.append(path)
-    return written

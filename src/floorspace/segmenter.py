@@ -1,10 +1,11 @@
-"""Turning raw activity bits into utterances.
+"""Turning raw activity bits into utterances, as they arrive.
 
 Gaps shorter than BRIDGE_GAP_MS are absorbed first, then anything
 still shorter than MIN_UTTERANCE_MS is dropped. Order matters: a run
 of blips separated by tiny gaps can bridge into one utterance that
 survives, while the same blips in isolation would all be discarded.
-Both thresholds are constants; ``speech_runs`` gives the raw runs.
+Both thresholds are constants. Each live session feeds its own
+``OnlineSegmenter`` the VAD's bits, 20 ms at a time.
 """
 
 from __future__ import annotations
@@ -14,19 +15,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .timeline import ActivityStream, Tick, Utterance
+from .timeline import Tick
 
 MIN_UTTERANCE_MS = 100
 BRIDGE_GAP_MS = 200
 
 
-def speech_runs(bits: np.ndarray) -> List[Tuple[int, int]]:
-    """Maximal [start, end) index runs of true bits."""
-    return _runs(np.asarray(bits, dtype=bool))
-
-
 def _runs(bits: np.ndarray) -> List[Tuple[int, int]]:
-    """``speech_runs`` of a bool array, 1-D or a bare bool (one tick)."""
+    """Maximal [start, end) index runs of true bits in a bool array,
+    1-D or a bare bool (one tick)."""
     # most live chunks are all silence or all speech; one count tells both
     speech = np.count_nonzero(bits)
     if not speech:
@@ -44,33 +41,13 @@ def _runs(bits: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip(starts, ends))
 
 
-def _bridge(runs: List[Tuple[int, int]]) -> List[List[int]]:
-    merged: List[List[int]] = []
-    for s, e in runs:
-        if merged and s - merged[-1][1] < BRIDGE_GAP_MS:
-            merged[-1][1] = e
-        else:
-            merged.append([s, e])
-    return merged
-
-
-def segment(stream: ActivityStream) -> List[Utterance]:
-    """Utterances for a whole stream, ordered and pairwise disjoint."""
-    merged = _bridge(speech_runs(stream.bits))
-    base = stream.start_tick
-    return [
-        Utterance(stream.participant, base + s, base + e)
-        for s, e in merged
-        if e - s >= MIN_UTTERANCE_MS
-    ]
-
-
 class OnlineSegmenter:
-    """Incremental mirror of ``segment`` over a growing stream.
+    """Utterances of a growing stream, updated chunk by chunk.
 
-    After feeding bits covering [start_tick, T), ``view()`` equals what
-    ``segment`` would produce on that prefix, less the turns ``forget``
-    has dropped from its front. Only the newest run can still change (it
+    After feeding bits covering [start_tick, T), ``view()`` holds the
+    utterances of that prefix (bridged, then filtered by length), less
+    the turns ``forget`` has dropped from its front; how the bits were
+    chunked does not matter. Only the newest run can still change (it
     may grow, or a later run may bridge into it), so it is the only run
     kept; an older one is frozen into the view when the next begins, or
     dropped if it is too short. The work per fed chunk is proportional

@@ -5,9 +5,10 @@ activity grid. A frame counts as speech when its RMS level clears
 both an absolute floor and an adaptive noise floor plus an SNR margin;
 a hangover keeps brief intra-phrase pauses inside one speech region.
 
-The levels of a whole room's frames are computed in one array
-operation (``room_frame_bits``); each stream's detector then decides
-on its own frames in order. A single stream is a room of one.
+The live pump hands ``room_frame_bits`` a whole room's 20 ms frames:
+their levels come from one array operation, then each stream's
+detector decides on its own frames in order. A single stream is a
+room of one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import UnsupportedFormatError, check_integer, check_number
-from .timeline import ActivityStream
 # SAMPLE_RATE stays importable from here, where perfbench reads it
 from .transport import SAMPLE_RATE, SAMPLES_PER_MS  # noqa: F401
 
@@ -127,25 +127,3 @@ class VoiceActivityDetector:
         The chunk must hold a whole number of detector frames.
         """
         return room_frame_bits([self], np.asarray(pcm).reshape(1, -1))[0]
-
-
-def detect(pcm, cfg: Optional[VadConfig] = None) -> ActivityStream:
-    """Run detection over a whole recording.
-
-    The returned stream, of participant 0, covers exactly the input
-    duration from tick 0, one bit per millisecond, every tick of a
-    frame inheriting that frame's decision. The input is SAMPLE_RATE (8 kHz) PCM, and the sample
-    count must be a whole number of frames.
-    """
-    cfg = cfg or VadConfig()
-    pcm = np.asarray(pcm, dtype=np.int16)
-    if pcm.ndim != 1:
-        raise UnsupportedFormatError("expected mono PCM (1-d array)")
-    if len(pcm) == 0:
-        return ActivityStream(0, bits=np.zeros(0, dtype=bool))
-    if len(pcm) % DETECTOR_FRAME_SAMPLES != 0:
-        raise UnsupportedFormatError(
-            f"sample count {len(pcm)} is not a whole number of {DETECTOR_FRAME_MS} ms frames"
-        )
-    bits = room_frame_bits([VoiceActivityDetector(cfg)], pcm[None, :])[0]
-    return ActivityStream(0, bits=bits)

@@ -3,8 +3,10 @@
 The two corpora use the same schedule but independent seeds, so any
 test that trains on one and evaluates on the other sees genuinely
 held-out turn timing. The loopback latency oracle is shared by the
-transport tests and the acceptance gate. A tracker keeps only its
-last period; the ``periods`` fixture collects every one it returns.
+transport tests and the acceptance gate, and the whole-stream
+segmenter by the segmenter, feature and bounded-state tests. A tracker
+keeps only its last period; the ``periods`` fixture collects every one
+it returns.
 """
 
 from collections import defaultdict
@@ -15,6 +17,8 @@ import pytest
 from floorspace.corpus import GeneratorConfig, generate
 from floorspace.evaluation import FloorTracker
 from floorspace.learner import make_training_instances, train
+from floorspace.segmenter import BRIDGE_GAP_MS, MIN_UTTERANCE_MS
+from floorspace.timeline import Utterance
 from floorspace.transport import (
     FRAME_MS,
     FRAME_SAMPLES,
@@ -113,6 +117,27 @@ class SentDatagrams:
 def room_block(streams, ids, lo=0, hi=None):
     """Ticks [lo, hi) of the ``ids``' streams, one row each: a room block."""
     return np.stack([streams[pid].bits[lo:hi] for pid in ids])
+
+
+def segment(stream):
+    """The utterances of a whole ``ActivityStream`` at once, ordered: the
+    reference ``OnlineSegmenter`` is checked against. Runs of speech
+    less than BRIDGE_GAP_MS apart are bridged, then those shorter than
+    MIN_UTTERANCE_MS are dropped."""
+    padded = np.concatenate([[False], np.asarray(stream.bits, dtype=bool), [False]])
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    merged = []
+    for s, e in zip(edges[::2], edges[1::2]):
+        if merged and s - merged[-1][1] < BRIDGE_GAP_MS:
+            merged[-1][1] = e
+        else:
+            merged.append([s, e])
+    base = stream.start_tick
+    return [
+        Utterance(stream.participant, base + s, base + e)
+        for s, e in merged
+        if e - s >= MIN_UTTERANCE_MS
+    ]
 
 
 def changes(ticks, configs):

@@ -13,8 +13,10 @@ import numpy as np
 from floorspace.corpus import GeneratorConfig, generate
 from floorspace.evaluation import FloorTracker
 from floorspace.features import NO_GAP, FeatureEngine, trp_gap_from_arrays
-from floorspace.segmenter import OnlineSegmenter, segment
+from floorspace.segmenter import OnlineSegmenter
 from floorspace.timeline import ActivityStream
+
+from conftest import segment
 
 
 def room_bits(n, duration_ms, seed):

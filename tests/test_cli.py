@@ -175,6 +175,19 @@ def test_train_rejects_a_sample_period_below_one_ms(tmp_path, art, capsys, perio
     assert not (tmp_path / "m.json").exists()
 
 
+def test_train_into_a_directory_leaves_no_temp_file(tmp_path, art, capsys):
+    # the model is written beside --out and renamed onto it; the rename fails
+    out = tmp_path / "models"
+    out.mkdir()
+    rc = main(["train", "--corpus", str(art.corpus), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["models"]
+    assert not any(out.iterdir())
+
+
 def test_train_missing_corpus_file(tmp_path, capsys):
     rc = main(
         ["train", "--corpus", str(tmp_path / "nope.corpus"),

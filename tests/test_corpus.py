@@ -16,7 +16,7 @@ from floorspace.corpus import (
     save_corpus,
 )
 from floorspace.errors import CorpusError, read_json
-from floorspace.segmenter import speech_runs
+from floorspace.segmenter import _runs
 
 from conftest import four_party_config
 
@@ -382,7 +382,7 @@ def test_streams_resegment_to_the_recorded_turns():
         expected = coalesce(
             [(r.start_ms, r.end_ms) for r in c.records if r.participant == name]
         )
-        got = speech_runs(streams[pid].bits)
+        got = _runs(streams[pid].bits)
         assert got == expected
 
 

@@ -13,8 +13,9 @@ from floorspace.features import (
     trp_gap_from_arrays,
     utterance_views,
 )
-from floorspace.segmenter import segment
 from floorspace.timeline import ActivityStream, Utterance, stream_from_intervals
+
+from conftest import segment
 
 DEFAULT = FeatureBinning()
 # the default windows and one short set; the engine serves either

@@ -1,7 +1,6 @@
 """Offline WAV render path: file I/O, tone tracks, per-listener mixes."""
 
 import io
-import os
 import wave
 from math import gcd
 
@@ -15,7 +14,6 @@ from floorspace.errors import UnsupportedFormatError
 from floorspace.evaluation import ReplayResult, evaluate, partition_codes, replay_corpus
 from floorspace.mixdown import (
     load_participant_tracks,
-    mixdown_corpus,
     read_wav,
     render_listener_mix,
     _write_tones,
@@ -381,31 +379,6 @@ def test_a_replay_numbers_its_chosen_partitions_once(floor_model, monkeypatch):
     codes, partitions = result.chosen_codes
     assert [partitions[c] for c in codes] == result.chosen
     assert len(set(partitions)) == len(partitions) > 1
-
-
-def test_mixdown_writes_one_file_per_listener(tmp_path, floor_model):
-    corpus = generate(four_party_config(seed=51, duration_ms=35_000, epoch_ms=35_000))
-    out = tmp_path / "mixes"
-    paths = mixdown_corpus(corpus, floor_model, str(out))
-    assert len(paths) == 4
-    for name in corpus.participants:
-        p = os.path.join(str(out), f"mix_{name}.wav")
-        assert p in paths
-        pcm = read_wav(p)
-        assert pcm.shape == (corpus.duration_ms * 8,)
-
-
-def test_mixdown_listener_subset(tmp_path, floor_model):
-    corpus = generate(four_party_config(seed=52, duration_ms=35_000, epoch_ms=35_000))
-    name = corpus.participants[0]
-    paths = mixdown_corpus(corpus, floor_model, str(tmp_path), listeners=[name])
-    assert paths == [os.path.join(str(tmp_path), f"mix_{name}.wav")]
-
-
-def test_mixdown_rejects_unknown_listener(tmp_path, floor_model):
-    corpus = generate(four_party_config(seed=53, duration_ms=35_000, epoch_ms=35_000))
-    with pytest.raises(UnsupportedFormatError, match="nobody"):
-        mixdown_corpus(corpus, floor_model, str(tmp_path), listeners=["nobody"])
 
 
 # --- the render against a frame-by-frame reference ----------------------------

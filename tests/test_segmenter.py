@@ -1,56 +1,65 @@
-"""Turning activity bits into discrete utterances, batch and online."""
+"""Turning activity bits into discrete utterances as they arrive.
+
+The thresholds are checked on ``OnlineSegmenter`` fed a stream whole
+and 20 ms at a time, as the live pump feeds it. Its views on every
+chunking are checked against ``conftest.segment``, the whole-stream
+reference.
+"""
 
 import json
 
 import numpy as np
 
-from floorspace.segmenter import (
-    MIN_UTTERANCE_MS,
-    OnlineSegmenter,
-    segment,
-    speech_runs,
-)
+from floorspace.segmenter import MIN_UTTERANCE_MS, OnlineSegmenter, _runs
 from floorspace.timeline import ActivityStream, stream_from_intervals
 
-
-def stream_of(intervals, duration):
-    return stream_from_intervals(0, intervals, duration)
+from conftest import segment
 
 
-def spans(utterances):
-    return [(u.start, u.end) for u in utterances]
+def bits_of(intervals, duration):
+    return stream_from_intervals(0, intervals, duration).bits
+
+
+def turns(bits, start_tick=0):
+    """(start, end) of each utterance an ``OnlineSegmenter`` finds in
+    ``bits`` fed whole, the same as when they are fed 20 ms at a time."""
+    whole = OnlineSegmenter(0, start_tick)
+    whole.feed(bits)
+    chunked = OnlineSegmenter(0, start_tick)
+    for fed in range(0, len(bits), 20):
+        chunked.feed(bits[fed : fed + 20])
+    assert chunked.view() == whole.view()
+    return list(zip(*whole.view()))
 
 
 def test_continuous_speech_is_one_utterance():
-    assert spans(segment(stream_of([(0, 1000)], 1000))) == [(0, 1000)]
+    assert turns(bits_of([(0, 1000)], 1000)) == [(0, 1000)]
 
 
 def test_short_gap_is_bridged():
-    s = stream_of([(0, 300), (450, 800)], 1000)
-    assert spans(segment(s)) == [(0, 800)]
+    # a gap of 199 ms, one under the bridge
+    assert turns(bits_of([(0, 300), (499, 800)], 1000)) == [(0, 800)]
 
 
 def test_gap_at_bridge_threshold_stays_split():
-    s = stream_of([(0, 300), (500, 800)], 1000)
-    assert spans(segment(s)) == [(0, 300), (500, 800)]
+    assert turns(bits_of([(0, 300), (500, 800)], 1000)) == [(0, 300), (500, 800)]
 
 
 def test_short_blip_is_dropped():
-    assert segment(stream_of([(0, 50)], 1000)) == []
+    assert turns(bits_of([(0, 50)], 1000)) == []
 
 
 def test_bridged_runs_can_pass_the_minimum_together():
     # two 60 ms blips 100 ms apart: each under the minimum, bridged
     # they form a 220 ms utterance
-    s = stream_of([(0, 60), (160, 220)], 1000)
-    assert spans(segment(s)) == [(0, 220)]
+    assert turns(bits_of([(0, 60), (160, 220)], 1000)) == [(0, 220)]
 
 
 def test_zero_thresholds_reproduce_maximal_runs():
     rng = np.random.default_rng(13)
     for _ in range(100):
         bits = rng.random(int(rng.integers(1, 400))) < 0.3
-        got = speech_runs(bits)
+        got = _runs(bits)
         expected = []
         t = 0
         while t < len(bits):
@@ -65,12 +74,13 @@ def test_zero_thresholds_reproduce_maximal_runs():
 
 
 def test_speech_runs_edge_patterns():
-    assert speech_runs(np.array([], dtype=bool)) == []
-    assert speech_runs(np.array([True])) == [(0, 1)]
-    assert speech_runs(np.array([True, False, True])) == [(0, 1), (2, 3)]
-    assert speech_runs(np.ones(5, dtype=bool)) == [(0, 5)]
-    assert speech_runs(np.zeros(5, dtype=bool)) == []
-    assert speech_runs(np.array([False])) == []
+    assert _runs(np.array([], dtype=bool)) == []
+    assert _runs(np.array([True])) == [(0, 1)]
+    assert _runs(np.array(True)) == [(0, 1)]
+    assert _runs(np.array([True, False, True])) == [(0, 1), (2, 3)]
+    assert _runs(np.ones(5, dtype=bool)) == [(0, 5)]
+    assert _runs(np.zeros(5, dtype=bool)) == []
+    assert _runs(np.array([False])) == []
     # every pattern up to six bits against a scan for runs
     for n in range(1, 7):
         for code in range(1 << n):
@@ -82,7 +92,7 @@ def test_speech_runs_edge_patterns():
                 elif not b and start is not None:
                     runs.append((start, i))
                     start = None
-            assert speech_runs(bits) == runs
+            assert _runs(bits) == runs
 
 
 def test_runs_and_views_hold_python_ints():
@@ -96,7 +106,7 @@ def test_runs_and_views_hold_python_ints():
     chunks[2][300:] = True
     online = OnlineSegmenter(0)
     for bits in chunks:
-        for run in speech_runs(bits):
+        for run in _runs(bits):
             assert [type(x) for x in run] == [int, int]
         online.feed(bits)
         view = online.view()
@@ -108,12 +118,11 @@ def test_runs_and_views_hold_python_ints():
 def test_utterances_are_disjoint_and_ordered():
     rng = np.random.default_rng(37)
     for _ in range(50):
-        bits = rng.random(2000) < 0.5
-        utts = segment(ActivityStream(0, bits=bits))
-        for u, v in zip(utts, utts[1:]):
-            assert u.end <= v.start
-        for u in utts:
-            assert u.end - u.start >= MIN_UTTERANCE_MS
+        got = turns(rng.random(2000) < 0.5)
+        for (_, end), (start, _) in zip(got, got[1:]):
+            assert end <= start
+        for start, end in got:
+            assert end - start >= MIN_UTTERANCE_MS
 
 
 def test_segmentation_is_idempotent():
@@ -121,18 +130,13 @@ def test_segmentation_is_idempotent():
     # all gaps that survive are >= bridge and all runs >= minimum
     rng = np.random.default_rng(5)
     for _ in range(30):
-        bits = rng.random(3000) < 0.45
-        first = segment(ActivityStream(0, bits=bits))
-        rebuilt = stream_of([(u.start, u.end) for u in first], 3000)
-        assert spans(segment(rebuilt)) == spans(first)
+        first = turns(rng.random(3000) < 0.45)
+        assert turns(bits_of(first, 3000)) == first
 
 
 def test_stream_offset_shifts_utterances():
     # ticks [1000, 2000), speech over the first 500
-    s = ActivityStream(2, start_tick=1000, bits=np.arange(1000) < 500)
-    utts = segment(s)
-    assert spans(utts) == [(1000, 1500)]
-    assert utts[0].participant == 2
+    assert turns(np.arange(1000) < 500, start_tick=1000) == [(1000, 1500)]
 
 
 def test_online_matches_batch_on_any_chunking():
