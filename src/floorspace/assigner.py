@@ -40,13 +40,14 @@ equals the best. The rounding moves a partition's value by less than
 The reported score is computed in float64 from the row and the chosen
 partition.
 
-``FloorAssigner.assign`` decides one period at the time ``now_ms`` it
-is given, from the posteriors as any ``Mapping`` from unordered pair
+``FloorAssigner.assign`` decides the period that ``now_ms`` names
+from the posteriors as any ``Mapping`` from unordered pair
 to probability: a plain dict, whose values it reads once in pair order
 as a block of one row, or a ``_BlockRow`` view over one row of a
 block. It is the one place that chooses a period's partition: the pin,
-else the search's winner, unless the previous choice keeps a tie or
-the dwell holds it. Every choice is scored the same way, from the row
+else the search's winner, unless the previous choice keeps a tie. The
+choice does not read ``now_ms``: a regroup takes effect in the period
+that finds it. Every choice is scored the same way, from the row
 and the partition's same_floor vector, and a winner that stands is the
 search's own ``FloorConfiguration``. The tracker computes a block of
 periods' posteriors at once, one row per run of periods that share a
@@ -61,16 +62,14 @@ row (below). ``assign_block`` sends the first run through ``assign``
 with a ``_BlockRow``, which also carries the whole block and its
 winners, and that call searches the block. A later run whose winner is
 the held choice is decided as that winner, with no call: that is what
-``assign`` would choose, since the tie rule and the dwell only act on
-a winner that differs from the previous choice. Any other run goes
-through ``assign``, which reads its winner off the block's search and
-applies the tie rule and the dwell; the tie rule runs at every
-decision, so a row read back still keeps a previous choice that a pin,
-a dwell hold or a tie changed. A choice holds for the rest of its run,
-whose later periods count ``reused``; only a dwell hold can end inside
-a run, so the run is split at the first period at or after its expiry
-and that period gets its own ``assign``. A pinned room searches
-nothing and decides each run with ``assign``.
+``assign`` would choose, since the tie rule only acts on a winner that
+differs from the previous choice. Any other run goes through
+``assign``, which reads its winner off the block's search and applies
+the tie rule; the tie rule runs at every decision, so a row read back
+still keeps a previous choice that a pin or a tie changed. A run is one
+decision: its choice holds for all of its periods, whose later periods
+count ``reused``. A pinned room searches nothing and decides each run
+with ``assign``.
 
 A lone row (a dict's, a live pump's, or a block's last slice of one)
 may be decided without a program pass. Its pass keeps each subset's
@@ -86,9 +85,9 @@ w - w0 over the pairs it splits, wherever that is positive. When
 16 * L < margin the winner still leads every other partition by at
 least one key unit, so the program would choose it, and it is decided
 as the anchor's winner with value w @ same_floor and the score that a
-search would report; the tie rule and the dwell then run as after a
-search. Every term is an exact integer, so the bound never errs; the
-row still counts as searched, and ``bounded`` counts it too.
+search would report; the tie rule then runs as after a search. Every
+term is an exact integer, so the bound never errs; the row still counts
+as searched, and ``bounded`` counts it too.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, PinPermissionError, check_integer
+from .errors import CapacityError, PinPermissionError
 from .timeline import MAX_PARTICIPANTS
 
 NEUTRAL_SCORE = 0.5  # score of a configuration with no pairs to witness it
@@ -426,26 +425,20 @@ def gains(config: FloorConfiguration, participants: Sequence[int]) -> np.ndarray
 
 
 class FloorAssigner:
-    """Periodic configuration selection with pinning and optional dwell.
+    """Periodic configuration selection with pinning.
 
-    ``assign`` decides the evaluation period (EVAL_PERIOD_MS) at
-    ``now_ms`` from the complete pairwise posterior map. ``assign_block``
-    decides a block of periods, in runs that share one posterior row. A
-    pinned configuration overrides the search until its owner unpins it
-    or the participant set changes.
-    ``dwell_ms`` > 0 suppresses a switch until that long has passed
-    since the last one, trading latency for stability; the default is
-    no dwell. It must be a non-negative integer.
+    ``assign`` decides one evaluation period (EVAL_PERIOD_MS) from the
+    complete pairwise posterior map. ``assign_block`` decides a block of
+    periods, in runs that share one posterior row, one decision per run.
+    A pinned configuration overrides the search until its owner unpins
+    it or the participant set changes. Every choice takes effect at the
+    period it is made in: nothing holds a change back.
     """
 
-    def __init__(self, dwell_ms: int = 0):
-        self.dwell_ms = check_integer(dwell_ms, "dwell_ms", 0, math.inf, ConfigError)
+    def __init__(self):
         self.previous: Optional[FloorConfiguration] = None
         self.pinned: Optional[Partition] = None
         self.pin_owner = None
-        self._last_change: Optional[int] = None
-        # when the last assign held a switch back: the first tick it may switch
-        self._hold_until: Optional[int] = None
         # the last decided row's key (ids, posterior row bytes), its
         # winner and the winner's exact integer value
         self._last: Optional[Tuple[tuple, Tuple[FloorConfiguration, int]]] = None
@@ -542,10 +535,10 @@ class FloorAssigner:
     ) -> FloorConfiguration:
         """Pick the configuration for the evaluation period at ``now_ms``:
         the pin, else the search's winner, unless the previous choice
-        keeps a tie or the dwell holds it. Every choice is scored on the
-        period's row the way the search scores its winners."""
+        keeps a tie. Every choice is scored on the period's row the way
+        the search scores its winners. The decision does not read
+        ``now_ms``, which only names the period."""
         ids = tuple(sorted(participants))
-        self._hold_until = None
         if self.pinned is not None and sorted(m for b in self.pinned for m in b) != list(ids):
             # membership changed underneath the pin; it dissolves
             self.drop_pin()
@@ -567,13 +560,6 @@ class FloorAssigner:
             if kept is not None and _weights(row.row) @ kept == value:
                 # the previous choice keeps a tie, decided on the exact weights
                 partition = previous.partition
-            elif (kept is not None and self.dwell_ms > 0 and self._last_change is not None
-                  and now_ms - self._last_change < self.dwell_ms):
-                # still inside the dwell window; hold the current choice
-                partition = previous.partition
-                self._hold_until = self._last_change + self.dwell_ms
-        if self.pinned is None and (previous is None or partition != previous.partition):
-            self._last_change = now_ms
         if best is None or partition != best.partition:
             scored = _scores(row.row, same_floor(partition, ids)) if len(ids) > 1 else NEUTRAL_SCORE
             best = FloorConfiguration(partition, float(scored))
@@ -592,36 +578,26 @@ class FloorAssigner:
 
         ``rows`` holds posterior rows over the pairs of the sorted ``ids``
         in order, each for ``runs[i]`` periods; consecutive rows differ.
-        Returns the choices in order, each with the number of periods it
-        holds for. The first run is decided by ``assign``, which searches
-        every row; a later run whose winner is the held choice is decided
-        as that winner, and any other by ``assign`` (see the module
-        docstring).
+        Returns one choice per run, in order, each with the number of
+        periods it holds for. The first run is decided by ``assign``,
+        which searches every row; a later run whose winner is the held
+        choice is decided as that winner, and any other by ``assign`` at
+        the run's first period (see the module docstring). As in
+        ``assign``, the decisions do not read ``now_ms``.
         """
         found: list = []
         cfg = self.assign(_BlockRow(ids, rows, 0, found), ids, now_ms)
         bulk = self.pinned is None and len(ids) > 1
-        out: List[Tuple[FloorConfiguration, int]] = []
-        t = now_ms
-        for i, n in enumerate(runs):
-            if i == 0:
-                pass  # decided by the call above
-            elif bulk and found[i][0].partition == self.previous.partition:
-                # what assign would choose: no tie to keep, nothing to hold
+        out = [(cfg, runs[0])]
+        t = now_ms + runs[0] * EVAL_PERIOD_MS
+        for i, n in enumerate(runs[1:], 1):
+            if bulk and found[i][0].partition == self.previous.partition:
+                # what assign would choose: there is no tie to keep
                 cfg = self.previous = found[i][0]
-                self._hold_until = None
             else:
                 cfg = self.assign(_BlockRow(ids, rows, i, found), ids, t)
-            end = t + n * EVAL_PERIOD_MS
-            if self._hold_until is not None and self._hold_until <= end - EVAL_PERIOD_MS:
-                # the first period at or after the hold's expiry decides anew
-                wait = -(-(self._hold_until - t) // EVAL_PERIOD_MS)
-                out.append((cfg, wait))
-                t += wait * EVAL_PERIOD_MS
-                n -= wait
-                cfg = self.assign(_BlockRow(ids, rows, i, found), ids, t)
             out.append((cfg, n))
-            t = end
+            t += n * EVAL_PERIOD_MS
         if bulk:
             # the search counted each run's first period; every later one
             # repeats its row

@@ -83,12 +83,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     corpus = _load_labeled(args.corpus)
     model = load_model(args.model)
-    report, result = evaluate(
-        corpus,
-        model,
-        dwell_ms=args.dwell,
-        oracle_posteriors=args.oracle,
-    )
+    report, result = evaluate(corpus, model, oracle_posteriors=args.oracle)
     print(report.to_text())
     if args.report:
         write_report(args.report, report)
@@ -116,9 +111,7 @@ def cmd_simulate(args) -> int:
 def cmd_replay(args) -> int:
     corpus = _load_labeled(args.corpus)
     model = load_model(args.model)
-    result = replay_corpus(
-        corpus, model, dwell_ms=args.dwell, oracle_posteriors=args.oracle
-    )
+    result = replay_corpus(corpus, model, oracle_posteriors=args.oracle)
     names = {pid: name for name, pid in corpus.ids.items()}
     for event in result.events:
         floors = " | ".join(
@@ -186,7 +179,7 @@ def cmd_mixdown(args) -> int:
     else:
         audio_dir = args.audio_dir or os.path.dirname(os.path.abspath(args.corpus))
         tracks = load_participant_tracks(corpus, audio_dir)
-    result = replay_corpus(corpus, model, dwell_ms=args.dwell)
+    result = replay_corpus(corpus, model)
     pcm = render_listener_mix(
         corpus, result, corpus.ids[args.listener], tracks=tracks
     )
@@ -217,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeline", help="write per-period chosen/truth partitions here")
     p.add_argument("--oracle", action="store_true",
                    help="bypass the model; feed ground-truth posteriors")
-    p.add_argument("--dwell", type=int, default=0,
-                   help="minimum ms between configuration switches")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simulate", help="generate a synthetic labeled corpus")
@@ -233,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeline", help="write per-period chosen/truth partitions here")
     p.add_argument("--oracle", action="store_true",
                    help="bypass the model; feed ground-truth posteriors")
-    p.add_argument("--dwell", type=int, default=0)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("serve", help="run the real-time audio space server")
@@ -255,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: the corpus directory)")
     p.add_argument("--tones", action="store_true",
                    help="synthesize tone tracks instead of reading WAV inputs")
-    p.add_argument("--dwell", type=int, default=0)
     p.set_defaults(func=cmd_mixdown)
 
     return parser

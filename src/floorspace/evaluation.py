@@ -112,13 +112,12 @@ class FloorTracker(FeatureEngine):
         participants: Sequence[int],
         model: FloorModel,
         views: Mapping[int, UtteranceView],
-        assigner: Optional[FloorAssigner] = None,
         posterior_override: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         start_tick: Tick = 0,
     ):
         super().__init__(participants, views, model.binning, start_tick, step_ms=EVAL_PERIOD_MS)
         self.model = model
-        self.assigner = assigner or FloorAssigner()
+        self.assigner = FloorAssigner()
         self.posterior_override = posterior_override
         self._next_eval = (start_tick // EVAL_PERIOD_MS + 1) * EVAL_PERIOD_MS
 
@@ -245,7 +244,6 @@ class ReplayResult:
 def replay_corpus(
     corpus: Corpus,
     model: FloorModel,
-    dwell_ms: int = 0,
     oracle_posteriors: bool = False,
 ) -> ReplayResult:
     """Run the labeled corpus through the full detection path.
@@ -265,13 +263,7 @@ def replay_corpus(
             labels = floor_labels(utterances, ids, ticks)
             return (labels[:, iu] >= 0) & (labels[:, iu] == labels[:, ju])
 
-    tracker = FloorTracker(
-        ids,
-        model,
-        utterance_views(utterances),
-        assigner=FloorAssigner(dwell_ms=dwell_ms),
-        posterior_override=override,
-    )
+    tracker = FloorTracker(ids, model, utterance_views(utterances), posterior_override=override)
     streams = corpus.streams()
     tracker.add_activity([streams[pid].bits for pid in ids])
     due = tracker.process_due()
@@ -349,7 +341,6 @@ class EvaluationReport:
 def evaluate(
     corpus: Corpus,
     model: FloorModel,
-    dwell_ms: int = 0,
     oracle_posteriors: bool = False,
 ) -> Tuple[EvaluationReport, ReplayResult]:
     """Replay a corpus and score the result against derived ground truth.
@@ -362,9 +353,7 @@ def evaluate(
             f"corpus of {corpus.duration_ms} ms is no longer than the "
             f"{WARMUP_MS} ms warm-up"
         )
-    result = replay_corpus(
-        corpus, model, dwell_ms=dwell_ms, oracle_posteriors=oracle_posteriors
-    )
+    result = replay_corpus(corpus, model, oracle_posteriors=oracle_posteriors)
     ticks = result.ticks
     # equal partitions share a number, so each distinct one is scored once
     chosen, partitions = result.chosen_codes

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import socket
 import struct
 import threading
@@ -57,7 +56,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from .assigner import (
-    FloorAssigner,
     FloorConfiguration,
     Partition,
     build_scorers,
@@ -133,7 +131,6 @@ class ServerConfig:
     model_path: Optional[str] = None
     max_participants: int = MAX_PARTICIPANTS
     jitter_depth_ms: int = 60
-    dwell_ms: int = 0
     vad: VadConfig = field(default_factory=VadConfig)
 
     def __post_init__(self):
@@ -143,7 +140,6 @@ class ServerConfig:
             self.max_participants, "max_participants", 1, MAX_PARTICIPANTS, CapacityError)
         for name in ("audio_port", "control_port"):
             setattr(self, name, check_integer(getattr(self, name), name, 0, 65535, ConfigError))
-        self.dwell_ms = check_integer(self.dwell_ms, "dwell_ms", 0, math.inf, ConfigError)
         # rejected here, not at the first join, where the client gets the blame
         try:
             JitterBuffer(self.jitter_depth_ms)
@@ -336,10 +332,7 @@ class RealtimeServer:
                     self.tracker.leave(pid)
         for pid in sorted(present.keys() - self._members.keys()):
             if self.tracker is None:
-                self.tracker = FloorTracker(
-                    [], self.model, {}, FloorAssigner(dwell_ms=self.cfg.dwell_ms),
-                    start_tick=self.tick,
-                )
+                self.tracker = FloorTracker([], self.model, {}, start_tick=self.tick)
             self._members[pid] = present[pid]
             self.tracker.join(pid, present[pid].segmenter.view)
 

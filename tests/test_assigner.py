@@ -33,7 +33,7 @@ from floorspace.assigner import (
     score,
     unordered_pairs,
 )
-from floorspace.errors import CapacityError, ConfigError, PinPermissionError
+from floorspace.errors import CapacityError, PinPermissionError
 
 from conftest import changes
 
@@ -551,30 +551,8 @@ def test_tie_rules_hold_when_round_off_splits_an_exact_tie():
         assert cfg.score == pytest.approx(float(exact_score(kept, post)) / 6, abs=2.0**-40)
 
 
-def test_dwell_suppresses_rapid_switching():
-    a = FloorAssigner(dwell_ms=100)
-    merged = {(0, 1): 0.9}
-    split = {(0, 1): 0.1}
-    assert a.assign(merged, [0, 1], now_ms=30).partition == ((0, 1),)
-    # flip arrives 30 ms later: inside the dwell window, held
-    assert a.assign(split, [0, 1], now_ms=60).partition == ((0, 1),)
-    assert a.assign(split, [0, 1], now_ms=90).partition == ((0, 1),)
-    assert a.assign(split, [0, 1], now_ms=120).partition == ((0, 1),)
-    # 130 ms after the last change: free to move
-    assert a.assign(split, [0, 1], now_ms=160).partition == ((0,), (1,))
-
-
-def test_a_dwell_must_be_a_non_negative_integer():
-    # a negative dwell silently meant none, and a string failed at the
-    # first switch
-    for dwell in (-100, -1, "600", 1.5, True, None):
-        with pytest.raises(ConfigError, match="dwell_ms"):
-            FloorAssigner(dwell_ms=dwell)
-    assert FloorAssigner(dwell_ms=600).dwell_ms == 600
-
-
 def test_no_dwell_switches_immediately():
-    a = FloorAssigner(dwell_ms=0)
+    a = FloorAssigner()
     assert a.assign({(0, 1): 0.9}, [0, 1], now_ms=30).partition == ((0, 1),)
     assert a.assign({(0, 1): 0.1}, [0, 1], now_ms=60).partition == ((0,), (1,))
 
@@ -654,17 +632,10 @@ def test_pinning_the_searched_partition_reports_the_searched_score():
         assert _bits(got.score) == _bits(searched.score)
 
 
-def test_a_dwell_hold_and_a_kept_tie_are_scored_like_a_search():
-    ids = tuple(range(10))
-    rows = _rows_of_ten(1)
-    for first, second in zip(rows[::2], rows[1::2]):
-        a = FloorAssigner(dwell_ms=60)
-        was = a.assign(first, ids, now_ms=30).partition
-        held = a.assign(second, ids, now_ms=60)
-        assert held.partition == was and a._hold_until == 90
-        assert _bits(held.score) == _bits(_searched_score(second, was, ids))
+def test_a_kept_tie_is_scored_like_a_search():
     # posteriors this close to 0.5 weigh 0, so every partition ties, and
     # a pinned choice is kept once unpinned
+    ids = tuple(range(10))
     rng = np.random.default_rng(2)
     pairs = unordered_pairs(ids)
     for _ in range(25):
@@ -744,18 +715,17 @@ def assign_scripts(draw):
         st.tuples(st.just("pin"), st.integers(0, len(partitions) - 1).map(partitions.__getitem__)),
         st.tuples(st.just("unpin")),
     ), min_size=1, max_size=40))
-    return ids, pool, steps, draw(st.sampled_from([0, 60, 200]))
+    return ids, pool, steps
 
 
 @settings(max_examples=150, deadline=None)
 @given(assign_scripts())
 # the same row bytes for two different rooms: (1, 2) and then (0, 2)
 @example(([0, 1, 2], [{(0, 1): 0.9, (0, 2): 0.9, (1, 2): 0.9}],
-          [("assign", 0, 0), ("assign", 0, 1)], 0))
+          [("assign", 0, 0), ("assign", 0, 1)]))
 def test_reused_searches_choose_like_fresh_ones(script):
-    ids, pool, steps, dwell = script
-    reused = FloorAssigner(dwell_ms=dwell)
-    fresh = FreshSearch(dwell_ms=dwell)
+    ids, pool, steps = script
+    reused, fresh = FloorAssigner(), FreshSearch()
     now = 0
     for step in steps:
         if step[0] == "assign":
@@ -876,15 +846,14 @@ def bound_walks(draw):
             for j, step in moves:
                 row[j] += step
         steps.append(("row", tuple(row)))
-    return ids, steps, draw(st.sampled_from([0, 0, 60]))
+    return ids, steps
 
 
-def decide_walk(ids, steps, dwell):
+def decide_walk(ids, steps):
     """Decide every row of a walk by ``assign`` on a dict, by a one-row
     ``assign_block`` and by a ``FreshSearch``; all three must agree to
     the bit. Returns the first two assigners."""
-    dicts, blocks = FloorAssigner(dwell_ms=dwell), FloorAssigner(dwell_ms=dwell)
-    fresh = FreshSearch(dwell_ms=dwell)
+    dicts, blocks, fresh = FloorAssigner(), FloorAssigner(), FreshSearch()
     pairs = unordered_pairs(ids)
     row = _exact_row(steps[0][1])
     for now, step in enumerate(steps, 1):
@@ -907,7 +876,6 @@ def decide_walk(ids, steps, dwell):
         if pin:
             for a in (dicts, blocks, fresh):
                 a.unpin("host")
-    assert dicts._last_change == blocks._last_change == fresh._last_change
     # the same rows in the same order meet the same anchors
     assert (dicts.searched, dicts.reused) == (blocks.searched, blocks.reused)
     assert dicts.bounded == blocks.bounded <= dicts.searched
@@ -922,7 +890,7 @@ def decide_walk(ids, steps, dwell):
 # hold the old winner. The pin makes the previous choice neither of them
 @example(((0, 1, 2, 3), [("row", (2, 3, -10, -10, 3, 2)),
                          ("pin", ((0,), (1,), (2,), (3,))),
-                         ("row", (2, 1, -10, -10, 3, 2))], 0))
+                         ("row", (2, 1, -10, -10, 3, 2))]))
 def test_the_bound_decides_every_row_as_a_fresh_search(walk):
     decide_walk(*walk)
 
@@ -941,7 +909,7 @@ def test_the_bound_decides_rows_of_a_walk_without_a_program_pass(n):
         row = row.copy()
         row[rng.integers(0, len(pairs), 2)] += rng.integers(-2, 3, 2)
         steps.append(("row", tuple(row)))
-    dicts, blocks = decide_walk(ids, steps, 0)
+    dicts, blocks = decide_walk(ids, steps)
     assert 0 < dicts.bounded == blocks.bounded < dicts.searched
 
 
@@ -969,8 +937,8 @@ class CountedAssigner(FloorAssigner):
     """Records the period of every ``assign`` call, as the benchmark's
     tracer and faults see them."""
 
-    def __init__(self, dwell_ms=0):
-        super().__init__(dwell_ms)
+    def __init__(self):
+        super().__init__()
         self.called = []
 
     def assign(self, posteriors, participants, now_ms):
@@ -1042,7 +1010,7 @@ def block_scripts(draw):
     blocks = draw(st.lists(st.tuples(st.integers(0, 1), before, st.lists(run, min_size=1,
                                                                          max_size=8)),
                            min_size=1, max_size=4))
-    return rooms, pool, blocks, draw(st.sampled_from([0, 60, 200]))
+    return rooms, pool, blocks
 
 
 @settings(max_examples=150, deadline=None)
@@ -1055,23 +1023,16 @@ def block_scripts(draw):
            (0, ("pin", [0, 0, 1, 1]), [(0, 2), (1, 1)]),
            (0, ("unpin",), [(1, 2), (0, 3), (1, 1), (0, 2)]),
            (0, ("none",), [(0, 2), (1, 1)]),
-           (1, ("none",), [(1, 1), (0, 2)])], 0))
-# a merge at 30 ms, then a split row: a 200 ms hold expires at 240 ms,
-# inside the first run of the next block, and a 60 ms hold inside a
-# block's second run
-@example((((0, 1), (0, 5)), [np.array([0.9]), np.array([0.1])],
-          [(0, ("none",), [(0, 1)]), (0, ("none",), [(1, 10), (0, 1)])], 200))
-@example((((0, 1), (0, 5)), [np.array([0.9]), np.array([0.1])],
-          [(0, ("none",), [(0, 1), (1, 5), (0, 1), (1, 1)])], 60))
+           (1, ("none",), [(1, 1), (0, 2)])]))
 # a pinned block, then a room change under the pin, which dissolves it
 @example((((0, 1, 2), (0, 1, 6)), [np.array([0.9, 0.1, 0.2]), np.array([0.2, 0.9, 0.1])],
-          [(0, ("pin", [0, 0, 1]), [(0, 4), (1, 2)]), (1, ("none",), [(1, 3), (0, 2)])], 60))
+          [(0, ("pin", [0, 0, 1]), [(0, 4), (1, 2)]), (1, ("none",), [(1, 3), (0, 2)])]))
 def test_primed_blocks_decide_like_one_dict_per_period(script):
     # one assign_block per block must decide, score, count and keep state
     # exactly like one assign per period on a dict of Python floats; the
     # block's first assign makes its only search
-    rooms, pool, blocks, dwell = script
-    bulk, plain = CountedAssigner(dwell_ms=dwell), FloorAssigner(dwell_ms=dwell)
+    rooms, pool, blocks = script
+    bulk, plain = CountedAssigner(), FloorAssigner()
     counted = CountedWinners()
     ticks, got, want = [], [], []
     last = None  # the last row an unpinned period decided, and its room
@@ -1125,25 +1086,19 @@ def test_primed_blocks_decide_like_one_dict_per_period(script):
             == np.array([c.score for c in want]).tobytes())
     assert changes(ticks, got) == changes(ticks, want)
     assert (bulk.searched, bulk.reused) == (plain.searched, plain.reused)
-    assert (bulk._last_change, bulk.previous, bulk.pinned) == (
-        plain._last_change, plain.previous, plain.pinned)
+    assert (bulk.previous, bulk.pinned) == (plain.previous, plain.pinned)
 
 
 @settings(max_examples=100, deadline=None)
 @given(block_scripts())
-# a merge at 30 ms, then ten periods of a split row: with a 200 ms dwell
-# the hold expires at 240 ms, inside the run
-@example((((0, 1), (0, 5)), [np.array([0.9]), np.array([0.1])],
-          [(0, ("none",), [(0, 1), (1, 10)])], 200))
 # a pinned run, whose repeats are not decided and count as nothing
 @example((((0, 1, 2), (0, 1, 6)), [np.array([0.9, 0.1, 0.2])],
-          [(0, ("pin", [0, 0, 1]), [(0, 5)]), (0, ("unpin",), [(0, 4)])], 60))
+          [(0, ("pin", [0, 0, 1]), [(0, 5)]), (0, ("unpin",), [(0, 4)])]))
 def test_a_run_decides_like_one_assign_per_period(script):
     # a run of one row, given to assign_block as a block of its own, is
-    # decided by one assign, and one more where a dwell hold expires, as
-    # by one assign per period
-    rooms, pool, blocks, dwell = script
-    runs, plain = CountedAssigner(dwell_ms=dwell), FloorAssigner(dwell_ms=dwell)
+    # one decision by one assign, as by one assign per period
+    rooms, pool, blocks = script
+    runs, plain = CountedAssigner(), FloorAssigner()
     ticks, got, want = [], [], []
     for which, before, spec in blocks:
         ids = rooms[which]
@@ -1161,9 +1116,8 @@ def test_a_run_decides_like_one_assign_per_period(script):
             start = EVAL_PERIOD_MS * (len(ticks) + 1)
             calls = len(runs.called)
             decided = runs.assign_block(ids, row[None], [k], start)
-            assert runs.called[calls] == start
-            assert len(runs.called) - calls == len(decided) <= 2
-            assert sum(n for _, n in decided) == k
+            assert runs.called[calls:] == [start]
+            assert len(decided) == 1 and decided[0][1] == k
             got.extend(_expand(decided))
             for _ in range(k):
                 ticks.append(EVAL_PERIOD_MS * (len(ticks) + 1))
@@ -1174,8 +1128,7 @@ def test_a_run_decides_like_one_assign_per_period(script):
             == np.array([c.score for c in want]).tobytes())
     assert changes(ticks, got) == changes(ticks, want)
     assert (runs.searched, runs.reused) == (plain.searched, plain.reused)
-    assert (runs._last_change, runs.previous, runs.pinned) == (
-        plain._last_change, plain.previous, plain.pinned)
+    assert (runs.previous, runs.pinned) == (plain.previous, plain.pinned)
 
 
 def test_a_run_in_a_room_of_one_counts_nothing():

@@ -436,13 +436,14 @@ def test_serve_reports_a_jitter_depth_below_one_frame(tmp_path, art, capsys):
         assert err.startswith("error:") and "jitter_depth_ms" in err
 
 
-def test_serve_reports_a_dwell_that_is_not_an_integer(tmp_path, art, capsys):
+def test_serve_refuses_a_config_that_names_the_dwell(tmp_path, art, capsys):
+    # the server no longer holds a regroup back, so the field is unknown
     path = tmp_path / "server.json"
-    path.write_text(json.dumps({"model_path": str(art.model), "dwell_ms": "600"}))
+    path.write_text(json.dumps({"model_path": str(art.model), "dwell_ms": 600}))
     rc = main(["serve", "--config", str(path), "--audio-port", "0", "--control-port", "0"])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "dwell_ms" in err
+    err = capsys.readouterr().err.strip()
+    assert err == "error: unknown server config fields: ['dwell_ms']"
 
 
 @pytest.mark.parametrize("doc", ["[[1]]", '"x"', "5", "null"])
@@ -522,18 +523,6 @@ def test_a_model_entry_that_is_no_probability_is_one_error_line(tmp_path, art, c
     assert err.startswith("error:") and entry in err and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["eval", "replay", "mixdown"])
-def test_a_negative_dwell_is_an_error(tmp_path, art, capsys, command):
-    argv = [command, "--corpus", str(art.corpus), "--model", str(art.model), "--dwell", "-5"]
-    if command == "mixdown":
-        argv += ["--listener", "A", "--out", str(tmp_path / "mix.wav"), "--tones"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error:") and "dwell_ms" in err
-    assert len(err.splitlines()) == 1
-    assert not (tmp_path / "mix.wav").exists()
-
-
 # --- argument errors ----------------------------------------------------------
 
 
@@ -547,3 +536,18 @@ def test_missing_required_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--out", "m.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "replay", "mixdown"])
+def test_a_dwell_flag_is_a_usage_error(tmp_path, art, capsys, command):
+    # the dwell is gone: the flag is refused before anything is read or written
+    argv = [command, "--corpus", str(art.corpus), "--model", str(art.model), "--dwell", "600"]
+    if command == "mixdown":
+        argv += ["--listener", "A", "--out", str(tmp_path / "mix.wav"), "--tones"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: floorspace ")
+    assert "unrecognized arguments: --dwell 600" in err
+    assert not (tmp_path / "mix.wav").exists()

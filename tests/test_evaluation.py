@@ -301,26 +301,22 @@ def test_ten_person_tracker_decides_like_assign_on_plain_dicts(floor_model, peri
     assert len({c.partition for c in want}) > 1
 
 
-@pytest.mark.parametrize("n, dwell_ms, feed", [
-    pytest.param(4, 0, "whole", id="4"),
-    pytest.param(8, 0, "whole", id="8"),
-    pytest.param(9, 600, "chunks", id="9-dwell-chunks"),
-    pytest.param(10, 0, "whole", id="10"),
-    pytest.param(4, 600, "whole", id="4-dwell"),
-    pytest.param(8, 600, "whole", id="8-dwell"),
-    pytest.param(10, 600, "whole", id="10-dwell"),
-    pytest.param(4, 600, "pinned", id="4-dwell-pinned"),
-    pytest.param(10, 0, "pinned", id="10-pinned"),
-    pytest.param(4, 600, "chunks", id="4-dwell-chunks"),
-    pytest.param(8, 0, "chunks", id="8-chunks"),
-    pytest.param(10, 600, "chunks", id="10-dwell-chunks"),
+@pytest.mark.parametrize("n, feed", [
+    pytest.param(4, "whole", id="4"),
+    pytest.param(8, "whole", id="8"),
+    pytest.param(9, "chunks", id="9-chunks"),
+    pytest.param(10, "whole", id="10"),
+    pytest.param(4, "pinned", id="4-pinned"),
+    pytest.param(10, "pinned", id="10-pinned"),
+    pytest.param(4, "chunks", id="4-chunks"),
+    pytest.param(8, "chunks", id="8-chunks"),
+    pytest.param(10, "chunks", id="10-chunks"),
 ])
-def test_a_primed_replay_decides_like_assign_on_plain_dicts(floor_model, periods, n, dwell_ms, feed):
+def test_a_primed_replay_decides_like_assign_on_plain_dicts(floor_model, periods, n, feed):
     # each block of periods is decided by one assign_block, which reads
     # runs of repeated rows off one search; each period must decide, score and count
     # exactly like one assign per period on a dict, in rooms of every size
-    # up to ten; a 600 ms dwell holds switches, and at n=4 one hold expires
-    # inside a run of repeated rows
+    # up to ten
     floors = (tuple(range(n // 2)), tuple(range(n // 2, n)))
     room = (tuple(range(n)),)
     corpus = generate(GeneratorConfig(
@@ -329,9 +325,8 @@ def test_a_primed_replay_decides_like_assign_on_plain_dicts(floor_model, periods
     ))
     ids = sorted(corpus.ids.values())
     streams = corpus.streams()
-    tracker = FloorTracker(ids, floor_model, _tracker_views(corpus),
-                           assigner=FloorAssigner(dwell_ms=dwell_ms))
-    reference = FloorAssigner(dwell_ms=dwell_ms)
+    tracker = FloorTracker(ids, floor_model, _tracker_views(corpus))
+    reference = FloorAssigner()
     if feed == "pinned":
         for a in (tracker.assigner, reference):
             a.pin(floors, owner="host", participants=ids)
@@ -353,19 +348,14 @@ def test_a_primed_replay_decides_like_assign_on_plain_dicts(floor_model, periods
     assert [(e.tick, e.partition) for e in log.events] == changes(log.ticks, want)
     got = tracker.assigner
     assert (got.searched, got.reused) == (reference.searched, reference.reused)
-    assert (got._last_change, got.previous) == (reference._last_change, reference.previous)
+    assert got.previous == reference.previous
     if feed == "pinned":
         assert {c.partition for c in want} == {floors}
         assert reference.searched + reference.reused == 0
     else:
         assert reference.reused > 0 and reference.searched > 0
-    if n == 4 and dwell_ms and feed != "pinned":
-        # a switch where the row did not change: a hold that expired mid-run
-        rows = np.vstack(log.posteriors)
-        moved = [log.ticks.index(e.tick) for e in log.events[1:]]
-        assert any(rows[i].tobytes() == rows[i - 1].tobytes() for i in moved)
     if feed == "whole":
-        result = replay_corpus(corpus, floor_model, dwell_ms=dwell_ms)
+        result = replay_corpus(corpus, floor_model)
         assert result.chosen == [c.partition for c in want]
         assert result.scores.tobytes() == np.array([c.score for c in want]).tobytes()
 
@@ -569,9 +559,3 @@ def test_flat_posteriors_fall_back_to_one_floor(floor_model):
     tracker.add_activity(room_block(streams, ids))
     due = tracker.process_due()
     assert all(c.partition == ((0, 1, 2, 3),) for c in due.configs)
-
-
-def test_dwell_reduces_configuration_changes(eval_corpus, floor_model):
-    free = replay_corpus(eval_corpus, floor_model, dwell_ms=0)
-    held = replay_corpus(eval_corpus, floor_model, dwell_ms=600)
-    assert len(held.events) <= len(free.events)

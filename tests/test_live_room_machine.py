@@ -1,6 +1,6 @@
 """A stateful test of the live room's membership, driven in process.
 
-A ``hypothesis`` rule machine draws the room's dwell and jitter depth,
+A ``hypothesis`` rule machine draws the room's jitter depth, then
 joins, leaves and rejoins participants from several control
 addresses, pins and unpins (valid and bogus), asks for status, sends
 audio and pumps. It calls ``_handle_control``, ``_handle_audio`` and
@@ -92,11 +92,10 @@ class LiveRoom(RuleBasedStateMachine):
         assert srv.control_rejects == rejects + foreign
         return sent[-1][0], decode_message(sent[-1][0])
 
-    @initialize(n=st.integers(0, 5), dwell_ms=st.sampled_from([0, 60, 200]),
-                jitter_depth_ms=st.sampled_from([20, 60]))
-    def occupy(self, n, dwell_ms, jitter_depth_ms):
+    @initialize(n=st.integers(0, 5), jitter_depth_ms=st.sampled_from([20, 60]))
+    def occupy(self, n, jitter_depth_ms):
         self.srv = RealtimeServer(ServerConfig(
-            audio_port=0, control_port=0, max_participants=5, dwell_ms=dwell_ms,
+            audio_port=0, control_port=0, max_participants=5,
             jitter_depth_ms=jitter_depth_ms), model=self.model)
         self.sockets = self.srv.audio_sock, self.srv.control_sock
         self.srv.audio_sock, self.srv.control_sock = SentDatagrams(), SentDatagrams()

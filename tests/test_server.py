@@ -126,9 +126,10 @@ def test_config_from_dict_applies_nested_vad():
 
 
 def test_config_rejects_unknown_fields():
-    # the second set the period of a clock exchange the server no longer runs
-    for doc in ({"audio_prot": 46000}, {"sync_interval_s": 10}):
-        with pytest.raises(FloorspaceError, match="unknown server config") as err:
+    # the second set the period of a clock exchange the server no longer
+    # runs, and the third a hold on every regroup the assigner no longer makes
+    for doc in ({"audio_prot": 46000}, {"sync_interval_s": 10}, {"dwell_ms": 600}):
+        with pytest.raises(ConfigError, match="unknown server config") as err:
             ServerConfig.from_dict(doc)
         assert str(err.value) == f"unknown server config fields: {sorted(doc)}"
 
@@ -192,17 +193,6 @@ def test_config_rejects_a_count_or_port_that_is_not_an_integer():
                 ServerConfig.from_dict({"audio_port": 0, "control_port": 0, field: value})
     cfg = ServerConfig.from_dict({"audio_port": 0, "control_port": 0, "max_participants": 2})
     assert (cfg.audio_port, cfg.control_port, cfg.max_participants) == (0, 0, 2)
-
-
-def test_config_rejects_a_bad_dwell():
-    # else the string reaches the assigner's first comparison on the pump
-    # thread, which ends the room, and a negative value silently means none
-    for dwell in ("600", -100, 1.5, True, None):
-        with pytest.raises(ConfigError, match="dwell_ms"):
-            ServerConfig(dwell_ms=dwell)
-        with pytest.raises(ConfigError, match="dwell_ms"):
-            ServerConfig.from_dict({"audio_port": 0, "control_port": 0, "dwell_ms": dwell})
-    assert ServerConfig.from_dict({"dwell_ms": 600}).dwell_ms == 600
 
 
 def test_config_rejects_a_host_or_model_path_that_is_not_a_string():
@@ -811,7 +801,6 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
     in place at the next pump; its periods after the rejoin equal those
     of a tracker fed the whole history of the final room, the rejoiner
     silent before."""
-    from floorspace.assigner import FloorAssigner
     from floorspace.corpus import GeneratorConfig, generate
     from floorspace.evaluation import FloorTracker
     from floorspace.transport import FRAME_SAMPLES
@@ -857,8 +846,7 @@ def test_rebuild_after_a_long_session_matches_a_full_history_tracker(floor_model
         sessions = sorted(srv.sessions.values(), key=lambda s: s.participant)
         full = FloorTracker(
             [s.participant for s in sessions], floor_model,
-            {s.participant: s.segmenter.view for s in sessions},
-            assigner=FloorAssigner())
+            {s.participant: s.segmenter.view for s in sessions})
         # the same pin until the rejoin, so both assigners carry the
         # same previous choice into the periods compared
         full.assigner.pin([range(10)], "p0", range(10))

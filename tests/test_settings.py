@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floorspace.assigner import FloorAssigner
 from floorspace.corpus import GeneratorConfig, TurnRecord
 from floorspace.errors import CapacityError, ConfigError, CorpusError, FloorspaceError
 from floorspace.features import FeatureBinning
@@ -76,7 +75,6 @@ ROWS = [
      0, 65535),
     ("ServerConfig", "jitter_depth_ms", lambda v: ServerConfig(jitter_depth_ms=v), ConfigError,
      True, 20, INF),
-    ("ServerConfig", "dwell_ms", lambda v: ServerConfig(dwell_ms=v), ConfigError, True, 0, INF),
     ("VadConfig", "energy_floor_db", lambda v: VadConfig(energy_floor_db=v), ValueError, False,
      -INF, INF),
     ("VadConfig", "snr_threshold_db", lambda v: VadConfig(snr_threshold_db=v), ValueError,
@@ -84,8 +82,6 @@ ROWS = [
     ("VadConfig", "noise_adapt_rate", lambda v: VadConfig(noise_adapt_rate=v), ValueError,
      False, 0, 1),
     ("VadConfig", "hangover_ms", lambda v: VadConfig(hangover_ms=v), ValueError, True, 0, INF),
-    ("FloorAssigner", "dwell_ms", lambda v: FloorAssigner(dwell_ms=v), ConfigError, True,
-     0, INF),
     ("make_training_instances", "sample period",
      lambda v: make_training_instances({}, {}, 0, sample_period_ms=v), ConfigError, True,
      1, INF),
@@ -129,18 +125,15 @@ def test_every_setting_is_checked_by_its_rule(site, field, build, error, integer
 
 def test_an_integer_setting_is_kept_as_a_python_int():
     # a narrow NumPy integer's arithmetic overflows: 2 * np.int16(20000) is
-    # negative, and a dwell hold past 32.767 s no longer fits an int16
+    # negative
     narrow = np.int16(600)
     binning = FeatureBinning(trp_clip_ms=np.int16(20_000))
     assert binning.n_trp_value_bins == 400
-    assigner = FloorAssigner(dwell_ms=narrow)
-    assigner.assign({(0, 1): 0.9}, [0, 1], now_ms=40_000)
-    assert assigner.assign({(0, 1): 0.1}, [0, 1], now_ms=40_030).partition == ((0, 1),)
-    kept = [assigner.dwell_ms, binning.trp_clip_ms, *binning.window_lengths_ms,
+    kept = [binning.trp_clip_ms, *binning.window_lengths_ms,
             VadConfig(hangover_ms=narrow).hangover_ms, JitterBuffer(narrow).depth_frames,
             *(getattr(ServerConfig(max_participants=np.int8(4), audio_port=narrow,
-                                   control_port=narrow, dwell_ms=narrow), name)
-              for name in ("max_participants", "audio_port", "control_port", "dwell_ms")),
+                                   control_port=narrow), name)
+              for name in ("max_participants", "audio_port", "control_port")),
             *(getattr(generator(participants=np.int8(2), duration_ms=np.int16(30_000),
                                 seed=narrow, min_turn_ms=narrow), name)
               for name in ("participants", "duration_ms", "seed", "min_turn_ms"))]
@@ -197,10 +190,8 @@ VAD_VALID = {"energy_floor_db": [-60.0, -50], "snr_threshold_db": [10.0, 0],
              "hangover_ms": [200, 0], "noise_adapt_rate": [0.05, 1]}
 SERVER_VALID = {"host": ["127.0.0.1"], "audio_port": [0, 46000], "control_port": [0, 65535],
                 "model_path": [None, "model.json"], "max_participants": [1, 10],
-                "jitter_depth_ms": [20, 60], "dwell_ms": [0, 600],
-                "vad": [{}, {"hangover_ms": 15}]}
-SERVER_INTEGERS = ("max_participants", "audio_port", "control_port", "jitter_depth_ms",
-                   "dwell_ms")
+                "jitter_depth_ms": [20, 60], "vad": [{}, {"hangover_ms": 15}]}
+SERVER_INTEGERS = ("max_participants", "audio_port", "control_port", "jitter_depth_ms")
 server_documents = not_objects | objects(
     SERVER_VALID, {"vad": objects(VAD_VALID, {}) | odd_values})
 
