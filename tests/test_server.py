@@ -126,9 +126,8 @@ def test_config_from_dict_applies_nested_vad():
 
 
 def test_config_rejects_unknown_fields():
-    # the second set the period of a clock exchange the server no longer
-    # runs, and the third a hold on every regroup the assigner no longer makes
-    for doc in ({"audio_prot": 46000}, {"sync_interval_s": 10}, {"dwell_ms": 600}):
+    # the second set the period of a clock exchange the server no longer runs
+    for doc in ({"audio_prot": 46000}, {"sync_interval_s": 10}):
         with pytest.raises(ConfigError, match="unknown server config") as err:
             ServerConfig.from_dict(doc)
         assert str(err.value) == f"unknown server config fields: {sorted(doc)}"
@@ -193,6 +192,16 @@ def test_config_rejects_a_count_or_port_that_is_not_an_integer():
                 ServerConfig.from_dict({"audio_port": 0, "control_port": 0, field: value})
     cfg = ServerConfig.from_dict({"audio_port": 0, "control_port": 0, "max_participants": 2})
     assert (cfg.audio_port, cfg.control_port, cfg.max_participants) == (0, 0, 2)
+
+
+def test_config_rejects_a_bad_dwell():
+    # the assigner no longer holds a regroup, so no dwell is good: a config
+    # naming one, whatever its value, is refused rather than ignored
+    for dwell in (600, 0, "600", -100, 1.5, True, None):
+        with pytest.raises(ConfigError, match=r"unknown server config fields: \['dwell_ms'\]"):
+            ServerConfig.from_dict({"audio_port": 0, "control_port": 0, "dwell_ms": dwell})
+        with pytest.raises(TypeError, match="dwell_ms"):
+            ServerConfig(dwell_ms=dwell)
 
 
 def test_config_rejects_a_host_or_model_path_that_is_not_a_string():
