@@ -10,7 +10,6 @@ out are fed to an online segmenter, which keeps the utterances so far.
 
 import numpy as np
 
-from floorspace import VadConfig
 from floorspace.segmenter import OnlineSegmenter
 from floorspace.transport import FRAME_MS, FRAME_SAMPLES, SAMPLE_RATE
 from floorspace.vad import VoiceActivityDetector, room_frame_bits
@@ -47,7 +46,7 @@ noise = rng.normal(0.0, 30.0, scene.shape)  # around -55 dBFS
 pcm = np.clip(scene + noise, -32768, 32767).astype(np.int16)
 
 # one participant: a room of one detector, one row of samples per frame
-detector = VoiceActivityDetector(VadConfig())
+detector = VoiceActivityDetector()
 segmenter = OnlineSegmenter(participant=0)
 frames = []
 print("utterances known as the frames arrive:")

@@ -16,14 +16,12 @@ from .corpus import GeneratorConfig, generate
 from .evaluation import evaluate, partition_text, write_report, write_timeline
 from .learner import load_model, make_training_instances, save_model, train
 from .mixdown import read_wav
-from .vad import VadConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FloorAssigner",
     "GeneratorConfig",
-    "VadConfig",
     "enumerate_partitions",
     "evaluate",
     "gains",

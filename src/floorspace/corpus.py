@@ -170,7 +170,7 @@ def load_corpus(path: str) -> Corpus:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     if not lines:
         raise CorpusError(f"{path} is empty")

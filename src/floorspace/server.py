@@ -12,8 +12,8 @@ to the floor tracker as one block, re-evaluate the floor
 configuration on its own EVAL_PERIOD_MS (30 ms) grid, then mix every
 listener's return frame in one ``Mixer.mix_frame`` call at the fixed
 NORMAL_GAIN / QUIET_GAIN levels, encode them together and send each.
-The frame, the period and the gains are constants, not
-``ServerConfig`` fields.
+The frame, the period, the gains and the detector's thresholds are
+constants, not ``ServerConfig`` fields.
 
 The room has one ``FloorTracker`` from its first member until it
 empties. A join or leave on the control thread only edits the session
@@ -50,7 +50,7 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,7 +79,7 @@ from .transport import (
     decode_room,
     encode_room,
 )
-from .vad import VadConfig, VoiceActivityDetector, room_frame_bits
+from .vad import VoiceActivityDetector, room_frame_bits
 
 log = logging.getLogger("floorspace.server")
 
@@ -131,7 +131,6 @@ class ServerConfig:
     model_path: Optional[str] = None
     max_participants: int = MAX_PARTICIPANTS
     jitter_depth_ms: int = 60
-    vad: VadConfig = field(default_factory=VadConfig)
 
     def __post_init__(self):
         # each is first read by range(), bind() or the pump, where a bad
@@ -151,8 +150,6 @@ class ServerConfig:
             raise ConfigError(f"host must be a string, got {self.host!r}")
         if self.model_path is not None and not isinstance(self.model_path, str):
             raise ConfigError(f"model_path must be a string or null, got {self.model_path!r}")
-        if not isinstance(self.vad, VadConfig):
-            self.vad = from_object(VadConfig, self.vad, "server config vad", ConfigError)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServerConfig":
@@ -177,7 +174,7 @@ class ClientSession:
         self.inbox: Deque[AudioPacket] = deque()
         self.overload_drops = 0
         self.jitter = JitterBuffer(depth_ms=cfg.jitter_depth_ms)
-        self.vad = VoiceActivityDetector(cfg.vad)
+        self.vad = VoiceActivityDetector()
         # both start at the joining tick; earlier ticks read as silence
         self.segmenter = OnlineSegmenter(participant, start_tick)
         # the tick and VAD bits of the session's last frame
@@ -438,6 +435,8 @@ class RealtimeServer:
             if len(self.sessions) < 2:
                 return {"type": "error", "message": "fewer than two participants"}
             owner = _string(msg, "owner")
+            if owner not in self.sessions:
+                return {"type": "error", "message": f"unknown participant {owner!r}"}
             self.tracker.assigner.unpin(owner)
             return {"type": "unpinned", "owner": owner}
 

@@ -14,12 +14,11 @@ room of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import UnsupportedFormatError, check_integer, check_number
+from .errors import UnsupportedFormatError
 # SAMPLE_RATE stays importable from here, where perfbench reads it
 from .transport import SAMPLE_RATE, SAMPLES_PER_MS  # noqa: F401
 
@@ -31,21 +30,11 @@ DETECTOR_FRAME_SAMPLES = DETECTOR_FRAME_MS * SAMPLES_PER_MS
 _SILENCE_DB = -200.0  # stands in for log10(0) on all-zero frames
 _NOISE_FLOOR_MIN_DB = -90.0  # near-silent frames must not drag the floor down forever
 
-
-@dataclass
-class VadConfig:
-    energy_floor_db: float = -60.0
-    snr_threshold_db: float = 10.0
-    hangover_ms: int = 200
-    noise_adapt_rate: float = 0.05
-
-    def __post_init__(self):
-        # a NaN fails every comparison in ``decide``: no frame is speech
-        for name in ("energy_floor_db", "snr_threshold_db"):
-            check_number(getattr(self, name), name, -math.inf, math.inf, ValueError)
-        check_number(self.noise_adapt_rate, "noise_adapt_rate", 0, 1, ValueError)
-        # the hangover counts down in whole milliseconds; true would read as 1
-        self.hangover_ms = check_integer(self.hangover_ms, "hangover_ms", 0, math.inf, ValueError)
+# the decision rule: constants, not settings
+ENERGY_FLOOR_DB = -60.0  # no frame below it is speech; the noise floor starts here
+SNR_THRESHOLD_DB = 10.0  # margin over the noise floor a speech frame clears
+HANGOVER_MS = 200  # speech held on after the last loud frame
+NOISE_ADAPT_RATE = 0.05  # share of a quiet frame's level the noise floor moves by
 
 
 def mean_squares(pcm: np.ndarray, frame_samples: int) -> np.ndarray:
@@ -94,20 +83,18 @@ def room_frame_bits(detectors: Sequence["VoiceActivityDetector"], pcm: np.ndarra
 class VoiceActivityDetector:
     """Stateful detector for one stream; feed frames in capture order."""
 
-    def __init__(self, cfg: Optional[VadConfig] = None):
-        self.cfg = cfg or VadConfig()
-        self.noise_floor_db = self.cfg.energy_floor_db
+    def __init__(self):
+        self.noise_floor_db = ENERGY_FLOOR_DB
         self._hangover_left = 0
 
     def decide(self, level: float) -> bool:
         """Speech/non-speech decision for the next frame's level, updating state."""
-        cfg = self.cfg
         raw_speech = (
-            level > cfg.energy_floor_db
-            and level > self.noise_floor_db + cfg.snr_threshold_db
+            level > ENERGY_FLOOR_DB
+            and level > self.noise_floor_db + SNR_THRESHOLD_DB
         )
         if raw_speech:
-            self._hangover_left = cfg.hangover_ms
+            self._hangover_left = HANGOVER_MS
             return True
         if self._hangover_left > 0:
             self._hangover_left = max(0, self._hangover_left - DETECTOR_FRAME_MS)
@@ -117,7 +104,7 @@ class VoiceActivityDetector:
         # background (a jitter buffer plays it while priming), so it
         # leaves the floor alone; the clamp bounds near-silent frames.
         if level > _SILENCE_DB:
-            self.noise_floor_db += cfg.noise_adapt_rate * (level - self.noise_floor_db)
+            self.noise_floor_db += NOISE_ADAPT_RATE * (level - self.noise_floor_db)
             self.noise_floor_db = max(self.noise_floor_db, _NOISE_FLOOR_MIN_DB)
         return False
 

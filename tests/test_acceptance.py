@@ -30,7 +30,7 @@ from floorspace.mixdown import render_listener_mix, tone_audio_for_corpus
 from floorspace.mixer import RAMP_SAMPLES, Mixer
 from floorspace.timeline import Utterance, stream_from_intervals
 from floorspace.transport import Packetizer, decode_ulaw, encode_ulaw
-from floorspace.vad import SAMPLE_RATE, VadConfig, VoiceActivityDetector
+from floorspace.vad import SAMPLE_RATE, VoiceActivityDetector
 
 from conftest import instances_for, loopback_latency_ms
 
@@ -145,7 +145,7 @@ def test_criterion_01_pipeline_constants():
     ok &= NORMAL_GAIN == 1.0 and QUIET_GAIN == 0.2
     ok &= QUIET_GAIN / NORMAL_GAIN == 0.2
     # activity grid is one bit per millisecond
-    bits = VoiceActivityDetector(VadConfig()).frame_bits(np.zeros(160, np.int16))
+    bits = VoiceActivityDetector().frame_bits(np.zeros(160, np.int16))
     ok &= len(bits) == 20
     # toll quality wire: 8 kHz, one companded byte per sample = 64 kb/s
     ok &= SAMPLE_RATE == 8000

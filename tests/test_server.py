@@ -117,14 +117,6 @@ def test_control_framing_requires_typed_object():
 # --- server configuration ----------------------------------------------------
 
 
-def test_config_from_dict_applies_nested_vad():
-    cfg = ServerConfig.from_dict(
-        {"audio_port": 0, "control_port": 0, "vad": {"hangover_ms": 120}}
-    )
-    assert cfg.vad.hangover_ms == 120
-    assert cfg.audio_port == 0
-
-
 def test_config_rejects_unknown_fields():
     # the second set the period of a clock exchange the server no longer runs
     for doc in ({"audio_prot": 46000}, {"sync_interval_s": 10}):
@@ -138,19 +130,24 @@ def test_config_rejects_the_fixed_format_and_policy():
     for field in ("frame_ms", "eval_period_ms", "normal_gain", "quiet_gain"):
         with pytest.raises(FloorspaceError, match="unknown server config"):
             ServerConfig.from_dict({field: 10})
-    # and so is the detector's frame
-    for frame_ms in (5, 10, 15):
-        with pytest.raises(FloorspaceError, match="frame_ms"):
-            ServerConfig.from_dict({"vad": {"frame_ms": frame_ms}})
+    # and so are the detector's frame and its thresholds
+    for vad in ({"frame_ms": 10}, {"hangover_ms": 120}, {}):
+        with pytest.raises(ConfigError) as err:
+            ServerConfig.from_dict({"vad": vad})
+        assert str(err.value) == "unknown server config fields: ['vad']"
 
 
 def test_config_rejects_bad_vad_fields():
-    # the file's errors reach the command line as config errors, not tracebacks
+    # the detector takes no settings: whatever a vad field holds, even
+    # beside valid fields, it is unknown, and ServerConfig has no such field
     for vad in ({"hangover_ms": -1}, {"hangover_ms": 5.5}, {"hangover_ms": True},
                 {"noise_adapt_rate": 2.0}, {"bogus": 1}, None, 5, [1],
                 {"energy_floor_db": float("nan")}, {"snr_threshold_db": float("nan")}):
-        with pytest.raises(FloorspaceError, match="server config vad"):
-            ServerConfig.from_dict({"vad": vad})
+        with pytest.raises(ConfigError) as err:
+            ServerConfig.from_dict({"audio_port": 0, "control_port": 0, "vad": vad})
+        assert str(err.value) == "unknown server config fields: ['vad']"
+        with pytest.raises(TypeError, match="vad"):
+            ServerConfig(vad=vad)
 
 
 def test_config_bounds_participant_count():
@@ -627,6 +624,24 @@ def test_status_reports_how_the_search_decided_each_period(floor_model, periods)
 
 
 # --- pinning -------------------------------------------------------------------
+
+
+def test_an_unpin_from_an_unknown_owner_gets_an_error(floor_model):
+    # as a pin from that owner does; it was answered "unpinned"
+    srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0), model=floor_model)
+    try:
+        for i, name in enumerate("ab"):
+            srv._join(name, 1 + i, ("127.0.0.1", 9000 + i))
+        unknown = {"type": "error", "message": "unknown participant 'nobody'"}
+        assert srv._unpin({"owner": "nobody"}) == unknown
+        assert srv._pin({"owner": "nobody", "floors": [["a", "b"]]}) == unknown
+        assert srv._pin({"owner": "a", "floors": [["a", "b"]]})["type"] == "pinned"
+        assert srv._unpin({"owner": "nobody"}) == unknown
+        assert srv.tracker.assigner.pin_owner == "a"
+        assert srv._unpin({"owner": "a"}) == {"type": "unpinned", "owner": "a"}
+        assert srv.tracker.assigner.pinned is None
+    finally:
+        srv.stop()
 
 
 def test_pin_overrides_the_search_until_unpinned(floor_model):

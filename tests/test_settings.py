@@ -18,7 +18,6 @@ from floorspace.features import FeatureBinning
 from floorspace.learner import make_training_instances
 from floorspace.server import ServerConfig
 from floorspace.transport import JitterBuffer
-from floorspace.vad import VadConfig
 
 INF = math.inf
 
@@ -75,13 +74,6 @@ ROWS = [
      0, 65535),
     ("ServerConfig", "jitter_depth_ms", lambda v: ServerConfig(jitter_depth_ms=v), ConfigError,
      True, 20, INF),
-    ("VadConfig", "energy_floor_db", lambda v: VadConfig(energy_floor_db=v), ValueError, False,
-     -INF, INF),
-    ("VadConfig", "snr_threshold_db", lambda v: VadConfig(snr_threshold_db=v), ValueError,
-     False, -INF, INF),
-    ("VadConfig", "noise_adapt_rate", lambda v: VadConfig(noise_adapt_rate=v), ValueError,
-     False, 0, 1),
-    ("VadConfig", "hangover_ms", lambda v: VadConfig(hangover_ms=v), ValueError, True, 0, INF),
     ("make_training_instances", "sample period",
      lambda v: make_training_instances({}, {}, 0, sample_period_ms=v), ConfigError, True,
      1, INF),
@@ -130,7 +122,7 @@ def test_an_integer_setting_is_kept_as_a_python_int():
     binning = FeatureBinning(trp_clip_ms=np.int16(20_000))
     assert binning.n_trp_value_bins == 400
     kept = [binning.trp_clip_ms, *binning.window_lengths_ms,
-            VadConfig(hangover_ms=narrow).hangover_ms, JitterBuffer(narrow).depth_frames,
+            JitterBuffer(narrow).depth_frames,
             *(getattr(ServerConfig(max_participants=np.int8(4), audio_port=narrow,
                                    control_port=narrow), name)
               for name in ("max_participants", "audio_port", "control_port")),
@@ -169,11 +161,11 @@ def is_number(value):
 
 
 @st.composite
-def objects(draw, valid, odd):
+def objects(draw, valid, odd, unknown=("bogus",)):
     """An object with every field drawn from ``valid``, then up to two
-    fields (or an unknown one) dropped or drawn from ``odd``."""
+    fields (or an ``unknown`` one) dropped or drawn from ``odd``."""
     doc = {name: draw(st.sampled_from(values)) for name, values in valid.items()}
-    for name in draw(st.lists(st.sampled_from([*valid, "bogus"]), max_size=2)):
+    for name in draw(st.lists(st.sampled_from([*valid, *unknown]), max_size=2)):
         if draw(st.integers(0, 4)) == 0:
             doc.pop(name, None)
         else:
@@ -186,27 +178,30 @@ def objects(draw, valid, odd):
 odd_values = st.sampled_from([True, False, 2.5, "2", None, INF, -INF, math.nan]) | json_values
 not_objects = json_values.filter(lambda doc: not isinstance(doc, dict))
 
-VAD_VALID = {"energy_floor_db": [-60.0, -50], "snr_threshold_db": [10.0, 0],
-             "hangover_ms": [200, 0], "noise_adapt_rate": [0.05, 1]}
+# the detector's former fields, which a vad object may still name
+VAD_FORMER = {"energy_floor_db": [-60.0, -50], "snr_threshold_db": [10.0, 0],
+              "hangover_ms": [200, 0], "noise_adapt_rate": [0.05, 1]}
 SERVER_VALID = {"host": ["127.0.0.1"], "audio_port": [0, 46000], "control_port": [0, 65535],
                 "model_path": [None, "model.json"], "max_participants": [1, 10],
-                "jitter_depth_ms": [20, 60], "vad": [{}, {"hangover_ms": 15}]}
+                "jitter_depth_ms": [20, 60]}
 SERVER_INTEGERS = ("max_participants", "audio_port", "control_port", "jitter_depth_ms")
 server_documents = not_objects | objects(
-    SERVER_VALID, {"vad": objects(VAD_VALID, {}) | odd_values})
+    SERVER_VALID, {"vad": objects(VAD_FORMER, {}) | odd_values}, unknown=("bogus", "vad"))
 
 
 @settings(max_examples=400, deadline=None)
 @given(server_documents)
 def test_a_server_config_document_keeps_the_rules_or_is_one_error(doc):
+    if isinstance(doc, dict) and "vad" in doc:
+        # the detector takes no settings, whatever the object holds
+        with pytest.raises(ConfigError, match=r"unknown server config fields: .*'vad'"):
+            ServerConfig.from_dict(doc)
+        return
     try:
         cfg = ServerConfig.from_dict(doc)
     except FloorspaceError:
         return
     assert all(is_integer(getattr(cfg, name)) for name in SERVER_INTEGERS)
-    assert is_integer(cfg.vad.hangover_ms)
-    assert all(is_number(getattr(cfg.vad, name))
-               for name in ("energy_floor_db", "snr_threshold_db", "noise_adapt_rate"))
     assert isinstance(cfg.host, str) and isinstance(cfg.model_path, (str, type(None)))
 
 

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floorspace.errors import UnsupportedFormatError
+from floorspace import vad
+from floorspace.errors import ConfigError, UnsupportedFormatError
+from floorspace.server import ServerConfig
 from floorspace.vad import (
     DETECTOR_FRAME_MS,
     DETECTOR_FRAME_SAMPLES,
+    ENERGY_FLOOR_DB,
+    HANGOVER_MS,
+    NOISE_ADAPT_RATE,
     SAMPLE_RATE,
-    VadConfig,
+    SNR_THRESHOLD_DB,
     VoiceActivityDetector,
     level_db,
     mean_squares,
@@ -48,10 +53,10 @@ def db_to_linear(db):
     return FULL_SCALE * 10.0 ** (db / 20.0)
 
 
-def bits_of(pcm, cfg=None):
+def bits_of(pcm):
     """A new detector's 1 ms bits for a whole mono recording, from
     ``room_frame_bits`` on a room of one."""
-    return room_frame_bits([VoiceActivityDetector(cfg)], np.asarray(pcm)[None, :])[0]
+    return room_frame_bits([VoiceActivityDetector()], np.asarray(pcm)[None, :])[0]
 
 
 def test_silence_yields_no_speech():
@@ -85,8 +90,7 @@ def test_onset_and_release_on_quiet_noise_bed():
     onset = int(speech[0])
     release = int(speech[-1]) + 1
     assert 480 <= onset <= 520
-    hangover = VadConfig().hangover_ms
-    assert 1000 <= release <= 1000 + hangover + 20
+    assert 1000 <= release <= 1000 + HANGOVER_MS + 20
     # no dropouts inside the tone
     assert bits[onset:1000].all()
 
@@ -99,16 +103,17 @@ def test_detection_is_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_louder_signal_never_loses_speech_ticks():
+def test_louder_signal_never_loses_speech_ticks(monkeypatch):
     # with adaptation off the decision is a fixed threshold on frame
-    # energy, so doubling the signal can only add speech
-    cfg = VadConfig(noise_adapt_rate=0.0)
+    # energy, so doubling the signal can only add speech; the rate is a
+    # constant, patched here only to isolate the threshold
+    monkeypatch.setattr(vad, "NOISE_ADAPT_RATE", 0.0)
     rng = np.random.default_rng(29)
     base = np.clip(rng.normal(0.0, 2000.0, SAMPLE_RATE * 2), -4000, 4000)
     quiet = base.astype(np.int16)
     loud = (base * 2.0).astype(np.int16)
-    b_quiet = bits_of(quiet, cfg=cfg)
-    b_loud = bits_of(loud, cfg=cfg)
+    b_quiet = bits_of(quiet)
+    b_loud = bits_of(loud)
     assert not (b_quiet & ~b_loud).any()
     assert b_loud.sum() >= b_quiet.sum()
 
@@ -157,7 +162,7 @@ def test_digital_silence_does_not_prime_the_noise_floor():
     primed = VoiceActivityDetector()
     assert not alone.frame_bits(hiss).any()
     primed.frame_bits(np.zeros(60 * SAMPLE_RATE // 1000, dtype=np.int16))
-    assert primed.noise_floor_db == VadConfig().energy_floor_db
+    assert primed.noise_floor_db == ENERGY_FLOOR_DB
     assert not primed.frame_bits(hiss).any()
     assert primed.noise_floor_db == pytest.approx(alone.noise_floor_db, abs=0.5)
 
@@ -174,19 +179,19 @@ def test_frame_rms_db_reference_points():
 # --- a room of detectors -------------------------------------------------------
 
 
-def reference_decide(frame, cfg, state):
+def reference_decide(frame, state):
     """The detector's rule for one frame, written out: state is [floor_db, hangover]."""
     x = frame.astype(np.float64)
     rms = math.sqrt(float(np.mean(x * x)))
     level = 20.0 * math.log10(rms / FULL_SCALE) if rms > 0.0 else -200.0
-    if level > cfg.energy_floor_db and level > state[0] + cfg.snr_threshold_db:
-        state[1] = cfg.hangover_ms
+    if level > ENERGY_FLOOR_DB and level > state[0] + SNR_THRESHOLD_DB:
+        state[1] = HANGOVER_MS
         return True
     if state[1] > 0:
         state[1] = max(0, state[1] - DETECTOR_FRAME_MS)
         return True
     if rms > 0.0:  # digital silence leaves the floor alone
-        state[0] = max(state[0] + cfg.noise_adapt_rate * (level - state[0]), -90.0)
+        state[0] = max(state[0] + NOISE_ADAPT_RATE * (level - state[0]), -90.0)
     return False
 
 
@@ -198,7 +203,6 @@ AMPLITUDES = (0, 1, 3, 10, 30, 33, 40, 300, 3000, 32767)
 def rooms(draw):
     sessions = draw(st.integers(1, 10))
     frames = draw(st.integers(1, 40))
-    cfg = VadConfig(hangover_ms=draw(st.sampled_from([0, 10, 15, 200])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fs = DETECTOR_FRAME_SAMPLES
     amp = rng.choice(AMPLITUDES, size=(sessions, 2 * frames, 1))
@@ -208,24 +212,23 @@ def rooms(draw):
     square = np.where(np.arange(fs) % 2, -32768, 32767) * np.ones_like(amp)
     pcm = np.where(kind == 0, noise, np.where(kind == 1, amp, square))
     pcm = np.clip(np.rint(pcm), -32768, 32767).astype(np.int16)
-    return cfg, pcm.reshape(sessions, frames, 2 * fs)
+    return pcm.reshape(sessions, frames, 2 * fs)
 
 
 @settings(max_examples=120, deadline=None)
 @given(rooms())
-def test_room_decisions_match_each_detector_alone(room):
-    cfg, pcm = room
+def test_room_decisions_match_each_detector_alone(pcm):
     sessions, frames, chunk = pcm.shape
-    together = [VoiceActivityDetector(cfg) for _ in range(sessions)]
-    alone = [VoiceActivityDetector(cfg) for _ in range(sessions)]
-    states = [[cfg.energy_floor_db, 0] for _ in range(sessions)]
+    together = [VoiceActivityDetector() for _ in range(sessions)]
+    alone = [VoiceActivityDetector() for _ in range(sessions)]
+    states = [[ENERGY_FLOOR_DB, 0] for _ in range(sessions)]
     fs = DETECTOR_FRAME_SAMPLES
     for f in range(frames):
         got = room_frame_bits(together, pcm[:, f])
         assert got.shape == (sessions, chunk // fs * DETECTOR_FRAME_MS)
         for i in range(sessions):
             assert np.array_equal(got[i], alone[i].frame_bits(pcm[i, f]))
-            want = [reference_decide(pcm[i, f, j:j + fs], cfg, states[i])
+            want = [reference_decide(pcm[i, f, j:j + fs], states[i])
                     for j in range(0, chunk, fs)]
             assert list(got[i]) == list(np.repeat(want, DETECTOR_FRAME_MS))
     for det, ref, state in zip(together, alone, states):
@@ -234,18 +237,10 @@ def test_room_decisions_match_each_detector_alone(room):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        VadConfig(hangover_ms=-1)
-    with pytest.raises(ValueError):
-        VadConfig(noise_adapt_rate=1.5)
-    # the hangover is a whole number of milliseconds; true read as 1
-    for hangover in (5.5, 200.0, True, False, "200", None):
-        with pytest.raises(ValueError, match="hangover_ms"):
-            VadConfig(hangover_ms=hangover)
-    assert VadConfig(hangover_ms=15).hangover_ms == 15
-    assert VadConfig(hangover_ms=0).hangover_ms == 0
-    # a NaN level or threshold fails every comparison, so nothing is speech
-    for field in ("energy_floor_db", "snr_threshold_db", "hangover_ms", "noise_adapt_rate"):
-        for value in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match=field):
-                VadConfig(**{field: value})
+    # the detector takes no settings: its rule is four constants, and a
+    # server config that names the detector is refused as an unknown field
+    with pytest.raises(TypeError):
+        VoiceActivityDetector({"hangover_ms": 15})
+    for doc in ({"hangover_ms": 15}, {"noise_adapt_rate": 1.5}, {}):
+        with pytest.raises(ConfigError, match=r"unknown server config fields: \['vad'\]"):
+            ServerConfig.from_dict({"vad": doc})
