@@ -20,6 +20,7 @@ from floorspace.server import (
     encode_message,
 )
 from floorspace.transport import AudioPacket, Packetizer, decode_ulaw
+from floorspace.vad import DETECTOR_FRAME_MS, ENERGY_FLOOR_DB, HANGOVER_MS
 
 # the scripted client lives beside the live demo, which uses it too
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "demos"))
@@ -115,6 +116,29 @@ def test_control_framing_requires_typed_object():
 
 
 # --- server configuration ----------------------------------------------------
+
+
+def test_config_from_dict_applies_nested_vad(floor_model):
+    # nothing nested is left to apply: a vad object is refused with the
+    # fields beside it, and the server's detectors run at vad's constants
+    doc = {"audio_port": 0, "control_port": 0}
+    with pytest.raises(ConfigError) as err:
+        ServerConfig.from_dict({**doc, "vad": {"hangover_ms": 120}})
+    assert str(err.value) == "unknown server config fields: ['vad']"
+    cfg = ServerConfig.from_dict(doc)
+    assert cfg == ServerConfig(audio_port=0, control_port=0)
+    srv = RealtimeServer(cfg, model=floor_model)
+    try:
+        srv._join("a", 1, ("127.0.0.1", 9000))
+        detector = srv.sessions["a"].vad
+        assert detector.noise_floor_db == ENERGY_FLOOR_DB
+        # one full-scale frame, then silence: speech is held the hangover
+        tone = (20000 * np.sin(np.arange(80) * 0.5)).astype(np.int16)
+        frames = np.concatenate([tone, np.zeros(80 * 30, np.int16)])
+        bits = detector.frame_bits(frames)
+        assert bits.sum() == DETECTOR_FRAME_MS + HANGOVER_MS
+    finally:
+        srv.stop()
 
 
 def test_config_rejects_unknown_fields():

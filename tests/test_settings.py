@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floorspace import vad
 from floorspace.corpus import GeneratorConfig, TurnRecord
 from floorspace.errors import CapacityError, ConfigError, CorpusError, FloorspaceError
 from floorspace.features import FeatureBinning
@@ -26,6 +27,10 @@ def generator(**kw):
     return GeneratorConfig(**{"participants": 2, "duration_ms": 10_000,
                               "schedule": [(0, ((0, 1),))], **kw})
 
+
+# the site of settings that are now constants: their rows check that the
+# constant keeps the setting's rule and that no config document sets it
+FORMER = "VadConfig"
 
 # (site, field, build from a value, exception, integer?, lo, hi): lo and hi
 # are the edges the site accepts; a value past one is rejected, though not
@@ -86,6 +91,14 @@ ROWS = [
 ] + [
     ("FeatureBinning", "window_lengths_ms",
      lambda v: FeatureBinning(window_lengths_ms=(v, 14_000, 15_000)), ValueError, True, 1, INF),
+] + [
+    # the detector's former settings, now vad's constants
+    (FORMER, name, lambda v, name=name: ServerConfig.from_dict({"vad": {name: v}}),
+     ConfigError, integer, lo, hi)
+    for name, integer, lo, hi in (("energy_floor_db", False, -INF, INF),
+                                  ("snr_threshold_db", False, -INF, INF),
+                                  ("noise_adapt_rate", False, 0, 1),
+                                  ("hangover_ms", True, 0, INF))
 ]
 
 NOT_NUMBERS = [True, False, "2", None, [2], float("nan"), float("inf"), float("-inf")]
@@ -95,6 +108,15 @@ NOT_NUMBERS = [True, False, "2", None, [2], float("nan"), float("inf"), float("-
                          ids=[f"{r[0]}.{r[1]}" for r in ROWS])
 def test_every_setting_is_checked_by_its_rule(site, field, build, error, integer, lo, hi):
     bad = NOT_NUMBERS + ([2.5, np.float64(3.0)] if integer else [])
+    if site == FORMER:
+        # the constant keeps the rule the setting had; no value sets it
+        constant = getattr(vad, field.upper())
+        assert type(constant) is (int if integer else float) and lo <= constant <= hi
+        for value in bad + [lo, hi, constant, np.float64(1), np.int64(1)]:
+            with pytest.raises(error) as err:
+                build(value)
+            assert str(err.value) == "unknown server config fields: ['vad']"
+        return
     for value in bad:
         with pytest.raises(error, match=field):
             build(value)
