@@ -85,6 +85,10 @@ log = logging.getLogger("floorspace.server")
 
 _LEN = struct.Struct(">I")
 MAX_CONTROL_BYTES = 64 * 1024
+# a full room's status holds every name twice, at up to 12 bytes a character
+# as JSON escapes it: at this bound its largest is 50 585 bytes, every counter
+# at 2**63, and a joined reply less; one UDP datagram holds 65 507
+MAX_NAME_CHARS = 200
 INBOX_FRAMES = 64
 # control messages that act for a session, and the field naming it: they
 # count only from the control address that session joined from
@@ -97,10 +101,13 @@ def encode_message(msg: dict) -> bytes:
 
 
 def _string(msg: dict, field: str) -> str:
-    """``msg[field]``, which must be a JSON string: a name or an owner."""
+    """``msg[field]``, a JSON string of at most MAX_NAME_CHARS: a name or an owner."""
     value = msg[field]
     if not isinstance(value, str):
         raise ValueError(f"{field} must be a string, not {value!r}")
+    if len(value) > MAX_NAME_CHARS:
+        # not echoed: the reply has to fit one datagram
+        raise ValueError(f"{field} is longer than {MAX_NAME_CHARS} characters")
     return value
 
 
@@ -401,7 +408,8 @@ class RealtimeServer:
 
     def _names_to_partition(self, floors) -> Tuple[Tuple[int, ...], ...]:
         if not (isinstance(floors, list) and all(
-                isinstance(block, list) and block and all(isinstance(n, str) for n in block)
+                isinstance(block, list) and block
+                and all(isinstance(n, str) and len(n) <= MAX_NAME_CHARS for n in block)
                 for block in floors)):
             raise FloorspaceError("floors must be an array of non-empty arrays of names")
         part = []

@@ -2,8 +2,10 @@
 
 Decisions are made per 10 ms frame and fanned out to the 1 ms
 activity grid. A frame counts as speech when its RMS level clears
-both an absolute floor and an adaptive noise floor plus an SNR margin;
-a hangover keeps brief intra-phrase pauses inside one speech region.
+both an absolute floor and an adaptive noise floor plus an SNR margin,
+and nothing else: the detector holds no speech across a pause. A short
+pause inside a turn is the segmenter's to bridge (``BRIDGE_GAP_MS``),
+as it is for the corpus's own bits in training and replay.
 
 The live pump hands ``room_frame_bits`` a whole room's 20 ms frames:
 their levels come from one array operation, then each stream's
@@ -33,7 +35,6 @@ _NOISE_FLOOR_MIN_DB = -90.0  # near-silent frames must not drag the floor down f
 # the decision rule: constants, not settings
 ENERGY_FLOOR_DB = -60.0  # no frame below it is speech; the noise floor starts here
 SNR_THRESHOLD_DB = 10.0  # margin over the noise floor a speech frame clears
-HANGOVER_MS = 200  # speech held on after the last loud frame
 NOISE_ADAPT_RATE = 0.05  # share of a quiet frame's level the noise floor moves by
 
 
@@ -85,24 +86,15 @@ class VoiceActivityDetector:
 
     def __init__(self):
         self.noise_floor_db = ENERGY_FLOOR_DB
-        self._hangover_left = 0
 
     def decide(self, level: float) -> bool:
         """Speech/non-speech decision for the next frame's level, updating state."""
-        raw_speech = (
-            level > ENERGY_FLOOR_DB
-            and level > self.noise_floor_db + SNR_THRESHOLD_DB
-        )
-        if raw_speech:
-            self._hangover_left = HANGOVER_MS
+        if level > ENERGY_FLOOR_DB and level > self.noise_floor_db + SNR_THRESHOLD_DB:
             return True
-        if self._hangover_left > 0:
-            self._hangover_left = max(0, self._hangover_left - DETECTOR_FRAME_MS)
-            return True
-        # Adapt only while genuinely quiet so speech energy never
-        # inflates the floor. Digital silence says nothing about the
-        # background (a jitter buffer plays it while priming), so it
-        # leaves the floor alone; the clamp bounds near-silent frames.
+        # Adapt only on quiet frames so speech energy never inflates the
+        # floor. Digital silence says nothing about the background (a
+        # jitter buffer plays it while priming), so it leaves the floor
+        # alone; the clamp bounds near-silent frames.
         if level > _SILENCE_DB:
             self.noise_floor_db += NOISE_ADAPT_RATE * (level - self.noise_floor_db)
             self.noise_floor_db = max(self.noise_floor_db, _NOISE_FLOOR_MIN_DB)

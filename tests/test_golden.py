@@ -111,10 +111,10 @@ def test_tone_mixdowns_are_unchanged(files, eval_corpus, capsys):
 # period's score bits too, so it moved when the search's sum did, with
 # every (tick, partition) unchanged and no score off by more than 3.4e-16
 LIVE_SHA256 = {
-    "vad": "776d66be248de14aae80368c6dc6334f3920c6bf8f0aa99f7ea233fb835224f6",
-    "segments": "9644c6830cbd04b4bbcbd006349d1aeb981d70586f86646b63a122abca20d486",
-    "decisions": "22af2e9d60396dc33720e0e66a608614ad45f5c55259fe7781f260a0f5c3ee8e",
-    "mixes": "d264c47e6432f5dc199a3cc6237006b677214e024297a41d9c8e313b1f782ac5",
+    "vad": "36aa678747d40170525eb73bd54a44f6527d98267d9cf5622fdcfa441cb6aaf7",
+    "segments": "dd8afa7c35fe26b38c230bc981f7e5ecaa0f2de77aeed43ecce8c4fa4f4eacb8",
+    "decisions": "f3c70f5bd363e545cfcc6fc64a0445adf368038913bfb670455c902e5b894fa4",
+    "mixes": "cd138699361062af7ab9a37d1cc65250c58e6e70345de3ee83a923619c26582d",
 }
 
 

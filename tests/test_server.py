@@ -14,13 +14,16 @@ import pytest
 from floorspace.assigner import QUIET_GAIN
 from floorspace.errors import CapacityError, ConfigError, FloorspaceError, PacketFormatError
 from floorspace.server import (
+    MAX_NAME_CHARS,
     RealtimeServer,
     ServerConfig,
     decode_message,
     encode_message,
 )
-from floorspace.transport import AudioPacket, Packetizer, decode_ulaw
-from floorspace.vad import DETECTOR_FRAME_MS, ENERGY_FLOOR_DB, HANGOVER_MS
+from floorspace.segmenter import BRIDGE_GAP_MS
+from floorspace.timeline import MAX_PARTICIPANTS
+from floorspace.transport import FRAME_MS, FRAME_SAMPLES, AudioPacket, Packetizer, decode_ulaw
+from floorspace.vad import DETECTOR_FRAME_MS, ENERGY_FLOOR_DB
 
 # the scripted client lives beside the live demo, which uses it too
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "demos"))
@@ -132,11 +135,12 @@ def test_config_from_dict_applies_nested_vad(floor_model):
         srv._join("a", 1, ("127.0.0.1", 9000))
         detector = srv.sessions["a"].vad
         assert detector.noise_floor_db == ENERGY_FLOOR_DB
-        # one full-scale frame, then silence: speech is held the hangover
+        # one full-scale frame, then silence: that frame alone is speech,
+        # as nothing holds speech on past it
         tone = (20000 * np.sin(np.arange(80) * 0.5)).astype(np.int16)
         frames = np.concatenate([tone, np.zeros(80 * 30, np.int16)])
         bits = detector.frame_bits(frames)
-        assert bits.sum() == DETECTOR_FRAME_MS + HANGOVER_MS
+        assert bits.sum() == DETECTOR_FRAME_MS
     finally:
         srv.stop()
 
@@ -342,6 +346,56 @@ def test_ssrc_outside_32_bits_is_rejected(floor_model):
             client.close()
 
 
+def test_a_full_room_of_the_longest_names_still_gets_its_replies(floor_model):
+    # a joined reply carries the joiner's name twice and every other once,
+    # a status every name twice; JSON escapes an astral character to 12
+    # bytes, so these are the longest names as the wire carries them
+    names = [chr(0x1F600 + i) * MAX_NAME_CHARS for i in range(MAX_PARTICIPANTS)]
+    with running_server(floor_model) as srv, contextlib.ExitStack() as stack:
+        clients = [stack.enter_context(joined(srv, name, 1 + i)) for i, name in enumerate(names)]
+        assert [c.participant for c in clients] == list(range(MAX_PARTICIPANTS))
+        assert clients[-1].request({"type": "join", "name": names[-1], "ssrc": 10}) == {
+            "type": "joined", "name": names[-1], "participant": MAX_PARTICIPANTS - 1,
+            "frame_ms": FRAME_MS, "sample_rate": 8000,
+            "participants": {name: i for i, name in enumerate(names)}}
+        # the room's floors decided, and every counter at 16 digits
+        srv.pump_once()
+        srv.pump_once()
+        for session in srv.sessions.values():
+            for field in vars(session.jitter.stats):
+                setattr(session.jitter.stats, field, 2**53)
+            session.overload_drops = 2**53
+        srv.control_rejects = srv.audio_rejects = srv.overruns = 2**53
+        reply = clients[0].request({"type": "status"})
+        assert reply["type"] == "status"
+        assert sorted(n for floor in reply["floors"] for n in floor) == names
+        assert sorted(reply["participants"]) == names
+
+
+def test_a_name_one_character_too_long_gets_one_error_and_no_session(floor_model):
+    # the session was made, and its joined reply, then every status,
+    # failed to send: no datagram holds them
+    name = chr(0x1F600) * (MAX_NAME_CHARS + 1)
+    with running_server(floor_model) as srv, joined(srv, "a", 10), joined(srv, "b", 20):
+        client = ScriptedClient(name, 1, srv.audio_addr, srv.control_addr)
+        try:
+            for msg in ({"type": "join", "name": name, "ssrc": 1},
+                        {"type": "leave", "name": name},
+                        {"type": "unpin", "owner": name},
+                        {"type": "pin", "owner": name, "floors": [["a", "b"]]}):
+                reply = client.request(msg)
+                assert reply["type"] == "error", msg
+                assert f"longer than {MAX_NAME_CHARS} characters" in reply["message"]
+                client.control_sock.settimeout(0.2)
+                with pytest.raises(socket.timeout):
+                    client.control_sock.recvfrom(65536)
+                client.control_sock.settimeout(2.0)
+                assert sorted(srv.sessions) == ["a", "b"] and 1 not in srv._by_ssrc
+            assert client.request({"type": "status"})["type"] == "status"
+        finally:
+            client.close()
+
+
 def test_leave_frees_the_lowest_participant_number(floor_model):
     with running_server(floor_model) as srv:
         with joined(srv, "a", 1) as a, joined(srv, "b", 2):
@@ -470,7 +524,8 @@ def test_a_pin_whose_floors_are_not_arrays_of_names_gets_an_error(floor_model):
     with running_server(floor_model) as srv:
         with joined(srv, "a", 10) as a, joined(srv, "b", 20):
             for floors in ("ab", {"a": 1, "b": 2}, 5, None, [["a", 5]], [["a"], "b"],
-                           [["a"], [["b"]]], [["a", "b"], []]):
+                           [["a"], [["b"]]], [["a", "b"], []],
+                           [["a"], ["b", "c" * (MAX_NAME_CHARS + 1)]]):
                 reply = a.request({"type": "pin", "owner": "a", "floors": floors})
                 assert reply["type"] == "error", floors
                 assert "floors" in reply["message"]
@@ -645,6 +700,76 @@ def test_status_reports_how_the_search_decided_each_period(floor_model, periods)
                                   "bounded": assigner.bounded}
                 assert search["searched"] >= 1
                 assert search["searched"] + search["reused"] == len(periods[srv.tracker].configs)
+
+
+# --- a pause inside a turn ------------------------------------------------------
+
+
+def one_talker(model, frames, lost=()):
+    """Play ``frames`` (PCM, one row per transport frame) as one session of
+    an in-process room, never delivering the frames numbered in ``lost``.
+
+    Returns the session's VAD bits, one array for the whole stream, and
+    its segmenter's view after the last pump.
+    """
+    srv = RealtimeServer(ServerConfig(audio_port=0, control_port=0), model=model)
+    try:
+        srv._join("a", 1, ("127.0.0.1", 9000))
+        packetizer = Packetizer(ssrc=1)
+        session = srv.sessions["a"]
+        bits = []
+        for i, frame in enumerate(frames):
+            packet = packetizer.packetize(frame)
+            if i not in lost:
+                srv._handle_audio(packet.to_bytes(), ("127.0.0.1", 7000))
+            srv.pump_once()
+            bits.append(session.last_frame[1])
+        return np.concatenate(bits), session.segmenter.view()
+    finally:
+        srv.stop()
+
+
+def runs_of(bits):
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], bits.astype(np.int8), [0]])))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+def tone_frames(mask_ms):
+    """A 440 Hz tone wherever ``mask_ms`` is true, over a faint hiss, cut
+    into transport frames."""
+    t = np.arange(len(mask_ms) * FRAME_SAMPLES // FRAME_MS)
+    mask = np.repeat(mask_ms, FRAME_SAMPLES // FRAME_MS)
+    hiss = np.random.default_rng(3).normal(0.0, 8.0, t.size)
+    pcm = np.clip(np.rint(8000 * np.sin(2 * np.pi * 440 * t / 8000) * mask + hiss),
+                  -32768, 32767).astype(np.int16)
+    return pcm.reshape(-1, FRAME_SAMPLES)
+
+
+def test_a_dip_inside_a_tone_is_two_runs_of_bits_but_one_turn(floor_model):
+    # the detector holds nothing over the 100 ms dip; the segmenter's
+    # bridge is the one rule that keeps the turn whole
+    mask = np.zeros(1500, dtype=bool)
+    mask[200:600] = mask[700:1100] = True
+    bits, (starts, ends) = one_talker(floor_model, tone_frames(mask))
+    runs = runs_of(bits)
+    assert len(runs) == 2
+    assert runs[1][0] - runs[0][1] == 100 < BRIDGE_GAP_MS
+    assert (starts, ends) == ([runs[0][0]], [runs[1][1]])
+
+
+def test_a_packet_lost_inside_speech_is_two_runs_of_bits_but_one_turn(floor_model):
+    # the jitter buffer plays the lost frame as silence, 20 ms the
+    # detector marks as such; the bridge keeps the turn whole
+    mask = np.zeros(1500, dtype=bool)
+    mask[200:1100] = True
+    bits, (starts, ends) = one_talker(floor_model, tone_frames(mask), lost={30})
+    runs = runs_of(bits)
+    assert len(runs) == 2
+    assert runs[1][0] - runs[0][1] == FRAME_MS
+    assert (starts, ends) == ([runs[0][0]], [runs[1][1]])
+    # played whole, the same tone is one run
+    whole, _ = one_talker(floor_model, tone_frames(mask))
+    assert runs_of(whole) == [(runs[0][0], runs[1][1])]
 
 
 # --- pinning -------------------------------------------------------------------

@@ -31,6 +31,9 @@ def generator(**kw):
 # the site of settings that are now constants: their rows check that the
 # constant keeps the setting's rule and that no config document sets it
 FORMER = "VadConfig"
+# former settings whose rule is gone: no constant keeps them (the pause
+# a hangover held is the segmenter's bridge), and no document sets them
+DELETED = ("hangover_ms",)
 
 # (site, field, build from a value, exception, integer?, lo, hi): lo and hi
 # are the edges the site accepts; a value past one is rejected, though not
@@ -110,8 +113,12 @@ def test_every_setting_is_checked_by_its_rule(site, field, build, error, integer
     bad = NOT_NUMBERS + ([2.5, np.float64(3.0)] if integer else [])
     if site == FORMER:
         # the constant keeps the rule the setting had; no value sets it
-        constant = getattr(vad, field.upper())
-        assert type(constant) is (int if integer else float) and lo <= constant <= hi
+        if field in DELETED:
+            assert not hasattr(vad, field.upper())
+            constant = lo
+        else:
+            constant = getattr(vad, field.upper())
+            assert type(constant) is (int if integer else float) and lo <= constant <= hi
         for value in bad + [lo, hi, constant, np.float64(1), np.int64(1)]:
             with pytest.raises(error) as err:
                 build(value)
