@@ -85,7 +85,7 @@ class FloorTracker(FeatureEngine):
     turn bookkeeping are the engine's. ``views`` are the full corpus
     records in replay and the online segmenters' views live. Due
     periods, up to ``coverage``, are evaluated in blocks of the engine's
-    ``span``: 256 periods for ten members, 1 408 for four. Features for
+    ``span``: 312 periods for ten members, 2 346 for four. Features for
     a whole block come in array operations, then one posterior row per
     run of periods whose binned features repeat bit for bit. One
     ``FloorAssigner.assign_block`` call decides the block (the block path

@@ -20,9 +20,9 @@ It counts over the three windows of the model's ``FeatureBinning``
 
 The engine works in blocks whose size is one memory budget,
 ``BLOCK_CELLS`` cells of (count row, tick), not one span of time: a
-room with fewer count rows takes longer blocks, so it pays each
+room with fewer member pairs takes longer blocks, so it pays each
 block's fixed cost fewer times, and no block's arrays outgrow what a
-ten-person room's 7.68 s block holds.
+ten-person room's 9.38 s block holds.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import (
     Dict,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -57,11 +56,11 @@ WINDOW_LENGTHS_MS = (1000, 14000, 15000)
 NO_GAP = int(np.iinfo(np.int64).min)
 
 # Most cells (count rows x ticks) of activity the engine turns into
-# overlap counts at once: a ten-person room's 55 rows over 7.68 s. It
-# bounds the memory a block needs at every room size; each engine
-# derives its block span from it and its rows, and the tracker evaluates
-# its periods in blocks of that span.
-BLOCK_CELLS = 55 * 7680
+# overlap counts at once: a ten-person room's 45 pair rows over 9 386 ms,
+# to the whole tick. It bounds the memory a block needs at every room
+# size; each engine derives its block span from it and its rows, and the
+# tracker evaluates its periods in blocks of that span.
+BLOCK_CELLS = 422_400
 
 UtteranceView = Callable[[], Tuple[Sequence[int], Sequence[int]]]
 
@@ -213,20 +212,6 @@ class FeatureBinning:
         )
 
 
-class RawFeatures(NamedTuple):
-    """Features of every pair at a batch of k instants.
-
-    ``gaps`` is (k, 2m): the gap of (a, b) for each of the m unordered
-    pairs, in the engine's ``pairs`` order, then of (b, a) for each.
-    ``overlaps`` is (k, m, 3), shared by both directions. ``speech`` is
-    (k, n): each participant's speech ticks in the lookback window.
-    """
-
-    gaps: np.ndarray
-    overlaps: np.ndarray
-    speech: np.ndarray
-
-
 # Utterance starts of all participants are searched as one sorted
 # array, keyed by row * _KEY_STRIDE + tick; ticks stay far below it.
 _KEY_STRIDE = 1 << 42
@@ -248,19 +233,18 @@ class FeatureEngine:
     takes the next block of any length, one row per participant in
     participant order. Every row so covers the same ticks, and
     ``coverage`` is one tick that all rows share; a room without
-    participants has no rows, so its coverage stays. Overlap
-    counts come from one AND over all pairs (and each participant with
-    itself, for ``speech``) per block of at most ``span`` ticks, kept as
-    cumulative counts over the retained window only: the lookback
-    behind the earliest instant of the block being evaluated, plus the
-    block. Counts are relative to that window, so they stay small
-    however long the session runs. The windows, and so the lookback,
+    participants has no rows, so its coverage stays. Overlap counts
+    come from one AND over all member pairs per block of at most
+    ``span`` ticks, kept as cumulative counts over the retained window
+    only: the lookback behind the earliest instant of the block being
+    evaluated, plus the block. Counts are relative to that window, so
+    they stay small however long the session runs. The windows, and so the lookback,
     are ``binning``'s, and ``binned`` bins with it.
 
-    ``span`` is the longest block whose count rows, the m pairs plus the
-    n participants alone, fit ``BLOCK_CELLS``, in whole steps of the
-    count resolution: 7 680 ms for ten members, 42 240 ms for four and
-    140 800 ms for two at a 30 ms step. A join or leave sets it anew.
+    ``span`` is the longest block whose count rows, one per member pair,
+    fit ``BLOCK_CELLS``, in whole steps of the count resolution: 9 380 ms
+    for ten members, 70 400 ms for four and 422 400 ms for two or fewer
+    at a 30 ms step. A join or leave sets it anew.
 
     ``views`` supplies each participant's utterance (starts, ends) as
     observed so far; each is called once per batch. Instants must be
@@ -275,7 +259,7 @@ class FeatureEngine:
     however long the session runs.
 
     Participants ``join`` and ``leave`` in place, and ``participants``
-    and ``pairs`` (the member pairs, in ``RawFeatures`` order) follow. A
+    and ``pairs`` (the member pairs, in ``binned`` order) follow. A
     joiner's rows start as zeros, so the ticks before it joined read as
     non-speech, and its activity is fed from ``coverage`` on; a leaver's
     rows are dropped. Nothing already counted is counted again.
@@ -306,7 +290,7 @@ class FeatureEngine:
         self.coverage: Tick = start_tick
         # column _head + i holds the counts over [_base, _base + i * _res)
         # plus a common offset per row; the window ends at the covered tick
-        self._cum = np.zeros((len(self._row_a), 1024), dtype=np.int32)
+        self._cum = np.zeros((self._m, 1024), dtype=np.int32)
         self._head = 0
         self._cols = 1
         self._base = start_tick
@@ -322,29 +306,23 @@ class FeatureEngine:
         # the member pairs, in overlap-row and ``assigner.unordered_pairs`` order
         ids = self.participants
         self.pairs = [(ids[a], ids[b]) for a, b in zip(iu.tolist(), ju.tolist())]
-        # overlap rows: every unordered pair, then every participant alone
-        self._row_a = np.concatenate((iu, np.arange(n)))
-        self._row_b = np.concatenate((ju, np.arange(n)))
-        # ordered pairs in RawFeatures.gaps order
+        self._pair_a, self._pair_b = iu, ju
+        # ordered pairs in ``binned`` order
         self._dir_a = np.concatenate((iu, ju))
         self._dir_b = np.concatenate((ju, iu))
         self._row_key = np.arange(n, dtype=np.int64) * _KEY_STRIDE
         self._key_b = self._row_key[self._dir_b, None]
         # the longest block of whole count steps whose rows fit the budget
-        cells = BLOCK_CELLS // max(len(self._row_a), 1)
+        cells = BLOCK_CELLS // max(self._m, 1)
         self.span: Tick = max(cells // self._res, 1) * self._res
-
-    def _overlap_ids(self) -> List[Tuple[int, int]]:
-        """The participant pair of every overlap row, in row order."""
-        return self.pairs + [(p, p) for p in self.participants]
 
     def _regroup(self, participants: Sequence[int]) -> None:
         """Re-index for ``participants``; rows of members that stay keep
         their activity and counts, new rows are zeros."""
-        old_ids, old_pairs = self.participants, self._overlap_ids()
+        old_ids, old_pairs = self.participants, self.pairs
         self._index(participants)
         self._bits = _carried(self._bits, old_ids, self.participants)
-        self._cum = _carried(self._cum, old_pairs, self._overlap_ids())
+        self._cum = _carried(self._cum, old_pairs, self.pairs)
         # the next batch works it out for the new members
         self.oldest_needed = {}
 
@@ -452,7 +430,7 @@ class FeatureEngine:
             lo = self._covered
             hi = min(upto, lo + self.span)
             bits = self._bits[:, lo - self._bits_tick : hi - self._bits_tick]
-            self._append(bits[self._row_a] & bits[self._row_b])
+            self._append(bits[self._pair_a] & bits[self._pair_b])
             self._release(keep_from)
 
     def count_through(self, tick: Tick) -> None:
@@ -465,7 +443,7 @@ class FeatureEngine:
         self._note_needed(starts, first, [tick] * len(self.participants), tick)
 
     def _overlap_counts(self, t: np.ndarray) -> np.ndarray:
-        """(rows, k, 3) window counts at instants spanning less than ``span``."""
+        """(pairs, k, 3) window counts at instants spanning less than ``span``."""
         edges = np.maximum(t[:, None] - self._edges, self._origin)
         keep_from = int(edges[0, -1])
         if keep_from < self._base:
@@ -478,7 +456,7 @@ class FeatureEngine:
 
     def _windows(self, ticks: Sequence[Tick]) -> Tuple[np.ndarray, np.ndarray]:
         """``ticks`` (at least one, non-decreasing, covered) as an array,
-        and the (rows, k, 3) window counts of every count row at them."""
+        and the (pairs, k, 3) window counts of every member pair at them."""
         t = np.asarray(ticks, dtype=np.int64).reshape(-1)
         if t[-1] > self.coverage:
             raise ValueError(f"instant {int(t[-1])} is past the covered {self.coverage}")
@@ -496,25 +474,14 @@ class FeatureEngine:
             i = j
         return t, np.concatenate(parts, axis=1)
 
-    def raw(self, ticks: Sequence[Tick]) -> RawFeatures:
-        """Features at each of ``ticks`` (at least one, non-decreasing,
-        covered), with each participant's ``speech``, which only training
-        reads."""
-        t, windows = self._windows(ticks)
-        m = self._m
-        return RawFeatures(
-            self._gaps(t),
-            windows[:m].transpose(1, 0, 2),
-            windows[m:].sum(axis=2).T,
-        )
-
     def binned(self, ticks: Sequence[Tick]) -> np.ndarray:
-        """(k, 2m, 4) bins of every ordered pair, in RawFeatures.gaps order,
-        at ``ticks`` as ``raw`` takes them; no ``speech`` is summed."""
+        """(k, 2m, 4) bins of every ordered pair at each of ``ticks`` (at
+        least one, non-decreasing, covered): (a, b) for each of the m
+        pairs in ``pairs`` order, then (b, a) for each."""
         t, windows = self._windows(ticks)
         k, m = len(t), self._m
         # both directions of a pair share its overlap counts: bin them once
-        overlaps = windows[:m].transpose(1, 0, 2)
+        overlaps = windows.transpose(1, 0, 2)
         bins = self.binning.bin_array(self._gaps(t).reshape(k, 2, m), overlaps[:, None])
         return bins.reshape(k, 2 * m, 4)
 

@@ -53,16 +53,15 @@ TRAINING_BATCH_MS = 60_000
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Labeled feature vectors as aligned arrays, one row per ordered pair.
+    """Labeled, binned feature vectors, one row per ordered pair.
 
-    ``labels`` (N,) holds SAME or DIFF, ``gaps`` (N,) the gap with
-    NO_GAP for a missing one, and ``overlaps`` (N, 3) the counts over
-    the windows of ``binning``, which a model trained on them keeps.
+    ``labels`` (N,) holds SAME or DIFF and ``bins`` (N, 4) the bins in
+    FEATURE_NAMES order under ``binning``, which a model trained on them
+    keeps.
     """
 
     labels: np.ndarray
-    gaps: np.ndarray
-    overlaps: np.ndarray
+    bins: np.ndarray
     binning: FeatureBinning
 
     def __len__(self) -> int:
@@ -95,13 +94,15 @@ def make_training_instances(
     sample_period_ms: int = DEFAULT_SAMPLE_PERIOD_MS,
     binning: FeatureBinning = FeatureBinning(),
 ) -> TrainingSet:
-    """Sample labeled feature vectors from a labeled corpus.
+    """Sample labeled, binned feature vectors from a labeled corpus.
 
     Every ``sample_period_ms`` a row is emitted for each ordered pair,
-    (a, b) then (b, a), in which both participants produced speech
-    within the lookback of ``binning``'s windows (30 s by default).
-    The class is whether the two participants' most recent utterances
-    carry the same floor label.
+    (a, b) then (b, a), in which both participants had a turn within
+    the lookback of ``binning``'s windows (30 s by default): each one's
+    newest turn begun before the instant ends after the lookback behind
+    it. The class is whether the two participants' most recent
+    utterances carry the same floor label. The bins are the ones the
+    tracker's ``binned`` serves at the same instants.
 
     Raises CorpusError when an utterance is unlabeled, and ConfigError
     unless ``sample_period_ms`` is a positive integer.
@@ -123,27 +124,37 @@ def make_training_instances(
     m = len(iu)
 
     labels_out = [np.zeros(0, dtype=np.intp)]
-    gaps_out = [np.zeros(0, dtype=np.int64)]
-    overlaps_out = [np.zeros((0, 3), dtype=np.int64)]
+    bins_out = [np.zeros((0, 4), dtype=np.intp)]
     sample_ticks = np.arange(sample_period_ms, duration_ms + 1, sample_period_ms)
     per_batch = max(TRAINING_BATCH_MS // sample_period_ms, 1)
     labels = floor_labels(utterances, ids, sample_ticks)
     same = (labels[:, iu] >= 0) & (labels[:, iu] == labels[:, ju])
+    active = _had_a_turn(utterances, ids, sample_ticks, sum(binning.window_lengths_ms))
+    kept = active[:, iu] & active[:, ju]
     for lo in range(0, len(sample_ticks), per_batch):
         ticks = sample_ticks[lo : lo + per_batch]
         engine.add_activity([streams[pid].window(engine.coverage, int(ticks[-1])) for pid in ids])
-        raw = engine.raw(ticks)
-        active = raw.speech > 0
-        rows, pairs = np.nonzero(active[:, iu] & active[:, ju])
-        # both directions of each pair share its label and overlaps
+        bins = engine.binned(ticks)
+        rows, pairs = np.nonzero(kept[lo : lo + per_batch])
+        # both directions of each pair share its label
         labels_out.append(np.repeat(np.where(same[lo + rows, pairs], SAME, DIFF), 2))
-        gaps = (raw.gaps[rows, pairs], raw.gaps[rows, m + pairs])
-        gaps_out.append(np.stack(gaps, axis=1).ravel())
-        overlaps_out.append(np.repeat(raw.overlaps[rows, pairs], 2, axis=0))
-    return TrainingSet(
-        np.concatenate(labels_out), np.concatenate(gaps_out), np.concatenate(overlaps_out),
-        binning,
-    )
+        bins_out.append(np.stack((bins[rows, pairs], bins[rows, m + pairs]), axis=1).reshape(-1, 4))
+    return TrainingSet(np.concatenate(labels_out), np.concatenate(bins_out), binning)
+
+
+def _had_a_turn(utterances: Mapping[int, Sequence[Utterance]], ids: Sequence[int],
+               ticks: np.ndarray, lookback: int) -> np.ndarray:
+    """(ticks, participants) bools, columns in ``ids`` order: whether each
+    one's newest turn begun before the tick ends after ``lookback`` behind
+    it. Turns are disjoint and in start order, so no older one ends later."""
+    out = np.empty((len(ticks), len(ids)), dtype=bool)
+    for k, pid in enumerate(ids):
+        utts = utterances[pid]
+        starts = np.array([u.start for u in utts], dtype=np.int64)
+        # the end after the last is what index -1, no turn yet, reads
+        ends = np.array([u.end for u in utts] + [np.iinfo(np.int64).min], dtype=np.int64)
+        out[:, k] = ends[np.searchsorted(starts, ticks, side="left") - 1] > ticks - lookback
+    return out
 
 
 def train(instances: TrainingSet) -> FloorModel:
@@ -154,9 +165,7 @@ def train(instances: TrainingSet) -> FloorModel:
     ``np.add.at`` on the (2, n_bins) table. Needs at least one instance
     of each class; raises TrainingError otherwise.
     """
-    binning = instances.binning
-    labels = instances.labels
-    bins = binning.bin_array(instances.gaps, instances.overlaps)
+    binning, labels, bins = instances.binning, instances.labels, instances.bins
     class_counts = np.bincount(labels, minlength=2)
     if class_counts.min() == 0:
         missing = CLASS_NAMES[int(np.argmin(class_counts))]
@@ -177,9 +186,7 @@ def train(instances: TrainingSet) -> FloorModel:
 
 def summarize_training(instances: TrainingSet) -> dict:
     """Class counts and per-feature occupied-bin counts, for reporting."""
-    binning = instances.binning
-    labels = instances.labels
-    bins = binning.bin_array(instances.gaps, instances.overlaps)
+    binning, labels, bins = instances.binning, instances.labels, instances.bins
     class_counts = {c: int(np.count_nonzero(labels == c)) for c in (SAME, DIFF)}
     occupied = {
         name: {c: len(np.unique(bins[labels == c, k])) for c in (SAME, DIFF)}

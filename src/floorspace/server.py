@@ -89,6 +89,10 @@ MAX_CONTROL_BYTES = 64 * 1024
 # as JSON escapes it: at this bound its largest is 50 585 bytes, every counter
 # at 2**63, and a joined reply less; one UDP datagram holds 65 507
 MAX_NAME_CHARS = 200
+# an error reply quotes at most this many characters of what went wrong,
+# which can echo any value a client sent: at up to 12 bytes a character,
+# 6 000 bytes, so every error reply fits one datagram too
+MAX_ERROR_CHARS = 500
 INBOX_FRAMES = 64
 # control messages that act for a session, and the field naming it: they
 # count only from the control address that session joined from
@@ -487,6 +491,8 @@ class RealtimeServer:
             }
 
     def _send_control(self, msg: dict, addr: Tuple[str, int]) -> None:
+        if msg["type"] == "error" and len(msg["message"]) > MAX_ERROR_CHARS:
+            msg["message"] = msg["message"][: MAX_ERROR_CHARS - 3] + "..."
         try:
             self.control_sock.sendto(encode_message(msg), addr)
         except OSError as exc:

@@ -6,7 +6,9 @@ held-out turn timing. The loopback latency oracle is shared by the
 transport tests and the acceptance gate, and the whole-stream
 segmenter by the segmenter, feature and bounded-state tests. A tracker
 keeps only its last period; the ``periods`` fixture collects every one
-it returns.
+it returns. ``exact`` and ``unbinned`` read the feature values back out
+of an engine's bins, for the tests that hold them to the scalar
+definitions.
 """
 
 from collections import defaultdict
@@ -16,6 +18,7 @@ import pytest
 
 from floorspace.corpus import GeneratorConfig, generate
 from floorspace.evaluation import FloorTracker
+from floorspace.features import NO_GAP, FeatureBinning
 from floorspace.learner import make_training_instances, train
 from floorspace.segmenter import BRIDGE_GAP_MS, MIN_UTTERANCE_MS
 from floorspace.timeline import Utterance
@@ -74,6 +77,37 @@ def instances_for(corpus, sample_period_ms=1000):
 @pytest.fixture(scope="session")
 def floor_model(train_corpus):
     return train(instances_for(train_corpus))
+
+
+# far past any tick a test reaches, so ``exact`` clips no gap
+EXACT_CLIP_MS = 10**9
+
+
+def exact(binning=FeatureBinning()):
+    """A binning over ``binning``'s windows that loses nothing: every gap
+    within EXACT_CLIP_MS and every count of a window of up to 15 000 ms
+    has a bin of its own."""
+    return FeatureBinning(trp_bin_width_ms=1, trp_clip_ms=EXACT_CLIP_MS,
+                          overlap_bins_per_window=15_001,
+                          window_lengths_ms=binning.window_lengths_ms)
+
+
+def unbinned(engine, ticks):
+    """The (k, 2m) gaps, NO_GAP for a missing one, and the (k, m, 3)
+    overlap counts that an engine serving an ``exact`` binning bins at
+    ``ticks``, read back from its ``binned``."""
+    b = engine.binning
+    assert b.trp_bin_width_ms == 1 and b.overlap_bins_per_window > max(b.window_lengths_ms)
+    bins = engine.binned(ticks).astype(np.int64)
+    m = bins.shape[1] // 2
+    # both directions of a pair bin its counts alike
+    assert np.array_equal(bins[:, :m, 1:], bins[:, m:, 1:])
+    gaps = np.where(bins[..., 0] == b.missing_bin, NO_GAP, bins[..., 0] - b.trp_clip_ms)
+    # with more bins than a window has ticks, count * bins // length gives
+    # each count a bin of its own, and the count is the least that reaches it
+    lengths = np.array(b.window_lengths_ms)
+    overlaps = -(-bins[:, :m, 1:] * lengths // b.overlap_bins_per_window)
+    return gaps, overlaps
 
 
 def loopback_latency_ms(depth_ms=60, marker_tick=5):

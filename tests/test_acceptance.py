@@ -32,7 +32,7 @@ from floorspace.timeline import Utterance, stream_from_intervals
 from floorspace.transport import Packetizer, decode_ulaw, encode_ulaw
 from floorspace.vad import SAMPLE_RATE, VoiceActivityDetector
 
-from conftest import instances_for, loopback_latency_ms
+from conftest import exact, instances_for, loopback_latency_ms, unbinned
 
 
 def report(n, ok, detail):
@@ -305,18 +305,23 @@ def test_criterion_04_naive_bayes_correctness(floor_model):
 
 
 def engine_features(ia, ib, now, duration, binning):
-    """Overlaps and both gaps of participants 0 and 1 from a FeatureEngine
-    serving ``binning``, and the engine."""
+    """Overlaps and both gaps of participants 0 and 1, read exactly from a
+    FeatureEngine over ``binning``'s windows, and the gap bins of both
+    directions from one serving ``binning``."""
     views = {
         0: lambda: ([s for s, _ in ia], [e for _, e in ia]),
         1: lambda: ([s for s, _ in ib], [e for _, e in ib]),
     }
-    engine = FeatureEngine([0, 1], views, binning, step_ms=1)
-    engine.add_activity(np.stack([stream_from_intervals(p, iv, duration_ms=duration).bits
-                                  for p, iv in enumerate((ia, ib))]))
-    raw = engine.raw([now])
-    gaps = [None if g == NO_GAP else g for g in raw.gaps[0].tolist()]
-    return (tuple(raw.overlaps[0, 0].tolist()), gaps[0], gaps[1]), engine
+    room = np.stack([stream_from_intervals(p, iv, duration_ms=duration).bits
+                     for p, iv in enumerate((ia, ib))])
+    exactly, served = (FeatureEngine([0, 1], views, b, step_ms=1)
+                       for b in (exact(binning), binning))
+    for engine in (exactly, served):
+        engine.add_activity(room)
+    gaps, overlaps = unbinned(exactly, [now])
+    gaps = [None if g == NO_GAP else g for g in gaps[0].tolist()]
+    features = (tuple(overlaps[0, 0].tolist()), gaps[0], gaps[1])
+    return features, served.binned([now])[0, :, 0].tolist()
 
 
 def gap_bin_oracle(gap, binning):
@@ -349,7 +354,7 @@ def test_criterion_05_feature_oracles():
         gap_ab, gap_ba = gap_oracle(ua, ub, now), gap_oracle(ub, ua, now)
 
         for binning in binnings:
-            got, engine = engine_features(ia, ib, now, duration, binning)
+            got, bins = engine_features(ia, ib, now, duration, binning)
             overlaps = got[0]
             ok &= overlaps == overlap_oracle(ia, ib, now, binning.window_lengths_ms)
             swapped = engine_features(ib, ia, now, duration, binning)[0]
@@ -357,7 +362,6 @@ def test_criterion_05_feature_oracles():
             overlap_checked += 1
 
             ok &= got[1:] == (gap_ab, gap_ba)
-            bins = engine.binned([now])[0, :, 0].tolist()
             ok &= bins == [gap_bin_oracle(gap_ab, binning), gap_bin_oracle(gap_ba, binning)]
             gap_checked += 2
 

@@ -8,12 +8,14 @@ import wave
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from floorspace.cli import main
-from floorspace.corpus import Corpus, TurnRecord, generate, save_corpus
+from floorspace.corpus import Corpus, TurnRecord, generate, load_corpus, save_corpus
+from floorspace.learner import TrainingSet, save_model, train
 
-from conftest import four_party_config
+from conftest import four_party_config, instances_for
 
 
 @pytest.fixture(scope="module")
@@ -140,13 +142,26 @@ def test_train_reports_instance_counts(tmp_path, art, capsys):
 
 
 def test_train_accepts_multiple_corpora(tmp_path, art, capsys):
+    # the model of two corpus files is the model of their instances together
+    other = tmp_path / "other.corpus"
+    save_corpus(generate(four_party_config(seed=72, duration_ms=45_000, epoch_ms=15_000)),
+                str(other))
     out = tmp_path / "m.json"
-    rc = main(
-        ["train", "--corpus", str(art.corpus), "--corpus", str(art.corpus),
-         "--out", str(out)]
-    )
+    rc = main(["train", "--corpus", str(art.corpus), "--corpus", str(other), "--out", str(out)])
     assert rc == 0
-    assert "from 2 corpus file(s)" in capsys.readouterr().out
+    sets = [instances_for(load_corpus(str(path))) for path in (art.corpus, other)]
+    together = TrainingSet(np.concatenate([s.labels for s in sets]),
+                           np.concatenate([s.bins for s in sets]), sets[0].binning)
+    text = capsys.readouterr().out
+    assert f"trained on {len(together)} instances" in text
+    assert "from 2 corpus file(s)" in text
+    want = tmp_path / "want.json"
+    save_model(train(together), str(want))
+    assert out.read_bytes() == want.read_bytes()
+    # and is neither file's model alone
+    for one in sets:
+        save_model(train(one), str(want))
+        assert out.read_bytes() != want.read_bytes()
 
 
 def test_train_needs_both_classes(tmp_path, capsys):

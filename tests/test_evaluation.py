@@ -27,7 +27,7 @@ from floorspace.evaluation import (
     write_report,
     write_timeline,
 )
-from floorspace.features import FeatureEngine, utterance_views
+from floorspace.features import BLOCK_CELLS, FeatureEngine, utterance_views
 from floorspace.timeline import floor_labels
 
 from conftest import changes, four_party_config, room_block
@@ -219,9 +219,9 @@ def _two_party_corpus(seed, duration_ms):
 
 
 def test_tracker_chunking_does_not_change_the_outcome(floor_model, periods):
-    # each runs past its room's block span: 42.24 s at four, 140.8 s at two
+    # each runs past its room's block span: 70.4 s at four, 422.4 s at two
     for corpus in (generate(four_party_config(seed=44, duration_ms=90_000, epoch_ms=45_000)),
-                   _two_party_corpus(seed=45, duration_ms=300_000)):
+                   _two_party_corpus(seed=45, duration_ms=480_000)):
         _check_chunking(corpus, floor_model, periods)
 
 
@@ -264,8 +264,9 @@ def test_the_tracker_decides_its_periods_in_blocks_of_the_engine_span(
                         lambda self, ticks: blocks.append(len(ticks)) or binned(self, ticks))
     tracker.add_activity(room_block(corpus.streams(), ids))
     tracker.process_due()
-    # 42 240 ms at four: 1 408 periods a block, where 7 680 ms held 256
-    assert blocks == [1408, 1408, 1408, 5000 - 3 * 1408]
+    # four members' six pair rows fill the budget in 70 400 ms: 2 346 periods
+    per_block = BLOCK_CELLS // 6 // 30
+    assert blocks == [per_block, per_block, 5000 - 2 * per_block]
 
 
 def _score_bits(log):

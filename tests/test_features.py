@@ -15,7 +15,7 @@ from floorspace.features import (
 )
 from floorspace.timeline import ActivityStream, Utterance, stream_from_intervals
 
-from conftest import segment
+from conftest import exact, segment, unbinned
 
 DEFAULT = FeatureBinning()
 # the default windows and one short set; the engine serves either
@@ -159,13 +159,12 @@ def test_gap_translation_invariance():
 def test_window_lengths():
     assert DEFAULT.window_lengths_ms == (1000, 14000, 15000)
     assert DEFAULT.trp_clip_ms == 5000
-    # continuous speech fills each window, and the lookback is their sum
+    # continuous speech fills each window
     for b in BINNINGS:
-        engine = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, b)
+        engine = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, exact(b))
         engine.add_activity(np.ones((2, 40_000), dtype=bool))
-        raw = engine.raw([40_000])
-        assert tuple(raw.overlaps[0, 0]) == b.window_lengths_ms
-        assert raw.speech.tolist() == [[sum(b.window_lengths_ms)] * 2]
+        _, overlaps = unbinned(engine, [40_000])
+        assert tuple(overlaps[0, 0]) == b.window_lengths_ms
 
 
 def test_overlap_silent_streams():
@@ -236,24 +235,38 @@ def test_engine_combines_gap_and_overlap():
         1: stream_from_intervals(1, [(0, 1000)], now),
     }
     turns = {0: ([1200], [2000]), 1: ([0], [1000])}
-    engine = FeatureEngine([0, 1], {p: (lambda v=turns[p]: v) for p in turns}, DEFAULT)
+    engine = FeatureEngine([0, 1], {p: (lambda v=turns[p]: v) for p in turns}, exact())
     engine.add_activity(np.stack([streams[p].bits for p in (0, 1)]))
-    raw = engine.raw([now])
+    gaps, overlaps = unbinned(engine, [now])
     # 0 starts 200 ms after 1's turn ends; no turn of 0's precedes 1's
-    assert raw.gaps.tolist() == [[200, NO_GAP]]
-    assert raw.overlaps.tolist() == [[[0, 0, 0]]]
+    assert gaps.tolist() == [[200, NO_GAP]]
+    assert overlaps.tolist() == [[[0, 0, 0]]]
 
 
 def test_engine_counts_ordered_pairs():
-    def party(n):
-        engine = FeatureEngine(range(n), {p: lambda: ([], []) for p in range(n)}, DEFAULT)
-        engine.add_activity(np.zeros((n, 1000), dtype=bool))
-        return engine.raw([1000])
-
     for n, ordered in ((2, 2), (4, 12)):
-        raw = party(n)
-        assert raw.gaps.shape == (1, ordered)
-        assert raw.overlaps.shape == (1, ordered // 2, 3)
+        engine = FeatureEngine(range(n), _silent(range(n)), DEFAULT)
+        engine.add_activity(np.zeros((n, 1000), dtype=bool))
+        assert engine.binned([1000]).shape == (1, ordered, 4)
+
+
+def test_the_engine_counts_member_pairs_only():
+    # one count row per member pair, after joins and leaves too; a lone
+    # member counts none
+    engine = FeatureEngine([0], _silent(range(5)), DEFAULT, step_ms=30)
+    assert engine._cum.shape[0] == 0
+    for kind, pid, members in (("join", 1, [0, 1]), ("join", 3, [0, 1, 3]),
+                               ("join", 4, [0, 1, 3, 4]), ("leave", 1, [0, 3, 4]),
+                               ("leave", 0, [3, 4]), ("leave", 3, [4])):
+        if kind == "join":
+            engine.join(pid, lambda: ([], []))
+        else:
+            engine.leave(pid)
+        engine.add_activity(np.ones((len(members), 3000), dtype=bool))
+        engine.count_through(engine.coverage)
+        pairs = len(members) * (len(members) - 1) // 2
+        assert list(engine.participants) == members
+        assert engine._cum.shape[0] == len(engine.pairs) == pairs
 
 
 def test_engine_shares_overlap_across_directions():
@@ -265,18 +278,18 @@ def test_engine_shares_overlap_across_directions():
     }
     pairs = [(0, 1), (0, 2), (1, 2)]
     for binning in BINNINGS:
-        engine = FeatureEngine(range(3), views, binning)
+        engine = FeatureEngine(range(3), views, exact(binning))
         engine.add_activity(np.stack([streams[i].bits for i in range(3)]))
-        raw = engine.raw([4000])
+        gaps, overlaps_at = unbinned(engine, [4000])
         windows = binning.window_lengths_ms
         for k, (a, b) in enumerate(pairs):
             # one overlap row serves (a, b) and (b, a); each direction has its gap
-            overlaps = tuple(raw.overlaps[0, k])
+            overlaps = tuple(overlaps_at[0, k])
             assert overlaps == overlap_oracle(streams[a], streams[b], 4000, windows)
             assert overlaps == overlap_oracle(streams[b], streams[a], 4000, windows)
             for col, (x, y) in ((k, (a, b)), (len(pairs) + k, (b, a))):
                 gap = gap_of(utterances[x], utterances[y], 4000)
-                assert raw.gaps[0, col] == (NO_GAP if gap is None else gap)
+                assert gaps[0, col] == (NO_GAP if gap is None else gap)
 
 
 # --- the batched engine against the scalar definitions --------------------------
@@ -302,8 +315,8 @@ def _lay_out(steps, max_tick):
 
 def longest_span(n):
     """No n-member engine's block is longer: the cell budget over its
-    count rows, every pair and every member alone."""
-    return BLOCK_CELLS // (n * (n + 1) // 2)
+    count rows, one per member pair."""
+    return BLOCK_CELLS // (n * (n - 1) // 2)
 
 
 @st.composite
@@ -364,35 +377,34 @@ def test_engine_matches_the_scalar_definitions_at_any_chunking(session):
 
     for binning in BINNINGS:
         windows = binning.window_lengths_ms
-        one_at_a_time = _engine(n, start, step, turns, binning)
+        one_at_a_time = _engine(n, start, step, turns, exact(binning))
         left = list(chunks)
         singles = []
         for t in ticks:
             _feed_until(one_at_a_time, room, start, left, t)
-            singles.append(one_at_a_time.raw([t]))
+            singles.append(unbinned(one_at_a_time, [t]))
 
-        batch = _engine(n, start, step, turns, binning)
+        batch = _engine(n, start, step, turns, exact(binning))
         batch.add_activity(room)
-        together = batch.raw(ticks)
+        together = unbinned(batch, ticks)
 
         gaps = np.empty((len(ticks), 2 * m), dtype=np.int64)
+        overlaps = np.empty((len(ticks), m, 3), dtype=np.int64)
         for k, t in enumerate(ticks):
             for field, single in zip(together, singles[k]):
                 assert np.array_equal(field[k], single[0])
             for i, (a, b) in enumerate(pairs):
-                w = overlap_oracle(oracle[a], oracle[b], t, windows)
-                assert tuple(together.overlaps[k, i]) == w
+                overlaps[k, i] = overlap_oracle(oracle[a], oracle[b], t, windows)
                 for col, (x, y) in ((i, (a, b)), (m + i, (b, a))):
                     gap = trp_gap_from_arrays(starts[x], starts[y], ends[y], t)
                     gaps[k, col] = NO_GAP if gap is None else gap
-            for p in range(n):
-                assert together.speech[k, p] == oracle[p].window(t - sum(windows), t).sum()
-        assert np.array_equal(together.gaps, gaps)
-        # a second engine, since the first no longer holds the earliest instants
-        again = _engine(n, start, step, turns, binning)
-        again.add_activity(room)
-        overlaps = np.concatenate((together.overlaps, together.overlaps), axis=1)
-        assert np.array_equal(again.binned(ticks), binning.bin_array(gaps, overlaps))
+        assert np.array_equal(together[0], gaps)
+        assert np.array_equal(together[1], overlaps)
+        # and an engine serving ``binning`` bins them as ``bin_array`` does
+        served = _engine(n, start, step, turns, binning)
+        served.add_activity(room)
+        both = np.concatenate((overlaps, overlaps), axis=1)
+        assert np.array_equal(served.binned(ticks), binning.bin_array(gaps, both))
 
 
 def _silent(ids):
@@ -412,10 +424,10 @@ def test_engine_window_counts_match_simultaneous_speech_at_every_resolution(res,
     oracle = [ActivityStream(p, start, bits=streams[p]) for p in range(n)]
     picks = data.draw(st.lists(st.integers(k, duration // res), min_size=1, max_size=8))
     ticks = sorted(res * pick for pick in picks)
-    engine = FeatureEngine(range(n), _silent(range(n)), DEFAULT, start_tick=start, step_ms=res)
+    engine = FeatureEngine(range(n), _silent(range(n)), exact(), start_tick=start, step_ms=res)
     assert engine._res == res
     engine.add_activity(np.stack(streams))
-    overlaps = engine.raw(ticks).overlaps
+    _, overlaps = unbinned(engine, ticks)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     for row, t in enumerate(ticks):
         for i, (a, b) in enumerate(pairs):
@@ -427,22 +439,28 @@ def test_the_block_span_fits_the_cell_budget_at_every_room_size():
         for step in (1, 30, 1000):
             for n in range(1, 11):
                 engine = FeatureEngine(range(n), _silent(range(n)), binning, step_ms=step)
-                rows, span, res = n * (n + 1) // 2, engine.span, engine._res
+                # one row per member pair; a lone member's block is one pair's
+                rows, span, res = max(n * (n - 1) // 2, 1), engine.span, engine._res
                 assert rows * span <= BLOCK_CELLS
                 assert span % res == 0
                 # and the longest such block
                 assert rows * (span + res) > BLOCK_CELLS
     spans = {(n, step): FeatureEngine(range(n), _silent(range(n)), DEFAULT, step_ms=step).span
              for n in (2, 4, 10) for step in (30, 1000)}
-    assert spans == {(2, 30): 140_800, (4, 30): 42_240, (10, 30): 7680,
-                     (2, 1000): 140_000, (4, 1000): 42_000, (10, 1000): 7000}
+    # at a 30 ms step counts are kept every 10 ms: 422 400, 70 400 and
+    # 9 380 ms; at 1 000 ms every second: 422 000, 70 000 and 9 000 ms
+    assert spans == {(2, 30): BLOCK_CELLS, (4, 30): BLOCK_CELLS // 6,
+                     (10, 30): BLOCK_CELLS // 45 // 10 * 10,
+                     (2, 1000): BLOCK_CELLS // 1000 * 1000,
+                     (4, 1000): BLOCK_CELLS // 6 // 1000 * 1000,
+                     (10, 1000): BLOCK_CELLS // 45 // 1000 * 1000}
     # a join or leave sizes the block anew for the room it makes
     engine = FeatureEngine(range(4), _silent(range(10)), DEFAULT, step_ms=30)
     engine.join(4, lambda: ([], []))
-    assert engine.span == 28_160
+    assert engine.span == BLOCK_CELLS // 10
     for p in range(3):
         engine.leave(p)
-    assert engine.span == 140_800
+    assert engine.span == BLOCK_CELLS
 
 
 def test_the_engine_counts_in_blocks_of_its_span(monkeypatch):
@@ -461,7 +479,7 @@ def test_the_engine_counts_in_blocks_of_its_span(monkeypatch):
         engine.add_activity(rng.random((n, engine.span * blocks)) < 0.3)
         widths.clear()
         engine.count_through(engine.coverage)
-        assert widths == [(n * (n + 1) // 2, engine.span)] * blocks
+        assert widths == [(n * (n - 1) // 2, engine.span)] * blocks
 
 
 def test_an_engine_block_is_one_row_per_participant_of_one_length():
@@ -477,7 +495,7 @@ def test_an_engine_block_is_one_row_per_participant_of_one_length():
     # a list of rows reads as the array it would stack into
     engine.add_activity([np.ones(40_000, dtype=bool), np.zeros(40_000, dtype=bool)])
     assert engine.coverage == 40_000
-    assert engine.raw([40_000]).speech.tolist() == [[30_000, 0]]
+    assert engine.streams[0].all() and not engine.streams[1].any()
     for bad in bad_blocks:
         with pytest.raises(ValueError, match=refused):
             engine.add_activity(bad)
@@ -513,16 +531,16 @@ def test_a_list_of_rows_bins_as_its_stacked_array():
 def test_engine_rejects_instants_it_no_longer_holds():
     engine = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, DEFAULT)
     engine.add_activity(np.ones((2, 40_000), dtype=bool))
-    engine.raw([39_000])
+    engine.binned([39_000])
     with pytest.raises(ValueError, match="retained"):
-        engine.raw([8_000])
+        engine.binned([8_000])
     with pytest.raises(ValueError, match="covered"):
-        engine.raw([40_001])
+        engine.binned([40_001])
     on_grid = FeatureEngine([0, 1], {0: lambda: ([], []), 1: lambda: ([], [])}, DEFAULT,
                             step_ms=30)
     on_grid.add_activity(np.ones((2, 100), dtype=bool))
     with pytest.raises(ValueError, match="multiples of 10"):
-        on_grid.raw([45])
+        on_grid.binned([45])
 
 
 # --- membership changes in place -------------------------------------------
@@ -571,7 +589,7 @@ def memberships(draw):
           + [("leave", 0), ("feed", 1), ("read", None), ("join", 0), ("join", 1)], 1, 0))
 def test_engine_joins_and_leaves_match_a_fresh_engine_over_the_final_room(case):
     for binning in BINNINGS:
-        _check_membership_changes(case, binning)
+        _check_membership_changes(case, exact(binning))
 
 
 def _check_membership_changes(case, binning):
@@ -611,7 +629,7 @@ def _check_membership_changes(case, binning):
             # count_through keeps what instants after its tick read, and the
             # tracker reads none before it
             if len(engine.participants) >= 2 and due > start and due >= read:
-                engine.raw([due])
+                engine.binned([due])
                 read = due
             else:
                 engine.count_through(tick)  # as the tracker does below two members
@@ -636,6 +654,7 @@ def _check_membership_changes(case, binning):
     instants = np.arange(first + (start - first) % step, tick + 1, step)
     if len(instants) == 0:
         return
-    got, want = engine.raw(instants), fresh.raw(instants)
-    for field in ("gaps", "overlaps", "speech"):
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    for got, want in zip(unbinned(engine, instants), unbinned(fresh, instants)):
+        assert np.array_equal(got, want)
+    # the engine counts its member pairs only, however it got them
+    assert engine._cum.shape[0] == len(engine.pairs)

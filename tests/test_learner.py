@@ -5,8 +5,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from floorspace.assigner import EVAL_PERIOD_MS
 from floorspace.corpus import generate
 from floorspace.errors import (
     ConfigError,
@@ -24,6 +25,7 @@ from floorspace.learner import (
     FloorModel,
     SAME,
     TrainingSet,
+    _had_a_turn,
     load_model,
     make_training_instances,
     posterior_batch,
@@ -33,7 +35,7 @@ from floorspace.learner import (
 )
 from floorspace.timeline import Utterance, stream_from_intervals
 
-from conftest import four_party_config, instances_for, room_block
+from conftest import exact, four_party_config, instances_for, room_block, unbinned
 
 
 def labeled(pid, intervals, label):
@@ -59,26 +61,27 @@ def random_features(rng, k):
     return gaps, overlaps
 
 
+def training_set(labels, gaps, overlaps, binning=FeatureBinning()):
+    """A TrainingSet of the bins of ``gaps`` and ``overlaps``."""
+    return TrainingSet(labels, binning.bin_array(gaps, overlaps), binning)
+
+
 def random_set(rng, k):
-    return TrainingSet(rng.integers(0, 2, k), *random_features(rng, k), FeatureBinning())
+    return training_set(rng.integers(0, 2, k), *random_features(rng, k))
 
 
 def repeated(label, gap, overlaps, times):
     """A TrainingSet of one row ``times`` over; a gap of None is missing."""
-    return TrainingSet(
+    return training_set(
         np.full(times, label),
         np.full(times, NO_GAP if gap is None else gap),
         np.tile(overlaps, (times, 1)),
-        FeatureBinning(),
     )
 
 
 def concatenated(a, b):
     return TrainingSet(
-        np.concatenate((a.labels, b.labels)),
-        np.concatenate((a.gaps, b.gaps)),
-        np.concatenate((a.overlaps, b.overlaps)),
-        a.binning,
+        np.concatenate((a.labels, b.labels)), np.concatenate((a.bins, b.bins)), a.binning,
     )
 
 
@@ -202,7 +205,7 @@ def test_sixty_second_two_speaker_corpus_yields_120_instances():
     streams, utterances, duration = two_speaker_corpus()
     instances = make_training_instances(streams, utterances, duration)
     assert len(instances) == 120
-    assert instances.gaps.shape == (120,) and instances.overlaps.shape == (120, 3)
+    assert instances.bins.shape == (120, 4)
     assert np.all(instances.labels == SAME)
 
 
@@ -224,7 +227,7 @@ def test_silent_third_participant_produces_no_pairs():
 def test_both_directions_share_the_overlap_features():
     streams, utterances, duration = two_speaker_corpus()
     instances = make_training_instances(streams, utterances, duration)
-    assert np.array_equal(instances.overlaps[0::2], instances.overlaps[1::2])
+    assert np.array_equal(instances.bins[0::2, 1:], instances.bins[1::2, 1:])
     assert np.array_equal(instances.labels[0::2], instances.labels[1::2])
 
 
@@ -239,6 +242,48 @@ def test_sample_period_scales_instance_count():
     streams, utterances, duration = two_speaker_corpus()
     instances = make_training_instances(streams, utterances, duration, sample_period_ms=2000)
     assert len(instances) == 60
+
+
+@st.composite
+def turn_rooms(draw):
+    """Disjoint turns of three members, some touching, a duration, a
+    sample period and a lookback."""
+    duration = draw(st.integers(1, 60_000))
+    turns = {}
+    for pid in range(3):
+        steps = draw(st.lists(st.tuples(st.integers(0, 20_000), st.integers(1, 20_000)),
+                              max_size=12))
+        turns[pid], t = [], 0
+        for gap, length in steps:
+            if t + gap + length > duration:
+                break
+            turns[pid].append((t + gap, t + gap + length))
+            t += gap + length
+    period = draw(st.sampled_from([1, 7, 30, 1000]))
+    lookback = draw(st.one_of(st.just(30_000), st.integers(1, 40_000)))
+    return turns, duration, period, lookback
+
+
+@settings(max_examples=150, deadline=None)
+@given(turn_rooms())
+# at 40 s: 0's turn ends exactly at the lookback's edge and 1's starts
+# exactly then; no one has a turn yet before 30 s, when the lookback
+# reaches back before 0 and 2's only turn is still to come
+@example(({0: [(5_000, 10_000)], 1: [(40_000, 41_000)], 2: [(35_000, 36_000)]},
+          45_000, 1000, 30_000))
+def test_a_member_had_a_turn_exactly_when_its_bits_hold_speech_in_the_lookback(case):
+    turns, duration, period, lookback = case
+    ids = sorted(turns)
+    utterances = {p: [Utterance(p, s, e) for s, e in turns[p]] for p in ids}
+    ticks = np.arange(period, duration + 1, period)
+    got = _had_a_turn(utterances, ids, ticks, lookback)
+    assert got.shape == (len(ticks), len(ids))
+    for k, pid in enumerate(ids):
+        # speech ticks in [max(t - lookback, 0), t), from the stream's bits
+        bits = stream_from_intervals(pid, turns[pid], duration).bits
+        spoken = np.concatenate(([0], np.cumsum(bits)))
+        want = spoken[ticks] - spoken[np.maximum(ticks - lookback, 0)] > 0
+        assert np.array_equal(got[:, k], want), pid
 
 
 @pytest.mark.parametrize("period", [0, -5, 2.5, True])
@@ -295,10 +340,7 @@ def test_instance_order_does_not_matter():
     instances = random_set(rng, 200)
     m1 = train(instances)
     order = rng.permutation(len(instances))
-    shuffled = TrainingSet(
-        instances.labels[order], instances.gaps[order], instances.overlaps[order],
-        instances.binning,
-    )
+    shuffled = TrainingSet(instances.labels[order], instances.bins[order], instances.binning)
     m2 = train(shuffled)
     assert np.array_equal(m1.priors, m2.priors)
     for name in FEATURE_NAMES:
@@ -314,8 +356,8 @@ def test_train_tallies_every_instance_like_add_at(binning, seed, k):
     clip = binning.trp_clip_ms
     gaps = np.where(rng.random(k) < 0.15, NO_GAP, rng.integers(-2 * clip, 2 * clip + 1, k))
     overlaps = rng.integers(0, np.array(binning.window_lengths_ms) + 1, (k, 3))
-    model = train(TrainingSet(labels, gaps, overlaps, binning))
     bins = binning.bin_array(gaps, overlaps)
+    model = train(TrainingSet(labels, bins, binning))
     class_counts = np.bincount(labels, minlength=2)
     for f, name in enumerate(FEATURE_NAMES):
         n_bins = binning.bins_for(name)
@@ -432,11 +474,11 @@ def test_tracker_probability_is_the_mean_of_both_directions(periods):
     tracker.process_due()
     log = periods[tracker]
     for t in (990, 15_000, 39_990):
-        raw = engine.raw([t])
-        m = raw.overlaps.shape[1]
+        bins = engine.binned([t])[0]
+        m = len(engine.pairs)
         row = log.posteriors[log.ticks.index(t)]
         for k in range(m):
-            both = posteriors(model, raw.gaps[0, [k, m + k]], raw.overlaps[0, [k, k]])
+            both = posterior_batch(model, bins[[k, m + k]])
             assert row[k] == pytest.approx(both.mean(), abs=1e-12)
 
 
@@ -448,7 +490,7 @@ def test_training_reads_the_features_the_tracker_serves(train_corpus, floor_mode
     tracker = FloorTracker(ids, floor_model, utterance_views(train_corpus.utterances()))
     tracker.add_activity(room_block(train_corpus.streams(), ids))
     ticks = np.arange(1000, train_corpus.duration_ms + 1, 1000)
-    raw = tracker.raw(ticks)
+    bins = tracker.binned(ticks)
 
     # the pairs training keeps: both spoke in the lookback before each instant
     lookback = sum(floor_model.binning.window_lengths_ms)
@@ -459,9 +501,8 @@ def test_training_reads_the_features_the_tracker_serves(train_corpus, floor_mode
     rows, pairs = np.nonzero(spoke[:, iu] & spoke[:, ju])
     m = len(iu)
     assert len(rows) > 0.9 * len(ticks) * m
-    gaps = np.stack((raw.gaps[rows, pairs], raw.gaps[rows, m + pairs]), axis=1).ravel()
-    assert np.array_equal(instances.gaps, gaps)
-    assert np.array_equal(instances.overlaps, np.repeat(raw.overlaps[rows, pairs], 2, axis=0))
+    served = np.stack((bins[rows, pairs], bins[rows, m + pairs]), axis=1).reshape(-1, 4)
+    assert np.array_equal(instances.bins, served)
 
 
 def test_boosting_an_observed_bin_never_lowers_the_posterior():
@@ -545,22 +586,24 @@ def test_a_model_counts_over_the_windows_it_was_trained_with(tmp_path):
         streams, utterances, duration_ms=corpus.duration_ms, binning=SHORT
     )
     assert instances.binning == SHORT
-    assert np.all(instances.overlaps <= SHORT.window_lengths_ms)
     path = tmp_path / "short.json"
     save_model(train(instances), str(path))
     model = load_model(str(path))
     assert model.binning == SHORT
 
-    # everyone talks at once: each window's count is its length
+    # everyone talks at once: each window's count is its length, as an
+    # engine over the model's windows reads it exactly
     ids = sorted(streams)
-    tracker = FloorTracker(ids, model, {p: lambda: ([], []) for p in ids})
-    tracker.add_activity(np.ones((len(ids), 9_000), dtype=bool))
+    silent = {p: lambda: ([], []) for p in ids}
+    tracker = FloorTracker(ids, model, silent)
+    counted = FeatureEngine(ids, silent, exact(model.binning), step_ms=EVAL_PERIOD_MS)
+    for engine in (tracker, counted):
+        engine.add_activity(np.ones((len(ids), 9_000), dtype=bool))
     tracker.process_due()
-    raw = tracker.raw([9_000])
-    assert np.all(raw.overlaps == SHORT.window_lengths_ms)
-    assert np.all(raw.speech == 5_000)
+    gaps, overlaps = unbinned(counted, [9_000])
+    assert np.all(overlaps == SHORT.window_lengths_ms)
     assert np.array_equal(tracker.binned([9_000]), model.binning.bin_array(
-        raw.gaps, np.concatenate((raw.overlaps, raw.overlaps), axis=1)))
+        gaps, np.concatenate((overlaps, overlaps), axis=1)))
 
 
 @pytest.mark.parametrize("change", [
@@ -606,8 +649,8 @@ BAD_ENTRIES = {
 def test_every_trained_model_round_trips_and_no_bad_entry_loads(
         tmp_path_factory, binning, seed, table, cls, index, bad):
     rng = np.random.default_rng(seed)
-    model = train(TrainingSet(np.array([SAME, DIFF] + list(rng.integers(0, 2, 60))),
-                              *random_features(rng, 62), binning))
+    model = train(training_set(np.array([SAME, DIFF] + list(rng.integers(0, 2, 60))),
+                               *random_features(rng, 62), binning))
     path = tmp_path_factory.mktemp("model") / "m.json"
     save_model(model, str(path))
     text = path.read_text()

@@ -1,4 +1,5 @@
-"""Every module-level function and class in the package has a caller.
+"""Every module-level function and class in the package has a caller,
+and so has every public method and property of a package class.
 
 Helpers that only the tests or the demos use are not product code; the
 tests keep theirs as oracles, and the demos walk the product's own
@@ -17,15 +18,16 @@ PACKAGE = ROOT / "src" / "floorspace"
 CALLERS = ("src", "perfbench")
 
 
-def names_in(tree, skip=None):
-    """Identifiers that ``tree`` names, leaving out the subtree ``skip``."""
+def names_in(tree, skip=None, bare=True):
+    """Identifiers that ``tree`` names, leaving out the subtree ``skip``;
+    bare names only if ``bare``."""
     out = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and bare:
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -38,25 +40,47 @@ def names_in(tree, skip=None):
     return out
 
 
-def test_every_module_level_name_in_the_package_is_named_outside_its_definition():
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unnamed_definitions(pick, bare):
+    """``path:line label`` of every definition ``pick(module tree)`` yields,
+    as (label, node) pairs, that no caller names outside the node (by a
+    bare name too, if ``bare``)."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for top in CALLERS
         for path in sorted((ROOT / top).rglob("*.py"))
         if path != PACKAGE / "__init__.py"
     }
-    elsewhere = {path: names_in(tree) for path, tree in trees.items()}
+    elsewhere = {path: names_in(tree, bare=bare) for path, tree in trees.items()}
     unused = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            named = names_in(tree, skip=node)
-            named |= {n for p, names in elsewhere.items() if p != path for n in names}
-            if node.name not in named:
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+        others = {n for p, names in elsewhere.items() if p != path for n in names}
+        for label, node in pick(tree):
+            if node.name not in names_in(tree, node, bare) | others:
+                unused.append(f"{path.name}:{node.lineno} {label}")
+    return unused
+
+
+def test_every_module_level_name_in_the_package_is_named_outside_its_definition():
+    unused = unnamed_definitions(lambda tree: (
+        (node.name, node) for node in tree.body
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,))), bare=True)
+    assert not unused, "named only in their own definition: " + ", ".join(unused)
+
+
+def test_every_public_method_in_the_package_is_named_outside_its_definition():
+    # properties and class and static methods included; a read path only
+    # the tests take fails here. A method is reached as an attribute or by
+    # its name in a string, so a local variable of that name does not count
+    unused = unnamed_definitions(lambda tree: (
+        (f"{cls.name}.{node.name}", node)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, FUNCTIONS) and not node.name.startswith("_")), bare=False)
     assert not unused, "named only in their own definition: " + ", ".join(unused)
 
 

@@ -14,6 +14,7 @@ import pytest
 from floorspace.assigner import QUIET_GAIN
 from floorspace.errors import CapacityError, ConfigError, FloorspaceError, PacketFormatError
 from floorspace.server import (
+    MAX_ERROR_CHARS,
     MAX_NAME_CHARS,
     RealtimeServer,
     ServerConfig,
@@ -428,6 +429,38 @@ def test_malformed_bytes_get_an_error_reply(floor_model):
             assert reply["type"] == "error"
         finally:
             sock.close()
+
+
+# each got no reply, or one of 60 092 bytes: its error quoted the value,
+# and JSON writes a raw two-byte "é" as six
+LONG_VALUE_BODIES = {
+    "type": '{"type":"%s"}' % ("é" * 20_000),
+    "ssrc": '{"type":"join","name":"x","ssrc":"%s"}' % ("é" * 20_000),
+    "name key": '{"type":"leave","name":{"%s":1}}' % ("é" * 30_000),
+    "name list": '{"type":"join","name":[%s],"ssrc":1}' % ",".join(['"x"'] * 12_000),
+}
+
+
+@pytest.mark.parametrize("what", sorted(LONG_VALUE_BODIES))
+def test_a_message_that_echoes_a_long_value_gets_one_short_error(floor_model, what):
+    # an empty error's frame, and at most 12 bytes for each character quoted
+    bound = len(encode_message({"type": "error", "message": ""})) + 12 * MAX_ERROR_CHARS
+    with running_server(floor_model) as srv:
+        client = ScriptedClient("x", 1, srv.audio_addr, srv.control_addr)
+        try:
+            body = LONG_VALUE_BODIES[what].encode("utf-8")
+            client.control_sock.sendto(framed(body), srv.control_addr)
+            data = client.control_sock.recvfrom(65536)[0]
+            assert decode_message(data)["type"] == "error"
+            assert len(data) <= bound
+            client.control_sock.settimeout(0.2)
+            with pytest.raises(socket.timeout):
+                client.control_sock.recvfrom(65536)
+            client.control_sock.settimeout(2.0)
+            assert client.request({"type": "status"})["type"] == "status"
+            assert not srv.sessions
+        finally:
+            client.close()
 
 
 def test_a_pin_with_an_empty_floor_gets_an_error(floor_model):
